@@ -43,6 +43,9 @@ def _run_strategy(cache, benchmark=None):
     app, oids = build_acm_application(volumes=3, issues_per_volume=2,
                                       papers_per_issue=3)
     app.ctx.bean_cache = cache
+    # operations invalidate through the bus, which only knows the
+    # levels registered on it
+    app.ctx.register_cache_level("bean", cache)
     for unit in app.model.all_units():
         if unit.kind != "entry":
             unit.cacheable = True

@@ -16,7 +16,7 @@ properties a multithreaded runtime must deliver at once:
   that an operation already invalidated (each writer re-reads its own
   book through the full request path and must see its own price).
 
-Run fast (CI smoke): ``REPRO_E13_FAST=1 pytest benchmarks/bench_e13_concurrency.py``.
+Run fast (CI smoke): ``REPRO_FAST=1 pytest benchmarks/bench_e13_concurrency.py``.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from repro.workloads.acm import build_acm_application
 from repro.workloads.bookstore import build_bookstore_model, seed_bookstore
 from repro.workloads.traffic import page_url_pool
 
-FAST = bool(os.environ.get("REPRO_E13_FAST"))
+FAST = bool(os.environ.get("REPRO_FAST"))
 
 #: simulated data-tier round-trip per SQL statement (sleeps with the GIL
 #: released, so worker threads overlap their waits — the mechanism that

@@ -19,7 +19,7 @@ explicit baselines:
   delay per statement (``Database.io_delay``, as in E13) the page's
   query count drops from O(rows) to O(levels) and latency follows.
 
-Run fast (CI smoke): ``REPRO_E14_FAST=1 pytest benchmarks/bench_e14_query_pipeline.py``.
+Run fast (CI smoke): ``REPRO_FAST=1 pytest benchmarks/bench_e14_query_pipeline.py``.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from repro.rdb import Database
 from repro.services import GenericUnitService
 from repro.workloads.acm import build_acm_application
 
-FAST = bool(os.environ.get("REPRO_E14_FAST"))
+FAST = bool(os.environ.get("REPRO_FAST"))
 
 BOOKS = 2_000 if FAST else 12_000
 #: wide enough that the year-filtered book set is smaller than the

@@ -21,7 +21,7 @@ interleaves admin ``CreatePaper`` writes, each followed by a public
 read that must observe the new paper — a staleness violation anywhere
 fails the experiment.
 
-Run fast (CI smoke): ``REPRO_E15_FAST=1 pytest benchmarks/bench_e15_delivery.py``.
+Run fast (CI smoke): ``REPRO_FAST=1 pytest benchmarks/bench_e15_delivery.py``.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from repro.presentation.renderer import default_stylesheet
 from repro.workloads.acm import build_acm_model, seed_acm_data
 from repro.workloads.traffic import TrafficGenerator, WriteAction
 
-FAST = bool(os.environ.get("REPRO_E15_FAST"))
+FAST = bool(os.environ.get("REPRO_FAST"))
 READ_REQUESTS = 150 if FAST else 600
 MIXED_REQUESTS = 120 if FAST else 480
 #: one admin write per this many public reads in the mixed phase

@@ -22,7 +22,7 @@ for all three cache levels, recorded pool waits under a deliberately
 small pool, and slow-query entries carrying the planner's chosen
 access path under a deliberately low threshold.
 
-Run fast (CI smoke): ``REPRO_E16_FAST=1 pytest benchmarks/bench_e16_observability.py``.
+Run fast (CI smoke): ``REPRO_FAST=1 pytest benchmarks/bench_e16_observability.py``.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from repro.presentation.renderer import default_stylesheet
 from repro.workloads.acm import build_acm_model, seed_acm_data
 from repro.workloads.traffic import TrafficGenerator
 
-FAST = bool(os.environ.get("REPRO_E16_FAST"))
+FAST = bool(os.environ.get("REPRO_FAST"))
 READ_REQUESTS = 300 if FAST else 600
 #: paired-measurement trials; the best (minimum) p50 ratio is asserted,
 #: which filters scheduler noise out of a 5% bound

@@ -29,7 +29,7 @@ interpreter (``optimize=False``) must agree up to row order.  At
 benchmark scale the compiled plan must be at least 2x faster on every
 probe.
 
-Run fast (CI smoke): ``REPRO_E17_FAST=1 pytest benchmarks/bench_e17_compiled_execution.py``.
+Run fast (CI smoke): ``REPRO_FAST=1 pytest benchmarks/bench_e17_compiled_execution.py``.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ import time
 from repro.bench import ExperimentReport, save_report
 from repro.rdb import Database
 
-FAST = bool(os.environ.get("REPRO_E17_FAST"))
+FAST = bool(os.environ.get("REPRO_FAST"))
 
 BOOKS = 2_000 if FAST else 12_000
 GENRES = 12

@@ -21,7 +21,7 @@ tail.  This experiment measures the two promises that matter:
 Results also land machine-readable in
 ``benchmarks/reports/BENCH_E18.json`` for the CI durability smoke.
 
-Run fast (CI smoke): ``REPRO_E18_FAST=1 pytest benchmarks/bench_e18_durability.py``.
+Run fast (CI smoke): ``REPRO_FAST=1 pytest benchmarks/bench_e18_durability.py``.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from repro.bench import ExperimentReport, save_report
 from repro.rdb import Database
 from repro.rdb.wal import MAGIC, committed_prefix_boundaries
 
-FAST = bool(os.environ.get("REPRO_E18_FAST"))
+FAST = bool(os.environ.get("REPRO_FAST"))
 
 WORKLOAD_STEPS = 60 if FAST else 160
 #: random mid-stream cuts on top of every frame boundary; the

@@ -24,7 +24,7 @@ Phases:
 - **slow client** — a trickle-reading client must not move another
   client's p99.
 
-``REPRO_E19_FAST=1`` (CI) shrinks request counts, not the assertions.
+``REPRO_FAST=1`` (CI) shrinks request counts, not the assertions.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from repro.presentation import PresentationRenderer
 from repro.presentation.renderer import default_stylesheet
 from repro.workloads.acm import build_acm_model, seed_acm_data
 
-FAST = bool(os.environ.get("REPRO_E19_FAST"))
+FAST = bool(os.environ.get("REPRO_FAST"))
 #: compute pool size, identical on both edges — the comparison isolates
 #: who owns idle connections, not how much computes
 WORKERS = 4

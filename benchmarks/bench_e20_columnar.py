@@ -25,7 +25,7 @@ interpreter (``optimize=False``) — and all four answers must be
 byte-identical.  At benchmark scale the columnar plan must beat the
 compiled-row plan by at least 3x on both probes.
 
-Run fast (CI smoke): ``REPRO_E20_FAST=1 pytest benchmarks/bench_e20_columnar.py``.
+Run fast (CI smoke): ``REPRO_FAST=1 pytest benchmarks/bench_e20_columnar.py``.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ import time
 from repro.bench import ExperimentReport, save_report
 from repro.rdb import Database
 
-FAST = bool(os.environ.get("REPRO_E20_FAST"))
+FAST = bool(os.environ.get("REPRO_FAST"))
 
 BOOKS = 2_000 if FAST else 12_000
 #: few enough distinct values that ``kind`` dictionary-encodes

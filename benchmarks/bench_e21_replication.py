@@ -31,7 +31,7 @@ Four probes:
 4. **failover/catch-up** — kill the replication server mid-stream,
    keep writing, restart it: the replica must reconnect and converge.
 
-Run fast (CI smoke): ``REPRO_E21_FAST=1 pytest benchmarks/bench_e21_replication.py``.
+Run fast (CI smoke): ``REPRO_FAST=1 pytest benchmarks/bench_e21_replication.py``.
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ from repro.workloads.bookstore import (
     seed_bookstore,
 )
 
-FAST = bool(os.environ.get("REPRO_E21_FAST"))
+FAST = bool(os.environ.get("REPRO_FAST"))
 
 #: simulated commit fsync on realistic media (a 7200rpm disk pays
 #: ~8 ms, consumer NVMe ~1-3 ms; the container overlay fs ~0.1 ms).

@@ -26,7 +26,7 @@ Measured gates:
 * **scanner** — the plan-space scanner (``repro.bench.plan_scanner``)
   reproduces at least one cost-model misprediction on this workload.
 
-Run fast (CI smoke): ``REPRO_E22_FAST=1 pytest benchmarks/bench_e22_adaptive.py``.
+Run fast (CI smoke): ``REPRO_FAST=1 pytest benchmarks/bench_e22_adaptive.py``.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from repro.bench import ExperimentReport, save_report
 from repro.bench.plan_scanner import scan_plan_space
 from repro.rdb import Database
 
-FAST = bool(os.environ.get("REPRO_E22_FAST"))
+FAST = bool(os.environ.get("REPRO_FAST"))
 
 #: uniform base load: REGIONS regions x (BASE_ROWS / REGIONS) rows each
 BASE_ROWS = 800 if FAST else 4_000

@@ -1,4 +1,14 @@
-"""The two-level cache architecture (paper §6).
+"""The cache tier (paper §6): one cache core, three levels.
+
+§6's cache is one idea — entries indexed by the entities and roles
+their unit depends on, dropped automatically by operations — and
+:class:`~repro.caching.core.DependencyCache` is its one
+implementation: the LRU store, expiry, the dependency indexes,
+``invalidate_writes(entities, roles)`` and the single-flight build
+protocol with its invalidation-generation guard.  The protocol and the
+invalidation-ordering invariants are stated once, in
+:mod:`repro.caching.core`.  The levels subclass the core and differ in
+what they store and which tier a hit spares:
 
 Level 1 — the **fragment cache**: an ESI-style template-fragment store.
 It spares the markup generation of cached fragments but, as §6 points
@@ -18,22 +28,24 @@ Level 0 — the **page cache**: whole rendered responses, keyed by
 the page's unit dependency sets so the same model-driven invalidation
 applies to full pages.
 
-All levels implement one ``invalidate_writes(entities, roles)``
-protocol and are invalidated together through the
+All levels are invalidated together through the
 :class:`~repro.caching.bus.InvalidationBus` an operation publishes to.
 
+- :mod:`repro.caching.core` — the shared store, invalidation and
+  flight protocol,
+- :mod:`repro.caching.page_cache` — level 0: ETag/gzip by-products and
+  the edge's ``peek``,
+- :mod:`repro.caching.fragment_cache` — level 1: defaults only,
+- :mod:`repro.caching.bean_cache` — level 2: per-unit cache policy and
+  the ``from_cache`` stamp,
 - :mod:`repro.caching.policy` — TTL / model-driven policies,
-- :mod:`repro.caching.page_cache` — level 0 with ETag/gzip by-products,
-- :mod:`repro.caching.fragment_cache` — level 1 with the scoped
-  dependency index,
-- :mod:`repro.caching.bean_cache` — level 2 with the model-driven
-  dependency index,
 - :mod:`repro.caching.bus` — the write-notification fan-out,
 - :mod:`repro.caching.stats` — hit/miss/invalidation counters.
 """
 
 from repro.caching.bean_cache import UnitBeanCache
 from repro.caching.bus import InvalidationBus
+from repro.caching.core import DependencyCache
 from repro.caching.fragment_cache import FragmentCache
 from repro.caching.page_cache import (
     PageCache,
@@ -45,6 +57,7 @@ from repro.caching.policy import CachePolicy, parse_policy
 from repro.caching.stats import CacheStats
 
 __all__ = [
+    "DependencyCache",
     "UnitBeanCache",
     "FragmentCache",
     "PageCache",

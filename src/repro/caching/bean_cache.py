@@ -10,196 +10,39 @@ sparing to the developer the need of managing a business-tier cache in
 his application code."
 
 Each entry carries the entity and role dependency sets recorded in the
-unit descriptor; :meth:`invalidate_writes` drops exactly the dependent
-entries.
-
-Thread safety: every public method holds the cache lock, and
-:meth:`get_or_compute` adds single-flight stampede protection — when a
-popular bean expires, exactly one thread recomputes it while concurrent
-requesters wait for the result.  An invalidation-generation counter
-ensures a bean computed from pre-invalidation data is never stored
-after an operation invalidated its dependencies.
+unit descriptor; ``invalidate_writes`` drops exactly the dependent
+entries.  Storage, invalidation and the single-flight
+:meth:`~UnitBeanCache.get_or_compute` — when a popular bean expires,
+exactly one thread recomputes it while concurrent requesters wait —
+are :class:`~repro.caching.core.DependencyCache`'s; this level adds
+the per-unit cache policy and the ``from_cache`` stamp.
 """
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
-from dataclasses import dataclass
-
+from repro.caching.core import DependencyCache
 from repro.caching.policy import parse_policy
-from repro.caching.stats import CacheStats
-from repro.errors import CacheError
-from repro.util import SystemClock
 
 
-@dataclass
-class _Entry:
-    bean: object
-    entities: frozenset
-    roles: frozenset
-    expires_at: float | None
-
-
-class UnitBeanCache:
+class UnitBeanCache(DependencyCache):
     """The business-tier cache the generic unit service consults."""
 
     def __init__(self, max_entries: int = 4096, clock=None):
-        if max_entries <= 0:
-            raise CacheError("bean cache needs a positive capacity")
-        self.max_entries = max_entries
-        self.clock = clock or SystemClock()
-        self.stats = CacheStats()
-        self._lock = threading.RLock()
-        self._entries: OrderedDict[object, _Entry] = OrderedDict()
-        # dependency indexes: name → set of keys
-        self._by_entity: dict[str, set] = {}
-        self._by_role: dict[str, set] = {}
-        # single-flight bookkeeping: key → Event of the computing thread
-        self._flight_lock = threading.Lock()
-        self._in_flight: dict[object, threading.Event] = {}
-        # bumped by every invalidation; guards stale put-after-invalidate
-        self._generation = 0
+        super().__init__(max_entries, clock=clock)
 
-    # -- the RuntimeContext cache protocol ----------------------------------
-
-    def get(self, key):
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                self.stats.increment("misses")
-                return None
-            if (entry.expires_at is not None
-                    and self.clock.now() >= entry.expires_at):
-                self._remove(key)
-                self.stats.increment("expirations")
-                self.stats.increment("misses")
-                return None
-            self._entries.move_to_end(key)
-            self.stats.increment("hits")
-            bean = entry.bean
+    def _lookup(self, key):
+        bean = super()._lookup(key)
+        if bean is not None:
             bean.from_cache = True
-            return bean
+        return bean
 
     def put(self, key, bean, entities=(), roles=(),
             policy: str = "model-driven") -> None:
-        parsed = parse_policy(policy)
-        with self._lock:
-            if key in self._entries:
-                self._remove(key)
-            entry = _Entry(
-                bean=bean,
-                entities=frozenset(entities),
-                roles=frozenset(roles),
-                expires_at=parsed.expires_at(self.clock.now()),
-            )
-            self._entries[key] = entry
-            for entity in entry.entities:
-                self._by_entity.setdefault(entity, set()).add(key)
-            for role in entry.roles:
-                self._by_role.setdefault(role, set()).add(key)
-            self.stats.increment("puts")
-            while len(self._entries) > self.max_entries:
-                oldest = next(iter(self._entries))
-                self._remove(oldest)
-                self.stats.increment("evictions")
+        """Store a bean under its unit's ``cachePolicy`` attribute."""
+        super().put(key, bean, entities, roles,
+                    parse_policy(policy).ttl_seconds)
 
-    def get_or_compute(self, key, compute, entities=(), roles=(),
-                       policy: str = "model-driven"):
-        """Return the cached bean, or compute it exactly once.
-
-        On a miss, the first thread becomes the *leader* and runs
-        ``compute()`` (outside the cache lock — it usually queries the
-        database); concurrent requesters of the same key wait for the
-        leader and then re-read the cache instead of stampeding the data
-        tier.  The result is cached only if no invalidation touched the
-        cache meanwhile, so a bean computed from pre-invalidation data
-        is never served after the invalidation.
-        """
-        first_attempt = True
-        while True:
-            bean = self.get(key)
-            if bean is not None:
-                if not first_attempt:
-                    self.stats.increment("coalesced")
-                return bean
-            with self._flight_lock:
-                leader_event = self._in_flight.get(key)
-                if leader_event is None:
-                    my_event = threading.Event()
-                    self._in_flight[key] = my_event
-            if leader_event is not None:
-                leader_event.wait()
-                first_attempt = False
-                continue
-            try:
-                with self._lock:
-                    generation = self._generation
-                bean = compute()
-                if bean is not None:
-                    with self._lock:
-                        if self._generation == generation:
-                            self.put(key, bean, entities=entities,
-                                     roles=roles, policy=policy)
-                return bean
-            finally:
-                with self._flight_lock:
-                    del self._in_flight[key]
-                my_event.set()
-
-    def invalidate_writes(self, entities=(), roles=()) -> int:
-        """Drop every entry depending on any written entity/role."""
-        with self._lock:
-            self._generation += 1
-            keys: set = set()
-            for entity in entities:
-                keys |= self._by_entity.get(entity, set())
-            for role in roles:
-                keys |= self._by_role.get(role, set())
-            for key in keys:
-                self._remove(key)
-            self.stats.increment("invalidations", len(keys))
-            return len(keys)
-
-    # -- maintenance ---------------------------------------------------------
-
-    def _remove(self, key) -> None:
-        entry = self._entries.pop(key, None)
-        if entry is None:
-            return
-        for entity in entry.entities:
-            holders = self._by_entity.get(entity)
-            if holders:
-                holders.discard(key)
-                if not holders:
-                    del self._by_entity[entity]
-        for role in entry.roles:
-            holders = self._by_role.get(role)
-            if holders:
-                holders.discard(key)
-                if not holders:
-                    del self._by_role[role]
-
-    def flush(self) -> int:
-        with self._lock:
-            self._generation += 1
-            count = len(self._entries)
-            self._entries.clear()
-            self._by_entity.clear()
-            self._by_role.clear()
-            self.stats.increment("invalidations", count)
-            return count
-
-    def dependents_of(self, entity: str | None = None,
-                      role: str | None = None) -> int:
-        """How many live entries depend on the given entity/role."""
-        with self._lock:
-            if entity is not None:
-                return len(self._by_entity.get(entity, set()))
-            if role is not None:
-                return len(self._by_role.get(role, set()))
-            return 0
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
+    #: ``get_or_compute(key, compute, entities=(), roles=(),
+    #: policy="model-driven")`` — the cached bean, or ``compute()`` run
+    #: exactly once across concurrent requesters.
+    get_or_compute = DependencyCache.get_or_build

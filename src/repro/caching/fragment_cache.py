@@ -6,195 +6,28 @@ capability of marking fragments of the page template, which can be
 cached individually and with different policies" (§6).
 
 Keys are opaque (the template engine uses (unit, bean-digest)); values
-are rendered HTML strings.  LRU bounded, optional TTL.  Thread-safe:
-lookups and stores hold the cache lock, and :meth:`get_or_render`
-single-flights the rendering of a missing fragment so concurrent
-requests for the same page fragment render it once.
+are rendered HTML strings, stored with the entity/role dependency sets
+of the unit that produced them.  Fragment keys embed a digest of the
+bean content, so a stale fragment can never be served for *changed*
+content — scoped invalidation reclaims the memory and keeps the
+hit-rate statistics honest without the collateral damage of a flush.
 
-Invalidation is model-driven like the bean cache's: the template
-engine stores each fragment with the entity/role dependency sets of
-the unit that produced it, and :meth:`invalidate_writes` drops only
-the dependent fragments.  ``scoped=False`` reverts to the historical
-behaviour — any write flushes everything — kept as the E15 baseline.
+Everything else is :class:`~repro.caching.core.DependencyCache`: this
+level only picks the defaults and names the single-flight entry point.
 """
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
-from dataclasses import dataclass
-
-from repro.caching.stats import CacheStats
-from repro.errors import CacheError
-from repro.util import SystemClock
+from repro.caching.core import DependencyCache
 
 
-@dataclass
-class _Fragment:
-    html: str
-    entities: frozenset
-    roles: frozenset
-    expires_at: float | None
-
-
-class FragmentCache:
+class FragmentCache(DependencyCache):
     def __init__(self, max_entries: int = 1024,
                  ttl_seconds: float | None = None,
                  scoped: bool = True, clock=None):
-        if max_entries <= 0:
-            raise CacheError("fragment cache needs a positive capacity")
-        self.max_entries = max_entries
-        self.ttl_seconds = ttl_seconds
-        self.scoped = scoped
-        self.clock = clock or SystemClock()
-        self.stats = CacheStats()
-        self._lock = threading.RLock()
-        self._entries: OrderedDict[object, _Fragment] = OrderedDict()
-        self._by_entity: dict[str, set] = {}
-        self._by_role: dict[str, set] = {}
-        self._flight_lock = threading.Lock()
-        self._in_flight: dict[object, threading.Event] = {}
-        self._generation = 0
+        super().__init__(max_entries, ttl_seconds, scoped, clock)
 
-    def get(self, key) -> str | None:
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                self.stats.increment("misses")
-                return None
-            if (entry.expires_at is not None
-                    and self.clock.now() >= entry.expires_at):
-                self._remove(key)
-                self.stats.increment("expirations")
-                self.stats.increment("misses")
-                return None
-            self._entries.move_to_end(key)
-            self.stats.increment("hits")
-            return entry.html
-
-    def put(self, key, html: str, entities=(), roles=()) -> None:
-        with self._lock:
-            if key in self._entries:
-                self._remove(key)
-            expires_at = (
-                self.clock.now() + self.ttl_seconds
-                if self.ttl_seconds is not None else None
-            )
-            entry = _Fragment(
-                html=html,
-                entities=frozenset(entities),
-                roles=frozenset(roles),
-                expires_at=expires_at,
-            )
-            self._entries[key] = entry
-            for entity in entry.entities:
-                self._by_entity.setdefault(entity, set()).add(key)
-            for role in entry.roles:
-                self._by_role.setdefault(role, set()).add(key)
-            self.stats.increment("puts")
-            while len(self._entries) > self.max_entries:
-                oldest = next(iter(self._entries))
-                self._remove(oldest)
-                self.stats.increment("evictions")
-
-    def get_or_render(self, key, render, entities=(), roles=()) -> str:
-        """Return the cached fragment, or render it exactly once.
-
-        Concurrent requesters of a missing fragment wait for the first
-        thread's ``render()`` instead of all rendering; an invalidation
-        issued meanwhile keeps the late result out of the cache.
-        """
-        first_attempt = True
-        while True:
-            html = self.get(key)
-            if html is not None:
-                if not first_attempt:
-                    self.stats.increment("coalesced")
-                return html
-            with self._flight_lock:
-                leader_event = self._in_flight.get(key)
-                if leader_event is None:
-                    my_event = threading.Event()
-                    self._in_flight[key] = my_event
-            if leader_event is not None:
-                leader_event.wait()
-                first_attempt = False
-                continue
-            try:
-                with self._lock:
-                    generation = self._generation
-                html = render()
-                if html is not None:
-                    with self._lock:
-                        if self._generation == generation:
-                            self.put(key, html, entities=entities,
-                                     roles=roles)
-                return html
-            finally:
-                with self._flight_lock:
-                    del self._in_flight[key]
-                my_event.set()
-
-    def invalidate_writes(self, entities=(), roles=()) -> int:
-        """Drop the fragments depending on any written entity/role.
-
-        Fragment keys embed a digest of the bean content, so a stale
-        fragment can never be served for *changed* content — scoped
-        invalidation reclaims the memory and keeps the hit-rate
-        statistics honest without the collateral damage of a flush.
-        """
-        if not self.scoped:
-            if entities or roles:
-                return self.flush()
-            return 0
-        with self._lock:
-            self._generation += 1
-            keys: set = set()
-            for entity in entities:
-                keys |= self._by_entity.get(entity, set())
-            for role in roles:
-                keys |= self._by_role.get(role, set())
-            for key in keys:
-                self._remove(key)
-            self.stats.increment("invalidations", len(keys))
-            return len(keys)
-
-    def flush(self) -> int:
-        with self._lock:
-            self._generation += 1
-            count = len(self._entries)
-            self._entries.clear()
-            self._by_entity.clear()
-            self._by_role.clear()
-            self.stats.increment("invalidations", count)
-            return count
-
-    def dependents_of(self, entity: str | None = None,
-                      role: str | None = None) -> int:
-        with self._lock:
-            if entity is not None:
-                return len(self._by_entity.get(entity, set()))
-            if role is not None:
-                return len(self._by_role.get(role, set()))
-            return 0
-
-    def _remove(self, key) -> None:
-        entry = self._entries.pop(key, None)
-        if entry is None:
-            return
-        for entity in entry.entities:
-            holders = self._by_entity.get(entity)
-            if holders:
-                holders.discard(key)
-                if not holders:
-                    del self._by_entity[entity]
-        for role in entry.roles:
-            holders = self._by_role.get(role)
-            if holders:
-                holders.discard(key)
-                if not holders:
-                    del self._by_role[role]
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
+    #: ``get_or_render(key, render, entities=(), roles=())`` — the
+    #: cached fragment, or ``render()`` run exactly once across the
+    #: concurrent requests for the same page fragment.
+    get_or_render = DependencyCache.get_or_build

@@ -26,11 +26,6 @@ class CachePolicy:
     name: str
     ttl_seconds: float | None = None
 
-    def expires_at(self, now: float) -> float | None:
-        if self.ttl_seconds is None:
-            return None
-        return now + self.ttl_seconds
-
 
 MODEL_DRIVEN = CachePolicy("model-driven")
 

@@ -383,6 +383,30 @@ class FrontController:
 
     # -- the edge fast path ---------------------------------------------------
 
+    def _resolve_page_get(self, request: HttpRequest):
+        """What the edge paths (:meth:`probe_cached`,
+        :meth:`handle_streaming`) may answer without the pipeline: a
+        GET of a mapped page the session may see.  Binds the session
+        and returns ``(mapping, session, page-cache key)`` — the key is
+        ``None`` without a page cache — or ``None`` for everything the
+        full :meth:`handle` path must produce (404, redirect, 403,
+        operation, ``/_status``)."""
+        if request.method != "GET" or request.path == self.STATUS_PATH:
+            return None
+        mapping = self.controller.mappings.get(request.path)
+        if mapping is None or mapping.action_type != "PageAction":
+            return None
+        session = self.sessions.get_or_create(request.session_id)
+        request.session_id = session.id
+        home = self.controller.homes.get(mapping.site_view_id)
+        if (home is not None and home.requires_login
+                and not session.is_authenticated and not mapping.public):
+            return None
+        key = None
+        if self.page_cache is not None:
+            key = self._page_key(mapping, request, session)
+        return mapping, session, key
+
     def probe_cached(self, request: HttpRequest) -> HttpResponse | None:
         """Answer a GET page request purely from the page cache, or
         return ``None``.
@@ -398,19 +422,13 @@ class FrontController:
         samples inline hits — the traced path is the one that does
         work.
         """
-        if (self.page_cache is None or request.method != "GET"
-                or request.path == self.STATUS_PATH):
+        if self.page_cache is None:
             return None
-        mapping = self.controller.mappings.get(request.path)
-        if mapping is None or mapping.action_type != "PageAction":
+        resolved = self._resolve_page_get(request)
+        if resolved is None:
             return None
-        session = self.sessions.get_or_create(request.session_id)
-        request.session_id = session.id
-        home = self.controller.homes.get(mapping.site_view_id)
-        if (home is not None and home.requires_login
-                and not session.is_authenticated and not mapping.public):
-            return None  # the full pipeline produces the 403
-        entry = self.page_cache.peek(self._page_key(mapping, request, session))
+        _mapping, session, key = resolved
+        entry = self.page_cache.peek(key)
         if entry is None:
             return None
         self.requests_served += 1
@@ -442,23 +460,15 @@ class FrontController:
         body, which revisits get from the stored entry.
         """
         stream_chunks = getattr(self.view_renderer, "stream_chunks", None)
-        if (stream_chunks is None or request.method != "GET"
-                or request.path == self.STATUS_PATH):
+        if stream_chunks is None:
             return None
-        mapping = self.controller.mappings.get(request.path)
-        if mapping is None or mapping.action_type != "PageAction":
+        resolved = self._resolve_page_get(request)
+        if resolved is None:
             return None
-        session = self.sessions.get_or_create(request.session_id)
-        request.session_id = session.id
-        home = self.controller.homes.get(mapping.site_view_id)
-        if (home is not None and home.requires_login
-                and not session.is_authenticated and not mapping.public):
-            return None
+        mapping, session, key = resolved
 
-        key = None
         generation = None
-        if self.page_cache is not None:
-            key = self._page_key(mapping, request, session)
+        if key is not None:
             if self.page_cache.peek(key) is not None:
                 return None  # a stored entry serves faster than a stream
             if not self.page_cache.begin_flight(key):

@@ -132,21 +132,13 @@ class _UnitSlot:
 
         with span("cache.fragment", tier="cache", level="fragment",
                   unit=self.unit_id) as probe:
-            if hasattr(cache, "get_or_render"):
-                # Single-flight: concurrent misses render the fragment
-                # once; a hit splices the cached string — no parse, no
-                # serialize.
-                html = cache.get_or_render(
-                    key, _build,
-                    entities=bean.depends_entities,
-                    roles=bean.depends_roles,
-                )
-            else:
-                html = cache.get(key)
-                if html is None:
-                    html = _build()
-                    cache.put(key, html, entities=bean.depends_entities,
-                              roles=bean.depends_roles)
+            # Single-flight: concurrent misses render the fragment once;
+            # a hit splices the cached string — no parse, no serialize.
+            html = cache.get_or_render(
+                key, _build,
+                entities=bean.depends_entities,
+                roles=bean.depends_roles,
+            )
             if probe is not None:
                 probe.tags["hit"] = not rendered_fresh
         return html
@@ -312,54 +304,13 @@ class PageTemplate:
         return clone
 
     def _render_unit_tag(self, tag: Element,
-                         context: RenderContext) -> Node | None:
+                         context: RenderContext) -> Node:
         if tag.tag == "webml:siteMenu":
             return _render_site_menu(tag, context)
-        unit_id = tag.get("unit")
-        if unit_id is None:
-            raise TemplateRenderError(
-                f"custom tag <{tag.tag}> lacks the unit attribute"
-            )
-        bean = context.page_result.beans.get(unit_id)
-        if bean is None:
-            raise TemplateRenderError(
-                f"no unit bean computed for {unit_id!r} "
-                f"(page {self.page_id!r})"
-            )
-        cache = context.fragment_cache if tag.get("fragment") == "cache" else None
-        renderer = renderer_for_tag(tag.tag)
-        if cache is None:
-            return renderer.render(bean, tag, context)
-        key = self._fragment_key(unit_id, bean)
-        rendered_fresh = False
-
-        def _build() -> str:
-            nonlocal rendered_fresh
-            rendered_fresh = True
-            return serialize(renderer.render(bean, tag, context))
-
-        with span("cache.fragment", tier="cache", level="fragment",
-                  unit=unit_id) as probe:
-            if hasattr(cache, "get_or_render"):
-                # Single-flight: concurrent misses render the fragment once.
-                html = cache.get_or_render(
-                    key, _build,
-                    entities=bean.depends_entities,
-                    roles=bean.depends_roles,
-                )
-            else:
-                html = cache.get(key)
-                if html is None:
-                    html = _build()
-                    cache.put(key, html, entities=bean.depends_entities,
-                              roles=bean.depends_roles)
-            if probe is not None:
-                probe.tags["hit"] = not rendered_fresh
-        return parse_xml(html)
-
-    @staticmethod
-    def _fragment_key(unit_id: str, bean) -> tuple:
-        return _bean_digest(unit_id, bean)
+        # unit tags resolve through the compiled path's slot, so the
+        # fragment-cache handshake exists once; the oracle's job is the
+        # tree walk over the static markup around it
+        return parse_xml(_UnitSlot(tag, self.page_id).render(context))
 
 
 def _contains_custom_tag(element: Element) -> bool:

@@ -78,26 +78,14 @@ class GenericUnitService:
             return bean
 
         with span("cache.bean", tier="cache", level="bean") as probe:
-            if hasattr(cache, "get_or_compute"):
-                # Single-flight: under concurrent misses of the same key
-                # one thread computes, the rest wait and share the result.
-                bean = cache.get_or_compute(
-                    cache_key, _fresh,
-                    entities=descriptor.depends_on_entities,
-                    roles=descriptor.depends_on_roles,
-                    policy=descriptor.cache_policy,
-                )
-            else:  # duck-typed caches keep the plain get/put protocol
-                bean = cache.get(cache_key)
-                if bean is None:
-                    bean = _fresh()
-                    if bean is not None:
-                        cache.put(
-                            cache_key, bean,
-                            entities=descriptor.depends_on_entities,
-                            roles=descriptor.depends_on_roles,
-                            policy=descriptor.cache_policy,
-                        )
+            # Single-flight: under concurrent misses of the same key one
+            # thread computes, the rest wait and share the result.
+            bean = cache.get_or_compute(
+                cache_key, _fresh,
+                entities=descriptor.depends_on_entities,
+                roles=descriptor.depends_on_roles,
+                policy=descriptor.cache_policy,
+            )
             if probe is not None:
                 probe.tags["hit"] = not computed_fresh
         if computed_fresh:

@@ -28,6 +28,7 @@ from repro.appserver import AsyncAppServer, ThreadedAppServer
 from repro.caching import FragmentCache, PageCache, UnitBeanCache
 from repro.codegen import generate_project
 from repro.httpcore.client import WireClient, WireError
+from repro.mvc.http import HttpRequest
 from repro.presentation import PresentationRenderer
 from repro.presentation.jsp import PageTemplate, RenderContext
 from repro.presentation.renderer import default_stylesheet
@@ -353,6 +354,48 @@ class TestSlowAndDisconnectingClients:
             edge.stop()
 
 
+class TestStreamedMissAccounting:
+    """A streamed build is a page-cache miss like a buffered one: the
+    miss is counted where the build is claimed, so ``/_status`` reports
+    a truthful page ``hit_rate`` on the async edge (it read 1.0 for a
+    cache that only ever streamed its misses)."""
+
+    def test_streamed_builds_count_their_misses(self):
+        app = build_full_stack_app()
+        stats = app.page_cache.stats
+        urls = [volume_url(app, oid) for oid in (1, 2, 3)]
+        for url in urls:
+            streamed = app.front.handle_streaming(HttpRequest.from_url(url))
+            assert "".join(streamed.chunks)
+        for url in urls:
+            response = app.front.probe_cached(HttpRequest.from_url(url))
+            assert response.status == 200
+        assert (stats.misses, stats.hits) == (len(urls), len(urls))
+        assert stats.hit_rate == 0.5
+
+    def test_follower_of_a_streamed_build_is_one_hit(self):
+        """Losing ``begin_flight`` and falling back to ``handle`` costs
+        the follower what any coalesced lookup costs: no second miss."""
+        app = build_full_stack_app()
+        stats = app.page_cache.stats
+        url = volume_url(app)
+        leader = app.front.handle_streaming(HttpRequest.from_url(url))
+        assert app.front.handle_streaming(HttpRequest.from_url(url)) is None
+        responses = []
+        follower = threading.Thread(target=lambda: responses.append(
+            app.front.handle(HttpRequest.from_url(url))
+        ))
+        follower.start()
+        time.sleep(0.05)  # the follower is parked on the flight event
+        body = "".join(leader.chunks)
+        follower.join(timeout=5.0)
+        assert not follower.is_alive()
+        assert responses[0].status == 200 and responses[0].body == body
+        assert (stats.misses, stats.hits) == (1, 1)
+        assert stats.coalesced == 1
+        assert not app.page_cache._in_flight
+
+
 class _GatedRenderer:
     """Wraps the real renderer; the stream's first dynamic chunk parks
     on a gate so the test can disconnect the client mid-stream."""
@@ -394,8 +437,6 @@ class TestRenderChunks:
         renderer = app.front.view_renderer
         url = volume_url(app)
         response = app.get(url)
-        from repro.mvc.http import HttpRequest
-
         request = HttpRequest.from_url(url)
         session = app.front.sessions.get_or_create(None)
         request.session_id = session.id

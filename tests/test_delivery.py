@@ -3,9 +3,6 @@ invalidation bus spanning all three cache levels, conditional HTTP
 (ETag / If-None-Match / Cache-Control), and gzip negotiation."""
 
 import gzip
-import threading
-
-import pytest
 
 from repro.app import Browser, WebApplication
 from repro.caching import (
@@ -17,11 +14,9 @@ from repro.caching import (
     content_etag,
 )
 from repro.codegen import generate_project
-from repro.errors import CacheError
 from repro.mvc import HttpResponse
 from repro.presentation import PresentationRenderer
 from repro.presentation.renderer import default_stylesheet
-from repro.util import VirtualClock
 
 from tests.conftest import build_acm_webml, seed_acm
 
@@ -51,103 +46,22 @@ class TestContentEtag:
 
 
 class TestPageCache:
-    def _entry(self, cache, body="<html/>", entities=("Paper",), roles=()):
-        return cache.make_entry(body, entities=entities, roles=roles)
+    """What the page level adds to the cache core; the behaviour it
+    shares with the other levels (LRU, TTL, scoped invalidation,
+    single-flight) is ``tests/test_caching.py``'s conformance suite,
+    and the detached flight helpers are in ``tests/test_httpcore.py``."""
 
     def test_make_entry_precomputes_delivery(self):
         cache = PageCache()
-        entry = self._entry(cache, body="<html>hi</html>")
+        entry = cache.make_entry("<html>hi</html>", entities=("Paper",),
+                                 roles=("Authorship",))
         assert entry.etag == content_etag("<html>hi</html>")
         assert gzip.decompress(entry.gzip_body).decode() == "<html>hi</html>"
-
-    def test_put_get_lru(self):
-        cache = PageCache(max_entries=2)
-        cache.put("a", self._entry(cache))
-        cache.put("b", self._entry(cache))
-        cache.get("a")  # refresh a
-        cache.put("c", self._entry(cache))  # evicts b
-        assert cache.get("b") is None
-        assert cache.get("a") is not None
-        assert cache.stats.evictions == 1
-
-    def test_ttl_expiry(self):
-        clock = VirtualClock()
-        cache = PageCache(ttl_seconds=30, clock=clock)
-        cache.put("k", self._entry(cache))
-        assert cache.get("k") is not None
-        clock.advance(31)
-        assert cache.get("k") is None
-        assert cache.stats.expirations == 1
-
-    def test_scoped_invalidation_drops_only_dependents(self):
-        cache = PageCache()
-        cache.put("papers", self._entry(cache, entities=("Paper",)))
-        cache.put("volumes", self._entry(cache, entities=("Volume",)))
-        cache.put("authors", self._entry(cache, entities=(),
-                                         roles=("Authorship",)))
-        assert cache.invalidate_writes(entities=["Paper"]) == 1
-        assert cache.get("papers") is None
-        assert cache.get("volumes") is not None
-        assert cache.invalidate_writes(roles=["Authorship"]) == 1
-        assert cache.get("authors") is None
-        assert cache.dependents_of(entity="Paper") == 0
-
-    def test_unscoped_mode_flushes_on_any_write(self):
-        cache = PageCache(scoped=False)
-        cache.put("papers", self._entry(cache, entities=("Paper",)))
-        cache.put("volumes", self._entry(cache, entities=("Volume",)))
-        # a write set that scoped mode would ignore still wipes everything
-        assert cache.invalidate_writes(entities=["Author"]) == 2
-        assert len(cache) == 0
-
-    def test_unscoped_mode_ignores_empty_write_set(self):
-        cache = PageCache(scoped=False)
-        cache.put("k", self._entry(cache))
-        assert cache.invalidate_writes() == 0
-        assert len(cache) == 1
-
-    def test_capacity_validation(self):
-        with pytest.raises(CacheError):
-            PageCache(max_entries=0)
-
-    def test_get_or_build_single_flight(self):
-        cache = PageCache()
-        builds = []
-        gate = threading.Event()
-
-        def build():
-            gate.wait(2.0)
-            builds.append(1)
-            return cache.make_entry("<html/>", entities=("Paper",))
-
-        results = []
-        threads = [
-            threading.Thread(
-                target=lambda: results.append(cache.get_or_build("k", build))
-            )
-            for _ in range(6)
-        ]
-        for thread in threads:
-            thread.start()
-        gate.set()
-        for thread in threads:
-            thread.join()
-        assert len(builds) == 1  # one leader built; the rest waited
-        assert all(r.body == "<html/>" for r in results)
-        assert cache.stats.coalesced >= 1
-        assert not cache._in_flight
-
-    def test_invalidation_during_build_discards_result(self):
-        cache = PageCache()
-
-        def build():
-            # a write lands between the build and the store
-            cache.invalidate_writes(entities=["Paper"])
-            return cache.make_entry("<stale/>", entities=("Paper",))
-
-        entry = cache.get_or_build("k", build)
-        assert entry.body == "<stale/>"  # the caller still gets the page
-        assert cache.get("k") is None  # but it was never cached
+        # the entry is stored under the dependency sets it was made with
+        cache.put("k", entry)
+        assert cache.get("k") is entry
+        assert cache.dependents_of(entity="Paper") == 1
+        assert cache.dependents_of(role="Authorship") == 1
 
 
 class TestInvalidationBus:
