@@ -7,7 +7,7 @@ explicit baselines:
 
 * **cost-based planning** — the seed planner used an index only for a
   full exact-equality match; ranges, IN-lists, and badly-ordered joins
-  fell back to full scans.  ``Database.prepare(sql, optimize=False)``
+  fell back to full scans.  ``Database.prepare(sql, mode="seed")``
   rebuilds exactly that naive plan, and this experiment runs both plans
   over a scaled bookstore catalogue: the optimized plan must pick an
   index (or reorder the join) on every probe query where the naive plan
@@ -114,7 +114,7 @@ def test_e14_cost_based_plans_beat_naive():
     rows = []
     for label, sql, naive_marker, opt_marker in PROBE_QUERIES:
         optimized = db.prepare(sql)
-        naive = db.prepare(sql, optimize=False)
+        naive = db.prepare(sql, mode="seed")
         optimized_rows = sorted(optimized.execute({}).as_tuples())
         naive_rows = sorted(naive.execute({}).as_tuples())
         assert optimized_rows == naive_rows  # same answer, new plan
@@ -131,7 +131,7 @@ def test_e14_join_reorder_starts_from_filtered_table():
     db = _catalogue()
     _, sql, _, _ = PROBE_QUERIES[3]
     opt_lines = db.prepare(sql).explain().splitlines()
-    naive_lines = db.prepare(sql, optimize=False).explain().splitlines()
+    naive_lines = db.prepare(sql, mode="seed").explain().splitlines()
     # naive keeps the declared order (genre is the base scan); the
     # cost-based plan starts from the filtered book binding instead.
     assert "genre AS g" in naive_lines[-1]

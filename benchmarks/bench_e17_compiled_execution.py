@@ -18,14 +18,14 @@ perform and scale well":
   group keys and per-call argument extractors.
 
 Each probe runs the same *optimized* plan twice — once compiled
-(``db.prepare(sql, columnar=False)``) and once with compilation
-switched off (``db.prepare(sql, compiled=False)``) — so the comparison
+(``db.prepare(sql, mode="compiled")``) and once with compilation
+switched off (``db.prepare(sql, mode="interpreted")``) — so the comparison
 isolates expression evaluation from planning.  The explicit
-``columnar=False`` pins the row engine: at this scale the cost model
+``mode="compiled"`` pins the row engine: at this scale the cost model
 would otherwise route the seq-scan probes to the columnar batch
 pipeline, which is E20's subject, measured against exactly this
 compiled-row path.  Answers must be byte-identical, and the seed
-interpreter (``optimize=False``) must agree up to row order.  At
+interpreter (``mode="seed"``) must agree up to row order.  At
 benchmark scale the compiled plan must be at least 2x faster on every
 probe.
 
@@ -114,9 +114,9 @@ def test_e17_compiled_matches_and_beats_interpreted():
     db = _catalogue()
     rows = []
     for label, sql, params in PROBE_QUERIES:
-        compiled = db.prepare(sql, columnar=False)
-        interpreted = db.prepare(sql, compiled=False)
-        seed = db.prepare(sql, optimize=False)
+        compiled = db.prepare(sql, mode="compiled")
+        interpreted = db.prepare(sql, mode="interpreted")
+        seed = db.prepare(sql, mode="seed")
         assert compiled.exec_mode == "compiled", label
         assert interpreted.exec_mode == "interpreted", label
         assert "exec=compiled" in compiled.explain()
@@ -143,8 +143,8 @@ def test_e17_compiled_matches_and_beats_interpreted():
 def test_e17_scan_probe_runs_fused():
     db = _catalogue()
     _, sql, _ = PROBE_QUERIES[0]
-    plan = db.prepare(sql, columnar=False)
-    assert plan.compiled_row_emit is not None
+    plan = db.prepare(sql, mode="compiled")
+    assert plan.fused
     assert "fused" in plan.explain()
 
 

@@ -19,9 +19,9 @@ Two probes, the shapes where batch execution pays:
   COUNT/SUM/AVG, partitioned on integer codes.
 
 Every probe runs in *four* modes — columnar (the cost model's own
-choice at this scale), compiled-row (``columnar=False``, exactly the
-E17 fast path), interpreted (``compiled=False``), and the seed
-interpreter (``optimize=False``) — and all four answers must be
+choice at this scale), compiled-row (``mode="compiled"``, exactly the
+E17 fast path), interpreted (``mode="interpreted"``), and the seed
+interpreter (``mode="seed"``) — and all four answers must be
 byte-identical.  At benchmark scale the columnar plan must beat the
 compiled-row plan by at least 3x on both probes.
 
@@ -105,9 +105,9 @@ def test_e20_columnar_matches_and_beats_compiled_rows():
         # the default plan IS the columnar plan here: the cost model
         # picks the batch pipeline for full scans at this scale
         columnar = db.prepare(sql)
-        compiled = db.prepare(sql, columnar=False)
-        interpreted = db.prepare(sql, compiled=False)
-        seed = db.prepare(sql, optimize=False)
+        compiled = db.prepare(sql, mode="compiled")
+        interpreted = db.prepare(sql, mode="interpreted")
+        seed = db.prepare(sql, mode="seed")
         assert columnar.exec_mode == "columnar", label
         assert "exec=columnar" in columnar.explain()
         assert compiled.exec_mode == "compiled", label

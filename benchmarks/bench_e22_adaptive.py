@@ -109,7 +109,7 @@ def test_e22_drift_triggers_one_replan_then_holds():
     for i in range(3):
         db.query(QUERY, {"r": f"r-{i:03d}"})
     frozen = db.prepare(QUERY)
-    seed = db.prepare(QUERY, optimize=False)
+    seed = db.prepare(QUERY, mode="seed")
     assert "IndexLookup" in frozen.explain()
 
     _skew(db)

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import time
 
-from repro.rdb.planner import PlannerFeatures
+from repro.rdb.planner import MODES, PlannerFeatures
 
 #: |cost_ratio - 1| below this counts as "the model sees no difference"
 COST_PARITY_BAND = 0.05
@@ -49,13 +49,12 @@ COST_BETTER = 0.8
 def _variant_plans(db, sql: str):
     """(label, plan) pairs for every probed planner/executor variant.
     The ``default`` variant is the plan the database actually runs (the
-    cached one, corrections and all); the others are uncached probes."""
+    cached one, corrections and all); the others are uncached probes,
+    the pinned execution modes labelled by their ``mode`` name."""
     return [
         ("default", db.prepare(sql)),
-        ("seed", db.prepare(sql, optimize=False)),
-        ("interpreted", db.prepare(sql, compiled=False)),
-        ("row-mode", db.prepare(sql, columnar=False)),
-        ("columnar", db.prepare(sql, columnar=True)),
+        *((mode, db.prepare(sql, mode=mode))
+          for mode in reversed(MODES) if mode is not None),
         ("no-join-reorder",
          db.prepare(sql, features=PlannerFeatures(join_reorder=False))),
         ("no-access-paths",

@@ -30,7 +30,9 @@ _HEADER_END = b"\r\n\r\n"
 
 
 class WireError(ReproError):
-    """The server closed or violated framing mid-response."""
+    """The server closed or violated framing mid-response — whether the
+    close arrives as an orderly EOF or as the kernel's reset / broken
+    pipe (which of the two is a race the caller should not see)."""
 
 
 class WireResponse:
@@ -112,7 +114,12 @@ class WireClient:
     def send_raw(self, data: bytes) -> None:
         self.connect()
         assert self._sock is not None
-        self._sock.sendall(data)
+        try:
+            self._sock.sendall(data)
+        except ConnectionError as exc:
+            raise WireError(
+                f"server closed the connection before the request: {exc}"
+            ) from exc
 
     def request(self, target: str, method: str = "GET",
                 headers: dict | None = None,
@@ -194,7 +201,12 @@ class WireClient:
 
     def _fill(self) -> None:
         assert self._sock is not None, "client is not connected"
-        data = self._sock.recv(65536)
+        try:
+            data = self._sock.recv(65536)
+        except ConnectionError as exc:
+            raise WireError(
+                f"server closed the connection mid-response: {exc}"
+            ) from exc
         if not data:
             raise WireError("server closed the connection mid-response")
         self._buffer.extend(data)

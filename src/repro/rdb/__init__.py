@@ -25,8 +25,9 @@ Layering (each module only imports the ones above it):
 - :mod:`repro.rdb.statistics` / :mod:`repro.rdb.cost` — ANALYZE
   snapshots and the selectivity/cost model they feed,
 - :mod:`repro.rdb.planner` / :mod:`repro.rdb.executor` — cost-based
-  planning and execution of SELECT statements (index/range/IN scans,
-  filters, hash and nested-loop joins, grouping, sorting, limits),
+  planning and execution of SELECT statements and of the scans UPDATE /
+  DELETE find their rows through (index/range/IN scans, filters, hash
+  and nested-loop joins, grouping, sorting, limits),
 - :mod:`repro.rdb.adaptive` — the execution-feedback loop: per-plan
   cardinality ledgers, learned selectivity corrections the cost model
   consults, and drift-triggered replan/re-ANALYZE,

@@ -40,7 +40,7 @@ from collections import deque
 
 from repro.rdb import cost
 from repro.rdb.executor import HashJoinOp, ScanOp
-from repro.rdb.expr import And, Between, ColumnRef, Comparison, Expr
+from repro.rdb.expr import Between, ColumnRef, Comparison, Expr, conjuncts
 
 #: drift threshold: median window q-error above this marks a plan stale
 Q_ERROR_THRESHOLD = 4.0
@@ -67,14 +67,6 @@ def q_error(estimated: float, actual: float) -> float:
     est = max(float(estimated), 1.0)
     act = max(float(actual), 1.0)
     return act / est if act >= est else est / act
-
-
-def _conjuncts(expr: Expr | None) -> list[Expr]:
-    if expr is None:
-        return []
-    if isinstance(expr, And):
-        return _conjuncts(expr.left) + _conjuncts(expr.right)
-    return [expr]
 
 
 def conjunct_fingerprint(conjunct: Expr) -> str:
@@ -118,16 +110,16 @@ def scan_correction_keys(scan: ScanOp) -> list[tuple[str, tuple]]:
     """Every ``(table, key)`` correction entry one scan's observation
     feeds.  Shared by the learner and by tests that force-poison the
     memory to prove replans cannot change answers."""
-    conjuncts = _conjuncts(scan.predicate)
-    if not conjuncts:
+    pushed = conjuncts(scan.predicate)
+    if not pushed:
         return []
     table = scan.store.schema.name
-    keys: list[tuple[str, tuple]] = [(table, conjunct_set_key(conjuncts))]
-    if len(conjuncts) == 1:
+    keys: list[tuple[str, tuple]] = [(table, conjunct_set_key(pushed))]
+    if len(pushed) == 1:
         # Single-conjunct scans attribute their selectivity exactly;
         # multi-conjunct observations stay at set granularity (the
         # per-conjunct split is not identifiable from one count).
-        keys.extend((table, key) for key in _semantic_keys(conjuncts[0]))
+        keys.extend((table, key) for key in _semantic_keys(pushed[0]))
     return keys
 
 

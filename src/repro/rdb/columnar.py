@@ -51,7 +51,6 @@ byte-identical answer; E20 measures the speedup.
 from __future__ import annotations
 
 import datetime
-import functools
 import threading
 
 from repro.errors import QueryError
@@ -65,8 +64,9 @@ from repro.rdb.expr import (
     IsNull,
     Like,
     Literal,
-    _like_to_regex,
     compare_values,
+    conjuncts,
+    like_regex,
 )
 
 #: pending sync records beyond which the store stops chasing point
@@ -96,10 +96,6 @@ _SIGN_CHECKS = {
 }
 
 _FLIPPED_OP = {"=": "=", "<>": "<>", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
-
-#: LIKE patterns repeat across executions; cache their compiled regexes
-_like_regex = functools.lru_cache(maxsize=512)(_like_to_regex)
-
 
 class _ConstScope:
     """Evaluation scope for column-free expressions (never consulted)."""
@@ -632,7 +628,7 @@ def _like_bind(name: str, pattern_expr: Expr, negated: bool, family: str):
         pattern = pattern_expr.evaluate(_CONST_SCOPE, params)
         if pattern is None:
             return _empty_kernel
-        regex = _like_regex(str(pattern))
+        regex = like_regex(str(pattern))
         match = regex.match
         column = column_store.columns[name]
 
@@ -739,17 +735,6 @@ def _compile_conjunct(conjunct: Expr, binding: str, schema):
     return None
 
 
-def _split_conjuncts(expr: Expr | None) -> list[Expr]:
-    """Flatten an AND tree (mirrors the planner's ``_conjuncts``)."""
-    from repro.rdb.expr import And
-
-    if expr is None:
-        return []
-    if isinstance(expr, And):
-        return _split_conjuncts(expr.left) + _split_conjuncts(expr.right)
-    return [expr]
-
-
 # ---------------------------------------------------------------------------
 # The columnar pipeline
 # ---------------------------------------------------------------------------
@@ -759,7 +744,7 @@ class ColumnarPipeline:
     """Batch executor for one eligible single-scan plan.
 
     Non-grouped plans filter column-wise, then feed the surviving row
-    dicts to the plan's fused ``compiled_row_emit`` — projection and
+    dicts to the plan's fused ``emit_fn`` — projection and
     order keys stay byte-identical with the row engine because they run
     the *same* generated code.  Grouped plans partition surviving
     positions by the group columns (first-seen order, like the row
@@ -819,7 +804,7 @@ class ColumnarPipeline:
         if self.grouped:
             yield from self._execute_grouped(column_store, survivors, params)
             return
-        emit = self.plan.compiled_row_emit
+        emit = self.plan.emit_fn
         rows = self.scan.store.rows
         row_ids = column_store.row_ids
         for i in survivors:
@@ -959,7 +944,7 @@ def build_columnar_pipeline(plan):
     binding = root.binding
     specs: list[_KernelSpec] = []
     fallbacks = 0
-    for conjunct in _split_conjuncts(root.predicate):
+    for conjunct in conjuncts(root.predicate):
         selectivity = cost.conjunct_selectivity(
             root.store, conjunct, getattr(plan, "feedback", None)
         )
@@ -979,7 +964,7 @@ def build_columnar_pipeline(plan):
     specs.sort(key=lambda spec: (not spec.vectorized, spec.selectivity))
 
     if not plan.grouped:
-        if plan.compiled_row_emit is None:
+        if not plan.fused:
             return None
         return ColumnarPipeline(plan, root, specs, fallbacks)
 

@@ -1,14 +1,20 @@
-"""Query compilation: planned ``Expr`` trees to Python callables.
+"""Lowering: planned ``Expr`` trees to the callables operators run.
 
-The executor's seed form interprets every expression by recursive
-``Expr.evaluate(scope, params)`` walks — per row, per operator.  Each
-walk pays a Python call per AST node plus a :class:`RowScope` allocation
-and a linear owner search per unqualified column.  This module removes
-that tax by translating each planned expression *once* into generated
-Python source, compiled with :func:`compile` and executed into a
-namespace of small runtime helpers; the resulting closures are cached on
-the plan (and therefore in the plan cache, whose table-scoped
-invalidation already forces recompilation after DDL/ANALYZE).
+Operators never look at an expression; they call one ``fn(env,
+params)`` per slot.  :func:`compile_plan` fills every slot of a plan
+with one of two back-ends, chosen by the plan's mode:
+
+- **interpreter closures** (:data:`INTERPRETED_MODES`): each slot closes
+  over ``Expr.evaluate`` — a Python call per AST node plus a
+  :class:`RowScope` allocation and a linear owner search per
+  unqualified column, per row, per operator.  No source is generated
+  for these plans; they are the reference the oracles compare against.
+- **generated source** (every other mode) removes that tax: each
+  expression is translated *once* into Python source, compiled with
+  :func:`compile` and executed into a namespace of small runtime
+  helpers; the functions live on the plan (and therefore in the plan
+  cache, whose table-scoped invalidation already forces re-lowering
+  after DDL/ANALYZE).
 
 Safety argument, in three rules:
 
@@ -19,18 +25,18 @@ Safety argument, in three rules:
    :class:`~repro.errors.QueryError` messages, preserving SQL
    three-valued logic, AND/OR short-circuit order, and lazy ``IN``-list
    option evaluation.
-2. **Fallback, never failure.**  Anything the compiler cannot translate
+2. **Fallback, never failure.**  Anything the generator cannot translate
    faithfully (aggregates in scalar position, unknown functions, wrong
    arity, unresolvable or ambiguous columns) raises :class:`CompileError`
-   internally and falls back to a closure over ``expr.evaluate`` — the
-   interpreter itself — so a compiled plan never behaves differently,
-   it is at worst partially interpreted ("mixed" mode).
-3. **Oracle.**  ``prepare(optimize=False)`` bypasses compilation
-   entirely, preserving the seed interpreter; the hypothesis oracle
-   test executes both modes against random schemas/queries and requires
-   identical rows and ordering.
+   internally and that slot gets its interpreter closure instead — so a
+   compiled plan never behaves differently, it is at worst partially
+   interpreted ("mixed" mode, counted in ``compile_fallback_exprs``).
+3. **Oracle.**  Both back-ends fill the same slots of the same
+   operators, so modes can only disagree through a lowered expression;
+   the hypothesis oracle executes every mode against random
+   schemas/queries and requires identical rows and ordering.
 
-Two calling conventions are generated:
+Two calling conventions are lowered:
 
 - **row mode** ``fn(row, params)`` for expressions over a single table
   binding whose row is a real dict (scan predicates, join build-side
@@ -44,7 +50,6 @@ Two calling conventions are generated:
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -79,7 +84,12 @@ from repro.rdb.expr import (
     _is_number,
     _like_to_regex,
     compare_values,
+    like_regex,
 )
+
+#: the modes lowered to interpreter closures — the references the
+#: oracles compare generated code against
+INTERPRETED_MODES = ("interpreted", "seed")
 
 
 class CompileError(Exception):
@@ -202,15 +212,10 @@ def _between(value, low, high, negated):
     return not inside if negated else inside
 
 
-#: LIKE patterns repeat across rows and statements; the interpreter
-#: rebuilds the regex per row, compiled code caches per pattern text
-_like_regex = functools.lru_cache(maxsize=512)(_like_to_regex)
-
-
 def _like_dyn(value, pattern, negated):
     if value is None or pattern is None:
         return None
-    matched = _like_regex(str(pattern)).match(str(value)) is not None
+    matched = like_regex(str(pattern)).match(str(value)) is not None
     return not matched if negated else matched
 
 
@@ -556,8 +561,8 @@ class CompiledExpr:
 
     ``fn(env, params)`` where ``env`` is a row dict (row mode) or a
     binding map (bindings mode).  ``compiled`` is False when the
-    callable is an interpreter fallback; ``source`` carries the
-    generated text for debugging (None for fallbacks).
+    callable is an interpreter closure; ``source`` carries the
+    generated text for debugging (None for closures).
     """
 
     fn: object
@@ -565,25 +570,55 @@ class CompiledExpr:
     source: str | None = None
 
 
-def _interpreter_fallback(expr: Expr, columns: dict, mode: str):
+def _interpreted(body, columns: dict, mode: str):
+    """``body(scope, params)`` as an ``fn(env, params)`` slot callable:
+    the one place the interpreter back-end builds its per-call
+    :class:`RowScope`."""
     if mode == "row":
-        (binding,) = columns.keys()
+        (binding,) = columns
+        return lambda env, params: body(
+            RowScope({binding: env}, columns), params
+        )
+    return lambda env, params: body(RowScope(env, columns), params)
 
-        def fallback(env, params, _expr=expr, _columns=columns, _b=binding):
-            return _expr.evaluate(RowScope({_b: env}, _columns), params)
-    else:
 
-        def fallback(env, params, _expr=expr, _columns=columns):
-            return _expr.evaluate(RowScope(env, _columns), params)
+def interpret_scalar(
+    expr: Expr, columns: dict, mode: str = "bindings", label: str = "expr"
+) -> CompiledExpr:
+    """``expr`` as a closure over the tree interpreter.  Shares
+    :func:`compile_scalar`'s signature so either back-end can fill a
+    slot (``label`` only names generated source)."""
+    return CompiledExpr(_interpreted(expr.evaluate, columns, mode), False)
 
-    return fallback
+
+def interpret_tuple(
+    exprs, columns: dict, mode: str = "bindings", label: str = "tuple"
+) -> CompiledExpr:
+    """:func:`compile_tuple`'s interpreter twin."""
+    exprs = tuple(exprs)
+    return CompiledExpr(_interpreted(
+        lambda scope, params: tuple(
+            expr.evaluate(scope, params) for expr in exprs
+        ),
+        columns, mode,
+    ), False)
+
+
+def interpret_emit(plan, columns: dict) -> CompiledExpr:
+    """The plan's per-row tail — project + order keys — over the plan's
+    own interpreting ``_project_row`` / ``_order_keys``."""
+    def emit(scope, params):
+        out_row = plan._project_row(scope, scope.bindings, params)
+        return out_row, plan._order_keys(scope, out_row, params)
+
+    return CompiledExpr(_interpreted(emit, columns, "bindings"), False)
 
 
 def compile_scalar(
     expr: Expr, columns: dict, mode: str = "bindings", label: str = "expr"
 ) -> CompiledExpr:
     """Compile one expression to ``fn(env, params)``; interpreter
-    fallback on any :class:`CompileError`."""
+    closure on any :class:`CompileError`."""
     try:
         cg = _Codegen(columns, mode)
         result = cg.compile(expr)
@@ -591,7 +626,7 @@ def compile_scalar(
         fn, source = _assemble(cg, label)
         return CompiledExpr(fn, True, source)
     except CompileError:
-        return CompiledExpr(_interpreter_fallback(expr, columns, mode), False)
+        return interpret_scalar(expr, columns, mode)
 
 
 def compile_tuple(
@@ -608,16 +643,12 @@ def compile_tuple(
         fn, source = _assemble(cg, label)
         return CompiledExpr(fn, True, source)
     except CompileError:
-        def fallback(env, params, _exprs=exprs, _columns=columns):
-            scope = RowScope(env, _columns)
-            return tuple(expr.evaluate(scope, params) for expr in _exprs)
-
-        return CompiledExpr(fallback, False)
+        return interpret_tuple(exprs, columns, mode)
 
 
 def compile_row_key(columns: tuple):
     """``fn(row) -> tuple`` over plain column names — the hash-join
-    build-side key extractor.  Always compilable."""
+    build-side key extractor, generated form.  Always compilable."""
     atoms = ", ".join(f"_env[{column!r}]" for column in columns)
     trailing = "," if len(columns) == 1 else ""
     source = f"def _compiled(_env):\n    return ({atoms}{trailing})"
@@ -639,8 +670,9 @@ def compile_emit(
     Replicates ``_order_keys``'s alias fallback at compile time: an
     ORDER BY column that does not resolve in scope but names an output
     column reads the projected row instead.  Returns ``None`` when any
-    part resists compilation; the caller keeps the interpreted tail
-    (all-or-nothing, so a plan's emit path is never half compiled).
+    part resists compilation; the caller lowers the tail with
+    :func:`interpret_emit` instead (all-or-nothing, so a plan's emit
+    path is never half compiled).
     """
     try:
         cg = _Codegen(columns, mode)
@@ -687,21 +719,28 @@ def compile_emit(
 
 
 def compile_plan(plan) -> dict:
-    """Attach compiled forms to a plan's operators and emit path.
+    """Fill every expression slot of ``plan`` with the back-end
+    ``plan.mode`` names.
 
-    Walks the operator tree, compiling scan/filter predicates, join
-    probe keys, build-key extractors, prefilters and residuals; then the
-    plan-level tail (fused row-mode emit for single-scan plans, generic
-    bindings-mode emit otherwise) or, for grouped queries, the GROUP BY
-    key and aggregate-argument extractors.  Returns
-    ``{"compiled": n, "interpreted": m}`` counting translation units;
-    ``m > 0`` means the plan runs in "mixed" mode.
+    Walks the operator tree lowering scan/filter predicates, join
+    probe keys, build-key extractors, prefilters, residuals and
+    nested-loop conditions; then the plan-level tail: the GROUP BY key
+    and aggregate-argument extractors of a grouped query, else the
+    project + order-key ``emit_fn`` (fused row mode for a generated
+    single-scan plan, bindings mode otherwise).  Returns
+    ``{"compiled": n, "interpreted": m}`` counting slots by what fills
+    them; in a generated plan ``m > 0`` means "mixed" mode.
     """
+    codegen = plan.mode not in INTERPRETED_MODES
+    lower_scalar, lower_tuple = (
+        (compile_scalar, compile_tuple) if codegen
+        else (interpret_scalar, interpret_tuple)
+    )
     stats = {"compiled": 0, "interpreted": 0}
 
-    def note(compiled_expr: CompiledExpr):
-        stats["compiled" if compiled_expr.compiled else "interpreted"] += 1
-        return compiled_expr.fn
+    def note(lowered: CompiledExpr):
+        stats["compiled" if lowered.compiled else "interpreted"] += 1
+        return lowered.fn
 
     columns = plan.columns_by_binding
     stack = [plan.root]
@@ -710,62 +749,59 @@ def compile_plan(plan) -> dict:
         stack.extend(op.children())
         if isinstance(op, ScanOp):
             if op.predicate is not None:
-                op.compiled_predicate = note(compile_scalar(
+                op.predicate_fn = note(lower_scalar(
                     op.predicate, op._scope_columns, "row", "scan-predicate"
                 ))
         elif isinstance(op, FilterOp):
-            op.compiled_predicate = note(compile_scalar(
+            op.predicate_fn = note(lower_scalar(
                 op.predicate, op.columns_by_binding, "bindings", "filter"
             ))
         elif isinstance(op, HashJoinOp):
-            op.compiled_probe = note(compile_tuple(
+            op.probe_fn = note(lower_tuple(
                 op.probe_exprs, op.columns_by_binding, "bindings", "probe-key"
             ))
-            op.compiled_build_key = compile_row_key(op.build_columns)
+            op.build_key_fn = (
+                compile_row_key(op.build_columns) if codegen
+                else lambda row, _c=op.build_columns: tuple(row[c] for c in _c)
+            )
             if op.prefilter is not None:
-                op.compiled_prefilter = note(compile_scalar(
+                op.prefilter_fn = note(lower_scalar(
                     op.prefilter, op._own_columns, "row", "prefilter"
                 ))
             if op.residual is not None:
-                op.compiled_residual = note(compile_scalar(
+                op.residual_fn = note(lower_scalar(
                     op.residual, op.columns_by_binding, "bindings", "residual"
                 ))
         elif isinstance(op, NestedLoopJoinOp):
-            op.compiled_condition = note(compile_scalar(
+            op.condition_fn = note(lower_scalar(
                 op.condition, op.columns_by_binding, "bindings", "join-on"
             ))
             if op.prefilter is not None:
-                op.compiled_prefilter = note(compile_scalar(
+                op.prefilter_fn = note(lower_scalar(
                     op.prefilter, op._own_columns, "row", "prefilter"
                 ))
 
     select = plan.select
     if plan.grouped:
-        if select.group_by:
-            plan.compiled_group_key = note(compile_tuple(
-                select.group_by, columns, "bindings", "group-key"
-            ))
+        plan.group_key_fn = note(lower_tuple(
+            select.group_by, columns, "bindings", "group-key"
+        ))
         for call in plan._wanted_aggregates:
-            if call.argument is not None and call not in plan.compiled_agg_args:
-                plan.compiled_agg_args[call] = note(compile_scalar(
+            if call.argument is not None and call not in plan.agg_arg_fns:
+                plan.agg_arg_fns[call] = note(lower_scalar(
                     call.argument, columns, "bindings", "aggregate-argument"
                 ))
-    elif isinstance(plan.root, ScanOp):
+        return stats
+    emit = None
+    plan.fused = codegen and isinstance(plan.root, ScanOp)
+    if codegen:
         emit = compile_emit(
             plan._projection, select.order_by, plan.output_columns,
-            plan.root._scope_columns, "row",
+            plan.root._scope_columns if plan.fused else columns,
+            "row" if plan.fused else "bindings",
         )
-        if emit is not None:
-            plan.compiled_row_emit = note(emit)
-        else:
-            stats["interpreted"] += 1
-    else:
-        emit = compile_emit(
-            plan._projection, select.order_by, plan.output_columns,
-            columns, "bindings",
-        )
-        if emit is not None:
-            plan.compiled_emit = note(emit)
-        else:
-            stats["interpreted"] += 1
+    if emit is None:
+        plan.fused = False
+        emit = interpret_emit(plan, columns)
+    plan.emit_fn = note(emit)
     return stats

@@ -1,10 +1,11 @@
 """The engine facade.
 
 :class:`Database` owns every table, executes statements (parsed or raw
-SQL), enforces foreign keys, caches SELECT plans, and keeps execution
-statistics.  The statistics matter to the reproduction: experiment E5
-counts the *data-extraction queries actually executed* to show what the
-unit-bean cache spares (paper §6).
+SQL), enforces foreign keys, caches SELECT plans and the match scans
+of UPDATE / DELETE, and keeps execution statistics.  The statistics
+matter to the reproduction: experiment E5 counts the *data-extraction
+queries actually executed* to show what the unit-bean cache spares
+(paper §6).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from repro.errors import IntegrityError, QueryError, SchemaError
 from repro.rdb.adaptive import AdaptiveController
 from repro.rdb.engine import DurableEngine, MemoryEngine, StorageEngine
 from repro.rdb.executor import ResultSet, RowScope
-from repro.rdb.planner import PlannerFeatures, SelectPlan
+from repro.rdb.planner import DmlPlan, PlannerFeatures, SelectPlan
 from repro.rdb.schema import ForeignKey, TableSchema
 from repro.rdb.sqlparser import (
     Analyze,
@@ -144,7 +145,7 @@ class Database:
         self.name = name
         self.engine = engine if engine is not None else MemoryEngine()
         self.stats = DatabaseStats()
-        self._plan_cache: dict[str, SelectPlan] = {}
+        self._plan_cache: dict[str, SelectPlan | DmlPlan] = {}
         self._plan_lock = threading.Lock()
         self._rwlock = ReadWriteLock()
         #: signalled whenever the engine's LSN advances by replication
@@ -514,18 +515,20 @@ class Database:
         Returns a :class:`ResultSet` for SELECT, the affected row count
         for DML, and ``None`` for DDL.
 
-        Prepared-statement reuse: SQL text already in the plan cache is
-        known to be a SELECT with a ready (compiled) plan, so the parse
-        is skipped entirely — repeated unit-descriptor queries pay one
-        dict probe before execution.
+        Prepared-statement reuse: SQL text already in the plan cache
+        skips the parse entirely.  A cached :class:`SelectPlan` is a
+        ready (compiled) SELECT — repeated unit-descriptor queries pay
+        one dict probe before execution; a cached :class:`DmlPlan`
+        carries its parsed UPDATE / DELETE.
         """
+        statement = sql
         if isinstance(sql, str):
             with self._plan_lock:
-                reusable = sql in self._plan_cache
-            if reusable:
+                cached = self._plan_cache.get(sql)
+            if isinstance(cached, SelectPlan):
                 self.stats.increment("prepared_reuse")
                 return self._execute_select(None, sql, params)
-        statement = parse_sql(sql) if isinstance(sql, str) else sql
+            statement = cached.statement if cached else parse_sql(sql)
         if isinstance(statement, Select):
             return self._execute_select(
                 statement, sql if isinstance(sql, str) else None, params
@@ -535,14 +538,21 @@ class Database:
         started = time.perf_counter()  # spans include the simulated wire
         if self.io_delay:
             time.sleep(self.io_delay)  # the wire, not the engine: no lock held
+        dml = None
         try:
             with self._write_scope():
                 if isinstance(statement, Insert):
                     return self._execute_insert(statement, params or {})
-                if isinstance(statement, Update):
-                    return self._execute_update(statement, params or {})
-                if isinstance(statement, Delete):
-                    return self._execute_delete(statement, params or {})
+                if isinstance(statement, (Update, Delete)):
+                    dml = self._dml_plan(
+                        statement, sql if isinstance(sql, str) else None
+                    )
+                    row_ids = dml.row_ids(params or {})
+                    if isinstance(statement, Update):
+                        return self._execute_update(
+                            statement, row_ids, params or {}
+                        )
+                    return self._execute_delete(statement, row_ids)
                 if isinstance(statement, CreateTable):
                     self.create_table(statement.schema)
                     self.stats.ddl += 1
@@ -563,7 +573,9 @@ class Database:
                     self._analyze_locked(statement.table)
                     return None
         finally:
-            self._observe_statement(kind, started, sql_text)
+            self._observe_statement(
+                kind, started, sql_text, plan=dml.match if dml else None
+            )
         raise QueryError(f"unsupported statement {statement!r}")
 
     def execute_outcome(self, sql: str | Statement,
@@ -645,6 +657,24 @@ class Database:
             with self._plan_lock:
                 # Concurrent planners of the same statement: first in wins,
                 # so repeated executions share one plan object.
+                plan = self._plan_cache.setdefault(cache_key, plan)
+        return plan
+
+    def _dml_plan(self, statement: Update | Delete,
+                  cache_key: str | None) -> DmlPlan:
+        """The cached (or freshly planned) match scan of an UPDATE /
+        DELETE.  Looked up under the write lock on the execute path, so
+        DDL cannot swap a table out from under the plan it returns."""
+        if cache_key is not None:
+            with self._plan_lock:
+                cached = self._plan_cache.get(cache_key)
+            if cached is not None:
+                return cached
+        self.table(statement.table)  # unknown table: SchemaError, as ever
+        plan = DmlPlan(statement, self.tables)
+        self._note_plan_built(plan.match)
+        if cache_key is not None:
+            with self._plan_lock:
                 plan = self._plan_cache.setdefault(cache_key, plan)
         return plan
 
@@ -749,53 +779,55 @@ class Database:
                 analyze: bool = False) -> str:
         """EXPLAIN-style plan text for a SELECT (debugging aid for the
         §6 descriptor-query tuning workflow); the cost-based plan comes
-        annotated with estimated rows/cost per operator.
+        annotated with estimated rows/cost per operator.  An UPDATE or
+        DELETE prints the scan that finds its rows — the plan the
+        statement executes with, cached under its text.
 
-        ``analyze=True`` executes the statement first (with ``params``)
-        and annotates each operator with its actual row count and
-        q-error — the misestimate-debugging view (see
-        docs/OBSERVABILITY.md)."""
-        plan = self.prepare(sql)
+        ``analyze=True`` executes the plan first (with ``params``) and
+        annotates each operator with its actual row count and q-error —
+        the misestimate-debugging view (see docs/OBSERVABILITY.md).  For
+        an UPDATE / DELETE only the match scan runs: the rows the
+        statement *would* touch are counted, nothing is written."""
+        statement = parse_sql(sql)
+        if isinstance(statement, (Update, Delete)):
+            plan = self._dml_plan(statement, sql).match
+        else:
+            plan = self.prepare(sql)
         if analyze:
             with self._rwlock.read_locked():
                 plan.execute(params)
         return plan.explain(analyze=analyze)
 
-    def prepare(self, sql: str, optimize: bool = True,
-                compiled: bool | None = None,
-                columnar: bool | None = None,
+    def prepare(self, sql: str, mode: str | None = None,
                 features: PlannerFeatures | None = None) -> SelectPlan:
-        """Compile a SELECT once for repeated execution (generic
-        services).  ``optimize=False`` builds the naive seed plan — full
-        scans, declared join order, interpreted evaluation — bypassing
-        the plan cache; E14 uses it as the before/after baseline.
-        ``compiled=False`` builds the *optimized* plan but keeps
-        expression evaluation interpreted (also uncached) — E17's
-        apples-to-apples baseline for the compilation layer alone.
-        ``columnar`` overrides the cost model's layout choice: ``True``
-        forces the batch pipeline when the plan shape allows it,
-        ``False`` pins row execution (both uncached, like the other
-        baseline modes); ``None`` lets the cost model decide and caches
-        normally — E20 and the four-way oracle drive all four modes.
-        ``features`` switches individual planner decisions off (always
-        uncached) — the plan-space scanner's probe surface."""
+        """Plan and lower a SELECT once for repeated execution (generic
+        services).  ``mode`` is the one execution knob
+        (:data:`repro.rdb.planner.MODES`; DESIGN.md §8 has the table):
+        ``None`` is the cost-based plan in generated code with the cost
+        model picking the layout — the only mode served from the plan
+        cache; ``"columnar"`` forces the batch pipeline wherever the
+        plan shape allows it and ``"compiled"`` pins row execution;
+        ``"interpreted"`` lowers the same cost-based plan to closures
+        over ``Expr.evaluate`` (E17's baseline for the generated code
+        alone) and ``"seed"`` does so for the naive seed plan (E14's
+        before/after baseline).  Operators cannot tell the modes apart;
+        only what fills their expression slots differs.  ``features``
+        switches individual planner decisions off (always uncached) —
+        the plan-space scanner's probe surface."""
         statement = parse_sql(sql)
         if not isinstance(statement, Select):
             raise QueryError(f"prepare() only accepts SELECT: {sql!r}")
-        if not optimize:
-            return self._note_plan_built(
-                SelectPlan(statement, self.tables, optimize=False)
-            )
-        # Growth-triggered (and queued drift) re-ANALYZE before planning,
-        # so bulk loads stop planning against empty-table statistics.
-        self.adaptive.preflight(statement)
-        if compiled is False or columnar is not None or features is not None:
-            return self._note_plan_built(
-                SelectPlan(statement, self.tables, compiled=compiled,
-                           columnar=columnar, feedback=self.adaptive.memory,
-                           features=features)
-            )
-        return self._plan(statement, sql)
+        if mode != "seed":
+            # Growth-triggered (and queued drift) re-ANALYZE before
+            # planning, so bulk loads stop planning against empty-table
+            # statistics; the seed oracle stays out of the loop.
+            self.adaptive.preflight(statement)
+        if mode is None and features is None:
+            return self._plan(statement, sql)
+        return self._note_plan_built(SelectPlan(
+            statement, self.tables, mode=mode,
+            feedback=self.adaptive.memory, features=features,
+        ))
 
     # -- statistics -----------------------------------------------------------
 
@@ -857,19 +889,10 @@ class Database:
             count += 1
         return count
 
-    def _match_rows(self, store: TableStore, where, params: dict) -> list[int]:
-        columns = {store.schema.name: store.schema.column_names}
-        matches = []
-        for row_id, row in list(store.rows.items()):
-            scope = RowScope({store.schema.name: row}, columns)
-            if where is None or where.evaluate(scope, params) is True:
-                matches.append(row_id)
-        return matches
-
-    def _execute_update(self, statement: Update, params: dict) -> int:
+    def _execute_update(self, statement: Update, row_ids: list[int],
+                        params: dict) -> int:
         store = self.table(statement.table)
         columns = {store.schema.name: store.schema.column_names}
-        row_ids = self._match_rows(store, statement.where, params)
         for row_id in row_ids:
             row = store.rows[row_id]
             scope = RowScope({store.schema.name: row}, columns)
@@ -890,9 +913,8 @@ class Database:
         self.stats.updates += 1
         return len(row_ids)
 
-    def _execute_delete(self, statement: Delete, params: dict) -> int:
+    def _execute_delete(self, statement: Delete, row_ids: list[int]) -> int:
         store = self.table(statement.table)
-        row_ids = self._match_rows(store, statement.where, params)
         for row_id in row_ids:
             if row_id in store.rows:  # cascades may have removed it already
                 self._delete_with_actions(statement.table, row_id)

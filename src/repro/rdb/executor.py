@@ -4,13 +4,20 @@ A plan is a tree of operators, each yielding *binding maps*: dicts from
 table binding (alias or table name) to a stored row dict, or ``None``
 for the null-padded side of a LEFT JOIN.  :class:`RowScope` adapts a
 binding map to the expression layer's ``lookup`` protocol.
+
+Operators are mode-blind: every expression they run per row is a
+``*_fn`` slot holding one callable, filled in by
+:func:`repro.rdb.compile.compile_plan` with generated code or with a
+closure over ``Expr.evaluate`` — the operator calls it either way.  A
+slot is ``None`` only when its expression is (no predicate, no
+prefilter, no residual).
 """
 
 from __future__ import annotations
 
 import functools
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.errors import QueryError
 from repro.rdb.expr import (
@@ -126,14 +133,9 @@ class ScanOp(Operator):
     pushed ``predicate`` re-check is what keeps every path honest, and
     a ``None`` answer from the index degrades to a heap walk.
 
-    ``compiled_predicate``, when the plan was compiled, is a row-mode
-    ``fn(row, params)`` form of ``predicate`` (see
-    :mod:`repro.rdb.compile`); the scan then skips the per-row
-    :class:`RowScope` allocation entirely.
+    ``predicate_fn`` is ``predicate`` lowered to row mode,
+    ``fn(row, params)``.
     """
-
-    #: row-mode compiled form of ``predicate`` (set by compile_plan)
-    compiled_predicate = None
 
     def __init__(
         self,
@@ -146,6 +148,7 @@ class ScanOp(Operator):
         self.binding = binding
         self.access = access or _SEQ
         self.predicate = predicate
+        self.predicate_fn = None
         self._scope_columns = {binding: list(store.schema.column_names)}
 
     @property
@@ -205,9 +208,9 @@ class ScanOp(Operator):
             matches |= found
         return matches
 
-    def matching_rows(self, params: dict) -> Iterator[dict]:
-        """The scan's raw row dicts (no binding map) — the substrate of
-        both :meth:`rows` and the plan-level fused pipeline."""
+    def matching(self, params: dict) -> Iterator[tuple[int, dict]]:
+        """``(row_id, row)`` for every row the scan selects — the one
+        loop under SELECT's row stream and UPDATE / DELETE's row ids."""
         produced = 0
         try:
             row_ids = self._candidate_row_ids(params)
@@ -218,47 +221,43 @@ class ScanOp(Operator):
             else:
                 candidates = sorted(row_ids)
             lookup = self.store.rows
-            predicate = self.predicate
+            predicate = self.predicate_fn
             if predicate is None:
                 for row_id in candidates:
                     row = lookup.get(row_id)
                     if row is not None:
                         produced += 1
-                        yield row
-                return
-            compiled = self.compiled_predicate
-            if compiled is not None:
-                for row_id in candidates:
-                    row = lookup.get(row_id)
-                    if row is not None and compiled(row, params) is True:
-                        produced += 1
-                        yield row
+                        yield row_id, row
                 return
             for row_id in candidates:
                 row = lookup.get(row_id)
-                if row is None:
-                    continue
-                scope = RowScope({self.binding: row}, self._scope_columns)
-                if predicate.evaluate(scope, params) is True:
+                if row is not None and predicate(row, params) is True:
                     produced += 1
-                    yield row
+                    yield row_id, row
         finally:
             self.actual_rows = produced
 
+    def matching_rows(self, params: dict) -> Iterator[dict]:
+        """The scan's raw row dicts (no binding map) — what the
+        plan-level fused pipeline consumes."""
+        for _row_id, row in self.matching(params):
+            yield row
+
     def rows(self, params: dict) -> Iterator[Bindings]:
         binding = self.binding
-        for row in self.matching_rows(params):
+        for _row_id, row in self.matching(params):
             yield {binding: row}
 
 
 class FilterOp(Operator):
-    #: bindings-mode compiled form of ``predicate`` (set by compile_plan)
-    compiled_predicate = None
+    """``predicate_fn`` is ``predicate`` lowered to bindings mode,
+    ``fn(bindings, params)``."""
 
     def __init__(self, child: Operator, predicate: Expr,
                  columns_by_binding: dict[str, list[str]]):
         self.child = child
         self.predicate = predicate
+        self.predicate_fn = None
         self.columns_by_binding = columns_by_binding
 
     def describe(self) -> str:
@@ -270,16 +269,9 @@ class FilterOp(Operator):
     def rows(self, params: dict) -> Iterator[Bindings]:
         produced = 0
         try:
-            compiled = self.compiled_predicate
-            if compiled is not None:
-                for bindings in self.child.rows(params):
-                    if compiled(bindings, params) is True:
-                        produced += 1
-                        yield bindings
-                return
+            predicate = self.predicate_fn
             for bindings in self.child.rows(params):
-                scope = RowScope(bindings, self.columns_by_binding)
-                if self.predicate.evaluate(scope, params) is True:
+                if predicate(bindings, params) is True:
                     produced += 1
                     yield bindings
         finally:
@@ -289,12 +281,9 @@ class FilterOp(Operator):
 class NestedLoopJoinOp(Operator):
     """Fallback join for non-equi ON conditions.  A ``prefilter`` (the
     planner-pushed conjuncts local to the new table) shrinks the inner
-    relation once per execution instead of once per outer row."""
+    relation once per execution instead of once per outer row.
 
-    #: compiled forms (set by compile_plan): row-mode prefilter,
-    #: bindings-mode join condition
-    compiled_prefilter = None
-    compiled_condition = None
+    Slots: row-mode ``prefilter_fn``, bindings-mode ``condition_fn``."""
 
     def __init__(
         self,
@@ -313,6 +302,8 @@ class NestedLoopJoinOp(Operator):
         self.kind = kind
         self.columns_by_binding = columns_by_binding
         self.prefilter = prefilter
+        self.prefilter_fn = None
+        self.condition_fn = None
         self._own_columns = {binding: list(store.schema.column_names)}
 
     def describe(self) -> str:
@@ -324,37 +315,22 @@ class NestedLoopJoinOp(Operator):
 
     def _inner_rows(self, params: dict) -> list[dict]:
         rows = list(self.store.rows.values())
-        if self.prefilter is None:
+        prefilter = self.prefilter_fn
+        if prefilter is None:
             return rows
-        kept = []
-        compiled = self.compiled_prefilter
-        if compiled is not None:
-            for row in rows:
-                if compiled(row, params) is True:
-                    kept.append(row)
-            return kept
-        for row in rows:
-            scope = RowScope({self.binding: row}, self._own_columns)
-            if self.prefilter.evaluate(scope, params) is True:
-                kept.append(row)
-        return kept
+        return [row for row in rows if prefilter(row, params) is True]
 
     def rows(self, params: dict) -> Iterator[Bindings]:
         produced = 0
         try:
             right_rows = self._inner_rows(params)
-            condition = self.compiled_condition
+            condition = self.condition_fn
             for bindings in self.left.rows(params):
                 matched = False
                 for row in right_rows:
                     candidate = dict(bindings)
                     candidate[self.binding] = row
-                    if condition is not None:
-                        verdict = condition(candidate, params)
-                    else:
-                        scope = RowScope(candidate, self.columns_by_binding)
-                        verdict = self.condition.evaluate(scope, params)
-                    if verdict is True:
+                    if condition(candidate, params) is True:
                         matched = True
                         produced += 1
                         yield candidate
@@ -370,14 +346,10 @@ class NestedLoopJoinOp(Operator):
 class HashJoinOp(Operator):
     """Equi-join: build a hash table on the new table's key columns and
     probe with each incoming binding map.  ``residual`` carries any extra
-    non-equi conjuncts of the ON condition."""
+    non-equi conjuncts of the ON condition.
 
-    #: compiled forms (set by compile_plan): row-mode prefilter and
-    #: build-key extractor, bindings-mode probe-key tuple and residual
-    compiled_prefilter = None
-    compiled_build_key = None
-    compiled_probe = None
-    compiled_residual = None
+    Slots: row-mode ``prefilter_fn`` and ``build_key_fn(row)``,
+    bindings-mode ``probe_fn`` (the key tuple) and ``residual_fn``."""
 
     def __init__(
         self,
@@ -400,6 +372,10 @@ class HashJoinOp(Operator):
         self.kind = kind
         self.columns_by_binding = columns_by_binding
         self.prefilter = prefilter
+        self.prefilter_fn = None
+        self.build_key_fn = None
+        self.probe_fn = None
+        self.residual_fn = None
         self._own_columns = {binding: list(store.schema.column_names)}
 
     def describe(self) -> str:
@@ -414,53 +390,28 @@ class HashJoinOp(Operator):
         produced = 0
         try:
             table: dict[tuple, list[dict]] = {}
-            prefilter = self.prefilter
-            compiled_prefilter = self.compiled_prefilter
-            build_key = self.compiled_build_key
+            prefilter = self.prefilter_fn
+            build_key = self.build_key_fn
             for row in self.store.rows.values():
-                if prefilter is not None:
-                    if compiled_prefilter is not None:
-                        if compiled_prefilter(row, params) is not True:
-                            continue
-                    else:
-                        scope = RowScope({self.binding: row}, self._own_columns)
-                        if prefilter.evaluate(scope, params) is not True:
-                            continue
-                if build_key is not None:
-                    key = build_key(row)
-                else:
-                    key = tuple(row[c] for c in self.build_columns)
+                if prefilter is not None \
+                        and prefilter(row, params) is not True:
+                    continue
+                key = build_key(row)
                 if any(v is None for v in key):
                     continue
                 table.setdefault(key, []).append(row)
-            probe = self.compiled_probe
-            residual = self.residual
-            compiled_residual = self.compiled_residual
+            probe = self.probe_fn
+            residual = self.residual_fn
             for bindings in self.left.rows(params):
-                if probe is not None:
-                    key = probe(bindings, params)
-                else:
-                    scope = RowScope(bindings, self.columns_by_binding)
-                    key = tuple(
-                        expr.evaluate(scope, params) for expr in self.probe_exprs
-                    )
+                key = probe(bindings, params)
                 matched = False
                 if not any(v is None for v in key):
                     for row in table.get(key, ()):
                         candidate = dict(bindings)
                         candidate[self.binding] = row
-                        if residual is not None:
-                            if compiled_residual is not None:
-                                verdict = compiled_residual(candidate, params)
-                            else:
-                                residual_scope = RowScope(
-                                    candidate, self.columns_by_binding
-                                )
-                                verdict = residual.evaluate(
-                                    residual_scope, params
-                                )
-                            if verdict is not True:
-                                continue
+                        if residual is not None \
+                                and residual(candidate, params) is not True:
+                            continue
                         matched = True
                         produced += 1
                         yield candidate
@@ -521,43 +472,24 @@ def substitute_aggregates(expr: Expr, values: dict[AggregateCall, object]) -> Ex
             )
     if not replacements:
         return expr
-    return dataclass_replace(expr, **replacements)
-
-
-def dataclass_replace(node, **changes):
-    import dataclasses
-
-    return dataclasses.replace(node, **changes)
+    return replace(expr, **replacements)
 
 
 def compute_aggregate(
-    call: AggregateCall,
-    group: list[Bindings],
-    columns_by_binding: dict[str, list[str]],
-    params: dict,
-    extractor=None,
+    call: AggregateCall, group: list[Bindings], params: dict, extractor
 ):
     """Evaluate one aggregate over a group of binding maps.
 
-    ``extractor``, when given, is the compiled bindings-mode form of
-    ``call.argument`` (``fn(bindings, params)``); without it the
-    argument is interpreted with a fresh :class:`RowScope` per row.
+    ``extractor`` is ``call.argument`` lowered to bindings mode,
+    ``fn(bindings, params)`` (unused for ``COUNT(*)``).
     """
     if call.argument is None:  # COUNT(*)
         return len(group)
     values = []
-    if extractor is not None:
-        for bindings in group:
-            value = extractor(bindings, params)
-            if value is not None:
-                values.append(value)
-    else:
-        for bindings in group:
-            value = call.argument.evaluate(
-                RowScope(bindings, columns_by_binding), params
-            )
-            if value is not None:
-                values.append(value)
+    for bindings in group:
+        value = extractor(bindings, params)
+        if value is not None:
+            values.append(value)
     return reduce_aggregate(call.func, call.distinct, values)
 
 

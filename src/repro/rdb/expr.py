@@ -9,6 +9,7 @@ is strictly True.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 
@@ -203,6 +204,15 @@ class And(Expr):
         return self.left.column_refs() + self.right.column_refs()
 
 
+def conjuncts(expr: Expr | None) -> list[Expr]:
+    """``expr`` flattened along its AND tree (``None`` has none)."""
+    if expr is None:
+        return []
+    if isinstance(expr, And):
+        return conjuncts(expr.left) + conjuncts(expr.right)
+    return [expr]
+
+
 @dataclass(frozen=True)
 class Or(Expr):
     left: Expr
@@ -327,6 +337,12 @@ def _like_to_regex(pattern: str) -> re.Pattern:
         else:
             out.append(re.escape(ch))
     return re.compile("^" + "".join(out) + "$", re.DOTALL)
+
+
+#: LIKE patterns repeat across rows and statements: every lowered form
+#: (generated row code, batch kernels) shares this cache per pattern
+#: text.  ``Like.evaluate`` — the reference — rebuilds its regex per call.
+like_regex = functools.lru_cache(maxsize=512)(_like_to_regex)
 
 
 @dataclass(frozen=True)

@@ -24,9 +24,11 @@ Planning is cost-based (:mod:`repro.rdb.cost`):
   semantically safe pushdowns (base-scan conjuncts, build-side
   prefilters from conjuncts local to the joined table).
 
-``optimize=False`` rebuilds the seed's naive plan — full scans except
+``mode`` (:data:`MODES`) is the one execution knob: it picks the plan
+shape (``"seed"`` rebuilds the seed's naive plan — full scans except
 exact-equality index matches, declared join order, one final WHERE
-filter — which E14 uses as its baseline.
+filter — which E14 uses as its baseline), the lowering back-end
+(:mod:`repro.rdb.compile`) and the layout.  Operators never see it.
 
 Two optional inputs refine cost-based planning without touching
 semantics: ``feedback`` (a :class:`repro.rdb.adaptive.SelectivityMemory`)
@@ -44,7 +46,7 @@ from dataclasses import dataclass
 
 from repro.errors import QueryError
 from repro.rdb import cost
-from repro.rdb.compile import compile_plan
+from repro.rdb.compile import INTERPRETED_MODES, compile_plan
 from repro.rdb.executor import (
     AccessPath,
     Bindings,
@@ -69,19 +71,18 @@ from repro.rdb.expr import (
     Expr,
     InList,
     Literal,
+    conjuncts as _conjuncts,
 )
 from repro.rdb.columnar import build_columnar_pipeline
-from repro.rdb.sqlparser import Select
+from repro.rdb.sqlparser import Delete, Select, SelectItem, TableRef, Update
 from repro.rdb.storage import TableStore
 from repro.util import unique_name
 
-
-def _conjuncts(expr: Expr | None) -> list[Expr]:
-    if expr is None:
-        return []
-    if isinstance(expr, And):
-        return _conjuncts(expr.left) + _conjuncts(expr.right)
-    return [expr]
+#: execution modes: plan shape · lowering back-end · layout
+#: (DESIGN.md §8 has the table).  ``None`` is the cost-based default
+#: and the only cached one; the rest pin one choice for baselines,
+#: oracles and the plan scanner.
+MODES = (None, "columnar", "compiled", "interpreted", "seed")
 
 
 def _and_all(parts: list[Expr]) -> Expr | None:
@@ -123,24 +124,22 @@ DEFAULT_FEATURES = PlannerFeatures()
 
 class SelectPlan:
     def __init__(self, select: Select, stores: Mapping[str, TableStore],
-                 optimize: bool = True, compiled: bool | None = None,
-                 columnar: bool | None = None, feedback=None,
+                 mode: str | None = None, feedback=None,
                  features: PlannerFeatures | None = None):
+        if mode not in MODES:
+            raise QueryError(f"unknown execution mode {mode!r}")
         self.select = select
         self.stores = stores
-        self.optimize = optimize
+        self.mode = mode
+        cost_based = mode != "seed"
         #: adaptive selectivity memory consulted by every cost estimate;
         #: the naive seed plan stays feedback-blind so it remains a
         #: stable byte-identity oracle
-        self.feedback = feedback if optimize else None
+        self.feedback = feedback if cost_based else None
         self.features = features if features is not None else DEFAULT_FEATURES
-        #: the caller's layout/compile requests, kept for access-path
-        #: costing (a seq scan that will run columnar is priced as such)
-        self._columnar_hint = columnar
-        self._compiled_hint = compiled
         #: adaptive feedback records this plan's executions: cost-based
         #: plans without LIMIT (abandoned generators under-count actuals)
-        self.feedback_eligible = optimize and select.limit is None
+        self.feedback_eligible = cost_based and select.limit is None
         self.columns_by_binding: dict[str, list[str]] = {}
         self._binding_order: list[str] = []
         self._table_by_binding: dict[str, str] = {}
@@ -152,7 +151,7 @@ class SelectPlan:
         #: DDL/ANALYZE statement's target
         self.tables = frozenset(self._table_by_binding.values())
         self.needed_columns = self._compute_needed_columns()
-        if optimize:
+        if cost_based:
             self.root = self._build_tree()
         else:
             self.root = self._build_tree_naive()
@@ -160,42 +159,38 @@ class SelectPlan:
         #: grouped execution computed once: GROUP BY or any aggregate
         self.grouped = bool(select.group_by) or self._has_aggregates()
         self._wanted_aggregates = self._collect_wanted_aggregates()
-        # Compiled execution (repro.rdb.compile).  ``compiled=None``
-        # follows ``optimize``: the naive seed plan stays interpreted so
-        # ``prepare(optimize=False)`` remains a byte-identity oracle.
-        self.compiled_emit = None
-        self.compiled_row_emit = None
-        self.compiled_group_key = None
-        self.compiled_agg_args: dict[AggregateCall, object] = {}
-        self.compile_stats: dict[str, int] | None = None
-        self.compile_seconds = 0.0
-        self.exec_mode = "interpreted"
-        #: batch pipeline (repro.rdb.columnar) when the cost model picks
-        #: column-major execution for this plan; None runs row-at-a-time
+        # The tail's expression slots, filled — like the operators' —
+        # by compile_plan: ``emit_fn`` for plain plans (row mode over
+        # the scan's raw rows when ``fused``, else bindings mode), the
+        # group key and aggregate arguments for grouped ones.
+        self.emit_fn = None
+        self.fused = False
+        self.group_key_fn = None
+        self.agg_arg_fns: dict[AggregateCall, object] = {}
+        started = time.perf_counter()
+        self.compile_stats = compile_plan(self)
+        if mode in INTERPRETED_MODES:
+            self.exec_mode = "interpreted"
+        elif self.compile_stats["interpreted"] == 0:
+            self.exec_mode = "compiled"
+        else:
+            self.exec_mode = "mixed"
+        #: batch pipeline (repro.rdb.columnar) when the layout choice
+        #: is column-major for this plan; None runs row-at-a-time.
+        #: ``mode=None`` lets the cost model decide — columnar pays off
+        #: on wide sequential scans, never on index point lookups
+        #: (which keep access.kind != "seq" and are skipped here).  The
+        #: decision is made once and cached with the plan.
         self.columnar_pipeline = None
-        if optimize if compiled is None else compiled:
-            started = time.perf_counter()
-            self.compile_stats = compile_plan(self)
-            self.exec_mode = (
-                "compiled" if self.compile_stats["interpreted"] == 0
-                else "mixed"
-            )
-            # Layout choice: ``columnar=True`` forces the batch path
-            # (tests/oracles), ``False`` pins row execution, ``None``
-            # lets the cost model decide — columnar pays off on wide
-            # sequential scans, never on index point lookups (which
-            # keep access.kind != "seq" and are skipped here).  The
-            # decision is made once and cached with the plan.
-            want = columnar
-            if want is None and isinstance(self.root, ScanOp) \
-                    and self.root.access.kind == "seq":
-                live = len(self.root.store.rows) or 10
-                want = cost.prefer_columnar(live)
-            if want:
-                self.columnar_pipeline = build_columnar_pipeline(self)
-                if self.columnar_pipeline is not None:
-                    self.exec_mode = "columnar"
-            self.compile_seconds = time.perf_counter() - started
+        want = mode == "columnar"
+        if mode is None and isinstance(self.root, ScanOp) \
+                and self.root.access.kind == "seq":
+            want = cost.prefer_columnar(len(self.root.store.rows) or 10)
+        if want:
+            self.columnar_pipeline = build_columnar_pipeline(self)
+            if self.columnar_pipeline is not None:
+                self.exec_mode = "columnar"
+        self.compile_seconds = time.perf_counter() - started
 
     def _collect_wanted_aggregates(self) -> list[AggregateCall]:
         """Every aggregate any clause needs, in evaluation order."""
@@ -356,12 +351,11 @@ class SelectPlan:
 
     def _columnar_candidate(self) -> bool:
         """Whether a seq scan in this plan could run through the batch
-        kernels — single-binding plans with compilation on and columnar
-        not pinned off (mirrors the layout decision in ``__init__``)."""
-        if len(self._binding_order) != 1 or self._columnar_hint is False:
-            return False
-        compiled = self._compiled_hint
-        return bool(self.optimize if compiled is None else compiled)
+        kernels — single-binding plans whose mode leaves the layout open
+        or forces columnar (mirrors the layout decision in
+        ``__init__``)."""
+        return len(self._binding_order) == 1 \
+            and self.mode in (None, "columnar")
 
     def _choose_access_path(
         self, store: TableStore, conjuncts: list[Expr]
@@ -1008,7 +1002,7 @@ class SelectPlan:
         annotations = []
         if isinstance(node, ScanOp):
             columns = self.needed_columns.get(node.binding)
-            if columns is not None and self.optimize:
+            if columns is not None and self.mode != "seed":
                 annotations.append(f"cols={','.join(columns) or '-'}")
         if node.est_rows is not None:
             annotations.append(f"rows~{node.est_rows:.1f}")
@@ -1024,7 +1018,7 @@ class SelectPlan:
             # root operator (never a separate line, so line-positional
             # consumers of EXPLAIN output keep working)
             annotations.append(f"exec={self.exec_mode}")
-            if self.compiled_row_emit is not None:
+            if self.fused:
                 annotations.append("fused")
         if annotations:
             label += f"  [{' '.join(annotations)}]"
@@ -1051,8 +1045,6 @@ class SelectPlan:
             produced = self.columnar_pipeline.execute(params)
         elif self.grouped:
             produced = self._execute_grouped(params)
-        elif self.compiled_row_emit is not None:
-            produced = self._execute_fused(params)
         else:
             produced = self._execute_plain(params)
 
@@ -1119,63 +1111,41 @@ class SelectPlan:
                 out[name] = expr.evaluate(scope, params)
         return out
 
-    def _execute_fused(self, params: dict):
-        """The fused scan→filter→project pipeline for compiled
-        single-scan plans: the scan's matching rows feed the row-mode
-        emit function directly — no binding map, no :class:`RowScope`,
-        no per-operator handoff."""
-        emit = self.compiled_row_emit
-        for row in self.root.matching_rows(params):
-            yield emit(row, params)
-
     def _execute_plain(self, params: dict):
-        emit = self.compiled_emit
-        if emit is not None:
-            for bindings in self.root.rows(params):
-                yield emit(bindings, params)
-            return
-        for bindings in self.root.rows(params):
-            scope = RowScope(bindings, self.columns_by_binding)
-            out_row = self._project_row(scope, bindings, params)
-            yield out_row, self._order_keys(scope, out_row, params)
+        """Operator tree → emit.  ``fused`` (generated single-scan
+        plans) is the scan→filter→project pipeline: the scan's matching
+        rows feed a row-mode emit directly — no binding map, no
+        per-operator handoff."""
+        emit = self.emit_fn
+        stream = self.root.matching_rows if self.fused else self.root.rows
+        for env in stream(params):
+            yield emit(env, params)
 
     def _execute_grouped(self, params: dict):
         select = self.select
         groups: dict[tuple, list[Bindings]] = {}
         order: list[tuple] = []
-        group_key = self.compiled_group_key
-        if group_key is not None:
-            for bindings in self.root.rows(params):
-                key = group_key(bindings, params)
-                if key not in groups:
-                    groups[key] = []
-                    order.append(key)
-                groups[key].append(bindings)
-        else:
-            for bindings in self.root.rows(params):
-                scope = RowScope(bindings, self.columns_by_binding)
-                key = tuple(
-                    expr.evaluate(scope, params) for expr in select.group_by
-                )
-                if key not in groups:
-                    groups[key] = []
-                    order.append(key)
-                groups[key].append(bindings)
+        group_key = self.group_key_fn
+        for bindings in self.root.rows(params):
+            key = group_key(bindings, params)
+            if key not in groups:
+                groups[key] = []
+                order.append(key)
+            groups[key].append(bindings)
         if not select.group_by and not groups:
             # Aggregates over an empty table still produce one row.
             groups[()] = []
             order.append(())
 
         wanted = self._wanted_aggregates
-        extractors = self.compiled_agg_args
+        extractors = self.agg_arg_fns
         for key in order:
             group = groups[key]
             aggregate_values: dict[AggregateCall, object] = {}
             for call in wanted:
                 if call not in aggregate_values:
                     aggregate_values[call] = compute_aggregate(
-                        call, group, self.columns_by_binding, params,
-                        extractor=extractors.get(call),
+                        call, group, params, extractors.get(call)
                     )
             representative: Bindings = (
                 group[0] if group
@@ -1200,3 +1170,34 @@ class SelectPlan:
             scope, representative, params, aggregate_values
         )
         yield out_row, self._order_keys(scope, out_row, params, aggregate_values)
+
+
+class DmlPlan:
+    """What an UPDATE / DELETE keeps in the plan cache: the parsed
+    statement (a repeat skips ``parse_sql``) and the scan that finds
+    its rows — ``SELECT * FROM table WHERE where`` through the same
+    pushdown and access-path choice as any SELECT, lowered in row mode.
+    It runs under the write lock, so no batch kernels and no adaptive
+    feedback."""
+
+    def __init__(self, statement: Update | Delete,
+                 stores: Mapping[str, TableStore]):
+        self.statement = statement
+        self.match = SelectPlan(
+            Select((SelectItem(None),), TableRef(statement.table),
+                   where=statement.where),
+            stores, mode="compiled",
+        )
+        self.tables = self.match.tables
+        root = self.match.root
+        if isinstance(root, FilterOp):
+            # Only a conjunct naming an unresolvable column stays out of
+            # a single-table scan; report it as evaluating it would.
+            scope = RowScope({}, self.match.columns_by_binding)
+            for ref in root.predicate.column_refs():
+                scope.lookup(ref.table, ref.column)
+
+    def row_ids(self, params: dict) -> list[int]:
+        """Every matching row id, collected in full so the caller's
+        mutations cannot disturb the scan."""
+        return [row_id for row_id, _row in self.match.root.matching(params)]

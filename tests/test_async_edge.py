@@ -82,6 +82,48 @@ def async_edge(app):
     edge.stop()
 
 
+# -- the client's own contract --------------------------------------------------
+
+
+class _ClosedPeerSocket:
+    """A socket whose peer has already closed: the kernel may answer a
+    send or a recv with an error instead of an orderly EOF."""
+
+    def __init__(self, send_error=None, recv_error=None):
+        self.send_error = send_error
+        self.recv_error = recv_error
+
+    def sendall(self, data):
+        if self.send_error is not None:
+            raise self.send_error
+
+    def recv(self, size):
+        if self.recv_error is not None:
+            raise self.recv_error
+        return b""
+
+    def close(self):
+        pass
+
+
+class TestWireClientPeerClose:
+    """However a server-side close surfaces — EOF, reset, broken pipe —
+    the client reports :class:`WireError` (the race behind the once
+    flaky ``test_malformed_request_gets_400_and_close``)."""
+
+    @pytest.mark.parametrize("stub", [
+        _ClosedPeerSocket(send_error=BrokenPipeError(32, "Broken pipe")),
+        _ClosedPeerSocket(send_error=ConnectionResetError(104, "reset")),
+        _ClosedPeerSocket(recv_error=ConnectionResetError(104, "reset")),
+        _ClosedPeerSocket(),  # orderly EOF
+    ], ids=["send-epipe", "send-reset", "recv-reset", "recv-eof"])
+    def test_request_raises_wire_error(self, stub):
+        client = WireClient(("127.0.0.1", 1))
+        client._sock = stub
+        with pytest.raises(WireError, match="server closed the connection"):
+            client.request("/anything")
+
+
 # -- the threaded socket front ------------------------------------------------
 
 

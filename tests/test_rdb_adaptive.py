@@ -176,7 +176,7 @@ SALE_QUERY = ("SELECT region, COUNT(*) AS n, SUM(amount) AS s"
 def test_drift_replans_once_and_answers_never_change():
     db = _skewed_sales()
     frozen = db.prepare(SALE_QUERY)
-    seed = db.prepare(SALE_QUERY, optimize=False)
+    seed = db.prepare(SALE_QUERY, mode="seed")
     assert "IndexLookup" in frozen.explain()
 
     results = [db.query(SALE_QUERY, {"r": "hot"}).as_tuples()
@@ -244,7 +244,7 @@ def test_analyze_syncs_pending_column_store_ops():
     # build the column store, then write *after* the build so the ops
     # sit in the pending queue
     db.prepare("SELECT title FROM book WHERE price > :lo",
-               columnar=True).execute({"lo": 0.0})
+               mode="columnar").execute({"lo": 0.0})
     store = db.tables["book"]
     assert store.column_store.built
     for i in range(40):
@@ -377,8 +377,8 @@ class TestPoisonedMemoryOracle:
             poisoned = db.prepare(sql, features=PlannerFeatures())
             for plan in (
                 poisoned,
-                db.prepare(sql, compiled=False),
-                db.prepare(sql, columnar=True),
+                db.prepare(sql, mode="interpreted"),
+                db.prepare(sql, mode="columnar"),
             ):
                 got = plan.execute(PARAMS)
                 assert got.columns == want.columns

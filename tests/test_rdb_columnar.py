@@ -46,7 +46,7 @@ class TestColumnStoreLifecycle:
         db = _seeded()
         store = db.table("item")
         assert not store.column_store.built  # no columnar scan yet
-        plan = db.prepare(SCAN, columnar=True)
+        plan = db.prepare(SCAN, mode="columnar")
         want = plan.execute().as_tuples()
         assert store.column_store.built
         assert store.column_store.counters["builds"] == 1
@@ -59,14 +59,14 @@ class TestColumnStoreLifecycle:
         got = plan.execute().as_tuples()
         assert store.column_store.pending_ops() == 0
         assert store.column_store.counters["builds"] == 1  # no rebuild
-        row_path = db.prepare(SCAN, columnar=False).execute().as_tuples()
+        row_path = db.prepare(SCAN, mode="compiled").execute().as_tuples()
         assert got == row_path
         assert got != want
 
     def test_write_burst_drops_the_store(self):
         db = _seeded(40)
         store = db.table("item")
-        db.prepare(SCAN, columnar=True).execute()
+        db.prepare(SCAN, mode="columnar").execute()
         assert store.column_store.built
         # a burst larger than the pending cap abandons chasing and
         # rebuilds lazily at the next scan
@@ -75,18 +75,18 @@ class TestColumnStoreLifecycle:
                                    "price": 2.0, "n": i % 9})
         assert not store.column_store.built
         assert store.column_store.counters["dropped_rebuilds"] == 1
-        got = db.prepare(SCAN, columnar=True).execute().as_tuples()
-        assert got == db.prepare(SCAN, columnar=False).execute().as_tuples()
+        got = db.prepare(SCAN, mode="columnar").execute().as_tuples()
+        assert got == db.prepare(SCAN, mode="compiled").execute().as_tuples()
         assert store.column_store.built
 
     def test_tombstone_compaction(self):
         db = _seeded(300)
         store = db.table("item")
-        plan = db.prepare(SCAN, columnar=True)
+        plan = db.prepare(SCAN, mode="columnar")
         plan.execute()
         db.delete_where("item", lambda row: row["n"] != 4)  # kill most rows
         got = plan.execute().as_tuples()
-        assert got == db.prepare(SCAN, columnar=False).execute().as_tuples()
+        assert got == db.prepare(SCAN, mode="compiled").execute().as_tuples()
         # dead positions dominated, so the sync compacted them away
         assert store.column_store.tombstones == 0
         assert store.column_store.counters["rebuilds"] >= 1
@@ -103,7 +103,7 @@ class TestColumnStoreLifecycle:
                     db.insert_row("t", {"v": i, "s": f"s{i % 3}"})
                 want = db.prepare(
                     "SELECT s, SUM(v) AS sv FROM t GROUP BY s ORDER BY s",
-                    columnar=True,
+                    mode="columnar",
                 ).execute().as_tuples()
             with Database.open(directory) as db:
                 # recovery replays through the normal mutators; the
@@ -111,7 +111,7 @@ class TestColumnStoreLifecycle:
                 assert not db.table("t").column_store.built
                 got = db.prepare(
                     "SELECT s, SUM(v) AS sv FROM t GROUP BY s ORDER BY s",
-                    columnar=True,
+                    mode="columnar",
                 ).execute().as_tuples()
                 assert got == want
                 assert db.table("t").column_store.built
@@ -143,7 +143,7 @@ class TestLayoutChoice:
         )
         plan = db.prepare(
             "SELECT i.label FROM item i JOIN other o ON o.n = i.n",
-            columnar=True,
+            mode="columnar",
         )
         assert plan.columnar_pipeline is None
         assert plan.exec_mode in ("compiled", "mixed")
@@ -184,7 +184,7 @@ class TestColumnarStatistics:
         db = _seeded(400)
         store = db.table("item")
         row_stats = collect_statistics(store)  # store not built yet
-        db.prepare(SCAN, columnar=True).execute()
+        db.prepare(SCAN, mode="columnar").execute()
         assert store.column_store.built
         column_stats = collect_statistics(store)
         assert column_stats == row_stats
@@ -192,7 +192,7 @@ class TestColumnarStatistics:
     def test_analyze_matches_after_writes_and_deletes(self):
         db = _seeded(400)
         store = db.table("item")
-        db.prepare(SCAN, columnar=True).execute()
+        db.prepare(SCAN, mode="columnar").execute()
         db.execute("UPDATE item SET kind = NULL WHERE n = 3")
         db.execute("DELETE FROM item WHERE n = 7")
         db.insert_row("item", {"label": "late", "kind": "delta",
@@ -209,7 +209,7 @@ class TestColumnarStatistics:
     def test_analyze_statement_uses_columnar_store(self):
         db = _seeded(400)
         store = db.table("item")
-        db.prepare(SCAN, columnar=True).execute()
+        db.prepare(SCAN, mode="columnar").execute()
         db.execute("ANALYZE item")
         assert store.statistics is not None
         assert store.statistics.row_count == len(store.rows)

@@ -42,7 +42,7 @@ def _store() -> Database:
 def _both(db, sql, params=None):
     """(compiled rows, interpreted rows) for one SQL text."""
     compiled = db.prepare(sql)
-    interpreted = db.prepare(sql, compiled=False)
+    interpreted = db.prepare(sql, mode="interpreted")
     assert compiled.exec_mode in ("compiled", "mixed")
     assert interpreted.exec_mode == "interpreted"
     return (
@@ -123,7 +123,7 @@ class TestErrorMessageParity:
         with pytest.raises(QueryError) as compiled_err:
             db.prepare(sql).execute(params)
         with pytest.raises(QueryError) as interpreted_err:
-            db.prepare(sql, compiled=False).execute(params)
+            db.prepare(sql, mode="interpreted").execute(params)
         assert str(compiled_err.value) == str(interpreted_err.value)
 
 
@@ -196,14 +196,14 @@ class TestExplainAnnotations:
     def test_interpreted_plan_is_annotated(self):
         db = _store()
         explained = db.prepare(
-            "SELECT title FROM book WHERE price > 8", compiled=False
+            "SELECT title FROM book WHERE price > 8", mode="interpreted"
         ).explain()
         assert "exec=interpreted" in explained
         assert "fused" not in explained
 
     def test_seed_plan_is_interpreted(self):
         db = _store()
-        plan = db.prepare("SELECT title FROM book", optimize=False)
+        plan = db.prepare("SELECT title FROM book", mode="seed")
         assert plan.exec_mode == "interpreted"
         assert "exec=interpreted" in plan.explain()
 
@@ -321,7 +321,7 @@ class TestCompileObservability:
     def test_database_stats_expose_compile_counters(self):
         db = _store()
         db.query("SELECT title FROM book WHERE price > 8")
-        db.prepare("SELECT title FROM book", optimize=False).execute({})
+        db.prepare("SELECT title FROM book", mode="seed").execute({})
         stats = db.observability_stats()
         assert stats["plans_compiled"] >= 1
         assert stats["plans_interpreted"] >= 1

@@ -3,10 +3,10 @@
 The compiler (``repro.rdb.compile``) and the columnar batch pipeline
 (``repro.rdb.columnar``) must be *invisible*: for any query the planner
 accepts, four executions of the same SQL have to agree byte-for-byte —
-the columnar plan (``prepare(sql, columnar=True)``), the compiled-row
+the columnar plan (``prepare(sql, mode="columnar")``), the compiled-row
 plan, the same plan with compilation switched off
-(``prepare(sql, compiled=False)``), and the seed interpreter
-(``prepare(sql, optimize=False)``).  Hypothesis assembles random
+(``prepare(sql, mode="interpreted")``), and the seed interpreter
+(``prepare(sql, mode="seed")``).  Hypothesis assembles random
 projections, predicates, joins, groupings, and orderings over a
 NULL-heavy catalogue and holds all four executions to that contract.
 (The catalogue sits below the cost model's columnar threshold, so the
@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from collections import Counter
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -27,7 +28,7 @@ from repro.rdb import Database
 PARAMS = {"lo": 12.0, "rate": 1.5, "needle": "book-1%", "cut": 1999}
 
 
-def _catalogue() -> Database:
+def _catalogue(indexes: bool = True) -> Database:
     """Small but adversarial: every nullable column actually holds
     NULLs, strings share prefixes (LIKE edge cases), and numeric
     columns repeat values (grouping + ORDER BY ties)."""
@@ -41,8 +42,9 @@ def _catalogue() -> Database:
         " author_oid INTEGER, year INTEGER, price FLOAT,"
         " title VARCHAR(80), PRIMARY KEY (oid))"
     )
-    db.execute("CREATE INDEX ix_book_author ON book (author_oid)")
-    db.execute("CREATE INDEX ix_book_year ON book (year)")
+    if indexes:
+        db.execute("CREATE INDEX ix_book_author ON book (author_oid)")
+        db.execute("CREATE INDEX ix_book_year ON book (year)")
     for i in range(5):
         db.insert_row("author", {
             "name": f"author-{i}", "age": None if i % 2 else 30 + i,
@@ -165,9 +167,9 @@ class TestCompiledOracle:
     def test_compiled_equals_interpreted(self, sql):
         for db in self._databases():
             compiled = db.prepare(sql)
-            columnar = db.prepare(sql, columnar=True)
-            interpreted = db.prepare(sql, compiled=False)
-            seed = db.prepare(sql, optimize=False)
+            columnar = db.prepare(sql, mode="columnar")
+            interpreted = db.prepare(sql, mode="interpreted")
+            seed = db.prepare(sql, mode="seed")
             assert compiled.exec_mode in ("compiled", "mixed")
             assert interpreted.exec_mode == "interpreted"
             got = compiled.execute(PARAMS)
@@ -202,10 +204,10 @@ def _four_way(db: Database, sql: str, params: dict | None = None):
     """Execute ``sql`` in all four modes; returns the identical tuples
     (asserting the identity on the way)."""
     plans = [
-        db.prepare(sql, columnar=True),
+        db.prepare(sql, mode="columnar"),
         db.prepare(sql),
-        db.prepare(sql, compiled=False),
-        db.prepare(sql, optimize=False),
+        db.prepare(sql, mode="interpreted"),
+        db.prepare(sql, mode="seed"),
     ]
     results = [plan.execute(params or {}) for plan in plans]
     for other in results[1:]:
@@ -261,3 +263,67 @@ class TestFourWayEdges:
         # rollback restores the pre-transaction answer in all modes
         assert _four_way(db, sql, PARAMS) == before
         _four_way(db, agg, PARAMS)
+
+
+def _slot_callables(plan) -> list:
+    """Every callable a plan's operators and tail run per row."""
+    found = []
+    stack = [plan.root]
+    while stack:
+        op = stack.pop()
+        stack.extend(op.children())
+        found.extend(
+            fn for name, fn in vars(op).items()
+            if name.endswith("_fn") and fn is not None
+        )
+    found.extend(
+        fn for fn in (plan.emit_fn, plan.group_key_fn,
+                      *plan.agg_arg_fns.values())
+        if fn is not None
+    )
+    return found
+
+
+def _generated(fn) -> bool:
+    return fn.__code__.co_filename.startswith("<rdb-compiled:")
+
+
+class TestReferenceModesStayInterpreted:
+    """The oracle is only as good as its reference: ``interpreted`` and
+    ``seed`` plans must hold interpreter closures in *every* slot, or
+    the four-way identity would compare generated code with itself."""
+
+    #: together these reach every slot kind: scan predicate, final
+    #: filter, hash-join probe / build key / prefilter / residual,
+    #: nested-loop condition + prefilter, group key, aggregate
+    #: arguments, and both emit conventions
+    QUERIES = [
+        "SELECT b.title, b.price * 2 AS px FROM book b"
+        " WHERE b.year = 1995 AND b.price > :lo ORDER BY px",
+        "SELECT a.name, b.title FROM author a"
+        " JOIN book b ON b.author_oid = a.oid AND b.price > a.age"
+        " WHERE b.year > 1995 AND a.age IS NOT NULL",
+        "SELECT a.name, b.title FROM author a"
+        " LEFT JOIN book b ON b.price > a.age AND b.year > 2000"
+        " WHERE a.oid > 1",
+        "SELECT b.year AS y, COUNT(*) AS n, SUM(b.price + 1) AS s"
+        " FROM book b WHERE b.title LIKE 'book-1%' GROUP BY b.year",
+        "SELECT COUNT(*), MAX(b.price) FROM book b",
+    ]
+
+    @pytest.mark.parametrize("sql", QUERIES)
+    def test_no_generated_source_in_reference_plans(self, sql):
+        db = _catalogue()
+        for mode in ("interpreted", "seed"):
+            plan = db.prepare(sql, mode=mode)
+            slots = _slot_callables(plan)
+            assert slots and not any(_generated(fn) for fn in slots), mode
+            assert plan.exec_mode == "interpreted"
+            assert plan.compile_stats["compiled"] == 0
+        # the detector is not vacuous: the default plan's slots are all
+        # generated (the catalogue's expressions never fall back)
+        default = db.prepare(sql)
+        assert all(_generated(fn) for fn in _slot_callables(default))
+        assert len(_slot_callables(default)) == len(
+            _slot_callables(db.prepare(sql, mode="interpreted"))
+        )

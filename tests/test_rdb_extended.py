@@ -508,6 +508,10 @@ class TestExplain:
         assert "Distinct" in lines[2]
         assert "GroupAggregate" in lines[3]
 
-    def test_explain_rejects_dml(self, shop):
+    def test_explain_rejects_insert_and_ddl(self, shop):
+        # UPDATE / DELETE explain their match scan (tests/test_rdb_dml.py);
+        # statements with nothing to plan are still refused
         with pytest.raises(QueryError):
-            shop.explain("DELETE FROM item")
+            shop.explain("INSERT INTO item (bucket) VALUES (1)")
+        with pytest.raises(QueryError):
+            shop.explain("ANALYZE item")

@@ -127,7 +127,7 @@ class TestAccessPaths:
     ])
     def test_index_paths_match_full_scan(self, library, sql):
         optimized = library.prepare(sql).execute({})
-        naive = library.prepare(sql, optimize=False).execute({})
+        naive = library.prepare(sql, mode="seed").execute({})
         assert Counter(optimized.as_tuples()) == Counter(naive.as_tuples())
 
     def test_null_parameter_matches_nothing(self, library):
@@ -161,7 +161,7 @@ class TestJoinReorderAndPushdown:
             " JOIN book b ON b.author_oid = a.oid WHERE b.year < 1995"
         )
         optimized = library.prepare(sql).execute({})
-        naive = library.prepare(sql, optimize=False).execute({})
+        naive = library.prepare(sql, mode="seed").execute({})
         assert Counter(optimized.as_tuples()) == Counter(naive.as_tuples())
 
     def test_left_join_not_reordered(self, library):
@@ -171,7 +171,7 @@ class TestJoinReorderAndPushdown:
         )
         plan = SelectPlan(parse_select(sql), library.tables)
         optimized = plan.execute({})
-        naive = library.prepare(sql, optimize=False).execute({})
+        naive = library.prepare(sql, mode="seed").execute({})
         assert Counter(optimized.as_tuples()) == Counter(naive.as_tuples())
 
     def test_explain_annotates_rows_cost_and_columns(self, library):
@@ -262,7 +262,7 @@ class TestOptimizerOracle:
         plain, analyzed = self._databases()
         for db in (plain, analyzed):
             optimized = db.prepare(sql).execute({})
-            naive = db.prepare(sql, optimize=False).execute({})
+            naive = db.prepare(sql, mode="seed").execute({})
             assert optimized.columns == naive.columns
             if " ORDER BY " in sql:
                 assert optimized.as_tuples() == naive.as_tuples()
