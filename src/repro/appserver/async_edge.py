@@ -6,25 +6,39 @@ idle, waiting for the next request.  This module inverts the shape: a
 single asyncio event loop owns *all* accepted sockets, and threads are
 spent only on work that actually computes.
 
-Per request the edge makes a three-way triage, cheapest first:
+The edge drives the front controller's own pipeline in two halves
+(:meth:`FrontController.begin` on the loop, :meth:`FrontController.
+complete` on a worker, continuing from the same state), which makes the
+per-request triage, cheapest first:
 
-1. **inline** — :meth:`FrontController.probe_cached` answers page-cache
-   hits (stored 200s and ETag 304s) directly on the loop: no thread
-   handoff, no rendering, bounded lock-cheap work;
+1. **inline** — ``begin(request, peek=True)`` routes, protects and
+   looks the page cache up once; a stored page (200 or ETag 304) is
+   answered directly on the loop: no thread handoff, no rendering,
+   bounded lock-cheap work;
 2. **streamed** — on a cache miss with a streaming-capable view
-   renderer, :meth:`FrontController.handle_streaming` yields the
-   response head plus the compiled template's static prefix
-   immediately (chunked transfer encoding) while a worker thread runs
-   the unit services, each rendered slot crossing back to the loop as
-   it completes;
-3. **buffered** — everything else (operations, redirects, misses
-   without streaming) runs ``app.handle`` on the bounded worker pool
-   and is written out whole.
+   renderer, ``complete(state, stream=True)`` returns the response head
+   plus a chunk iterator: the head and the compiled template's static
+   prefix leave immediately (chunked transfer encoding) while a worker
+   thread runs the unit services, each rendered slot crossing back to
+   the loop as it completes;
+3. **buffered** — everything else (operations, redirects, ``X-Trace``
+   requests, misses without streaming) comes back from ``complete``
+   whole and is written out with a ``Content-Length``.
+
+An application without a staged front controller — a bare ``handle``,
+or a wrapper whose ``handle`` must see every request, like the fleet's
+:class:`~repro.appserver.fleet.ReplicaGate` — gets ``app.handle`` on a
+worker for every request.
 
 Protocol behaviour — parsing, keep-alive, session cookies, encoding —
 is the same sans-IO :mod:`repro.httpcore` machine the threaded edge
-uses, which is what makes the two edges byte-identical by construction
-(E19's oracle).  The edge keeps its own metrics registry (open
+uses, which is what makes the two edges' *buffered* responses
+byte-identical by construction (E19's oracle, run with
+``stream=False``).  A streamed miss is framed differently on purpose
+and carries no validator: no ``ETag``, no gzip negotiation, and a 200
+even to a matching ``If-None-Match`` — its de-chunked body is the
+buffered body, and the revisit is served from the stored entry with
+all three.  The edge keeps its own metrics registry (open
 connections, inline hits, streamed bytes, time-to-first-byte) and
 exports it as an ``edge`` collector on the application's ``/_status``.
 
@@ -44,10 +58,12 @@ from repro.httpcore import (
     HttpConnection,
     LAST_CHUNK,
     ProtocolError,
+    StreamedPage,
     encode_chunk,
     encode_simple,
     http_date,
 )
+from repro.mvc.http import HttpResponse
 from repro.obs.metrics import MetricsRegistry
 
 #: sentinel closing a stream's chunk queue
@@ -58,11 +74,11 @@ class AsyncAppServer:
     """An asyncio edge in front of a (threaded) application.
 
     ``app`` is anything with ``handle(request) -> HttpResponse``; when
-    its front controller exposes ``probe_cached`` / ``handle_streaming``
-    the edge uses them for the inline and streamed paths.  ``workers``
-    bounds the compute pool — the *same* number the threaded edge gets
-    in E19, so the comparison isolates what owns the idle connections,
-    not how much computes.
+    it has a ``front`` controller the edge drives that pipeline's
+    ``begin`` / ``complete`` halves for the inline and streamed paths.
+    ``workers`` bounds the compute pool — the *same* number the
+    threaded edge gets in E19, so the comparison isolates what owns
+    the idle connections, not how much computes.
     """
 
     def __init__(self, app, workers: int = 4, idle_timeout: float = 5.0,
@@ -73,7 +89,7 @@ class AsyncAppServer:
         self.workers = workers
         self.idle_timeout = idle_timeout
         self.stream = stream
-        self._front = getattr(app, "front", None) or app
+        self._front = getattr(app, "front", None)
         self._pool: ThreadPoolExecutor | None = None
         self._loop: asyncio.AbstractEventLoop | None = None
         self._loop_thread: threading.Thread | None = None
@@ -215,30 +231,28 @@ class AsyncAppServer:
         self._requests.inc()
         started = time.perf_counter()
 
-        # 1. inline: page-cache hits never leave the loop
-        probe = getattr(self._front, "probe_cached", None)
-        if probe is not None:
-            response = probe(request)
-            if response is not None:
+        # 1. inline: route + protect + one page-cache look, on the loop;
+        # a stored page never leaves it
+        front = self._front
+        if front is None:
+            work, argument = self.app.handle, request
+        else:
+            state = front.begin(request, peek=True)
+            if isinstance(state, HttpResponse):  # the stored page itself
                 self._inline_hits.inc()
-                if response.status == 304:
+                if state.status == 304:
                     self._inline_304s.inc()
-                payload = conn.send_response(request, response,
-                                             date=http_date())
-                writer.write(payload)
-                self._ttfb.record(time.perf_counter() - started)
-                self._wire_bytes.inc(len(payload))
+                self._write_whole(request, state, conn, writer, started)
                 await writer.drain()
                 return
+            work, argument = self._complete, state
 
-        # 2/3. compute on a worker; a StreamedPage comes back early,
-        # a buffered HttpResponse comes back complete
+        # 2/3. the rest of the pipeline on a worker, from that state; a
+        # StreamedPage comes back early, an HttpResponse complete
         loop = asyncio.get_running_loop()
         self._dispatches.inc()
         try:
-            result = await loop.run_in_executor(
-                self._pool, self._compute, request
-            )
+            result = await loop.run_in_executor(self._pool, work, argument)
         except Exception:  # handler bug: answer 500, hang up
             self._failures.inc()
             payload = encode_simple(
@@ -249,25 +263,22 @@ class AsyncAppServer:
             self._wire_bytes.inc(len(payload))
             await writer.drain()
             return
-        if isinstance(result, tuple):  # ("stream", StreamedPage)
-            await self._write_stream(request, result[1], conn, writer,
-                                     started)
+        if isinstance(result, StreamedPage):
+            await self._write_stream(request, result, conn, writer, started)
             return
-        payload = conn.send_response(request, result, date=http_date())
+        self._write_whole(request, result, conn, writer, started)
+        await writer.drain()
+
+    def _complete(self, state):
+        """Worker-thread entry: streamed when possible, else buffered."""
+        return self._front.complete(state, stream=self.stream)
+
+    def _write_whole(self, request, response, conn: HttpConnection,
+                     writer: asyncio.StreamWriter, started: float) -> None:
+        payload = conn.send_response(request, response, date=http_date())
         writer.write(payload)
         self._ttfb.record(time.perf_counter() - started)
         self._wire_bytes.inc(len(payload))
-        await writer.drain()
-
-    def _compute(self, request):
-        """Worker-thread entry: streamed when possible, else buffered."""
-        if self.stream:
-            handle_streaming = getattr(self._front, "handle_streaming", None)
-            if handle_streaming is not None:
-                streamed = handle_streaming(request)
-                if streamed is not None:
-                    return ("stream", streamed)
-        return self.app.handle(request)
 
     async def _write_stream(self, request, streamed, conn: HttpConnection,
                             writer: asyncio.StreamWriter,
@@ -303,6 +314,11 @@ class AsyncAppServer:
 
         head = conn.send_response(request, streamed.response,
                                   date=http_date(), chunked=True)
+        # The second hand-off stays: returning from the first one is
+        # where the worker yields the GIL, so the loop can put the head
+        # on the wire *before* the unit services run.  Rendering inside
+        # the first hop saved a wake-up and cost the early first byte
+        # (p50 0.23 ms -> 0.58 ms).
         producer = loop.run_in_executor(self._pool, produce)
         try:
             writer.write(head)
@@ -316,7 +332,9 @@ class AsyncAppServer:
                 if isinstance(item, Exception):
                     # mid-stream failure: the head already promised a
                     # 200, so the only honest signal is a truncated
-                    # chunked body + close
+                    # chunked body + close (the front controller's
+                    # ledger says 500)
+                    self._failures.inc()
                     conn.mark_close()
                     return
                 framed = encode_chunk(item.encode())

@@ -53,24 +53,40 @@ MIN_LSN_HEADER = "X-Repro-Min-Lsn"
 _READY_PREFIX = "FLEET-WORKER-READY "
 
 
-class PrimaryLsnStamp:
-    """Wraps the primary application to stamp every response with the
-    current commit LSN — the write token a router or client threads
-    through to its next read."""
+class _AppWrapper:
+    """What a server needs of a wrapped application besides ``handle``:
+    its runtime context (to register collectors), its database and
+    ``close``.  Deliberately *not* ``front``: an edge that finds a
+    front controller drives its pipeline directly, past the wrapper's
+    ``handle`` — and the wrapper exists to see every request."""
 
     def __init__(self, app):
         self.app = app
 
+    @property
+    def ctx(self):
+        return self.app.ctx
+
+    @property
+    def database(self):
+        return self.app.database
+
+    def close(self) -> None:
+        self.app.close()
+
+
+class PrimaryLsnStamp(_AppWrapper):
+    """Wraps the primary application to stamp every response with the
+    current commit LSN — the write token a router or client threads
+    through to its next read."""
+
     def handle(self, request) -> HttpResponse:
         response = self.app.handle(request)
-        response.headers[LSN_HEADER] = str(self.app.database.last_lsn)
+        response.headers[LSN_HEADER] = str(self.database.last_lsn)
         return response
 
-    def __getattr__(self, name):
-        return getattr(self.app, name)
 
-
-class ReplicaGate:
+class ReplicaGate(_AppWrapper):
     """Wraps a worker's application with the LSN wait gate.
 
     A request carrying ``X-Repro-Min-Lsn`` waits (bounded) for the
@@ -81,7 +97,7 @@ class ReplicaGate:
     """
 
     def __init__(self, app, client, wait_timeout: float = 5.0):
-        self.app = app
+        super().__init__(app)
         self.client = client
         self.wait_timeout = wait_timeout
         self.lsn_waits = 0
@@ -97,21 +113,18 @@ class ReplicaGate:
                     status=503,
                     body=(
                         f"replica behind requested lsn {raw} "
-                        f"(applied {self.app.database.last_lsn})"
+                        f"(applied {self.database.last_lsn})"
                     ),
                     content_type="text/plain",
                     headers={"Retry-After": "1"},
                 )
         response = self.app.handle(request)
-        response.headers[LSN_HEADER] = str(self.app.database.last_lsn)
+        response.headers[LSN_HEADER] = str(self.database.last_lsn)
         return response
 
     def stats(self) -> dict:
         return {"lsn_waits": self.lsn_waits,
                 "lsn_timeouts": self.lsn_timeouts}
-
-    def __getattr__(self, name):
-        return getattr(self.app, name)
 
 
 class WorkerHandle:

@@ -18,7 +18,7 @@ classic thread-per-connection shape: each accepted connection gets a
 worker slot for its whole keep-alive lifetime, protocol state
 delegated to the shared sans-IO :mod:`repro.httpcore` machine (the
 same parser/encoder/keep-alive logic the async edge uses, so the two
-edges emit byte-identical responses by construction).  A connection
+edges emit byte-identical buffered responses by construction).  A connection
 holds its slot while idle between requests — the architectural cost
 E19 measures against the event-loop edge.
 """

@@ -24,8 +24,11 @@ a request that does *not* require a socket, a thread, or an event loop:
 Both request front ends — the thread-per-connection
 :class:`~repro.appserver.ThreadedAppServer` socket mode and the
 event-loop :class:`~repro.appserver.AsyncAppServer` — are thin I/O
-shells around these functions, which is what makes their responses
-byte-identical by construction (the E19 oracle).
+shells around these functions, which is what makes their *buffered*
+responses byte-identical by construction (the E19 oracle).  A streamed
+page-cache miss — async edge only — is the stated exception: chunked
+framing, no ``ETag``, no gzip negotiation and a 200 even to a matching
+``If-None-Match``; its de-chunked body is the buffered body.
 """
 
 from repro.httpcore.connection import HttpConnection

@@ -21,8 +21,11 @@ Invariants carried over from the delivery pipeline (DESIGN.md §9):
   content produce identical wire bytes.
 
 :class:`StreamedPage` is the contract between the front controller's
-streaming path and the async edge: response head now, body chunks as
-the compiled template produces them.
+streamed execute + deliver and the async edge: response head now, body
+chunks as the compiled template produces them.  The invariants above
+are the *buffered* path's; a streamed response leaves before its body
+exists, so it carries no ``ETag``, is never gzip-negotiated and is a
+200 even to a matching ``If-None-Match``.
 """
 
 from __future__ import annotations

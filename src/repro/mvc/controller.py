@@ -104,9 +104,6 @@ class Controller:
             raise ControllerError(f"no action mapping for path {path!r}")
         return mapping
 
-    def has_path(self, path: str) -> bool:
-        return path in self.mappings
-
     def home_for(self, site_view_id: str) -> HomeMapping:
         home = self.homes.get(site_view_id)
         if home is None:

@@ -7,46 +7,63 @@ emits a redirect.  Site views flagged ``requires_login`` are enforced
 here, before any action runs.
 
 The request lifecycle is an explicit pipeline of named stages
-(:data:`FrontController.PIPELINE`), each a pure step over a shared
+(:data:`FrontController.PIPELINE`), each a step over a shared
 :class:`PipelineState`:
 
-1. **route** — reserved paths, home redirects, action-mapping
-   resolution, session binding;
+1. **route** — session binding, home redirects, action-mapping
+   resolution and, for a GET page behind a page cache, the cache key;
 2. **protect** — site-view login enforcement, before any action runs;
 3. **execute** — page-cache consult / action execution / rendering;
 4. **deliver** — conditional HTTP and compression (the shared
    :mod:`repro.httpcore.delivery` policy).
 
 A stage that produces a response short-circuits the rest of the chain
-(deliver always runs).  The same stages back three entry points:
+(deliver always runs).  The pipeline has one implementation and two
+halves, so that an edge may run them on different threads:
 
-- :meth:`handle` — the full request path every server uses;
-- :meth:`probe_cached` — the *edge fast path*: answer a GET page
-  purely from the page cache (stored 200 or 304), without actions or
-  rendering — cheap enough for an event loop to serve inline;
-- :meth:`handle_streaming` — the chunked path: the response head and
-  the compiled template's static prefix leave before the unit
-  services run (see :class:`~repro.httpcore.delivery.StreamedPage`).
+- :meth:`FrontController.begin` — route + protect, cheap and bounded:
+  the async edge runs it on its event loop, with ``peek=True`` adding
+  the one page-cache look that lets a stored page (200 or 304) be
+  answered right there, without actions, rendering or a thread;
+- :meth:`FrontController.complete` — execute + deliver *from that
+  state*, under the one observation wrapper (sampling draw, span tree,
+  ``http.request_seconds``, per-status count).  With ``stream=True`` a
+  page-cache miss whose renderer can stream comes back as a
+  :class:`~repro.httpcore.delivery.StreamedPage`: head and the compiled
+  template's static prefix leave before the unit services run.
+
+:meth:`FrontController.handle` is the two run back to back — the full
+request path every synchronous caller uses.
 
 Delivery invariants this tier maintains:
 
-- every 200 HTML GET leaves with an ``ETag`` over the *identity* body,
-  whether it came from the page cache (validator precomputed at store
-  time) or a fresh render (digested in the deliver stage) — so a 304
-  is always safe to serve against a matching ``If-None-Match``;
+- every *buffered* 200 HTML GET leaves with an ``ETag`` over the
+  *identity* body, whether it came from the page cache (validator
+  precomputed at store time) or a fresh render (digested in the deliver
+  stage) — so a 304 is always safe to serve against a matching
+  ``If-None-Match``;
 - a page-cache hit and a fresh render of the same model state produce
-  byte-identical bodies, hence identical validators — and the edge
-  fast path reuses the exact entry/response construction of the full
-  path, so inline and worker-served bytes cannot diverge;
+  byte-identical bodies, hence identical validators — and the loop-side
+  peek builds its response with the same
+  :func:`~repro.httpcore.delivery.entry_response` a worker-served hit
+  uses, so inline and worker-served bytes cannot diverge;
+- a *streamed* miss is the exception, by design: its body does not
+  exist when the head leaves, so it carries no ``ETag``, is never
+  gzip-negotiated and answers 200 even to a matching ``If-None-Match``
+  (the revisit gets validator, encoding and 304 from the stored entry);
+  its chunks join to the bytes the buffered path would have sent;
 - operation requests (POSTs) never touch the page cache and are never
   made conditional — their redirects always reach the action tier;
 - observability is read-only: the request trace and the ``/_status``
   page observe the pipeline without changing any response byte (the
   ``X-Trace`` summary header is added only when the client asked for
-  it with an ``X-Trace`` request header).
+  it with an ``X-Trace`` request header — such a request is always
+  answered buffered and off the loop, since the summary needs the
+  finished trace).
 
 ``/_status`` is a reserved path serving the observability snapshot
-(plain text, or JSON with ``?format=json``).
+(plain text, or JSON with ``?format=json``); it is answered outside the
+stages and never observes itself.
 """
 
 from __future__ import annotations
@@ -54,6 +71,7 @@ from __future__ import annotations
 import time
 from collections import defaultdict
 from collections.abc import Callable
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 
 from repro.caching.page_cache import canonical_params
@@ -105,7 +123,15 @@ class PipelineState:
     request: HttpRequest
     session: object | None = None
     mapping: ActionMapping | None = None
+    #: set by route for a GET page behind a page cache, else ``None``
+    page_key: tuple | None = None
     response: HttpResponse | None = None
+
+
+def _internal_error(exc: ReproError) -> HttpResponse:
+    """A servlet container never lets an exception escape to the socket."""
+    return HttpResponse(status=500, body=f"Internal error: {exc}",
+                        content_type="text/plain")
 
 
 class FrontController:
@@ -135,9 +161,6 @@ class FrontController:
         self.page_action = PageAction(ctx)
         self.operation_action = OperationAction(ctx)
         self.requests_served = 0
-        #: the short-circuiting stages; deliver is applied by _serve
-        self._stages = (self._stage_route, self._stage_protect,
-                        self._stage_execute)
         # metric objects resolved once — the per-request path must not
         # pay registry dictionary lookups (E16 holds it under 5%).
         # Per-status counts live in a plain dict bumped inline (one
@@ -154,11 +177,53 @@ class FrontController:
     STATUS_PATH = "/_status"
 
     def handle(self, request: HttpRequest) -> HttpResponse:
-        """Serve one request; unexpected failures become 500 responses
-        (a servlet container never lets an exception escape to the
-        socket).
+        """Serve one request: the whole pipeline, back to back.
+        Unexpected failures become 500 responses."""
+        return self.complete(self.begin(request))
 
-        The instrumentation here is written for its *unsampled* common
+    def begin(self, request: HttpRequest,
+              peek: bool = False) -> "PipelineState | HttpResponse":
+        """Stages 1–2: bounded, lock-cheap work an event loop can run.
+
+        Returns the :class:`PipelineState` for :meth:`complete` to
+        continue from — a redirect, 404 or 403 decided here rides it as
+        ``state.response`` and is delivered and observed there like any
+        other request.
+
+        With ``peek`` a GET page the page cache holds is answered on the
+        spot: the stored 200 (precomputed gzip) or a 304, no action,
+        render or digest — the async edge's inline path.  Such a
+        response is final and already counted; tracing never samples it
+        (the traced path is the one that does work), which is also why
+        an ``X-Trace`` request skips the peek.
+        """
+        state = PipelineState(request)
+        if request.path == self.STATUS_PATH:
+            return state
+        try:
+            self._stage_route(state)
+            if state.response is None:
+                self._stage_protect(state)
+        except ReproError as exc:
+            state.response = _internal_error(exc)
+        if (peek and state.page_key is not None and state.response is None
+                and "X-Trace" not in request.headers):
+            entry = self.page_cache.peek(state.page_key)
+            if entry is not None:
+                response = entry_response(
+                    entry, request, self._cache_control(state.session)
+                )
+                if self._obs.enabled:
+                    self.status_counts[response.status] += 1
+                return response
+        return state
+
+    def complete(self, state: PipelineState,
+                 stream: bool = False) -> "HttpResponse | StreamedPage":
+        """Stages 3–4, from the state :meth:`begin` returned, under the
+        one observation wrapper.
+
+        The instrumentation is written for its *unsampled* common
         case: with observability on but this request losing the
         sampling draw, the added work is one plain dict increment and
         a handful of attribute reads — that is the budget E16 holds
@@ -172,53 +237,60 @@ class FrontController:
         (no method call, no modulo), and the request *total* is never
         counted — ``/_status`` derives it as the sum of the per-status
         counts.
+
+        ``stream`` is the edge asking for a chunk stream where one is
+        possible (:meth:`_execute_streamed`); the draw made here then
+        travels into the chunk generator, which observes the build from
+        the thread that runs it.
         """
+        request = state.request
         if request.path == self.STATUS_PATH:
             return self._status_response(request)
         obs = self._obs
-        if not obs.enabled:
-            return self._serve(request)
-        if obs.tracing_enabled:
-            forced = "X-Trace" in request.headers
+        sampled = forced = False
+        if obs.enabled and obs.tracing_enabled:
+            sampled = forced = "X-Trace" in request.headers
             countdown = self._trace_countdown - 1
+            if countdown < 0:
+                sampled = True
+                countdown = obs.trace_every - 1
             self._trace_countdown = countdown
-            if forced or countdown < 0:
-                return self._serve_traced(request, obs, forced, countdown)
-        response = self._serve(request)
-        self.status_counts[response.status] += 1
+        # the X-Trace summary header needs the finished trace, and a
+        # stream's head leaves first: a forced trace is served buffered
+        if stream and not forced and state.response is None:
+            streamed = self._execute_streamed(state, sampled)
+            if streamed is not None:
+                return streamed
+        if sampled:
+            with self._sampled(request) as req_trace:
+                response = self._finish(state)
+            response.trace = req_trace
+            if forced:
+                response.headers["X-Trace"] = req_trace.summary()
+        else:
+            response = self._finish(state)
+        if obs.enabled:
+            self.status_counts[response.status] += 1
         return response
 
-    def _serve_traced(self, request: HttpRequest, obs, forced: bool,
-                      countdown: int) -> HttpResponse:
-        """The sampled (or ``X-Trace``-forced) request path: open the
-        span tree, time the request into the latency histogram, and
-        hand the finished trace to the response."""
-        if countdown < 0:
-            self._trace_countdown = obs.trace_every - 1
+    @contextmanager
+    def _sampled(self, request: HttpRequest):
+        """What a request that won the sampling draw adds: the span
+        tree, and its latency in ``http.request_seconds``."""
         started = time.perf_counter()
-        with trace(f"{request.method} {request.path}") as req_trace:
-            response = self._serve(request)
-        self._latency_histogram.record(time.perf_counter() - started)
-        self.status_counts[response.status] += 1
-        response.trace = req_trace
-        if forced:
-            response.headers["X-Trace"] = req_trace.summary()
-        return response
-
-    def _serve(self, request: HttpRequest) -> HttpResponse:
-        """Run the pipeline: short-circuiting stages, then deliver."""
-        state = PipelineState(request)
         try:
-            for stage in self._stages:
-                stage(state)
-                if state.response is not None:
-                    break
-        except ReproError as exc:
-            return HttpResponse(
-                status=500,
-                body=f"Internal error: {exc}",
-                content_type="text/plain",
-            )
+            with trace(f"{request.method} {request.path}") as req_trace:
+                yield req_trace
+        finally:
+            self._latency_histogram.record(time.perf_counter() - started)
+
+    def _finish(self, state: PipelineState) -> HttpResponse:
+        """Execute (unless an earlier stage already answered), deliver."""
+        if state.response is None:
+            try:
+                self._stage_execute(state)
+            except ReproError as exc:
+                state.response = _internal_error(exc)
         return self._stage_deliver(state)
 
     def _status_response(self, request: HttpRequest) -> HttpResponse:
@@ -249,18 +321,18 @@ class FrontController:
         request.session_id = session.id
         state.session = session
 
-        # "/" or "/<siteview>" land on the site view's home page.
-        if request.path == "/" or (
-            not self.controller.has_path(request.path)
-            and request.path.count("/") == 1
-        ):
-            state.response = self._home_redirect(request)
+        mapping = self.controller.mappings.get(request.path)
+        if mapping is None:
+            # "/" or "/<siteview>" land on the site view's home page
+            if request.path.count("/") == 1:
+                state.response = self._home_redirect(request)
+            else:
+                state.response = HttpResponse.not_found(request.path)
             return
-
-        try:
-            state.mapping = self.controller.resolve(request.path)
-        except ControllerError:
-            state.response = HttpResponse.not_found(request.path)
+        state.mapping = mapping
+        if (self.page_cache is not None and request.method == "GET"
+                and mapping.action_type == "PageAction"):
+            state.page_key = self._page_key(mapping, request, session)
 
     # -- stage: protect -------------------------------------------------------
 
@@ -280,26 +352,28 @@ class FrontController:
     def _stage_execute(self, state: PipelineState) -> None:
         """Run the mapped action (through the page cache for GET pages)."""
         mapping = state.mapping
-        request = state.request
-        session = state.session
+        if state.page_key is not None:
+            state.response = self._respond_from_page_cache(state)
+            return
         if mapping.action_type == "PageAction":
-            if self.page_cache is not None and request.method == "GET":
-                state.response = self._respond_from_page_cache(
-                    mapping, request, session
-                )
-                return
-            with span("mvc.action", tier="mvc", action="page",
-                      page=mapping.page_id):
-                outcome = self.page_action.perform(mapping, request, session)
+            outcome = self._perform_page(state)
         elif mapping.action_type == "OperationAction":
             with span("mvc.action", tier="mvc", action="operation",
                       operation=mapping.operation_id):
                 outcome = self.operation_action.perform(
-                    mapping, request, session
+                    mapping, state.request, state.session
                 )
         else:
             raise ControllerError(f"unknown action type {mapping.action_type!r}")
-        state.response = self._respond(outcome, request, session)
+        state.response = self._respond(outcome, state.request)
+
+    def _perform_page(self, state: PipelineState) -> ActionOutcome:
+        mapping = state.mapping
+        with span("mvc.action", tier="mvc", action="page",
+                  page=mapping.page_id):
+            return self.page_action.perform(
+                mapping, state.request, state.session
+            )
 
     # -- stage: deliver -------------------------------------------------------
 
@@ -344,8 +418,7 @@ class FrontController:
             f"user:{session.user_oid}" if session.is_authenticated else "anon",
         )
 
-    def _respond_from_page_cache(self, mapping, request: HttpRequest,
-                                 session) -> HttpResponse:
+    def _respond_from_page_cache(self, state: PipelineState) -> HttpResponse:
         """Serve a GET page from the whole-response cache.
 
         A miss single-flights the full action + view path and stores
@@ -353,179 +426,117 @@ class FrontController:
         sets, so operation writes invalidate exactly the dependent
         pages.
         """
-        key = self._page_key(mapping, request, session)
-
+        page_id = state.mapping.page_id
+        request = state.request
         built_fresh = False
 
         def build():
             nonlocal built_fresh
             built_fresh = True
-            with span("mvc.action", tier="mvc", action="page",
-                      page=mapping.page_id):
-                outcome = self.page_action.perform(mapping, request, session)
-            with span("mvc.render", tier="mvc", page=mapping.page_id):
+            outcome = self._perform_page(state)
+            with span("mvc.render", tier="mvc", page=page_id):
                 body = self.view_renderer(
                     outcome.page_result, request, self.controller
                 )
-            entities, roles = self._page_dependencies(mapping.page_id)
-            return self.page_cache.make_entry(body, entities, roles)
+            return self._page_entry(page_id, body)
 
         # probe span only when a trace is live: a cache hit is the p50
         # case and must not pay span construction for nobody to read
         if current_span_var.get() is None:
-            entry = self.page_cache.get_or_build(key, build)
+            entry = self.page_cache.get_or_build(state.page_key, build)
         else:
             with span("cache.page", tier="cache", level="page",
-                      page=mapping.page_id) as probe:
-                entry = self.page_cache.get_or_build(key, build)
+                      page=page_id) as probe:
+                entry = self.page_cache.get_or_build(state.page_key, build)
                 probe.tags["hit"] = not built_fresh
-        return entry_response(entry, request, self._cache_control(session))
+        return entry_response(entry, request,
+                              self._cache_control(state.session))
 
-    # -- the edge fast path ---------------------------------------------------
-
-    def _resolve_page_get(self, request: HttpRequest):
-        """What the edge paths (:meth:`probe_cached`,
-        :meth:`handle_streaming`) may answer without the pipeline: a
-        GET of a mapped page the session may see.  Binds the session
-        and returns ``(mapping, session, page-cache key)`` — the key is
-        ``None`` without a page cache — or ``None`` for everything the
-        full :meth:`handle` path must produce (404, redirect, 403,
-        operation, ``/_status``)."""
-        if request.method != "GET" or request.path == self.STATUS_PATH:
-            return None
-        mapping = self.controller.mappings.get(request.path)
-        if mapping is None or mapping.action_type != "PageAction":
-            return None
-        session = self.sessions.get_or_create(request.session_id)
-        request.session_id = session.id
-        home = self.controller.homes.get(mapping.site_view_id)
-        if (home is not None and home.requires_login
-                and not session.is_authenticated and not mapping.public):
-            return None
-        key = None
-        if self.page_cache is not None:
-            key = self._page_key(mapping, request, session)
-        return mapping, session, key
-
-    def probe_cached(self, request: HttpRequest) -> HttpResponse | None:
-        """Answer a GET page request purely from the page cache, or
-        return ``None``.
-
-        This is the async edge's inline path: a stored entry becomes a
-        200 (precomputed gzip) or a 304 without running any action,
-        render, or digest — bounded, lock-cheap work an event loop can
-        afford.  Anything requiring computation (cache miss, redirect,
-        protection failure, operation, ``/_status``) returns ``None``
-        and takes the full :meth:`handle` path on a worker.  Served
-        responses are counted exactly like :meth:`handle`'s
-        (``requests_served`` + per-status counts); tracing never
-        samples inline hits — the traced path is the one that does
-        work.
-        """
-        if self.page_cache is None:
-            return None
-        resolved = self._resolve_page_get(request)
-        if resolved is None:
-            return None
-        _mapping, session, key = resolved
-        entry = self.page_cache.peek(key)
-        if entry is None:
-            return None
-        self.requests_served += 1
-        response = entry_response(entry, request, self._cache_control(session))
-        self.status_counts[response.status] += 1
-        return response
-
-    # -- the streaming path ---------------------------------------------------
-
-    def handle_streaming(self, request: HttpRequest) -> StreamedPage | None:
-        """Serve a GET page as a chunk stream, or return ``None``.
+    def _execute_streamed(self, state: PipelineState,
+                          sampled: bool) -> StreamedPage | None:
+        """Execute + deliver a GET page as a chunk stream, or return
+        ``None`` for the buffered path to take.
 
         The stream's head (status + headers) is available immediately;
         the compiled template's leading static markup streams before
         the page action runs, and each dynamic slot follows as it
         renders (fragment-cache hits splice instantly).  Requirements:
         a view renderer exposing ``stream_chunks`` (the presentation
-        tier's compiled templates) and a page-cache *miss* — hits and
-        everything non-streamable return ``None`` so the caller falls
-        back to :meth:`probe_cached`/:meth:`handle`.
+        tier's compiled templates) and, with a page cache, winning the
+        page's single-flight slot — a concurrent build means waiting
+        for its entry is faster than rendering again.  The loop's peek
+        was this request's only lookup: an entry stored since then
+        costs one redundant render, never a stale byte.
 
         Cache integration mirrors the buffered path: the stream holds
-        the page's single-flight slot while rendering (concurrent
-        misses wait, then reuse the stored entry) and the finished
-        body is stored unless an invalidation raced the build
-        (generation guard).  Closing the iterator early — a client
-        disconnect — releases the slot without storing.  A streamed
-        response carries no ``ETag``: a validator needs the complete
-        body, which revisits get from the stored entry.
+        the slot while rendering (concurrent misses wait, then reuse
+        the stored entry) and the finished body is stored unless an
+        invalidation raced the build (generation guard).  Closing the
+        iterator early — a client disconnect — releases the slot
+        without storing.
+
+        The chunk generator is where a streamed request is observed:
+        whichever thread runs its ``next()`` calls opens the trace (if
+        ``sampled``), and its ``finally`` closes it, records the
+        latency and counts the status the client actually got — the
+        200 the head promised, or a 500 when the build raised and the
+        body was cut short.
         """
         stream_chunks = getattr(self.view_renderer, "stream_chunks", None)
-        if stream_chunks is None:
+        mapping = state.mapping
+        request = state.request
+        if (stream_chunks is None or request.method != "GET"
+                or mapping.action_type != "PageAction"):
             return None
-        resolved = self._resolve_page_get(request)
-        if resolved is None:
-            return None
-        mapping, session, key = resolved
-
-        generation = None
-        if key is not None:
-            if self.page_cache.peek(key) is not None:
-                return None  # a stored entry serves faster than a stream
-            if not self.page_cache.begin_flight(key):
-                return None  # another request is building: wait via handle()
-            generation = self.page_cache.generation
-
-        def page_result_factory():
-            with span("mvc.action", tier="mvc", action="page",
-                      page=mapping.page_id):
-                return self.page_action.perform(
-                    mapping, request, session
-                ).page_result
-
         try:
             raw_chunks = stream_chunks(
                 mapping.page_id, request, self.controller,
-                page_result_factory,
+                lambda: self._perform_page(state).page_result,
             )
         except ReproError:
-            if key is not None:
-                self.page_cache.finish_flight(key)
-            return None  # no template for the page: the full path 500s
+            return None  # no template for the page: the buffered path 500s
+        key = state.page_key
+        cache = self.page_cache
+        if key is not None:
+            if not cache.begin_flight(key):
+                return None  # another request is building: wait for it
+            generation = cache.generation
+        head = HttpResponse(
+            status=200, body="",
+            headers={"Cache-Control": self._cache_control(state.session)},
+        )
 
         def chunks():
             produced: list[str] = []
-            completed = False
+            status = 200  # a reader that hangs up was still promised it
             try:
-                for chunk in raw_chunks:
-                    produced.append(chunk)
-                    yield chunk
-                completed = True
+                with (self._sampled(request) if sampled
+                      else nullcontext()) as req_trace:
+                    head.trace = req_trace
+                    for chunk in raw_chunks:
+                        produced.append(chunk)
+                        yield chunk
+                    if key is not None:
+                        cache.put_if_current(
+                            key,
+                            self._page_entry(mapping.page_id,
+                                             "".join(produced)),
+                            generation,
+                        )
+            except Exception:
+                status = 500
+                raise
             finally:
                 if key is not None:
-                    try:
-                        if completed:
-                            entities, roles = self._page_dependencies(
-                                mapping.page_id
-                            )
-                            entry = self.page_cache.make_entry(
-                                "".join(produced), entities, roles
-                            )
-                            self.page_cache.put_if_current(
-                                key, entry, generation
-                            )
-                    finally:
-                        self.page_cache.finish_flight(key)
+                    cache.finish_flight(key)
+                if self._obs.enabled:
+                    self.status_counts[status] += 1
 
-        self.requests_served += 1
-        self.status_counts[200] += 1
-        response = HttpResponse(
-            status=200, body="",
-            headers={"Cache-Control": self._cache_control(session)},
-        )
-        return StreamedPage(response=response, chunks=chunks())
+        return StreamedPage(response=head, chunks=chunks())
 
-    def _page_dependencies(self, page_id: str) -> tuple[set, set]:
-        """The union of the §6 dependency sets of the page's units."""
+    def _page_entry(self, page_id: str, body: str):
+        """A page-cache entry for ``body`` under the union of the §6
+        dependency sets of the page's units."""
         descriptor = self.ctx.registry.page(page_id)
         entities: set = set()
         roles: set = set()
@@ -533,14 +544,14 @@ class FrontController:
             unit = self.ctx.registry.unit(unit_id)
             entities.update(unit.depends_on_entities)
             roles.update(unit.depends_on_roles)
-        return entities, roles
+        return self.page_cache.make_entry(body, entities, roles)
 
     def _cache_control(self, session) -> str:
         ttl = self.page_cache.ttl_seconds if self.page_cache is not None else None
         return cache_control_for(session.is_authenticated, ttl)
 
-    def _respond(self, outcome: ActionOutcome, request: HttpRequest,
-                 session) -> HttpResponse:
+    def _respond(self, outcome: ActionOutcome,
+                 request: HttpRequest) -> HttpResponse:
         if outcome.kind == "redirect":
             path = self.controller.path_of_page(outcome.redirect_page_id)
             params = {

@@ -2,11 +2,12 @@
 
 One :class:`Observability` object is owned by each
 :class:`~repro.services.base.RuntimeContext` and shared by every tier
-of that application: the front controller opens request traces through
-it, the rdb tier and connection pool publish metrics into its
-registry, and the cache levels / app server register snapshot-time
-collectors on it.  The ``/_status`` endpoint is a rendering of this
-object's state.
+of that application: the front controller reads its switches to
+decide which requests to trace (the sampling countdown itself lives on
+the controller, inline on its hot path), the rdb tier and connection
+pool publish metrics into its registry, and the cache levels / app
+server register snapshot-time collectors on it.  The ``/_status``
+endpoint is a rendering of this object's state.
 
 Two switches plus a sampling knob, all safe to flip at runtime:
 
@@ -29,7 +30,6 @@ Two switches plus a sampling knob, all safe to flip at runtime:
 from __future__ import annotations
 
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.trace import trace
 
 
 class Observability:
@@ -45,32 +45,6 @@ class Observability:
         self.tracing_enabled = tracing_enabled
         self.enabled = enabled
         self.trace_every = trace_every or self.DEFAULT_TRACE_EVERY
-        self._trace_tick = 0
-
-    def sample(self) -> bool:
-        """Advance the sampling tick; True when this request's turn to
-        be traced has come round.  The tick update is deliberately
-        lock-free — a lost increment perturbs *which* request gets
-        sampled, never whether metrics are recorded."""
-        every = self.trace_every
-        if every <= 1:
-            return True
-        tick = self._trace_tick
-        self._trace_tick = tick + 1
-        return tick % every == 0
-
-    def trace_request(self, method: str, path: str, force: bool = False):
-        """A request trace context when this request should be traced,
-        else ``None``.  ``force`` (the ``X-Trace`` request header)
-        bypasses sampling but never the master switches.  The front
-        controller inlines this decision on its hot path; this method
-        is the same logic for any other entry point (tests, scripts
-        driving a tier directly)."""
-        if not (self.enabled and self.tracing_enabled):
-            return None
-        if not (force or self.sample()):
-            return None
-        return trace(f"{method} {path}")
 
     def disable(self) -> None:
         """Turn every instrumented site into (near) no-ops."""

@@ -198,19 +198,14 @@ class PageTemplate:
     # -- the compiled fast path ----------------------------------------------
 
     def render(self, context: RenderContext) -> str:
-        """Produce the final HTML for one request: join the program's
-        static segments with the dynamic slots' output."""
-        program = self._program
-        if program is None:
-            program = self.compile()
-        return "".join(
-            part if isinstance(part, str) else part.render(context)
-            for part in program
-        )
+        """Produce the final HTML for one request: the join of
+        :meth:`render_chunks` — one loop walks the program for the
+        buffered and the streamed delivery alike."""
+        return "".join(self.render_chunks(lambda: context))
 
     def render_chunks(self, context_factory):
-        """Generate the page as ordered HTML chunks (the streaming
-        delivery mode).
+        """Generate the page as ordered HTML chunks: the program's
+        static segments interleaved with the dynamic slots' output.
 
         ``context_factory`` is called lazily, at the first dynamic
         slot — so every static segment *before* it (doctype, head,
@@ -219,10 +214,9 @@ class PageTemplate:
         while the model tier computes; fragment-cache hits then splice
         mid-stream at string-copy cost.
 
-        The concatenation of the chunks is byte-identical to
-        :meth:`render` of the same context — the buffered path is the
-        oracle, and the page cache stores the joined stream under the
-        same key as a buffered build.
+        The page cache stores the joined stream under the same key as
+        a buffered build — which, :meth:`render` being that join, is
+        the same bytes by construction.
         """
         program = self._program
         if program is None:

@@ -13,22 +13,29 @@ threaded and async edges are driven through actual sockets with the
   small probe set);
 - failure modes: a trickle-reading client must not stall other
   connections, and a mid-stream disconnect must leak neither a worker
-  slot nor the page-cache single-flight slot.
+  slot nor the page-cache single-flight slot;
+- one pipeline behind both edges: a page-cache miss on the async edge
+  is resolved once, observed (trace, latency histogram, final status)
+  and gated like the same request on the threaded edge.
 """
 
 from __future__ import annotations
 
 import threading
 import time
+from collections import Counter
 
 import pytest
 
 from repro.app import WebApplication
 from repro.appserver import AsyncAppServer, ThreadedAppServer
+from repro.appserver.fleet import MIN_LSN_HEADER, ReplicaGate
 from repro.caching import FragmentCache, PageCache, UnitBeanCache
 from repro.codegen import generate_project
+from repro.errors import QueryError
+from repro.httpcore import StreamedPage
 from repro.httpcore.client import WireClient, WireError
-from repro.mvc.http import HttpRequest
+from repro.mvc.http import HttpRequest, HttpResponse
 from repro.presentation import PresentationRenderer
 from repro.presentation.jsp import PageTemplate, RenderContext
 from repro.presentation.renderer import default_stylesheet
@@ -59,6 +66,26 @@ def volume_url(app: WebApplication, oid: int = 1) -> str:
     view = app.model.find_site_view("public")
     unit = view.find_page("Volume Page").unit("Volume data")
     return app.page_url("public", "Volume Page", {f"{unit.id}.oid": oid})
+
+
+def stream_or_build(app: WebApplication, url: str):
+    """What an async-edge worker runs for a page-cache miss: the
+    pipeline continued from the loop-side state, streaming allowed."""
+    state = app.front.begin(HttpRequest.from_url(url), peek=True)
+    return app.front.complete(state, stream=True)
+
+
+def wire_chunks(raw: bytes) -> list[bytes]:
+    """The data chunks of a chunked wire response, framing removed."""
+    body = raw[raw.index(b"\r\n\r\n") + 4:]
+    chunks = []
+    while True:
+        size_line, _sep, body = body.partition(b"\r\n")
+        size = int(size_line, 16)
+        if size == 0:
+            return chunks
+        chunks.append(body[:size])
+        body = body[size + 2:]
 
 
 @pytest.fixture(scope="module")
@@ -407,31 +434,34 @@ class TestStreamedMissAccounting:
         stats = app.page_cache.stats
         urls = [volume_url(app, oid) for oid in (1, 2, 3)]
         for url in urls:
-            streamed = app.front.handle_streaming(HttpRequest.from_url(url))
+            streamed = stream_or_build(app, url)
+            assert isinstance(streamed, StreamedPage)
             assert "".join(streamed.chunks)
         for url in urls:
-            response = app.front.probe_cached(HttpRequest.from_url(url))
+            response = app.front.begin(HttpRequest.from_url(url), peek=True)
+            assert isinstance(response, HttpResponse)
             assert response.status == 200
         assert (stats.misses, stats.hits) == (len(urls), len(urls))
         assert stats.hit_rate == 0.5
 
     def test_follower_of_a_streamed_build_is_one_hit(self):
-        """Losing ``begin_flight`` and falling back to ``handle`` costs
-        the follower what any coalesced lookup costs: no second miss."""
+        """Losing ``begin_flight`` and falling back to the buffered
+        build costs the follower what any coalesced lookup costs: no
+        second miss."""
         app = build_full_stack_app()
         stats = app.page_cache.stats
         url = volume_url(app)
-        leader = app.front.handle_streaming(HttpRequest.from_url(url))
-        assert app.front.handle_streaming(HttpRequest.from_url(url)) is None
+        leader = stream_or_build(app, url)
         responses = []
         follower = threading.Thread(target=lambda: responses.append(
-            app.front.handle(HttpRequest.from_url(url))
+            stream_or_build(app, url)
         ))
         follower.start()
         time.sleep(0.05)  # the follower is parked on the flight event
         body = "".join(leader.chunks)
         follower.join(timeout=5.0)
         assert not follower.is_alive()
+        assert isinstance(responses[0], HttpResponse)  # asked to stream
         assert responses[0].status == 200 and responses[0].body == body
         assert (stats.misses, stats.hits) == (1, 1)
         assert stats.coalesced == 1
@@ -468,6 +498,161 @@ class _GatedRenderer:
                 chunks.close()
 
         return gated()
+
+
+# -- one pipeline behind both edges --------------------------------------------
+
+
+class _NeverCatchesUp:
+    """A replication client whose replica never reaches the token."""
+
+    def wait_for_lsn(self, lsn, timeout):
+        return False
+
+
+class TestOnePipeline:
+    """The async edge drives the front controller's own stages, so a
+    page-cache miss is resolved once and observed, counted and gated
+    like the same request on the threaded edge."""
+
+    def test_a_miss_is_resolved_once(self):
+        app = build_full_stack_app()
+        calls = Counter()
+
+        def spy(target, name):
+            original = getattr(target, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            setattr(target, name, counted)
+
+        spy(app.front.sessions, "get_or_create")
+        spy(app.page_cache, "peek")
+        with AsyncAppServer(app, workers=2) as edge:
+            with WireClient(edge.listen()) as client:
+                response = client.request(volume_url(app))
+        assert response.headers.get("Transfer-Encoding") == "chunked"
+        assert calls == {"get_or_create": 1, "peek": 1}
+
+    def test_x_trace_is_answered_buffered_with_its_summary(self):
+        """The summary header needs the finished trace, so a forced
+        trace takes the worker's buffered path — on a miss (which would
+        have streamed) and on a hit (which the loop would have served
+        inline, untraced)."""
+        app = build_full_stack_app()
+        url = volume_url(app)
+        with AsyncAppServer(app, workers=2) as edge:
+            with WireClient(edge.listen(), cookies=True) as client:
+                miss = client.request(url, headers={"X-Trace": "1"})
+                hit = client.request(url, headers={"X-Trace": "1"})
+        for response in (miss, hit):
+            assert response.status == 200
+            assert "Content-Length" in response.headers
+            assert "Transfer-Encoding" not in response.headers
+            assert response.headers["X-Trace"].startswith("GET /")
+        assert "rdb=" in miss.headers["X-Trace"]
+        assert "rdb=" not in hit.headers["X-Trace"]
+        assert miss.body == hit.body
+
+    @pytest.mark.parametrize("server_class",
+                             [ThreadedAppServer, AsyncAppServer])
+    def test_every_page_get_is_timed_at_trace_every_1(self, server_class):
+        app = build_full_stack_app()
+        app.ctx.obs.trace_every = 1
+        urls = [volume_url(app, oid) for oid in (1, 2, 3)]
+        urls.append(app.page_url("public", "Volumes"))
+        server = server_class(app, workers=2)
+        try:
+            with WireClient(server.listen(), cookies=True) as client:
+                for url in urls:  # distinct pages: every one is a miss
+                    assert client.request(url).status == 200
+        finally:
+            server.stop()
+        histogram = app.ctx.obs.metrics.histogram("http.request_seconds")
+        assert histogram.count == len(urls)
+        assert dict(app.front.status_counts) == {200: len(urls)}
+
+    def test_sampled_streamed_build_carries_its_trace(self):
+        """The chunk generator opens the trace on the thread that runs
+        it and closes it when the build ends."""
+        app = build_full_stack_app()
+        app.ctx.obs.trace_every = 1
+        streamed = stream_or_build(app, volume_url(app))
+        assert streamed.response.trace is None  # nothing has run yet
+        assert "".join(streamed.chunks)
+        trace = streamed.response.trace
+        assert trace.root.duration is not None
+        assert trace.spans_named("mvc.action") and trace.spans_in("rdb")
+
+    def test_midstream_failure_is_a_counted_500(self):
+        """A unit service raising on a streamed miss: the client sees a
+        truncated chunked body and a close (the head had promised a
+        200), the ledgers see a failure."""
+        app = build_full_stack_app()
+
+        def explode(*args, **kwargs):
+            raise QueryError("the data tier is gone")
+
+        app.front.page_action.page_service.compute_page = explode
+        with AsyncAppServer(app, workers=2) as edge:
+            with WireClient(edge.listen()) as client:
+                client.send_raw(client.build_request(volume_url(app)))
+                head = client._read_until(b"\r\n\r\n", bytearray())
+                assert head.startswith(b"HTTP/1.1 200")
+                assert b"Transfer-Encoding: chunked" in head
+                with pytest.raises(WireError):
+                    client._read_chunked(bytearray())
+            assert edge.metrics.counter("edge.handler_failures").value == 1
+        assert dict(app.front.status_counts) == {500: 1}
+        assert not app.page_cache._in_flight
+
+    def test_replica_gate_sees_every_request(self):
+        """A wrapper's ``handle`` must not be bypassed: a tokened read
+        the replica cannot satisfy is a 503 whether the page is cached
+        (the loop would have answered it inline) or not (a worker would
+        have streamed it)."""
+        app = build_full_stack_app()
+        cached, uncached = volume_url(app, 1), volume_url(app, 2)
+        assert app.get(cached).status == 200
+        gate = ReplicaGate(app, _NeverCatchesUp(), wait_timeout=0.01)
+        with AsyncAppServer(gate, workers=2) as edge:
+            with WireClient(edge.listen(), cookies=True) as client:
+                for url in (cached, uncached):
+                    response = client.request(
+                        url, headers={MIN_LSN_HEADER: "9"}
+                    )
+                    assert response.status == 503, url
+                    assert response.headers["Retry-After"] == "1"
+                assert client.request(cached).status == 200
+        assert gate.stats() == {"lsn_waits": 2, "lsn_timeouts": 2}
+
+    def test_streamed_chunk_list_is_render_chunks(self):
+        """The wire pin: a client of a streamed Volume Page receives
+        exactly the non-empty parts of ``render_chunks``, in order, one
+        chunk each — and their join is ``render``."""
+        app = build_full_stack_app()
+        url = volume_url(app)
+        with AsyncAppServer(app, workers=2) as edge:
+            with WireClient(edge.listen(), cookies=True) as client:
+                streamed = client.request(url)
+        assert streamed.headers.get("Transfer-Encoding") == "chunked"
+
+        request = HttpRequest.from_url(url)
+        session = app.front.sessions.get_or_create(None)
+        mapping = app.controller.resolve(request.path)
+        outcome = app.front.page_action.perform(mapping, request, session)
+        renderer = app.front.view_renderer
+        template = renderer.template_for(mapping.page_id)
+        context = RenderContext(outcome.page_result, app.controller,
+                                request, renderer.fragment_cache)
+        parts = list(template.render_chunks(lambda: context))
+        expected = [part.encode() for part in parts if part]
+        assert len(expected) > 1
+        assert wire_chunks(streamed.raw) == expected
+        assert "".join(parts) == template.render(context)
+        assert "".join(parts).encode() == streamed.body
 
 
 # -- the streaming render mode ------------------------------------------------
