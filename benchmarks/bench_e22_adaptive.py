@@ -24,7 +24,13 @@ Measured gates:
   results on hot and cold parameters alike: adaptivity changes plans,
   never answers;
 * **scanner** — the plan-space scanner (``repro.bench.plan_scanner``)
-  reproduces at least one cost-model misprediction on this workload.
+  reproduces at least one cost-model misprediction on this workload;
+* **ordered walk** — paged ``ORDER BY`` over an indexed key, at a small
+  and a deep offset, bare and behind a selective residual filter: the
+  scanner prices the index-ordered walk against scan + top-N from both
+  sides (the walk forced where the planner turned it down) and must
+  report no ``inversion`` — the planner has to know that a deep offset
+  behind a selective filter is where the walk loses.
 
 Run fast (CI smoke): ``REPRO_FAST=1 pytest benchmarks/bench_e22_adaptive.py``.
 """
@@ -63,7 +69,7 @@ QUERY = (
 _RESULTS: dict[str, dict] = {}
 
 
-def _sales() -> Database:
+def _sales(rows: int = BASE_ROWS, regions: int = REGIONS) -> Database:
     """A uniform sales table, analyzed, with an index the optimizer
     initially loves for ``region = :r``."""
     db = Database("e22")
@@ -73,9 +79,9 @@ def _sales() -> Database:
         " amount FLOAT NOT NULL, PRIMARY KEY (oid))"
     )
     db.execute("CREATE INDEX ix_sale_region ON sale (region)")
-    for i in range(BASE_ROWS):
+    for i in range(rows):
         db.insert_row("sale", {
-            "region": f"r-{i % REGIONS:03d}",
+            "region": f"r-{i % regions:03d}",
             "day": i % 365,
             "amount": float(i % 90) + 0.5,
         })
@@ -195,6 +201,51 @@ def test_e22_scanner_reproduces_a_misprediction():
     }
 
 
+#: paged ORDER BY day (indexed below): offsets shallow and deep, bare
+#: and behind a filter one region in 400 passes.  Full size in fast mode
+#: too: on a few hundred rows an index probe and a columnar scan cost
+#: the same few microseconds and the stopwatch orders them at random
+_PAGED = "SELECT oid, day, amount FROM sale{where} ORDER BY day LIMIT 10 OFFSET {k}"
+_DEEP = 3_000
+
+
+def test_e22_scanner_prices_the_ordered_walk():
+    db = _sales(rows=4_000, regions=400)
+    db.execute("CREATE INDEX ix_sale_day ON sale (day)")
+    db.analyze()
+    selective = " WHERE region = 'r-007'"
+    workload = [
+        {"name": f"paged-{label}-{depth}",
+         "sql": _PAGED.format(where=where, k=k), "params": {}}
+        for label, where in (("bare", ""), ("filtered", selective))
+        for depth, k in (("shallow", 0), ("deep", _DEEP))
+    ]
+    # sub-millisecond statements: many rounds, or timer noise inverts
+    report = scan_plan_space(db, workload, rounds=40)
+    assert report["mismatches"] == 0
+    inversions = [f for f in report["findings"] if f["kind"] == "inversion"]
+    assert inversions == [], inversions
+    rows = {}
+    for scanned in report["queries"]:
+        by_variant = {v["variant"]: v for v in scanned["variants"]}
+        walk = by_variant["ordered-walk"]
+        rows[scanned["query"]] = {
+            "default_access": by_variant["default"]["access"],
+            "walk_cost_ratio": walk["cost_ratio"],
+            "walk_wall_ratio": walk["wall_ratio"],
+            "top_n_cost_ratio": by_variant["no-access-paths"]["cost_ratio"],
+            "top_n_wall_ratio": by_variant["no-access-paths"]["wall_ratio"],
+        }
+    # unfiltered, the walk is the plan at any depth; behind the filter
+    # the planner probes the region index and keeps a top-N instead
+    assert rows["paged-bare-shallow"]["default_access"] == "ordered:sale(day)"
+    assert rows["paged-bare-deep"]["default_access"] == "ordered:sale(day)"
+    assert rows["paged-filtered-deep"]["default_access"] \
+        == "eq:sale(region)"
+    assert rows["paged-filtered-deep"]["walk_wall_ratio"] > 1.0
+    _RESULTS["ordered_walk"] = rows
+
+
 def test_e22_report():
     adaptive = _RESULTS.get("adaptive")
     if not adaptive:
@@ -238,6 +289,15 @@ def test_e22_report():
         f"{scanner['findings']} finding(s)",
         note=", ".join(scanner["kinds"]) or "-",
     )
+    for name, row in _RESULTS.get("ordered_walk", {}).items():
+        report.add(
+            f"{name}: ordered walk vs plan", "no inversion",
+            f"cost x{row['walk_cost_ratio']:.2f}"
+            f" wall x{row['walk_wall_ratio']:.2f}",
+            note=f"plan {row['default_access']}; scan + top-N cost"
+                 f" x{row['top_n_cost_ratio']:.2f}"
+                 f" wall x{row['top_n_wall_ratio']:.2f}",
+        )
     save_report(report, json_payload={
         "fast_mode": FAST,
         "base_rows": BASE_ROWS,
@@ -248,4 +308,5 @@ def test_e22_report():
         },
         "identity": identity,
         "scanner": scanner,
+        "ordered_walk": _RESULTS.get("ordered_walk", {}),
     })

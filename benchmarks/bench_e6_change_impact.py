@@ -19,6 +19,12 @@ We measure, for the full Acer-scale application:
   affected failure URLs (each needs a manual edit),
 - MVC: which generated files actually change on regeneration (and that
   no template/skeleton is among them).
+
+The generated schema is one of those files: indexes are derived from
+the hypertext model (each unit's sort key and selector attributes), so
+the count includes the index artefact — unchanged by the re-link, and
+exactly ``sql/schema.sql`` plus the edited unit's descriptor when a
+unit's ``order_by`` is edited.
 """
 
 import pytest
@@ -108,6 +114,7 @@ def test_e6_change_impact(benchmark, acer_model):
     changed_units = [p for p in changed
                      if p.startswith("descriptors/units/")]
     changed_configs = [p for p in changed if p.startswith("conf/")]
+    changed_ddl = [p for p in changed if p.startswith("sql/")]
 
     report = ExperimentReport(
         "E6", "re-linking operation failure targets", "§2, §7"
@@ -119,6 +126,10 @@ def test_e6_change_impact(benchmark, acer_model):
     report.add("MVC: templates changed", 0, len(changed_templates))
     report.add("MVC: unit descriptors changed", 0, len(changed_units))
     report.add("MVC: controller config regenerated", 1, len(changed_configs))
+    report.add("MVC: schema DDL (tables + indexes) changed", 0,
+               len(changed_ddl),
+               note=f"{before_files['sql/schema.sql'].count('CREATE INDEX')}"
+                    " indexes, none asked for by a link")
     report.add("MVC: manual edits", 0, 0,
                note="re-link the diagram, regenerate")
     save_report(report, json_payload=report.rows_payload())
@@ -127,7 +138,27 @@ def test_e6_change_impact(benchmark, acer_model):
     assert templates_to_edit > 100  # the template-based pain is real
     assert changed_templates == []
     assert changed_units == []
+    assert changed_ddl == []
     assert changed_configs == ["conf/controller-config.xml"]
+
+
+def test_e6_order_by_edit_carries_its_index(acer_model):
+    """Editing one unit's sort key regenerates that unit's descriptor
+    and the schema's index artefact — nothing else, and no hand edit."""
+    before = generate_project(acer_model, validate=False).as_files()
+    unit = next(u for u in acer_model.all_units()
+                if u.kind == "index" and u.entity and not u.order_by)
+    attribute = acer_model.data_model.entity(unit.entity).attribute_names[0]
+    unit.order_by = [(attribute, False)]
+    try:
+        after = generate_project(acer_model, validate=False).as_files()
+    finally:
+        unit.order_by = []
+    changed = sorted(p for p in before if before[p] != after.get(p))
+    assert changed == [f"descriptors/units/{unit.id}.xml", "sql/schema.sql"]
+    assert after["sql/schema.sql"].count("CREATE INDEX") \
+        == before["sql/schema.sql"].count("CREATE INDEX") + 1
+    assert f"-- for {unit.id} (order_by)" in after["sql/schema.sql"]
 
 
 def test_e6_reload_without_restart(benchmark, acer_model):

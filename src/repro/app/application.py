@@ -12,6 +12,7 @@ from repro.codegen import GeneratedProject, generate_project
 from repro.descriptors import DescriptorRegistry
 from repro.mvc import Controller, FrontController, HttpRequest, HttpResponse
 from repro.rdb import Database
+from repro.rdb.sqlparser import CreateIndex
 from repro.services import RuntimeContext
 from repro.webml.model import WebMLModel
 
@@ -100,6 +101,14 @@ class WebApplication:
         for name in stable_topological_sort(schemas, dependencies):
             if name not in existing:
                 self.database.create_table(schemas[name])
+                continue
+            # a database deployed before the model asked for an index
+            # (an older generator, an edited order_by) gains it here,
+            # through the statement path: logged and replicated as DDL
+            installed = dict(self.database.table(name).iter_indexes())
+            for index in schemas[name].indexes:
+                if index.name not in installed:
+                    self.database.execute(CreateIndex(index, name))
 
     # -- data seeding -----------------------------------------------------------
 

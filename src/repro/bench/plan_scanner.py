@@ -7,8 +7,9 @@ and with each execution mode pinned (seed, interpreted, compiled rows,
 columnar).  Every variant is executed for wall time and compared to the
 default plan on two axes:
 
-- **cost ratio** — variant root ``est_cost`` over the default plan's:
-  what the cost model *predicts* the variant is worth;
+- **cost ratio** — variant ``est_cost`` (operator tree plus sort or
+  top-N tail) over the default plan's: what the cost model *predicts*
+  the variant is worth;
 - **wall ratio** — measured execution time over the default plan's:
   what the variant is *actually* worth.
 
@@ -24,6 +25,12 @@ Where the two disagree, the scanner emits a machine-readable *finding*:
   better but ran slower).  These are the direct targets for future
   cost-model fixes.
 
+An ORDER BY an index could serve adds the ``ordered-walk`` variant: the
+index-ordered scan *forced*, priced at what the planner priced it when
+it chose (or turned it down) — so a deep offset behind a selective
+filter, where the walk loses to scan + top-N, tests the model from the
+losing side too.
+
 Results never vary across variants (every variant re-checks its
 predicates); the scanner asserts that identity on every run and counts
 violations in the report, so a correctness bug cannot masquerade as a
@@ -34,7 +41,8 @@ from __future__ import annotations
 
 import time
 
-from repro.rdb.planner import MODES, PlannerFeatures
+from repro.rdb.planner import MODES, PlannerFeatures, SelectPlan
+from repro.rdb.sqlparser import parse_select
 
 #: |cost_ratio - 1| below this counts as "the model sees no difference"
 COST_PARITY_BAND = 0.05
@@ -46,13 +54,28 @@ COST_WORSE = 1.2
 COST_BETTER = 0.8
 
 
+class _EverythingPasses:
+    """A feedback memory claiming every predicate passes every row.
+    Planned against it, a filtered index-ordered walk looks as cheap as
+    an unfiltered one and is taken wherever an index serves the ORDER
+    BY — how the scanner forces the walk without a planner switch."""
+
+    def selectivity(self, table, key):
+        return 1.0
+
+    def join_distinct(self, table, columns):
+        return None
+
+
 def _variant_plans(db, sql: str):
-    """(label, plan) pairs for every probed planner/executor variant.
-    The ``default`` variant is the plan the database actually runs (the
-    cached one, corrections and all); the others are uncached probes,
-    the pinned execution modes labelled by their ``mode`` name."""
-    return [
-        ("default", db.prepare(sql)),
+    """(label, plan, estimated cost) for every probed planner/executor
+    variant.  The ``default`` variant is the plan the database actually
+    runs (the cached one, corrections and all); the others are uncached
+    probes, the pinned execution modes labelled by their ``mode``
+    name."""
+    default = db.prepare(sql)
+    plans = [
+        ("default", default),
         *((mode, db.prepare(sql, mode=mode))
           for mode in reversed(MODES) if mode is not None),
         ("no-join-reorder",
@@ -62,6 +85,13 @@ def _variant_plans(db, sql: str):
         ("no-pushdown",
          db.prepare(sql, features=PlannerFeatures(pushdown=False))),
     ]
+    variants = [(label, plan, plan.est_cost) for label, plan in plans]
+    if default.walk_cost is not None:
+        forced = SelectPlan(parse_select(sql), db.tables,
+                            feedback=_EverythingPasses())
+        if forced.ordered:
+            variants.append(("ordered-walk", forced, default.walk_cost))
+    return variants
 
 
 def _time_plan(plan, params_list, rounds: int) -> float:
@@ -91,15 +121,14 @@ def scan_query(db, name: str, sql: str, params_list, rounds: int = 3) -> dict:
     """Scan one query's plan space; returns the per-variant table plus
     any findings."""
     variants = _variant_plans(db, sql)
-    default_plan = variants[0][1]
+    _, default_plan, baseline_cost = variants[0]
     baseline_sig = _result_signature(default_plan, params_list)
-    baseline_cost = default_plan.root.est_cost
     baseline_wall = _time_plan(default_plan, params_list, rounds)
 
     rows = []
     findings = []
     mismatches = 0
-    for label, plan in variants:
+    for label, plan, cost in variants:
         if label == "default":
             rows.append({
                 "variant": label, "exec_mode": plan.exec_mode,
@@ -114,7 +143,6 @@ def scan_query(db, name: str, sql: str, params_list, rounds: int = 3) -> dict:
             mismatches += 1
         wall = _time_plan(plan, params_list, rounds)
         wall_ratio = wall / baseline_wall if baseline_wall > 0 else 1.0
-        cost = plan.root.est_cost
         cost_ratio = (
             cost / baseline_cost
             if cost is not None and baseline_cost else None

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from repro.codegen.sqlgen import operation_statements, unit_queries
 from repro.descriptors import (
+    IndexUse,
     NavigationTarget,
     OperationDescriptor,
     OutcomeTarget,
@@ -56,6 +57,11 @@ def generate_unit_descriptor(unit: ContentUnit,
         cacheable=unit.cacheable,
         cache_policy=unit.cache_policy,
     )
+    for table, columns, reason in queries["indexes"]:
+        # the schema gains the index; the descriptor records who asked
+        name = mapping.derive_index(table, columns)
+        if name is not None:
+            descriptor.indexes.append(IndexUse(name, table, columns, reason))
     if isinstance(unit, ScrollerUnit):
         descriptor.block_size = unit.block_size
     if isinstance(unit, EntryUnit):

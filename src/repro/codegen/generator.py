@@ -111,7 +111,6 @@ def generate_project(model: WebMLModel,
         model.validate()
     mapping = map_to_relational(model.data_model)
     project = GeneratedProject(model=model, mapping=mapping)
-    project.ddl = [schema.to_ddl() for schema in mapping.schemas]
     for view in model.site_views:
         landmarks = [(p.id, p.name) for p in view.landmark_pages()]
         for page in view.all_pages():
@@ -129,6 +128,29 @@ def generate_project(model: WebMLModel,
         project.operation_descriptors.append(
             generate_operation_descriptor(model, operation, mapping)
         )
+    project.ddl = _schema_ddl(project)
     project.controller_config = generate_controller_config(model)
     project.generation_seconds = time.perf_counter() - started
     return project
+
+
+def _schema_ddl(project: GeneratedProject) -> list[str]:
+    """CREATE TABLE, then one CREATE INDEX per index of the table — the
+    foreign-key ones and those the unit descriptors derived, each under
+    a comment naming the units that asked for it.  Runs after descriptor
+    generation, which is what adds the derived indexes to the schemas."""
+    asked: dict[str, list[str]] = {}
+    for descriptor in project.unit_descriptors:
+        for use in descriptor.indexes:
+            asked.setdefault(use.name, []).append(
+                f"{descriptor.unit_id} ({use.reason})"
+            )
+    ddl = []
+    for schema in project.mapping.schemas:
+        ddl.append(schema.to_ddl())
+        for index, statement in zip(schema.indexes, schema.index_ddl()):
+            why = asked.get(index.name)
+            ddl.append(
+                f"-- for {', '.join(why)}\n{statement}" if why else statement
+            )
+    return ddl

@@ -90,6 +90,11 @@ class _QueryBuilder:
         self.where: list[str] = []
         self.inputs: list[InputParameter] = []
         self._alias_counter = 0
+        #: columns of the unit's own table under an equality / a range
+        #: condition — what :meth:`wanted_indexes` derives indexes from
+        self.exact_columns: list[str] = []
+        self.range_columns: list[str] = []
+        self.keyed = False
 
     def _next_alias(self) -> str:
         self._alias_counter += 1
@@ -98,6 +103,7 @@ class _QueryBuilder:
     def add_condition(self, condition) -> None:
         if isinstance(condition, KeyCondition):
             sql_param = _sql_param(condition.parameter)
+            self.keyed = True
             self.where.append(f"t0.oid = :{sql_param}")
             self.inputs.append(
                 InputParameter(condition.parameter, sql_param,
@@ -116,6 +122,10 @@ class _QueryBuilder:
         )
         operator = condition.operator.upper() if condition.operator == "like" \
             else condition.operator
+        if operator == "=":
+            self.exact_columns.append(column)
+        elif operator in ("<", "<=", ">", ">="):
+            self.range_columns.append(column)
         if condition.parameter is not None:
             sql_param = _sql_param(condition.parameter)
             self.where.append(f"t0.{column} {operator} :{sql_param}")
@@ -152,6 +162,7 @@ class _QueryBuilder:
             to_entity = rel_map.target_entity if forward else rel_map.source_entity
             fk_on_unit_side = rel_map.fk_table == self.mapping.table_for(to_entity)
             if fk_on_unit_side:
+                self.exact_columns.append(rel_map.fk_column)
                 self.where.append(f"t0.{rel_map.fk_column} = :{parameter}")
             else:
                 alias = self._next_alias()
@@ -178,6 +189,29 @@ class _QueryBuilder:
             parts.append("WHERE " + " AND ".join(self.where))
         return " ".join(parts)
 
+    def wanted_indexes(self, order_by: list[tuple[str, bool]]) -> list[tuple]:
+        """``(table, columns, reason)`` for each access path this query
+        can use on the unit's own table: the sort key of a single-table
+        query, led by the equality-selector columns (an index walked in
+        ORDER BY order — no sort, and a scroller block stops it), and
+        every exact or range selector attribute on its own.  A key lookup reads one
+        row and needs neither."""
+        if self.keyed:
+            return []
+        entity_map = self.mapping.entity_map(self.entity)
+        wanted = []
+        if order_by and not self.joins \
+                and len({descending for _, descending in order_by}) == 1:
+            sort_key = [entity_map.column_for(a) for a, _ in order_by]
+            leading = [c for c in dict.fromkeys(self.exact_columns)
+                       if c not in sort_key]
+            wanted.append((self.table, tuple(leading + sort_key), "order_by"))
+        wanted.extend(
+            (self.table, (column,), "selector")
+            for column in dict.fromkeys(self.exact_columns + self.range_columns)
+        )
+        return wanted
+
     def _order_clause(self, order_by: list[tuple[str, bool]]) -> str:
         if not order_by:
             return "t0.oid"
@@ -193,13 +227,14 @@ def unit_queries(unit: ContentUnit, mapping: RelationalMapping) -> dict:
     """Generate the queries for one content unit.
 
     Returns a dict with keys ``query``, ``count_query``, ``inputs``,
-    ``properties`` and ``levels`` (the latter only for hierarchical
-    units).  Entry units return an empty spec (no data extraction).
+    ``properties``, ``levels`` (the latter only for hierarchical units)
+    and ``indexes`` (see :meth:`_QueryBuilder.wanted_indexes`).  Entry
+    units return an empty spec (no data extraction).
     """
     if isinstance(unit, EntryUnit) or unit.entity is None:
         # Entry units and entity-less plug-in units extract no data.
         return {"query": None, "count_query": None, "inputs": [],
-                "properties": [], "levels": []}
+                "properties": [], "levels": [], "indexes": []}
     if isinstance(unit, HierarchicalIndexUnit):
         return _hierarchical_queries(unit, mapping)
 
@@ -217,12 +252,14 @@ def unit_queries(unit: ContentUnit, mapping: RelationalMapping) -> dict:
         "inputs": builder.inputs,
         "properties": properties,
         "levels": [],
+        "indexes": builder.wanted_indexes(order_by),
     }
 
 
 def _hierarchical_queries(unit: HierarchicalIndexUnit,
                           mapping: RelationalMapping) -> dict:
     levels: list[LevelQuery] = []
+    indexes: list[tuple] = []
     root_inputs: list[InputParameter] = []
     root_query = None
     root_properties: list[BeanProperty] = []
@@ -238,10 +275,12 @@ def _hierarchical_queries(unit: HierarchicalIndexUnit,
             root_query = builder.build(select_list, level.order_by)
             root_inputs = builder.inputs
             root_properties = properties
+            indexes += builder.wanted_indexes(level.order_by)
             continue
         builder.add_condition(
             RelationshipCondition(level.role, parameter="parent")
         )
+        indexes += builder.wanted_indexes(level.order_by)
         levels.append(
             LevelQuery(
                 entity=level.entity,
@@ -255,6 +294,7 @@ def _hierarchical_queries(unit: HierarchicalIndexUnit,
         "inputs": root_inputs,
         "properties": root_properties,
         "levels": levels,
+        "indexes": indexes,
     }
 
 

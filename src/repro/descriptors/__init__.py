@@ -31,6 +31,7 @@ from repro.descriptors.page_descriptor import (
 from repro.descriptors.registry import DescriptorRegistry
 from repro.descriptors.unit_descriptor import (
     BeanProperty,
+    IndexUse,
     InputParameter,
     LevelQuery,
     UnitDescriptor,
@@ -41,6 +42,7 @@ __all__ = [
     "InputParameter",
     "BeanProperty",
     "LevelQuery",
+    "IndexUse",
     "PageDescriptor",
     "SlotBinding",
     "NavigationTarget",

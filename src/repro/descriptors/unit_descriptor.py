@@ -9,6 +9,8 @@ parameters"):
   plus the match mode for LIKE-style searches),
 - the :class:`BeanProperty` list describing the unit bean's fields,
 - for hierarchical units, one :class:`LevelQuery` per nesting level,
+- the :class:`IndexUse` list: the indexes the generator derived from
+  this unit's sort key and selector attributes,
 - the cache-dependency sets (entities/roles) used by §6 invalidation,
 - the ``optimized`` flag: when a developer replaces the generated query
   and marks the descriptor optimized, regeneration must preserve it.
@@ -68,6 +70,20 @@ class LevelQuery:
 
 
 @dataclass
+class IndexUse:
+    """One index the unit's queries were generated to use, and why:
+    ``reason`` is ``"order_by"`` (the unit's sort key, walked in order)
+    or ``"selector"`` (an exact / range selector attribute).  This is
+    where an operator reads *why* an index of the generated schema
+    exists."""
+
+    name: str
+    table: str
+    columns: tuple[str, ...]
+    reason: str
+
+
+@dataclass
 class UnitDescriptor:
     unit_id: str
     name: str
@@ -78,6 +94,7 @@ class UnitDescriptor:
     inputs: list[InputParameter] = field(default_factory=list)
     properties: list[BeanProperty] = field(default_factory=list)
     levels: list[LevelQuery] = field(default_factory=list)
+    indexes: list[IndexUse] = field(default_factory=list)
     block_size: int | None = None
     entry_fields: list[dict] = field(default_factory=list)
     depends_on_entities: list[str] = field(default_factory=list)
@@ -145,6 +162,11 @@ class UnitDescriptor:
                 level_el.add(
                     "property", {"name": prop.name, "column": prop.column}
                 )
+        for use in self.indexes:
+            root.add("index", {
+                "name": use.name, "table": use.table,
+                "columns": ",".join(use.columns), "reason": use.reason,
+            })
         for entry_field in self.entry_fields:
             root.add("field", {k: str(v) for k, v in entry_field.items()})
         depends_el = root.add("dependsOn")
@@ -209,6 +231,12 @@ class UnitDescriptor:
                     ],
                 )
             )
+        for index_el in root.find_all("index"):
+            descriptor.indexes.append(IndexUse(
+                index_el.require_attr("name"), index_el.require_attr("table"),
+                tuple(index_el.require_attr("columns").split(",")),
+                index_el.require_attr("reason"),
+            ))
         for field_el in root.find_all("field"):
             descriptor.entry_fields.append(dict(field_el.attrs))
         depends_el = root.find("dependsOn")

@@ -16,7 +16,11 @@ Mapping rules (deterministic, so regeneration is idempotent):
 - a 1:1 relationship becomes a unique foreign-key column on the target
   side;
 - an N:M relationship becomes a bridge table ``<role>`` with the two
-  endpoint foreign keys as a composite primary key.
+  endpoint foreign keys as a composite primary key;
+- every foreign-key column gets a secondary index.  Further indexes are
+  derived from the *hypertext* model — the sort keys and selector
+  attributes its units state — through
+  :meth:`RelationalMapping.derive_index`.
 
 The resulting :class:`RelationalMapping` is the *single source of truth*
 for the SQL generators: it knows each entity's table and columns, and
@@ -103,6 +107,25 @@ class RelationalMapping:
 
     def table_for(self, entity: str) -> str:
         return self.entity_map(entity).table
+
+    def derive_index(self, table: str, columns: tuple[str, ...]) -> str | None:
+        """Make sure ``table`` can be reached through an index on
+        ``columns`` and return that index's name — how the hypertext
+        generators ask the schema for the access paths their units'
+        selectors and sort keys state.  An index with exactly these
+        columns is reused (a single column also by any index leading
+        with it); the primary key and unique constraints, which the
+        engine indexes by itself, answer with None."""
+        schema = next(s for s in self.schemas if s.name == table)
+        if columns in (schema.primary_key, *schema.unique_constraints):
+            return None
+        for index in schema.indexes:
+            if index.columns == columns or (
+                    len(columns) == 1 and index.columns[0] == columns[0]):
+                return index.name
+        index = Index(f"ix_{table}_{'_'.join(columns)}", columns)
+        schema.indexes.append(index)
+        return index.name
 
     def table_entities(self) -> dict[str, tuple[str, ...]]:
         """Table name → ER entities whose derived content it carries.

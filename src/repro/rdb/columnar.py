@@ -801,6 +801,7 @@ class ColumnarPipeline:
         # the batch path has exact survivor counts for free; record them
         # where adaptive feedback / EXPLAIN ANALYZE expect scan actuals
         self.scan.actual_rows = len(survivors)
+        self.scan.scanned = len(column_store.row_ids)
         if self.grouped:
             yield from self._execute_grouped(column_store, survivors, params)
             return

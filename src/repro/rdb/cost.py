@@ -43,6 +43,8 @@ correlated conjuncts).  ``feedback=None`` keeps the model pure.
 
 from __future__ import annotations
 
+import math
+
 from repro.rdb.expr import (
     Between,
     ColumnRef,
@@ -76,6 +78,19 @@ HASH_PROBE_COST = 1.0
 COLUMNAR_SETUP_COST = 64.0
 COLUMNAR_ROW_COST = 0.25
 
+#: a full sort pays this per row and doubling of the input (its
+#: NULL-aware, type-checking keys compare in Python); a top-N pays one
+#: key and cut-off comparison per row and sorts only what gets past
+SORT_LEVEL_COST = 0.5
+TOP_N_ROW_COST = 0.75
+#: an index-ordered walk fetches each row through the heap by id and
+#: checks it — dearer than a streamed heap row — but passes over an
+#: entry it need not fetch (an unfiltered OFFSET) for next to nothing
+ORDERED_ROW_COST = 2.0
+ORDERED_SKIP_COST = 0.02
+#: the share of the table a LIMIT / OFFSET *parameter* is priced at
+DEFAULT_WINDOW_SHARE = 0.1
+
 _MIN_SELECTIVITY = 1e-4
 
 
@@ -93,6 +108,40 @@ def prefer_columnar(live_rows: int) -> bool:
     than row-at-a-time (whose cost is one unit per row).  Small tables
     stay on the row path: the kernel-binding setup fee dominates them."""
     return columnar_scan_cost(live_rows) < float(live_rows)
+
+
+def sort_cost(rows: float, keep: float | None = None) -> float:
+    """Estimated cost of ordering ``rows`` rows: a full sort, or a
+    top-N holding ``keep`` of them — cheap while most arrivals fail the
+    cut-off, the sort itself once the window covers the input."""
+    full = rows * SORT_LEVEL_COST * math.log2(rows + 2.0)
+    if keep is None or keep >= rows:
+        return full
+    held = max(1.0, keep)
+    admitted = held * (1.0 + math.log(rows / held))
+    return min(full, rows * TOP_N_ROW_COST
+               + admitted * SORT_LEVEL_COST * math.log2(held + 2.0))
+
+
+def ordered_walk(segment: float, passing: float, offset: float,
+                 limit: float | None, filtered: bool) -> tuple[float, float]:
+    """(rows produced, cost) of walking ``segment`` index entries in key
+    order, ``passing`` of which satisfy the predicate, until ``offset``
+    / ``limit`` is served.  Unfiltered, the offset is passed over on
+    entries and only the window fetched; filtered, every entry is
+    fetched and checked until ``offset + limit`` rows passed — behind a
+    selective filter the whole segment, where scan + top-N wins."""
+    if not filtered:
+        skipped = min(offset, segment)
+        fetched = segment - skipped if limit is None \
+            else min(segment - skipped, limit)
+        return fetched, (INDEX_PROBE_COST + skipped * ORDERED_SKIP_COST
+                         + fetched * ORDERED_ROW_COST)
+    if limit is None:
+        return passing, INDEX_PROBE_COST + segment * ORDERED_ROW_COST
+    wanted = min(passing, offset + limit)
+    examined = min(segment, wanted * segment / max(passing, _MIN_SELECTIVITY))
+    return wanted, INDEX_PROBE_COST + examined * ORDERED_ROW_COST
 
 
 def _column_of(expr: Expr) -> str | None:

@@ -13,12 +13,13 @@ from __future__ import annotations
 import contextlib
 import threading
 import time
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 from repro.errors import IntegrityError, QueryError, SchemaError
 from repro.rdb.adaptive import AdaptiveController
 from repro.rdb.engine import DurableEngine, MemoryEngine, StorageEngine
-from repro.rdb.executor import ResultSet, RowScope
+from repro.rdb.executor import ResultSet, RowScope, walk_operators
 from repro.rdb.planner import DmlPlan, PlannerFeatures, SelectPlan
 from repro.rdb.schema import ForeignKey, TableSchema
 from repro.rdb.sqlparser import (
@@ -44,6 +45,10 @@ from repro.rdb.wal import (
     OP_DROP_TABLE,
 )
 from repro.util.concurrency import AtomicCounters, ReadWriteLock
+
+#: plans the cache keeps, least recently used out first — a bound for
+#: callers that format values into SQL text, a statement per value
+PLAN_CACHE_CAP = 1024
 
 #: sentinel returned by :func:`_ddl_tables` when a replicated ANALYZE
 #: covered every table — the plan cache must be cleared wholesale
@@ -83,27 +88,20 @@ class DatabaseStats(AtomicCounters):
     selects_columnar: int = 0
     #: selects whose SQL text hit the plan cache before parsing
     prepared_reuse: int = 0
+    #: cached plans dropped to keep the plan cache at its cap
+    plan_evictions: int = 0
     inserts: int = 0
     updates: int = 0
     deletes: int = 0
     ddl: int = 0
     analyzes: int = 0
+    #: rows SELECTs returned / read (``Operator.scanned``, summed)
     rows_read: int = 0
+    rows_scanned: int = 0
     per_table_writes: dict = field(default_factory=dict)
 
     def reset(self) -> None:
-        self.selects = 0
-        self.selects_compiled = 0
-        self.selects_interpreted = 0
-        self.selects_columnar = 0
-        self.prepared_reuse = 0
-        self.inserts = 0
-        self.updates = 0
-        self.deletes = 0
-        self.ddl = 0
-        self.analyzes = 0
-        self.rows_read = 0
-        self.per_table_writes = {}
+        self.__init__()  # every counter back to its declared default
 
     def record_write(self, table: str) -> None:
         self.per_table_writes[table] = self.per_table_writes.get(table, 0) + 1
@@ -145,7 +143,8 @@ class Database:
         self.name = name
         self.engine = engine if engine is not None else MemoryEngine()
         self.stats = DatabaseStats()
-        self._plan_cache: dict[str, SelectPlan | DmlPlan] = {}
+        self._plan_cache: OrderedDict[str, SelectPlan | DmlPlan] = \
+            OrderedDict()
         self._plan_lock = threading.Lock()
         self._rwlock = ReadWriteLock()
         #: signalled whenever the engine's LSN advances by replication
@@ -280,7 +279,10 @@ class Database:
             "updates": self.stats.updates,
             "deletes": self.stats.deletes,
             "rows_read": self.stats.rows_read,
+            "rows_scanned": self.stats.rows_scanned,
             "plan_cache_size": len(self._plan_cache),
+            "plan_cache_cap": PLAN_CACHE_CAP,
+            "plan_evictions": self.stats.plan_evictions,
             "plans_compiled": compile_stats["plans_compiled"],
             "plans_interpreted": compile_stats["plans_interpreted"],
             "plans_columnar": compile_stats["plans_columnar"],
@@ -523,8 +525,7 @@ class Database:
         """
         statement = sql
         if isinstance(sql, str):
-            with self._plan_lock:
-                cached = self._plan_cache.get(sql)
+            cached = self._cached_plan(sql)
             if isinstance(cached, SelectPlan):
                 self.stats.increment("prepared_reuse")
                 return self._execute_select(None, sql, params)
@@ -622,6 +623,9 @@ class Database:
         else:
             self.stats.increment("selects_compiled")
         self.stats.increment("rows_read", len(result))
+        self.stats.increment("rows_scanned", sum(
+            op.scanned for op in walk_operators(plan.root)
+        ))
         self._observe_statement(
             "select", started,
             cache_key or f"<select on {','.join(sorted(plan.tables))}>",
@@ -637,10 +641,28 @@ class Database:
         across requests)."""
         return self._execute_select(select, cache_key, params)
 
+    def _cached_plan(self, cache_key: str):
+        """The plan cached under ``cache_key`` (now the most recently
+        used), or None."""
+        with self._plan_lock:
+            cached = self._plan_cache.get(cache_key)
+            if cached is not None:
+                self._plan_cache.move_to_end(cache_key)
+            return cached
+
+    def _cache_plan(self, cache_key: str, plan):
+        """Cache ``plan``; returns the entry that stands (concurrent
+        planners of one statement share the first plan in)."""
+        with self._plan_lock:
+            plan = self._plan_cache.setdefault(cache_key, plan)
+            while len(self._plan_cache) > PLAN_CACHE_CAP:
+                self._plan_cache.popitem(last=False)
+                self.stats.plan_evictions += 1
+        return plan
+
     def _plan(self, select: Select | None, cache_key: str | None) -> SelectPlan:
         if cache_key is not None:
-            with self._plan_lock:
-                cached = self._plan_cache.get(cache_key)
+            cached = self._cached_plan(cache_key)
             if cached is not None:
                 return cached
         if select is None:
@@ -654,10 +676,7 @@ class Database:
             SelectPlan(select, self.tables, feedback=self.adaptive.memory)
         )
         if cache_key is not None:
-            with self._plan_lock:
-                # Concurrent planners of the same statement: first in wins,
-                # so repeated executions share one plan object.
-                plan = self._plan_cache.setdefault(cache_key, plan)
+            plan = self._cache_plan(cache_key, plan)
         return plan
 
     def _dml_plan(self, statement: Update | Delete,
@@ -666,16 +685,14 @@ class Database:
         DELETE.  Looked up under the write lock on the execute path, so
         DDL cannot swap a table out from under the plan it returns."""
         if cache_key is not None:
-            with self._plan_lock:
-                cached = self._plan_cache.get(cache_key)
+            cached = self._cached_plan(cache_key)
             if cached is not None:
                 return cached
         self.table(statement.table)  # unknown table: SchemaError, as ever
         plan = DmlPlan(statement, self.tables)
         self._note_plan_built(plan.match)
         if cache_key is not None:
-            with self._plan_lock:
-                plan = self._plan_cache.setdefault(cache_key, plan)
+            plan = self._cache_plan(cache_key, plan)
         return plan
 
     def _invalidate_plans(self, tables: set[str]) -> None:

@@ -78,6 +78,9 @@ class Operator:
     #: a generator abandoned early — LIMIT — still records its partial
     #: count); feeds adaptive cardinality feedback and EXPLAIN ANALYZE
     actual_rows: int | None = None
+    #: what that execution read: heap rows fetched (a join's build side
+    #: too) plus index entries an ordered walk passed over
+    scanned = 0
 
     def rows(self, params: dict) -> Iterator[Bindings]:
         raise NotImplementedError
@@ -88,6 +91,15 @@ class Operator:
 
     def children(self) -> list["Operator"]:
         return []
+
+
+def walk_operators(root: Operator) -> Iterator[Operator]:
+    """Every operator of the tree under ``root``."""
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(node.children())
 
 
 @dataclass
@@ -103,7 +115,12 @@ class AccessPath:
     - ``range``: equality on a (possibly empty) prefix plus an interval
       on the next index column;
     - ``in``: equality prefix plus an ``IN``-list on the next column,
-      one probe per list element.
+      one probe per list element;
+    - ``ordered``: equality prefix, then the index walked in key order
+      (``descending``: reversed) — the rows arrive in ORDER BY order, so
+      the plan runs no sort and a LIMIT stops the walk;
+    - ``count``: no rows at all — an unfiltered ``COUNT(*)`` reads the
+      live row count.
 
     All value expressions are constant at row time (literals and
     parameters), evaluated once per execution.
@@ -119,9 +136,12 @@ class AccessPath:
     high: Expr | None = None
     high_inclusive: bool = True
     in_exprs: tuple[Expr, ...] = field(default_factory=tuple)
+    descending: bool = False
 
 
 _SEQ = AccessPath()
+_INDEX_LABELS = {"eq": "IndexLookup", "range": "IndexRange", "in": "IndexIn",
+                 "ordered": "IndexOrderScan"}
 
 
 class ScanOp(Operator):
@@ -158,20 +178,19 @@ class ScanOp(Operator):
         return self.access.columns if self.access.kind == "eq" else ()
 
     def describe(self) -> str:
-        name = self.store.schema.name
-        if self.access.kind == "eq":
-            keys = ", ".join(self.access.columns)
-            return f"IndexLookup({name} AS {self.binding} ON {keys})"
-        if self.access.kind == "range":
-            keys = ", ".join(self.access.columns)
-            return f"IndexRange({name} AS {self.binding} ON {keys})"
-        if self.access.kind == "in":
-            keys = ", ".join(self.access.columns)
-            return f"IndexIn({name} AS {self.binding} ON {keys})"
-        return f"SeqScan({name} AS {self.binding})"
+        name = f"{self.store.schema.name} AS {self.binding}"
+        access = self.access
+        if access.kind in _INDEX_LABELS:
+            keys = ", ".join(access.columns)
+            if access.descending:
+                keys += " DESC"
+            return f"{_INDEX_LABELS[access.kind]}({name} ON {keys})"
+        return f"{'RowCount' if access.kind == 'count' else 'SeqScan'}({name})"
 
-    def _candidate_row_ids(self, params: dict) -> set[int] | None:
-        """Row ids selected by the access path; None means scan the heap."""
+    def _candidate_row_ids(self, params: dict, skip: int = 0):
+        """Row ids selected by the access path — a set, or for an
+        ordered path an iterator in key order; None means scan the
+        heap."""
         access = self.access
         if access.kind == "seq":
             return None
@@ -183,6 +202,11 @@ class ScanOp(Operator):
             return set()  # an equality with NULL never matches
         if access.kind == "eq":
             return access.index.scan_prefix(prefix)
+        if access.kind == "ordered":
+            # None (no ordered view) means a probe of the wrong type: the
+            # heap scan's predicate re-check then fails or passes no row
+            return access.index.walk(prefix, access.descending, skip,
+                                     self.store.scan_order)
         if access.kind == "range":
             low = high = None
             if access.low is not None:
@@ -193,9 +217,9 @@ class ScanOp(Operator):
                 high = access.high.evaluate(scope, params)
                 if high is None:
                     return set()
-            return access.index.scan_range(
-                prefix, low, access.low_inclusive, high, access.high_inclusive
-            )
+            return access.index.scan_range(prefix, (
+                low, access.low_inclusive, high, access.high_inclusive
+            ))
         # IN-list: one probe per distinct non-NULL element
         matches: set[int] = set()
         for expr in access.in_exprs:
@@ -208,34 +232,41 @@ class ScanOp(Operator):
             matches |= found
         return matches
 
-    def matching(self, params: dict) -> Iterator[tuple[int, dict]]:
+    def matching(self, params: dict,
+                 skip: int = 0) -> Iterator[tuple[int, dict]]:
         """``(row_id, row)`` for every row the scan selects — the one
-        loop under SELECT's row stream and UPDATE / DELETE's row ids."""
-        produced = 0
+        loop under SELECT's row stream and UPDATE / DELETE's row ids.
+        ``skip`` is the OFFSET an ordered path may take on index entries
+        (the planner passes it only when no predicate filters rows)."""
+        produced = fetched = 0
         try:
-            row_ids = self._candidate_row_ids(params)
+            row_ids = self._candidate_row_ids(params, skip)
             if row_ids is None:
                 # Iterate over a snapshot of ids so DML during iteration
                 # is safe.
                 candidates = list(self.store.rows)
+            elif isinstance(row_ids, set):
+                # heap-scan order, whichever path found the rows
+                candidates = sorted(row_ids, key=self.store.scan_order)
             else:
-                candidates = sorted(row_ids)
+                candidates = row_ids
             lookup = self.store.rows
             predicate = self.predicate_fn
             if predicate is None:
-                for row_id in candidates:
+                for fetched, row_id in enumerate(candidates, 1):
                     row = lookup.get(row_id)
                     if row is not None:
                         produced += 1
                         yield row_id, row
                 return
-            for row_id in candidates:
+            for fetched, row_id in enumerate(candidates, 1):
                 row = lookup.get(row_id)
                 if row is not None and predicate(row, params) is True:
                     produced += 1
                     yield row_id, row
         finally:
             self.actual_rows = produced
+            self.scanned = skip + fetched
 
     def matching_rows(self, params: dict) -> Iterator[dict]:
         """The scan's raw row dicts (no binding map) — what the
@@ -323,6 +354,7 @@ class NestedLoopJoinOp(Operator):
     def rows(self, params: dict) -> Iterator[Bindings]:
         produced = 0
         try:
+            self.scanned = len(self.store.rows)
             right_rows = self._inner_rows(params)
             condition = self.condition_fn
             for bindings in self.left.rows(params):
@@ -392,6 +424,7 @@ class HashJoinOp(Operator):
             table: dict[tuple, list[dict]] = {}
             prefilter = self.prefilter_fn
             build_key = self.build_key_fn
+            self.scanned = len(self.store.rows)
             for row in self.store.rows.values():
                 if prefilter is not None \
                         and prefilter(row, params) is not True:
@@ -567,31 +600,53 @@ class DescendingKey(SortKey):
         return self._compare(other) > 0
 
 
-def sort_rows_with_keys(rows_with_keys: list, order_by) -> None:
-    """Sort ``(row, keys)`` pairs in place by the ORDER BY items.
-
-    One stable pass over composite ``(SortKey | DescendingKey, ...)``
-    tuples — mathematically identical to the seed's last-to-first
-    stable-pass loop, but with one sort call and, crucially, *shared by
-    the compiled and interpreted execution modes*, so NULL-heavy and
-    mixed-type orderings cannot diverge between them: equal keys keep
-    input order in both, and incomparable values raise the same
-    :class:`~repro.errors.QueryError` from ``compare_values`` in both.
-    """
-    if not order_by:
-        return
+def ordering_key(order_by):
+    """The sort key over ``(row, keys)`` pairs for the ORDER BY items:
+    composite ``(SortKey | DescendingKey, ...)`` tuples, shared by the
+    full sort and the bounded top-N."""
     wrappers = tuple(
         DescendingKey if item.descending else SortKey for item in order_by
     )
     if len(wrappers) == 1:
         wrap = wrappers[0]
-        rows_with_keys.sort(key=lambda pair: wrap(pair[1][0]))
-        return
-    rows_with_keys.sort(
-        key=lambda pair: tuple(
-            wrap(value) for wrap, value in zip(wrappers, pair[1])
-        )
+        return lambda pair: wrap(pair[1][0])
+    return lambda pair: tuple(
+        wrap(value) for wrap, value in zip(wrappers, pair[1])
     )
+
+
+def top_rows(rows_with_keys, order_by, keep: int) -> list:
+    """The first ``keep`` of the ``(row, keys)`` pairs in ORDER BY order
+    — what sorting them all and slicing gives, tie order included —
+    holding at most ``2 * keep``: an arrival not below the cut-off is
+    dropped on one comparison (an equal key that arrived later sorts
+    after the cut), the rest are sorted in when the buffer fills."""
+    key = ordering_key(order_by)
+    held, cut = [], None
+    for pair in rows_with_keys if keep else ():
+        if cut is None or key(pair) < cut:
+            held.append(pair)
+            if len(held) >= 2 * keep:
+                held.sort(key=key)
+                del held[keep:]
+                cut = key(held[-1])
+    held.sort(key=key)
+    return held[:keep]
+
+
+def sort_rows_with_keys(rows_with_keys: list, order_by) -> None:
+    """Sort ``(row, keys)`` pairs in place by the ORDER BY items.
+
+    One stable pass over :func:`ordering_key` — mathematically identical
+    to the seed's last-to-first stable-pass loop, but with one sort call
+    and, crucially, *shared by the compiled and interpreted execution
+    modes*, so NULL-heavy and mixed-type orderings cannot diverge
+    between them: equal keys keep input order in both, and incomparable
+    values raise the same :class:`~repro.errors.QueryError` from
+    ``compare_values`` in both.
+    """
+    if order_by:
+        rows_with_keys.sort(key=ordering_key(order_by))
 
 
 @dataclass

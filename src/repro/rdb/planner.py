@@ -40,6 +40,7 @@ measure what each decision is worth and where the cost model lies.
 
 from __future__ import annotations
 
+import itertools
 import time
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -61,6 +62,8 @@ from repro.rdb.executor import (
     compute_aggregate,
     sort_rows_with_keys,
     substitute_aggregates,
+    top_rows,
+    walk_operators,
 )
 from repro.rdb.expr import (
     AggregateCall,
@@ -71,6 +74,7 @@ from repro.rdb.expr import (
     Expr,
     InList,
     Literal,
+    Param,
     conjuncts as _conjuncts,
 )
 from repro.rdb.columnar import build_columnar_pipeline
@@ -98,6 +102,18 @@ def _constant(expr: Expr) -> bool:
     """Constant at plan scope: literals, parameters, and compositions
     thereof — anything without a column reference."""
     return not expr.column_refs()
+
+
+def _row_count(what: str, value, params: dict):
+    """A LIMIT / OFFSET operand at execution: a parameter is resolved
+    and held to what the grammar demands of a literal."""
+    if isinstance(value, Param):
+        value = value.evaluate(None, params)
+        if type(value) is not int or value < 0:
+            raise QueryError(
+                f"{what} expects a non-negative integer, got {value!r}"
+            )
+    return value
 
 
 @dataclass(frozen=True)
@@ -151,14 +167,41 @@ class SelectPlan:
         #: DDL/ANALYZE statement's target
         self.tables = frozenset(self._table_by_binding.values())
         self.needed_columns = self._compute_needed_columns()
+        #: grouped execution computed once: GROUP BY or any aggregate
+        self.grouped = bool(select.group_by) or self._has_aggregates()
+        self._wanted_aggregates = self._collect_wanted_aggregates()
+        #: (offset, limit) as priced: a parameter, unknown when the
+        #: statement is planned, counts as a fixed share of the table
+        self._priced_window = select.offset, select.limit
+        if any(isinstance(v, Param) for v in self._priced_window):
+            self._priced_window = 0, max(1, int(
+                len(self._store(select.source.table).rows)
+                * cost.DEFAULT_WINDOW_SHARE
+            ))
+        #: the index-ordered walk's price, taken or not (None: no index
+        #: serves the ORDER BY) — the plan-space scanner checks it
+        self.walk_cost: float | None = None
         if cost_based:
             self.root = self._build_tree()
         else:
             self.root = self._build_tree_naive()
         self.output_columns, self._projection = self._build_projection()
-        #: grouped execution computed once: GROUP BY or any aggregate
-        self.grouped = bool(select.group_by) or self._has_aggregates()
-        self._wanted_aggregates = self._collect_wanted_aggregates()
+        root = self.root
+        access_kind = root.access.kind if isinstance(root, ScanOp) else None
+        #: the scan walks an index in ORDER BY order: no sort step, and
+        #: OFFSET / LIMIT skip and stop the walk itself
+        self.ordered = access_kind == "ordered"
+        #: an unfiltered COUNT(*): answered from the live row count
+        self.counts_rows = access_kind == "count"
+        #: ORDER BY … LIMIT keeps a bounded top-N instead of sorting all
+        #: rows (DISTINCT and the seed plan keep the full sort)
+        self.top_n = cost_based and bool(select.order_by) \
+            and not self.ordered and select.limit is not None \
+            and not select.distinct
+        #: the whole plan's estimate: operator tree plus sort / top-N
+        self.est_cost = root.est_cost
+        if root.est_cost is not None and not self.ordered:
+            self.est_cost += self._sort_cost(root.est_rows)
         # The tail's expression slots, filled — like the operators' —
         # by compile_plan: ``emit_fn`` for plain plans (row mode over
         # the scan's raw rows when ``fused``, else bindings mode), the
@@ -379,7 +422,17 @@ class SelectPlan:
             best_cost = min(best_cost, cost.columnar_scan_cost(live))
         if not self.features.access_paths:
             return best_path, output, best_cost
+        select = self.select
+        if (self.grouped and not select.group_by and select.where is None
+                and not select.joins
+                and not any(self.needed_columns.values())
+                and all(c.argument is None for c in self._wanted_aggregates)):
+            # COUNT(*) of a whole table, nothing else read: the live row
+            # count answers it, no scan runs
+            return AccessPath(kind="count"), 0.0, cost.INDEX_PROBE_COST
         equalities = self._local_equalities(store, conjuncts)
+        order_columns = self._walkable_order(store)
+        ordered = None
         for name, index in store.iter_indexes():
             prefix_exprs: list[Expr] = []
             prefix_selectivity = 1.0
@@ -402,6 +455,29 @@ class SelectPlan:
                         columns=index.columns[:width],
                         eq_exprs=tuple(prefix_exprs),
                     )
+            # The index-ordered alternative to scan + sort: equality-
+            # bound columns, then *exactly* the ORDER BY columns (a longer
+            # index would order ties by its extra columns, not by scan
+            # order as the sort does).
+            lead = len(index.columns) - len(order_columns)
+            if order_columns and 0 <= lead <= width \
+                    and index.columns[lead:] == order_columns:
+                segment = float(live)
+                for column in index.columns[:lead]:
+                    segment *= cost.equality_selectivity(
+                        store, column, feedback
+                    )
+                rows, walk_cost = cost.ordered_walk(
+                    max(segment, output), output, *self._priced_window,
+                    bool(conjuncts),
+                )
+                if ordered is None or walk_cost < ordered[2]:
+                    ordered = AccessPath(
+                        kind="ordered", index=index, index_name=name,
+                        columns=index.columns,
+                        eq_exprs=tuple(prefix_exprs[:lead]),
+                        descending=self.select.order_by[0].descending,
+                    ), rows, walk_cost
             if width >= len(index.columns):
                 continue
             next_column = index.columns[width]
@@ -446,7 +522,37 @@ class SelectPlan:
                         eq_exprs=tuple(prefix_exprs),
                         in_exprs=tuple(in_options),
                     )
+        if ordered is not None:
+            self.walk_cost = ordered[2]
+            if ordered[2] < best_cost + self._sort_cost(output):
+                return ordered
         return best_path, output, best_cost
+
+    def _sort_cost(self, rows: float) -> float:
+        """What ordering ``rows`` scanned rows costs this plan's tail:
+        nothing without ORDER BY, a bounded top-N under a LIMIT."""
+        if not self.select.order_by:
+            return 0.0
+        offset, limit = self._priced_window
+        bounded = limit is not None and not self.select.distinct
+        return cost.sort_cost(rows, offset + limit if bounded else None)
+
+    def _walkable_order(self, store: TableStore) -> tuple[str, ...]:
+        """The ORDER BY as columns of ``store`` an index walk could
+        serve, or () when the plan shape rules the walk out: joins,
+        grouping, DISTINCT, a filter above the scan, computed or
+        mixed-direction sort keys."""
+        select = self.select
+        order = select.order_by
+        if (len(self._binding_order) > 1 or select.distinct or self.grouped
+                or not self.features.pushdown
+                or any(item.descending != order[0].descending
+                       or not isinstance(item.expr, ColumnRef)
+                       or item.expr.table not in (None, self._binding_order[0])
+                       or not store.schema.has_column(item.expr.column)
+                       for item in order)):
+            return ()
+        return tuple(item.expr.column for item in order)
 
     # -- operator tree (cost-based) -------------------------------------------
 
@@ -955,15 +1061,12 @@ class SelectPlan:
         summary = getattr(self, "_access_summary", None)
         if summary is None:
             parts = []
-            stack = [self.root]
-            while stack:
-                node = stack.pop()
+            for node in walk_operators(self.root):
                 if isinstance(node, ScanOp):
                     item = f"{node.access.kind}:{node.store.schema.name}"
                     if node.access.columns:
                         item += f"({','.join(node.access.columns)})"
                     parts.append(item)
-                stack.extend(node.children())
             summary = "+".join(sorted(parts)) or "const"
             self._access_summary = summary
         return summary
@@ -982,10 +1085,17 @@ class SelectPlan:
         select = self.select
         lines: list[str] = []
         post = []
+        limit, offset = (
+            f":{v.name}" if isinstance(v, Param) else v
+            for v in (select.limit, select.offset)
+        )
         if select.limit is not None or select.offset:
-            post.append(f"Limit(limit={select.limit}, offset={select.offset})")
-        if select.order_by:
-            post.append(f"Sort({len(select.order_by)} keys)")
+            post.append(f"Limit(limit={limit}, offset={offset})")
+        keys = f"{len(select.order_by)} keys"
+        if self.top_n:
+            post.append(f"TopN({limit} + {offset}, {keys})")
+        elif select.order_by and not self.ordered:
+            post.append(f"Sort({keys})")
         if select.distinct:
             post.append("Distinct")
         if select.group_by or self._has_aggregates():
@@ -1040,20 +1150,43 @@ class SelectPlan:
     def execute(self, params: dict | None = None) -> ResultSet:
         params = dict(params or {})
         select = self.select
+        offset = _row_count("OFFSET", select.offset, params)
+        limit = _row_count("LIMIT", select.limit, params)
+        stop = None if limit is None else offset + limit
+        root = self.root
 
+        if self.ordered:
+            # the walk takes an unfiltered OFFSET on index entries; the
+            # rest of the window counts rows that passed the predicate
+            skip = offset if root.predicate is None else 0
+            stream = root.matching(params, skip)
+            emit, binding = self.emit_fn, root.binding
+            rows = [
+                emit(row if self.fused else {binding: row}, params)[0]
+                for _row_id, row in itertools.islice(
+                    stream, offset - skip,
+                    None if stop is None else stop - skip,
+                )
+            ]
+            stream.close()  # LIMIT reached: stop the scan where it stands
+            return ResultSet(list(self.output_columns), rows)
         if self.columnar_pipeline is not None:
             produced = self.columnar_pipeline.execute(params)
+        elif self.counts_rows:
+            produced = self._emit_group(
+                dict.fromkeys(self.columns_by_binding),
+                dict.fromkeys(self._wanted_aggregates, len(root.store.rows)),
+                params,
+            )
         elif self.grouped:
             produced = self._execute_grouped(params)
         else:
             produced = self._execute_plain(params)
 
-        rows_with_keys = list(produced)
-
         if select.distinct:
             seen: set[tuple] = set()
             unique_rows = []
-            for row, keys in rows_with_keys:
+            for row, keys in produced:
                 fingerprint = tuple(row[c] for c in self.output_columns)
                 try:
                     new = fingerprint not in seen
@@ -1066,15 +1199,17 @@ class SelectPlan:
                     )
                 if new:
                     unique_rows.append((row, keys))
-            rows_with_keys = unique_rows
+            produced = unique_rows
 
-        sort_rows_with_keys(rows_with_keys, select.order_by)
-
-        if select.offset:
-            rows_with_keys = rows_with_keys[select.offset:]
-        if select.limit is not None:
-            rows_with_keys = rows_with_keys[: select.limit]
-        return ResultSet(list(self.output_columns), [row for row, _ in rows_with_keys])
+        if self.top_n:
+            rows_with_keys = top_rows(produced, select.order_by, stop)
+        else:
+            rows_with_keys = list(produced)
+            sort_rows_with_keys(rows_with_keys, select.order_by)
+        return ResultSet(
+            list(self.output_columns),
+            [row for row, _ in rows_with_keys[offset:stop]],
+        )
 
     def _order_keys(
         self, scope: RowScope, out_row: dict, params: dict,

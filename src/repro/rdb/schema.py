@@ -174,3 +174,12 @@ class TableSchema:
             lines.append(clause)
         body = ",\n".join(lines)
         return f"CREATE TABLE {self.name} (\n{body}\n)"
+
+    def index_ddl(self) -> list[str]:
+        """One CREATE INDEX statement per secondary index, to run after
+        :meth:`to_ddl`'s CREATE TABLE."""
+        return [
+            f"CREATE {'UNIQUE ' if index.unique else ''}INDEX {index.name} "
+            f"ON {self.name} ({', '.join(index.columns)})"
+            for index in self.indexes
+        ]

@@ -88,8 +88,10 @@ class Select:
     group_by: tuple[Expr, ...] = ()
     having: Expr | None = None
     order_by: tuple[OrderItem, ...] = ()
-    limit: int | None = None
-    offset: int = 0
+    #: an integer literal, or a parameter resolved (and validated:
+    #: non-negative integer) at every execution
+    limit: int | Param | None = None
+    offset: int | Param = 0
     distinct: bool = False
 
 
@@ -374,12 +376,12 @@ class _Parser:
             order_by.append(self.parse_order_item())
             while self.accept_punct(","):
                 order_by.append(self.parse_order_item())
-        limit: int | None = None
-        offset = 0
+        limit: int | Param | None = None
+        offset: int | Param = 0
         if self.accept_keyword("LIMIT"):
-            limit = self.parse_nonnegative_int("LIMIT")
+            limit = self.parse_row_count("LIMIT")
             if self.accept_keyword("OFFSET"):
-                offset = self.parse_nonnegative_int("OFFSET")
+                offset = self.parse_row_count("OFFSET")
         return Select(
             items=tuple(items),
             source=source,
@@ -392,6 +394,13 @@ class _Parser:
             offset=offset,
             distinct=distinct,
         )
+
+    def parse_row_count(self, what: str) -> int | Param:
+        """LIMIT / OFFSET operand: an integer literal or a parameter."""
+        token = self.peek()
+        if token.kind == "param" or (token.kind, token.value) == ("punct", "?"):
+            return self.parse_primary()
+        return self.parse_nonnegative_int(what)
 
     def parse_nonnegative_int(self, what: str) -> int:
         token = self.peek()

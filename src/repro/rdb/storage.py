@@ -11,6 +11,7 @@ sorted view of each index's keys additionally serves prefix, range and
 from __future__ import annotations
 
 import bisect
+import itertools
 
 from repro.errors import IntegrityError, SchemaError
 from repro.rdb.columnar import ColumnStore
@@ -62,8 +63,12 @@ class _HashIndex:
         self.columns = columns
         self.unique = unique
         self._entries: dict[tuple, set[int]] = {}
+        #: (key, row id) pairs held; equal to ``len(_entries)`` exactly
+        #: when no key repeats, which lets an ordered walk jump an offset
+        self.size = 0
+        #: ascending key list — built on the first ordered use, then kept
+        #: in step by add / remove (bisect, under the write lock)
         self._sorted: list[tuple] | None = None
-        self._sorted_dirty = True
 
     def key_for(self, row: dict) -> tuple:
         """The index key of ``row``; NULLs become the ordering sentinel."""
@@ -90,36 +95,93 @@ class _HashIndex:
 
     def add(self, row_id: int, row: dict) -> None:
         key = self.key_for(row)
-        if key not in self._entries:
-            self._sorted_dirty = True
-            self._entries[key] = set()
-        self._entries[key].add(row_id)
+        holders = self._entries.get(key)
+        if holders is None:
+            self._entries[key] = holders = set()
+            if self._sorted is not None:
+                bisect.insort(self._sorted, key)
+        holders.add(row_id)
+        self.size += 1
 
     def remove(self, row_id: int, row: dict) -> None:
         key = self.key_for(row)
         holders = self._entries.get(key)
-        if holders:
-            holders.discard(row_id)
+        if holders and row_id in holders:
+            holders.remove(row_id)
+            self.size -= 1
             if not holders:
                 del self._entries[key]
-                self._sorted_dirty = True
+                if self._sorted is not None:
+                    del self._sorted[bisect.bisect_left(self._sorted, key)]
 
     def find(self, key: tuple) -> set[int]:
         return self._entries.get(key, set())
 
     # -- ordered access -----------------------------------------------------
 
-    def sorted_keys(self) -> list[tuple] | None:
-        """All index keys in ascending order, rebuilt lazily after key-set
-        changes.  None when keys are mutually incomparable (mixed-type
-        column) — callers then fall back to a sequential scan."""
-        if self._sorted_dirty:
-            try:
-                self._sorted = sorted(self._entries)
-            except TypeError:
-                self._sorted = None
-            self._sorted_dirty = False
-        return self._sorted
+    def ordered_slice(self, prefix: tuple, bounds: tuple | None = None,
+                      descending: bool = False) -> tuple[list, range] | None:
+        """``(keys, positions)``: the sorted key list and the positions,
+        in key order (reversed when ``descending``), of the keys that
+        start with ``prefix`` and — given ``bounds = (low, low_inclusive,
+        high, high_inclusive)`` — hold a non-NULL next column inside
+        that interval.  The one slice under prefix scans, range scans
+        and the ordered walk.  None means no ordered view: the probe (or,
+        in a mixed-type column, the keys) would not compare."""
+        keys = self._sorted
+        width = len(prefix)
+        try:
+            if keys is None:
+                keys = self._sorted = sorted(self._entries)
+            start = bisect.bisect_left(keys, prefix, key=lambda t: t[:width])
+            stop = bisect.bisect_right(keys, prefix, key=lambda t: t[:width])
+            if bounds is not None:
+                low, low_inclusive, high, high_inclusive = bounds
+                # no lower bound still skips the NULLs, which sort first
+                # and never satisfy a range predicate
+                side = (bisect.bisect_left if low is not None and low_inclusive
+                        else bisect.bisect_right)
+                start = side(keys, prefix + (_NULL if low is None else low,),
+                             start, stop, key=lambda t: t[: width + 1])
+                if high is not None:
+                    side = (bisect.bisect_right if high_inclusive
+                            else bisect.bisect_left)
+                    stop = side(keys, prefix + (high,), start, stop,
+                                key=lambda t: t[: width + 1])
+        except TypeError:
+            return None
+        if descending:
+            return keys, range(stop - 1, start - 1, -1)
+        return keys, range(start, stop)
+
+    def walk(self, prefix: tuple, descending: bool, skip: int, scan_order):
+        """Row ids under ``prefix`` in key order, the rows of one key in
+        ``scan_order`` (a sort key over row ids, None for plain id
+        order), after passing over ``skip`` index entries; None when no
+        ordered view is available."""
+        found = self.ordered_slice(prefix, None, descending)
+        if found is None:
+            return None
+        keys, positions = found
+        # a row per key: no ties to order, and the offset is a jump
+        unique = self.size == len(keys)
+        groups = map(self._entries.__getitem__, map(
+            keys.__getitem__, positions[skip:] if unique else positions
+        ))
+        return itertools.chain.from_iterable(
+            groups if unique else self._tied(groups, skip, scan_order)
+        )
+
+    @staticmethod
+    def _tied(groups, skip: int, scan_order):
+        for holders in groups:
+            if skip >= len(holders):
+                skip -= len(holders)
+            elif len(holders) == 1:
+                yield holders
+            else:
+                yield sorted(holders, key=scan_order)[skip:]
+                skip = 0
 
     def scan_prefix(self, prefix: tuple) -> set[int] | None:
         """Row ids whose key starts with ``prefix`` (real values only).
@@ -127,60 +189,18 @@ class _HashIndex:
         ordered view is unavailable and the caller must scan."""
         if len(prefix) == len(self.columns):
             return set(self.find(prefix))
-        keys = self.sorted_keys()
-        if keys is None:
-            return None
-        width = len(prefix)
-        try:
-            start = bisect.bisect_left(keys, prefix, key=lambda t: t[:width])
-        except TypeError:
-            return None
-        matches: set[int] = set()
-        for position in range(start, len(keys)):
-            key = keys[position]
-            if key[:width] != prefix:
-                break
-            matches |= self._entries[key]
-        return matches
+        return self.scan_range(prefix, None)
 
-    def scan_range(
-        self,
-        prefix: tuple,
-        low,
-        low_inclusive: bool,
-        high,
-        high_inclusive: bool,
-    ) -> set[int] | None:
+    def scan_range(self, prefix: tuple, bounds: tuple | None) -> set[int] | None:
         """Row ids matching ``prefix`` equality on the leading columns
-        plus a (half-)open interval on the next column.  NULLs in the
-        range column never qualify (a range predicate is UNKNOWN on
-        NULL).  None means fall back to a sequential scan."""
-        keys = self.sorted_keys()
-        if keys is None:
+        plus ``bounds``, a (half-)open interval on the next column (see
+        :meth:`ordered_slice`).  None means fall back to a sequential
+        scan."""
+        found = self.ordered_slice(prefix, bounds)
+        if found is None:
             return None
-        width = len(prefix)
-        try:
-            if low is not None:
-                side = bisect.bisect_left if low_inclusive else bisect.bisect_right
-                start = side(keys, prefix + (low,), key=lambda t: t[: width + 1])
-            else:
-                start = bisect.bisect_left(keys, prefix, key=lambda t: t[:width])
-            matches: set[int] = set()
-            for position in range(start, len(keys)):
-                key = keys[position]
-                if key[:width] != prefix:
-                    break
-                value = key[width]
-                if value is _NULL:
-                    continue
-                if high is not None:
-                    past = value >= high if not high_inclusive else value > high
-                    if past:
-                        break
-                matches |= self._entries[key]
-            return matches
-        except TypeError:
-            return None
+        keys, positions = found
+        return set().union(*(self._entries[keys[i]] for i in positions))
 
 
 class TableStore:
@@ -202,6 +222,10 @@ class TableStore:
         #: lazily built column-major mirror (repro.rdb.columnar); the
         #: mutators below feed it O(1) sync records once it exists
         self.column_store = ColumnStore(self)
+        #: scan position of the rows a rollback re-inserted at the end of
+        #: the heap, out of row-id order (see :meth:`scan_order`)
+        self._displaced: dict[int, tuple[int, int]] = {}
+        self._displacements = 0
         self._indexes: dict[str, _HashIndex] = {}
         if schema.primary_key:
             self._indexes["#pk"] = _HashIndex(schema.primary_key, unique=True)
@@ -298,15 +322,22 @@ class TableStore:
                 )
             new[name] = value
         self.check_unique(new, ignore_row_id=row_id)
-        for index in self._indexes.values():
-            index.remove(row_id, old)
-            index.add(row_id, new)
+        self._reindex(row_id, old, new)
         self.rows[row_id] = new
         self.column_store.note_update(row_id, new)
         return new
 
+    def _reindex(self, row_id: int, old: dict, new: dict) -> None:
+        """Move ``row_id`` between index keys — only where the key
+        changed, so an update leaves the other sorted views alone."""
+        for index in self._indexes.values():
+            if index.key_for(old) != index.key_for(new):
+                index.remove(row_id, old)
+                index.add(row_id, new)
+
     def delete_row(self, row_id: int) -> dict:
         row = self.rows.pop(row_id)
+        self._displaced.pop(row_id, None)
         for index in self._indexes.values():
             index.remove(row_id, row)
         self.column_store.note_delete(row_id)
@@ -316,6 +347,11 @@ class TableStore:
 
     def restore_row(self, row_id: int, row: dict) -> None:
         """Re-insert a previously deleted row under its original id."""
+        if row_id < self._next_row_id:
+            # lands behind every row allocated so far, ahead of the next
+            self._displacements += 1
+            self._displaced[row_id] = (self._next_row_id - 1,
+                                       self._displacements)
         self.rows[row_id] = row
         for index in self._indexes.values():
             index.add(row_id, row)
@@ -350,14 +386,22 @@ class TableStore:
 
     def force_row(self, row_id: int, row: dict) -> None:
         """Overwrite a row with an earlier version (undo of an update)."""
-        old = self.rows[row_id]
-        for index in self._indexes.values():
-            index.remove(row_id, old)
-            index.add(row_id, row)
+        self._reindex(row_id, self.rows[row_id], row)
         self.rows[row_id] = row
         self.column_store.note_update(row_id, row)
 
     # -- lookups ------------------------------------------------------------------
+
+    @property
+    def scan_order(self):
+        """A sort key placing row ids in heap-scan order — None while
+        that is plain row-id order, i.e. until a rollback re-inserts a
+        row where :meth:`restore_row` appends it.  An index walk orders
+        the rows of one key by it, so equal sort keys tie exactly as a
+        stable sort over the heap scan ties them."""
+        displaced = self._displaced
+        return (lambda row_id: displaced.get(row_id) or (row_id, 0)) \
+            if displaced else None
 
     def find_by_key(self, columns: tuple[str, ...], key: tuple) -> list[int]:
         """Row ids whose ``columns`` equal ``key``, via an index when one

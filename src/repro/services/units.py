@@ -114,9 +114,13 @@ class ScrollerUnitService(UnitServiceBase):
         block_count = max(1, math.ceil(total / block_size))
         block = inputs.get("block") or 1
         block = max(1, min(int(block), block_count))
-        offset = (block - 1) * block_size
-        paged_sql = f"{descriptor.query} LIMIT {block_size} OFFSET {offset}"
-        result = ctx.query(paged_sql, query_inputs)
+        # one statement per scroller — block size and offset are inputs,
+        # so every block reuses the same parse, plan and compiled code
+        result = ctx.query(
+            f"{descriptor.query} LIMIT :_block_size OFFSET :_block_offset",
+            {**query_inputs, "_block_size": block_size,
+             "_block_offset": (block - 1) * block_size},
+        )
         bean.rows = [_project(row, descriptor.properties) for row in result]
         bean.total = total
         bean.block = block

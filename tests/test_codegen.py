@@ -15,6 +15,7 @@ from repro.codegen import (
     unit_queries,
 )
 from repro.codegen.sqlgen import sql_literal
+from repro.descriptors import IndexUse, UnitDescriptor
 from repro.er.mapping import map_to_relational
 from repro.rdb.sqlparser import parse_select, parse_sql
 from repro.xmlkit import parse_xml
@@ -119,7 +120,11 @@ class TestUnitSql:
             assert f"AS {attribute}" in generated["query"]
 
     def test_literal_value_selector(self, acm_webml, mapping):
-        from repro.webml import AttributeCondition, Selector
+        from repro.webml import (
+            AttributeCondition,
+            RelationshipCondition,
+            Selector,
+        )
 
         page = acm_webml.find_site_view("public").find_page("Volumes")
         unit = page.index_unit(
@@ -258,6 +263,63 @@ class TestUnitDescriptorGeneration:
         unit = find_unit(acm_webml, "Browse papers", "Paper scroller")
         descriptor = generate_unit_descriptor(unit, mapping)
         assert descriptor.block_size == 2
+
+
+    def test_indexes_are_derived_from_the_hypertext_model(self, acm_webml):
+        """Sort keys and selector attributes become indexes of the
+        schema, and the descriptor of the unit that asked records which
+        and why; PK / FK indexes are reused, never duplicated."""
+        project = generate_project(acm_webml)
+        by_name = {d.name: d for d in project.unit_descriptors}
+        assert by_name["Paper scroller"].indexes == [
+            IndexUse("ix_paper_title", "paper", ("title",), "order_by")]
+        assert by_name["All volumes"].indexes == [
+            IndexUse("ix_volume_year", "volume", ("year",), "order_by")]
+        # the hierarchy's role selectors are served by the FK indexes
+        assert [use.name for use in by_name["Issues&Papers"].indexes] == [
+            "ix_issue_volume_to_issue_oid", "ix_paper_issue_to_paper_oid"]
+        # key lookups, LIKE selectors and bridge joins derive nothing
+        for name in ("Volume data", "Matching papers", "Authors"):
+            assert by_name[name].indexes == []
+        schemas = {s.name: s for s in project.mapping.schemas}
+        assert [i.name for i in schemas["paper"].indexes] == [
+            "ix_paper_issue_to_paper_oid", "ix_paper_title"]
+        loaded = UnitDescriptor.from_xml(by_name["Paper scroller"].to_xml())
+        assert loaded.indexes == by_name["Paper scroller"].indexes
+
+    def test_selector_columns_lead_the_sort_key(self, acm_webml):
+        from repro.webml import (
+            AttributeCondition,
+            RelationshipCondition,
+            Selector,
+        )
+
+        page = acm_webml.find_site_view("public").page("Long papers")
+        page.index_unit(
+            "Long papers of an issue", "Paper",
+            selector=Selector([
+                AttributeCondition("pages", ">=", parameter="least"),
+                AttributeCondition("abstract", "=", parameter="abstract"),
+                RelationshipCondition("IssueToPaper", "issue"),
+            ]),
+            order_by=[("title", True)],
+        )
+        project = generate_project(acm_webml, validate=False)
+        descriptor = next(d for d in project.unit_descriptors
+                          if d.name == "Long papers of an issue")
+        assert [(use.columns, use.reason) for use in descriptor.indexes] == [
+            (("abstract", "issue_to_paper_oid", "title"), "order_by"),
+            (("abstract",), "selector"),
+            (("issue_to_paper_oid",), "selector"),
+            (("pages",), "selector"),
+        ]
+        # one new composite, one new single; the others already lead one
+        assert [use.name for use in descriptor.indexes] == [
+            "ix_paper_abstract_issue_to_paper_oid_title",
+            "ix_paper_abstract_issue_to_paper_oid_title",
+            "ix_paper_issue_to_paper_oid",
+            "ix_paper_pages",
+        ]
 
 
 class TestOperationDescriptorGeneration:

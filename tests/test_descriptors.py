@@ -5,6 +5,7 @@ import pytest
 
 from repro.descriptors import (
     BeanProperty,
+    IndexUse,
     DescriptorRegistry,
     InputParameter,
     LevelQuery,
@@ -320,6 +321,12 @@ def _unit_descriptors(draw):
         inputs=inputs,
         properties=properties,
         levels=levels,
+        indexes=[
+            IndexUse(draw(_idents), draw(_idents),
+                     tuple(draw(st.lists(_idents, min_size=1, max_size=3))),
+                     draw(st.sampled_from(["order_by", "selector"])))
+            for _ in range(draw(st.integers(0, 2)))
+        ],
         block_size=draw(st.none() | st.integers(1, 50)),
         depends_on_entities=draw(st.lists(_names, max_size=3)),
         depends_on_roles=draw(st.lists(_names, max_size=3)),

@@ -383,6 +383,22 @@ class TestRdbInstrumentation:
         status = acm_app.get("/_status").body
         assert "[slow queries]" in status
 
+    def test_status_counts_what_is_scanned_and_bounds_the_plan_cache(
+            self, acm_app):
+        from repro.rdb.database import PLAN_CACHE_CAP
+
+        # Volumes walks ix_volume_year in order: 2 rows out, 2 read —
+        # an unindexed ORDER BY reads every row to return one
+        acm_app.get(acm_app.page_url("public", "Volumes"))
+        acm_app.database.query(
+            "SELECT title FROM paper ORDER BY pages LIMIT 1")
+        doc = json.loads(acm_app.get("/_status?format=json").body)
+        rdb = doc["metrics"]["external"]["rdb.database"]
+        assert (rdb["rows_read"], rdb["rows_scanned"]) == (3, 6)
+        assert rdb["plan_cache_size"] == 2
+        assert rdb["plan_cache_cap"] == PLAN_CACHE_CAP
+        assert rdb["plan_evictions"] == 0
+
     def test_statement_histogram_counts_every_statement(self, acm_app):
         hist = acm_app.ctx.obs.metrics.histogram("rdb.statement_seconds")
         before = hist.count

@@ -22,6 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import QueryError
 from repro.rdb import Database
 
 #: parameters available to every generated query
@@ -327,3 +328,113 @@ class TestReferenceModesStayInterpreted:
         assert len(_slot_callables(default)) == len(
             _slot_callables(db.prepare(sql, mode="interpreted"))
         )
+
+
+#: sort keys an index of ``_covered()`` serves — year and price repeat
+#: and hold NULLs, (author_oid, year) is led by an equality column —
+#: next to keys no index serves (top-N / sort either way)
+_PAGED_ORDERINGS = [
+    "b.year", "b.year DESC", "b.price", "b.price DESC", "b.oid DESC",
+    "b.title", "b.year, b.price", "b.year DESC, b.title",
+    "b.price * 2", "b.author_oid, b.year",
+]
+_PAGED_FILTERS = [
+    "", " WHERE b.author_oid = 2", " WHERE b.author_oid = :a",
+    " WHERE b.price > :lo", " WHERE b.year IS NOT NULL AND b.price < 15",
+    " WHERE b.author_oid = 3 AND b.title LIKE 'book-1%'",
+]
+
+
+def _covered(indexes: bool) -> Database:
+    db = _catalogue(indexes=indexes)
+    if indexes:
+        db.execute("CREATE INDEX ix_book_price ON book (price)")
+        db.execute("CREATE INDEX ix_book_author_year ON book"
+                   " (author_oid, year)")
+    return db
+
+
+@st.composite
+def _paged_sql(draw):
+    sql = ("SELECT b.oid, b.title, b.year, b.price FROM book b"
+           + draw(st.sampled_from(_PAGED_FILTERS))
+           + " ORDER BY " + draw(st.sampled_from(_PAGED_ORDERINGS)))
+    window = draw(st.sampled_from(["none", "literal", "parameter"]))
+    limit, offset = draw(st.integers(0, 9)), draw(st.integers(0, 50))
+    if window == "literal":
+        sql += f" LIMIT {limit} OFFSET {offset}"
+    elif window == "parameter":
+        sql += " LIMIT :n OFFSET :k"
+    return sql, {**PARAMS, "a": 2, "n": limit, "k": offset}
+
+
+class TestIndexedVersusUnindexed:
+    """Tie order is part of byte identity.  The stable sort keeps heap-
+    scan order among equal keys; an index walk must yield the rows of
+    one key in exactly that order — so the four modes agree with each
+    other *and* across the presence of an index, on duplicate-heavy and
+    NULL-heavy keys, before and after a rollback moves rows in the
+    heap."""
+
+    _pair = None
+
+    @classmethod
+    def _databases(cls):
+        if cls._pair is None:
+            cls._pair = (_covered(True), _covered(False))
+            for db in cls._pair:
+                # a rolled-back delete re-inserts its rows at the end of
+                # the heap: ties now break differently from row-id order
+                db.begin()
+                db.execute("DELETE FROM book WHERE year = 1995")
+                db.execute("DELETE FROM book WHERE price IS NULL")
+                db.rollback()
+        return cls._pair
+
+    @given(query=_paged_sql())
+    @settings(max_examples=150, deadline=None)
+    def test_index_does_not_change_the_answer(self, query):
+        sql, params = query
+        indexed, plain = self._databases()
+        assert _four_way(indexed, sql, params) \
+            == _four_way(plain, sql, params)
+
+    def test_the_walk_is_actually_taken(self):
+        indexed, plain = self._databases()
+        for sql, line in [
+            ("SELECT b.title FROM book b ORDER BY b.year DESC LIMIT 3",
+             "IndexOrderScan(book AS b ON year DESC)"),
+            ("SELECT b.title FROM book b WHERE b.author_oid = :a"
+             " ORDER BY b.year LIMIT :n OFFSET :k",
+             "IndexOrderScan(book AS b ON author_oid, year)"),
+            ("SELECT b.title FROM book b ORDER BY b.price",
+             "IndexOrderScan(book AS b ON price)"),
+        ]:
+            assert line in indexed.explain(sql)
+            assert "Sort" not in indexed.explain(sql)
+            assert "IndexOrderScan" not in plain.explain(sql)
+        # an index longer than the sort key would tie by its extra
+        # column, not by scan order: not an ordered path
+        longer = _catalogue(indexes=False)
+        longer.execute("CREATE INDEX ix_year_title ON book (year, title)")
+        assert "IndexOrderScan" not in longer.explain(
+            "SELECT b.title FROM book b ORDER BY b.year LIMIT 3")
+        assert "IndexOrderScan" in longer.explain(
+            "SELECT b.title FROM book b ORDER BY b.year, b.title LIMIT 3")
+
+    def test_moved_rows_tie_where_the_heap_has_them(self):
+        indexed, _plain = self._databases()
+        rows = _four_way(
+            indexed, "SELECT b.oid, b.year FROM book b ORDER BY b.year"
+        )
+        restored = [oid for oid, year in rows if year == 1995]
+        # restored in reverse deletion order, and walked in that order
+        assert restored == sorted(restored, reverse=True)
+
+    def test_wrong_typed_probe_fails_like_the_scan(self):
+        indexed, plain = self._databases()
+        sql = ("SELECT b.title FROM book b WHERE b.author_oid = 'x'"
+               " ORDER BY b.year LIMIT 2")
+        for db in (indexed, plain):
+            with pytest.raises(QueryError, match="cannot compare"):
+                db.query(sql)

@@ -312,6 +312,37 @@ class TestQueries:
         library.execute("ANALYZE paper")
         assert sql not in library._plan_cache
 
+    def test_plan_cache_is_bounded(self, library):
+        """Callers that format values into SQL text fill the cache with
+        one plan per value: the cap evicts those, least recently used
+        first, and the hot (descriptor-style) statements stay warm."""
+        from repro.rdb.database import PLAN_CACHE_CAP
+
+        hot = [
+            ("SELECT title FROM paper WHERE issue_oid = :i ORDER BY oid",
+             {"i": 1}),
+            ("SELECT COUNT(*) AS n FROM paper WHERE pages > :p", {"p": 5}),
+            ("DELETE FROM paper WHERE title = :t", {"t": "no such"}),
+        ]
+        adhoc = 5000
+        for n in range(adhoc):
+            if n % 200 == 0:
+                for sql, params in hot:
+                    library.execute(sql, params)
+            library.query(f"SELECT title FROM paper WHERE pages = {n}")
+        assert library.cached_plan_count() == PLAN_CACHE_CAP
+        assert library.stats.plan_evictions \
+            == adhoc + len(hot) - PLAN_CACHE_CAP
+        built = library.observability_stats()["plans_compiled"]
+        reused = library.stats.prepared_reuse
+        for sql, params in hot:
+            library.execute(sql, params)
+        assert library.stats.prepared_reuse == reused + 2  # the SELECTs
+        assert library.observability_stats()["plans_compiled"] == built
+        # scoped invalidation works on the bounded cache as before
+        library.execute("CREATE INDEX ix_paper_pages ON paper (pages)")
+        assert library.cached_plan_count() == 0
+
     def test_prepare_rejects_non_select(self, library):
         with pytest.raises(QueryError):
             library.prepare("DELETE FROM paper")

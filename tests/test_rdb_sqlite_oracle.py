@@ -64,8 +64,6 @@ _SQLITE_PREDICATES = list(_PREDICATES)
 #: oid and title are unique (a total order when either is named)
 _SORT_COLUMNS = ("year", "price", "author_oid", "title", "oid")
 _UNIQUE = {"oid", "title"}
-#: the grammar takes integer literals only until LIMIT :n lands
-_PARAM_FORMS = False
 
 
 def _mirror(db) -> sqlite3.Connection:
@@ -101,7 +99,7 @@ def _paged_query(draw):
     limit = draw(st.integers(0, 12))
     offset = draw(st.integers(0, 60))  # the table holds 48 rows
     params = dict(PARAMS)
-    if _PARAM_FORMS and draw(st.booleans()):
+    if draw(st.booleans()):
         tail = " LIMIT :n OFFSET :k"
         params.update(n=limit, k=offset)
     else:
@@ -178,3 +176,14 @@ class TestSqliteOracle:
         assert len(lite.execute(sql).fetchall()) == 3  # numbers, then text
         with pytest.raises(QueryError, match="cannot compare"):
             db.query(sql)
+
+    @pytest.mark.parametrize("params", [
+        {"n": -1, "k": 0}, {"n": 2, "k": -3}, {"n": 2.0, "k": 0},
+        {"n": "2", "k": 0}, {"n": True, "k": 0}, {"n": None, "k": 0},
+        {"n": 2},
+    ])
+    def test_bad_limit_parameter_is_refused(self, params):
+        sql = _SELECT + " ORDER BY b.year LIMIT :n OFFSET :k"
+        for db, _lite in self._databases():
+            with pytest.raises(QueryError):
+                db.query(sql, params)

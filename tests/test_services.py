@@ -396,3 +396,93 @@ class TestScrollerPaginationProperties:
             for r in service.compute(descriptor, {"block": block}).rows
         ]
         assert titles == sorted(titles)
+
+    def _scroller(self, app, extra=11, duplicates=False):
+        """(unit, descriptor, unit service) over 4 + ``extra`` papers;
+        with ``duplicates`` the extra titles repeat (tie order shows)."""
+        for position in range(extra):
+            title = f"Extra {position % 3:02d}" if duplicates \
+                else f"Extra {position:02d}"
+            app.seed_entity("Paper", [{"title": title, "pages": position}])
+        unit = unit_of(app, "Browse papers", "Paper scroller")
+        return unit, app.registry.unit(unit.id), GenericUnitService(app.ctx)
+
+    @pytest.mark.parametrize("duplicates", [False, True])
+    def test_every_block_is_a_slice_of_the_unpaged_query(self, acm_app,
+                                                         duplicates):
+        _unit, descriptor, service = self._scroller(
+            acm_app, duplicates=duplicates
+        )
+        size = descriptor.block_size
+        unpaged = [row["oid"] for row in
+                   acm_app.database.query(descriptor.query, {})]
+        assert len(unpaged) == 15
+        block_count = service.compute(descriptor, {}).block_count
+        assert block_count == 8
+        for block in range(1, block_count + 1):
+            page = service.compute(descriptor, {"block": block})
+            start = (block - 1) * size
+            assert [row["oid"] for row in page.rows] \
+                == unpaged[start:start + size]
+
+    def test_blocks_survive_a_rolled_back_delete(self, acm_app):
+        """A rollback re-inserts a row at the end of the heap; the index
+        walk must tie equal titles where the heap scan now puts them."""
+        _unit, descriptor, service = self._scroller(acm_app, duplicates=True)
+        db = acm_app.database
+        db.begin()
+        db.execute("DELETE FROM paper WHERE title = 'Extra 01' AND pages = 1")
+        db.rollback()
+        unpaged = db.query(descriptor.query, {})
+        # the ground truth is the unindexed sort path over the same heap
+        seed = db.prepare(descriptor.query, mode="seed").execute({})
+        assert unpaged.as_tuples() == seed.as_tuples()
+        swept = [
+            row["oid"]
+            for block in range(1, 9)
+            for row in service.compute(descriptor, {"block": block}).rows
+        ]
+        assert swept == [row["oid"] for row in unpaged]
+
+    @pytest.mark.parametrize("raw, expected", [
+        ("abc", 1), ("-5", 1), ("0", 1), ("99999999", 8), ("3", 3),
+    ])
+    def test_block_clamping_from_the_request(self, acm_app, raw, expected):
+        unit, _descriptor, _service = self._scroller(acm_app)
+        page = acm_app.model.find_site_view("public").find_page(
+            "Browse papers")
+        result = GenericPageService(acm_app.ctx).compute_page(
+            acm_app.registry.page(page.id), {f"{unit.id}.block": raw}
+        )
+        assert result.bean(unit.id).block == expected
+
+    def test_one_statement_one_plan_and_a_block_costs_its_block(self,
+                                                                acm_app):
+        _unit, descriptor, service = self._scroller(acm_app, extra=60)
+        db = acm_app.database
+        service.compute(descriptor, {"block": 1})
+        plans = db.cached_plan_count()
+        paged = f"{descriptor.query} LIMIT :_block_size OFFSET :_block_offset"
+        explained = db.explain(paged)
+        assert "IndexOrderScan(paper AS t0 ON title)" in explained
+        assert "Sort" not in explained and "TopN" not in explained
+        assert "RowCount(paper AS t0)" in db.explain(descriptor.count_query)
+        for block in range(1, 33):
+            db.stats.reset()
+            page = service.compute(descriptor, {"block": block})
+            assert len(page.rows) == descriptor.block_size
+            # the count reads no row; the block walks past its offset on
+            # index entries and fetches its own rows only
+            offset = (block - 1) * descriptor.block_size
+            assert db.stats.rows_scanned <= offset + descriptor.block_size
+            assert db.stats.rows_read == 1 + descriptor.block_size
+        assert db.cached_plan_count() == plans  # flat over the sweep
+        # without the index (or access paths) the same rows come from a
+        # bounded top-N over a scan
+        from repro.rdb.planner import PlannerFeatures
+
+        params = {"_block_size": 2, "_block_offset": 10}
+        fallback = db.prepare(paged, features=PlannerFeatures(access_paths=False))
+        assert "TopN(:_block_size + :_block_offset" in fallback.explain()
+        assert fallback.execute(params).as_tuples() \
+            == db.query(paged, params).as_tuples()

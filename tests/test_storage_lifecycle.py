@@ -125,6 +125,70 @@ class TestApplicationLifecycle:
         finally:
             shutil.rmtree(base, ignore_errors=True)
 
+    def test_deploy_installs_model_derived_indexes_on_an_old_directory(self):
+        """A data directory written by a deploy that knew PK / FK
+        indexes only gains the model-derived ones at the next deploy —
+        through logged DDL, so recovery and replicas have them too."""
+        from repro.er.mapping import map_to_relational
+        from repro.rdb.replication import open_replica
+        from repro.rdb.snapshot import snapshot_bytes
+        from repro.rdb.wal import read_log
+
+        def index_names(db, table):
+            return {n for n, _ in db.table(table).iter_indexes()
+                    if not n.startswith("#")}
+
+        base = tempfile.mkdtemp(prefix="app-reindex-")
+        try:
+            data_dir = os.path.join(base, "data")
+            model = build_acm_model()
+            with Database.open(data_dir) as old:
+                # what _install_schema created before indexes were
+                # derived from the hypertext model: the bare ER mapping
+                for schema in map_to_relational(model.data_model).schemas:
+                    old.create_table(schema)
+                for n in range(9):
+                    old.insert_row("paper", {"title": f"P{n % 4}", "pages": n})
+                assert index_names(old, "paper") \
+                    == {"ix_paper_issue_to_paper_oid"}
+            app = WebApplication(model, database=Database.open(data_dir))
+            db = app.database
+            assert index_names(db, "paper") \
+                == {"ix_paper_issue_to_paper_oid", "ix_paper_title"}
+            assert index_names(db, "volume") == {"ix_volume_year"}
+            paged = ("SELECT oid, title FROM paper ORDER BY title"
+                     " LIMIT :n OFFSET :k")
+            assert "IndexOrderScan(paper AS paper ON title)" \
+                in db.explain(paged)
+            window = {"n": 4, "k": 3}
+            answer = db.query(paged, window).as_tuples()
+            assert answer == db.prepare(paged, mode="seed") \
+                .execute(window).as_tuples()
+            # a second deploy over the same directory adds nothing
+            ddl = db.stats.ddl
+            WebApplication(model, database=db)
+            assert db.stats.ddl == ddl
+            # a replica that replays the primary's log has the indexes
+            replica = open_replica()
+            for record in read_log(db.engine.wal_path):
+                replica.apply_replicated(record)
+            assert snapshot_bytes(0, replica.engine.tables) \
+                == snapshot_bytes(0, db.engine.tables)
+            assert replica.query(paged, window).as_tuples() == answer
+            assert "IndexOrderScan" in replica.explain(paged)
+            # and so has recovery, from the log and from a snapshot
+            for checkpoint in (False, True):
+                if checkpoint:
+                    db.checkpoint()
+                db.close()
+                db = Database.open(data_dir)
+                assert index_names(db, "paper") \
+                    == {"ix_paper_issue_to_paper_oid", "ix_paper_title"}
+                assert db.query(paged, window).as_tuples() == answer
+            db.close()
+        finally:
+            shutil.rmtree(base, ignore_errors=True)
+
     def test_durable_engine_surfaces_in_observability(self):
         base = tempfile.mkdtemp(prefix="app-obs-")
         try:
