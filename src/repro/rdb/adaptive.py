@@ -39,7 +39,7 @@ from __future__ import annotations
 from collections import deque
 
 from repro.rdb import cost
-from repro.rdb.executor import HashJoinOp, ScanOp, walk_operators
+from repro.rdb.executor import HashJoinOp, ScanOp
 from repro.rdb.expr import Between, ColumnRef, Comparison, Expr, conjuncts
 
 #: drift threshold: median window q-error above this marks a plan stale
@@ -232,7 +232,7 @@ def plan_q_error(plan) -> tuple[float, float, float]:
     root_est = root.est_rows if root.est_rows is not None else 1.0
     root_act = root.actual_rows if root.actual_rows is not None else 0
     worst = 1.0
-    for node in walk_operators(root):
+    for node in plan.operators:
         if node.est_rows is None or node.actual_rows is None:
             continue
         q = q_error(node.est_rows, node.actual_rows)
@@ -315,7 +315,7 @@ class AdaptiveController:
     def _learn(self, plan) -> None:
         """Fold one execution's operator counts into the memory."""
         memory = self.memory
-        for node in walk_operators(plan.root):
+        for node in plan.operators:
             if isinstance(node, ScanOp):
                 actual = node.actual_rows
                 if actual is None or node.predicate is None:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from repro.errors import IntegrityError, QueryError, SchemaError
 from repro.rdb.adaptive import AdaptiveController
 from repro.rdb.engine import DurableEngine, MemoryEngine, StorageEngine
-from repro.rdb.executor import ResultSet, RowScope, walk_operators
+from repro.rdb.executor import ResultSet, RowScope
 from repro.rdb.planner import DmlPlan, PlannerFeatures, SelectPlan
 from repro.rdb.schema import ForeignKey, TableSchema
 from repro.rdb.sqlparser import (
@@ -102,6 +102,21 @@ class DatabaseStats(AtomicCounters):
 
     def reset(self) -> None:
         self.__init__()  # every counter back to its declared default
+
+    def count_select(self, plan: SelectPlan, returned: int) -> None:
+        """One executed SELECT, under one lock acquisition."""
+        mode = plan.exec_mode
+        with self._counter_lock:
+            self.selects += 1
+            if mode == "interpreted":
+                self.selects_interpreted += 1
+            elif mode == "columnar":
+                self.selects_columnar += 1
+            else:
+                self.selects_compiled += 1
+            self.rows_read += returned
+            for op in plan.operators:
+                self.rows_scanned += op.scanned
 
     def record_write(self, table: str) -> None:
         self.per_table_writes[table] = self.per_table_writes.get(table, 0) + 1
@@ -615,17 +630,7 @@ class Database:
             result = plan.execute(params)
         if cache_key is not None:
             self.adaptive.observe(cache_key, plan)
-        self.stats.increment("selects")
-        if plan.exec_mode == "interpreted":
-            self.stats.increment("selects_interpreted")
-        elif plan.exec_mode == "columnar":
-            self.stats.increment("selects_columnar")
-        else:
-            self.stats.increment("selects_compiled")
-        self.stats.increment("rows_read", len(result))
-        self.stats.increment("rows_scanned", sum(
-            op.scanned for op in walk_operators(plan.root)
-        ))
+        self.stats.count_select(plan, len(result))
         self._observe_statement(
             "select", started,
             cache_key or f"<select on {','.join(sorted(plan.tables))}>",

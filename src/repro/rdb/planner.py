@@ -187,6 +187,8 @@ class SelectPlan:
             self.root = self._build_tree_naive()
         self.output_columns, self._projection = self._build_projection()
         root = self.root
+        #: every operator of the tree, for per-execution bookkeeping
+        self.operators = tuple(walk_operators(root))
         access_kind = root.access.kind if isinstance(root, ScanOp) else None
         #: the scan walks an index in ORDER BY order: no sort step, and
         #: OFFSET / LIMIT skip and stop the walk itself
@@ -1061,7 +1063,7 @@ class SelectPlan:
         summary = getattr(self, "_access_summary", None)
         if summary is None:
             parts = []
-            for node in walk_operators(self.root):
+            for node in self.operators:
                 if isinstance(node, ScanOp):
                     item = f"{node.access.kind}:{node.store.schema.name}"
                     if node.access.columns:
@@ -1150,8 +1152,10 @@ class SelectPlan:
     def execute(self, params: dict | None = None) -> ResultSet:
         params = dict(params or {})
         select = self.select
-        offset = _row_count("OFFSET", select.offset, params)
-        limit = _row_count("LIMIT", select.limit, params)
+        offset, limit = select.offset, select.limit
+        if isinstance(offset, Param) or isinstance(limit, Param):
+            offset = _row_count("OFFSET", offset, params)
+            limit = _row_count("LIMIT", limit, params)
         stop = None if limit is None else offset + limit
         root = self.root
 
@@ -1206,9 +1210,10 @@ class SelectPlan:
         else:
             rows_with_keys = list(produced)
             sort_rows_with_keys(rows_with_keys, select.order_by)
+        if offset or stop is not None:
+            rows_with_keys = rows_with_keys[offset:stop]
         return ResultSet(
-            list(self.output_columns),
-            [row for row, _ in rows_with_keys[offset:stop]],
+            list(self.output_columns), [row for row, _ in rows_with_keys]
         )
 
     def _order_keys(
