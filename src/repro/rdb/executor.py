@@ -79,7 +79,7 @@ class Operator:
     #: count); feeds adaptive cardinality feedback and EXPLAIN ANALYZE
     actual_rows: int | None = None
     #: what that execution read: heap rows fetched (a join's build side
-    #: too) plus index entries an ordered walk passed over
+    #: too) plus index entries an ordered walk stepped over
     scanned = 0
 
     def rows(self, params: dict) -> Iterator[Bindings]:
@@ -266,7 +266,9 @@ class ScanOp(Operator):
                     yield row_id, row
         finally:
             self.actual_rows = produced
-            self.scanned = skip + fetched
+            self.scanned = fetched
+            if skip and self.access.index.repeats:
+                self.scanned += skip  # stepped over; unique keys are jumped
 
     def matching_rows(self, params: dict) -> Iterator[dict]:
         """The scan's raw row dicts (no binding map) — what the

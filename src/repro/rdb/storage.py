@@ -63,8 +63,7 @@ class _HashIndex:
         self.columns = columns
         self.unique = unique
         self._entries: dict[tuple, set[int]] = {}
-        #: (key, row id) pairs held; equal to ``len(_entries)`` exactly
-        #: when no key repeats, which lets an ordered walk jump an offset
+        #: (key, row id) pairs held — see :attr:`repeats`
         self.size = 0
         #: ascending key list — built on the first ordered use, then kept
         #: in step by add / remove (bisect, under the write lock)
@@ -117,6 +116,12 @@ class _HashIndex:
     def find(self, key: tuple) -> set[int]:
         return self._entries.get(key, set())
 
+    @property
+    def repeats(self) -> bool:
+        """Whether some key holds several rows.  While none does, an
+        ordered walk has no ties to order and jumps its offset."""
+        return self.size != len(self._entries)
+
     # -- ordered access -----------------------------------------------------
 
     def ordered_slice(self, prefix: tuple, bounds: tuple | None = None,
@@ -163,13 +168,12 @@ class _HashIndex:
         if found is None:
             return None
         keys, positions = found
-        # a row per key: no ties to order, and the offset is a jump
-        unique = self.size == len(keys)
+        tied = self.repeats
         groups = map(self._entries.__getitem__, map(
-            keys.__getitem__, positions[skip:] if unique else positions
+            keys.__getitem__, positions if tied else positions[skip:]
         ))
         return itertools.chain.from_iterable(
-            groups if unique else self._tied(groups, skip, scan_order)
+            self._tied(groups, skip, scan_order) if tied else groups
         )
 
     @staticmethod
