@@ -18,6 +18,15 @@ Two probes, the shapes where batch execution pays:
 * **grouped aggregation** — GROUP BY over the dict-encoded column with
   COUNT/SUM/AVG, partitioned on integer codes.
 
+A third probe (PR 22) is the keyword search every generated search unit
+runs — ``title LIKE '%kw%'`` over a plain (high-cardinality) string
+column — executed three ways by the same plan: seeded from the column's
+trigram postings (what ships), as a sweep through the classified
+matcher (``kw in title``; postings switched off), and as a sweep
+through the anchored regex (what every LIKE ran before).  All three
+must return the interpreter's answer, and the seeded scan must beat the
+sweep.
+
 Every probe runs in *four* modes — columnar (the cost model's own
 choice at this scale), compiled-row (``mode="compiled"``, exactly the
 E17 fast path), interpreted (``mode="interpreted"``), and the seed
@@ -88,6 +97,12 @@ PROBE_QUERIES = [
 ]
 
 
+#: the keyword search: one title of BOOKS contains the keyword
+CONTAINS_SQL = ("SELECT oid, title FROM book WHERE title LIKE :keyword"
+                " ESCAPE '\\' ORDER BY oid")
+CONTAINS_PARAMS = {"keyword": "%b1234%"}
+
+
 def _time_plan(plan, params: dict, rounds: int) -> float:
     best = float("inf")
     for _ in range(rounds):
@@ -134,6 +149,50 @@ def test_e20_columnar_matches_and_beats_compiled_rows():
         rows.append((label, t_columnar, t_compiled, t_interpreted,
                      speedup, len(want.as_tuples())))
     _RESULTS["probes"] = {"rows": rows, "mismatches": mismatches}
+
+
+def test_e20_contains_search_costs_its_matches(monkeypatch):
+    from repro.rdb import columnar
+    from repro.rdb.expr import _like_to_regex
+
+    db = _catalogue()
+    plan = db.prepare(CONTAINS_SQL)
+    assert plan.exec_mode == "columnar"
+    want = db.prepare(CONTAINS_SQL, mode="interpreted").execute(
+        CONTAINS_PARAMS).as_tuples()
+    assert len(want) == 1
+
+    def measure():
+        rows = plan.execute(CONTAINS_PARAMS).as_tuples()
+        return (rows, plan.root.scanned,
+                _time_plan(plan, CONTAINS_PARAMS, TIMING_ROUNDS))
+
+    seeded, seeded_scanned, t_seeded = measure()
+    # the same plan with the postings switched off: every title goes
+    # through the classified matcher ...
+    monkeypatch.setattr(columnar.ColumnStore, "candidates",
+                        lambda self, name, runs: None)
+    swept, swept_scanned, t_sweep = measure()
+    # ... and through the anchored regex, compiled once
+    regex = _like_to_regex(CONTAINS_PARAMS["keyword"], "\\")
+    monkeypatch.setattr(columnar, "like_matcher",
+                        lambda pattern, escape: (regex.match, ()))
+    matched, _scanned, t_regex = measure()
+
+    mismatches = sum(rows != want for rows in (seeded, swept, matched))
+    assert mismatches == 0
+    assert seeded_scanned < swept_scanned == BOOKS
+    assert t_seeded < t_sweep, f"{t_seeded:.6f}s !< {t_sweep:.6f}s"
+    _RESULTS["contains"] = {
+        "regex_sweep_seconds": t_regex,
+        "substring_sweep_seconds": t_sweep,
+        "seeded_seconds": t_seeded,
+        "speedup_vs_sweep": t_sweep / t_seeded,
+        "speedup_vs_regex": t_regex / t_seeded,
+        "rows_scanned_seeded": seeded_scanned,
+        "rows_scanned_sweep": swept_scanned,
+        "mismatches": mismatches,
+    }
 
 
 def test_e20_layout_choice_is_costed_not_hardwired():
@@ -193,6 +252,19 @@ def test_e20_report():
                  f" {t_interp * 1e3:.2f} ms"
                  f" ({BOOKS} books, {n_rows} result rows)",
         )
+    contains = _RESULTS.get("contains")
+    if contains:
+        report.add(
+            "contains search (LIKE '%kw%')",
+            f"{contains['regex_sweep_seconds'] * 1e3:.2f} ms regex sweep",
+            f"{contains['seeded_seconds'] * 1e3:.3f} ms trigram-seeded",
+            note=f"substring sweep"
+                 f" {contains['substring_sweep_seconds'] * 1e3:.2f} ms;"
+                 f" {contains['speedup_vs_sweep']:.1f}x over it, rows"
+                 f" scanned {contains['rows_scanned_sweep']} ->"
+                 f" {contains['rows_scanned_seeded']},"
+                 f" {contains['mismatches']} mismatches",
+        )
     report.add(
         "result identity across execution modes",
         "byte-identical in all four",
@@ -220,4 +292,5 @@ def test_e20_report():
             in probes["rows"]
         },
         "counters": counters,
+        **({"contains": contains} if contains else {}),
     })

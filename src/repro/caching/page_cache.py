@@ -13,9 +13,10 @@ union of the entity/role dependency sets of the page's unit
 descriptors, and ``invalidate_writes`` drops exactly the dependent
 pages.
 
-Entries carry the content digest (the HTTP ``ETag``) and a
-deterministic gzip body, so conditional and compressed delivery costs
-nothing on a hit.  Storage, invalidation and the flight protocol —
+Entries carry the content digest (the HTTP ``ETag``) and keep the
+deterministic gzip body the first compressed delivery makes, so
+conditional delivery costs nothing on a hit and compression is paid
+once, by an entry somebody asked to have compressed.  Storage, invalidation and the flight protocol —
 which the chunk-streamed build drives step by step, see
 :mod:`repro.caching.core` — are
 :class:`~repro.caching.core.DependencyCache`'s.
@@ -25,7 +26,7 @@ from __future__ import annotations
 
 import gzip
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.caching.core import DependencyCache
 
@@ -54,9 +55,19 @@ class PageEntry:
 
     body: str
     etag: str
-    gzip_body: bytes
     entities: frozenset
     roles: frozenset
+    _gzip: bytes | None = field(default=None, repr=False)
+
+    @property
+    def gzip_body(self) -> bytes:
+        """The compressed body, made by the first read and kept.
+        ``mtime=0`` makes the bytes a function of the body alone — the
+        same on every build of identical content, and from two readers
+        racing to be first, so no lock."""
+        if self._gzip is None:
+            self._gzip = gzip.compress(self.body.encode(), mtime=0)
+        return self._gzip
 
 
 class PageCache(DependencyCache):
@@ -68,15 +79,12 @@ class PageCache(DependencyCache):
         super().__init__(max_entries, ttl_seconds, scoped, clock)
 
     def make_entry(self, body: str, entities=(), roles=()) -> PageEntry:
-        """Digest and compress a rendered body once, at store time.
-
-        ``mtime=0`` keeps the gzip bytes deterministic, so repeated
-        builds of identical content produce identical wire bytes.
-        """
+        """Digest a rendered body once, at store time (most entries are
+        evicted or invalidated without a compressed read: see
+        :attr:`PageEntry.gzip_body`)."""
         return PageEntry(
             body=body,
             etag=content_etag(body),
-            gzip_body=gzip.compress(body.encode(), mtime=0),
             entities=frozenset(entities),
             roles=frozenset(roles),
         )

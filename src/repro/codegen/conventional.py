@@ -26,6 +26,7 @@ from repro.codegen.descriptorgen import (
     generate_unit_descriptor,
 )
 from repro.descriptors import PageDescriptor, UnitDescriptor
+from repro.descriptors.unit_descriptor import LIKE_ESCAPE, LIKE_ESCAPED
 from repro.er.mapping import RelationalMapping, map_to_relational
 from repro.errors import CodegenError
 from repro.services.beans import UnitBean
@@ -62,8 +63,11 @@ def _emit_input_lines(descriptor: UnitDescriptor, out: list[str]) -> None:
             out.append("        if value is not None:")
             out.append("            value = float(value)")
         if parameter.match == "contains":
+            escaped = "".join(
+                f".replace({ch!r}, {LIKE_ESCAPE + ch!r})" for ch in LIKE_ESCAPED
+            )
             out.append("        if value is not None:")
-            out.append("            value = '%' + str(value) + '%'")
+            out.append(f"            value = '%' + str(value){escaped} + '%'")
         out.append(f"        params[{parameter.sql_param!r}] = value")
 
 

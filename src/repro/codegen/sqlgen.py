@@ -16,6 +16,7 @@ from repro.descriptors import (
     LevelQuery,
     StatementSpec,
 )
+from repro.descriptors.unit_descriptor import LIKE_ESCAPE
 from repro.er.mapping import RelationalMapping
 from repro.errors import CodegenError
 from repro.webml.operations import (
@@ -128,7 +129,10 @@ class _QueryBuilder:
             self.range_columns.append(column)
         if condition.parameter is not None:
             sql_param = _sql_param(condition.parameter)
-            self.where.append(f"t0.{column} {operator} :{sql_param}")
+            # the bound value is the user's text escaped into a pattern
+            # (``match="contains"``); a model literal stays a pattern
+            escape = f" ESCAPE '{LIKE_ESCAPE}'" if operator == "LIKE" else ""
+            self.where.append(f"t0.{column} {operator} :{sql_param}{escape}")
             self.inputs.append(
                 InputParameter(
                     condition.parameter,

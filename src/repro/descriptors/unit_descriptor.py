@@ -27,12 +27,30 @@ from repro.errors import DescriptorError
 from repro.xmlkit import Element, parse_xml, pretty_print
 
 
+#: the escape character of a generated ``LIKE :param ESCAPE '…'`` clause
+LIKE_ESCAPE = "\\"
+#: what a keyword has escaped to be literal text — the escape character
+#: itself first, or it would escape the escapes
+LIKE_ESCAPED = (LIKE_ESCAPE, "%", "_")
+
+
+def contains_pattern(value) -> str:
+    """The LIKE pattern finding ``value`` as literal text anywhere in a
+    column.  A keyword is data, not a pattern: its ``%``, ``_`` and
+    escape characters are escaped before the ``%...%`` wrapping."""
+    text = str(value)
+    for ch in LIKE_ESCAPED:
+        text = text.replace(ch, LIKE_ESCAPE + ch)
+    return f"%{text}%"
+
+
 @dataclass
 class InputParameter:
     """One input slot of the unit, bound to a named SQL parameter.
 
     ``match`` is ``"exact"`` or ``"contains"``; contains-parameters are
-    wrapped in ``%...%`` before execution (keyword search fields).
+    bound as :func:`contains_pattern` of the value (keyword search
+    fields), which the query reads with ``ESCAPE`` :data:`LIKE_ESCAPE`.
     ``value_type`` tells the generic service how to coerce the raw HTTP
     request string before binding (``int``/``float``/``bool``/``auto``).
     """

@@ -16,9 +16,10 @@ Invariants carried over from the delivery pipeline (DESIGN.md §9):
 - gzip is negotiated only for bodies worth compressing
   (:data:`GZIP_MIN_BYTES`) and always rides with ``Vary:
   Accept-Encoding``;
-- page-cache entries reuse their deterministic precomputed gzip body,
-  so a hit costs no compression and repeated builds of identical
-  content produce identical wire bytes.
+- a page-cache entry compresses its body on the first hit that
+  negotiates gzip and keeps the deterministic bytes, so later hits cost
+  no compression and repeated builds of identical content produce
+  identical wire bytes.
 
 :class:`StreamedPage` is the contract between the front controller's
 streamed execute + deliver and the async edge: response head now, body
@@ -68,9 +69,10 @@ def cache_control_for(authenticated: bool,
 def entry_response(entry, request: HttpRequest,
                    cache_control: str) -> HttpResponse:
     """The response for one page-cache entry: a 304 when the client's
-    validator still matches, otherwise the stored 200 with its
-    precomputed encoding.  Cheap enough to run inline on an event
-    loop — no rendering, no compression, no digesting."""
+    validator still matches, otherwise the stored 200 in the encoding
+    the client takes.  Cheap enough to run inline on an event loop —
+    no rendering, no digesting, and one compression per entry (its
+    first gzip hit; every later one reuses the bytes)."""
     if etag_matches(request.headers.get("If-None-Match"), entry.etag):
         return HttpResponse.not_modified(
             entry.etag, {"Cache-Control": cache_control}
@@ -91,7 +93,7 @@ def finalize_delivery(request: HttpRequest,
     """Conditional and compressed delivery for every 200 HTML GET.
 
     Page-cache responses arrive with their validator and encoding
-    already attached (precomputed at store time); everything else is
+    already attached (:func:`entry_response`); everything else is
     digested and negotiated here.
     """
     if (request.method != "GET" or response.status != 200

@@ -25,7 +25,7 @@ Consistency contract:
   positions instead of shifting them; compaction rebuilds when the
   dead fraction grows.
 - Every kernel reuses the row engine's comparison vocabulary
-  (:func:`~repro.rdb.expr.compare_values`, LIKE's regex translation,
+  (:func:`~repro.rdb.expr.compare_values`, LIKE's one matcher,
   SQL three-valued logic: a predicate keeps a row only when strictly
   ``True``).  The fast inline form (plain ``<``/``==`` comprehensions)
   is chosen only when the column's declared type and the constant's
@@ -52,6 +52,8 @@ from __future__ import annotations
 
 import datetime
 import threading
+from array import array
+from bisect import bisect_left, insort
 
 from repro.errors import QueryError
 from repro.rdb import cost
@@ -66,7 +68,7 @@ from repro.rdb.expr import (
     Literal,
     compare_values,
     conjuncts,
-    like_regex,
+    like_matcher,
 )
 
 #: pending sync records beyond which the store stops chasing point
@@ -144,10 +146,13 @@ class _Column:
     Plain columns keep raw ``values`` (``None`` marks NULL); dictionary
     encoded string columns keep integer ``codes`` plus the ``decode``
     list and ``encode`` map.  ``nulls`` is a byte bitmap either way, so
-    ``IS [NOT] NULL`` kernels never touch the value arrays.
+    ``IS [NOT] NULL`` kernels never touch the value arrays.  ``grams``
+    — a plain string column's trigram postings, see
+    :meth:`ColumnStore.candidates` — stays None until a LIKE asks.
     """
 
-    __slots__ = ("name", "values", "codes", "decode", "encode", "nulls")
+    __slots__ = ("name", "values", "codes", "decode", "encode", "nulls",
+                 "grams")
 
     def __init__(self, name: str):
         self.name = name
@@ -156,6 +161,7 @@ class _Column:
         self.decode: list | None = None
         self.encode: dict | None = None
         self.nulls = bytearray()
+        self.grams: dict | None = None
 
     @property
     def dict_encoded(self) -> bool:
@@ -204,6 +210,9 @@ class ColumnStore:
             "max_pending": 0,
             "dict_hits": 0,
             "dict_misses": 0,
+            "gram_builds": 0,
+            "gram_probes": 0,
+            "gram_candidates": 0,
         }
 
     # -- write-side hooks (called by TableStore under the write lock) ------
@@ -362,6 +371,8 @@ class ColumnStore:
         if column.dict_encoded:
             column.codes.append(self._encode_value(column, value))
         else:
+            if column.grams is not None:
+                self._repost(column, len(column.values), None, value)
             column.values.append(value)
 
     def _set_value(self, column: _Column, position: int, value) -> None:
@@ -369,7 +380,60 @@ class ColumnStore:
         if column.dict_encoded:
             column.codes[position] = self._encode_value(column, value)
         else:
+            if column.grams is not None:
+                self._repost(column, position, column.values[position], value)
             column.values[position] = value
+
+    # -- trigram postings ---------------------------------------------------
+    #
+    # A cache of one plain string column, like the store is of the table:
+    # ``trigram -> array('I')`` of the ascending positions whose value
+    # contains it.  Built by the first LIKE that can use it, kept in step
+    # by the two mutators above, gone with the arrays (``_drop``,
+    # ``_build``) and rebuilt at the next probe — so recovery, replicas
+    # and DDL never hear of it.  Tombstoned positions stay listed;
+    # ``live`` filters them.
+
+    def _repost(self, column: _Column, position: int, old, new) -> None:
+        """Move ``position`` from ``old``'s postings to ``new``'s."""
+        grams = column.grams
+        before, after = _trigrams(old or ""), _trigrams(new or "")
+        for gram in before - after:
+            del grams[gram][bisect_left(grams[gram], position)]
+        for gram in after - before:
+            insort(grams.setdefault(gram, array("I")), position)
+
+    def candidates(self, name: str, runs):
+        """Ascending positions whose ``name`` value may contain every
+        string of ``runs`` — always a superset of those that do, never
+        an answer: the caller verifies.  None when the postings cannot
+        help (no run of three characters, dictionary-encoded column)."""
+        wanted = set().union(*map(_trigrams, runs))
+        column = self.columns[name]
+        if not wanted or column.dict_encoded:
+            return None
+        with self._lock:
+            grams = column.grams
+            if grams is None:
+                grams = column.grams = {}
+                self.counters["gram_builds"] += 1
+                for position, value in enumerate(column.values):
+                    for gram in _trigrams(value or ""):
+                        posting = grams.get(gram)
+                        if posting is None:
+                            posting = grams[gram] = array("I")
+                        posting.append(position)
+        self.counters["gram_probes"] += 1
+        postings = sorted((grams.get(gram, ()) for gram in wanted), key=len)
+        seed = postings[0]  # empty when a trigram occurs in no value
+        for posting in postings[1:]:
+            # reading a list costs about what verifying a candidate
+            # does: intersect only with lists short enough to repay it
+            if len(posting) > 2 * len(seed):
+                break
+            keep = set(posting)
+            seed = [position for position in seed if position in keep]
+        return seed
 
     # -- observability ------------------------------------------------------
 
@@ -383,7 +447,16 @@ class ColumnStore:
         snapshot["dict_columns"] = sum(
             1 for column in self.columns.values() if column.dict_encoded
         )
+        posted = [c.grams for c in self.columns.values() if c.grams is not None]
+        snapshot["gram_columns"] = len(posted)
+        snapshot["gram_postings"] = sum(
+            len(posting) for grams in posted for posting in grams.values()
+        )
         return snapshot
+
+
+def _trigrams(text: str) -> set:
+    return {text[i:i + 3] for i in range(len(text) - 2)}
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +467,8 @@ class ColumnStore:
 # ``kernel(selection) -> selection`` narrows a position vector.  Binding
 # happens per execution: constants (parameters included) are evaluated
 # then, and the kernel closes over the *current* arrays, so a rebuild
-# between executions is transparent.
+# between executions is transparent.  A bound kernel may carry ``seed``:
+# ascending positions outside which it keeps nothing this execution.
 
 
 class _KernelSpec:
@@ -623,33 +697,38 @@ def _in_list_bind(name: str, options: tuple, negated: bool, family: str):
     return bind
 
 
-def _like_bind(name: str, pattern_expr: Expr, negated: bool, family: str):
+def _like_bind(name: str, like: Like, family: str):
+    negated = like.negated
+
     def bind(column_store, params):
-        pattern = pattern_expr.evaluate(_CONST_SCOPE, params)
+        pattern = like.pattern.evaluate(_CONST_SCOPE, params)
         if pattern is None:
             return _empty_kernel
-        regex = like_regex(str(pattern))
-        match = regex.match
+        match, runs = like_matcher(str(pattern), like.escape)
         column = column_store.columns[name]
 
         def verdict(value, _m=match, _neg=negated):
-            matched = _m(str(value)) is not None
+            matched = bool(_m(str(value)))
             return not matched if _neg else matched
 
         if column.dict_encoded:
             return _memo_kernel(column.codes, column.decode, verdict)
         values = column.values
-        if family == "string":
-            if negated:
-                return lambda sel: [
-                    i for i in sel
-                    if values[i] is not None and match(values[i]) is None
-                ]
+        if family != "string":
+            return _value_kernel(values, verdict)
+        if negated:
             return lambda sel: [
                 i for i in sel
-                if values[i] is not None and match(values[i]) is not None
+                if values[i] is not None and not match(values[i])
             ]
-        return _value_kernel(values, verdict)
+
+        def kernel(sel):
+            return [
+                i for i in sel if values[i] is not None and match(values[i])
+            ]
+
+        kernel.seed = column_store.candidates(name, runs)
+        return kernel
 
     return bind
 
@@ -728,9 +807,7 @@ def _compile_conjunct(conjunct: Expr, binding: str, schema):
         name = _column_of(conjunct.operand, binding, schema)
         if name is not None and _is_const(conjunct.pattern):
             family = _type_family(schema.column(name).sql_type)
-            return _like_bind(
-                name, conjunct.pattern, conjunct.negated, family
-            )
+            return _like_bind(name, conjunct, family)
         return None
     return None
 
@@ -764,31 +841,41 @@ class ColumnarPipeline:
 
     # -- filtering ----------------------------------------------------------
 
-    def _survivors(self, column_store, params) -> list[int]:
+    def _survivors(self, column_store, params) -> tuple[list[int], int]:
+        """The positions every kernel keeps, ascending, and how many
+        were fetched to find them."""
         counters = column_store.counters
         counters["scans"] += 1
         kernels = [spec.bind(column_store, params) for spec in self.specs]
-        total = len(column_store.row_ids)
         live = column_store.live
-        has_tombstones = column_store.tombstones > 0
+        seeds = [
+            kernel.seed for kernel in kernels
+            if getattr(kernel, "seed", None) is not None
+        ]
+        if seeds:
+            # no survivor lies outside any seed: start from the smallest
+            # instead of every position.  All kernels still run over it,
+            # the seed's own included — the seed only says where to look.
+            fetched = [i for i in min(seeds, key=len) if live[i]]
+            counters["gram_candidates"] += len(fetched)
+            scanned, batches = len(fetched), [fetched]
+        else:
+            scanned = len(column_store.row_ids)
+            batches = (
+                range(start, min(start + CHUNK_SIZE, scanned))
+                for start in range(0, scanned, CHUNK_SIZE)
+            )
+            if column_store.tombstones:
+                batches = ([i for i in batch if live[i]] for batch in batches)
         survivors: list[int] = []
-        extend = survivors.extend
-        batches = 0
-        for start in range(0, total, CHUNK_SIZE):
-            stop = min(start + CHUNK_SIZE, total)
-            batches += 1
-            if has_tombstones:
-                selection = [i for i in range(start, stop) if live[i]]
-            else:
-                selection = range(start, stop)
+        for selection in batches:
+            counters["batches_scanned"] += 1
             for kernel in kernels:
                 if not selection:
                     break
                 selection = kernel(selection)
-            if selection:
-                extend(selection)
-        counters["batches_scanned"] += batches
-        return survivors
+            survivors.extend(selection)
+        return survivors, scanned
 
     # -- execution ----------------------------------------------------------
 
@@ -797,11 +884,10 @@ class ColumnarPipeline:
         row engine's execution paths produce, ready for the plan's
         shared distinct/sort/limit tail."""
         column_store = self.scan.store.column_store.ensure_synced()
-        survivors = self._survivors(column_store, params)
+        survivors, self.scan.scanned = self._survivors(column_store, params)
         # the batch path has exact survivor counts for free; record them
         # where adaptive feedback / EXPLAIN ANALYZE expect scan actuals
         self.scan.actual_rows = len(survivors)
-        self.scan.scanned = len(column_store.row_ids)
         if self.grouped:
             yield from self._execute_grouped(column_store, survivors, params)
             return

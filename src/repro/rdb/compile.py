@@ -20,8 +20,9 @@ Safety argument, in three rules:
 
 1. **Same primitives.**  Generated code calls the *same* helpers the
    interpreter uses (:func:`~repro.rdb.expr.compare_values`, the scalar
-   function registry, ``_like_to_regex``, ``_as_text``) or verbatim
-   re-implementations of the evaluate bodies, raising byte-identical
+   function registry, ``_as_text``), verbatim re-implementations of
+   the evaluate bodies, or — LIKE — the matcher every lowered form
+   shares (:func:`~repro.rdb.expr.like_matcher`), raising byte-identical
    :class:`~repro.errors.QueryError` messages, preserving SQL
    three-valued logic, AND/OR short-circuit order, and lazy ``IN``-list
    option evaluation.
@@ -82,9 +83,8 @@ from repro.rdb.expr import (
     Param,
     _as_text,
     _is_number,
-    _like_to_regex,
     compare_values,
-    like_regex,
+    like_matcher,
 )
 
 #: the modes lowered to interpreter closures — the references the
@@ -212,18 +212,17 @@ def _between(value, low, high, negated):
     return not inside if negated else inside
 
 
-def _like_dyn(value, pattern, negated):
+def _like_dyn(value, pattern, negated, escape):
     if value is None or pattern is None:
         return None
-    matched = like_regex(str(pattern)).match(str(value)) is not None
-    return not matched if negated else matched
+    return _like_rx(value, like_matcher(str(pattern), escape)[0], negated)
 
 
-def _like_rx(value, regex, negated):
+def _like_rx(value, match, negated):
     """LIKE against a pattern known (and non-NULL) at compile time."""
     if value is None:
         return None
-    matched = regex.match(str(value)) is not None
+    matched = bool(match(str(value)))
     return not matched if negated else matched
 
 
@@ -508,11 +507,13 @@ class _Codegen:
         out = self.fresh()
         if isinstance(node.pattern, Literal) and node.pattern.value is not None:
             name = self.fresh("rx")
-            self.ns[name] = _like_to_regex(str(node.pattern.value))
+            self.ns[name] = like_matcher(
+                str(node.pattern.value), node.escape)[0]
             self.emit(f"{out} = _like_rx({value}, {name}, {node.negated!r})")
             return out
         pattern = self.compile(node.pattern)
-        self.emit(f"{out} = _like_dyn({value}, {pattern}, {node.negated!r})")
+        self.emit(f"{out} = _like_dyn({value}, {pattern}, {node.negated!r},"
+                  f" {node.escape!r})")
         return out
 
     def _compile_function(self, node: FunctionCall) -> str:

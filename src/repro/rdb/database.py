@@ -324,6 +324,11 @@ class Database:
             "pending_ops": 0,
             "max_pending": 0,
             "dict_columns": 0,
+            "gram_columns": 0,
+            "gram_postings": 0,
+            "gram_builds": 0,
+            "gram_probes": 0,
+            "gram_candidates": 0,
         }
         dict_hits = dict_misses = 0
         for store in list(self.tables.values()):
@@ -339,6 +344,9 @@ class Database:
                 totals["max_pending"], snapshot["max_pending"]
             )
             totals["dict_columns"] += snapshot["dict_columns"]
+            for key in ("gram_columns", "gram_postings", "gram_builds",
+                        "gram_probes", "gram_candidates"):
+                totals[key] += snapshot[key]
             dict_hits += snapshot["dict_hits"]
             dict_misses += snapshot["dict_misses"]
         encoded = dict_hits + dict_misses

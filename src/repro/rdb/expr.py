@@ -308,18 +308,20 @@ class InList(Expr):
 
 @dataclass(frozen=True)
 class Like(Expr):
-    """SQL LIKE with ``%`` and ``_`` wildcards (case-sensitive)."""
+    """SQL LIKE with ``%`` and ``_`` wildcards (case-sensitive); after
+    ``escape``, the next pattern character stands for itself."""
 
     operand: Expr
     pattern: Expr
     negated: bool = False
+    escape: str | None = None
 
     def evaluate(self, scope, params):
         value = self.operand.evaluate(scope, params)
         pattern = self.pattern.evaluate(scope, params)
         if value is None or pattern is None:
             return None
-        regex = _like_to_regex(str(pattern))
+        regex = _like_to_regex(str(pattern), self.escape)
         matched = regex.match(str(value)) is not None
         return not matched if self.negated else matched
 
@@ -327,22 +329,58 @@ class Like(Expr):
         return self.operand.column_refs() + self.pattern.column_refs()
 
 
-def _like_to_regex(pattern: str) -> re.Pattern:
+def _like_to_regex(pattern: str, escape: str | None = None) -> re.Pattern:
     out = []
-    for ch in pattern:
-        if ch == "%":
+    chars = iter(pattern)
+    for ch in chars:
+        if ch == escape:
+            ch = next(chars, None)
+            # a pattern ending in its escape character matches nothing
+            out.append("(?!)" if ch is None else re.escape(ch))
+        elif ch == "%":
             out.append(".*")
         elif ch == "_":
             out.append(".")
         else:
             out.append(re.escape(ch))
-    return re.compile("^" + "".join(out) + "$", re.DOTALL)
+    return re.compile("^" + "".join(out) + r"\Z", re.DOTALL)
 
 
-#: LIKE patterns repeat across rows and statements: every lowered form
-#: (generated row code, batch kernels) shares this cache per pattern
-#: text.  ``Like.evaluate`` — the reference — rebuilds its regex per call.
-like_regex = functools.lru_cache(maxsize=512)(_like_to_regex)
+@functools.lru_cache(maxsize=512)
+def like_matcher(pattern: str, escape: str | None = None):
+    """``(match, runs)`` for one LIKE pattern, classified once for every
+    lowered form (generated row code, batch kernels): ``match(text)`` is
+    truthy iff ``text`` matches, and ``runs`` are the literal stretches
+    between wildcards — each a substring of every match, which is what
+    the column store's trigram postings are probed with.  A pattern of
+    one run needs no regex: no wildcard is ``==``, ``%run%`` is ``in``,
+    ``run%`` / ``%run`` are ``startswith`` / ``endswith``.
+    ``Like.evaluate`` — the reference — rebuilds its regex per call."""
+    runs, wildcards = [""], ""
+    chars = iter(pattern)
+    for ch in chars:
+        if ch == escape:
+            ch = next(chars, None)
+            if ch is None:
+                return _like_to_regex(pattern, escape).match, ()
+            runs[-1] += ch
+        elif ch in "%_":
+            wildcards += ch
+            runs.append("")
+        else:
+            runs[-1] += ch
+    literal = "".join(runs)  # the one non-empty run of the shapes below
+    if not wildcards:
+        match = literal.__eq__
+    elif wildcards == "%%" and runs[0] == runs[2] == "":
+        match = lambda text: literal in text
+    elif wildcards == "%" and runs[1] == "":
+        match = lambda text: text.startswith(literal)
+    elif wildcards == "%" and runs[0] == "":
+        match = lambda text: text.endswith(literal)
+    else:
+        match = _like_to_regex(pattern, escape).match
+    return match, tuple(runs)
 
 
 @dataclass(frozen=True)

@@ -1121,6 +1121,8 @@ class SelectPlan:
             annotations.append(f"cost~{node.est_cost:.1f}")
         if analyze and node.actual_rows is not None:
             annotations.append(f"actual={node.actual_rows}")
+            if isinstance(node, ScanOp):
+                annotations.append(f"scanned={node.scanned}")
             if node.est_rows is not None:
                 est = max(float(node.est_rows), 1.0)
                 act = max(float(node.actual_rows), 1.0)

@@ -156,7 +156,7 @@ _KEYWORDS = {
     "INTO", "VALUES", "UPDATE", "SET", "DELETE", "CREATE", "TABLE", "INDEX",
     "UNIQUE", "PRIMARY", "KEY", "FOREIGN", "REFERENCES", "DROP", "IF",
     "EXISTS", "CASCADE", "RESTRICT", "AUTOINCREMENT", "TRUE", "FALSE",
-    "ANALYZE",
+    "ANALYZE", "ESCAPE",
 }
 
 _PUNCTUATION = ("||", "<=", ">=", "<>", "!=", "(", ")", ",", ".", "*", "+",
@@ -669,7 +669,13 @@ class _Parser:
                 return InList(left, tuple(options), negated=negated)
             if token.value == "LIKE":
                 self.advance()
-                return Like(left, self.parse_additive(), negated=negated)
+                pattern, escape = self.parse_additive(), None
+                if self.accept_keyword("ESCAPE"):
+                    token = self.peek()
+                    if token.kind != "string" or len(token.value) != 1:
+                        raise self.error("ESCAPE takes a one-character string")
+                    escape = self.advance().value
+                return Like(left, pattern, negated=negated, escape=escape)
             if token.value == "BETWEEN":
                 self.advance()
                 low = self.parse_additive()

@@ -13,6 +13,7 @@ services").
 from __future__ import annotations
 
 from repro.descriptors import OperationDescriptor, UnitDescriptor
+from repro.descriptors.unit_descriptor import contains_pattern
 from repro.errors import ServiceError
 from repro.obs import span
 from repro.services.base import RuntimeContext, coerce_value
@@ -135,7 +136,7 @@ class GenericUnitService:
                 missing.append(parameter.slot)
                 continue
             if parameter.match == "contains":
-                value = f"%{value}%"
+                value = contains_pattern(value)
             prepared[parameter.sql_param] = value
         return prepared, missing
 

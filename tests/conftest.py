@@ -58,6 +58,18 @@ def seed_acm(app: WebApplication) -> dict:
 
 
 @pytest.fixture
+def regex_builds(monkeypatch) -> list:
+    """Every ``re.compile`` call made while the test runs (its args)."""
+    import re
+
+    calls, real = [], re.compile
+    monkeypatch.setattr(
+        re, "compile", lambda *a, **k: calls.append(a) or real(*a, **k)
+    )
+    return calls
+
+
+@pytest.fixture
 def acm_data_model() -> ERModel:
     return build_acm_data_model()
 

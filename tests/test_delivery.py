@@ -63,6 +63,34 @@ class TestPageCache:
         assert cache.dependents_of(entity="Paper") == 1
         assert cache.dependents_of(role="Authorship") == 1
 
+    def test_an_entry_compresses_on_its_first_gzip_read_only(self,
+                                                             monkeypatch):
+        from repro.caching import page_cache
+        from repro.httpcore.delivery import GZIP_MIN_BYTES, entry_response
+        from repro.mvc.http import HttpRequest
+
+        calls = []
+        real = gzip.compress
+        monkeypatch.setattr(
+            page_cache.gzip, "compress",
+            lambda *a, **k: calls.append(a) or real(*a, **k),
+        )
+        body = "<html>" + "x" * GZIP_MIN_BYTES + "</html>"
+        entry = PageCache().make_entry(body)
+        # stored, served as identity, revalidated: nobody asked for gzip
+        for headers in ({}, {"If-None-Match": entry.etag},
+                        {"Accept-Encoding": "br"}):
+            entry_response(entry, HttpRequest(path="/", headers=headers),
+                           "public, no-cache")
+        assert calls == []
+        wants_gzip = HttpRequest(path="/", headers={"Accept-Encoding": "gzip"})
+        first = entry_response(entry, wants_gzip, "public, no-cache")
+        again = entry_response(entry, wants_gzip, "public, no-cache")
+        # deterministic bytes, made once and kept
+        assert first.encoded_body == real(body.encode(), mtime=0)
+        assert again.encoded_body is first.encoded_body
+        assert len(calls) == 1
+
 
 class TestInvalidationBus:
     def test_levels_invalidate_in_registration_order(self):

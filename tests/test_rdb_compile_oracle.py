@@ -26,7 +26,8 @@ from repro.errors import QueryError
 from repro.rdb import Database
 
 #: parameters available to every generated query
-PARAMS = {"lo": 12.0, "rate": 1.5, "needle": "book-1%", "cut": 1999}
+PARAMS = {"lo": 12.0, "rate": 1.5, "needle": "book-1%", "cut": 1999,
+          "word": "%ok-2%"}
 
 
 def _catalogue(indexes: bool = True) -> Database:
@@ -71,6 +72,16 @@ _PREDICATES = [
     "b.title LIKE 'book-1%'",
     "b.title LIKE :needle",
     "b.title NOT LIKE '%7'",
+    # one matcher, every shape: contains (trigram-seeded where the batch
+    # kernel runs), an inner %, _, ESCAPE, and runs too short to seed
+    "b.title LIKE '%ook-3%'",
+    "b.title LIKE :word",
+    "b.title LIKE 'b%k-_1'",
+    "b.title NOT LIKE 'book-_7'",
+    "b.title LIKE 'book\\-1%' ESCAPE '\\'",
+    "b.title LIKE '%k\\_1%' ESCAPE '\\'",
+    "b.title LIKE '%4'",
+    "b.title NOT LIKE '%1%'",
     "b.year BETWEEN 1995 AND 2000",
     "b.year NOT BETWEEN 1995 AND 2000",
     "b.year IN (1991, 1995, :cut)",

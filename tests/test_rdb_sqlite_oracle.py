@@ -1,5 +1,5 @@
 """Differential oracle against stdlib ``sqlite3``: independent ground
-truth for paging and counting.
+truth for paging, counting and LIKE.
 
 Every other rdb oracle compares the engine with itself (columnar /
 compiled / interpreted / seed).  This one runs the same statement
@@ -9,6 +9,8 @@ secondary indexes and once without, so an ``ORDER BY`` meets both a
 covering index and none — and holds ``ORDER BY … LIMIT n OFFSET k``
 (literal and ``:n`` / ``:k`` parameter forms, with and without WHERE,
 duplicate and NULL sort keys) and bare / filtered ``COUNT(*)`` to it.
+``LIKE`` / ``NOT LIKE`` / ``ESCAPE`` get their own small table of
+adversarial strings (``TestLikeAgainstSqlite``).
 
 Comparison: as ordered lists where the ORDER BY is total (it names
 ``oid`` or the unique ``title``); otherwise the *sort-key sequence*
@@ -33,6 +35,14 @@ Decisions where SQL leaves room (written down, not papered over):
   happen to answer in insertion order.  We assert only what is
   promised — the row count, and that every row belongs to the
   unlimited answer — not which rows.
+- **LIKE and letter case.**  Our LIKE is case-sensitive, like
+  PostgreSQL's and the SQL standard's under a binary collation.
+  SQLite's default folds ASCII case (``'a' LIKE 'A'`` is true there);
+  every connection here runs ``PRAGMA case_sensitive_like = ON``, which
+  is the behaviour we chose — the comparison is then exact, upper-case
+  data included.  Escaping follows SQLite where the standard raises:
+  after the ESCAPE character any character stands for itself, and a
+  pattern *ending* in it matches nothing.
 - **LIMIT / OFFSET values.**  SQLite reads a negative LIMIT as "no
   limit" and a negative OFFSET as 0; we raise ``QueryError`` for a
   negative or non-integer parameter, as the literal form already
@@ -50,14 +60,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import QueryError
+from repro.rdb import Database
 from tests.test_rdb_compile_oracle import PARAMS, _PREDICATES, _catalogue
 
 _COLUMNS = ("oid", "author_oid", "year", "price", "title")
 _SELECT = "SELECT " + ", ".join(f"b.{c}" for c in _COLUMNS) + " FROM book b"
 
 #: predicates SQLite 3.40 spells the same way (everything in the shared
-#: menu does: 3VL comparisons, LIKE over lower-case data, IN, BETWEEN,
-#: IS NULL, COALESCE / LENGTH / UPPER, named parameters)
+#: menu does: 3VL comparisons, LIKE with and without ESCAPE, IN,
+#: BETWEEN, IS NULL, COALESCE / LENGTH / UPPER, named parameters)
 _SQLITE_PREDICATES = list(_PREDICATES)
 
 #: sort keys: year and price repeat and hold NULLs, author_oid repeats,
@@ -69,6 +80,7 @@ _UNIQUE = {"oid", "title"}
 def _mirror(db) -> sqlite3.Connection:
     """A SQLite copy of ``db``'s book table, row for row."""
     lite = sqlite3.connect(":memory:")
+    lite.execute("PRAGMA case_sensitive_like = ON")
     lite.execute(
         "CREATE TABLE book (oid INTEGER PRIMARY KEY, author_oid INTEGER,"
         " year INTEGER, price REAL, title TEXT)"
@@ -187,3 +199,43 @@ class TestSqliteOracle:
         for db, _lite in self._databases():
             with pytest.raises(QueryError):
                 db.query(sql, params)
+
+
+_LIKE_TEXT = st.text(alphabet="aAb%_\\\n", max_size=5)
+
+
+class TestLikeAgainstSqlite:
+    """LIKE / NOT LIKE / ESCAPE over strings built to disagree: both
+    wildcards and the escape character as *data*, upper and lower case,
+    a newline, the empty string, NULL — as a literal pattern and as a
+    parameter, through whichever plan the engine picks."""
+
+    @given(values=st.lists(st.none() | _LIKE_TEXT, min_size=1, max_size=8),
+           pattern=st.none() | _LIKE_TEXT, negated=st.booleans(),
+           escaped=st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_like_not_like_escape(self, values, pattern, negated, escaped):
+        db = Database()
+        db.execute("CREATE TABLE t (oid INTEGER NOT NULL AUTOINCREMENT,"
+                   " s VARCHAR(20), PRIMARY KEY (oid))")
+        lite = sqlite3.connect(":memory:")
+        lite.execute("PRAGMA case_sensitive_like = ON")
+        lite.execute("CREATE TABLE t (oid INTEGER PRIMARY KEY, s TEXT)")
+        for value in values:
+            db.insert_row("t", {"s": value})
+        lite.executemany("INSERT INTO t (s) VALUES (?)",
+                         [(value,) for value in values])
+        operator = "NOT LIKE" if negated else "LIKE"
+        tail = " ESCAPE '\\'" if escaped else ""
+        literal = ("NULL" if pattern is None
+                   else "'" + pattern.replace("'", "''") + "'")
+        for rhs, params in ((literal, {}), (":p", {"p": pattern})):
+            sql = (f"SELECT oid, s {operator} {rhs}{tail} FROM t"
+                   f" WHERE s {operator} {rhs}{tail} OR s IS NULL"
+                   " ORDER BY oid")
+            want = [(oid, None if verdict is None else bool(verdict))
+                    for oid, verdict in lite.execute(sql, params)]
+            assert db.query(sql, params).as_tuples() == want, sql
+            bare = f"SELECT oid FROM t WHERE s {operator} {rhs}{tail}"
+            assert sorted(db.query(bare, params).as_tuples()) \
+                == sorted(lite.execute(bare, params).fetchall()), bare

@@ -493,3 +493,88 @@ class TestScrollerPaginationProperties:
         assert "TopN(:_block_size + :_block_offset" in fallback.explain()
         assert fallback.execute(params).as_tuples() \
             == db.query(paged, params).as_tuples()
+
+
+class TestKeywordSearch:
+    """A keyword is data, not a pattern — and finding it costs its
+    matches, not the table (6 400 papers, the waterfall's data set)."""
+
+    @pytest.fixture(scope="class")
+    def library(self):
+        from repro.app import WebApplication
+        from repro.codegen import generate_conventional
+        from repro.workloads.acm import build_acm_model, seed_acm_data
+
+        app = WebApplication(build_acm_model())
+        app.database.begin()
+        seed_acm_data(app, volumes=200, issues_per_volume=4,
+                      papers_per_issue=8)
+        app.database.commit()
+        unit = unit_of(app, "SearchResults", "Matching papers")
+        conventional = generate_conventional(
+            app.model, app.project.mapping, validate=False
+        ).instantiate()
+        return app, unit, conventional.unit_services[unit.id]
+
+    def _search(self, library, keyword) -> list[str]:
+        app, unit, dedicated = library
+        bean = GenericUnitService(app.ctx).compute(
+            app.registry.unit(unit.id), {"keyword": keyword}
+        )
+        titles = [row["title"] for row in bean.rows]
+        # the dedicated class (E2 / E9's baseline) answers identically
+        assert titles == [row["title"] for row in dedicated.compute(
+            app.ctx, {"keyword": keyword}).rows]
+        return titles
+
+    def test_a_keyword_matches_as_literal_text(self, library):
+        assert self._search(library, "Paper 12:") \
+            == ["Paper 12: Data-Intensive Webs"]
+        # wildcards the user typed are text: "a_e" matched "Paper" (all
+        # 6 400), "100%" every title containing "100" (17)
+        assert self._search(library, "a_e") == []
+        assert self._search(library, "100%") == []
+        assert self._search(library, "\\") == []
+        app = library[0]
+        [oid] = app.seed_entity(
+            "Paper", [{"title": "100% of a_e\\", "pages": 1}])
+        try:
+            for keyword in ("100%", "a_e", "e\\", "% of"):
+                assert self._search(library, keyword) == ["100% of a_e\\"]
+        finally:
+            app.database.execute("DELETE FROM paper WHERE oid = :o",
+                                 {"o": oid})
+        # too short for a trigram: the sweep, same matcher
+        assert len(self._search(library, "9:")) == 640
+
+    def test_a_search_costs_its_candidates(self, library):
+        app, unit, _dedicated = library
+        db = app.database
+        query = app.registry.unit(unit.id).query
+        assert query.endswith("LIKE :keyword ESCAPE '\\' ORDER BY t0.oid")
+        self._search(library, "warm")  # plan, column store and postings
+        store = db.table("paper").column_store
+        for tombstones in (False, True):
+            db.stats.reset()
+            rows = db.query(query, {"keyword": "%Paper 123:%"})
+            assert [row["oid"] for row in rows] == [123]
+            assert db.stats.rows_scanned <= 64  # parent: 6 400
+            assert "exec=columnar" in db.explain(query)
+            if not tombstones:
+                [oid] = app.seed_entity(
+                    "Paper", [{"title": "Short-lived", "pages": 1}])
+                db.execute("DELETE FROM paper WHERE oid = :o", {"o": oid})
+                db.query(query, {"keyword": "%sync%"})
+                assert store.tombstones > 0
+        assert store.counters["gram_builds"] == 1
+
+    def test_distinct_keywords_build_no_regex_and_no_plan(self, library,
+                                                          regex_builds):
+        app = library[0]
+        self._search(library, "warm")
+        plans = app.database.cached_plan_count()
+        del regex_builds[:]
+        for serial in range(1, 1001):
+            assert len(self._search(library, f"Paper {serial}:")) == 1
+        assert regex_builds == []
+        assert app.database.cached_plan_count() == plans

@@ -146,6 +146,8 @@ def _gate_e19(g: Gate) -> None:
 def _gate_e20(g: Gate) -> None:
     g.eq("byte_identity/mismatches", 0)
     g.each_gt("probes", "speedup_vs_compiled", 1.0)
+    g.eq("contains/mismatches", 0)
+    g.ge("contains/speedup_vs_sweep", 1.0)
 
 
 def _gate_e21(g: Gate) -> None:
