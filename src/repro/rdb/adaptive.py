@@ -40,7 +40,7 @@ from collections import deque
 
 from repro.rdb import cost
 from repro.rdb.executor import HashJoinOp, ScanOp
-from repro.rdb.expr import Between, ColumnRef, Comparison, Expr, conjuncts
+from repro.rdb.expr import conjunct_fingerprint
 
 #: drift threshold: median window q-error above this marks a plan stale
 Q_ERROR_THRESHOLD = 4.0
@@ -69,57 +69,32 @@ def q_error(estimated: float, actual: float) -> float:
     return act / est if act >= est else est / act
 
 
-def conjunct_fingerprint(conjunct: Expr) -> str:
-    """A stable identity for one predicate conjunct.  Expr nodes are
-    frozen dataclasses, so ``repr`` is structural: the same textual
-    predicate re-parsed later (parameters by *name*, never value) maps
-    to the same correction entry."""
-    return repr(conjunct)
-
-
-def conjunct_set_key(conjuncts: list[Expr]) -> tuple:
-    """Correction key for a whole pushed-down conjunct set.  Set-level
-    entries capture *correlation* between conjuncts — the classic case
-    the independence assumption cannot price."""
-    return ("set", tuple(sorted(conjunct_fingerprint(c) for c in conjuncts)))
-
-
-def _semantic_keys(conjunct: Expr) -> list[tuple]:
-    """Correction keys a single observed conjunct also feeds: the
-    per-conjunct entry always, plus the per-column equality/range entry
-    the access-path coster consults when pricing index candidates."""
-    keys: list[tuple] = [("conj", conjunct_fingerprint(conjunct))]
-    if isinstance(conjunct, Comparison):
-        left_col = conjunct.left.column if isinstance(conjunct.left, ColumnRef) else None
-        right_col = conjunct.right.column if isinstance(conjunct.right, ColumnRef) else None
-        column = left_col if right_col is None else (
-            right_col if left_col is None else None
-        )
-        if column is not None:
-            if conjunct.op == "=":
-                keys.append(("eq", column))
-            elif conjunct.op in ("<", "<=", ">", ">="):
-                keys.append(("range", column))
-    elif isinstance(conjunct, Between) and not conjunct.negated \
-            and isinstance(conjunct.operand, ColumnRef):
-        keys.append(("range", conjunct.operand.column))
-    return keys
-
-
 def scan_correction_keys(scan: ScanOp) -> list[tuple[str, tuple]]:
     """Every ``(table, key)`` correction entry one scan's observation
-    feeds.  Shared by the learner and by tests that force-poison the
-    memory to prove replans cannot change answers."""
-    pushed = conjuncts(scan.predicate)
-    if not pushed:
-        return []
-    table = scan.store.schema.name
-    keys: list[tuple[str, tuple]] = [(table, conjunct_set_key(pushed))]
-    if len(pushed) == 1:
-        # Single-conjunct scans attribute their selectivity exactly;
-        # multi-conjunct observations stay at set granularity (the
-        # per-conjunct split is not identifiable from one count).
-        keys.extend((table, key) for key in _semantic_keys(pushed[0]))
+    feeds: the pushed set's; for a single conjunct also its own and —
+    read off its classification — the per-column equality / range entry
+    the access-path coster consults (a multi-conjunct observation stays
+    at set granularity: the per-conjunct split is not identifiable from
+    one count).  Built on first request from the fingerprints taken at
+    plan time and kept on the scan: a cached execution calls ``repr()``
+    on no ``Expr``.  Shared by the learner and by tests that
+    force-poison the memory to prove replans cannot change answers."""
+    keys = scan.correction_keys
+    if keys is None:
+        keys = scan.correction_keys = []
+        pushed, table = scan.conjuncts, scan.store.schema.name
+        if pushed:
+            keys.append((table, cost.conjunct_set_key(pushed)))
+        if len(pushed) == 1:
+            keys.append((table, ("conj", conjunct_fingerprint(pushed[0]))))
+            classified = scan.sargs[0]
+            if classified is not None and classified.column is not None \
+                    and not classified.negated:
+                if classified.kind == "cmp" and classified.op == "=":
+                    keys.append((table, ("eq", classified.column)))
+                elif classified.kind == "between" or (
+                        classified.kind == "cmp" and classified.op != "<>"):
+                    keys.append((table, ("range", classified.column)))
     return keys
 
 

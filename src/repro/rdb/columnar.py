@@ -5,10 +5,11 @@ pays a Python-level function call per row per expression.  This module
 adds the layout tier underneath: a :class:`ColumnStore` mirrors a
 table's rows as parallel per-column Python lists (strings
 dictionary-encoded to integer codes, NULLs tracked in a byte bitmap),
-and eligible plans compile their scan→filter→project/aggregate pipeline
-into *batch kernels* that sweep those lists chunk by chunk with
-selection vectors — per-row interpreter dispatch collapses into C-speed
-list comprehensions.
+and a scan whose access path is ``columnar`` runs its pushed conjuncts
+as *batch kernels* that sweep those lists chunk by chunk with selection
+vectors — per-row interpreter dispatch collapses into C-speed list
+comprehensions — then fetches only the surviving rows; a GROUP BY over
+plain columns gathers its keys and aggregate inputs from the arrays too.
 
 Consistency contract:
 
@@ -24,14 +25,15 @@ Consistency contract:
   positionally identical to the row engine's.  Deletes tombstone
   positions instead of shifting them; compaction rebuilds when the
   dead fraction grows.
-- Every kernel reuses the row engine's comparison vocabulary
-  (:func:`~repro.rdb.expr.compare_values`, LIKE's one matcher,
-  SQL three-valued logic: a predicate keeps a row only when strictly
-  ``True``).  The fast inline form (plain ``<``/``==`` comprehensions)
-  is chosen only when the column's declared type and the constant's
-  runtime type make it equivalent to ``compare_values``; anything else
-  runs the shared helper per element, and a conjunct the kernel
-  compiler cannot express at all falls back to its *compiled-row*
+- Every kernel reads what its conjunct constrains from the conjunct's
+  :class:`~repro.rdb.expr.Sarg` and what it means from the value-level
+  tests generated row code calls (:mod:`repro.rdb.expr`: comparison,
+  BETWEEN, IN, LIKE's one matcher; a predicate keeps a row only when
+  strictly ``True``).  The fast inline form (plain ``<``/``==``
+  comprehensions) is chosen only when the column's declared type and
+  the constant's runtime type make it equivalent to that test;
+  anything else runs the test per element, and a conjunct no ``Sarg``
+  with constant operands describes falls back to its *generated row*
   predicate over the surviving positions — the ``CompileError``
   fallback discipline of :mod:`repro.rdb.compile`, one level up.
   (Deliberate divergence: ``float('nan')`` follows Python comparison
@@ -55,20 +57,14 @@ import threading
 from array import array
 from bisect import bisect_left, insort
 
-from repro.errors import QueryError
-from repro.rdb import cost
 from repro.rdb.expr import (
-    Between,
+    COMPARISON_TESTS,
     ColumnRef,
-    Comparison,
     Expr,
-    InList,
-    IsNull,
-    Like,
-    Literal,
-    compare_values,
-    conjuncts,
+    between_test,
+    in_test,
     like_matcher,
+    like_test,
 )
 
 #: pending sync records beyond which the store stops chasing point
@@ -84,29 +80,6 @@ DICT_ENCODE_MAX_RATIO = 0.5
 CHUNK_SIZE = 4096
 
 _MISSING = object()
-
-#: sign predicates per comparison operator — the same decision
-#: :mod:`repro.rdb.compile`'s ``_cmp_*`` helpers apply to
-#: ``compare_values`` results
-_SIGN_CHECKS = {
-    "=": lambda sign: sign == 0,
-    "<>": lambda sign: sign != 0,
-    "<": lambda sign: sign < 0,
-    "<=": lambda sign: sign <= 0,
-    ">": lambda sign: sign > 0,
-    ">=": lambda sign: sign >= 0,
-}
-
-_FLIPPED_OP = {"=": "=", "<>": "<>", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
-
-class _ConstScope:
-    """Evaluation scope for column-free expressions (never consulted)."""
-
-    def lookup(self, table, column):  # pragma: no cover - defensive
-        raise QueryError(f"unknown column {column!r}")
-
-
-_CONST_SCOPE = _ConstScope()
 
 
 def _type_family(sql_type) -> str:
@@ -460,26 +433,16 @@ def _trigrams(text: str) -> set:
 
 
 # ---------------------------------------------------------------------------
-# Kernel compilation: one conjunct -> batch kernel
+# Kernels: one classified conjunct -> batch kernel
 # ---------------------------------------------------------------------------
 #
-# A *kernel spec* carries ``bind(column_store, params) -> kernel`` where
-# ``kernel(selection) -> selection`` narrows a position vector.  Binding
-# happens per execution: constants (parameters included) are evaluated
-# then, and the kernel closes over the *current* arrays, so a rebuild
-# between executions is transparent.  A bound kernel may carry ``seed``:
-# ascending positions outside which it keeps nothing this execution.
-
-
-class _KernelSpec:
-    """One predicate conjunct, compiled for batch evaluation."""
-
-    __slots__ = ("bind", "selectivity", "vectorized")
-
-    def __init__(self, bind, selectivity: float, vectorized: bool):
-        self.bind = bind
-        self.selectivity = selectivity
-        self.vectorized = vectorized
+# Each pushed conjunct of a columnar scan gets a *bind function*,
+# ``bind(column_store, params) -> kernel``, where ``kernel(selection) ->
+# selection`` narrows a position vector.  Binding happens per execution:
+# constants (parameters included) are evaluated then, and the kernel
+# closes over the *current* arrays, so a rebuild between executions is
+# transparent.  A bound kernel may carry ``seed``: ascending positions
+# outside which it keeps nothing this execution.
 
 
 def _empty_kernel(sel):
@@ -490,9 +453,16 @@ def _identity_kernel(sel):
     return sel
 
 
-def _memo_kernel(codes, decode, verdict):
-    """Evaluate ``verdict`` once per *distinct* dictionary code touched
-    by the selection (lazy: codes never selected are never decoded)."""
+def _test_kernel(column: _Column, test, *operands):
+    """The generic arm: ``test(value, *operands)`` per element, or once
+    per *distinct* dictionary code the selection touches (lazy: codes
+    never selected are never decoded)."""
+    if not column.dict_encoded:
+        values = column.values
+        return lambda sel: [
+            i for i in sel if test(values[i], *operands) is True
+        ]
+    codes, decode = column.codes, column.decode
     memo: dict = {}
     get = memo.get
 
@@ -505,7 +475,7 @@ def _memo_kernel(codes, decode, verdict):
                 continue
             keep = get(code, _MISSING)
             if keep is _MISSING:
-                memo[code] = keep = verdict(decode[code]) is True
+                memo[code] = keep = test(decode[code], *operands) is True
             if keep:
                 append(i)
         return out
@@ -513,40 +483,11 @@ def _memo_kernel(codes, decode, verdict):
     return kernel
 
 
-def _value_kernel(values, verdict):
-    """Per-element helper evaluation over a plain column (the shared
-    ``compare_values`` semantics, NULL operands skipped up front)."""
-
-    def kernel(sel):
-        out = []
-        append = out.append
-        for i in sel:
-            value = values[i]
-            if value is not None and verdict(value) is True:
-                append(i)
-        return out
-
-    return kernel
-
-
-def _column_of(expr: Expr, binding: str, schema) -> str | None:
-    """``expr``'s column name when it is a plain reference to this
-    scan's table, else None."""
-    if isinstance(expr, ColumnRef) and expr.table in (None, binding) \
-            and schema.has_column(expr.column):
-        return expr.column
-    return None
-
-
-def _is_const(expr: Expr) -> bool:
-    return not expr.column_refs()
-
-
-def _comparison_bind(name: str, op: str, const_expr: Expr, family: str):
-    check = _SIGN_CHECKS[op]
+def _comparison_bind(sarg, family: str):
+    name, op, (const_expr,) = sarg.column, sarg.op, sarg.operands
 
     def bind(column_store, params):
-        const = const_expr.evaluate(_CONST_SCOPE, params)
+        const = const_expr.evaluate(None, params)
         if const is None:
             return _empty_kernel  # comparison with NULL is UNKNOWN
         column = column_store.columns[name]
@@ -560,11 +501,8 @@ def _comparison_bind(name: str, op: str, const_expr: Expr, family: str):
                     i for i in sel
                     if codes[i] is not None and codes[i] != code
                 ]
-            verdict = (lambda value, _c=const, _ck=check:
-                       _ck(compare_values(value, _c)))
-            return _memo_kernel(column.codes, column.decode, verdict)
-        values = column.values
-        if _const_matches_family(const, family):
+        elif _const_matches_family(const, family):
+            values = column.values
             c = const
             if op == "=":
                 # None == c is False, so no NULL guard is needed
@@ -593,14 +531,14 @@ def _comparison_bind(name: str, op: str, const_expr: Expr, family: str):
                 i for i in sel
                 if values[i] is not None and values[i] >= c
             ]
-        verdict = (lambda value, _c=const, _ck=check:
-                   _ck(compare_values(value, _c)))
-        return _value_kernel(values, verdict)
+        return _test_kernel(column, COMPARISON_TESTS[op], const)
 
     return bind
 
 
-def _is_null_bind(name: str, negated: bool):
+def _is_null_bind(sarg, family: str):
+    name, negated = sarg.column, sarg.negated
+
     def bind(column_store, params):
         nulls = column_store.columns[name].nulls
         if negated:
@@ -610,26 +548,20 @@ def _is_null_bind(name: str, negated: bool):
     return bind
 
 
-def _between_bind(name: str, low_expr: Expr, high_expr: Expr,
-                  negated: bool, family: str):
+def _between_bind(sarg, family: str):
+    name, negated = sarg.column, sarg.negated
+    low_expr, high_expr = sarg.operands
+
     def bind(column_store, params):
-        low = low_expr.evaluate(_CONST_SCOPE, params)
-        high = high_expr.evaluate(_CONST_SCOPE, params)
+        low = low_expr.evaluate(None, params)
+        high = high_expr.evaluate(None, params)
         if low is None or high is None:
             return _empty_kernel  # a NULL bound makes BETWEEN UNKNOWN
         column = column_store.columns[name]
-
-        def verdict(value, _lo=low, _hi=high, _neg=negated):
-            low_sign = compare_values(value, _lo)
-            high_sign = compare_values(value, _hi)
-            inside = low_sign >= 0 and high_sign <= 0
-            return not inside if _neg else inside
-
-        if column.dict_encoded:
-            return _memo_kernel(column.codes, column.decode, verdict)
-        values = column.values
-        if (_const_matches_family(low, family)
-                and _const_matches_family(high, family)):
+        if not column.dict_encoded \
+                and _const_matches_family(low, family) \
+                and _const_matches_family(high, family):
+            values = column.values
             if negated:
                 return lambda sel: [
                     i for i in sel
@@ -640,51 +572,38 @@ def _between_bind(name: str, low_expr: Expr, high_expr: Expr,
                 i for i in sel
                 if values[i] is not None and low <= values[i] <= high
             ]
-        return _value_kernel(values, verdict)
+        return _test_kernel(column, between_test, low, high, negated)
 
     return bind
 
 
-def _in_list_bind(name: str, options: tuple, negated: bool, family: str):
+def _in_list_bind(sarg, family: str):
+    name, options, negated = sarg.column, sarg.operands, sarg.negated
+
     def bind(column_store, params):
-        evaluated = [
-            option.evaluate(_CONST_SCOPE, params) for option in options
-        ]
-        saw_null = any(value is None for value in evaluated)
+        evaluated = [option.evaluate(None, params) for option in options]
         present = [value for value in evaluated if value is not None]
-        if negated and saw_null:
+        if negated and len(present) < len(evaluated):
             # NOT IN with a NULL option is never True for any row
             return _empty_kernel
         column = column_store.columns[name]
-        if column.dict_encoded and all(
-            isinstance(value, str) for value in present
-        ):
-            codes = column.codes
-            code_set = {
-                column.encode[value] for value in present
-                if value in column.encode
-            }
-            if negated:
-                return lambda sel: [
-                    i for i in sel
-                    if codes[i] is not None and codes[i] not in code_set
-                ]
-            return lambda sel: [i for i in sel if codes[i] in code_set]
-
-        def verdict(value, _opts=present, _null=saw_null, _neg=negated):
-            for option in _opts:
-                if compare_values(value, option) == 0:
-                    return not _neg
-            if _null:
-                return None
-            return _neg
-
         if column.dict_encoded:
-            return _memo_kernel(column.codes, column.decode, verdict)
-        values = column.values
-        if present and all(
+            if all(isinstance(value, str) for value in present):
+                codes = column.codes
+                code_set = {
+                    column.encode[value] for value in present
+                    if value in column.encode
+                }
+                if negated:
+                    return lambda sel: [
+                        i for i in sel
+                        if codes[i] is not None and codes[i] not in code_set
+                    ]
+                return lambda sel: [i for i in sel if codes[i] in code_set]
+        elif present and all(
             _const_matches_family(value, family) for value in present
         ):
+            values = column.values
             value_set = set(present)
             if negated:
                 return lambda sel: [
@@ -692,30 +611,24 @@ def _in_list_bind(name: str, options: tuple, negated: bool, family: str):
                     if values[i] is not None and values[i] not in value_set
                 ]
             return lambda sel: [i for i in sel if values[i] in value_set]
-        return _value_kernel(values, verdict)
+        return _test_kernel(column, in_test, evaluated, negated)
 
     return bind
 
 
-def _like_bind(name: str, like: Like, family: str):
-    negated = like.negated
+def _like_bind(sarg, family: str):
+    name, negated, escape = sarg.column, sarg.negated, sarg.escape
+    (pattern_expr,) = sarg.operands
 
     def bind(column_store, params):
-        pattern = like.pattern.evaluate(_CONST_SCOPE, params)
+        pattern = pattern_expr.evaluate(None, params)
         if pattern is None:
             return _empty_kernel
-        match, runs = like_matcher(str(pattern), like.escape)
+        match, runs = like_matcher(str(pattern), escape)
         column = column_store.columns[name]
-
-        def verdict(value, _m=match, _neg=negated):
-            matched = bool(_m(str(value)))
-            return not matched if _neg else matched
-
-        if column.dict_encoded:
-            return _memo_kernel(column.codes, column.decode, verdict)
+        if column.dict_encoded or family != "string":
+            return _test_kernel(column, like_test, match, negated)
         values = column.values
-        if family != "string":
-            return _value_kernel(values, verdict)
         if negated:
             return lambda sel: [
                 i for i in sel
@@ -733,233 +646,159 @@ def _like_bind(name: str, like: Like, family: str):
     return bind
 
 
-def _const_bind(expr: Expr):
-    def bind(column_store, params):
-        verdict = expr.evaluate(_CONST_SCOPE, params)
-        return _identity_kernel if verdict is True else _empty_kernel
+_BINDERS = {
+    "cmp": _comparison_bind,
+    "null": _is_null_bind,
+    "between": _between_bind,
+    "in": _in_list_bind,
+    "like": _like_bind,
+}
 
-    return bind
+
+def vector_bind(conjunct: Expr, sarg, schema):
+    """A vectorized bind function for ``conjunct`` (classified as
+    ``sarg``), or None when only its row form can evaluate it
+    faithfully: a computed subject, an operand that varies per row, a
+    shape no :class:`~repro.rdb.expr.Sarg` describes."""
+    if not conjunct.column_refs():
+        def bind(column_store, params):
+            verdict = conjunct.evaluate(None, params)
+            return _identity_kernel if verdict is True else _empty_kernel
+
+        return bind
+    if sarg is None or not sarg.constant \
+            or not schema.has_column(sarg.column):
+        return None
+    family = _type_family(schema.column(sarg.column).sql_type)
+    return _BINDERS[sarg.kind](sarg, family)
 
 
-def _fallback_bind(predicate_fn):
-    """Per-position application of a compiled-row predicate — the escape
-    hatch for conjunct shapes the kernel compiler does not cover."""
+def fallback_bind(predicate_fn):
+    """Per-position application of a conjunct's row predicate — the
+    escape hatch for what :func:`vector_bind` does not cover."""
 
     def bind(column_store, params):
         rows = column_store.store.rows
         row_ids = column_store.row_ids
-
-        def kernel(sel):
-            out = []
-            append = out.append
-            for i in sel:
-                if predicate_fn(rows[row_ids[i]], params) is True:
-                    append(i)
-            return out
-
-        return kernel
+        return lambda sel: [
+            i for i in sel if predicate_fn(rows[row_ids[i]], params) is True
+        ]
 
     return bind
 
 
-def _compile_conjunct(conjunct: Expr, binding: str, schema):
-    """A vectorized bind function for ``conjunct``, or None when only
-    the compiled-row fallback can evaluate it faithfully."""
-    if _is_const(conjunct):
-        return _const_bind(conjunct)
-    if isinstance(conjunct, Comparison) and conjunct.op in _SIGN_CHECKS:
-        name = _column_of(conjunct.left, binding, schema)
-        if name is not None and _is_const(conjunct.right):
-            family = _type_family(schema.column(name).sql_type)
-            return _comparison_bind(name, conjunct.op, conjunct.right, family)
-        name = _column_of(conjunct.right, binding, schema)
-        if name is not None and _is_const(conjunct.left):
-            family = _type_family(schema.column(name).sql_type)
-            return _comparison_bind(
-                name, _FLIPPED_OP[conjunct.op], conjunct.left, family
-            )
-        return None
-    if isinstance(conjunct, IsNull):
-        name = _column_of(conjunct.operand, binding, schema)
-        if name is not None:
-            return _is_null_bind(name, conjunct.negated)
-        return None
-    if isinstance(conjunct, Between):
-        name = _column_of(conjunct.operand, binding, schema)
-        if (name is not None and _is_const(conjunct.low)
-                and _is_const(conjunct.high)):
-            family = _type_family(schema.column(name).sql_type)
-            return _between_bind(
-                name, conjunct.low, conjunct.high, conjunct.negated, family
-            )
-        return None
-    if isinstance(conjunct, InList):
-        name = _column_of(conjunct.operand, binding, schema)
-        if name is not None and all(
-            _is_const(option) for option in conjunct.options
-        ):
-            family = _type_family(schema.column(name).sql_type)
-            return _in_list_bind(
-                name, conjunct.options, conjunct.negated, family
-            )
-        return None
-    if isinstance(conjunct, Like):
-        name = _column_of(conjunct.operand, binding, schema)
-        if name is not None and _is_const(conjunct.pattern):
-            family = _type_family(schema.column(name).sql_type)
-            return _like_bind(name, conjunct, family)
-        return None
+def select_positions(column_store, binds, params) -> tuple[list[int], int]:
+    """The positions every kernel of ``binds`` keeps, ascending, and
+    how many were fetched to find them — a columnar scan's selection."""
+    counters = column_store.counters
+    counters["scans"] += 1
+    kernels = [bind(column_store, params) for bind in binds]
+    live = column_store.live
+    seeds = [
+        kernel.seed for kernel in kernels
+        if getattr(kernel, "seed", None) is not None
+    ]
+    if seeds:
+        # no survivor lies outside any seed: start from the smallest
+        # instead of every position.  All kernels still run over it,
+        # the seed's own included — the seed only says where to look.
+        fetched = [i for i in min(seeds, key=len) if live[i]]
+        counters["gram_candidates"] += len(fetched)
+        scanned, batches = len(fetched), [fetched]
+    else:
+        scanned = len(column_store.row_ids)
+        batches = (
+            range(start, min(start + CHUNK_SIZE, scanned))
+            for start in range(0, scanned, CHUNK_SIZE)
+        )
+        if column_store.tombstones:
+            batches = ([i for i in batch if live[i]] for batch in batches)
+    survivors: list[int] = []
+    for selection in batches:
+        counters["batches_scanned"] += 1
+        for kernel in kernels:
+            if not selection:
+                break
+            selection = kernel(selection)
+        survivors.extend(selection)
+    return survivors, scanned
+
+
+# ---------------------------------------------------------------------------
+# The column-gather grouped tail
+# ---------------------------------------------------------------------------
+
+
+def column_of(expr: Expr, binding: str, schema) -> str | None:
+    """``expr``'s column name when it is a plain reference to the
+    table bound as ``binding``, else None."""
+    if isinstance(expr, ColumnRef) and expr.table in (None, binding) \
+            and schema.has_column(expr.column):
+        return expr.column
     return None
 
 
-# ---------------------------------------------------------------------------
-# The columnar pipeline
-# ---------------------------------------------------------------------------
+def _key_reader(column: _Column):
+    if column.dict_encoded:
+        codes = column.codes
+        decode = column.decode
+        return lambda i: None if codes[i] is None else decode[codes[i]]
+    values = column.values
+    return lambda i: values[i]
 
 
-class ColumnarPipeline:
-    """Batch executor for one eligible single-scan plan.
-
-    Non-grouped plans filter column-wise, then feed the surviving row
-    dicts to the plan's fused ``emit_fn`` — projection and
-    order keys stay byte-identical with the row engine because they run
-    the *same* generated code.  Grouped plans partition surviving
-    positions by the group columns (first-seen order, like the row
-    engine), gather aggregate inputs column-wise, and emit each group
-    through the plan's shared HAVING/projection tail.
-    """
-
-    def __init__(self, plan, scan, specs, fallback_count: int,
-                 group_columns=None, agg_specs=None):
-        self.plan = plan
-        self.scan = scan
-        self.specs = specs
-        self.fallback_count = fallback_count
-        self.grouped = group_columns is not None
-        self.group_columns = group_columns or []
-        self.agg_specs = agg_specs or []
-
-    # -- filtering ----------------------------------------------------------
-
-    def _survivors(self, column_store, params) -> tuple[list[int], int]:
-        """The positions every kernel keeps, ascending, and how many
-        were fetched to find them."""
-        counters = column_store.counters
-        counters["scans"] += 1
-        kernels = [spec.bind(column_store, params) for spec in self.specs]
-        live = column_store.live
-        seeds = [
-            kernel.seed for kernel in kernels
-            if getattr(kernel, "seed", None) is not None
+def gather_groups(plan, scan, group_columns, gathers, params):
+    """The grouped tail of a plan whose root is the columnar ``scan``
+    and whose GROUP BY keys are the plain columns ``group_columns``:
+    the surviving positions are partitioned by those columns
+    (first-seen order, like the row tail), each aggregate's inputs are
+    gathered from the arrays (``gathers``: ``(call, gather)`` pairs),
+    and every group leaves through the plan's shared HAVING /
+    projection step."""
+    column_store, survivors = scan.positions(params)
+    if not group_columns:
+        # one group — also over an empty input, which still makes a row
+        order = [0]
+        positions_by_key = {0: survivors}
+    else:
+        readers = [
+            _key_reader(column_store.columns[name]) for name in group_columns
         ]
-        if seeds:
-            # no survivor lies outside any seed: start from the smallest
-            # instead of every position.  All kernels still run over it,
-            # the seed's own included — the seed only says where to look.
-            fetched = [i for i in min(seeds, key=len) if live[i]]
-            counters["gram_candidates"] += len(fetched)
-            scanned, batches = len(fetched), [fetched]
+        if len(readers) == 1:
+            key_of = readers[0]
         else:
-            scanned = len(column_store.row_ids)
-            batches = (
-                range(start, min(start + CHUNK_SIZE, scanned))
-                for start in range(0, scanned, CHUNK_SIZE)
-            )
-            if column_store.tombstones:
-                batches = ([i for i in batch if live[i]] for batch in batches)
-        survivors: list[int] = []
-        for selection in batches:
-            counters["batches_scanned"] += 1
-            for kernel in kernels:
-                if not selection:
-                    break
-                selection = kernel(selection)
-            survivors.extend(selection)
-        return survivors, scanned
-
-    # -- execution ----------------------------------------------------------
-
-    def execute(self, params: dict):
-        """Yield ``(out_row, order_keys)`` pairs — the same stream the
-        row engine's execution paths produce, ready for the plan's
-        shared distinct/sort/limit tail."""
-        column_store = self.scan.store.column_store.ensure_synced()
-        survivors, self.scan.scanned = self._survivors(column_store, params)
-        # the batch path has exact survivor counts for free; record them
-        # where adaptive feedback / EXPLAIN ANALYZE expect scan actuals
-        self.scan.actual_rows = len(survivors)
-        if self.grouped:
-            yield from self._execute_grouped(column_store, survivors, params)
-            return
-        emit = self.plan.emit_fn
-        rows = self.scan.store.rows
-        row_ids = column_store.row_ids
+            def key_of(i, _readers=readers):
+                return tuple(reader(i) for reader in _readers)
+        positions_by_key: dict = {}
+        order = []
+        get = positions_by_key.get
         for i in survivors:
-            yield emit(rows[row_ids[i]], params)
-
-    def _key_reader(self, column_store, name: str):
-        column = column_store.columns[name]
-        if column.dict_encoded:
-            codes = column.codes
-            decode = column.decode
-            return lambda i: (
-                None if codes[i] is None else decode[codes[i]]
-            )
-        values = column.values
-        return lambda i: values[i]
-
-    def _execute_grouped(self, column_store, survivors, params):
-        plan = self.plan
-        if not self.group_columns:
-            order = [0]
-            positions_by_key = {0: survivors}
+            key = key_of(i)
+            bucket = get(key)
+            if bucket is None:
+                positions_by_key[key] = bucket = []
+                order.append(key)
+            bucket.append(i)
+    rows = scan.store.rows
+    row_ids = column_store.row_ids
+    for key in order:
+        positions = positions_by_key[key]
+        aggregate_values = {
+            call: gather(column_store, positions, params)
+            for call, gather in gathers
+        }
+        if positions:
+            representative = {scan.binding: rows[row_ids[positions[0]]]}
         else:
-            readers = [
-                self._key_reader(column_store, name)
-                for name in self.group_columns
-            ]
-            if len(readers) == 1:
-                key_of = readers[0]
-            else:
-                def key_of(i, _readers=readers):
-                    return tuple(reader(i) for reader in _readers)
-            positions_by_key: dict = {}
-            order = []
-            get = positions_by_key.get
-            for i in survivors:
-                key = key_of(i)
-                bucket = get(key)
-                if bucket is None:
-                    positions_by_key[key] = bucket = []
-                    order.append(key)
-                bucket.append(i)
-        if not plan.select.group_by and not survivors:
-            # aggregates over an empty input still produce one row
-            order = [0]
-            positions_by_key = {0: []}
-        rows = self.scan.store.rows
-        row_ids = column_store.row_ids
-        binding = self.scan.binding
-        for key in order:
-            positions = positions_by_key[key]
-            aggregate_values: dict = {}
-            for call, gather in self.agg_specs:
-                if call not in aggregate_values:
-                    aggregate_values[call] = gather(
-                        column_store, positions, params
-                    )
-            if positions:
-                representative = {binding: rows[row_ids[positions[0]]]}
-            else:
-                representative = {b: None for b in plan.columns_by_binding}
-            yield from plan._emit_group(
-                representative, aggregate_values, params
-            )
+            representative = dict.fromkeys(plan.columns_by_binding)
+        yield from plan._emit_group(representative, aggregate_values, params)
 
 
-def _column_gather(name: str, func: str, distinct: bool,
-                   numeric_fast: bool, reduce_aggregate):
+def column_gather(name: str, call, sql_type, reduce_aggregate):
     """Aggregate-input gatherer reading one column's array directly."""
+    func, distinct = call.func, call.distinct
+    numeric_fast = func in ("SUM", "AVG") and not distinct \
+        and _type_family(sql_type) == "number"
 
     def gather(column_store, positions, params):
         column = column_store.columns[name]
@@ -975,18 +814,16 @@ def _column_gather(name: str, func: str, distinct: bool,
         if numeric_fast and values:
             # left-to-right builtin sum == the shared reduce for
             # int/float inputs, minus the per-element lambda call
-            if func == "SUM":
-                return sum(values)
-            if func == "AVG":
-                return sum(values) / len(values)
+            total = sum(values)
+            return total if func == "SUM" else total / len(values)
         return reduce_aggregate(func, distinct, values)
 
     return gather
 
 
-def _row_gather(argument_fn, func: str, distinct: bool, reduce_aggregate):
-    """Aggregate-input gatherer for non-column arguments: the compiled
-    row-mode argument expression runs per surviving row."""
+def row_gather(argument_fn, call, reduce_aggregate):
+    """Aggregate-input gatherer for non-column arguments: the row-mode
+    argument expression runs per surviving row."""
 
     def gather(column_store, positions, params):
         rows = column_store.store.rows
@@ -997,100 +834,10 @@ def _row_gather(argument_fn, func: str, distinct: bool, reduce_aggregate):
             value = argument_fn(rows[row_ids[i]], params)
             if value is not None:
                 append(value)
-        return reduce_aggregate(func, distinct, values)
+        return reduce_aggregate(call.func, call.distinct, values)
 
     return gather
 
 
-def _count_star_gather(column_store, positions, params):
+def count_star_gather(column_store, positions, params):
     return len(positions)
-
-
-def build_columnar_pipeline(plan):
-    """A :class:`ColumnarPipeline` for ``plan``, or None when the plan
-    shape is not batch-executable.
-
-    Eligible: a single-table sequential scan whose non-grouped tail
-    compiled to the fused row emit, or a grouped tail whose GROUP BY
-    keys are plain column references (aggregate arguments may be
-    anything — non-column arguments gather through their compiled row
-    form).  Predicate conjuncts always work: unvectorizable ones run
-    their compiled-row form over the shrinking selection.
-    """
-    # imported here: compile/executor sit downstream of storage, which
-    # imports this module for ColumnStore
-    from repro.rdb.compile import compile_scalar
-    from repro.rdb.executor import ScanOp, reduce_aggregate
-
-    root = plan.root
-    if not isinstance(root, ScanOp) or root.access.kind != "seq":
-        return None
-    if len(plan.columns_by_binding) != 1:
-        return None
-    schema = root.store.schema
-    binding = root.binding
-    specs: list[_KernelSpec] = []
-    fallbacks = 0
-    for conjunct in conjuncts(root.predicate):
-        selectivity = cost.conjunct_selectivity(
-            root.store, conjunct, getattr(plan, "feedback", None)
-        )
-        bind = _compile_conjunct(conjunct, binding, schema)
-        if bind is not None:
-            specs.append(_KernelSpec(bind, selectivity, True))
-        else:
-            fallbacks += 1
-            predicate_fn = compile_scalar(
-                conjunct, root._scope_columns, "row", "columnar-fallback"
-            ).fn
-            specs.append(
-                _KernelSpec(_fallback_bind(predicate_fn), selectivity, False)
-            )
-    # most selective first; per-row fallbacks after every vectorized
-    # kernel (they cost the most per surviving position)
-    specs.sort(key=lambda spec: (not spec.vectorized, spec.selectivity))
-
-    if not plan.grouped:
-        if not plan.fused:
-            return None
-        return ColumnarPipeline(plan, root, specs, fallbacks)
-
-    group_columns = []
-    for expr in plan.select.group_by:
-        name = _column_of(expr, binding, schema)
-        if name is None:
-            return None  # computed group keys stay on the row path
-        group_columns.append(name)
-    agg_specs = []
-    seen_calls = set()
-    for call in plan._wanted_aggregates:
-        if call in seen_calls:
-            continue
-        seen_calls.add(call)
-        if call.argument is None:
-            agg_specs.append((call, _count_star_gather))
-            continue
-        name = _column_of(call.argument, binding, schema)
-        if name is not None:
-            family = _type_family(schema.column(name).sql_type)
-            numeric_fast = (
-                call.func in ("SUM", "AVG")
-                and not call.distinct
-                and family == "number"
-            )
-            agg_specs.append((call, _column_gather(
-                name, call.func, call.distinct, numeric_fast,
-                reduce_aggregate,
-            )))
-        else:
-            argument_fn = compile_scalar(
-                call.argument, root._scope_columns, "row",
-                "columnar-aggregate",
-            ).fn
-            agg_specs.append((call, _row_gather(
-                argument_fn, call.func, call.distinct, reduce_aggregate,
-            )))
-    return ColumnarPipeline(
-        plan, root, specs, fallbacks,
-        group_columns=group_columns, agg_specs=agg_specs,
-    )

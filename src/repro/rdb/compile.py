@@ -51,19 +51,23 @@ Two calling conventions are lowered:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 from repro.errors import QueryError
+from repro.rdb import columnar, cost
 from repro.rdb.executor import (
     FilterOp,
     HashJoinOp,
     NestedLoopJoinOp,
     RowScope,
     ScanOp,
+    reduce_aggregate,
 )
 from repro.rdb.expr import (
     _SCALAR_FUNCTIONS,
+    COMPARISON_TESTS,
     AggregateCall,
     And,
     Arithmetic,
@@ -83,8 +87,10 @@ from repro.rdb.expr import (
     Param,
     _as_text,
     _is_number,
-    compare_values,
+    between_test,
+    in_test,
     like_matcher,
+    like_test,
 )
 
 #: the modes lowered to interpreter closures — the references the
@@ -108,36 +114,6 @@ class CompileError(Exception):
 
 def _missing_param(name):
     raise QueryError(f"missing query parameter {name!r}")
-
-
-def _cmp_eq(lhs, rhs):
-    sign = compare_values(lhs, rhs)
-    return None if sign is None else sign == 0
-
-
-def _cmp_ne(lhs, rhs):
-    sign = compare_values(lhs, rhs)
-    return None if sign is None else sign != 0
-
-
-def _cmp_lt(lhs, rhs):
-    sign = compare_values(lhs, rhs)
-    return None if sign is None else sign < 0
-
-
-def _cmp_le(lhs, rhs):
-    sign = compare_values(lhs, rhs)
-    return None if sign is None else sign <= 0
-
-
-def _cmp_gt(lhs, rhs):
-    sign = compare_values(lhs, rhs)
-    return None if sign is None else sign > 0
-
-
-def _cmp_ge(lhs, rhs):
-    sign = compare_values(lhs, rhs)
-    return None if sign is None else sign >= 0
 
 
 def _arith_add(lhs, rhs):
@@ -203,44 +179,12 @@ def _negate(value):
     return -value
 
 
-def _between(value, low, high, negated):
-    low_sign = compare_values(value, low)
-    high_sign = compare_values(value, high)
-    if low_sign is None or high_sign is None:
-        return None
-    inside = low_sign >= 0 and high_sign <= 0
-    return not inside if negated else inside
-
-
 def _like_dyn(value, pattern, negated, escape):
+    """LIKE against a pattern evaluated per row: the matcher is looked
+    up (one LRU probe) and handed to the shared test."""
     if value is None or pattern is None:
         return None
-    return _like_rx(value, like_matcher(str(pattern), escape)[0], negated)
-
-
-def _like_rx(value, match, negated):
-    """LIKE against a pattern known (and non-NULL) at compile time."""
-    if value is None:
-        return None
-    matched = bool(match(str(value)))
-    return not matched if negated else matched
-
-
-def _in_list(value, options, env, params, negated):
-    """The interpreter's lazy IN-list loop over pre-compiled options."""
-    if value is None:
-        return None
-    saw_null = False
-    for option in options:
-        candidate = option(env, params)
-        if candidate is None:
-            saw_null = True
-            continue
-        if compare_values(value, candidate) == 0:
-            return not negated
-    if saw_null:
-        return None
-    return negated
+    return like_test(value, like_matcher(str(pattern), escape)[0], negated)
 
 
 _CMP_HELPERS = {
@@ -263,15 +207,12 @@ _ARITH_HELPERS = {
 #: scalar functions whose arity the interpreter does not pin to one
 _VARIADIC_FUNCTIONS = ("COALESCE", "CONCAT", "ROUND", "SUBSTR")
 
-#: shared globals of every generated function
+#: shared globals of every generated function.  Comparison, BETWEEN,
+#: IN and LIKE are :mod:`repro.rdb.expr`'s value-level tests — the ones
+#: the batch kernels call; only how the operands arrive differs
 _RUNTIME = {
     "_missing_param": _missing_param,
-    "_cmp_eq": _cmp_eq,
-    "_cmp_ne": _cmp_ne,
-    "_cmp_lt": _cmp_lt,
-    "_cmp_le": _cmp_le,
-    "_cmp_gt": _cmp_gt,
-    "_cmp_ge": _cmp_ge,
+    **{name: COMPARISON_TESTS[op] for op, name in _CMP_HELPERS.items()},
     "_arith_add": _arith_add,
     "_arith_sub": _arith_sub,
     "_arith_mul": _arith_mul,
@@ -279,10 +220,10 @@ _RUNTIME = {
     "_arith_mod": _arith_mod,
     "_concat": _concat,
     "_negate": _negate,
-    "_between": _between,
+    "_between": between_test,
     "_like_dyn": _like_dyn,
-    "_like_rx": _like_rx,
-    "_in_list": _in_list,
+    "_like_rx": like_test,
+    "_in_list": in_test,
 }
 
 
@@ -498,7 +439,7 @@ class _Codegen:
         self.ns[name] = options
         out = self.fresh()
         self.emit(
-            f"{out} = _in_list({value}, {name}, _env, _p, {node.negated!r})"
+            f"{out} = _in_list({value}, {name}, {node.negated!r}, _env, _p)"
         )
         return out
 
@@ -719,14 +660,75 @@ def compile_emit(
         return None
 
 
+def _scan_kernels(scan: ScanOp, feedback) -> tuple:
+    """A columnar scan's batch kernels — one bind function per pushed
+    conjunct, from the classification the scan carries — in run order:
+    most selective first, the per-row fallbacks (a conjunct's generated
+    row predicate over the surviving positions) after every vectorized
+    kernel, whose survivors they cost the most on."""
+    schema = scan.store.schema
+    ranked = []
+    for conjunct, classified in zip(scan.conjuncts, scan.sargs):
+        bind = columnar.vector_bind(conjunct, classified, schema)
+        vectorized = bind is not None
+        if not vectorized:
+            bind = columnar.fallback_bind(compile_scalar(
+                conjunct, scan._scope_columns, "row", "columnar-fallback"
+            ).fn)
+        ranked.append((
+            not vectorized,
+            cost.conjunct_selectivity(scan.store, conjunct, feedback),
+            bind,
+        ))
+    ranked.sort(key=lambda entry: entry[:2])
+    return tuple(bind for _fallback, _selectivity, bind in ranked)
+
+
+def _column_gathers(plan, note):
+    """``(group columns, [(call, gather)])`` for the column-gather
+    grouped tail, or None when the plan groups rows: the tail needs a
+    columnar root scan to hand it positions, and every GROUP BY key a
+    plain column to partition them by.  Aggregate arguments may be
+    anything — a computed one gathers through its row-mode lowering."""
+    scan = plan.root
+    if not isinstance(scan, ScanOp) or scan.access.kind != "columnar":
+        return None
+    schema = scan.store.schema
+    group_columns = [
+        columnar.column_of(expr, scan.binding, schema)
+        for expr in plan.select.group_by
+    ]
+    if None in group_columns:
+        return None
+    gathers = []
+    for call in dict.fromkeys(plan._wanted_aggregates):
+        if call.argument is None:
+            gather = columnar.count_star_gather
+        else:
+            name = columnar.column_of(call.argument, scan.binding, schema)
+            if name is not None:
+                gather = columnar.column_gather(
+                    name, call, schema.column(name).sql_type, reduce_aggregate
+                )
+            else:
+                gather = columnar.row_gather(note(compile_scalar(
+                    call.argument, scan._scope_columns, "row",
+                    "aggregate-argument",
+                )), call, reduce_aggregate)
+        gathers.append((call, gather))
+    return group_columns, gathers
+
+
 def compile_plan(plan) -> dict:
     """Fill every expression slot of ``plan`` with the back-end
     ``plan.mode`` names.
 
-    Walks the operator tree lowering scan/filter predicates, join
-    probe keys, build-key extractors, prefilters, residuals and
-    nested-loop conditions; then the plan-level tail: the GROUP BY key
-    and aggregate-argument extractors of a grouped query, else the
+    Walks the operator tree lowering scan/filter predicates (and a
+    columnar scan's kernels), join probe keys, build-key extractors,
+    prefilters, residuals and nested-loop conditions; then the
+    plan-level tail: for a grouped query the column-gather tail where
+    the root scan can feed it, else the GROUP BY key and
+    aggregate-argument extractors of the row-grouped one; otherwise the
     project + order-key ``emit_fn`` (fused row mode for a generated
     single-scan plan, bindings mode otherwise).  Returns
     ``{"compiled": n, "interpreted": m}`` counting slots by what fills
@@ -753,6 +755,8 @@ def compile_plan(plan) -> dict:
                 op.predicate_fn = note(lower_scalar(
                     op.predicate, op._scope_columns, "row", "scan-predicate"
                 ))
+            if op.access.kind == "columnar":
+                op.kernels = _scan_kernels(op, plan.feedback)
         elif isinstance(op, FilterOp):
             op.predicate_fn = note(lower_scalar(
                 op.predicate, op.columns_by_binding, "bindings", "filter"
@@ -784,6 +788,12 @@ def compile_plan(plan) -> dict:
 
     select = plan.select
     if plan.grouped:
+        gather = _column_gathers(plan, note)
+        if gather is not None:
+            plan.group_tail = functools.partial(
+                columnar.gather_groups, plan, plan.root, *gather
+            )
+            return stats
         plan.group_key_fn = note(lower_tuple(
             select.group_by, columns, "bindings", "group-key"
         ))

@@ -46,16 +46,12 @@ from __future__ import annotations
 import math
 
 from repro.rdb.expr import (
-    Between,
-    ColumnRef,
-    Comparison,
     Expr,
-    InList,
-    IsNull,
-    Like,
     Literal,
     Not,
     Or,
+    conjunct_fingerprint,
+    sarg,
 )
 
 #: fixed fallback selectivities (System R's famous magic numbers)
@@ -103,13 +99,6 @@ def columnar_scan_cost(live_rows: int) -> float:
     return COLUMNAR_SETUP_COST + live_rows * COLUMNAR_ROW_COST
 
 
-def prefer_columnar(live_rows: int) -> bool:
-    """Whether a sequential scan over ``live_rows`` is cheaper columnar
-    than row-at-a-time (whose cost is one unit per row).  Small tables
-    stay on the row path: the kernel-binding setup fee dominates them."""
-    return columnar_scan_cost(live_rows) < float(live_rows)
-
-
 def sort_cost(rows: float, keep: float | None = None) -> float:
     """Estimated cost of ordering ``rows`` rows: a full sort, or a
     top-N holding ``keep`` of them — cheap while most arrivals fail the
@@ -142,10 +131,6 @@ def ordered_walk(segment: float, passing: float, offset: float,
     wanted = min(passing, offset + limit)
     examined = min(segment, wanted * segment / max(passing, _MIN_SELECTIVITY))
     return wanted, INDEX_PROBE_COST + examined * ORDERED_ROW_COST
-
-
-def _column_of(expr: Expr) -> str | None:
-    return expr.column if isinstance(expr, ColumnRef) else None
 
 
 def _literal_value(expr: Expr):
@@ -253,12 +238,17 @@ def conjunct_selectivity(store, conjunct: Expr, feedback=None) -> float:
 
     The conjunct is assumed to reference only this table; multi-table
     conjuncts are estimated by their structure alone.  A learned
-    whole-conjunct observation (keyed by the conjunct's structural
-    ``repr``) beats any structural estimate.
+    whole-conjunct observation (keyed by the conjunct's fingerprint)
+    beats any structural estimate; the structure is read off the
+    conjunct's :func:`~repro.rdb.expr.sarg`, a computed subject
+    (``column`` None) getting the fixed constants.
     """
-    learned = _learned(feedback, store, ("conj", repr(conjunct)))
-    if learned is not None:
-        return learned
+    if feedback is not None:  # no fingerprint taken for nobody to look up
+        learned = feedback.selectivity(
+            store.schema.name, ("conj", conjunct_fingerprint(conjunct))
+        )
+        if learned is not None:
+            return learned
     if isinstance(conjunct, Not):
         return clamp(
             1.0 - conjunct_selectivity(store, conjunct.operand, feedback)
@@ -267,61 +257,43 @@ def conjunct_selectivity(store, conjunct: Expr, feedback=None) -> float:
         left = conjunct_selectivity(store, conjunct.left, feedback)
         right = conjunct_selectivity(store, conjunct.right, feedback)
         return clamp(left + right - left * right)
-    if isinstance(conjunct, Comparison):
-        left_col = _column_of(conjunct.left)
-        right_col = _column_of(conjunct.right)
-        if conjunct.op == "=":
-            if left_col is not None and right_col is None:
-                return equality_selectivity(store, left_col, feedback)
-            if right_col is not None and left_col is None:
-                return equality_selectivity(store, right_col, feedback)
-            return DEFAULT_EQ_SELECTIVITY
-        if conjunct.op == "<>":
-            column = left_col or right_col
-            return clamp(1.0 - equality_selectivity(store, column, feedback))
-        # range comparison: put the column on the left mentally
-        if left_col is not None and right_col is None:
-            value = _literal_value(conjunct.right)
-            if conjunct.op in ("<", "<="):
-                return range_selectivity(
-                    store, left_col, None, value, feedback=feedback
-                )
-            return range_selectivity(
-                store, left_col, value, None, feedback=feedback
-            )
-        if right_col is not None and left_col is None:
-            value = _literal_value(conjunct.left)
-            if conjunct.op in ("<", "<="):
-                return range_selectivity(
-                    store, right_col, value, None, feedback=feedback
-                )
-            return range_selectivity(
-                store, right_col, None, value, feedback=feedback
-            )
-        return DEFAULT_RANGE_SELECTIVITY
-    if isinstance(conjunct, Between):
-        column = _column_of(conjunct.operand)
-        selectivity = range_selectivity(
-            store, column,
-            _literal_value(conjunct.low), _literal_value(conjunct.high),
-            feedback=feedback,
-        )
-        return clamp(1.0 - selectivity) if conjunct.negated else selectivity
-    if isinstance(conjunct, InList):
-        column = _column_of(conjunct.operand)
-        per_value = equality_selectivity(store, column, feedback)
-        selectivity = clamp(per_value * len(conjunct.options))
-        return clamp(1.0 - selectivity) if conjunct.negated else selectivity
-    if isinstance(conjunct, IsNull):
-        return null_selectivity(
-            store, _column_of(conjunct.operand), conjunct.negated
-        )
-    if isinstance(conjunct, Like):
-        selectivity = DEFAULT_LIKE_SELECTIVITY
-        return clamp(1.0 - selectivity) if conjunct.negated else selectivity
     if isinstance(conjunct, Literal):
         return 1.0 if conjunct.value is True else _MIN_SELECTIVITY
-    return DEFAULT_SELECTIVITY
+    classified = sarg(conjunct)
+    if classified is None:
+        return DEFAULT_SELECTIVITY
+    kind, column = classified.kind, classified.column
+    if kind == "null":
+        return null_selectivity(store, column, classified.negated)
+    if kind == "cmp":
+        if classified.op == "=":
+            return equality_selectivity(store, column, feedback)
+        if classified.op == "<>":
+            return clamp(1.0 - equality_selectivity(store, column, feedback))
+        bound = _literal_value(classified.operands[0])
+        low, high = (None, bound) if classified.op in ("<", "<=") \
+            else (bound, None)
+        return range_selectivity(store, column, low, high, feedback=feedback)
+    if kind == "between":
+        low, high = map(_literal_value, classified.operands)
+        selectivity = range_selectivity(
+            store, column, low, high, feedback=feedback
+        )
+    elif kind == "in":
+        selectivity = clamp(
+            equality_selectivity(store, column, feedback)
+            * len(classified.operands)
+        )
+    else:
+        selectivity = DEFAULT_LIKE_SELECTIVITY
+    return clamp(1.0 - selectivity) if classified.negated else selectivity
+
+
+def conjunct_set_key(conjuncts) -> tuple:
+    """Feedback key for a whole pushed-down conjunct set.  Set-level
+    entries capture *correlation* between conjuncts — the classic case
+    the independence assumption cannot price."""
+    return ("set", tuple(sorted(map(conjunct_fingerprint, conjuncts))))
 
 
 def conjuncts_selectivity(store, conjuncts, feedback=None) -> float:
@@ -334,8 +306,7 @@ def conjuncts_selectivity(store, conjuncts, feedback=None) -> float:
     """
     conjuncts = list(conjuncts)
     if feedback is not None and len(conjuncts) > 1:
-        key = ("set", tuple(sorted(repr(c) for c in conjuncts)))
-        learned = _learned(feedback, store, key)
+        learned = _learned(feedback, store, conjunct_set_key(conjuncts))
         if learned is not None:
             return learned
     selectivity = 1.0

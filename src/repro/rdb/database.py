@@ -83,7 +83,7 @@ class DatabaseStats(AtomicCounters):
     #: selects served by a compiled (or mixed) plan vs the interpreter
     selects_compiled: int = 0
     selects_interpreted: int = 0
-    #: selects served by the columnar batch pipeline (a subset of
+    #: selects whose scan took the columnar access path (a subset of
     #: neither of the above: the three buckets partition ``selects``)
     selects_columnar: int = 0
     #: selects whose SQL text hit the plan cache before parsing
@@ -669,7 +669,10 @@ class Database:
         with self._plan_lock:
             plan = self._plan_cache.setdefault(cache_key, plan)
             while len(self._plan_cache) > PLAN_CACHE_CAP:
-                self._plan_cache.popitem(last=False)
+                evicted, _plan = self._plan_cache.popitem(last=False)
+                # its feedback ledger goes with it (a drift _drop_plan
+                # keeps the ledger: replan budget and cooldown live there)
+                self.adaptive.ledgers.pop(evicted, None)
                 self.stats.plan_evictions += 1
         return plan
 
@@ -833,10 +836,10 @@ class Database:
         """Plan and lower a SELECT once for repeated execution (generic
         services).  ``mode`` is the one execution knob
         (:data:`repro.rdb.planner.MODES`; DESIGN.md §8 has the table):
-        ``None`` is the cost-based plan in generated code with the cost
-        model picking the layout — the only mode served from the plan
-        cache; ``"columnar"`` forces the batch pipeline wherever the
-        plan shape allows it and ``"compiled"`` pins row execution;
+        ``None`` is the cost-based plan in generated code, the columnar
+        scan priced beside the other access paths — the only mode served
+        from the plan cache; ``"columnar"`` takes it wherever a join-free
+        plan would walk the heap and ``"compiled"`` never offers it;
         ``"interpreted"`` lowers the same cost-based plan to closures
         over ``Expr.evaluate`` (E17's baseline for the generated code
         alone) and ``"seed"`` does so for the naive seed plan (E14's

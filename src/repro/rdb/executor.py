@@ -20,12 +20,15 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 
 from repro.errors import QueryError
+from repro.rdb.columnar import select_positions
 from repro.rdb.expr import (
     AggregateCall,
     ColumnRef,
     Expr,
     Literal,
     compare_values,
+    conjuncts,
+    sarg,
 )
 from repro.rdb.storage import TableStore
 
@@ -109,6 +112,9 @@ class AccessPath:
     ``kind`` is one of:
 
     - ``seq``: walk the heap;
+    - ``columnar``: sweep the table's column arrays with the scan's
+      batch kernels (:mod:`repro.rdb.columnar`) and fetch only the rows
+      at surviving positions — same rows, same order as ``seq``;
     - ``eq``: probe an index with equality values for the leading
       ``columns`` (full-width probes hash, shorter ones walk the sorted
       prefix segment);
@@ -154,7 +160,8 @@ class ScanOp(Operator):
     a ``None`` answer from the index degrades to a heap walk.
 
     ``predicate_fn`` is ``predicate`` lowered to row mode,
-    ``fn(row, params)``.
+    ``fn(row, params)``; a ``columnar`` path runs ``kernels`` instead,
+    one bind function per conjunct, in run order.
     """
 
     def __init__(
@@ -168,7 +175,15 @@ class ScanOp(Operator):
         self.binding = binding
         self.access = access or _SEQ
         self.predicate = predicate
+        #: the pushed conjuncts and their classification (a
+        #: :class:`~repro.rdb.expr.Sarg` or None each): what the kernel
+        #: builder and adaptive's correction keys read
+        self.conjuncts = tuple(conjuncts(predicate))
+        self.sargs = tuple(map(sarg, self.conjuncts))
         self.predicate_fn = None
+        self.kernels: tuple = ()
+        #: memo of :func:`repro.rdb.adaptive.scan_correction_keys`
+        self.correction_keys: list | None = None
         self._scope_columns = {binding: list(store.schema.column_names)}
 
     @property
@@ -232,12 +247,30 @@ class ScanOp(Operator):
             matches |= found
         return matches
 
+    def positions(self, params: dict):
+        """A ``columnar`` path's selection: the synced column store and
+        the ascending positions every kernel keeps.  The counts are
+        exact here, however much of the row stream is consumed."""
+        column_store = self.store.column_store.ensure_synced()
+        survivors, self.scanned = select_positions(
+            column_store, self.kernels, params
+        )
+        self.actual_rows = len(survivors)
+        return column_store, survivors
+
     def matching(self, params: dict,
                  skip: int = 0) -> Iterator[tuple[int, dict]]:
         """``(row_id, row)`` for every row the scan selects — the one
         loop under SELECT's row stream and UPDATE / DELETE's row ids.
         ``skip`` is the OFFSET an ordered path may take on index entries
         (the planner passes it only when no predicate filters rows)."""
+        if self.access.kind == "columnar":
+            column_store, survivors = self.positions(params)
+            rows, row_ids = self.store.rows, column_store.row_ids
+            for position in survivors:
+                row_id = row_ids[position]
+                yield row_id, rows[row_id]
+            return
         produced = fetched = 0
         try:
             row_ids = self._candidate_row_ids(params, skip)
@@ -269,12 +302,6 @@ class ScanOp(Operator):
             self.scanned = fetched
             if skip and self.access.index.repeats:
                 self.scanned += skip  # stepped over; unique keys are jumped
-
-    def matching_rows(self, params: dict) -> Iterator[dict]:
-        """The scan's raw row dicts (no binding map) — what the
-        plan-level fused pipeline consumes."""
-        for _row_id, row in self.matching(params):
-            yield row
 
     def rows(self, params: dict) -> Iterator[Bindings]:
         binding = self.binding

@@ -154,6 +154,68 @@ def compare_values(lhs, rhs) -> int | None:
     return (lhs > rhs) - (lhs < rhs)
 
 
+# The value-level predicate tests: ``(value, bound operands) -> True |
+# False | None`` under SQL's three-valued logic.  Every *lowered* form of
+# a predicate calls these — generated row code (:mod:`repro.rdb.compile`)
+# and the batch kernels' generic arms (:mod:`repro.rdb.columnar`) differ
+# only in how they fetch the operands.  The ``evaluate`` methods below
+# are the reference the oracles hold them to, and stay their own text.
+
+
+def _sign_test(accepted: tuple):
+    def test(lhs, rhs):
+        sign = compare_values(lhs, rhs)
+        return None if sign is None else sign in accepted
+    return test
+
+
+#: comparison operator -> ``test(lhs, rhs)``
+COMPARISON_TESTS = {
+    "=": _sign_test((0,)),
+    "<>": _sign_test((-1, 1)),
+    "<": _sign_test((-1,)),
+    "<=": _sign_test((-1, 0)),
+    ">": _sign_test((1,)),
+    ">=": _sign_test((0, 1)),
+}
+
+
+def between_test(value, low, high, negated):
+    low_sign = compare_values(value, low)
+    high_sign = compare_values(value, high)
+    if low_sign is None or high_sign is None:
+        return None
+    inside = low_sign >= 0 and high_sign <= 0
+    return not inside if negated else inside
+
+
+def in_test(value, candidates, negated, *env):
+    """``candidates`` are the option values — or, given ``env``, the
+    callables producing them as ``candidate(*env)``, called only as far
+    as the first match: a lazy caller evaluates no option the
+    interpreter would not."""
+    if value is None:
+        return None
+    saw_null = False
+    for candidate in candidates:
+        if env:
+            candidate = candidate(*env)
+        if candidate is None:
+            saw_null = True
+        elif compare_values(value, candidate) == 0:
+            return not negated
+    return None if saw_null else negated
+
+
+def like_test(value, match, negated):
+    """``match`` is the pattern's :func:`like_matcher` (the pattern was
+    not NULL)."""
+    if value is None:
+        return None
+    matched = bool(match(str(value)))
+    return not matched if negated else matched
+
+
 @dataclass(frozen=True)
 class Comparison(Expr):
     op: str  # = <> < <= > >=
@@ -405,6 +467,97 @@ class Between(Expr):
             + self.low.column_refs()
             + self.high.column_refs()
         )
+
+
+@dataclass(frozen=True)
+class Sarg:
+    """One predicate conjunct classified as ``subject ⟨op⟩ operands``.
+
+    ``kind`` is ``cmp`` / ``between`` / ``in`` / ``like`` / ``null``;
+    ``op`` is a comparison's operator *with the subject on the left*
+    (None for the other kinds), ``operands`` the right-hand expressions
+    (bound, bounds, options, pattern; none for ``null``).  ``column`` /
+    ``table`` name the subject when it is a plain column reference — a
+    comparison's only one — and are None when it is computed
+    (``UPPER(title) LIKE …``, ``a = b``): the predicate's shape is then
+    all a reader can use.  ``constant``: every operand is free of column
+    references, so it can be evaluated once per execution."""
+
+    kind: str
+    column: str | None
+    table: str | None
+    op: str | None
+    operands: tuple[Expr, ...]
+    constant: bool
+    negated: bool
+    #: LIKE's escape character
+    escape: str | None
+    #: the conjunct's structural identity (see conjunct_fingerprint)
+    fingerprint: str
+
+
+#: a comparison operator as read from the other side
+_FLIPPED_OP = {"=": "=", "<>": "<>", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
+
+
+def sarg(conjunct: Expr) -> Sarg | None:
+    """The one recogniser of ``column ⟨op⟩ operands``: access-path
+    choice, the cost model, adaptive correction keys and the batch
+    kernels all read the record it returns instead of matching node
+    shapes themselves.  None for anything else (OR, NOT, a bare boolean
+    …).  Classified once per node — the record rides the immutable AST
+    node it describes."""
+    memo = conjunct.__dict__
+    if "_sarg" not in memo:
+        memo["_sarg"] = _classify(conjunct)
+    return memo["_sarg"]
+
+
+def _classify(conjunct: Expr) -> Sarg | None:
+    op = escape = None
+    negated = False
+    if isinstance(conjunct, Comparison):
+        kind, op = "cmp", conjunct.op
+        subject, operands = conjunct.left, (conjunct.right,)
+        if op not in _FLIPPED_OP:
+            return None
+        if isinstance(conjunct.right, ColumnRef):
+            if isinstance(subject, ColumnRef):
+                subject = None  # column against column: neither is "the" one
+            else:
+                subject, operands = conjunct.right, (conjunct.left,)
+                op = _FLIPPED_OP[op]
+    elif isinstance(conjunct, Between):
+        kind, subject = "between", conjunct.operand
+        operands, negated = (conjunct.low, conjunct.high), conjunct.negated
+    elif isinstance(conjunct, InList):
+        kind, subject = "in", conjunct.operand
+        operands, negated = conjunct.options, conjunct.negated
+    elif isinstance(conjunct, Like):
+        kind, subject = "like", conjunct.operand
+        operands, negated = (conjunct.pattern,), conjunct.negated
+        escape = conjunct.escape
+    elif isinstance(conjunct, IsNull):
+        kind, subject, operands = "null", conjunct.operand, ()
+        negated = conjunct.negated
+    else:
+        return None
+    plain = isinstance(subject, ColumnRef)
+    return Sarg(
+        kind, subject.column if plain else None,
+        subject.table if plain else None, op, operands,
+        not any(operand.column_refs() for operand in operands),
+        negated, escape, repr(conjunct),
+    )
+
+
+def conjunct_fingerprint(conjunct: Expr) -> str:
+    """A stable identity for one predicate conjunct.  Expr nodes are
+    frozen dataclasses, so ``repr`` is structural: the same textual
+    predicate re-parsed later (parameters by *name*, never value) maps
+    to the same learned-selectivity entry."""
+    classified = sarg(conjunct)
+    return repr(conjunct) if classified is None else classified.fingerprint
 
 
 _SCALAR_FUNCTIONS = {}

@@ -10,9 +10,11 @@ Planning is cost-based (:mod:`repro.rdb.cost`):
 - the WHERE clause and inner-join ON conditions are split into
   conjuncts, each resolved to the set of table bindings it references;
 - single-table conjuncts are pushed down: onto the base scan (where
-  they also select an access path — sequential scan, exact index
-  lookup, sorted range scan, or ``IN``-list probe, whichever the cost
-  model prices cheapest) and onto join build sides as prefilters;
+  they also select an access path — heap walk, row-at-a-time or as a
+  columnar sweep, exact index lookup, sorted range scan, or ``IN``-list
+  probe, whichever the cost model prices cheapest; what a conjunct
+  says about which column is read off its :func:`~repro.rdb.expr.sarg`)
+  and onto join build sides as prefilters;
 - inner joins are greedily reordered by estimated cardinality
   (smallest filtered table first, then the cheapest connected
   extension), falling back to the declared order when the join graph
@@ -28,7 +30,8 @@ Planning is cost-based (:mod:`repro.rdb.cost`):
 shape (``"seed"`` rebuilds the seed's naive plan — full scans except
 exact-equality index matches, declared join order, one final WHERE
 filter — which E14 uses as its baseline), the lowering back-end
-(:mod:`repro.rdb.compile`) and the layout.  Operators never see it.
+(:mod:`repro.rdb.compile`) and whether a scan is offered the columnar
+access path.  Operators never see it.
 
 Two optional inputs refine cost-based planning without touching
 semantics: ``feedback`` (a :class:`repro.rdb.adaptive.SelectivityMemory`)
@@ -68,21 +71,19 @@ from repro.rdb.executor import (
 from repro.rdb.expr import (
     AggregateCall,
     And,
-    Between,
     ColumnRef,
     Comparison,
     Expr,
-    InList,
     Literal,
     Param,
     conjuncts as _conjuncts,
+    sarg,
 )
-from repro.rdb.columnar import build_columnar_pipeline
 from repro.rdb.sqlparser import Delete, Select, SelectItem, TableRef, Update
 from repro.rdb.storage import TableStore
 from repro.util import unique_name
 
-#: execution modes: plan shape · lowering back-end · layout
+#: execution modes: plan shape · lowering back-end · scan access kinds
 #: (DESIGN.md §8 has the table).  ``None`` is the cost-based default
 #: and the only cached one; the rest pin one choice for baselines,
 #: oracles and the plan scanner.
@@ -98,10 +99,27 @@ def _and_all(parts: list[Expr]) -> Expr | None:
     return combined
 
 
-def _constant(expr: Expr) -> bool:
-    """Constant at plan scope: literals, parameters, and compositions
-    thereof — anything without a column reference."""
-    return not expr.column_refs()
+def _range_bounds(column: str, sargs):
+    """(low, low_inclusive, high, high_inclusive) on ``column``: the
+    first lower and the first upper bound among ``sargs``."""
+    low = high = None
+    low_inclusive = high_inclusive = True
+    for classified in sargs:
+        if classified.column != column or classified.negated:
+            continue
+        if classified.kind == "between":
+            bounds = ((">=", classified.operands[0]),
+                      ("<=", classified.operands[1]))
+        elif classified.kind == "cmp":
+            bounds = ((classified.op, classified.operands[0]),)
+        else:
+            continue
+        for op, bound in bounds:
+            if op in (">", ">=") and low is None:
+                low, low_inclusive = bound, op == ">="
+            elif op in ("<", "<=") and high is None:
+                high, high_inclusive = bound, op == "<="
+    return low, low_inclusive, high, high_inclusive
 
 
 def _row_count(what: str, value, params: dict):
@@ -206,35 +224,26 @@ class SelectPlan:
             self.est_cost += self._sort_cost(root.est_rows)
         # The tail's expression slots, filled — like the operators' —
         # by compile_plan: ``emit_fn`` for plain plans (row mode over
-        # the scan's raw rows when ``fused``, else bindings mode), the
-        # group key and aggregate arguments for grouped ones.
+        # the scan's raw rows when ``fused``, else bindings mode); for
+        # grouped ones the group key and aggregate arguments of the row
+        # tail, or the column-gather ``group_tail`` in its place.
         self.emit_fn = None
         self.fused = False
         self.group_key_fn = None
         self.agg_arg_fns: dict[AggregateCall, object] = {}
+        self.group_tail = self._execute_grouped
         started = time.perf_counter()
         self.compile_stats = compile_plan(self)
         if mode in INTERPRETED_MODES:
             self.exec_mode = "interpreted"
+        elif any(isinstance(op, ScanOp) and op.access.kind == "columnar"
+                 for op in self.operators):
+            # the (single) scan sweeps column arrays, whatever its tail
+            self.exec_mode = "columnar"
         elif self.compile_stats["interpreted"] == 0:
             self.exec_mode = "compiled"
         else:
             self.exec_mode = "mixed"
-        #: batch pipeline (repro.rdb.columnar) when the layout choice
-        #: is column-major for this plan; None runs row-at-a-time.
-        #: ``mode=None`` lets the cost model decide — columnar pays off
-        #: on wide sequential scans, never on index point lookups
-        #: (which keep access.kind != "seq" and are skipped here).  The
-        #: decision is made once and cached with the plan.
-        self.columnar_pipeline = None
-        want = mode == "columnar"
-        if mode is None and isinstance(self.root, ScanOp) \
-                and self.root.access.kind == "seq":
-            want = cost.prefer_columnar(len(self.root.store.rows) or 10)
-        if want:
-            self.columnar_pipeline = build_columnar_pipeline(self)
-            if self.columnar_pipeline is not None:
-                self.exec_mode = "columnar"
         self.compile_seconds = time.perf_counter() - started
 
     def _collect_wanted_aggregates(self) -> list[AggregateCall]:
@@ -322,86 +331,6 @@ class SelectPlan:
 
     # -- access-path selection ------------------------------------------------
 
-    def _local_equalities(self, store: TableStore,
-                          conjuncts: list[Expr]) -> dict[str, Expr]:
-        """column -> constant expression, from ``col = const`` conjuncts."""
-        found: dict[str, Expr] = {}
-        for conjunct in conjuncts:
-            if not isinstance(conjunct, Comparison) or conjunct.op != "=":
-                continue
-            for col_side, const_side in (
-                (conjunct.left, conjunct.right),
-                (conjunct.right, conjunct.left),
-            ):
-                if (
-                    isinstance(col_side, ColumnRef)
-                    and store.schema.has_column(col_side.column)
-                    and _constant(const_side)
-                ):
-                    found.setdefault(col_side.column, const_side)
-                    break
-        return found
-
-    def _local_range(self, column: str, conjuncts: list[Expr]):
-        """(low, low_inclusive, high, high_inclusive) bounds on
-        ``column`` from range conjuncts with constant bounds."""
-        low = high = None
-        low_inclusive = high_inclusive = True
-        for conjunct in conjuncts:
-            if (
-                isinstance(conjunct, Between)
-                and not conjunct.negated
-                and isinstance(conjunct.operand, ColumnRef)
-                and conjunct.operand.column == column
-                and _constant(conjunct.low)
-                and _constant(conjunct.high)
-            ):
-                if low is None:
-                    low, low_inclusive = conjunct.low, True
-                if high is None:
-                    high, high_inclusive = conjunct.high, True
-                continue
-            if not isinstance(conjunct, Comparison):
-                continue
-            if conjunct.op not in ("<", "<=", ">", ">="):
-                continue
-            left, right = conjunct.left, conjunct.right
-            if (isinstance(left, ColumnRef) and left.column == column
-                    and _constant(right)):
-                if conjunct.op in (">", ">=") and low is None:
-                    low, low_inclusive = right, conjunct.op == ">="
-                elif conjunct.op in ("<", "<=") and high is None:
-                    high, high_inclusive = right, conjunct.op == "<="
-            elif (isinstance(right, ColumnRef) and right.column == column
-                    and _constant(left)):
-                # const OP col: flip the operator
-                if conjunct.op in ("<", "<=") and low is None:
-                    low, low_inclusive = left, conjunct.op == "<="
-                elif conjunct.op in (">", ">=") and high is None:
-                    high, high_inclusive = left, conjunct.op == ">="
-        return low, low_inclusive, high, high_inclusive
-
-    def _local_in_list(self, column: str,
-                       conjuncts: list[Expr]) -> tuple[Expr, ...] | None:
-        for conjunct in conjuncts:
-            if (
-                isinstance(conjunct, InList)
-                and not conjunct.negated
-                and isinstance(conjunct.operand, ColumnRef)
-                and conjunct.operand.column == column
-                and all(_constant(option) for option in conjunct.options)
-            ):
-                return conjunct.options
-        return None
-
-    def _columnar_candidate(self) -> bool:
-        """Whether a seq scan in this plan could run through the batch
-        kernels — single-binding plans whose mode leaves the layout open
-        or forces columnar (mirrors the layout decision in
-        ``__init__``)."""
-        return len(self._binding_order) == 1 \
-            and self.mode in (None, "columnar")
-
     def _choose_access_path(
         self, store: TableStore, conjuncts: list[Expr]
     ) -> tuple[AccessPath, float, float]:
@@ -411,19 +340,37 @@ class SelectPlan:
         An empty (typically not-yet-seeded) table is costed as if it had
         a few rows, so a plan cached before the bulk load still picks
         the index it will want afterwards."""
-        feedback = self.feedback
         live = len(store.rows) or 10
-        output = live * cost.conjuncts_selectivity(store, conjuncts, feedback)
-        best_path = AccessPath()
-        best_cost = float(live)
-        if self._columnar_candidate():
-            # A seq scan here would run through the columnar kernels, so
-            # price it as such: this is the lever that lets a learned
+        output = live * cost.conjuncts_selectivity(
+            store, conjuncts, self.feedback
+        )
+        walk, walk_cost = AccessPath(), float(live)
+        if len(self._binding_order) == 1 and self.mode in (None, "columnar"):
+            # The heap walk's batch form, open to the one scan of a
+            # join-free plan: a flat setup fee, then a fraction of a
+            # row's cost per row — taken by price, or because the mode
+            # pins it.  Pricing it is also the lever that lets a learned
             # low-selectivity correction beat an index probe that must
             # still touch most of the table row-at-a-time.
-            best_cost = min(best_cost, cost.columnar_scan_cost(live))
-        if not self.features.access_paths:
-            return best_path, output, best_cost
+            batch_cost = cost.columnar_scan_cost(live)
+            if self.mode == "columnar" or batch_cost < walk_cost:
+                walk, walk_cost = AccessPath(kind="columnar"), batch_cost
+        found = None
+        if self.features.access_paths:
+            # a pinned layout still competes at the cheaper walk's price:
+            # "columnar" changes how the heap is walked, not whether
+            found = self._index_path(
+                store, conjuncts, live, output, min(float(live), walk_cost)
+            )
+        return found or (walk, output, walk_cost)
+
+    def _index_path(self, store: TableStore, conjuncts: list[Expr],
+                    live: int, output: float, best_cost: float):
+        """The index path (or row-count answer) cheaper than a heap walk
+        priced ``best_cost``, as ``_choose_access_path`` returns it, or
+        None when the walk stands."""
+        feedback = self.feedback
+        best_path = None
         select = self.select
         if (self.grouped and not select.group_by and select.where is None
                 and not select.joins
@@ -432,7 +379,19 @@ class SelectPlan:
             # COUNT(*) of a whole table, nothing else read: the live row
             # count answers it, no scan runs
             return AccessPath(kind="count"), 0.0, cost.INDEX_PROBE_COST
-        equalities = self._local_equalities(store, conjuncts)
+        # what the pushed conjuncts say about single columns, constant
+        # operands only (an index is probed once per execution)
+        sargs = [
+            classified for classified in map(sarg, conjuncts)
+            if classified is not None and classified.constant
+            and store.schema.has_column(classified.column)
+        ]
+        equalities: dict[str, Expr] = {}
+        for classified in sargs:
+            if classified.kind == "cmp" and classified.op == "=":
+                equalities.setdefault(
+                    classified.column, classified.operands[0]
+                )
         order_columns = self._walkable_order(store)
         ordered = None
         for name, index in store.iter_indexes():
@@ -483,9 +442,7 @@ class SelectPlan:
             if width >= len(index.columns):
                 continue
             next_column = index.columns[width]
-            low, low_inc, high, high_inc = self._local_range(
-                next_column, conjuncts
-            )
+            low, low_inc, high, high_inc = _range_bounds(next_column, sargs)
             if low is not None or high is not None:
                 range_selectivity = cost.range_selectivity(
                     store, next_column,
@@ -504,7 +461,11 @@ class SelectPlan:
                         low=low, low_inclusive=low_inc,
                         high=high, high_inclusive=high_inc,
                     )
-            in_options = self._local_in_list(next_column, conjuncts)
+            in_options = next((
+                classified.operands for classified in sargs
+                if classified.kind == "in" and not classified.negated
+                and classified.column == next_column
+            ), None)
             if in_options:
                 per_value = cost.equality_selectivity(
                     store, next_column, feedback
@@ -528,6 +489,8 @@ class SelectPlan:
             self.walk_cost = ordered[2]
             if ordered[2] < best_cost + self._sort_cost(output):
                 return ordered
+        if best_path is None:
+            return None
         return best_path, output, best_cost
 
     def _sort_cost(self, rows: float) -> float:
@@ -867,12 +830,14 @@ class SelectPlan:
         eq_exprs: list[Expr] = []
         if not select.joins:
             for conjunct in _conjuncts(select.where):
-                pair = self._constant_equality(
-                    conjunct, source_binding, source_store
-                )
-                if pair is not None:
-                    eq_columns.append(pair[0])
-                    eq_exprs.append(pair[1])
+                # ``source.col = <constant expr>``, either way round
+                classified = sarg(conjunct)
+                if (classified is not None and classified.kind == "cmp"
+                        and classified.op == "=" and classified.constant
+                        and classified.table in (None, source_binding)
+                        and source_store.schema.has_column(classified.column)):
+                    eq_columns.append(classified.column)
+                    eq_exprs.append(classified.operands[0])
         # Only use the lookup path when an index matches exactly.
         root: Operator
         use_lookup: tuple[str, ...] = ()
@@ -924,27 +889,6 @@ class SelectPlan:
         if select.where is not None:
             root = FilterOp(root, select.where, self.columns_by_binding)
         return root
-
-    def _constant_equality(
-        self, conjunct: Expr, binding: str, store: TableStore
-    ) -> tuple[str, Expr] | None:
-        """Match ``binding.col = <constant expr>`` (either side)."""
-        if not isinstance(conjunct, Comparison) or conjunct.op != "=":
-            return None
-        for col_side, const_side in (
-            (conjunct.left, conjunct.right),
-            (conjunct.right, conjunct.left),
-        ):
-            if not isinstance(col_side, ColumnRef):
-                continue
-            if col_side.table not in (None, binding):
-                continue
-            if not store.schema.has_column(col_side.column):
-                continue
-            if const_side.column_refs():
-                continue
-            return col_side.column, const_side
-        return None
 
     def _equi_condition(
         self, conjunct: Expr, new_binding: str, joined: set[str]
@@ -1176,16 +1120,14 @@ class SelectPlan:
             ]
             stream.close()  # LIMIT reached: stop the scan where it stands
             return ResultSet(list(self.output_columns), rows)
-        if self.columnar_pipeline is not None:
-            produced = self.columnar_pipeline.execute(params)
-        elif self.counts_rows:
+        if self.counts_rows:
             produced = self._emit_group(
                 dict.fromkeys(self.columns_by_binding),
                 dict.fromkeys(self._wanted_aggregates, len(root.store.rows)),
                 params,
             )
         elif self.grouped:
-            produced = self._execute_grouped(params)
+            produced = self.group_tail(params)
         else:
             produced = self._execute_plain(params)
 
@@ -1259,9 +1201,12 @@ class SelectPlan:
         rows feed a row-mode emit directly — no binding map, no
         per-operator handoff."""
         emit = self.emit_fn
-        stream = self.root.matching_rows if self.fused else self.root.rows
-        for env in stream(params):
-            yield emit(env, params)
+        if self.fused:
+            for _row_id, row in self.root.matching(params):
+                yield emit(row, params)
+        else:
+            for bindings in self.root.rows(params):
+                yield emit(bindings, params)
 
     def _execute_grouped(self, params: dict):
         select = self.select

@@ -145,7 +145,7 @@ class TestLayoutChoice:
             "SELECT i.label FROM item i JOIN other o ON o.n = i.n",
             mode="columnar",
         )
-        assert plan.columnar_pipeline is None
+        assert "columnar" not in plan.access_summary()
         assert plan.exec_mode in ("compiled", "mixed")
 
     def test_explain_annotates_exec_columnar(self):

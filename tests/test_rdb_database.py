@@ -343,6 +343,24 @@ class TestQueries:
         library.execute("CREATE INDEX ix_paper_pages ON paper (pages)")
         assert library.cached_plan_count() == 0
 
+    def test_adaptive_ledgers_are_bounded_with_the_plan_cache(self, library):
+        """An evicted statement's feedback ledger goes with its plan —
+        ``/_status`` sorts every ledger per scrape.  A plan dropped for
+        drift keeps its ledger: the replan budget lives there."""
+        from repro.rdb.database import PLAN_CACHE_CAP
+
+        hot = "SELECT title FROM paper WHERE pages > :p"
+        library.query(hot, {"p": 5})
+        library._drop_plan(hot)
+        assert hot in library.adaptive.ledgers
+        for n in range(PLAN_CACHE_CAP + 500):
+            library.query(hot, {"p": 5})
+            library.query(f"SELECT title FROM paper WHERE pages = {n}")
+        assert library.cached_plan_count() == PLAN_CACHE_CAP
+        assert hot in library.adaptive.ledgers
+        tracked = library.observability_stats()["adaptive"]["tracked_plans"]
+        assert tracked == len(library.adaptive.ledgers) <= PLAN_CACHE_CAP
+
     def test_prepare_rejects_non_select(self, library):
         with pytest.raises(QueryError):
             library.prepare("DELETE FROM paper")

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from repro.rdb import Database
 from repro.rdb.executor import HashJoinOp, ScanOp
-from repro.rdb.planner import SelectPlan
+from repro.rdb.planner import PlannerFeatures, SelectPlan
 from repro.rdb.sqlparser import parse_select
 
 
@@ -141,6 +141,61 @@ class TestAccessPaths:
         # with three-valued logic (NULL never satisfies a range).
         rows = library.query("SELECT COUNT(*) AS n FROM book WHERE year > 0")
         assert rows.scalar() == 40
+
+
+class TestScanIsPricedAsWhatItRuns:
+    """The columnar sweep is an access path like any other: a scan's
+    estimate is the batch price exactly when the scan sweeps column
+    arrays, the row price exactly when it walks the heap — whatever
+    tail or filter sits above it."""
+
+    @staticmethod
+    def _papers(rows: int) -> Database:
+        db = Database()
+        db.execute(
+            "CREATE TABLE paper (oid INTEGER NOT NULL AUTOINCREMENT,"
+            " title VARCHAR(80), pages INTEGER, PRIMARY KEY (oid))"
+        )
+        db.execute("CREATE INDEX ix_paper_pages ON paper (pages)")
+        for i in range(rows):
+            db.insert_row("paper", {"title": f"Paper {i % 7}", "pages": i})
+        return db
+
+    @pytest.mark.parametrize("rows, sql, options, kind", [
+        # computed GROUP BY key: the row-grouped tail over a batch scan
+        (3000, "SELECT UPPER(title), COUNT(*) FROM paper"
+               " GROUP BY UPPER(title)", {}, "columnar"),
+        # pushdown off: the scan sits under a Filter
+        (3000, "SELECT title, COUNT(*) FROM paper WHERE title LIKE 'P%'"
+               " GROUP BY title",
+         {"features": PlannerFeatures(pushdown=False)}, "columnar"),
+        # the pinned layout does not outbid an index
+        (3000, "SELECT title FROM paper WHERE pages = 7",
+         {"mode": "columnar"}, "eq"),
+        # ... and is taken, at its own price, wherever the heap is walked
+        (10, "SELECT title FROM paper WHERE title LIKE 'P%'",
+         {"mode": "columnar"}, "columnar"),
+        # ten rows do not repay the batch setup
+        (10, "SELECT title FROM paper WHERE title LIKE 'P%'", {}, "seq"),
+        (3000, "SELECT title FROM paper WHERE title LIKE 'P%'",
+         {"mode": "compiled"}, "seq"),
+    ])
+    def test_estimate_follows_the_access_kind(self, rows, sql, options, kind):
+        from repro.rdb import cost
+
+        db = self._papers(rows)
+        plan = db.prepare(sql, **options)
+        (scan,) = [op for op in plan.operators if isinstance(op, ScanOp)]
+        assert scan.access.kind == kind
+        assert (scan.est_cost == cost.columnar_scan_cost(rows)) \
+            == (kind == "columnar")
+        assert (scan.est_cost == float(rows)) == (kind == "seq")
+        assert (plan.exec_mode == "columnar") == (kind == "columnar")
+        assert ("columnar:paper" in plan.access_summary()) \
+            == (kind == "columnar")
+        # and it runs: the batch scan feeds every tail the row scan does
+        want = db.prepare(sql, mode="seed").execute().as_tuples()
+        assert Counter(plan.execute().as_tuples()) == Counter(want)
 
 
 class TestJoinReorderAndPushdown:
