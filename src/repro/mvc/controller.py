@@ -46,6 +46,8 @@ class Controller:
 
     def __init__(self) -> None:
         self.mappings: dict[str, ActionMapping] = {}
+        #: page id → the first path serving it (built by load_config)
+        self._page_paths: dict[str, str] = {}
         self.homes: dict[str, HomeMapping] = {}
         self.application = ""
 
@@ -94,8 +96,13 @@ class Controller:
                     requires_login=home_el.get("requiresLogin") == "true",
                 )
                 homes[home.site_view_id] = home
+        page_paths: dict[str, str] = {}
+        for path, mapping in mappings.items():
+            if mapping.action_type == "PageAction":
+                page_paths.setdefault(mapping.page_id, path)
         # Swap atomically so in-flight requests never see a half-loaded map.
         self.mappings = mappings
+        self._page_paths = page_paths
         self.homes = homes
 
     def resolve(self, path: str) -> ActionMapping:
@@ -117,6 +124,13 @@ class Controller:
         return f"/do/{operation_id}"
 
     def path_of_page(self, page_id: str) -> str:
+        path = self._page_paths.get(page_id)
+        mapping = self.mappings.get(path)
+        # the index is checked against the live dict, so a mapping added
+        # or dropped by hand (or a reload in flight) falls to the scan
+        if mapping is not None and mapping.page_id == page_id \
+                and mapping.action_type == "PageAction":
+            return path
         for path, mapping in self.mappings.items():
             if mapping.action_type == "PageAction" and mapping.page_id == page_id:
                 return path

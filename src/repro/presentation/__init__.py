@@ -7,7 +7,7 @@ request time (flexible, enables per-device adaptation); the template
 engine renders templates against unit beans through the *custom tag
 library*; graphic properties live in modularized *CSS*.
 
-- :mod:`repro.presentation.tags` — the webml custom tag renderers,
+- :mod:`repro.presentation.tags` — the webml custom tag writers,
 - :mod:`repro.presentation.jsp` — the page template engine,
 - :mod:`repro.presentation.xslt` — page/unit presentation rules,
 - :mod:`repro.presentation.css` — per-unit-kind CSS modularization,

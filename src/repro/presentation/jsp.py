@@ -8,8 +8,9 @@ presentation rules added survives untouched (§5's separation).
 
 Rendering runs through a **compiled program**: at compile time the
 template tree is flattened into alternating pre-serialized static HTML
-segments and dynamic slots (one per custom tag), so a request performs
-string joins instead of cloning and re-serializing the whole tree.
+segments and dynamic slots (one per custom tag, a built-in tag's
+writer bound to it), so a request performs string joins instead of
+cloning and re-serializing the whole tree.
 The tree-walking renderer survives as :meth:`PageTemplate.render_tree`
 — the oracle the compiled path must match byte for byte.
 
@@ -33,7 +34,7 @@ from repro.descriptors import PageDescriptor
 from repro.errors import TemplateRenderError
 from repro.mvc.http import build_url
 from repro.obs import span
-from repro.presentation.tags import renderer_for_tag
+from repro.presentation.tags import MappingsMemo, bind_tag, renderer_for_tag
 from repro.services.page_service import PageResult
 from repro.xmlkit import (
     Element,
@@ -75,8 +76,10 @@ class RenderContext:
         return build_url(path, params)
 
 
-def _bean_digest(unit_id: str, bean) -> tuple:
-    """Fragment identity: the unit and a digest of its bean content.
+def _bean_digest(unit_id: str, bean, request=None) -> tuple:
+    """Fragment identity: the unit and a digest of everything its tag
+    reads — the bean content and, for the one tag whose links carry
+    the request's own parameters (the scroller), that ``request``'s.
 
     The digest makes the cache correct by construction — but note
     (§6's point) the *bean* still had to be computed to produce it:
@@ -88,6 +91,9 @@ def _bean_digest(unit_id: str, bean) -> tuple:
             "rows": bean.rows,
             "fields": bean.fields,
             "block": bean.block,
+            "block_count": bean.block_count,
+            "outputs": bean.outputs,
+            "request": request.params if request is not None else None,
         },
         sort_keys=True,
         default=str,
@@ -99,7 +105,7 @@ class _UnitSlot:
     """One dynamic position of the compiled program: a custom tag whose
     HTML depends on the request's unit bean."""
 
-    __slots__ = ("tag", "unit_id", "cache_enabled", "page_id")
+    __slots__ = ("tag", "unit_id", "cache_enabled", "page_id", "bound")
 
     def __init__(self, tag: Element, page_id: str):
         self.tag = tag
@@ -110,6 +116,9 @@ class _UnitSlot:
             raise TemplateRenderError(
                 f"custom tag <{tag.tag}> lacks the unit attribute"
             )
+        #: the built-in tag's writer, bound here, at compile; None for
+        #: a plug-in tag, whose renderer is looked up per request
+        self.bound = bind_tag(tag)
 
     def render(self, context: RenderContext) -> str:
         bean = context.page_result.beans.get(self.unit_id)
@@ -118,24 +127,30 @@ class _UnitSlot:
                 f"no unit bean computed for {self.unit_id!r} "
                 f"(page {self.page_id!r})"
             )
-        renderer = renderer_for_tag(self.tag.tag)
-        cache = context.fragment_cache if self.cache_enabled else None
-        if cache is None:
-            return serialize(renderer.render(bean, self.tag, context))
-        key = _bean_digest(self.unit_id, bean)
+        bound = self.bound
+        # a plug-in can be unregistered between two requests: look it up now
+        plugin = None if bound is not None else renderer_for_tag(self.tag.tag)
         rendered_fresh = False
 
-        def _build() -> str:
+        def markup() -> str:
             nonlocal rendered_fresh
             rendered_fresh = True
-            return serialize(renderer.render(bean, self.tag, context))
+            if bound is not None:
+                return bound.render(bean, context)
+            return serialize(plugin.render(bean, self.tag, context))
 
+        cache = context.fragment_cache if self.cache_enabled else None
+        if cache is None:
+            return markup()
+        reads_request = bound is not None and bound.reads_request
+        key = _bean_digest(self.unit_id, bean,
+                           context.request if reads_request else None)
         with span("cache.fragment", tier="cache", level="fragment",
                   unit=self.unit_id) as probe:
             # Single-flight: concurrent misses render the fragment once;
             # a hit splices the cached string — no parse, no serialize.
             html = cache.get_or_render(
-                key, _build,
+                key, markup,
                 entities=bean.depends_entities,
                 roles=bean.depends_roles,
             )
@@ -153,16 +168,13 @@ class _MenuSlot:
 
     def __init__(self, tag: Element):
         self.tag = tag
-        self._memo: tuple[int, str] | None = None
+        self._memo = MappingsMemo()
 
     def render(self, context: RenderContext) -> str:
-        mappings_id = id(context.controller.mappings)
-        memo = self._memo
-        if memo is not None and memo[0] == mappings_id:
-            return memo[1]
-        html = serialize(_render_site_menu(self.tag, context))
-        self._memo = (mappings_id, html)
-        return html
+        return self._memo.get(
+            context.controller.mappings, None,
+            lambda: serialize(_render_site_menu(self.tag, context)),
+        )
 
 
 def _render_site_menu(tag: Element, context: RenderContext) -> Element:

@@ -15,7 +15,13 @@ external XML library:
 from repro.xmlkit.node import Element, Text, Node
 from repro.xmlkit.parser import parse_xml
 from repro.xmlkit.patterns import Pattern, compile_pattern
-from repro.xmlkit.writer import serialize, pretty_print, open_tag, escape_text
+from repro.xmlkit.writer import (
+    escape_attr,
+    escape_text,
+    open_tag,
+    pretty_print,
+    serialize,
+)
 
 __all__ = [
     "Node",
@@ -26,6 +32,7 @@ __all__ = [
     "pretty_print",
     "open_tag",
     "escape_text",
+    "escape_attr",
     "Pattern",
     "compile_pattern",
 ]

@@ -115,6 +115,39 @@ class TestController:
         with pytest.raises(ControllerError, match="duplicate action path"):
             Controller.from_config(config)
 
+    _TWO_PATHS = (
+        "<controllerConfig><actionMappings>"
+        "<action path='/do/p1' type='OperationAction' siteview='sv1'"
+        " operation='p1'/>"
+        "<action path='/first' type='PageAction' siteview='sv1' page='p1'/>"
+        "<action path='/second' type='PageAction' siteview='sv1' page='p1'/>"
+        "</actionMappings></controllerConfig>"
+    )
+
+    def test_path_of_page_first_mapping_wins(self):
+        controller = Controller.from_config(self._TWO_PATHS)
+        assert controller.path_of_page("p1") == "/first"
+        with pytest.raises(ControllerError, match="no mapping serves page"):
+            controller.path_of_page("ghost")
+
+    def test_path_of_page_follows_hand_edits_and_reloads(self):
+        """The page → path index is only a shortcut: the live mapping
+        dict stays the truth."""
+        from repro.mvc.controller import ActionMapping
+
+        controller = Controller.from_config(self._TWO_PATHS)
+        controller.mappings["/byhand"] = ActionMapping(
+            path="/byhand", action_type="PageAction", site_view_id="sv1",
+            page_id="p9",
+        )
+        assert controller.path_of_page("p9") == "/byhand"
+        del controller.mappings["/first"]
+        assert controller.path_of_page("p1") == "/second"
+        controller.load_config(self._TWO_PATHS.replace("/first", "/moved"))
+        assert controller.path_of_page("p1") == "/moved"
+        with pytest.raises(ControllerError, match="no mapping serves page"):
+            controller.path_of_page("p9")
+
 
 class TestFrontController:
     def test_root_redirects_to_first_home(self, acm_app):

@@ -337,6 +337,57 @@ class TestSiteMenu:
         ))
         assert "scroller-rows" in browser.body
 
+    def test_menu_and_anchors_follow_a_mapping_swapped_twice(self):
+        """The per-mappings memo holds the dict it rendered against.
+        Two swaps without a render in between used to leave a *new*
+        dict at the freed one's address — same ``id()``, other paths —
+        and the slot served the menu of a mapping that no longer
+        exists.  (Swapping by hand lets the test look for the reused
+        address; through ``load_config`` meeting it takes luck.)"""
+        import gc
+
+        from repro.codegen import generate_controller_config
+        from repro.mvc import Controller
+        from repro.presentation.jsp import RenderContext
+        from repro.services import UnitBean
+        from repro.services.page_service import PageResult
+        from repro.descriptors.page_descriptor import NavigationTarget
+
+        model = build_acm_webml()
+        config = generate_controller_config(model)
+        page_id = model.find_site_view("public").find_page("Volumes").id
+        template = PageTemplate.from_xml(
+            "p",
+            f"<html><webml:siteMenu><menuItem page='{page_id}' label='V'/>"
+            "</webml:siteMenu><webml:indexUnit unit='u1'/></html>",
+        )
+        result = PageResult("p", "P", navigation=[NavigationTarget(
+            "l1", "u1", "page", page_id, parameters=[("oid", "x.oid")],
+        )])
+        result.beans["u1"] = UnitBean("u1", "U", "index",
+                                      rows=[{"oid": 1, "title": "A"}])
+        controller = Controller.from_config(config)
+        before = template.render(RenderContext(result, controller))
+        assert "/moved/" not in before
+        moved = Controller.from_config(
+            config.replace('path="/', 'path="/moved/')
+        ).mappings
+        rendered_at = id(controller.mappings)
+        controller.mappings = moved  # first swap frees the rendered dict …
+        spares = [{**moved} for _ in range(200)] \
+            + [dict(moved) for _ in range(200)]
+        # … and the second installs whichever new dict got its address
+        controller.mappings = next(
+            (d for d in spares if id(d) == rendered_at), spares[0]
+        )
+        del spares
+        gc.collect()
+        after = template.render(RenderContext(result, controller))
+        path = controller.path_of_page(page_id)
+        assert path.startswith("/moved/")
+        assert f'<a href="{path}">V</a>' in after
+        assert f'<a href="{path}?x.oid=1">A</a>' in after
+
     def test_view_without_landmarks_has_no_menu(self, styled_app):
         browser = Browser(styled_app)
         browser.get(styled_app.operation_url("admin", "Login", {
@@ -464,36 +515,70 @@ class TestCompiledTemplateOracle:
         assert calls == {"serialize": 0, "parse_xml": 0}
 
 
+    def test_cold_render_builds_no_tree(self, monkeypatch):
+        """No cache level at all: a Volume Page still renders without
+        constructing one ``Element`` or calling ``serialize`` — the
+        unit tags write markup (the menu is memoised per mapping)."""
+        import repro.presentation.jsp as jsp
+        from repro.xmlkit import Element
+
+        app, _renderer = self._styled_app(build_acm_webml, seed_acm)
+        view = app.model.find_site_view("public")
+        page = view.find_page("Volume Page")
+        url = app.page_url("public", "Volume Page", {
+            f"{page.unit('Volume data').id}.oid": "1",
+        })
+        browser = Browser(app)
+        first_body = browser.get(url).body
+        assert "hierarchy-level" in first_body and "unit-links" in first_body
+
+        built = {"Element": 0, "serialize": 0}
+        real_init, real_serialize = Element.__init__, jsp.serialize
+
+        def counting_init(self, *args, **kwargs):
+            built["Element"] += 1
+            real_init(self, *args, **kwargs)
+
+        def counting_serialize(*args, **kwargs):
+            built["serialize"] += 1
+            return real_serialize(*args, **kwargs)
+
+        monkeypatch.setattr(Element, "__init__", counting_init)
+        monkeypatch.setattr(jsp, "serialize", counting_serialize)
+        assert browser.get(url).body == first_body
+        assert built == {"Element": 0, "serialize": 0}
+
+    def test_every_page_body_matches_the_committed_digests(self):
+        """``tests/golden/page_digests.json`` was written by
+        ``tools/page_digests.py`` at the commit before the tags became
+        writers: every ACM / bookstore / Acer page, with and without a
+        fragment cache, is still the same bytes."""
+        import importlib.util
+        import json
+        from pathlib import Path
+
+        root = Path(__file__).resolve().parent.parent
+        spec = importlib.util.spec_from_file_location(
+            "page_digests", root / "tools" / "page_digests.py"
+        )
+        tool = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tool)
+        golden = json.loads(
+            (root / "tests" / "golden" / "page_digests.json").read_text()
+        )
+        assert tool.first_difference(golden, tool.page_digests()) is None
+
+
 class TestFragmentCachingInTemplates:
     """Direct template-level checks of the §6 fragment path."""
 
     def _render_twice(self, bean_rows):
-        from repro.caching import FragmentCache
-        from repro.presentation.jsp import PageTemplate, RenderContext
         from repro.services import UnitBean
-        from repro.services.page_service import PageResult
-        from repro.mvc import Controller
-        from repro.codegen import generate_controller_config
 
-        model = build_acm_webml()
-        controller = Controller.from_config(
-            generate_controller_config(model)
+        return self._render_each(
+            "<webml:indexUnit unit='u1' fragment='cache'/>",
+            [UnitBean("u1", "U", "index", rows=rows) for rows in bean_rows],
         )
-        template = PageTemplate.from_xml(
-            "p",
-            "<html><body>"
-            "<webml:indexUnit unit='u1' fragment='cache'/>"
-            "</body></html>",
-        )
-        cache = FragmentCache()
-        outputs = []
-        for rows in bean_rows:
-            result = PageResult("p", "P")
-            result.beans["u1"] = UnitBean("u1", "U", "index", rows=rows)
-            outputs.append(template.render(
-                RenderContext(result, controller, fragment_cache=cache)
-            ))
-        return outputs, cache
 
     def test_identical_beans_hit_the_fragment(self):
         rows = [{"oid": 1, "title": "A"}]
@@ -511,6 +596,83 @@ class TestFragmentCachingInTemplates:
         assert cache.stats.hits == 0
         assert cache.stats.puts == 2
         assert "B" in outputs[1]
+
+    def _render_each(self, tag_xml, beans, urls=None):
+        """Render one cached tag once per bean (and request URL)
+        against a shared fragment cache; the page is ACM's Volumes."""
+        from repro.caching import FragmentCache
+        from repro.presentation.jsp import PageTemplate, RenderContext
+        from repro.services.page_service import PageResult
+        from repro.mvc import Controller, HttpRequest
+        from repro.codegen import generate_controller_config
+
+        model = build_acm_webml()
+        controller = Controller.from_config(generate_controller_config(model))
+        page_id = model.find_site_view("public").find_page("Volumes").id
+        template = PageTemplate.from_xml(
+            page_id, f"<html><body>{tag_xml}</body></html>"
+        )
+        cache = FragmentCache()
+        outputs = []
+        for position, bean in enumerate(beans):
+            result = PageResult(page_id, "Volumes")
+            result.beans[bean.unit_id] = bean
+            request = HttpRequest.from_url(urls[position]) if urls else None
+            outputs.append(template.render(RenderContext(
+                result, controller, request, fragment_cache=cache
+            )))
+        return outputs, cache
+
+    def test_fragment_key_covers_the_chosen_oids(self):
+        """Same rows, different ``outputs["oids"]``: the second request
+        must not be served the first one's ticked boxes."""
+        from repro.services import UnitBean
+
+        rows = [{"oid": 1, "title": "A"}, {"oid": 2, "title": "B"}]
+        outputs, cache = self._render_each(
+            "<webml:multichoiceUnit unit='u1' fragment='cache'/>",
+            [UnitBean("u1", "U", "multichoice", rows=rows,
+                      outputs={"oids": chosen}) for chosen in ([1], [2])],
+        )
+        assert 'value="1" checked="checked"' in outputs[0]
+        assert 'value="2" checked="checked"' in outputs[1]
+        assert 'value="1" checked="checked"' not in outputs[1]
+        assert cache.stats.hits == 0
+
+    def test_fragment_key_covers_the_block_count(self):
+        """Equal block rows, a different number of blocks: the position
+        label and the last-block link follow the bean."""
+        from repro.services import UnitBean
+
+        rows = [{"oid": 1, "title": "A"}]
+        outputs, cache = self._render_each(
+            "<webml:scrollerUnit unit='u1' fragment='cache'/>",
+            [UnitBean("u1", "U", "scroller", rows=rows, block=1,
+                      block_count=count) for count in (5, 9)],
+        )
+        assert "block 1/5" in outputs[0]
+        assert "block 1/9" in outputs[1]
+        assert cache.stats.hits == 0
+
+    def test_fragment_key_covers_the_scrollers_request_parameters(self):
+        """The scroller's links carry the *request's* parameters, so a
+        fragment built for one request is not another request's."""
+        from repro.services import UnitBean
+
+        bean = UnitBean("u1", "U", "scroller",
+                        rows=[{"oid": 1, "title": "A"}], block=1,
+                        block_count=3)
+        outputs, cache = self._render_each(
+            "<webml:scrollerUnit unit='u1' fragment='cache'/>",
+            [bean, bean, bean],
+            urls=["/x?other.keyword=first", "/x?other.keyword=second",
+                  "/x?other.keyword=first"],
+        )
+        assert "other.keyword=first" in outputs[0]
+        assert "other.keyword=second" in outputs[1]
+        assert "other.keyword=first" not in outputs[1]
+        assert outputs[2] == outputs[0]
+        assert cache.stats.hits == 1  # the third request, not the second
 
     def test_untagged_unit_bypasses_cache(self):
         from repro.caching import FragmentCache
