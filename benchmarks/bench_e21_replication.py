@@ -113,7 +113,6 @@ def _build_primary(base_dir: str) -> tuple[WebApplication, dict]:
     app = WebApplication(build_bookstore_model(),
                          view_renderer=bean_content_renderer, database=db)
     oids = seed_bookstore(app)
-    app.enable_commit_invalidation()
     _slow_media(db)  # after seeding: only the measured writes pay it
     return app, oids
 

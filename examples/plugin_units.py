@@ -119,12 +119,11 @@ class AdvanceWorkflowService:
                 descriptor.operation_id, ok=False,
                 message=f"cannot advance from {row['status']!r}",
             )
+        # the commit invalidates every cache level: no write set to state
         ctx.execute(
             "UPDATE purchase SET status = :s WHERE oid = :oid",
             {"s": next_status, "oid": oid},
         )
-        if ctx.bean_cache is not None:
-            ctx.bean_cache.invalidate_writes(entities=["Purchase"])
         return OperationResult(descriptor.operation_id, ok=True,
                                outputs={"oid": oid, "status": next_status})
 
@@ -191,7 +190,6 @@ def run_application() -> None:
     advance = OperationDescriptor(
         operation_id="wf1", name="AdvanceOrder", kind="advance",
         site_view_id=view.id,
-        writes_entities=["Purchase"],
     )
     app.registry.deploy_operation(advance)
 

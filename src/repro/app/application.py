@@ -39,6 +39,7 @@ class WebApplication:
             self.database, self.registry, bean_cache=bean_cache,
             pool_size=pool_size,
         )
+        self.ctx.table_write_sets = self.project.mapping.table_write_sets()
         # Deeper cache levels registered first (bean was registered by
         # the context): a page rebuild must find clean lower levels.
         fragment_cache = getattr(view_renderer, "fragment_cache", None)
@@ -70,13 +71,9 @@ class WebApplication:
         self.close()
 
     def enable_commit_invalidation(self) -> None:
-        """Route entity cache invalidation through the storage engine's
-        commit stream (see
-        :meth:`repro.services.base.RuntimeContext.enable_commit_invalidation`),
-        using the generated model's table→entity mapping."""
-        self.ctx.enable_commit_invalidation(
-            self.project.mapping.table_entities()
-        )
+        """No-op, kept for ``benchmarks/waterfall/workloads.py``: every
+        application already invalidates its caches from the commit
+        stream (see ``RuntimeContext._on_commit_event``)."""
 
     @staticmethod
     def _device_classifier(view_renderer):

@@ -29,7 +29,7 @@ the page's unit dependency sets so the same model-driven invalidation
 applies to full pages.
 
 All levels are invalidated together through the
-:class:`~repro.caching.bus.InvalidationBus` an operation publishes to.
+:class:`~repro.caching.bus.InvalidationBus` every commit publishes to.
 
 - :mod:`repro.caching.core` — the shared store, invalidation and
   flight protocol,

@@ -3,9 +3,10 @@
 §6's automatic invalidation — "the implementation of operations
 automatically invalidates the affected cached objects" — must reach
 *all three* cache levels, or a write survives somewhere and a reader
-observes stale content.  Operation services therefore publish their
-descriptor's write sets to this bus instead of poking individual
-caches.
+observes stale content.  Writes therefore reach the caches through
+this bus only, published once per commit by
+:class:`repro.services.base.RuntimeContext`, never by poking
+individual caches.
 
 Registration order matters and is deepest-tier first (bean →
 fragment → page): when the page cache is finally invalidated, the

@@ -3,12 +3,12 @@
 A unit tagged as cached specifies "the associate cache invalidation
 policy" (§6).  Two policies are supported:
 
-- ``model-driven`` — entries live until an operation writes one of the
+- ``model-driven`` — entries live until a commit writes one of the
   entities/relationships the unit depends on (the paper's automatic
   invalidation);
 - ``ttl:<seconds>`` — entries additionally expire after a fixed
-  lifetime (for content whose writers bypass the operations layer,
-  e.g. external feeds).
+  lifetime (for content that changes outside this database, e.g. a
+  plug-in unit reading an external feed).
 
 Model-driven invalidation always applies; TTL merely adds an upper
 bound on staleness.

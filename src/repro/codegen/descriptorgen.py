@@ -217,8 +217,6 @@ def generate_operation_descriptor(
         role=getattr(operation, "role", None),
         statements=generated["statements"],
         user_query=generated["user_query"],
-        writes_entities=list(operation.writes_entities),
-        writes_roles=list(operation.writes_roles),
     )
     for link in model.links_from(operation.id):
         if link.kind == LinkKind.OK:

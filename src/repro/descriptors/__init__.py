@@ -12,7 +12,7 @@ unit-specific service."
 - :mod:`repro.descriptors.page_descriptor` — per-page descriptors: unit
   list, parameter topology, computation order, navigation targets,
 - :mod:`repro.descriptors.operation_descriptor` — per-operation
-  descriptors: DML statements, OK/KO targets, invalidation writes,
+  descriptors: DML statements and OK/KO targets,
 - :mod:`repro.descriptors.registry` — the deployed descriptor store with
   hot redeploy ("deploying the optimized version without interrupting
   the service", §8).

@@ -57,8 +57,6 @@ class OperationDescriptor:
     statements: list[StatementSpec] = field(default_factory=list)
     ok: OutcomeTarget | None = None
     ko: OutcomeTarget | None = None
-    writes_entities: list[str] = field(default_factory=list)
-    writes_roles: list[str] = field(default_factory=list)
     # login specifics
     user_query: str | None = None
     optimized: bool = False
@@ -104,11 +102,6 @@ class OperationDescriptor:
                 outcome_el.set("targetPage", outcome.target_page_id)
             for output, request_param in outcome.parameters:
                 outcome_el.add("param", {"output": output, "request": request_param})
-        writes_el = root.add("writes")
-        for entity in self.writes_entities:
-            writes_el.add("entity", {"name": entity})
-        for role in self.writes_roles:
-            writes_el.add("role", {"name": role})
         return pretty_print(root)
 
     @classmethod
@@ -163,12 +156,4 @@ class OperationDescriptor:
                 descriptor.ok = outcome
             else:
                 descriptor.ko = outcome
-        writes_el = root.find("writes")
-        if writes_el is not None:
-            descriptor.writes_entities = [
-                e.require_attr("name") for e in writes_el.find_all("entity")
-            ]
-            descriptor.writes_roles = [
-                r.require_attr("name") for r in writes_el.find_all("role")
-            ]
         return descriptor

@@ -127,26 +127,36 @@ class RelationalMapping:
         schema.indexes.append(index)
         return index.name
 
-    def table_entities(self) -> dict[str, tuple[str, ...]]:
-        """Table name → ER entities whose derived content it carries.
+    def table_write_sets(self) -> dict[str, tuple[tuple[str, ...],
+                                                  tuple[str, ...]]]:
+        """Table name → the ``(entities, roles)`` a write to it changes.
 
         The reverse of the mapping rules, used to translate the storage
-        engine's commit events (which speak in tables) back into the
-        entity vocabulary the cache tiers invalidate by.  Entity tables
-        map to their entity; a bridge table maps to *both* endpoint
-        entities, since content shown for either side changes when the
-        relationship does.
+        engine's commit events (which speak in tables) into the
+        vocabulary unit descriptors state their dependencies in.  An
+        entity table maps to its entity plus every role whose foreign
+        key column it carries; a bridge table maps to both endpoint
+        entities plus its role.  A role goes out under both its names,
+        because a unit depends on the name its selector uses.  A write
+        drops a role's dependents whether or not it changed the key
+        column: the commit carries the new row, not the old one.
         """
-        tables: dict[str, tuple[str, ...]] = {
-            entity_map.table: (entity_map.entity,)
-            for entity_map in self.entity_maps.values()
-        }
-        for rmap in self.relationship_maps.values():
-            if rmap.kind == "bridge" and rmap.bridge_table:
-                tables[rmap.bridge_table] = (
+        entities = {m.table: {m.entity} for m in self.entity_maps.values()}
+        roles: dict[str, set] = {table: set() for table in entities}
+        for relationship in self.model.relationships:
+            rmap = self.relationship_maps[relationship.name]
+            names = {relationship.name, relationship.inverse_name} - {None}
+            if rmap.kind == "bridge":
+                entities[rmap.bridge_table] = {
                     rmap.source_entity, rmap.target_entity
-                )
-        return tables
+                }
+                roles[rmap.bridge_table] = names
+            else:
+                roles[rmap.fk_table] |= names
+        return {
+            table: (tuple(sorted(entities[table])), tuple(sorted(roles[table])))
+            for table in entities
+        }
 
     def join_steps(self, role_name: str) -> list[dict]:
         """The join conditions to traverse a relationship role.

@@ -14,8 +14,12 @@ from repro.descriptors import DescriptorRegistry
 from repro.errors import ServiceError
 from repro.rdb import ConnectionPool, Database
 from repro.rdb.executor import ResultSet
+from repro.rdb.wal import OP_DELETE, OP_INSERT, OP_UPDATE
 from repro.services.beans import UnitBean
 from repro.util.concurrency import AtomicCounters
+
+#: redo opcodes that change a row (see :class:`repro.rdb.wal.CommitRecord`)
+_ROW_OPCODES = frozenset((OP_INSERT, OP_UPDATE, OP_DELETE))
 
 
 @dataclass
@@ -92,14 +96,17 @@ class RuntimeContext:
         # §6's write notifications fan out to every cache level through
         # one bus; deeper tiers must be registered first (bean →
         # fragment → page) so a rebuilding request finds clean levels.
+        # The commit stream is the bus's only publisher: see
+        # :meth:`_on_commit_event`.
         self.invalidation_bus = InvalidationBus()
-        # Commit-driven invalidation (off by default, byte-for-byte seed
-        # behaviour): when enabled, entity invalidations ride the storage
-        # engine's commit stream instead of the operation services'
-        # ad-hoc calls.  See :meth:`enable_commit_invalidation`.
-        self.commit_invalidation_enabled = False
-        self._commit_table_entities: dict[str, tuple[str, ...]] = {}
+        #: table → ``(entities, roles)`` a commit touching it changes;
+        #: deployment data, set from
+        #: :meth:`repro.er.mapping.RelationalMapping.table_write_sets`
+        #: by :class:`~repro.app.WebApplication`.  An unmapped table
+        #: stands for an entity of its own name.
+        self.table_write_sets: dict[str, tuple[tuple, tuple]] = {}
         self.commit_invalidations = 0
+        self.database.commit_stream.subscribe(self._on_commit_event)
         if bean_cache is not None:
             self.invalidation_bus.register("bean", bean_cache)
             self._register_cache_collector("bean", bean_cache)
@@ -125,56 +132,39 @@ class RuntimeContext:
             "batched_queries": self.stats.batched_queries,
             "bean_cache_hits": self.stats.bean_cache_hits,
             "bean_cache_misses": self.stats.bean_cache_misses,
-            "commit_invalidation_enabled": self.commit_invalidation_enabled,
             "commit_invalidations": self.commit_invalidations,
         }
 
-    def invalidate_writes(self, entities=(), roles=()) -> dict[str, int]:
-        """Publish an operation's write sets to every cache level."""
-        return self.invalidation_bus.invalidate_writes(entities, roles)
-
-    # -- commit-driven invalidation ----------------------------------------
-
-    def enable_commit_invalidation(
-        self, table_entities: dict[str, tuple[str, ...]] | None = None
-    ) -> None:
-        """Invalidate caches from the engine's durable commit stream.
-
-        Every committed transaction — DML through any path, not just
-        descriptor operations — publishes a
-        :class:`~repro.rdb.engine.CommitEvent`; this subscription
-        translates the tables it touched into ER entities (via
-        ``table_entities``, usually
-        :meth:`repro.er.mapping.RelationalMapping.table_entities`;
-        unmapped tables fall back to their own name) and fans the
-        invalidation out to every cache level.  Once enabled, operation
-        services stop publishing their descriptors' *entity* write sets
-        ad hoc (role write sets still ride the descriptor path — roles
-        are a hypertext concept the storage tier cannot see).  This is
-        the hook WAL-shipping replication attaches to: replicas replay
-        the same stream into their own buses.
-        """
-        if table_entities is not None:
-            self._commit_table_entities = dict(table_entities)
-        if not self.commit_invalidation_enabled:
-            self.database.commit_stream.subscribe(self._on_commit_event)
-            self.commit_invalidation_enabled = True
+    # -- §6 invalidation ------------------------------------------------------
 
     def _on_commit_event(self, event) -> None:
-        if getattr(event, "bootstrap", False):
+        """Translate one committed transaction into one bus call.
+
+        Every write reaches the caches this way — operation services,
+        §7 plug-in operations, seed scripts, direct SQL, and a replica
+        replaying shipped WAL — so the write set is derived from the
+        data change, never declared by the code path that made it.  A
+        commit's write set is the union of :attr:`table_write_sets` over
+        the tables whose rows it changed; schema and statistics records
+        change no row a unit shows and publish nothing.
+        """
+        if event.bootstrap:
             # A replica installed a whole snapshot: no per-entity write
             # set exists, so every cache level flushes outright.
             self.commit_invalidations += 1
             self.invalidation_bus.flush()
             return
+        tables = {op[1] for op in event.ops if op[0] in _ROW_OPCODES}
+        if not tables:
+            return
         entities: set[str] = set()
-        for table in event.tables:
-            entities.update(
-                self._commit_table_entities.get(table, (table,))
-            )
-        if entities:
-            self.commit_invalidations += 1
-            self.invalidation_bus.invalidate_writes(sorted(entities), ())
+        roles: set[str] = set()
+        for table in tables:
+            written = self.table_write_sets.get(table, ((table,), ()))
+            entities.update(written[0])
+            roles.update(written[1])
+        self.commit_invalidations += 1
+        self.invalidation_bus.invalidate_writes(sorted(entities), sorted(roles))
 
     # -- lifecycle ----------------------------------------------------------
 

@@ -33,13 +33,14 @@ class _StatementOperationService(OperationServiceBase):
     def execute(self, descriptor: OperationDescriptor, inputs: dict,
                 ctx: RuntimeContext, session) -> OperationResult:
         """Run the statements atomically: a KO rolls back everything the
-        operation already wrote (bulk selections included)."""
+        operation already wrote (bulk selections included).  §6's
+        automatic invalidation is the commit's: the runtime context
+        derives the write set from the rows it changed."""
         ctx.database.begin()
         result = self._execute_statements(descriptor, inputs, ctx)
         if result.ok:
             ctx.database.commit()
             ctx.stats.increment("operations_executed")
-            self._after_success(descriptor, ctx)
         else:
             ctx.database.rollback()
         return result
@@ -105,24 +106,6 @@ class _StatementOperationService(OperationServiceBase):
                     )
                     return
             yield params
-
-    def _after_success(self, descriptor: OperationDescriptor,
-                       ctx: RuntimeContext) -> None:
-        """§6: 'the implementation of operations automatically
-        invalidates the affected cached objects' — on every cache
-        level (bean, fragment, page) through the invalidation bus.
-
-        With commit-driven invalidation enabled, *entity* write sets
-        already rode the storage engine's commit stream (published by
-        the commit this follows), so only the descriptor's *role*
-        write sets — invisible to the storage tier — go out here."""
-        if ctx.commit_invalidation_enabled:
-            if descriptor.writes_roles:
-                ctx.invalidate_writes((), descriptor.writes_roles)
-            return
-        ctx.invalidate_writes(
-            descriptor.writes_entities, descriptor.writes_roles
-        )
 
 
 class CreateOperationService(_StatementOperationService):

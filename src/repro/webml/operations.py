@@ -40,17 +40,6 @@ class OperationUnit:
     def output_slots(self) -> list[str]:
         return []
 
-    @property
-    def writes_entities(self) -> list[str]:
-        """Entities whose instances this operation may change (drives
-        §6's automatic cache invalidation)."""
-        return []
-
-    @property
-    def writes_roles(self) -> list[str]:
-        """Relationship roles this operation may change."""
-        return []
-
 
 @dataclass
 class CreateUnit(OperationUnit):
@@ -74,10 +63,6 @@ class CreateUnit(OperationUnit):
     def output_slots(self) -> list[str]:
         return ["oid"]
 
-    @property
-    def writes_entities(self) -> list[str]:
-        return [self.entity]
-
 
 @dataclass
 class DeleteUnit(OperationUnit):
@@ -94,10 +79,6 @@ class DeleteUnit(OperationUnit):
     @property
     def input_slots(self) -> list[str]:
         return ["oid"]
-
-    @property
-    def writes_entities(self) -> list[str]:
-        return [self.entity]
 
 
 @dataclass
@@ -123,10 +104,6 @@ class ModifyUnit(OperationUnit):
     def output_slots(self) -> list[str]:
         return ["oid"]
 
-    @property
-    def writes_entities(self) -> list[str]:
-        return [self.entity]
-
 
 @dataclass
 class ConnectUnit(OperationUnit):
@@ -144,10 +121,6 @@ class ConnectUnit(OperationUnit):
     @property
     def input_slots(self) -> list[str]:
         return ["source_oid", "target_oid"]
-
-    @property
-    def writes_roles(self) -> list[str]:
-        return [self.role]
 
 
 @dataclass
@@ -167,10 +140,6 @@ class DisconnectUnit(OperationUnit):
     @property
     def input_slots(self) -> list[str]:
         return ["source_oid", "target_oid"]
-
-    @property
-    def writes_roles(self) -> list[str]:
-        return [self.role]
 
 
 @dataclass

@@ -200,11 +200,9 @@ def build_bookstore_replica(database) -> WebApplication:
     (``"repro.workloads.bookstore:build_bookstore_replica"``) from
     :class:`repro.appserver.fleet.FleetSupervisor`.  No seeding — the
     data arrived via snapshot bootstrap, and the replica engine would
-    refuse the writes anyway.  Commit invalidation is on so replayed
-    WAL records flush the worker's own cache levels.
+    refuse the writes anyway.  Replayed WAL records invalidate the
+    worker's own cache levels like any commit.
     """
-    app = WebApplication(build_bookstore_model(),
-                         view_renderer=bean_content_renderer,
-                         database=database)
-    app.enable_commit_invalidation()
-    return app
+    return WebApplication(build_bookstore_model(),
+                          view_renderer=bean_content_renderer,
+                          database=database)

@@ -43,7 +43,6 @@ def fleet():
     app = WebApplication(build_bookstore_model(),
                          view_renderer=bean_content_renderer, database=db)
     oids = seed_bookstore(app)
-    app.enable_commit_invalidation()
     supervisor = FleetSupervisor(app, FACTORY, workers=2, worker_threads=2,
                                  start_timeout=60.0)
     supervisor.start()

@@ -329,7 +329,6 @@ class TestOperationDescriptorGeneration:
         admin_home = acm_webml.find_site_view("admin").find_page("Admin Home")
         assert descriptor.ok.target_page_id == admin_home.id
         assert descriptor.ko.target_page_id == admin_home.id
-        assert descriptor.writes_entities == ["Paper"]
 
 
 class TestControllerConfig:

@@ -167,7 +167,6 @@ def sample_operation_descriptor() -> OperationDescriptor:
         ok=OutcomeTarget("page", "page5", target_page_id="page5",
                          parameters=[("oid", "unit9.oid")]),
         ko=OutcomeTarget("page", "page6", target_page_id="page6"),
-        writes_entities=["Paper"],
     )
 
 
@@ -182,7 +181,19 @@ class TestOperationDescriptor:
         ]
         assert loaded.ok.parameters == [("oid", "unit9.oid")]
         assert loaded.ko.target_id == "page6"
-        assert loaded.writes_entities == ["Paper"]
+
+    def test_file_with_a_writes_element_still_loads(self):
+        """Descriptor files exported before write sets were derived from
+        the commit carry a ``<writes>`` element; it is ignored."""
+        document = sample_operation_descriptor().to_xml()
+        legacy = document.replace(
+            "</operationDescriptor>",
+            '<writes><entity name="Paper"/><role name="IssueToPaper"/>'
+            "</writes></operationDescriptor>",
+        )
+        assert "<writes>" in legacy
+        assert OperationDescriptor.from_xml(legacy) \
+            == OperationDescriptor.from_xml(document)
 
     def test_legacy_two_tuple_params_accepted(self):
         spec = StatementSpec(sql="DELETE FROM t WHERE oid = :oid",

@@ -176,10 +176,8 @@ class TestBuilders:
         view = model.site_view("admin")
         create = view.create_op("NewPaper", "Paper", ["title", "pages"])
         assert create.input_slots == ["title", "pages"]
-        assert create.writes_entities == ["Paper"]
         connect = view.connect_op("AttachPaper", "IssueToPaper")
         assert connect.input_slots == ["source_oid", "target_oid"]
-        assert connect.writes_roles == ["IssueToPaper"]
 
     def test_invalid_unit_construction(self):
         model = WebMLModel(acm_data_model())
