@@ -101,6 +101,25 @@ _JOIN_PREDICATES = [
     "a.age + 1 > 32 OR b.price IS NULL",
 ]
 
+#: predicates over the third binding ``c`` of the three-table shapes —
+#: a null-padded side when ``c`` is left-joined, and a conjunct that
+#: reaches back to ``b``
+_THIRD_PREDICATES = [
+    "c.oid IS NULL",
+    "c.price > :lo",
+    "c.year = b.year OR c.title LIKE 'book-1%'",
+]
+
+#: three bindings, inner and LEFT mixed: an inner join keyed on a
+#: left-joined binding (its padded rows must drop), and a LEFT join
+#: probing with an expression and carrying a residual
+_THREE_WAY_JOINS = [
+    " LEFT JOIN book b ON b.author_oid = a.oid AND b.year > 1995"
+    " JOIN book c ON c.year = b.year",
+    " JOIN book b ON b.author_oid = a.oid"
+    " LEFT JOIN book c ON c.oid = b.oid + 1 AND c.price > b.price",
+]
+
 _PROJECTIONS = [
     "b.title",
     "b.price",
@@ -121,7 +140,9 @@ _ORDERINGS = [
 
 @st.composite
 def _select_sql(draw) -> str:
-    shape = draw(st.sampled_from(["plain", "join", "left", "group"]))
+    shape = draw(st.sampled_from(
+        ["plain", "join", "left", "group", "three-way"]
+    ))
     if shape == "group":
         having = draw(st.sampled_from(
             ["", " HAVING COUNT(*) > 3", " HAVING SUM(b.price) > 50"]
@@ -146,15 +167,20 @@ def _select_sql(draw) -> str:
         menu += _JOIN_PREDICATES
         sql = ("SELECT a.name, b.title, b.price FROM author a"
                " JOIN book b ON b.author_oid = a.oid")
-    else:
+    elif shape == "left":
         menu += _JOIN_PREDICATES
         sql = ("SELECT a.name, b.title, b.year FROM author a"
                " LEFT JOIN book b ON b.author_oid = a.oid"
                " AND b.year > 1995")
+    else:
+        menu += _JOIN_PREDICATES + _THIRD_PREDICATES
+        sql = ("SELECT a.name, b.title, c.title AS ct, c.price AS cp"
+               " FROM author a" + draw(st.sampled_from(_THREE_WAY_JOINS)))
     conjuncts = draw(st.lists(st.sampled_from(menu), max_size=3))
     if conjuncts:
         sql += " WHERE " + " AND ".join(conjuncts)
-    sql += draw(st.sampled_from(_ORDERINGS)) if shape != "left" else ""
+    if shape in ("plain", "join"):
+        sql += draw(st.sampled_from(_ORDERINGS))
     if draw(st.booleans()):
         sql += " LIMIT 10"
     return sql

@@ -246,6 +246,29 @@ class TestJoinReorderAndPushdown:
         assert plan.tables == frozenset({"author", "book"})
 
 
+class TestDescriptorPlans:
+    def test_every_descriptor_plan_matches_the_committed_digests(self):
+        """``tests/golden/plan_digests.json`` was written by
+        ``tools/plan_digests.py`` before the LEFT-join fork was folded
+        into the one cost-based builder: every ACM / bookstore / Acer
+        descriptor statement, in five data configurations, still gets
+        the same EXPLAIN text."""
+        import importlib.util
+        import json
+        from pathlib import Path
+
+        root = Path(__file__).resolve().parent.parent
+        spec = importlib.util.spec_from_file_location(
+            "plan_digests", root / "tools" / "plan_digests.py"
+        )
+        tool = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tool)
+        golden = json.loads(
+            (root / "tests" / "golden" / "plan_digests.json").read_text()
+        )
+        assert tool.first_difference(golden, tool.plan_digests()) is None
+
+
 class TestStatisticsImproveEstimates:
     def test_estimates_tighten_after_analyze(self, library):
         sql = "SELECT title FROM book WHERE year = 1990"
