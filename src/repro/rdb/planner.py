@@ -14,17 +14,22 @@ Planning is cost-based (:mod:`repro.rdb.cost`):
   columnar sweep, exact index lookup, sorted range scan, or ``IN``-list
   probe, whichever the cost model prices cheapest; what a conjunct
   says about which column is read off its :func:`~repro.rdb.expr.sarg`)
-  and onto join build sides as prefilters;
-- inner joins are greedily reordered by estimated cardinality
-  (smallest filtered table first, then the cheapest connected
-  extension), falling back to the declared order when the join graph
-  has no connecting equi-condition;
+  and onto join build sides as prefilters; multi-table ones land at the
+  first join that covers them, as hash keys or residual;
+- joins are greedily reordered by estimated cardinality (smallest
+  filtered table first, then the cheapest connected extension),
+  falling back to the declared order when the join graph has no
+  connecting equi-condition; one function sizes a join for the greedy
+  search and for every join step;
 - every pushed conjunct is re-checked where it lands, so index paths
   may safely return supersets and estimation errors can never change
   results — only plan shape;
-- LEFT JOIN queries keep the declared order and only take the
-  semantically safe pushdowns (base-scan conjuncts, build-side
-  prefilters from conjuncts local to the joined table).
+- a LEFT JOIN is an ordering barrier in that one builder, not a second
+  planner: the declared order stands, a WHERE conjunct touching a
+  left-joined binding waits for the final filter (it must see the
+  null-padded row), and the LEFT join's own ON conjuncts stay at that
+  join — a prefilter when local to the joined table, else hash keys or
+  residual.
 
 ``mode`` (:data:`MODES`) is the one execution knob: it picks the plan
 shape (``"seed"`` rebuilds the seed's naive plan — full scans except
@@ -200,7 +205,7 @@ class SelectPlan:
         #: serves the ORDER BY) — the plan-space scanner checks it
         self.walk_cost: float | None = None
         if cost_based:
-            self.root = self._build_tree()
+            self.root = self._build_tree_costed()
         else:
             self.root = self._build_tree_naive()
         self.output_columns, self._projection = self._build_projection()
@@ -521,22 +526,27 @@ class SelectPlan:
 
     # -- operator tree (cost-based) -------------------------------------------
 
-    def _build_tree(self) -> Operator:
-        select = self.select
-        if any(join.kind != "inner" for join in select.joins):
-            return self._build_tree_mixed()
-        return self._build_tree_inner()
-
-    def _classify(self, conjuncts: list[Expr]):
-        """Split conjuncts into per-binding local lists, multi-binding
-        pairs, and unresolvable leftovers."""
+    def _classify(self, where: list[Expr], inner_on: list[Expr],
+                  left: set[str]):
+        """Split the WHERE and inner-join ON conjuncts into per-binding
+        local lists, multi-binding pairs (placed at the first inner join
+        that covers them) and final-filter leftovers: unresolvable
+        conjuncts, and WHERE conjuncts touching a left-joined binding —
+        they must see the null-padded row.  An inner ON conjunct
+        touching one is a pair: it waits for its join, never sinking
+        into the LEFT join's build side."""
         local: dict[str, list[Expr]] = {b: [] for b in self._binding_order}
         multi: list[tuple[Expr, frozenset[str]]] = []
         leftover: list[Expr] = []
-        for conjunct in conjuncts:
+        for position, conjunct in enumerate(where + inner_on):
             bindings = self._conjunct_bindings(conjunct)
             if bindings is None:
                 leftover.append(conjunct)
+            elif bindings & left:
+                if position < len(where):
+                    leftover.append(conjunct)
+                else:
+                    multi.append((conjunct, bindings))
             elif len(bindings) == 1:
                 local[next(iter(bindings))].append(conjunct)
             elif len(bindings) == 0:
@@ -546,14 +556,25 @@ class SelectPlan:
                 multi.append((conjunct, bindings))
         return local, multi, leftover
 
-    def _local_estimates(self, local: dict[str, list[Expr]]) -> dict[str, float]:
-        estimates = {}
-        for binding in self._binding_order:
-            store = self._binding_store(binding)
-            estimates[binding] = len(store.rows) * cost.conjuncts_selectivity(
-                store, local[binding], self.feedback
-            )
-        return estimates
+    def _filtered_rows(self, binding: str, conjuncts: list[Expr]) -> float:
+        store = self._binding_store(binding)
+        return len(store.rows) * cost.conjuncts_selectivity(
+            store, conjuncts, self.feedback
+        )
+
+    def _join_rows(self, binding: str, build_columns: list[str],
+                   probe_rows: float, build_rows: float) -> float:
+        """The one join-size estimate, residual aside: ``probe_rows``
+        rows meet ``build_rows`` rows of ``binding``, matching one in
+        as many as ``build_columns`` has distinct keys (no key columns:
+        the cross product).  The greedy order and every join step read
+        it, so join pricing changes here or nowhere."""
+        if not build_columns:
+            return probe_rows * build_rows
+        distinct = cost.join_distinct(
+            self._binding_store(binding), tuple(build_columns), self.feedback
+        )
+        return probe_rows * build_rows / max(distinct, 1.0)
 
     def _greedy_order(
         self,
@@ -564,7 +585,8 @@ class SelectPlan:
         filtered table, repeatedly add the equi-connected table with the
         cheapest estimated join output.  None when the graph disconnects
         (then the declared order stands)."""
-        estimates = self._local_estimates(local)
+        estimates = {b: self._filtered_rows(b, local[b])
+                     for b in self._binding_order}
         position = {b: i for i, b in enumerate(self._binding_order)}
         start = min(self._binding_order,
                     key=lambda b: (estimates[b], position[b]))
@@ -586,11 +608,8 @@ class SelectPlan:
                         build_columns.append(pair[1])
                 if not build_columns:
                     continue
-                store = self._binding_store(candidate)
-                distinct = cost.join_distinct(
-                    store, tuple(build_columns), self.feedback
-                )
-                output = cardinality * estimates[candidate] / max(distinct, 1.0)
+                output = self._join_rows(candidate, build_columns,
+                                         cardinality, estimates[candidate])
                 key = (output, position[candidate])
                 if best is None or key < best[0]:
                     best = (key, candidate, output)
@@ -603,12 +622,70 @@ class SelectPlan:
             remaining.remove(chosen)
         return order
 
-    def _build_tree_inner(self) -> Operator:
+    def _join_step(self, root: Operator, binding: str, kind: str,
+                   conjuncts: list[Expr], prefilter: list[Expr],
+                   available: set[str]) -> Operator:
+        """Join ``binding`` onto ``root`` and price the step.  A
+        conjunct equating a column of ``binding`` with an expression over
+        ``available`` becomes a hash key, any other the residual;
+        ``prefilter`` shrinks the build side.  A LEFT join's residual
+        decides which build rows match, not whether a probe row
+        survives, so its step is sized without it and never below the
+        probe rows."""
+        store = self._binding_store(binding)
+        probe_exprs: list[Expr] = []
+        build_columns: list[str] = []
+        residual: list[Expr] = []
+        for conjunct in conjuncts:
+            pair = self._equi_split(conjunct, binding, available)
+            if pair is not None:
+                probe_exprs.append(pair[0])
+                build_columns.append(pair[1])
+            else:
+                residual.append(conjunct)
+        cardinality = root.est_rows
+        build_est = self._filtered_rows(binding, prefilter)
+        output = self._join_rows(binding, build_columns, cardinality,
+                                 build_est)
+        if kind == "inner":
+            output *= cost.conjuncts_selectivity(store, residual,
+                                                 self.feedback)
+        if probe_exprs:
+            join: Operator = HashJoinOp(
+                root, store, binding, tuple(probe_exprs),
+                tuple(build_columns), _and_all(residual), kind,
+                self.columns_by_binding, _and_all(prefilter),
+            )
+            step_cost = (
+                len(store.rows) * cost.HASH_BUILD_COST
+                + cardinality * cost.HASH_PROBE_COST + output
+            )
+        else:
+            join = NestedLoopJoinOp(
+                root, store, binding, _and_all(residual) or Literal(True),
+                kind, self.columns_by_binding, _and_all(prefilter),
+            )
+            step_cost = len(store.rows) + cardinality * build_est
+        if kind == "left":
+            output = max(output, cardinality)
+        join.est_rows, join.est_cost = output, root.est_cost + step_cost
+        return join
+
+    def _build_tree_costed(self) -> Operator:
+        """The cost-based operator tree.  A LEFT join is an ordering
+        barrier, not a second planner: with one in the statement the
+        declared order stands, a WHERE conjunct touching a left-joined
+        binding waits for the final filter, and the LEFT join's own ON
+        conjuncts stay at that join — they decide matching, not row
+        survival."""
         select = self.select
-        pool = _conjuncts(select.where)
-        for join in select.joins:
-            pool.extend(_conjuncts(join.condition))
-        local, multi, leftover = self._classify(pool)
+        left_on = {join.table.binding: _conjuncts(join.condition)
+                   for join in select.joins if join.kind == "left"}
+        inner_on = [conjunct for join in select.joins if join.kind == "inner"
+                    for conjunct in _conjuncts(join.condition)]
+        local, multi, leftover = self._classify(
+            _conjuncts(select.where), inner_on, set(left_on)
+        )
         if not self.features.pushdown:
             # Single-table conjuncts stay in the final filter instead of
             # riding down to scans and build sides (parameter-only ones
@@ -616,9 +693,19 @@ class SelectPlan:
             for binding in self._binding_order:
                 leftover.extend(local[binding])
                 local[binding] = []
+        at_join: dict[str, list[Expr]] = {}
+        for binding, conjuncts in left_on.items():
+            # ON conjuncts over the left-joined table alone prefilter its
+            # build side, with or without pushdown; the rest ride the join
+            at_join[binding] = []
+            for conjunct in conjuncts:
+                if self._conjunct_bindings(conjunct) == {binding}:
+                    local[binding].append(conjunct)
+                else:
+                    at_join[binding].append(conjunct)
 
         order = self._binding_order
-        if len(order) > 1 and self.features.join_reorder:
+        if len(order) > 1 and self.features.join_reorder and not left_on:
             greedy = self._greedy_order(local, multi)
             if greedy is not None:
                 order = greedy
@@ -644,177 +731,25 @@ class SelectPlan:
         root.est_rows, root.est_cost = est_rows, est_cost
 
         available = {base}
-        cardinality, total_cost = est_rows, est_cost
         unplaced = list(multi)
         for binding in order[1:]:
-            store = self._binding_store(binding)
-            here: list[tuple[Expr, frozenset[str]]] = []
-            rest_pool: list[tuple[Expr, frozenset[str]]] = []
-            for conjunct, bindings in unplaced:
-                if bindings <= available | {binding}:
-                    here.append((conjunct, bindings))
-                else:
-                    rest_pool.append((conjunct, bindings))
-            unplaced = rest_pool
-            probe_exprs: list[Expr] = []
-            build_columns: list[str] = []
-            residual: list[Expr] = []
-            for conjunct, _bindings in here:
-                pair = self._equi_split(conjunct, binding, available)
-                if pair is not None:
-                    probe_exprs.append(pair[0])
-                    build_columns.append(pair[1])
-                else:
-                    residual.append(conjunct)
-            prefilter = _and_all(local[binding])
-            build_est = len(store.rows) * cost.conjuncts_selectivity(
-                store, local[binding], self.feedback
-            )
-            residual_selectivity = cost.conjuncts_selectivity(
-                store, residual, self.feedback
-            )
-            if probe_exprs:
-                root = HashJoinOp(
-                    root, store, binding, tuple(probe_exprs),
-                    tuple(build_columns), _and_all(residual), "inner",
-                    self.columns_by_binding, prefilter,
-                )
-                distinct = cost.join_distinct(
-                    store, tuple(build_columns), self.feedback
-                )
-                output = (cardinality * build_est / max(distinct, 1.0)
-                          * residual_selectivity)
-                step_cost = (
-                    len(store.rows) * cost.HASH_BUILD_COST
-                    + cardinality * cost.HASH_PROBE_COST + output
-                )
+            if binding in at_join:
+                kind, here = "left", at_join[binding]
             else:
-                condition = _and_all(residual) or Literal(True)
-                root = NestedLoopJoinOp(
-                    root, store, binding, condition, "inner",
-                    self.columns_by_binding, prefilter,
-                )
-                output = cardinality * build_est * residual_selectivity
-                step_cost = len(store.rows) + cardinality * build_est
-            total_cost += step_cost
-            cardinality = output
-            root.est_rows, root.est_cost = cardinality, total_cost
+                covered = available | {binding}
+                kind = "inner"
+                here = [c for c, bindings in unplaced if bindings <= covered]
+                unplaced = [(c, bindings) for c, bindings in unplaced
+                            if not bindings <= covered]
+            root = self._join_step(root, binding, kind, here,
+                                   local[binding], available)
             available.add(binding)
 
         final = [conjunct for conjunct, _ in unplaced] + leftover
         if final:
-            root = FilterOp(root, _and_all(final), self.columns_by_binding)
-            root.est_rows, root.est_cost = cardinality, total_cost
-        return root
-
-    def _build_tree_mixed(self) -> Operator:
-        """Declared-order plan for queries with LEFT joins: only the
-        provably safe pushdowns are taken.  A WHERE conjunct touching a
-        left-joined binding must see the null-padded row, so it stays in
-        the final filter; a LEFT join's ON conjuncts never leave the
-        join except as build-side prefilters (they decide matching, not
-        row survival)."""
-        select = self.select
-        left_bindings = {
-            join.table.binding for join in select.joins if join.kind == "left"
-        }
-        local, multi, leftover = self._classify(_conjuncts(select.where))
-        final: list[Expr] = list(leftover)
-        for binding in left_bindings:
-            final.extend(local.pop(binding, []))
-            local[binding] = []
-        if not self.features.pushdown:
-            # WHERE conjuncts stay in the final filter; LEFT-join ON
-            # prefilters below keep their placement (semantics, not a
-            # tunable decision).
-            for binding in self._binding_order:
-                final.extend(local[binding])
-                local[binding] = []
-        placed_multi: list[tuple[Expr, frozenset[str]]] = []
-        for conjunct, bindings in multi:
-            if bindings & left_bindings:
-                final.append(conjunct)
-            else:
-                placed_multi.append((conjunct, bindings))
-
-        base = self._binding_order[0]
-        base_store = self._binding_store(base)
-        access, est_rows, est_cost = self._choose_access_path(
-            base_store, local[base]
-        )
-        root: Operator = ScanOp(base_store, base, access, _and_all(local[base]))
-        root.est_rows, root.est_cost = est_rows, est_cost
-
-        available = {base}
-        cardinality, total_cost = est_rows, est_cost
-        unplaced = list(placed_multi)
-        for join in select.joins:
-            binding = join.table.binding
-            store = self._binding_store(binding)
-            probe_exprs: list[Expr] = []
-            build_columns: list[str] = []
-            residual: list[Expr] = []
-            prefilter_parts: list[Expr] = []
-            for conjunct in _conjuncts(join.condition):
-                bindings = self._conjunct_bindings(conjunct)
-                if bindings == frozenset({binding}):
-                    prefilter_parts.append(conjunct)
-                    continue
-                pair = self._equi_split(conjunct, binding, available)
-                if pair is not None:
-                    probe_exprs.append(pair[0])
-                    build_columns.append(pair[1])
-                else:
-                    residual.append(conjunct)
-            if join.kind == "inner":
-                # WHERE conjuncts local to this inner table prefilter the
-                # build side; covered multi-binding WHERE conjuncts join
-                # the residual (inner residual == filter semantics)
-                prefilter_parts.extend(local[binding])
-                still: list[tuple[Expr, frozenset[str]]] = []
-                for conjunct, bindings in unplaced:
-                    if bindings <= available | {binding}:
-                        residual.append(conjunct)
-                    else:
-                        still.append((conjunct, bindings))
-                unplaced = still
-            prefilter = _and_all(prefilter_parts)
-            build_est = len(store.rows) * cost.conjuncts_selectivity(
-                store, prefilter_parts, self.feedback
-            )
-            if probe_exprs:
-                root = HashJoinOp(
-                    root, store, binding, tuple(probe_exprs),
-                    tuple(build_columns), _and_all(residual), join.kind,
-                    self.columns_by_binding, prefilter,
-                )
-                distinct = cost.join_distinct(
-                    store, tuple(build_columns), self.feedback
-                )
-                output = cardinality * build_est / max(distinct, 1.0)
-                step_cost = (
-                    len(store.rows) * cost.HASH_BUILD_COST
-                    + cardinality * cost.HASH_PROBE_COST + output
-                )
-            else:
-                condition = _and_all(residual) or Literal(True)
-                root = NestedLoopJoinOp(
-                    root, store, binding, condition, join.kind,
-                    self.columns_by_binding, prefilter,
-                )
-                output = cardinality * build_est
-                step_cost = len(store.rows) + cardinality * build_est
-            if join.kind == "left":
-                output = max(output, cardinality)  # left joins keep every row
-            total_cost += step_cost
-            cardinality = output
-            root.est_rows, root.est_cost = cardinality, total_cost
-            available.add(binding)
-
-        final.extend(conjunct for conjunct, _ in unplaced)
-        if final:
-            root = FilterOp(root, _and_all(final), self.columns_by_binding)
-            root.est_rows, root.est_cost = cardinality, total_cost
+            child = root
+            root = FilterOp(child, _and_all(final), self.columns_by_binding)
+            root.est_rows, root.est_cost = child.est_rows, child.est_cost
         return root
 
     # -- operator tree (naive baseline) ---------------------------------------
