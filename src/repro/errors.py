@@ -113,14 +113,6 @@ class ServiceError(RuntimeLayerError):
     """A page/unit/operation service failed to compute."""
 
 
-class OperationFailure(RuntimeLayerError):
-    """An operation unit signalled its KO outcome.
-
-    This is the *modelled* failure path (the KO link); the controller
-    catches it and follows the KO link rather than propagating.
-    """
-
-
 class ContainerError(RuntimeLayerError):
     """Application-server container misuse (unknown component, exhausted pool)."""
 
@@ -131,10 +123,6 @@ class ContainerError(RuntimeLayerError):
 
 class PresentationError(ReproError):
     """Base class for template/rule failures."""
-
-
-class TemplateSyntaxError(PresentationError):
-    """A page template could not be parsed."""
 
 
 class TemplateRenderError(PresentationError):

@@ -87,10 +87,6 @@ class RequestParser:
             requests.append(request)
         return requests
 
-    @property
-    def buffered_bytes(self) -> int:
-        return len(self._buffer)
-
     def _try_parse_one(self) -> HttpRequest | None:
         head_end = self._buffer.find(_HEADER_END)
         if head_end < 0:

@@ -50,7 +50,3 @@ class Observability:
         """Turn every instrumented site into (near) no-ops."""
         self.enabled = False
         self.tracing_enabled = False
-
-    def enable(self) -> None:
-        self.enabled = True
-        self.tracing_enabled = True

@@ -61,10 +61,6 @@ class CssStylesheet:
             blocks.append(f"{selector} {{ {body} }}")
         return "\n".join(blocks)
 
-    def selectors_for_kind(self, kind: str) -> list[str]:
-        known = UNIT_CSS_ELEMENTS.get(kind, [])
-        return [s for s in self.rules if s in known]
-
 
 def unit_module(kind: str, palette: dict[str, str]) -> CssStylesheet:
     """The per-unit-kind CSS module: one rule per graphic element."""

@@ -10,9 +10,8 @@ Rendering runs through a **compiled program**: at compile time the
 template tree is flattened into alternating pre-serialized static HTML
 segments and dynamic slots (one per custom tag, a built-in tag's
 writer bound to it), so a request performs string joins instead of
-cloning and re-serializing the whole tree.
-The tree-walking renderer survives as :meth:`PageTemplate.render_tree`
-— the oracle the compiled path must match byte for byte.
+cloning and re-serializing the whole tree.  What the bodies must be is
+pinned by ``tools/page_digests.py`` and its committed golden digests.
 
 Fragment caching (§6): when a custom tag carries ``fragment="cache"``
 (set by a presentation rule or by hand) and the render context has a
@@ -287,49 +286,7 @@ class PageTemplate:
         program = self._program if self._program is not None else self.compile()
         return [part for part in program if not isinstance(part, str)]
 
-    # -- the tree-walking oracle ---------------------------------------------
-
-    def render_tree(self, context: RenderContext) -> str:
-        """The original node-by-node renderer.  Kept as the semantic
-        oracle: ``render`` must produce byte-identical output."""
-        rendered = self._render_node(self.document, context)
-        assert rendered is not None
-        return serialize(rendered)
-
-    def _render_node(self, node: Node, context: RenderContext) -> Node | None:
-        if isinstance(node, Text):
-            return Text(node.value)
-        assert isinstance(node, Element)
-        if node.tag.startswith("webml:"):
-            return self._render_unit_tag(node, context)
-        clone = Element(node.tag, dict(node.attrs))
-        for child in node.children:
-            rendered = self._render_node(child, context)
-            if rendered is not None:
-                clone.append(rendered)
-        return clone
-
-    def _render_unit_tag(self, tag: Element,
-                         context: RenderContext) -> Node:
-        if tag.tag == "webml:siteMenu":
-            return _render_site_menu(tag, context)
-        # unit tags resolve through the compiled path's slot, so the
-        # fragment-cache handshake exists once; the oracle's job is the
-        # tree walk over the static markup around it
-        return parse_xml(_UnitSlot(tag, self.page_id).render(context))
-
 
 def _contains_custom_tag(element: Element) -> bool:
     return any(e.tag.startswith("webml:") for e in element.iter())
 
-
-def render_page(
-    template: PageTemplate,
-    page_result: PageResult,
-    controller,
-    request=None,
-    fragment_cache=None,
-) -> str:
-    """Convenience wrapper used by the renderer and tests."""
-    context = RenderContext(page_result, controller, request, fragment_cache)
-    return template.render(context)

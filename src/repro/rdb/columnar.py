@@ -140,13 +140,6 @@ class _Column:
     def dict_encoded(self) -> bool:
         return self.codes is not None
 
-    def value_at(self, position: int):
-        """The raw value at ``position`` (decoding dict columns)."""
-        if self.codes is not None:
-            code = self.codes[position]
-            return None if code is None else self.decode[code]
-        return self.values[position]
-
 
 class ColumnStore:
     """Column-major mirror of one :class:`~repro.rdb.storage.TableStore`.

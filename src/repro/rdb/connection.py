@@ -8,9 +8,7 @@ named (``:name``) parameters as a mapping.
 
 The pool is thread-safe: :meth:`ConnectionPool.acquire` blocks (with an
 optional timeout) while worker threads hold every connection, and keeps
-wait-time statistics the E7/E13 experiments read.  The old fail-fast
-behaviour — exhaustion raises instead of waiting — stays available via
-``acquire(block=False)``.
+wait-time statistics the E7/E13 experiments read.
 """
 
 from __future__ import annotations
@@ -161,10 +159,9 @@ class ConnectionPool:
     """A fixed-size, thread-safe connection pool.
 
     ``acquire`` blocks while every connection is borrowed, waking as
-    soon as one is released; ``acquire(block=False)`` restores the
-    fail-fast exhaustion the E7 experiments watch, and ``timeout``
-    bounds the wait.  Wait episodes and waited seconds are counted so
-    benchmarks can report pool pressure.
+    soon as one is released; ``timeout`` bounds the wait, and an
+    expired one raises.  Wait episodes and waited seconds are counted
+    so benchmarks can report pool pressure.
     """
 
     def __init__(self, database: Database, size: int = 8):
@@ -182,7 +179,7 @@ class ConnectionPool:
         self.wait_count = 0
         #: cumulative seconds spent waiting for a free connection
         self.total_wait_seconds = 0.0
-        #: waits that gave up (timeout expired or block=False)
+        #: waits that gave up (timeout expired)
         self.exhausted_failures = 0
         # observability (bound by the runtime context): wait-time
         # histogram plus an in-use gauge; None keeps both sites no-ops
@@ -202,16 +199,10 @@ class ConnectionPool:
     def _observing(self) -> bool:
         return self._obs is not None and self._obs.enabled
 
-    def acquire(self, timeout: float | None = None,
-                block: bool = True) -> Connection:
+    def acquire(self, timeout: float | None = None) -> Connection:
         waited = None
         with self._cond:
             if not self._idle:
-                if not block:
-                    self.exhausted_failures += 1
-                    raise DatabaseError(
-                        f"connection pool exhausted ({self.size} connections in use)"
-                    )
                 started = time.monotonic()
                 deadline = None if timeout is None else started + timeout
                 self.wait_count += 1

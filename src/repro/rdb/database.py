@@ -905,11 +905,6 @@ class Database:
             self.last_insert_id = row[auto] if auto else None
             return dict(row)
 
-    def insert_rows(self, table: str, rows: list[dict]) -> int:
-        for values in rows:
-            self.insert_row(table, values)
-        return len(rows)
-
     def _execute_insert(self, statement: Insert, params: dict) -> int:
         scope = RowScope({}, {})
         count = 0

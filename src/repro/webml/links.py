@@ -66,8 +66,3 @@ class Link:
             LinkParameter(source_output, target_input or source_output)
         )
         return self
-
-    @property
-    def is_navigational(self) -> bool:
-        """Does following this link cause a page change?"""
-        return self.kind in (LinkKind.NORMAL, LinkKind.AUTOMATIC)

@@ -371,11 +371,6 @@ class WebMLModel:
         self._links_by_target.setdefault(target_id, []).append(link)
         return link
 
-    def remove_link(self, link: Link) -> None:
-        self.links.remove(link)
-        self._links_by_source.get(link.source, []).remove(link)
-        self._links_by_target.get(link.target, []).remove(link)
-
     def retarget_link(self, link: Link, new_target) -> Link:
         """Point an existing link at a different element (the §7 re-link
         gesture).  Mutating ``link.target`` directly would desynchronize
