@@ -28,7 +28,10 @@ module closes the loop from execution back into planning:
   what execution measured, not what ANALYZE guessed.
 
 Everything here is advisory: corrections and replans change plan
-*shape*, never answers — every scan still re-checks its predicate.
+*shape*, never answers — every conjunct a path does not prove is
+re-checked where it lands.  A proof changes no learning: the scan's
+``predicate``, ``sargs`` and correction keys are those of every other
+path.
 Ledgers and the memory are deliberately lock-free (GIL-atomic dict and
 deque operations); a lost counter update under contention is tolerated,
 the same trade every observability counter in the repo makes.

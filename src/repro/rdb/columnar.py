@@ -576,8 +576,10 @@ def _in_list_bind(sarg, family: str):
     def bind(column_store, params):
         evaluated = [option.evaluate(None, params) for option in options]
         present = [value for value in evaluated if value is not None]
-        if negated and len(present) < len(evaluated):
-            # NOT IN with a NULL option is never True for any row
+        typed = all(_const_matches_family(value, family) for value in present)
+        if negated and len(present) < len(evaluated) and typed:
+            # NOT IN with a NULL option is never True for any row (a
+            # member of another family must still raise, as rows do)
             return _empty_kernel
         column = column_store.columns[name]
         if column.dict_encoded:
@@ -593,9 +595,7 @@ def _in_list_bind(sarg, family: str):
                         if codes[i] is not None and codes[i] not in code_set
                     ]
                 return lambda sel: [i for i in sel if codes[i] in code_set]
-        elif present and all(
-            _const_matches_family(value, family) for value in present
-        ):
+        elif present and typed:
             values = column.values
             value_set = set(present)
             if negated:

@@ -752,9 +752,15 @@ def compile_plan(plan) -> dict:
         stack.extend(op.children())
         if isinstance(op, ScanOp):
             if op.predicate is not None:
-                op.predicate_fn = note(lower_scalar(
+                # one slot: the unproved rest is a sub-conjunction of the
+                # whole predicate, lowered by the same back-end
+                op.heap_predicate_fn = op.predicate_fn = note(lower_scalar(
                     op.predicate, op._scope_columns, "row", "scan-predicate"
                 ))
+                if op.residual is not op.predicate:
+                    op.predicate_fn = None if op.residual is None \
+                        else lower_scalar(op.residual, op._scope_columns,
+                                          "row", "scan-residual").fn
             if op.access.kind == "columnar":
                 op.kernels = _scan_kernels(op, plan.feedback)
         elif isinstance(op, FilterOp):

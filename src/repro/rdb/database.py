@@ -161,6 +161,11 @@ class Database:
         self._plan_cache: OrderedDict[str, SelectPlan | DmlPlan] = \
             OrderedDict()
         self._plan_lock = threading.Lock()
+        #: bumped whenever cached plans are invalidated (never for LRU
+        #: eviction: an evicted plan is still a valid plan), so a plan
+        #: found by a probe outside the read lock is known current
+        #: under it without a second probe
+        self._plan_generation = 0
         self._rwlock = ReadWriteLock()
         #: signalled whenever the engine's LSN advances by replication
         #: apply; :meth:`wait_for_lsn` blocks on it (LSN wait tokens)
@@ -548,10 +553,12 @@ class Database:
         """
         statement = sql
         if isinstance(sql, str):
+            generation = self._plan_generation
             cached = self._cached_plan(sql)
             if isinstance(cached, SelectPlan):
                 self.stats.increment("prepared_reuse")
-                return self._execute_select(None, sql, params)
+                return self._execute_select(None, sql, params,
+                                            cached, generation)
             statement = cached.statement if cached else parse_sql(sql)
         if isinstance(statement, Select):
             return self._execute_select(
@@ -619,13 +626,16 @@ class Database:
         return result
 
     def _execute_select(self, statement: Select | None, cache_key: str | None,
-                        params: dict | None) -> ResultSet:
+                        params: dict | None, cached: SelectPlan | None = None,
+                        generation: int = -1) -> ResultSet:
         """Execute a SELECT.  ``statement`` may be ``None`` when
         ``cache_key`` is the raw SQL text (the prepared-statement fast
-        path); a cache miss — e.g. the plan was invalidated between the
-        caller's probe and here — re-parses the text under the read
-        lock, so a stale hint can cost a parse but never a wrong or
-        poisoned plan."""
+        path), whose caller already probed the cache: ``cached`` is
+        what it found at plan-cache ``generation``.  That plan runs only
+        if no plan was invalidated since; otherwise the cache is probed
+        again under the read lock and a miss re-parses the text, so a
+        stale hint can cost a parse but never a wrong or poisoned
+        plan."""
         # Queued drift re-ANALYZEs (and growth checks, when the AST is in
         # hand) run first — they need the write lock, which cannot be
         # taken once we hold the read side below.
@@ -633,9 +643,14 @@ class Database:
         started = time.perf_counter()  # spans include the simulated wire
         if self.io_delay:
             time.sleep(self.io_delay)  # the wire, not the engine: no lock held
-        with self._rwlock.read_locked():
-            plan = self._plan(statement, cache_key)
+        rwlock = self._rwlock
+        rwlock.acquire_read()
+        try:
+            plan = cached if generation == self._plan_generation \
+                else self._plan(statement, cache_key)
             result = plan.execute(params)
+        finally:
+            rwlock.release_read()
         if cache_key is not None:
             self.adaptive.observe(cache_key, plan)
         self.stats.count_select(plan, len(result))
@@ -722,12 +737,19 @@ class Database:
             ]
             for key in stale:
                 del self._plan_cache[key]
+            self._plan_generation += 1
 
     def _drop_plan(self, cache_key: str) -> None:
         """Drop one cached plan (adaptive drift marked it stale); the
         statement re-plans — and recompiles — on its next execution."""
         with self._plan_lock:
             self._plan_cache.pop(cache_key, None)
+            self._plan_generation += 1
+
+    def _clear_plans(self) -> None:
+        with self._plan_lock:
+            self._plan_cache.clear()
+            self._plan_generation += 1
 
     def cached_plan_count(self) -> int:
         with self._plan_lock:
@@ -764,8 +786,7 @@ class Database:
             if event is not None:
                 ddl_tables = _ddl_tables(record.ops)
                 if ddl_tables is ALL_TABLES:
-                    with self._plan_lock:
-                        self._plan_cache.clear()
+                    self._clear_plans()
                 elif ddl_tables:
                     self._invalidate_plans(ddl_tables)
         finally:
@@ -786,8 +807,7 @@ class Database:
         self._rwlock.acquire_write()
         try:
             event = self.engine.install_tables(lsn, tables)
-            with self._plan_lock:
-                self._plan_cache.clear()
+            self._clear_plans()
         finally:
             self._rwlock.release_write()
         self.engine.commit_stream.publish(event)

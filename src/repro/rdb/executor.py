@@ -16,13 +16,19 @@ prefilter, no residual).
 from __future__ import annotations
 
 import functools
+import operator
 from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 
 from repro.errors import QueryError
-from repro.rdb.columnar import select_positions
+from repro.rdb.columnar import (
+    _const_matches_family,
+    _type_family,
+    select_positions,
+)
 from repro.rdb.expr import (
     AggregateCall,
+    And,
     ColumnRef,
     Expr,
     Literal,
@@ -144,24 +150,55 @@ class AccessPath:
     in_exprs: tuple[Expr, ...] = field(default_factory=tuple)
     descending: bool = False
 
+    def proves(self, classified) -> bool:
+        """Whether every row this path yields satisfies the conjunct
+        ``classified`` (its :class:`~repro.rdb.expr.Sarg`, or None), so
+        it need not be re-checked.  An equality prefix proves a
+        non-negated ``col = operand`` on a probed column with the very
+        operand it probes with; an ``in`` path also ``col IN (…)`` with
+        exactly its list.  Range bounds, LIKE and every heap walk prove
+        nothing.  The proof assumes probe values of the column's type
+        family — :meth:`ScanOp.matching` walks the heap otherwise."""
+        if classified is None or classified.negated:
+            return False
+        operands = classified.operands
+        if classified.kind == "cmp" and classified.op == "=":
+            return any(
+                column == classified.column and probe is operands[0]
+                for column, probe in zip(self.columns, self.eq_exprs)
+            )
+        return (classified.kind == "in" and self.kind == "in"
+                and classified.column == self.columns[len(self.eq_exprs)]
+                and len(operands) == len(self.in_exprs)
+                and all(map(operator.is_, operands, self.in_exprs)))
+
 
 _SEQ = AccessPath()
+#: the scope probe values evaluate in: literals and parameters only
+_NO_ROW = RowScope({}, {})
 _INDEX_LABELS = {"eq": "IndexLookup", "range": "IndexRange", "in": "IndexIn",
                  "ordered": "IndexOrderScan"}
 
 
 class ScanOp(Operator):
-    """Table scan through an :class:`AccessPath`, re-checking any
-    predicate conjuncts the planner pushed down.
+    """Table scan through an :class:`AccessPath`, re-checking every
+    pushed conjunct the path does not prove.
 
-    Index paths may return a *superset* of the qualifying rows (prefix
-    segments include trailing NULLs, bisection is estimate-free); the
-    pushed ``predicate`` re-check is what keeps every path honest, and
-    a ``None`` answer from the index degrades to a heap walk.
+    An index probe whose values are of their columns' type families
+    proves the equalities and the ``IN``-list it probes with
+    (:meth:`AccessPath.proves`); every other conjunct — range bounds,
+    LIKE, anything on an unprobed column — is re-checked on the rows
+    the path yields.  A heap
+    walk re-checks the whole ``predicate``, and an index that cannot
+    answer (``None``: a probe of another type family, or no ordered
+    view) degrades to one, so an index never decides whether a
+    statement errors.
 
-    ``predicate_fn`` is ``predicate`` lowered to row mode,
-    ``fn(row, params)``; a ``columnar`` path runs ``kernels`` instead,
-    one bind function per conjunct, in run order.
+    ``predicate_fn`` is the unproved ``residual`` lowered to row mode,
+    ``fn(row, params)`` (None when the path proves every conjunct);
+    ``heap_predicate_fn`` is the whole ``predicate``, for heap walks.
+    A ``columnar`` path runs ``kernels`` instead, one bind function per
+    conjunct, in run order.
     """
 
     def __init__(
@@ -173,18 +210,41 @@ class ScanOp(Operator):
     ):
         self.store = store
         self.binding = binding
-        self.access = access or _SEQ
+        self.access = access = access or _SEQ
         self.predicate = predicate
         #: the pushed conjuncts and their classification (a
         #: :class:`~repro.rdb.expr.Sarg` or None each): what the kernel
         #: builder and adaptive's correction keys read
         self.conjuncts = tuple(conjuncts(predicate))
         self.sargs = tuple(map(sarg, self.conjuncts))
+        #: the conjuncts the access path proves, and the AND of the rest
+        #: (``predicate`` itself when nothing is proved)
+        proved, rest = [], []
+        for conjunct, classified in zip(self.conjuncts, self.sargs):
+            (proved if access.proves(classified) else rest).append(conjunct)
+        self.proved = tuple(proved)
+        self.residual = (
+            predicate if not self.proved
+            else functools.reduce(And, rest) if rest else None
+        )
         self.predicate_fn = None
+        self.heap_predicate_fn = None
         self.kernels: tuple = ()
         #: memo of :func:`repro.rdb.adaptive.scan_correction_keys`
         self.correction_keys: list | None = None
         self._scope_columns = {binding: list(store.schema.column_names)}
+        #: every value the path probes with — equality prefix, then the
+        #: IN-list or the present range bounds on the next column — and
+        #: the type family of the column each one probes
+        width = len(access.eq_exprs)
+        self._probes = access.eq_exprs + access.in_exprs + tuple(
+            bound for bound in (access.low, access.high) if bound is not None
+        )
+        self._probe_families = tuple(
+            _type_family(store.schema.column(
+                access.columns[min(i, width)]).sql_type)
+            for i in range(len(self._probes))
+        )
 
     @property
     def eq_columns(self) -> tuple[str, ...]:
@@ -204,41 +264,41 @@ class ScanOp(Operator):
 
     def _candidate_row_ids(self, params: dict, skip: int = 0):
         """Row ids selected by the access path — a set, or for an
-        ordered path an iterator in key order; None means scan the
-        heap."""
+        ordered path an iterator in key order; None means walk the heap
+        with the whole predicate: the path has no index, the index has
+        no ordered view, or a probe value lies outside its column's type
+        family — no stored value can equal it without the comparison
+        raising, so the index must not answer for the predicate."""
         access = self.access
-        if access.kind == "seq":
+        kind = access.kind
+        if kind == "seq":
             return None
-        scope = RowScope({}, {})
-        prefix = tuple(
-            expr.evaluate(scope, params) for expr in access.eq_exprs
-        )
-        if any(value is None for value in prefix):
+        values = [expr.evaluate(_NO_ROW, params) for expr in self._probes]
+        for family, value in zip(self._probe_families, values):
+            if value is not None and not _const_matches_family(value, family):
+                return None
+        width = len(access.eq_exprs)
+        prefix = tuple(values[:width])
+        if None in prefix:
             return set()  # an equality with NULL never matches
-        if access.kind == "eq":
+        if kind == "eq":
             return access.index.scan_prefix(prefix)
-        if access.kind == "ordered":
-            # None (no ordered view) means a probe of the wrong type: the
-            # heap scan's predicate re-check then fails or passes no row
+        if kind == "ordered":
             return access.index.walk(prefix, access.descending, skip,
                                      self.store.scan_order)
-        if access.kind == "range":
-            low = high = None
-            if access.low is not None:
-                low = access.low.evaluate(scope, params)
-                if low is None:
-                    return set()  # col > NULL is UNKNOWN everywhere
-            if access.high is not None:
-                high = access.high.evaluate(scope, params)
-                if high is None:
-                    return set()
+        if kind == "range":
+            bounds = iter(values[width:])
+            low = None if access.low is None else next(bounds)
+            high = None if access.high is None else next(bounds)
+            if (low is None and access.low is not None) or (
+                    high is None and access.high is not None):
+                return set()  # col > NULL is UNKNOWN everywhere
             return access.index.scan_range(prefix, (
                 low, access.low_inclusive, high, access.high_inclusive
             ))
         # IN-list: one probe per distinct non-NULL element
         matches: set[int] = set()
-        for expr in access.in_exprs:
-            value = expr.evaluate(scope, params)
+        for value in values[width:]:
             if value is None:
                 continue
             found = access.index.scan_prefix(prefix + (value,))
@@ -274,17 +334,18 @@ class ScanOp(Operator):
         produced = fetched = 0
         try:
             row_ids = self._candidate_row_ids(params, skip)
+            predicate = self.predicate_fn
             if row_ids is None:
                 # Iterate over a snapshot of ids so DML during iteration
-                # is safe.
+                # is safe; a heap walk proves nothing.
                 candidates = list(self.store.rows)
+                predicate = self.heap_predicate_fn
             elif isinstance(row_ids, set):
                 # heap-scan order, whichever path found the rows
                 candidates = sorted(row_ids, key=self.store.scan_order)
             else:
                 candidates = row_ids
             lookup = self.store.rows
-            predicate = self.predicate_fn
             if predicate is None:
                 for fetched, row_id in enumerate(candidates, 1):
                     row = lookup.get(row_id)
@@ -629,41 +690,57 @@ class DescendingKey(SortKey):
         return self._compare(other) > 0
 
 
-def ordering_key(order_by):
-    """The sort key over ``(row, keys)`` pairs for the ORDER BY items:
-    composite ``(SortKey | DescendingKey, ...)`` tuples, shared by the
-    full sort and the bounded top-N."""
+def ordering_key(order_by, native: bool = False):
+    """``(key, reverse)``: the sort key over ``(row, keys)`` pairs for
+    the ORDER BY items and the direction to sort in — the one decision
+    the full sort and the bounded top-N share.
+
+    ``native`` is the plan's word that every key is a plain column whose
+    values Python compares exactly as :func:`compare_values` does: NOT
+    NULL, not FLOAT (NaN), never null-padded, all keys one direction
+    (``SelectPlan.native_order``).  The key is then the values
+    themselves, and DESC is ``reverse=True`` — stable, so ties keep
+    input order either way.  Otherwise it is composite ``(SortKey |
+    DescendingKey, ...)`` tuples: NULLs first ascending, last
+    descending, and incomparable values raise."""
+    if native:
+        key = (operator.itemgetter(1) if len(order_by) > 1
+               else lambda pair: pair[1][0])
+        return key, order_by[0].descending
     wrappers = tuple(
         DescendingKey if item.descending else SortKey for item in order_by
     )
     if len(wrappers) == 1:
         wrap = wrappers[0]
-        return lambda pair: wrap(pair[1][0])
-    return lambda pair: tuple(
+        return (lambda pair: wrap(pair[1][0])), False
+    return (lambda pair: tuple(
         wrap(value) for wrap, value in zip(wrappers, pair[1])
-    )
+    )), False
 
 
-def top_rows(rows_with_keys, order_by, keep: int) -> list:
+def top_rows(rows_with_keys, order_by, keep: int,
+             native: bool = False) -> list:
     """The first ``keep`` of the ``(row, keys)`` pairs in ORDER BY order
     — what sorting them all and slicing gives, tie order included —
-    holding at most ``2 * keep``: an arrival not below the cut-off is
+    holding at most ``2 * keep``: an arrival not before the cut-off is
     dropped on one comparison (an equal key that arrived later sorts
     after the cut), the rest are sorted in when the buffer fills."""
-    key = ordering_key(order_by)
+    key, reverse = ordering_key(order_by, native)
+    before = operator.gt if reverse else operator.lt
     held, cut = [], None
     for pair in rows_with_keys if keep else ():
-        if cut is None or key(pair) < cut:
+        if cut is None or before(key(pair), cut):
             held.append(pair)
             if len(held) >= 2 * keep:
-                held.sort(key=key)
+                held.sort(key=key, reverse=reverse)
                 del held[keep:]
                 cut = key(held[-1])
-    held.sort(key=key)
+    held.sort(key=key, reverse=reverse)
     return held[:keep]
 
 
-def sort_rows_with_keys(rows_with_keys: list, order_by) -> None:
+def sort_rows_with_keys(rows_with_keys: list, order_by,
+                        native: bool = False) -> None:
     """Sort ``(row, keys)`` pairs in place by the ORDER BY items.
 
     One stable pass over :func:`ordering_key` — mathematically identical
@@ -675,7 +752,8 @@ def sort_rows_with_keys(rows_with_keys: list, order_by) -> None:
     ``compare_values`` in both.
     """
     if order_by:
-        rows_with_keys.sort(key=ordering_key(order_by))
+        key, reverse = ordering_key(order_by, native)
+        rows_with_keys.sort(key=key, reverse=reverse)
 
 
 @dataclass

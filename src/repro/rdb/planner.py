@@ -21,8 +21,11 @@ Planning is cost-based (:mod:`repro.rdb.cost`):
   falling back to the declared order when the join graph has no
   connecting equi-condition; one function sizes a join for the greedy
   search and for every join step;
-- every pushed conjunct is re-checked where it lands, so index paths
-  may safely return supersets and estimation errors can never change
+- every conjunct a path does not prove is re-checked where it lands:
+  an index probe proves the equalities and ``IN``-list it probes with
+  (while its values are of their columns' type families — else the
+  scan walks the heap with the whole predicate), so other paths may
+  safely return supersets and estimation errors can never change
   results — only plan shape;
 - a LEFT JOIN is an ordering barrier in that one builder, not a second
   planner: the declared order stands, a WHERE conjunct touching a
@@ -86,6 +89,7 @@ from repro.rdb.expr import (
 )
 from repro.rdb.sqlparser import Delete, Select, SelectItem, TableRef, Update
 from repro.rdb.storage import TableStore
+from repro.rdb.types import FloatType
 from repro.util import unique_name
 
 #: execution modes: plan shape · lowering back-end · scan access kinds
@@ -218,14 +222,21 @@ class SelectPlan:
         self.ordered = access_kind == "ordered"
         #: an unfiltered COUNT(*): answered from the live row count
         self.counts_rows = access_kind == "count"
+        #: why the ORDER BY needs no sort step although the scan does
+        #: not walk an index in its order (None: it sorts)
+        self.sort_exempt = self._sort_exemption() if cost_based else None
+        sorts = bool(select.order_by) and not self.ordered \
+            and self.sort_exempt is None
         #: ORDER BY … LIMIT keeps a bounded top-N instead of sorting all
         #: rows (DISTINCT and the seed plan keep the full sort)
-        self.top_n = cost_based and bool(select.order_by) \
-            and not self.ordered and select.limit is not None \
+        self.top_n = cost_based and sorts and select.limit is not None \
             and not select.distinct
+        #: the sort (or top-N) compares the key values themselves, not
+        #: SortKey wrappers (see executor.ordering_key)
+        self.native_order = cost_based and sorts and self._native_order()
         #: the whole plan's estimate: operator tree plus sort / top-N
         self.est_cost = root.est_cost
-        if root.est_cost is not None and not self.ordered:
+        if root.est_cost is not None and sorts:
             self.est_cost += self._sort_cost(root.est_rows)
         # The tail's expression slots, filled — like the operators' —
         # by compile_plan: ``emit_fn`` for plain plans (row mode over
@@ -506,6 +517,56 @@ class SelectPlan:
         offset, limit = self._priced_window
         bounded = limit is not None and not self.select.distinct
         return cost.sort_cost(rows, offset + limit if bounded else None)
+
+    def _sort_exemption(self) -> str | None:
+        """Why the ORDER BY needs no sort step, or None when it does.
+        ``"one-row"``: a join-free plan whose scan probes a unique index
+        at full width yields at most one row.  ``"constant-keys"``:
+        every key is a base-scan column the access path proves equal to
+        one probe value, so all rows tie and a stable sort would leave
+        them where they are.  Both hold on the heap walk a probe of
+        another type family falls back to: no row passes it."""
+        select = self.select
+        if not select.order_by or self.ordered:
+            return None
+        scan = self.root
+        while not isinstance(scan, ScanOp):
+            scan = scan.children()[0]
+        access = scan.access
+        if (access.kind == "eq" and access.index.unique
+                and len(access.columns) == len(access.index.columns)
+                and len(self._binding_order) == 1):
+            return "one-row"
+        bound = {classified.column for classified in map(sarg, scan.proved)
+                 if classified.kind == "cmp"}
+        if all(isinstance(item.expr, ColumnRef) and item.expr.column in bound
+               and self._conjunct_bindings(item.expr) == {scan.binding}
+               for item in select.order_by):
+            return "constant-keys"
+        return None
+
+    def _native_order(self) -> bool:
+        """Whether every ORDER BY key is a plain column whose values
+        compare natively exactly as ``compare_values`` compares them:
+        NOT NULL, not FLOAT (NaN), on a binding no LEFT join pads, and
+        every key in one direction."""
+        order = self.select.order_by
+        padded = {join.table.binding for join in self.select.joins
+                  if join.kind == "left"}
+        for item in order:
+            expr = item.expr
+            if item.descending != order[0].descending \
+                    or not isinstance(expr, ColumnRef):
+                return False
+            bindings = self._conjunct_bindings(expr)
+            if not bindings or bindings & padded:
+                return False
+            column = self._binding_store(next(iter(bindings))).schema.column(
+                expr.column
+            )
+            if column.nullable or isinstance(column.sql_type, FloatType):
+                return False
+        return True
 
     def _walkable_order(self, store: TableStore) -> tuple[str, ...]:
         """The ORDER BY as columns of ``store`` an index walk could
@@ -975,7 +1036,7 @@ class SelectPlan:
         keys = f"{len(select.order_by)} keys"
         if self.top_n:
             post.append(f"TopN({limit} + {offset}, {keys})")
-        elif select.order_by and not self.ordered:
+        elif select.order_by and not self.ordered and not self.sort_exempt:
             post.append(f"Sort({keys})")
         if select.distinct:
             post.append("Distinct")
@@ -995,6 +1056,10 @@ class SelectPlan:
             columns = self.needed_columns.get(node.binding)
             if columns is not None and self.mode != "seed":
                 annotations.append(f"cols={','.join(columns) or '-'}")
+            if node.proved:
+                annotations.append("proves=" + ",".join(
+                    sarg(conjunct).column for conjunct in node.proved
+                ))
         if node.est_rows is not None:
             annotations.append(f"rows~{node.est_rows:.1f}")
             annotations.append(f"cost~{node.est_cost:.1f}")
@@ -1013,6 +1078,8 @@ class SelectPlan:
             annotations.append(f"exec={self.exec_mode}")
             if self.fused:
                 annotations.append("fused")
+            if self.sort_exempt:
+                annotations.append(f"unsorted={self.sort_exempt}")
         if annotations:
             label += f"  [{' '.join(annotations)}]"
         lines.append("  " * depth + label)
@@ -1085,10 +1152,13 @@ class SelectPlan:
             produced = unique_rows
 
         if self.top_n:
-            rows_with_keys = top_rows(produced, select.order_by, stop)
+            rows_with_keys = top_rows(produced, select.order_by, stop,
+                                      self.native_order)
         else:
             rows_with_keys = list(produced)
-            sort_rows_with_keys(rows_with_keys, select.order_by)
+            if self.sort_exempt is None:
+                sort_rows_with_keys(rows_with_keys, select.order_by,
+                                    self.native_order)
         if offset or stop is not None:
             rows_with_keys = rows_with_keys[offset:stop]
         return ResultSet(

@@ -26,7 +26,7 @@ from repro.rdb.adaptive import (
     q_error,
     scan_correction_keys,
 )
-from repro.rdb.executor import HashJoinOp, ScanOp
+from repro.rdb.executor import AccessPath, HashJoinOp, ScanOp
 from repro.rdb.planner import PlannerFeatures
 
 
@@ -306,6 +306,35 @@ def test_planner_features_change_shape_not_answers():
     # the access-path toggle really does pin the scan to sequential
     pinned = db.prepare(sql, features=PlannerFeatures(access_paths=False))
     assert "IndexLookup" not in pinned.explain()
+
+
+def test_a_proved_scan_learns_what_a_rechecked_scan_learns(monkeypatch):
+    """A probe that proves its conjunct skips the re-check, not the
+    learning: the scan keeps its whole ``predicate``, so twenty runs
+    feed the same correction keys and leave the same memory as a scan
+    that re-checks the conjunct on every row."""
+    sql = "SELECT b.title FROM book b WHERE b.author_oid = :a"
+
+    def learn():
+        db = _catalogue()
+        for run in range(20):
+            db.query(sql, {"a": run % 5 + 1})
+        scan = db._plan_cache[sql].root
+        memory = db.adaptive.memory
+        return scan, scan_correction_keys(scan), (
+            dict(memory.corrections), dict(memory.samples), memory.records
+        )
+
+    proved, proved_keys, proved_memory = learn()
+    with monkeypatch.context() as patch:
+        patch.setattr(AccessPath, "proves", lambda self, classified: False)
+        rechecked, rechecked_keys, rechecked_memory = learn()
+    assert proved.access.kind == rechecked.access.kind == "eq"
+    assert proved.proved and proved.predicate_fn is None
+    assert not rechecked.proved and rechecked.predicate_fn is not None
+    assert ("book", ("eq", "author_oid")) in proved_keys
+    assert proved_keys == rechecked_keys
+    assert proved_memory == rechecked_memory
 
 
 # -- the poisoned-memory oracle ---------------------------------------------

@@ -312,6 +312,26 @@ class TestQueries:
         library.execute("ANALYZE paper")
         assert sql not in library._plan_cache
 
+    def test_prepared_execution_never_runs_a_plan_invalidated_since_its_probe(
+            self, library):
+        """Prepared SQL text probes the plan cache once, before the
+        read lock; a re-ANALYZE queued for the statement's table runs
+        between that probe and the lock (``preflight``) and invalidates
+        the plan it found.  The statement re-plans instead of running
+        the stale one."""
+        sql = "SELECT title FROM paper WHERE pages > :p ORDER BY oid"
+        want = library.query(sql, {"p": 5}).as_tuples()
+        stale = library._plan_cache[sql]
+        stale.root.actual_rows = None
+        library.adaptive._pending_reanalyze.add("paper")
+        assert library.query(sql, {"p": 5}).as_tuples() == want
+        assert library.adaptive.counters["reanalyzes"] == 1
+        assert stale.root.actual_rows is None  # the stale plan never ran
+        assert library._plan_cache[sql] is not stale
+        reused = library.stats.prepared_reuse
+        assert library.query(sql, {"p": 5}).as_tuples() == want
+        assert library.stats.prepared_reuse == reused + 1
+
     def test_plan_cache_is_bounded(self, library):
         """Callers that format values into SQL text fill the cache with
         one plan per value: the cap evicts those, least recently used

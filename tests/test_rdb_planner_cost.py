@@ -249,8 +249,9 @@ class TestJoinReorderAndPushdown:
 class TestDescriptorPlans:
     def test_every_descriptor_plan_matches_the_committed_digests(self):
         """``tests/golden/plan_digests.json`` was written by
-        ``tools/plan_digests.py`` before the LEFT-join fork was folded
-        into the one cost-based builder: every ACM / bookstore / Acer
+        ``tools/plan_digests.py`` once index probes reported the
+        conjuncts they prove (``proves=``) and unique probes dropped
+        their sort (``unsorted=one-row``): every ACM / bookstore / Acer
         descriptor statement, in five data configurations, still gets
         the same EXPLAIN text."""
         import importlib.util
@@ -267,6 +268,69 @@ class TestDescriptorPlans:
             (root / "tests" / "golden" / "plan_digests.json").read_text()
         )
         assert tool.first_difference(golden, tool.plan_digests()) is None
+
+
+class TestColdPageStatements:
+    """The five statements a cold Volume Page or Paper details request
+    runs, as the request path plans them (no ANALYZE, the hierarchy's
+    batched ``IN`` rewrite included): each probe shows what it proves,
+    and ``Sort`` is gone exactly where a unique probe yields one row."""
+
+    #: fragment of the cache key → EXPLAIN with estimates blanked
+    EXPECTED = {
+        "FROM volume t0 WHERE t0.oid = :oid":
+            "IndexLookup(volume AS t0 ON oid)  [cols=oid,number,year,title"
+            " proves=oid rows~ cost~ exec=compiled fused unsorted=one-row]",
+        "FROM paper t0 WHERE t0.oid = :oid":
+            "IndexLookup(paper AS t0 ON oid)  [cols=oid,title,abstract,pages"
+            " proves=oid rows~ cost~ exec=compiled fused unsorted=one-row]",
+        "FROM issue t0 WHERE t0.volume_to_issue_oid":
+            "Sort(1 keys)\n"
+            "  IndexLookup(issue AS t0 ON volume_to_issue_oid)"
+            "  [cols=oid,number,volume_to_issue_oid"
+            " proves=volume_to_issue_oid rows~ cost~ exec=compiled fused]",
+        "__batch__:parent:":
+            "Sort(1 keys)\n"
+            "  IndexIn(paper AS t0 ON issue_to_paper_oid)"
+            "  [cols=oid,title,issue_to_paper_oid"
+            " proves=issue_to_paper_oid rows~ cost~ exec=compiled fused]",
+        "FROM author t0 JOIN authorship r1":
+            "Sort(1 keys)\n"
+            "  HashJoin(inner author AS t0 ON oid)"
+            "  [rows~ cost~ exec=compiled]\n"
+            "    IndexLookup(authorship AS r1 ON paper_oid)"
+            "  [cols=paper_oid,author_oid proves=paper_oid rows~ cost~]",
+    }
+
+    def test_explain_of_the_cold_page_statements(self):
+        import re
+
+        from repro.app import WebApplication
+        from repro.workloads.acm import build_acm_model, seed_acm_data
+
+        app = WebApplication(build_acm_model())
+        oids = seed_acm_data(app, 8, 4, 8)
+        view = app.model.find_site_view("public")
+        for page, unit, oid in (
+            ("Volume Page", "Volume data", oids["volumes"][3]),
+            ("Paper details", "Paper data", oids["papers"][17]),
+        ):
+            slot = f"{view.find_page(page).unit(unit).id}.oid"
+            assert app.get(app.page_url("public", page, {slot: oid})) \
+                .status == 200
+            # a malformed oid is a missing input, never a query error
+            assert app.get(app.page_url("public", page, {slot: "abc"})) \
+                .status == 200
+        database = app.database
+        plans = {}
+        for fragment in self.EXPECTED:
+            [key] = [k for k in database._plan_cache if fragment in k]
+            plans[fragment] = re.sub(
+                r"(rows|cost)~[\d.]+", r"\1~",
+                database._plan_cache[key].explain(),
+            )
+        assert plans == self.EXPECTED
+        assert len(database._plan_cache) == len(self.EXPECTED)
 
 
 class TestStatisticsImproveEstimates:

@@ -16,7 +16,10 @@ three bindings (the third is ``book c``), with WHERE conjuncts from the
 shared predicate menus, to SQLite — on an ANALYZEd copy as well, where
 the planner reorders inner joins — and pins the two placement traps a
 LEFT join sets: a WHERE conjunct on the null-padded side, and an inner
-join keyed on a left-joined binding.
+join keyed on a left-joined binding.  ``TestProbedOrderAgainstSqlite``
+orders the rows of an ``IN`` / ``=`` index probe, ASC and DESC, over a
+catalogue whose row-id order is not key order, with ties on a NOT NULL
+non-unique column.
 
 Comparison: as ordered lists where the ORDER BY is total (it names
 ``oid`` or the unique ``title``; a join is ordered by every binding's
@@ -82,6 +85,7 @@ from tests.test_rdb_compile_oracle import (
     _THREE_WAY_JOINS,
     PARAMS,
     _catalogue,
+    _shuffled,
 )
 
 _COLUMNS = ("oid", "author_oid", "year", "price", "title")
@@ -325,6 +329,85 @@ class TestJoinsAgainstSqlite:
         )
         assert rows and all(b == c and b is not None for _a, b, c in rows)
         assert 5 not in {a for a, _b, _c in rows}
+
+
+_ITEM_COLUMNS = ("oid", "grp", "name", "year")
+
+
+def _mirror_items(db) -> sqlite3.Connection:
+    """A SQLite copy of ``_shuffled``'s item table, in our heap order."""
+    lite = sqlite3.connect(":memory:")
+    lite.execute("CREATE TABLE item (oid INTEGER PRIMARY KEY,"
+                 " grp INTEGER NOT NULL, name TEXT NOT NULL, year INTEGER)")
+    lite.executemany("INSERT INTO item VALUES (?, ?, ?, ?)",
+                     db.query("SELECT * FROM item").as_tuples())
+    return lite
+
+
+@st.composite
+def _probed_order_query(draw):
+    """(sql, order): a same-typed ``IN`` (or ``=``) probe on an indexed,
+    a primary-key or a nullable column, ordered ASC or DESC by one or
+    two keys — ``grp`` and ``name`` repeat (NOT NULL ties), ``year``
+    repeats with NULLs — optionally paged."""
+    column = draw(st.sampled_from(["oid", "grp", "year"]))
+    members = draw(st.lists(st.integers(0, 55), min_size=1, max_size=5))
+    if column == "year":
+        members = [2000 + member % 5 for member in members]
+    if len(members) == 1 and draw(st.booleans()):
+        where = f"{column} = {members[0]}"
+    else:
+        where = f"{column} IN ({', '.join(map(str, members))})"
+    keys = draw(st.lists(st.sampled_from(_ITEM_COLUMNS), min_size=1,
+                         max_size=2, unique=True))
+    descending, mixed = draw(st.booleans()), draw(st.booleans())
+    order = [(key, draw(st.booleans()) if mixed else descending)
+             for key in keys]
+    window = draw(st.sampled_from(["", " LIMIT 4", " LIMIT 3 OFFSET 2"]))
+    clause = ", ".join(f"{key} {'DESC' if desc else 'ASC'}"
+                       for key, desc in order)
+    return (f"SELECT oid, grp, name, year FROM item WHERE {where}"
+            f" ORDER BY {clause}", window, order)
+
+
+class TestProbedOrderAgainstSqlite:
+    """Row-id order is not key order (``_shuffled``: out-of-order oids
+    and a rolled-back delete).  An ``IN`` or ``=`` probe sorts its rows
+    — on native keys where the schema allows, ``SortKey`` where a key
+    is nullable or the directions mix — into SQLite's order; ties on a
+    NOT NULL non-unique column hold the same rows."""
+
+    _pairs = None
+
+    @classmethod
+    def _databases(cls):
+        if cls._pairs is None:
+            cls._pairs = [(db, _mirror_items(db))
+                          for db in (_shuffled(True), _shuffled(False))]
+        return cls._pairs
+
+    @given(query=_probed_order_query())
+    @settings(max_examples=150, deadline=None)
+    def test_probed_in_order_by(self, query):
+        sql, window, order = query
+
+        def key(row):
+            return tuple(row[_ITEM_COLUMNS.index(c)] for c, _d in order)
+
+        for db, lite in self._databases():
+            got = db.query(sql + window).as_tuples()
+            want = lite.execute(sql + window).fetchall()
+            if "oid" in {column for column, _desc in order}:
+                assert got == want, sql + window
+                continue
+            ours = [(k, Counter(g)) for k, g in groupby(got, key)]
+            theirs = [(k, Counter(g)) for k, g in groupby(want, key)]
+            assert [k for k, _ in ours] == [k for k, _ in theirs]
+            assert ours[1:-1] == theirs[1:-1]
+            unpaged = {k: Counter(g) for k, g in
+                       groupby(lite.execute(sql).fetchall(), key)}
+            for k, members in ours[:1] + ours[-1:]:
+                assert members <= unpaged[k]
 
 
 _LIKE_TEXT = st.text(alphabet="aAb%_\\\n", max_size=5)

@@ -11,8 +11,9 @@ hierarchy levels, and operations' UPDATE / DELETE statements.  Nothing
 is executed; the digests pin the plan the cost model picks for each.
 
 The committed ``tests/golden/plan_digests.json`` was produced by this
-script at the commit before the LEFT-join planner fork was folded into
-the one cost-based builder, so ``--check`` is an identity test against
+script once index probes reported the conjuncts they prove
+(``proves=``) and a unique full-width probe dropped its sort
+(``unsorted=one-row``), so ``--check`` is an identity test against
 that past.  A planner change that is *meant* to alter plans regenerates
 it and lists the statements whose plan moved (``--text`` at both
 commits, then ``diff``).
