@@ -39,7 +39,7 @@ class WebApplication:
             self.database, self.registry, bean_cache=bean_cache,
             pool_size=pool_size,
         )
-        self.ctx.table_write_sets = self.project.mapping.table_write_sets()
+        self.ctx.table_keys = self.project.mapping.table_keys()
         # Deeper cache levels registered first (bean was registered by
         # the context): a page rebuild must find clean lower levels.
         fragment_cache = getattr(view_renderer, "fragment_cache", None)

@@ -9,9 +9,9 @@ operations automatically invalidates the affected cached objects,
 sparing to the developer the need of managing a business-tier cache in
 his application code."
 
-Each entry carries the entity and role dependency sets recorded in the
-unit descriptor; ``invalidate_writes`` drops exactly the dependent
-entries.  Storage, invalidation and the single-flight
+Each entry carries the dependency keys of its bean — the instances the
+bean shows, by the bindings its unit descriptor records;
+``invalidate_writes`` drops exactly the dependent entries.  Storage, invalidation and the single-flight
 :meth:`~UnitBeanCache.get_or_compute` — when a popular bean expires,
 exactly one thread recomputes it while concurrent requesters wait —
 are :class:`~repro.caching.core.DependencyCache`'s; this level adds
@@ -36,13 +36,17 @@ class UnitBeanCache(DependencyCache):
             bean.from_cache = True
         return bean
 
-    def put(self, key, bean, entities=(), roles=(),
+    def put(self, key, bean, entities=None, roles=None,
             policy: str = "model-driven") -> None:
-        """Store a bean under its unit's ``cachePolicy`` attribute."""
-        super().put(key, bean, entities, roles,
+        """Store a bean under its unit's ``cachePolicy`` attribute and
+        its own :meth:`~repro.services.UnitBean.dependency_keys`, unless
+        ``entities`` / ``roles`` are given."""
+        if entities is None and roles is None:
+            entities, roles = bean.dependency_keys() or ((), ())
+        super().put(key, bean, entities or (), roles or (),
                     parse_policy(policy).ttl_seconds)
 
-    #: ``get_or_compute(key, compute, entities=(), roles=(),
-    #: policy="model-driven")`` — the cached bean, or ``compute()`` run
-    #: exactly once across concurrent requesters.
+    #: ``get_or_compute(key, compute, policy="model-driven")`` — the
+    #: cached bean, or ``compute()`` run exactly once across concurrent
+    #: requesters.
     get_or_compute = DependencyCache.get_or_build

@@ -4,7 +4,16 @@
 their unit depends on, dropped automatically by operations — so it is
 one mechanism here: :class:`DependencyCache` owns the LRU store, the
 per-entry expiry, the entity/role reverse indexes, model-driven
-invalidation and the single-flight build protocol.  The three levels
+invalidation and the single-flight build protocol.
+
+Dependency keys name instances.  An entry holds ``(name, value)`` —
+``("Volume", 3)``: the volume whose oid is 3; ``("VolumeToIssue", 3)``:
+the issues of volume 3 — or a bare ``name``, which holds every instance
+(``(name, ANY)``).  A write of ``(name, value)`` drops the holders of
+``(name, value)`` and of the whole name; a write of a bare name drops
+every holder of the name.  The wildcard is :data:`ANY`, not ``None``:
+NULL is a foreign-key value, and a holder of ``(name, None)`` is not a
+holder of everything.  The three levels
 (:mod:`~repro.caching.page_cache`, :mod:`~repro.caching.fragment_cache`,
 :mod:`~repro.caching.bean_cache`) subclass it and add only what
 differs between them.
@@ -66,6 +75,61 @@ from repro.errors import CacheError
 from repro.util import SystemClock
 
 
+class _AnyInstance:
+    """The value of a dependency key that stands for every instance."""
+
+    __slots__ = ()
+
+    def __repr__(self) -> str:
+        return "*"
+
+
+#: the wildcard value: ``(name, ANY)`` is what a bare ``name`` means
+ANY = _AnyInstance()
+
+
+def _split(dependency) -> tuple:
+    """``(name, value)`` of a dependency key; a bare name is whole."""
+    if type(dependency) is tuple:
+        return dependency
+    return dependency, ANY
+
+
+def _held(dependencies) -> tuple:
+    """An entry's dependency keys as ``(name, value)`` pairs, once each
+    (a tuple: most entries hold a handful, and a store holds thousands)."""
+    return tuple(dict.fromkeys(map(_split, dependencies)))
+
+
+# A bucket of the reverse index maps one (name, value) to its holders:
+# the cache key itself while one entry holds it — the common case, an
+# instance only its own page shows — and a set of keys from the second.
+# Cache keys are hashable, so never a set.
+
+def _add_holder(buckets: dict, instance, key) -> None:
+    holders = buckets.get(instance)
+    if holders is None:
+        buckets[instance] = key
+    elif type(holders) is set:
+        holders.add(key)
+    elif holders != key:
+        buckets[instance] = {holders, key}
+
+
+def _drop_holder(buckets: dict, instance, key) -> None:
+    holders = buckets[instance]
+    if type(holders) is set:
+        holders.discard(key)
+        if len(holders) == 1:
+            buckets[instance] = next(iter(holders))
+    elif holders == key:
+        del buckets[instance]
+
+
+def _holders(bucket) -> tuple | set:
+    return bucket if type(bucket) is set else (bucket,)
+
+
 class DependencyCache:
     """An LRU-bounded, optionally expiring store whose entries carry
     the entity/role dependency sets that invalidate them.
@@ -85,11 +149,13 @@ class DependencyCache:
         self.clock = clock or SystemClock()
         self.stats = CacheStats()
         self._lock = threading.RLock()
-        # key → (value, entities, roles, expires_at); order = LRU order
+        # key → (value, entities, roles, expires_at); order = LRU order,
+        # entities / roles as tuples of (name, value) pairs
         self._entries: OrderedDict[object, tuple] = OrderedDict()
-        # dependency indexes: name → set of keys
-        self._by_entity: dict[str, set] = {}
-        self._by_role: dict[str, set] = {}
+        # dependency indexes: name → {value (or ANY) → holders}, the
+        # holders one cache key or a set of them (see _add_holder)
+        self._by_entity: dict[str, dict] = {}
+        self._by_role: dict[str, dict] = {}
         # single-flight bookkeeping: key → Event of the building thread
         self._flight_lock = threading.Lock()
         self._in_flight: dict[object, threading.Event] = {}
@@ -122,20 +188,24 @@ class DependencyCache:
 
     def put(self, key, value, entities=(), roles=(),
             ttl_seconds: float | None = None) -> None:
-        """Store ``value`` under its dependency sets; ``ttl_seconds``
+        """Store ``value`` under its dependency keys (``(name, value)``
+        pairs or bare names, see the module docstring); ``ttl_seconds``
         bounds this entry's lifetime instead of the cache-wide one."""
         if ttl_seconds is None:
             ttl_seconds = self.ttl_seconds
-        entities, roles = frozenset(entities), frozenset(roles)
+        entities, roles = _held(entities), _held(roles)
         with self._lock:
             self._remove(key)
             expires_at = (None if ttl_seconds is None
                           else self.clock.now() + ttl_seconds)
             self._entries[key] = (value, entities, roles, expires_at)
-            for entity in entities:
-                self._by_entity.setdefault(entity, set()).add(key)
-            for role in roles:
-                self._by_role.setdefault(role, set()).add(key)
+            for index, held in ((self._by_entity, entities),
+                                (self._by_role, roles)):
+                for name, instance in held:
+                    buckets = index.get(name)
+                    if buckets is None:
+                        buckets = index[name] = {}
+                    _add_holder(buckets, instance, key)
             self.stats.increment("puts")
             while len(self._entries) > self.max_entries:
                 self._remove(next(iter(self._entries)))
@@ -213,16 +283,29 @@ class DependencyCache:
     # -- model-driven invalidation --------------------------------------------
 
     def invalidate_writes(self, entities=(), roles=()) -> int:
-        """Drop every entry depending on any written entity/role."""
+        """Drop every entry holding a written entity/role key: for
+        ``(name, value)`` the holders of that instance and of the whole
+        name, for a bare name every holder of the name."""
         if not self.scoped:
             return self.flush() if entities or roles else 0
         with self._lock:
             self._generation += 1
             keys: set = set()
-            for entity in entities:
-                keys.update(self._by_entity.get(entity, ()))
-            for role in roles:
-                keys.update(self._by_role.get(role, ()))
+            for index, written in ((self._by_entity, entities),
+                                   (self._by_role, roles)):
+                for dependency in written:
+                    name, instance = _split(dependency)
+                    buckets = index.get(name)
+                    if not buckets:
+                        continue
+                    if instance is ANY:
+                        for bucket in buckets.values():
+                            keys.update(_holders(bucket))
+                    else:
+                        for bucket in (buckets.get(instance),
+                                       buckets.get(ANY)):
+                            if bucket is not None:
+                                keys.update(_holders(bucket))
             for key in keys:
                 self._remove(key)
             self.stats.increment("invalidations", len(keys))
@@ -244,23 +327,42 @@ class DependencyCache:
         entry = self._entries.pop(key, None)
         if entry is None:
             return
-        for index, names in ((self._by_entity, entry[1]),
-                             (self._by_role, entry[2])):
-            for name in names:
-                holders = index[name]
-                holders.discard(key)
-                if not holders:
+        for index, held in ((self._by_entity, entry[1]),
+                            (self._by_role, entry[2])):
+            for name, instance in held:
+                buckets = index[name]
+                _drop_holder(buckets, instance, key)
+                if not buckets:
                     del index[name]
 
-    def dependents_of(self, entity: str | None = None,
-                      role: str | None = None) -> int:
-        """How many live entries depend on the given entity/role."""
-        with self._lock:
-            if entity is not None:
-                return len(self._by_entity.get(entity, ()))
-            if role is not None:
-                return len(self._by_role.get(role, ()))
+    def dependents_of(self, entity=None, role=None) -> int:
+        """How many live entries hold the given entity/role key: any
+        key of a bare name, exactly the key of a ``(name, value)``."""
+        dependency, index = ((entity, self._by_entity) if entity is not None
+                             else (role, self._by_role))
+        if dependency is None:
             return 0
+        name, instance = _split(dependency)
+        with self._lock:
+            buckets = index.get(name, {})
+            if type(dependency) is tuple:
+                bucket = buckets.get(instance)
+                return 0 if bucket is None else len(_holders(bucket))
+            return len(set().union(*map(_holders, buckets.values())))
+
+    @property
+    def dependency_keys(self) -> int:
+        """The reverse indexes' size: distinct ``(name, value)`` keys
+        some live entry holds."""
+        with self._lock:
+            return sum(len(buckets)
+                       for index in (self._by_entity, self._by_role)
+                       for buckets in index.values())
+
+    def status(self) -> dict:
+        """The ``/_status`` collector: counters plus the store's size."""
+        return {**self.stats.to_dict(), "entries": len(self),
+                "dependency_keys": self.dependency_keys}
 
     def __len__(self) -> int:
         with self._lock:

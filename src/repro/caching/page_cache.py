@@ -9,9 +9,9 @@ bytes — the page, the canonicalized request parameters, the device
 class, and the authenticated principal.
 
 Like the bean cache, it is model-driven (§6): every entry carries the
-union of the entity/role dependency sets of the page's unit
-descriptors, and ``invalidate_writes`` drops exactly the dependent
-pages.
+union of its unit beans' dependency keys — the instances the page
+shows — and ``invalidate_writes`` drops exactly the pages showing a
+written instance.
 
 Entries carry the content digest (the HTTP ``ETag``) and keep the
 deterministic gzip body the first compressed delivery makes, so
@@ -55,8 +55,8 @@ class PageEntry:
 
     body: str
     etag: str
-    entities: frozenset
-    roles: frozenset
+    entities: tuple
+    roles: tuple
     _gzip: bytes | None = field(default=None, repr=False)
 
     @property
@@ -85,8 +85,8 @@ class PageCache(DependencyCache):
         return PageEntry(
             body=body,
             etag=content_etag(body),
-            entities=frozenset(entities),
-            roles=frozenset(roles),
+            entities=tuple(entities),
+            roles=tuple(roles),
         )
 
     def put(self, key, entry: PageEntry) -> None:

@@ -31,6 +31,7 @@ from repro.descriptors.page_descriptor import (
 from repro.descriptors.registry import DescriptorRegistry
 from repro.descriptors.unit_descriptor import (
     BeanProperty,
+    Binding,
     IndexUse,
     InputParameter,
     LevelQuery,
@@ -39,6 +40,7 @@ from repro.descriptors.unit_descriptor import (
 
 __all__ = [
     "UnitDescriptor",
+    "Binding",
     "InputParameter",
     "BeanProperty",
     "LevelQuery",

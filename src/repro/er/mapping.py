@@ -82,6 +82,33 @@ class RelationshipMap:
     target_column: str | None = None
 
 
+@dataclass(frozen=True)
+class TableKeys:
+    """The dependency keys one row of a table publishes when a commit
+    writes it: ``(name, row[column])`` for each ``(name, column)`` pair.
+    A NULL value publishes nothing: a unit bound to a NULL source
+    computes an empty bean whatever the data holds."""
+
+    entities: tuple = ()
+    roles: tuple = ()
+
+    @property
+    def names(self) -> tuple[tuple[str, ...], tuple[str, ...]]:
+        """The bare entity and role names: what a write publishes when
+        it cannot name the instances (a redo op without its old row)."""
+        return (tuple(name for name, _ in self.entities),
+                tuple(name for name, _ in self.roles))
+
+    def publish(self, row: dict, entities: dict, roles: dict) -> None:
+        """Add ``row``'s keys to ``entities`` / ``roles`` (dicts used as
+        ordered sets)."""
+        for pairs, out in ((self.entities, entities), (self.roles, roles)):
+            for name, column in pairs:
+                value = row.get(column)
+                if value is not None:
+                    out[(name, value)] = None
+
+
 class RelationalMapping:
     """The full model→schema mapping plus join metadata."""
 
@@ -127,36 +154,41 @@ class RelationalMapping:
         schema.indexes.append(index)
         return index.name
 
-    def table_write_sets(self) -> dict[str, tuple[tuple[str, ...],
-                                                  tuple[str, ...]]]:
-        """Table name → the ``(entities, roles)`` a write to it changes.
+    def table_keys(self) -> dict[str, "TableKeys"]:
+        """Table name → the instance keys a write to one of its rows
+        publishes (see :class:`TableKeys`).
 
         The reverse of the mapping rules, used to translate the storage
-        engine's commit events (which speak in tables) into the
-        vocabulary unit descriptors state their dependencies in.  An
-        entity table maps to its entity plus every role whose foreign
-        key column it carries; a bridge table maps to both endpoint
-        entities plus its role.  A role goes out under both its names,
-        because a unit depends on the name its selector uses.  A write
-        drops a role's dependents whether or not it changed the key
-        column: the commit carries the new row, not the old one.
+        engine's commit events (which speak in tables and rows) into the
+        vocabulary unit descriptors state their dependencies in.  A row
+        of an entity table publishes ``(entity, oid)``; every role name
+        realized on a table publishes ``(name, v)``, ``v`` the row's
+        value on the name's *source* side: the foreign key when the name
+        starts at the referenced entity, the row's own oid when it starts
+        at the row's entity, the source-side column of a bridge row.
         """
-        entities = {m.table: {m.entity} for m in self.entity_maps.values()}
-        roles: dict[str, set] = {table: set() for table in entities}
+        entities = {m.table: ((m.entity, m.key_column),)
+                    for m in self.entity_maps.values()}
+        roles: dict[str, tuple] = {table: () for table in entities}
         for relationship in self.model.relationships:
             rmap = self.relationship_maps[relationship.name]
-            names = {relationship.name, relationship.inverse_name} - {None}
             if rmap.kind == "bridge":
-                entities[rmap.bridge_table] = {
-                    rmap.source_entity, rmap.target_entity
-                }
-                roles[rmap.bridge_table] = names
+                table = rmap.bridge_table
+                entities[table], roles[table] = (), ()
+                columns = (rmap.source_column, rmap.target_column)
             else:
-                roles[rmap.fk_table] |= names
-        return {
-            table: (tuple(sorted(entities[table])), tuple(sorted(roles[table])))
-            for table in entities
-        }
+                table = rmap.fk_table
+                # the forward name starts at the relationship's source:
+                # the referenced row when the FK is on the target side
+                columns = ((rmap.fk_column, "oid")
+                           if rmap.fk_on_many_side_of_source
+                           else ("oid", rmap.fk_column))
+            names = (relationship.name, relationship.inverse_name)
+            roles[table] += tuple((name, column)
+                                  for name, column in zip(names, columns)
+                                  if name is not None)
+        return {table: TableKeys(entities[table], roles[table])
+                for table in entities}
 
     def join_steps(self, role_name: str) -> list[dict]:
         """The join conditions to traverse a relationship role.

@@ -422,9 +422,8 @@ class FrontController:
         """Serve a GET page from the whole-response cache.
 
         A miss single-flights the full action + view path and stores
-        the response with the union of the page's unit dependency
-        sets, so operation writes invalidate exactly the dependent
-        pages.
+        the response with the union of its beans' dependency keys, so a
+        write invalidates exactly the pages showing what it changed.
         """
         page_id = state.mapping.page_id
         request = state.request
@@ -438,7 +437,7 @@ class FrontController:
                 body = self.view_renderer(
                     outcome.page_result, request, self.controller
                 )
-            return self._page_entry(page_id, body)
+            return self._page_entry(outcome.page_result, body)
 
         # probe span only when a trace is live: a cache hit is the p50
         # case and must not pay span construction for nobody to read
@@ -488,10 +487,15 @@ class FrontController:
         if (stream_chunks is None or request.method != "GET"
                 or mapping.action_type != "PageAction"):
             return None
+        computed = []  # the page result, once the stream has made it
+
+        def page_result():
+            computed.append(self._perform_page(state).page_result)
+            return computed[-1]
+
         try:
             raw_chunks = stream_chunks(
-                mapping.page_id, request, self.controller,
-                lambda: self._perform_page(state).page_result,
+                mapping.page_id, request, self.controller, page_result,
             )
         except ReproError:
             return None  # no template for the page: the buffered path 500s
@@ -519,8 +523,8 @@ class FrontController:
                     if key is not None:
                         cache.put_if_current(
                             key,
-                            self._page_entry(mapping.page_id,
-                                             "".join(produced)),
+                            self._page_entry(computed[-1] if computed
+                                             else None, "".join(produced)),
                             generation,
                         )
             except Exception:
@@ -534,16 +538,22 @@ class FrontController:
 
         return StreamedPage(response=head, chunks=chunks())
 
-    def _page_entry(self, page_id: str, body: str):
-        """A page-cache entry for ``body`` under the union of the §6
-        dependency sets of the page's units."""
-        descriptor = self.ctx.registry.page(page_id)
-        entities: set = set()
-        roles: set = set()
-        for unit_id in descriptor.unit_order:
-            unit = self.ctx.registry.unit(unit_id)
-            entities.update(unit.depends_on_entities)
-            roles.update(unit.depends_on_roles)
+    def _page_entry(self, page_result, body: str):
+        """A page-cache entry for ``body`` under the union of its beans'
+        §6 dependency keys — the instances the page shows.  A bean no
+        generic service computed holds its unit's names whole; a
+        streamed template with no dynamic slot never asked for a page
+        result (``None``) and shows no data."""
+        entities: dict = {}  # ordered sets of dependency keys
+        roles: dict = {}
+        beans = page_result.beans if page_result is not None else {}
+        for unit_id, bean in beans.items():
+            held = bean.dependency_keys()
+            if held is None:
+                unit = self.ctx.registry.unit(unit_id)
+                held = unit.depends_on_entities, unit.depends_on_roles
+            entities.update(dict.fromkeys(held[0]))
+            roles.update(dict.fromkeys(held[1]))
         return self.page_cache.make_entry(body, entities, roles)
 
     def _cache_control(self, session) -> str:

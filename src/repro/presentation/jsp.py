@@ -148,11 +148,9 @@ class _UnitSlot:
                   unit=self.unit_id) as probe:
             # Single-flight: concurrent misses render the fragment once;
             # a hit splices the cached string — no parse, no serialize.
-            html = cache.get_or_render(
-                key, markup,
-                entities=bean.depends_entities,
-                roles=bean.depends_roles,
-            )
+            entities, roles = bean.dependency_keys() or ((), ())
+            html = cache.get_or_render(key, markup, entities=entities,
+                                       roles=roles)
             if probe is not None:
                 probe.tags["hit"] = not rendered_fresh
         return html

@@ -73,8 +73,10 @@ class CommitEvent:
 
     ``ops`` are the typed redo records (see
     :class:`repro.rdb.wal.CommitRecord`), ``tables`` the names they
-    touch.  Cache invalidation only needs ``tables``; replication ships
-    the full ``ops``.  A ``bootstrap`` event marks a wholesale state
+    touch.  Cache invalidation reads the rows in ``ops`` — new and old
+    images alike — to name the instances the commit changed, the same
+    way on a primary, in recovery and on a replica replaying shipped
+    records.  A ``bootstrap`` event marks a wholesale state
     replacement (a replica installing a snapshot): no per-entity write
     set is meaningful, so subscribers should flush rather than
     invalidate selectively.
@@ -338,12 +340,12 @@ class StorageEngine:
                     old: dict, new: dict) -> None:
         txn = self._require_txn()
         txn.undo.append(("update", table, row_id, old))
-        txn.redo.append((OP_UPDATE, table, row_id, new))
+        txn.redo.append((OP_UPDATE, table, row_id, new, old))
 
     def note_delete(self, table: str, row_id: int, old: dict) -> None:
         txn = self._require_txn()
         txn.undo.append(("delete", table, row_id, old))
-        txn.redo.append((OP_DELETE, table, row_id))
+        txn.redo.append((OP_DELETE, table, row_id, old))
 
     def note_create_table(self, schema: TableSchema) -> None:
         self._require_txn().redo.append((OP_CREATE_TABLE, schema))
@@ -445,7 +447,9 @@ class DurableEngine(StorageEngine):
     def _truncate_torn_tail(self) -> None:
         """Drop any torn/corrupt frame so new appends stay readable
         (a reader stops at the first bad frame, which would otherwise
-        hide everything appended after it)."""
+        hide everything appended after it).  Runs after replay, which
+        has already refused a log of another format, so the header is
+        either whole or a torn creation (truncated to nothing)."""
         if not os.path.exists(self.wal_path):
             return
         from repro.rdb.wal import MAGIC

@@ -8,10 +8,13 @@ recovery (:mod:`repro.rdb.snapshot` + :class:`repro.rdb.engine.DurableEngine`)
 replays the committed prefix of the log over the latest snapshot; a
 torn tail (a crash mid-append) fails its CRC or length check and is
 ignored, so recovery always lands exactly on a transaction boundary.
+A log this engine cannot read — another format version, or a frame
+whose CRC holds but whose record does not decode — is refused, never
+truncated: its committed records are somebody's data.
 
 File layout::
 
-    [8-byte magic "RWAL0001"]
+    [8-byte magic "RWAL0002"]
     repeat:
       [u32 payload length][u32 crc32(payload)][payload]
 
@@ -48,7 +51,9 @@ from repro.errors import DatabaseError
 from repro.rdb.schema import Column, ForeignKey, Index, TableSchema
 from repro.rdb.types import type_from_name
 
-MAGIC = b"RWAL0001"
+#: the format version; bumped whenever a record's encoding changes
+#: (``0002``: update and delete ops carry the old row)
+MAGIC = b"RWAL0002"
 
 # -- opcodes (one per typed commit-record entry) ----------------------------
 
@@ -275,8 +280,13 @@ class CommitRecord:
     Ops are tuples whose first element is an ``OP_*`` opcode:
 
     - ``(OP_INSERT, table, row_id, row)``
-    - ``(OP_UPDATE, table, row_id, new_row)``
-    - ``(OP_DELETE, table, row_id)``
+    - ``(OP_UPDATE, table, row_id, new_row, old_row)``
+    - ``(OP_DELETE, table, row_id, old_row)``
+
+    The old row of an update or delete (its before-image) is what
+    replay does not need and cache invalidation does: the instances a
+    write removes a row from are named by the row it had.  An op built
+    without one (``old_row`` left off) round-trips without one.
     - ``(OP_CREATE_TABLE, schema)``
     - ``(OP_CREATE_INDEX, table, index)``
     - ``(OP_DROP_TABLE, table)``
@@ -303,13 +313,18 @@ class CommitRecord:
         for op in self.ops:
             opcode = op[0]
             out.write(bytes((opcode,)))
-            if opcode in (OP_INSERT, OP_UPDATE):
+            if opcode in (OP_INSERT, OP_UPDATE, OP_DELETE):
                 _write_str(out, op[1])
                 out.write(_U64.pack(op[2]))
-                write_row(out, op[3])
-            elif opcode == OP_DELETE:
-                _write_str(out, op[1])
-                out.write(_U64.pack(op[2]))
+                # insert: row; update: new[, old]; delete: [old]
+                images = op[3:]
+                if opcode != OP_DELETE:
+                    write_row(out, images[0])
+                    images = images[1:]
+                if opcode != OP_INSERT:
+                    out.write(bytes((len(images),)))
+                    for image in images:
+                        write_row(out, image)
             elif opcode == OP_CREATE_TABLE:
                 write_schema(out, op[1])
             elif opcode == OP_CREATE_INDEX:
@@ -331,14 +346,16 @@ class CommitRecord:
         ops: list = []
         for _ in range(n_ops):
             opcode = _read_exact(buf, 1)[0]
-            if opcode in (OP_INSERT, OP_UPDATE):
+            if opcode in (OP_INSERT, OP_UPDATE, OP_DELETE):
                 table = _read_str(buf)
                 (row_id,) = _U64.unpack(_read_exact(buf, 8))
-                ops.append((opcode, table, row_id, read_row(buf)))
-            elif opcode == OP_DELETE:
-                table = _read_str(buf)
-                (row_id,) = _U64.unpack(_read_exact(buf, 8))
-                ops.append((opcode, table, row_id))
+                op = (opcode, table, row_id)
+                if opcode != OP_DELETE:
+                    op += (read_row(buf),)
+                if opcode != OP_INSERT:
+                    (count,) = _read_exact(buf, 1)
+                    op += tuple(read_row(buf) for _ in range(count))
+                ops.append(op)
             elif opcode == OP_CREATE_TABLE:
                 ops.append((opcode, read_schema(buf)))
             elif opcode == OP_CREATE_INDEX:
@@ -456,19 +473,38 @@ class WriteAheadLog:
         }
 
 
+def _check_header(data: bytes, path: str) -> bool:
+    """True when ``data`` (a log's bytes) starts with this engine's
+    :data:`MAGIC`; False for a torn creation — fewer bytes than the
+    header, all of them a prefix of it.  Anything else is a log written
+    in another format: :class:`DatabaseError`, naming both versions."""
+    if data.startswith(MAGIC):
+        return True
+    if len(data) < len(MAGIC) and MAGIC.startswith(data):
+        return False
+    raise DatabaseError(
+        f"{path}: write-ahead log format {data[:len(MAGIC)]!r} is not "
+        f"this engine's {MAGIC!r}; refusing to open it (nothing was "
+        "truncated)"
+    )
+
+
 def read_log(path: str):
     """Yield every intact :class:`CommitRecord` in ``path``, in order.
 
     Stops silently at the first torn or corrupt frame — the tail a
-    crash mid-append leaves behind.  A missing or header-only file
-    yields nothing.
+    crash mid-append leaves behind.  A missing or header-only file (or
+    a torn header) yields nothing.  A header of another format, or a
+    frame whose CRC holds but whose record does not decode, raises
+    :class:`DatabaseError`: that is a log this code cannot read, not a
+    crash's tail.
     """
     try:
         with open(path, "rb") as handle:
             data = handle.read()
     except FileNotFoundError:
         return
-    if not data.startswith(MAGIC):
+    if not _check_header(data, path):
         return
     position = len(MAGIC)
     total = len(data)
@@ -482,9 +518,13 @@ def read_log(path: str):
         if zlib.crc32(payload) != crc:
             return  # corrupt frame: treat as end of committed prefix
         try:
-            yield CommitRecord.decode(payload)
-        except DatabaseError:
-            return
+            record = CommitRecord.decode(payload)
+        except DatabaseError as exc:
+            raise DatabaseError(
+                f"{path}: the committed record at byte {position} does not "
+                f"decode as format {MAGIC!r} ({exc}); refusing to open it"
+            ) from None
+        yield record
         position = end
 
 

@@ -52,7 +52,7 @@ class RuntimeContext:
 
     ``bean_cache`` is duck-typed (see
     :class:`repro.caching.bean_cache.UnitBeanCache`): it must offer
-    ``get(key)``, ``put(key, bean, entities, roles, policy)`` and
+    ``get_or_compute(key, compute, policy=...)`` and
     ``invalidate_writes(entities, roles)``.
     """
 
@@ -99,12 +99,12 @@ class RuntimeContext:
         # The commit stream is the bus's only publisher: see
         # :meth:`_on_commit_event`.
         self.invalidation_bus = InvalidationBus()
-        #: table → ``(entities, roles)`` a commit touching it changes;
+        #: table → the instance keys a written row of it publishes;
         #: deployment data, set from
-        #: :meth:`repro.er.mapping.RelationalMapping.table_write_sets`
-        #: by :class:`~repro.app.WebApplication`.  An unmapped table
-        #: stands for an entity of its own name.
-        self.table_write_sets: dict[str, tuple[tuple, tuple]] = {}
+        #: :meth:`repro.er.mapping.RelationalMapping.table_keys` by
+        #: :class:`~repro.app.WebApplication`.  An unmapped table stands
+        #: for a whole entity of its own name.
+        self.table_keys: dict = {}
         self.commit_invalidations = 0
         self.database.commit_stream.subscribe(self._on_commit_event)
         if bean_cache is not None:
@@ -119,9 +119,9 @@ class RuntimeContext:
     def _register_cache_collector(self, name: str, cache) -> None:
         """Surface a cache level's own counters in the unified registry
         (polled at snapshot time — the hot path pays nothing extra)."""
-        stats = getattr(cache, "stats", None)
-        if stats is not None and hasattr(stats, "to_dict"):
-            self.obs.metrics.register_collector(f"cache.{name}", stats.to_dict)
+        status = getattr(cache, "status", None)
+        if status is not None:
+            self.obs.metrics.register_collector(f"cache.{name}", status)
 
     def _runtime_stats_snapshot(self) -> dict:
         return {
@@ -144,9 +144,12 @@ class RuntimeContext:
         §7 plug-in operations, seed scripts, direct SQL, and a replica
         replaying shipped WAL — so the write set is derived from the
         data change, never declared by the code path that made it.  A
-        commit's write set is the union of :attr:`table_write_sets` over
-        the tables whose rows it changed; schema and statistics records
-        change no row a unit shows and publish nothing.
+        commit publishes the instance keys (:attr:`table_keys`) of every
+        row image its redo ops carry: the new row of an insert, the old
+        row of a delete, both of an update — a row that moves between
+        two parents drops the pages of both.  An op without its old row
+        publishes its table's names whole.  Schema and statistics
+        records change no row a unit shows and publish nothing.
         """
         if event.bootstrap:
             # A replica installed a whole snapshot: no per-entity write
@@ -154,17 +157,27 @@ class RuntimeContext:
             self.commit_invalidations += 1
             self.invalidation_bus.flush()
             return
-        tables = {op[1] for op in event.ops if op[0] in _ROW_OPCODES}
-        if not tables:
+        entities: dict = {}  # ordered sets of dependency keys
+        roles: dict = {}
+        for op in event.ops:
+            opcode = op[0]
+            if opcode not in _ROW_OPCODES:
+                continue
+            keys = self.table_keys.get(op[1])
+            images = op[3:]  # insert: row; update: new, old; delete: old
+            if keys is None:
+                entities[op[1]] = None
+            elif len(images) < (2 if opcode == OP_UPDATE else 1):
+                names = keys.names
+                entities.update(dict.fromkeys(names[0]))
+                roles.update(dict.fromkeys(names[1]))
+            else:
+                for row in images:
+                    keys.publish(row, entities, roles)
+        if not entities and not roles:
             return
-        entities: set[str] = set()
-        roles: set[str] = set()
-        for table in tables:
-            written = self.table_write_sets.get(table, ((table,), ()))
-            entities.update(written[0])
-            roles.update(written[1])
         self.commit_invalidations += 1
-        self.invalidation_bus.invalidate_writes(sorted(entities), sorted(roles))
+        self.invalidation_bus.invalidate_writes(tuple(entities), tuple(roles))
 
     # -- lifecycle ----------------------------------------------------------
 

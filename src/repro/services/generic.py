@@ -59,8 +59,12 @@ class GenericUnitService:
         prepared, missing = self._prepare_inputs(descriptor, inputs)
         if missing:
             # A required input was never supplied: the unit displays
-            # nothing (e.g. a data unit before any selection was made).
-            return UnitBean(descriptor.unit_id, descriptor.name, descriptor.kind)
+            # nothing (e.g. a data unit before any selection was made),
+            # whatever the data holds — so it depends on nothing.
+            bean = UnitBean(descriptor.unit_id, descriptor.name,
+                            descriptor.kind)
+            bean.source = (descriptor, None)
+            return bean
 
         cache = self.ctx.bean_cache if descriptor.cacheable else None
         if cache is None:
@@ -82,10 +86,7 @@ class GenericUnitService:
             # Single-flight: under concurrent misses of the same key one
             # thread computes, the rest wait and share the result.
             bean = cache.get_or_compute(
-                cache_key, _fresh,
-                entities=descriptor.depends_on_entities,
-                roles=descriptor.depends_on_roles,
-                policy=descriptor.cache_policy,
+                cache_key, _fresh, policy=descriptor.cache_policy,
             )
             if probe is not None:
                 probe.tags["hit"] = not computed_fresh
@@ -98,10 +99,9 @@ class GenericUnitService:
     def _compute_fresh(self, descriptor: UnitDescriptor, prepared: dict,
                        raw_inputs: dict) -> UnitBean:
         bean = self._compute_bean(descriptor, prepared)
-        # Stamp the §6 dependency sets on the bean so the fragment and
-        # page caches can index entries without consulting the registry.
-        bean.depends_entities = tuple(descriptor.depends_on_entities)
-        bean.depends_roles = tuple(descriptor.depends_on_roles)
+        # What the bean's §6 dependency keys are computed from, when a
+        # cache level first indexes it (see UnitBean.dependency_keys).
+        bean.source = (descriptor, prepared)
         return bean
 
     def _compute_bean(self, descriptor: UnitDescriptor,

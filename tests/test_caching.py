@@ -234,6 +234,43 @@ class TestCacheConformance:
         assert cache.dependents_of(entity="Paper") == 0
         assert cache.dependents_of(entity="Volume") == 1
 
+    def test_instance_keys_drop_their_instance_and_whole_holders(self, level):
+        cache = level.make()
+        level.put("v3", "a", entities=[("Volume", 3)])
+        level.put("v4", "b", entities=[("Volume", 4)])
+        level.put("all", "c", entities=["Volume"])
+        level.put("issues", "d", roles=[("VolumeToIssue", 3)])
+        assert cache.dependency_keys == 4
+        # an instance write: its holders and the whole name's
+        assert cache.invalidate_writes(entities=[("Volume", 3)]) == 2
+        assert level.get("v4") == "b" and level.get("issues") == "d"
+        # a role instance never reaches an entity of the same value
+        assert cache.invalidate_writes(roles=[("VolumeToIssue", 4)]) == 0
+        # a bare name is every instance
+        assert cache.invalidate_writes(entities=["Volume"]) == 1
+        assert cache.dependents_of(role="VolumeToIssue") == 1
+        assert cache.dependents_of(role=("VolumeToIssue", 3)) == 1
+        assert cache.dependency_keys == 1
+
+    def test_null_is_a_value_not_every_instance(self, level):
+        cache = level.make()
+        level.put("orphans", "o", roles=[("IssueToPaper", None)])
+        level.put("issue5", "p", roles=[("IssueToPaper", 5)])
+        assert cache.invalidate_writes(roles=[("IssueToPaper", None)]) == 1
+        assert level.get("issue5") == "p"
+        level.put("orphans", "o", roles=[("IssueToPaper", None)])
+        assert cache.invalidate_writes(roles=[("IssueToPaper", 5)]) == 1
+        assert level.get("orphans") == "o"
+
+    def test_status_reports_entries_and_dependency_keys(self, level):
+        cache = level.make()
+        level.put("k", "v", entities=[("Paper", 1), "Volume"],
+                  roles=[("Authorship", 1)])
+        level.put("j", "w", entities=[("Paper", 1)])
+        status = cache.status()
+        assert status["entries"] == 2 and status["dependency_keys"] == 3
+        assert status["puts"] == cache.stats.puts  # the counters stay
+
     @pytest.mark.parametrize("level_class", _LEVELS, ids=lambda c: c.name)
     @given(st.lists(st.sampled_from(["Paper", "Volume", "Issue"]),
                     min_size=1, max_size=30))
@@ -369,30 +406,38 @@ class TestUnitBeanCache:
 
 _KEYS = ("k0", "k1", "k2", "k3", "k4", "k5")
 _ENTITIES = ("Paper", "Volume", "Issue")
+#: a dependency key: a bare name (every instance) or ``(name, value)``,
+#: the value an oid or NULL — which is a value, not "every instance"
+_DEPENDENCIES = st.one_of(
+    st.sampled_from(_ENTITIES),
+    st.tuples(st.sampled_from(_ENTITIES), st.sampled_from((1, 2, None))),
+)
 
 _OPS = st.one_of(
     st.tuples(st.just("put"), st.sampled_from(_KEYS),
-              st.sampled_from(_ENTITIES), st.sampled_from((None, 10))),
+              _DEPENDENCIES, st.sampled_from((None, 10))),
     st.tuples(st.just("get"), st.sampled_from(_KEYS)),
-    st.tuples(st.just("invalidate"), st.sampled_from(_ENTITIES)),
+    st.tuples(st.just("invalidate"), _DEPENDENCIES),
     st.tuples(st.just("advance"), st.integers(min_value=1, max_value=15)),
 )
 
 
 class _CacheOracle:
     """A deliberately naive model of the §6 cache: a dict plus a
-    recency list, replayed operation by operation."""
+    recency list, replayed operation by operation.  An entry holds one
+    dependency key; a written key drops it when the names match and
+    either side is a bare name or the two values are equal."""
 
     def __init__(self, capacity: int):
         self.capacity = capacity
         self.now = 0.0
-        # key → (serial, entity, expires_at); insertion order = LRU order
-        self.entries: dict[str, tuple[str, str, float | None]] = {}
+        # key → (serial, dependency, expires_at); insertion order = LRU
+        self.entries: dict[str, tuple[str, object, float | None]] = {}
 
-    def put(self, key, serial, entity, ttl):
+    def put(self, key, serial, dependency, ttl):
         expires = self.now + ttl if ttl else None
         self.entries.pop(key, None)
-        self.entries[key] = (serial, entity, expires)
+        self.entries[key] = (serial, dependency, expires)
         while len(self.entries) > self.capacity:
             self.entries.pop(next(iter(self.entries)))
 
@@ -409,10 +454,19 @@ class _CacheOracle:
         self.entries[key] = (serial, entity, expires)
         return serial
 
-    def invalidate(self, entity):
+    def invalidate(self, written):
+        def dropped(held) -> bool:
+            if isinstance(held, str) or isinstance(written, str):
+                return _name(held) == _name(written)
+            return held == written
+
         self.entries = {
-            k: v for k, v in self.entries.items() if v[1] != entity
+            k: v for k, v in self.entries.items() if not dropped(v[1])
         }
+
+
+def _name(dependency) -> str:
+    return dependency if isinstance(dependency, str) else dependency[0]
 
 
 class TestCacheProperties:
@@ -435,19 +489,19 @@ class TestCacheProperties:
         serial = 0
         for operation in operations:
             if operation[0] == "put":
-                _, key, entity, put_ttl = operation
+                _, key, dependency, put_ttl = operation
                 serial += 1
                 if level.name == "bean":
                     level.ttl = put_ttl
-                level.put(key, f"value-{serial}", entities=[entity])
-                oracle.put(key, f"value-{serial}", entity, level.ttl)
+                level.put(key, f"value-{serial}", entities=[dependency])
+                oracle.put(key, f"value-{serial}", dependency, level.ttl)
             elif operation[0] == "get":
                 _, key = operation
                 assert level.get(key) == oracle.get(key)
             elif operation[0] == "invalidate":
-                _, entity = operation
-                cache.invalidate_writes(entities=[entity])
-                oracle.invalidate(entity)
+                _, dependency = operation
+                cache.invalidate_writes(entities=[dependency])
+                oracle.invalidate(dependency)
             else:  # advance
                 _, seconds = operation
                 clock.advance(seconds)
@@ -519,6 +573,14 @@ class TestEndToEndCaching:
         # ...so the next rendering shows the new volume (no stale serve)
         browser.get("/")
         assert "3 row(s)" in browser.body
+
+    def test_status_reports_the_reverse_index_size(self):
+        app, cache = self._cached_app()
+        Browser(app).get("/")
+        status = app.ctx.obs.metrics.snapshot()["external"]["cache.bean"]
+        assert status["entries"] == 1
+        assert status["dependency_keys"] == 1  # ("Volume", *)
+        assert status["hits"] == cache.stats.hits
 
     def test_unrelated_write_keeps_cache(self):
         app, cache = self._cached_app()

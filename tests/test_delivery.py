@@ -300,23 +300,59 @@ class TestWriteInvalidationAcrossLevels:
         return view.find_page("Volume Page").unit("Volume data")
 
     def test_create_paper_drops_only_paper_dependents(self, acm_oids):
+        """A paper created in no issue (a NULL ``issue_to_paper``) is on
+        no Volume Page: only what holds every paper — the admin paper
+        list — is dropped, at every level."""
         app, page_cache, fragment_cache, bean_cache = _delivery_app()
         self._warm(app, acm_oids)
         assert len(page_cache) == 2
-        assert page_cache.dependents_of(entity="Paper") == 1  # Volume Page
+        # the Volume Page holds its issues' papers by instance — the
+        # IssueToPaper keys of its issues — not the Paper entity
+        assert page_cache.dependents_of(entity="Paper") == 0
+        assert page_cache.dependents_of(role="IssueToPaper") == 1
         writer = _admin(app)  # lands on Admin Home: a third cached page
         assert len(page_cache) == 3
+        assert page_cache.dependents_of(entity="Paper") == 1
         writer.get(app.operation_url(
             "admin", "CreatePaper", {"title": "Fresh", "pages": "3"},
         ), follow_redirects=False)
-        # every level dropped its Paper dependents (Volume Page and the
-        # admin paper list)...
+        # every level dropped its Paper dependents (the admin list)...
         assert bean_cache.dependents_of(entity="Paper") == 0
         assert fragment_cache.dependents_of(entity="Paper") == 0
         assert page_cache.dependents_of(entity="Paper") == 0
-        # ...and only those: the Volumes page (Volume-only) survived
-        assert len(page_cache) == 1
-        assert page_cache.dependents_of(entity="Volume") == 1
+        # ...and only those: the Volumes page and the Volume Page survived
+        assert len(page_cache) == 2
+        assert page_cache.dependents_of(entity="Volume") == 2
+
+    def test_a_volume_page_holds_its_instances_on_both_paths(self, acm_oids):
+        """The buffered and the chunk-streamed build store the page under
+        the same keys: its volume, and its issues' papers by issue —
+        not the Volume, Issue or Paper entity whole."""
+        from repro.mvc.http import HttpRequest
+
+        volume = acm_oids["volumes"][0]
+        first, second = acm_oids["issues"][:2]  # the volume's two issues
+        for streamed in (False, True):
+            app, page_cache, _, _ = _delivery_app()
+            request = HttpRequest.from_url(app.page_url(
+                "public", "Volume Page",
+                {f"{self._volume_unit(app).id}.oid": volume}))
+            if streamed:
+                page = app.front.complete(app.front.begin(request, peek=True),
+                                          stream=True)
+                "".join(page.chunks)
+            else:
+                app.handle(request)
+            assert len(page_cache) == 1
+            assert page_cache.dependency_keys == 4
+            assert page_cache.dependents_of(entity=("Volume", volume)) == 1
+            assert page_cache.dependents_of(
+                role=("VolumeToIssue", volume)) == 1
+            for issue in (first, second):
+                assert page_cache.dependents_of(
+                    role=("IssueToPaper", issue)) == 1
+            assert page_cache.dependents_of(entity="Paper") == 0
+            assert page_cache.dependents_of(entity="Issue") == 0
 
     def test_read_after_write_observes_the_write(self, acm_oids):
         app, *_ = _delivery_app()

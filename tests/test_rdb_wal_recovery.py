@@ -194,6 +194,45 @@ class TestWalCodec:
         assert back.ops == record.ops
         assert back.tables() == {"t"}
 
+    @pytest.mark.parametrize("fk", [None, 4])
+    def test_old_rows_roundtrip(self, fk):
+        """Update and delete ops carry the row they replaced — NULL
+        foreign keys included — and decode to the same tuples."""
+        old = {"oid": 3, "title": "a", "genre_oid": fk}
+        new = {"oid": 3, "title": "a", "genre_oid": 7}
+        record = CommitRecord(8, [
+            (OP_UPDATE, "book", 3, new, old),
+            (OP_UPDATE, "book", 3, old, new),
+            (OP_DELETE, "book", 3, old),
+        ])
+        back = CommitRecord.decode(record.encode())
+        assert back.ops == record.ops
+        assert back.ops[0][4]["genre_oid"] is fk
+
+    def test_engine_logs_the_old_row_of_updates_and_deletes(self):
+        """What the engine records is what invalidation reads: the old
+        row of an update, of a delete, and of a set-null cascade."""
+        db = Database()
+        db.execute("CREATE TABLE g (oid INTEGER NOT NULL, PRIMARY KEY (oid))")
+        db.execute("CREATE TABLE b (oid INTEGER NOT NULL, g_oid INTEGER,"
+                   " PRIMARY KEY (oid), FOREIGN KEY (g_oid) REFERENCES g (oid)"
+                   " ON DELETE SET NULL)")
+        events = []
+        db.commit_stream.subscribe(events.append)
+        db.insert_row("g", {"oid": 1})
+        db.insert_row("b", {"oid": 5, "g_oid": 1})
+        db.execute("UPDATE b SET g_oid = NULL WHERE oid = 5")
+        db.execute("UPDATE b SET g_oid = 1 WHERE oid = 5")
+        db.execute("DELETE FROM g WHERE oid = 1")
+        update, _, cascade = (event.ops for event in events[2:])
+        assert update == ((OP_UPDATE, "b", 1, {"oid": 5, "g_oid": None},
+                           {"oid": 5, "g_oid": 1}),)
+        assert cascade == (
+            (OP_UPDATE, "b", 1, {"oid": 5, "g_oid": None},
+             {"oid": 5, "g_oid": 1}),
+            (OP_DELETE, "g", 1, {"oid": 1}),
+        )
+
 
 class TestCorruption:
     def _populated(self, base: str) -> tuple[str, list[dict]]:
@@ -208,19 +247,71 @@ class TestCorruption:
                 db.insert_row("t", {"name": f"n{i}", "qty": i})
         return data_dir, states
 
-    def test_garbage_header_recovers_empty_and_reinitializes(self):
-        base = tempfile.mkdtemp(prefix="wal-garbage-")
+    def test_foreign_header_refuses_to_open_and_keeps_its_bytes(self):
+        """A log in another format — here the previous version's magic,
+        whose update and delete records carry no old row — holds
+        committed records this engine cannot read: opening it raises,
+        naming both versions, and truncates nothing."""
+        base = tempfile.mkdtemp(prefix="wal-foreign-")
+        try:
+            data_dir, _states = self._populated(base)
+            wal_path = os.path.join(data_dir, "wal.log")
+            with open(wal_path, "r+b") as handle:
+                handle.write(b"RWAL0001")
+            with open(wal_path, "rb") as handle:
+                before = handle.read()
+            with pytest.raises(DatabaseError) as raised:
+                Database.open(data_dir)
+            assert "RWAL0001" in str(raised.value)
+            assert MAGIC.decode() in str(raised.value)
+            with open(wal_path, "rb") as handle:
+                assert handle.read() == before
+            with open(wal_path, "wb") as handle:
+                handle.write(b"not a wal at all")
+            with pytest.raises(DatabaseError):
+                Database.open(data_dir)
+            assert os.path.getsize(wal_path) == len(b"not a wal at all")
+        finally:
+            shutil.rmtree(base, ignore_errors=True)
+
+    def test_torn_header_is_a_torn_creation(self):
+        """Fewer bytes than the header, all a prefix of it: the crash hit
+        the log's creation, so there is nothing to keep."""
+        base = tempfile.mkdtemp(prefix="wal-torn-header-")
         try:
             data_dir = os.path.join(base, "data")
             os.makedirs(data_dir)
             with open(os.path.join(data_dir, "wal.log"), "wb") as handle:
-                handle.write(b"not a wal at all")
+                handle.write(MAGIC[:3])
             with Database.open(data_dir) as db:
                 assert db.tables == {}
                 db.execute(_DDL)
                 db.insert_row("t", {"name": "fresh", "qty": 1})
             with Database.open(data_dir) as again:
                 assert len(again.tables["t"].rows) == 1
+        finally:
+            shutil.rmtree(base, ignore_errors=True)
+
+    def test_undecodable_committed_record_refuses_to_open(self):
+        """A frame whose CRC holds but whose record does not decode is
+        not a crash's tail: opening raises and keeps every byte."""
+        import zlib
+
+        base = tempfile.mkdtemp(prefix="wal-undecodable-")
+        try:
+            data_dir, _states = self._populated(base)
+            wal_path = os.path.join(data_dir, "wal.log")
+            payload = CommitRecord(99, []).encode()[:8] + b"\xff\xff\xff\xff"
+            with open(wal_path, "ab") as handle:
+                handle.write(len(payload).to_bytes(4, "big")
+                             + zlib.crc32(payload).to_bytes(4, "big")
+                             + payload)
+            with open(wal_path, "rb") as handle:
+                before = handle.read()
+            with pytest.raises(DatabaseError):
+                Database.open(data_dir)
+            with open(wal_path, "rb") as handle:
+                assert handle.read() == before
         finally:
             shutil.rmtree(base, ignore_errors=True)
 

@@ -5,9 +5,10 @@ Satellites of the storage-engine refactor: ``Database`` is a context
 manager with an idempotent ``close()``; the runtime context, the
 application and the app server all shut the engine down
 deterministically.  Every committed transaction invalidates the caches:
-the runtime context translates the tables it changed into entities and
-both names of every role realized there, through the relational
-mapping — whatever code path made the write, on a primary or a replica.
+the runtime context translates the rows it changed — old and new — into
+``(entity, oid)`` and ``(role, source oid)`` keys for both names of
+every role realized there, through the relational mapping — whatever
+code path made the write, on a primary or a replica.
 """
 
 from __future__ import annotations
@@ -16,10 +17,12 @@ import os
 import shutil
 import tempfile
 
+import pytest
 from hypothesis import HealthCheck, settings, strategies as st
 from hypothesis.stateful import (
     RuleBasedStateMachine,
     invariant,
+    precondition,
     rule,
     run_state_machine_as_test,
 )
@@ -41,7 +44,13 @@ from repro.services import (
     RuntimeContext,
 )
 from repro.services.plugins import PluginUnit, plugin_registry
-from repro.webml import LinkKind, Selector, WebMLModel
+from repro.webml import (
+    AttributeCondition,
+    LinkKind,
+    RelationshipCondition,
+    Selector,
+    WebMLModel,
+)
 from repro.workloads.acm import build_acm_model
 from repro.workloads.bookstore import build_bookstore_model, seed_bookstore
 
@@ -74,10 +83,22 @@ def _bookstore_model() -> WebMLModel:
     name: ``Books by writer`` (Book over ``Wrote``, which
     ``CreditWriter`` connects as ``WrittenBy``) and ``Genre of book``
     (Genre over ``BookToGenre``, a foreign key on the *book* table);
-    plus ``Reshelve``, a connect operation on the forward
-    ``GenreToBook``."""
+    two role selectors narrowed by an attribute condition, ``Cheap books
+    in genre`` (the foreign key on the unit's rows) and ``Cheap books by
+    writer`` (through the bridge); plus ``Reshelve``, a connect
+    operation on the forward ``GenreToBook``, and ``Uncredit``, a
+    disconnect on the bridge."""
     model = build_bookstore_model()
     shop = model.find_site_view("shop")
+    genre_page = shop.find_page("Genre Page")
+    cheap_in_genre = genre_page.index_unit(
+        "Cheap books in genre", "Book", display_attributes=["title", "price"],
+        selector=Selector([RelationshipCondition("GenreToBook", "genre"),
+                           AttributeCondition("price", "<", value=25.0)]),
+        order_by=[("title", False)],
+    )
+    model.link(genre_page.unit("Genre"), cheap_in_genre,
+               kind=LinkKind.TRANSPORT, params=[("oid", "genre")])
     book_page = shop.find_page("Book Page")
     genre_of_book = book_page.data_unit(
         "Genre of book", "Genre", display_attributes=["name"],
@@ -95,6 +116,14 @@ def _bookstore_model() -> WebMLModel:
     )
     model.link(writer_data, books_by_writer, kind=LinkKind.TRANSPORT,
                params=[("oid", "writer")])
+    cheap_by_writer = writer_page.index_unit(
+        "Cheap books by writer", "Book", display_attributes=["title", "price"],
+        selector=Selector([RelationshipCondition("Wrote", "writer"),
+                           AttributeCondition("price", "<", value=25.0)]),
+        order_by=[("title", False)],
+    )
+    model.link(writer_data, cheap_by_writer, kind=LinkKind.TRANSPORT,
+               params=[("oid", "writer")])
     model.link(book_page.unit("Authors"), writer_data,
                params=[("oid", "oid")])
     office = model.find_site_view("backoffice")
@@ -106,6 +135,13 @@ def _bookstore_model() -> WebMLModel:
                params=[("oid", "target_oid")])
     model.link(reshelve, desk, kind=LinkKind.OK)
     model.link(reshelve, desk, kind=LinkKind.KO)
+    uncredit = office.disconnect_op("Uncredit", "WrittenBy")
+    model.link(desk.unit("Catalogue"), uncredit,
+               params=[("oid", "source_oid")])
+    model.link(desk.unit("Writers"), uncredit,
+               params=[("oid", "target_oid")])
+    model.link(uncredit, desk, kind=LinkKind.OK)
+    model.link(uncredit, desk, kind=LinkKind.KO)
     return model
 
 
@@ -355,15 +391,22 @@ class TestCommitDrivenInvalidation:
         app = WebApplication(build_acm_model(), bean_cache=cache)
         return app, cache
 
+    # The call shapes below name instances: a written row publishes
+    # ``(entity, oid)`` and ``(role, source-side value)`` for the rows
+    # its redo ops carry, no longer the bare entity and role names.
+
     def test_entity_tables_translate_to_entities(self):
         app, cache = self._app()
         cache.calls.clear()
-        app.seed_entity("Author", [{"name": "S. Ceri"}])
-        assert cache.calls == [(("Author",), ())]
+        [author] = app.seed_entity("Author", [{"name": "S. Ceri"}])
+        assert cache.calls == [((("Author", author),), ())]
         assert app.ctx.commit_invalidations == 1
         app.close()
 
     def test_bridge_table_invalidates_both_endpoints(self):
+        """A link row publishes each role name at its source-side
+        endpoint; it changes neither endpoint's own row, so neither
+        entity is published."""
         app, cache = self._app()
         papers = app.seed_entity(
             "Paper", [{"title": "WebML", "pages": 20}]
@@ -371,12 +414,14 @@ class TestCommitDrivenInvalidation:
         authors = app.seed_entity("Author", [{"name": "S. Ceri"}])
         cache.calls.clear()
         app.connect_instances("Authorship", papers[0], authors[0])
-        assert cache.calls == [(("Author", "Paper"), ("AuthorOf", "Authorship"))]
+        assert cache.calls == [((), (("Authorship", papers[0]),
+                                     ("AuthorOf", authors[0])))]
         app.close()
 
     def test_direct_sql_writes_also_invalidate(self):
         """The point of the bridge: writes that never pass through an
-        operation service (admin scripts, direct SQL) now invalidate."""
+        operation service (admin scripts, direct SQL) now invalidate —
+        an update publishes its old and new row, here the same key."""
         app, cache = self._app()
         oids = app.seed_entity("Author", [{"name": "stale"}])
         cache.calls.clear()
@@ -384,14 +429,24 @@ class TestCommitDrivenInvalidation:
             "UPDATE author SET name = :n WHERE oid = :oid",
             {"n": "fresh", "oid": oids[0]},
         )
-        assert cache.calls == [(("Author",), ())]
+        assert cache.calls == [((("Author", oids[0]),), ())]
         app.close()
 
     def test_fk_table_carries_both_role_names(self):
+        """A paper row publishes ``IssueToPaper`` at its foreign key
+        (the role starts at the issue) and ``PaperToIssue`` at its own
+        oid; a NULL foreign key publishes nothing for its role."""
         app, cache = self._app()
+        [issue] = app.seed_entity("Issue", [{"number": 1}])
         cache.calls.clear()
-        app.seed_entity("Paper", [{"title": "WebML", "pages": 20}])
-        assert cache.calls == [(("Paper",), ("IssueToPaper", "PaperToIssue"))]
+        [linked] = app.seed_entity("Paper", [
+            {"title": "WebML", "pages": 20, "IssueToPaper": issue}])
+        [loose] = app.seed_entity("Paper", [{"title": "Loose", "pages": 2}])
+        assert cache.calls == [
+            ((("Paper", linked),),
+             (("IssueToPaper", issue), ("PaperToIssue", linked))),
+            ((("Paper", loose),), (("PaperToIssue", loose),)),
+        ]
         app.close()
 
     def test_inverse_role_name_drops_the_bean(self):
@@ -460,6 +515,63 @@ class TestCommitDrivenInvalidation:
         finally:
             shutil.rmtree(base, ignore_errors=True)
 
+    def test_a_move_on_the_primary_drops_only_its_instances_on_a_replica(
+            self):
+        """The replica reads the moved book's old and new rows from the
+        shipped WAL: the two genres' pages and the book's own page are
+        rebuilt; the home page and every other genre and book page are
+        still hits."""
+        from repro.rdb.replication import open_replica
+        from repro.rdb.wal import read_log
+
+        base = tempfile.mkdtemp(prefix="app-replica-move-")
+        try:
+            primary = WebApplication(
+                _bookstore_model(),
+                database=Database.open(os.path.join(base, "data")),
+            )
+            oids = seed_bookstore(primary)
+            wal_path = primary.database.engine.wal_path
+            replica_db = open_replica()
+
+            def ship():
+                for record in read_log(wal_path):
+                    replica_db.apply_replicated(record)
+
+            ship()
+            replica = _fully_cached(_bookstore_model(), database=replica_db)
+            shop = replica.model.find_site_view("shop")
+
+            def url(page, unit, oid):
+                unit_id = shop.find_page(page).unit(unit).id
+                return replica.page_url("shop", page, {f"{unit_id}.oid": oid})
+
+            urls = [replica.page_url("shop", "Home")]
+            urls += [url("Genre Page", "Genre", g) for g in oids["genres"]]
+            urls += [url("Book Page", "Book", b) for b in oids["books"]]
+            for target in urls:
+                replica.get(target)
+            book, old_genre, new_genre = \
+                oids["books"][0], oids["genres"][1], oids["genres"][0]
+            primary.database.execute(
+                f"UPDATE book SET {_GENRE_COLUMN} = :g WHERE oid = :b",
+                {"g": new_genre, "b": book},
+            )
+            ship()
+            rebuilt = []
+            for target in urls:
+                misses = replica.page_cache.stats.misses
+                replica.get(target)
+                if replica.page_cache.stats.misses > misses:
+                    rebuilt.append(target)
+            assert rebuilt == [url("Genre Page", "Genre", new_genre),
+                               url("Genre Page", "Genre", old_genre),
+                               url("Book Page", "Book", book)]
+            assert replica.page_cache.stats.invalidations == 3
+            primary.close()
+        finally:
+            shutil.rmtree(base, ignore_errors=True)
+
     def test_plugin_operation_needs_no_invalidation_code(self):
         """A §7 plug-in operation writes through the context like any
         code; its commit drops the page, fragment and bean levels."""
@@ -523,7 +635,14 @@ class _InvalidationMachine(RuleBasedStateMachine):
     ``app`` must equal the page ``truth`` computes — whether ``app``
     answered from a level or rebuilt.  Each step also checks the
     publisher: one bus call per commit that changed rows, none for a
-    rollback."""
+    rollback.
+
+    Every level indexes entries by instance, so the steps aim at the
+    ways an instance key can miss: a row moving between two parents
+    (the old parent is named only by the before-image), a NULL foreign
+    key, an oid inserted that an empty bean was bound to, a parent
+    deleted under its children, and a change to a row a unit shows but
+    reaches through a bridge or a foreign key on the other row."""
 
     def __init__(self):
         super().__init__()
@@ -535,6 +654,10 @@ class _InvalidationMachine(RuleBasedStateMachine):
         self.books = list(oids["books"])
         self.genres = list(oids["genres"])
         self.writers = list(oids["writers"])
+        #: a genre oid no row has yet: its page is served (empty) before
+        #: a step inserts it with this explicit oid
+        self.pending_genre = max(self.genres) + 100
+        self.genre_pages = self.genres + [self.pending_genre]
         self.bus_calls = self.commits = 0
         bus = self.app.ctx.invalidation_bus
         publish = bus.invalidate_writes
@@ -572,7 +695,8 @@ class _InvalidationMachine(RuleBasedStateMachine):
         urls = [page("Home"), page("Catalogue"),
                 page("Catalogue", "All books", "block", 2),
                 page("Search Results", "Hits", "keyword", "a")]
-        urls += [page("Genre Page", "Genre", value=g) for g in self.genres]
+        urls += [page("Genre Page", "Genre", value=g)
+                 for g in self.genre_pages]
         urls += [page("Book Page", "Book", value=b) for b in self.books]
         urls += [page("Writer Page", "Writer", value=w) for w in self.writers]
         return urls
@@ -601,10 +725,55 @@ class _InvalidationMachine(RuleBasedStateMachine):
     def delete(self, data):
         self._operate("DropBook", {"oid": data.draw(st.sampled_from(self.books))})
 
+    # -- the steps, callable with chosen values (see TestInstanceKeySteps)
+
+    def reprice_book(self, book, price):
+        self._operate("Reprice", {"oid": book, "price": price})
+
+    def rename_writer(self, writer, name):
+        self._write(lambda: GenericOperationService(self.app.ctx).execute(
+            self.rename, {"oid": writer, "name": name}, Session("clerk"),
+        ), commits=1)
+
+    def move_book(self, book, genre):
+        """Out of one genre into another, or into none: the genre it
+        left is named only by the old row."""
+        self._write(lambda: self.app.database.execute(
+            f"UPDATE book SET {_GENRE_COLUMN} = :g WHERE oid = :b",
+            {"g": genre, "b": book}))
+
+    def insert_genre_with_oid(self, name):
+        """The empty Genre Page of this oid was served already: its data
+        unit holds the oid it was bound to, not the none it returned."""
+        genre = self.pending_genre
+        self._write(lambda: self.app.database.execute(
+            "INSERT INTO genre (oid, name) VALUES (:g, :n)",
+            {"g": genre, "n": name}), commits=1)
+        self.genres.append(genre)
+        self.pending_genre = genre + 1
+        self.genre_pages.append(self.pending_genre)
+
+    def delete_genre(self, genre):
+        """Its books' foreign keys are set to NULL in the same commit."""
+        self._write(lambda: self.app.database.execute(
+            "DELETE FROM genre WHERE oid = :g", {"g": genre}), commits=1)
+        self.genres.remove(genre)
+
+    def rename_genre(self, genre, name):
+        """Seen on a Book Page through ``Genre of book``: the foreign key
+        is on the book row, so only the genre row's own key names it."""
+        self._write(lambda: self.app.database.execute(
+            "UPDATE genre SET name = :n WHERE oid = :g",
+            {"n": name, "g": genre}), commits=1)
+
+    def uncredit_writer(self, book, writer):
+        self._operate("Uncredit", {"source_oid": book, "target_oid": writer})
+
+    # -- the rules ------------------------------------------------------------
+
     @rule(data=st.data(), price=_PRICES)
     def reprice(self, data, price):
-        self._operate("Reprice", {
-            "oid": data.draw(st.sampled_from(self.books)), "price": price})
+        self.reprice_book(data.draw(st.sampled_from(self.books)), price)
 
     @rule(data=st.data())
     def credit(self, data):
@@ -614,19 +783,30 @@ class _InvalidationMachine(RuleBasedStateMachine):
 
     @rule(data=st.data(), name=_WORDS)
     def plugin_rename_writer(self, data, name):
-        self._write(lambda: GenericOperationService(self.app.ctx).execute(
-            self.rename,
-            {"oid": data.draw(st.sampled_from(self.writers)), "name": name},
-            Session("clerk"),
-        ), commits=1)
+        self.rename_writer(data.draw(st.sampled_from(self.writers)), name)
 
     @rule(data=st.data())
     def move_book_by_sql(self, data):
-        self._write(lambda: self.app.database.execute(
-            f"UPDATE book SET {_GENRE_COLUMN} = :g WHERE oid = :b",
-            {"g": data.draw(st.sampled_from(self.genres)),
-             "b": data.draw(st.sampled_from(self.books))},
-        ))
+        self.move_book(data.draw(st.sampled_from(self.books)),
+                       data.draw(st.sampled_from(self.genres + [None])))
+
+    @rule(name=_WORDS)
+    def insert_genre(self, name):
+        self.insert_genre_with_oid(name)
+
+    @precondition(lambda self: len(self.genres) > 1)
+    @rule(data=st.data())
+    def delete_referenced_genre(self, data):
+        self.delete_genre(data.draw(st.sampled_from(self.genres)))
+
+    @rule(data=st.data(), name=_WORDS)
+    def rename_some_genre(self, data, name):
+        self.rename_genre(data.draw(st.sampled_from(self.genres)), name)
+
+    @rule(data=st.data())
+    def uncredit(self, data):
+        self.uncredit_writer(data.draw(st.sampled_from(self.books)),
+                             data.draw(st.sampled_from(self.writers)))
 
     @rule(data=st.data(), title=_WORDS)
     def seed_book(self, data, title):
@@ -657,6 +837,68 @@ class _InvalidationMachine(RuleBasedStateMachine):
     def cached_pages_equal_the_truth(self):
         for url in self._urls():
             assert self.app.get(url).body == self.truth.get(url).body, url
+
+
+@pytest.fixture
+def _rename_writer_plugin():
+    plugin_registry.register(PluginUnit(
+        kind="rename_writer", tag_name="webml:renameWriterOp",
+        operation_service=_RenameWriterService(),
+    ))
+    yield
+    plugin_registry.unregister("rename_writer")
+
+
+@pytest.mark.usefixtures("_rename_writer_plugin")
+class TestInstanceKeySteps:
+    """Each way an instance key can miss, scripted once against the
+    truth, every page warm at every level first.  The seed: books 1-5
+    cost 35-60 (none under the cheap units' 25); book 1 is in genre 2
+    and written by writers 1 and 2; book 2 is in genre 3 by writer 3."""
+
+    @pytest.fixture
+    def machine(self):
+        machine = _InvalidationMachine()
+        machine.cached_pages_equal_the_truth()
+        return machine
+
+    def test_move_a_book_to_another_genre(self, machine):
+        machine.move_book(machine.books[0], machine.genres[0])
+        machine.cached_pages_equal_the_truth()
+
+    def test_move_a_book_to_no_genre(self, machine):
+        machine.move_book(machine.books[0], None)
+        machine.cached_pages_equal_the_truth()
+
+    def test_reprice_a_book_the_cheap_genre_list_did_not_return(
+            self, machine):
+        machine.reprice_book(machine.books[1], 9.5)
+        machine.cached_pages_equal_the_truth()
+
+    def test_reprice_a_book_the_cheap_writer_list_did_not_return(
+            self, machine):
+        machine.reprice_book(machine.books[0], 20.0)
+        machine.cached_pages_equal_the_truth()
+
+    def test_insert_a_genre_with_an_explicit_oid(self, machine):
+        machine.insert_genre_with_oid("Data Webs")
+        machine.cached_pages_equal_the_truth()
+
+    def test_delete_a_genre_books_reference(self, machine):
+        machine.delete_genre(machine.genres[1])
+        machine.cached_pages_equal_the_truth()
+
+    def test_rename_a_genre_seen_through_genre_of_book(self, machine):
+        machine.rename_genre(machine.genres[1], "Webs")
+        machine.cached_pages_equal_the_truth()
+
+    def test_rename_a_writer_seen_through_the_bridge(self, machine):
+        machine.rename_writer(machine.writers[0], "Stefano Ceri")
+        machine.cached_pages_equal_the_truth()
+
+    def test_disconnect_through_the_bridge(self, machine):
+        machine.uncredit_writer(machine.books[0], machine.writers[1])
+        machine.cached_pages_equal_the_truth()
 
 
 class TestInvalidationGroundTruth:
