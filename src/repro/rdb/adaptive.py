@@ -6,12 +6,17 @@ see skew at all — ``region = :r`` is priced ``1/distinct`` whether the
 parameter names a two-row region or one holding 90% of the table.  This
 module closes the loop from execution back into planning:
 
-- **Feedback collection.**  Every execution of a cached plan records
+- **Feedback collection.**  Executions of a cached plan record
   estimated-vs-actual cardinality into a per-plan
   :class:`CardinalityFeedback` ledger (keyed by plan-cache entry).  The
   actual counts are the operator row counts the executor already
   maintains for spans — no second counting pass.  Plans with a LIMIT
-  are skipped: their abandoned generators under-count.
+  are skipped: their abandoned generators under-count.  A ledger whose
+  window is full and settled (median within threshold, no cooldown)
+  samples: it learns from every 2^k-th execution only, k growing by one
+  per settled sample up to :data:`MAX_SAMPLE_SHIFT`; a sampled q-error
+  above threshold, a replan or a re-ANALYZE puts it back to every
+  execution.
 
 - **Drift detection.**  Each execution's q-error —
   ``max(actual/est, est/actual)``, taken over the root *and* every join
@@ -39,7 +44,7 @@ the same trade every observability counter in the repo makes.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import OrderedDict, deque
 
 from repro.rdb import cost
 from repro.rdb.executor import HashJoinOp, ScanOp
@@ -49,6 +54,11 @@ from repro.rdb.expr import conjunct_fingerprint
 Q_ERROR_THRESHOLD = 4.0
 #: sliding window length (recent executions per plan)
 WINDOW_SIZE = 8
+#: a settled ledger learns from every 2**k-th execution, k at most
+#: this: a drift that starts while a plan is sampled is in the window
+#: within 2**k executions, and replans MIN_OBSERVATIONS executions
+#: later — 12 at most, E22's drift window
+MAX_SAMPLE_SHIFT = 3
 #: executions observed before the window may signal drift
 MIN_OBSERVATIONS = 4
 #: hysteresis: executions after a replan before drift may fire again
@@ -60,6 +70,10 @@ MAX_REPLANS = 5
 GROWTH_DRIFT = 2.0
 #: exponential-moving-average weight of the newest observation
 EWMA_ALPHA = 0.5
+#: learned corrections kept, least recently observed out first — a
+#: bound for callers that format values into SQL text (one statement,
+#: and up to three correction keys per scan, per value)
+FEEDBACK_CAP = 2048
 #: misestimated plans listed in ``/_status``
 TOP_K = 5
 
@@ -105,24 +119,29 @@ class SelectivityMemory:
     """Observed selectivities and join distincts, keyed by
     ``(table, correction key)``.  This is the ``feedback`` object the
     cost functions consult before statistics; entries are EWMA-smoothed
-    so one outlier parameter set cannot whipsaw the planner."""
+    so one outlier parameter set cannot whipsaw the planner.  At most
+    :data:`FEEDBACK_CAP` entries are kept, the least recently observed
+    dropped first (a dropped key prices from statistics again)."""
 
     def __init__(self) -> None:
-        self.corrections: dict[tuple, float] = {}
-        self.samples: dict[tuple, int] = {}
+        self.corrections: OrderedDict[tuple, float] = OrderedDict()
+        self.samples: OrderedDict[tuple, int] = OrderedDict()
         self.hits = 0
         self.records = 0
 
     def observe(self, table: str, key: tuple, value: float) -> None:
         slot = (table,) + key
-        previous = self.corrections.get(slot)
-        if previous is None:
-            self.corrections[slot] = value
-        else:
-            self.corrections[slot] = (
-                EWMA_ALPHA * value + (1.0 - EWMA_ALPHA) * previous
-            )
-        self.samples[slot] = self.samples.get(slot, 0) + 1
+        corrections, samples = self.corrections, self.samples
+        # pop and re-insert: the slot becomes the most recently observed
+        previous = corrections.pop(slot, None)
+        corrections[slot] = value if previous is None else (
+            EWMA_ALPHA * value + (1.0 - EWMA_ALPHA) * previous
+        )
+        samples[slot] = samples.pop(slot, 0) + 1
+        if len(corrections) > FEEDBACK_CAP:
+            corrections.popitem(last=False)
+        if len(samples) > FEEDBACK_CAP:
+            samples.popitem(last=False)
         self.records += 1
 
     def selectivity(self, table: str, key: tuple) -> float | None:
@@ -152,13 +171,16 @@ class SelectivityMemory:
 
 
 class CardinalityFeedback:
-    """Per-plan estimation ledger: a sliding q-error window plus the
-    hysteresis state (cooldown, replan count) that gates replanning.
-    Appends are GIL-atomic; concurrent executions may lose an update,
-    never corrupt the deque."""
+    """Per-plan estimation ledger: a sliding q-error window, the
+    hysteresis state (cooldown, replan count) that gates replanning, and
+    the sampling pace (``stride``: learn from every stride-th execution;
+    ``skip``: executions left until the next sample).  Appends are
+    GIL-atomic; concurrent executions may lose an update, never corrupt
+    the deque."""
 
     __slots__ = ("statement", "window", "executions", "replans", "cooldown",
-                 "last_estimated", "last_actual", "max_q_error")
+                 "last_estimated", "last_actual", "max_q_error", "stride",
+                 "skip")
 
     def __init__(self, statement: str) -> None:
         self.statement = statement
@@ -169,6 +191,8 @@ class CardinalityFeedback:
         self.last_estimated: float | None = None
         self.last_actual: int | None = None
         self.max_q_error = 1.0
+        self.stride = 1
+        self.skip = 0
 
     def record(self, estimated: float, actual: float, worst: float) -> None:
         """One execution: ``estimated``/``actual`` are the root counts
@@ -195,10 +219,27 @@ class CardinalityFeedback:
             return False
         return self.window_q_error() > threshold
 
+    def pace(self, worst: float, threshold: float) -> None:
+        """Set the stride after one sampled execution: back to every
+        execution on a q-error above ``threshold``; doubled (up to
+        ``2**MAX_SAMPLE_SHIFT``) while the window is full, its median
+        within ``threshold`` and no cooldown runs; else unchanged."""
+        if worst > threshold:
+            self.stride = 1
+        elif self.cooldown == 0 and len(self.window) == WINDOW_SIZE \
+                and self.window_q_error() <= threshold:
+            self.stride = min(self.stride * 2, 1 << MAX_SAMPLE_SHIFT)
+        self.skip = self.stride - 1
+
+    def learn_every_execution(self) -> None:
+        self.stride = 1
+        self.skip = 0
+
     def note_replanned(self, cooldown: int) -> None:
         self.replans += 1
         self.cooldown = cooldown
         self.window.clear()
+        self.learn_every_execution()
 
 
 def plan_q_error(plan) -> tuple[float, float, float]:
@@ -223,12 +264,14 @@ class AdaptiveController:
     """The database-side driver of the feedback loop.
 
     ``observe`` runs after every cached SELECT (outside the read lock):
-    it records the execution into the statement's ledger, feeds the
-    memory, and — on drift — drops the cache entry and queues the
-    plan's tables for re-ANALYZE.  ``preflight`` runs *before* the next
-    execution takes the read lock: it performs any queued re-ANALYZE
-    (plus growth-triggered ones) under the write lock, so the rebuild
-    that follows plans against fresh statistics and corrections.
+    it counts the execution and, on the ledger's sampled executions,
+    records it into the window, feeds the memory, and — on drift —
+    drops the cache entry and queues the plan's tables for re-ANALYZE.
+    ``preflight`` runs *before* the next execution takes the read lock:
+    it performs any queued re-ANALYZE (plus growth-triggered ones, when
+    the caller is about to build a plan) under the write lock, so the
+    rebuild that follows plans against fresh statistics and
+    corrections.
 
     Thresholds are instance attributes so tests and benchmarks can
     tighten the loop without monkeypatching module constants.
@@ -250,6 +293,7 @@ class AdaptiveController:
         self._analyze_allowed = True
         self.counters = {
             "observations": 0,
+            "learned": 0,
             "drift_detections": 0,
             "replans": 0,
             "reanalyzes": 0,
@@ -271,10 +315,17 @@ class AdaptiveController:
             ledger = self.ledgers.setdefault(
                 cache_key, CardinalityFeedback(cache_key)
             )
+        counters = self.counters
+        counters["observations"] += 1
+        if ledger.skip:
+            ledger.skip -= 1
+            ledger.executions += 1
+            return
         est, act, worst = plan_q_error(plan)
-        self.counters["observations"] += 1
+        counters["learned"] += 1
         ledger.record(est, act, worst)
         self._learn(plan)
+        ledger.pace(worst, self.q_error_threshold)
         if not ledger.drifted(self.q_error_threshold) \
                 or len(ledger.window) < self.min_observations:
             return
@@ -323,13 +374,17 @@ class AdaptiveController:
 
     def preflight(self, statement=None) -> None:
         """Run queued (drift) and growth-triggered re-ANALYZE before the
-        caller takes the read lock.  ``statement`` (a parsed Select, on
-        plan-build paths) contributes its tables to the growth check."""
+        caller takes the read lock.  ``statement`` (a parsed Select,
+        given only by a caller about to build its plan) contributes its
+        tables to the growth check; a cached plan is re-checked when
+        something rebuilds it."""
         if not self.enabled:
             return
-        pending = self._take_pending()
-        for table in pending:
-            self._reanalyze(table, "reanalyzes")
+        pending = self._pending_reanalyze
+        if pending:
+            self._pending_reanalyze = set()
+            for table in pending:
+                self._reanalyze(table, "reanalyzes")
         if statement is None:
             return
         for table in self._statement_tables(statement):
@@ -337,13 +392,6 @@ class AdaptiveController:
                 continue
             if self._grown(table):
                 self._reanalyze(table, "growth_reanalyzes")
-
-    def _take_pending(self) -> set[str]:
-        pending = self._pending_reanalyze
-        if not pending:
-            return set()
-        taken, self._pending_reanalyze = pending, set()
-        return taken
 
     @staticmethod
     def _statement_tables(statement) -> list[str]:
@@ -374,6 +422,10 @@ class AdaptiveController:
             self._analyze_allowed = False
             return
         self.counters[counter] += 1
+        # fresh statistics re-plan the table's statements: every ledger
+        # learns from each execution again until it settles anew
+        for ledger in list(self.ledgers.values()):
+            ledger.learn_every_execution()
 
     # -- observability -------------------------------------------------------
 
@@ -409,6 +461,7 @@ class AdaptiveController:
             **counters,
             "tracked_plans": len(self.ledgers),
             "feedback_entries": len(memory.corrections),
+            "feedback_cap": FEEDBACK_CAP,
             "feedback_hits": memory.hits,
             "feedback_hit_rate": (
                 round(memory.hits / max(1, memory.hits + observations), 4)

@@ -548,8 +548,8 @@ def _between_bind(sarg, family: str):
     def bind(column_store, params):
         low = low_expr.evaluate(None, params)
         high = high_expr.evaluate(None, params)
-        if low is None or high is None:
-            return _empty_kernel  # a NULL bound makes BETWEEN UNKNOWN
+        if (low is None or high is None) and not negated:
+            return _empty_kernel  # one NULL bound: never TRUE
         column = column_store.columns[name]
         if not column.dict_encoded \
                 and _const_matches_family(low, family) \

@@ -162,6 +162,13 @@ class ConnectionPool:
     soon as one is released; ``timeout`` bounds the wait, and an
     expired one raises.  Wait episodes and waited seconds are counted
     so benchmarks can report pool pressure.
+
+    A lease is one acquisition of a plain :class:`threading.Lock` out
+    and one back.  The :class:`threading.Condition` on that lock is
+    waited on only by an acquirer that found the pool empty, and
+    notified only by a release that refills an empty pool — an acquirer
+    woken that way, finding more connections idle, passes the wake-up
+    on, so every queued acquirer is reached while connections remain.
     """
 
     def __init__(self, database: Database, size: int = 8):
@@ -169,7 +176,8 @@ class ConnectionPool:
             raise DatabaseError("pool size must be positive")
         self.database = database
         self.size = size
-        self._cond = threading.Condition()
+        self._lock = threading.Lock()
+        self._cond = threading.Condition(self._lock)
         self._idle: list[Connection] = [Connection(database, self) for _ in range(size)]
         self._owned: set[int] = {id(c) for c in self._idle}
         self._in_use: set[int] = set()
@@ -189,8 +197,10 @@ class ConnectionPool:
 
     def bind_observability(self, obs) -> None:
         """Attach the application's metrics registry; waits feed the
-        ``rdb.pool.wait_seconds`` histogram and every acquire/release
-        updates the ``rdb.pool.in_use`` gauge."""
+        ``rdb.pool.wait_seconds`` histogram.  The ``rdb.pool.in_use``
+        gauge is set when the collector (:meth:`wait_stats`) is read,
+        and by an acquire that raises the high-water mark — a lease
+        never touches it otherwise."""
         self._obs = obs
         self._wait_histogram = obs.metrics.histogram("rdb.pool.wait_seconds")
         self._in_use_gauge = obs.metrics.gauge("rdb.pool.in_use")
@@ -201,12 +211,13 @@ class ConnectionPool:
 
     def acquire(self, timeout: float | None = None) -> Connection:
         waited = None
-        with self._cond:
-            if not self._idle:
+        with self._lock:
+            idle = self._idle
+            if not idle:
                 started = time.monotonic()
                 deadline = None if timeout is None else started + timeout
                 self.wait_count += 1
-                while not self._idle:
+                while not idle:
                     remaining = (
                         None if deadline is None
                         else deadline - time.monotonic()
@@ -221,46 +232,57 @@ class ConnectionPool:
                     self._cond.wait(remaining)
                 waited = time.monotonic() - started
                 self.total_wait_seconds += waited
-            connection = self._idle.pop()
-            self._in_use.add(id(connection))
+                if len(idle) > 1:
+                    self._cond.notify()  # pass the wake-up on
+            connection = idle.pop()
+            in_use = self._in_use
+            in_use.add(id(connection))
             self.acquired_total += 1
-            self.peak_in_use = max(self.peak_in_use, len(self._in_use))
-            in_use_now = len(self._in_use)
-        if self._observing():
-            self._in_use_gauge.set(in_use_now)
-            if waited is not None:
-                self._wait_histogram.record(waited)
+            peak = len(in_use)
+            if peak > self.peak_in_use:
+                self.peak_in_use = peak
+            else:
+                peak = None
+        if waited is not None or peak is not None:
+            if self._observing():
+                if peak is not None:
+                    self._in_use_gauge.set(peak)
+                if waited is not None:
+                    self._wait_histogram.record(waited)
         return connection
 
     def release(self, connection: Connection) -> None:
-        with self._cond:
-            if id(connection) not in self._owned:
-                raise DatabaseError(
-                    "releasing a connection not acquired from this pool"
-                )
-            if id(connection) not in self._in_use:
+        with self._lock:
+            key = id(connection)
+            in_use = self._in_use
+            if key not in in_use:
+                if key not in self._owned:
+                    raise DatabaseError(
+                        "releasing a connection not acquired from this pool"
+                    )
                 return  # double close: idempotent
             connection._lease += 1  # outstanding cursors go stale
-            self._in_use.remove(id(connection))
-            self._idle.append(connection)
-            self._cond.notify()
-            in_use_now = len(self._in_use)
-        if self._observing():
-            self._in_use_gauge.set(in_use_now)
+            in_use.remove(key)
+            idle = self._idle
+            idle.append(connection)
+            if len(idle) == 1:
+                self._cond.notify()  # the pool was empty: wake a waiter
 
     def _is_leased(self, connection: Connection) -> bool:
-        with self._cond:
+        with self._lock:
             return id(connection) in self._in_use
 
     @property
     def in_use(self) -> int:
-        with self._cond:
+        with self._lock:
             return len(self._in_use)
 
     def wait_stats(self) -> dict:
-        """Pool-pressure counters for experiment reports."""
-        with self._cond:
-            return {
+        """Pool-pressure counters for experiment reports (and the
+        ``rdb.pool`` collector, which also brings the ``rdb.pool.in_use``
+        gauge up to date)."""
+        with self._lock:
+            stats = {
                 "size": self.size,
                 "in_use": len(self._in_use),
                 "acquired_total": self.acquired_total,
@@ -269,3 +291,6 @@ class ConnectionPool:
                 "total_wait_seconds": self.total_wait_seconds,
                 "exhausted_failures": self.exhausted_failures,
             }
+        if self._in_use_gauge is not None:
+            self._in_use_gauge.set(stats["in_use"])
+        return stats

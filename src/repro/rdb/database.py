@@ -35,7 +35,7 @@ from repro.rdb.sqlparser import (
     parse_sql,
 )
 from repro.obs.slowlog import SlowQueryLog
-from repro.obs.trace import current_span
+from repro.obs.trace import current_span_var
 from repro.rdb.statistics import TableStatistics, collect_statistics
 from repro.rdb.storage import TableStore
 from repro.rdb.wal import (
@@ -103,11 +103,15 @@ class DatabaseStats(AtomicCounters):
     def reset(self) -> None:
         self.__init__()  # every counter back to its declared default
 
-    def count_select(self, plan: SelectPlan, returned: int) -> None:
-        """One executed SELECT, under one lock acquisition."""
+    def count_select(self, plan: SelectPlan, returned: int,
+                     reused: bool) -> None:
+        """One executed SELECT, under one lock acquisition; ``reused``
+        when its SQL text found the plan cache before parsing."""
         mode = plan.exec_mode
         with self._counter_lock:
             self.selects += 1
+            if reused:
+                self.prepared_reuse += 1
             if mode == "interpreted":
                 self.selects_interpreted += 1
             elif mode == "columnar":
@@ -389,7 +393,7 @@ class Database:
         obs = self.obs
         if obs is not None and obs.enabled:
             self._stmt_histogram.record(duration)
-        parent = current_span()
+        parent = current_span_var.get()
         slow = duration >= self.slow_log.threshold_seconds
         if parent is None and not slow:
             return
@@ -551,18 +555,18 @@ class Database:
         one dict probe before execution; a cached :class:`DmlPlan`
         carries its parsed UPDATE / DELETE.
         """
-        statement = sql
+        statement, generation = sql, -1
         if isinstance(sql, str):
             generation = self._plan_generation
             cached = self._cached_plan(sql)
             if isinstance(cached, SelectPlan):
-                self.stats.increment("prepared_reuse")
                 return self._execute_select(None, sql, params,
                                             cached, generation)
             statement = cached.statement if cached else parse_sql(sql)
         if isinstance(statement, Select):
             return self._execute_select(
-                statement, sql if isinstance(sql, str) else None, params
+                statement, sql if isinstance(sql, str) else None, params,
+                generation=generation,
             )
         kind = type(statement).__name__.lower()
         sql_text = sql if isinstance(sql, str) else kind
@@ -630,30 +634,35 @@ class Database:
                         generation: int = -1) -> ResultSet:
         """Execute a SELECT.  ``statement`` may be ``None`` when
         ``cache_key`` is the raw SQL text (the prepared-statement fast
-        path), whose caller already probed the cache: ``cached`` is
-        what it found at plan-cache ``generation``.  That plan runs only
-        if no plan was invalidated since; otherwise the cache is probed
-        again under the read lock and a miss re-parses the text, so a
-        stale hint can cost a parse but never a wrong or poisoned
-        plan."""
-        # Queued drift re-ANALYZEs (and growth checks, when the AST is in
-        # hand) run first — they need the write lock, which cannot be
-        # taken once we hold the read side below.
-        self.adaptive.preflight(statement)
+        path).  The cache is probed once, before the read lock — by the
+        caller when it passes ``generation`` (``cached`` is what it
+        found), else here: a plan found at plan-cache ``generation``
+        runs only if no plan was invalidated since; otherwise the cache
+        is probed again under the read lock and a miss re-parses the
+        text, so a stale hint can cost a parse but never a wrong or
+        poisoned plan."""
+        if generation < 0 and cache_key is not None:
+            generation = self._plan_generation
+            cached = self._cached_plan(cache_key)
+        # Queued drift re-ANALYZEs (and the growth check, when a plan is
+        # to be built) run first — they need the write lock, which cannot
+        # be taken once we hold the read side below.
+        self.adaptive.preflight(statement if cached is None else None)
         started = time.perf_counter()  # spans include the simulated wire
         if self.io_delay:
             time.sleep(self.io_delay)  # the wire, not the engine: no lock held
         rwlock = self._rwlock
         rwlock.acquire_read()
         try:
-            plan = cached if generation == self._plan_generation \
+            plan = cached if cached is not None \
+                and generation == self._plan_generation \
                 else self._plan(statement, cache_key)
             result = plan.execute(params)
         finally:
             rwlock.release_read()
         if cache_key is not None:
             self.adaptive.observe(cache_key, plan)
-        self.stats.count_select(plan, len(result))
+        self.stats.count_select(plan, len(result), statement is None)
         self._observe_statement(
             "select", started,
             cache_key or f"<select on {','.join(sorted(plan.tables))}>",
@@ -870,12 +879,15 @@ class Database:
         statement = parse_sql(sql)
         if not isinstance(statement, Select):
             raise QueryError(f"prepare() only accepts SELECT: {sql!r}")
+        default = mode is None and features is None  # the cached plan
         if mode != "seed":
-            # Growth-triggered (and queued drift) re-ANALYZE before
-            # planning, so bulk loads stop planning against empty-table
+            # Growth-triggered (and queued drift) re-ANALYZE before a
+            # plan build, so bulk loads stop planning against empty-table
             # statistics; the seed oracle stays out of the loop.
-            self.adaptive.preflight(statement)
-        if mode is None and features is None:
+            self.adaptive.preflight(
+                None if default and self._cached_plan(sql) else statement
+            )
+        if default:
             return self._plan(statement, sql)
         return self._note_plan_built(SelectPlan(
             statement, self.tables, mode=mode,

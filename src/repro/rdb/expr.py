@@ -181,12 +181,16 @@ COMPARISON_TESTS = {
 
 
 def between_test(value, low, high, negated):
+    """``low <= value AND value <= high`` in 3VL: one known-false side
+    decides, so ``5 NOT BETWEEN 7 AND NULL`` is TRUE."""
     low_sign = compare_values(value, low)
     high_sign = compare_values(value, high)
+    if low_sign is not None and low_sign < 0 \
+            or high_sign is not None and high_sign > 0:
+        return negated
     if low_sign is None or high_sign is None:
         return None
-    inside = low_sign >= 0 and high_sign <= 0
-    return not inside if negated else inside
+    return not negated
 
 
 def in_test(value, candidates, negated, *env):
@@ -456,10 +460,14 @@ class Between(Expr):
         value = self.operand.evaluate(scope, params)
         low_sign = compare_values(value, self.low.evaluate(scope, params))
         high_sign = compare_values(value, self.high.evaluate(scope, params))
+        # low <= value AND value <= high: a known-false side decides
+        below = low_sign is not None and low_sign < 0
+        above = high_sign is not None and high_sign > 0
+        if below or above:
+            return self.negated
         if low_sign is None or high_sign is None:
             return None
-        inside = low_sign >= 0 and high_sign <= 0
-        return not inside if self.negated else inside
+        return not self.negated
 
     def column_refs(self):
         return (

@@ -213,8 +213,7 @@ class RuntimeContext:
             result = self.database.query_statement(
                 select, params, cache_key=cache_key
             )
-            self.stats.increment("queries_executed")
-            self.stats.increment("batched_queries")
+            self.stats.increment_each("queries_executed", "batched_queries")
             return result
         finally:
             connection.close()

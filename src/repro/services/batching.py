@@ -265,6 +265,8 @@ def query_list_param(ctx, sql: str, params: dict) -> list | None:
     returned flat.  Returns ``None`` when no referenced parameter is
     list-valued — the caller runs its normal single query.
     """
+    if not any(isinstance(value, (list, tuple)) for value in params.values()):
+        return None  # no input is a list: nothing to batch, no AST walk
     select = _parsed(sql)
     listy = [
         name

@@ -35,10 +35,16 @@ class ReadWriteLock:
 
     New readers queue behind waiting writers, so a steady SELECT stream
     cannot starve operations.
+
+    Every state change happens under one plain :class:`threading.Lock`;
+    the :class:`threading.Condition` built on it is waited on only by a
+    thread that must queue, and notified only when one may be queued — an
+    uncontended read is one acquisition of that lock in and one out.
     """
 
     def __init__(self) -> None:
-        self._cond = threading.Condition()
+        self._lock = threading.Lock()
+        self._cond = threading.Condition(self._lock)
         self._readers: dict[int, int] = {}  # thread ident → recursion depth
         self._writer: int | None = None
         self._writer_depth = 0
@@ -48,32 +54,36 @@ class ReadWriteLock:
 
     def acquire_read(self) -> None:
         me = threading.get_ident()
-        with self._cond:
-            if self._writer == me or me in self._readers:
-                self._readers[me] = self._readers.get(me, 0) + 1
+        with self._lock:
+            readers = self._readers
+            if self._writer == me or me in readers:
+                readers[me] = readers.get(me, 0) + 1
                 return
             while self._writer is not None or self._writers_waiting:
                 self._cond.wait()
-            self._readers[me] = 1
+            readers[me] = 1
 
     def release_read(self) -> None:
         me = threading.get_ident()
-        with self._cond:
-            depth = self._readers.get(me)
+        with self._lock:
+            readers = self._readers
+            depth = readers.get(me)
             if depth is None:
                 raise RuntimeError("release_read() without acquire_read()")
             if depth > 1:
-                self._readers[me] = depth - 1
-            else:
-                del self._readers[me]
-                if not self._readers:
-                    self._cond.notify_all()
+                readers[me] = depth - 1
+                return
+            del readers[me]
+            # a reader only ever waits behind a writer, so the last
+            # reader out has someone to wake only if a writer is queued
+            if not readers and self._writers_waiting:
+                self._cond.notify_all()
 
     # -- write side -----------------------------------------------------------
 
     def acquire_write(self) -> None:
         me = threading.get_ident()
-        with self._cond:
+        with self._lock:
             if self._writer == me:
                 self._writer_depth += 1
                 return
@@ -92,7 +102,7 @@ class ReadWriteLock:
 
     def release_write(self) -> None:
         me = threading.get_ident()
-        with self._cond:
+        with self._lock:
             if self._writer != me:
                 raise RuntimeError("release_write() by a non-owner thread")
             self._writer_depth -= 1
@@ -122,15 +132,15 @@ class ReadWriteLock:
 
     @property
     def active_readers(self) -> int:
-        with self._cond:
+        with self._lock:
             return len(self._readers)
 
     def write_held_by_current_thread(self) -> bool:
-        with self._cond:
+        with self._lock:
             return self._writer == threading.get_ident()
 
     def held_by_writer(self) -> bool:
-        with self._cond:
+        with self._lock:
             return self._writer is not None
 
 
@@ -156,3 +166,9 @@ class AtomicCounters:
             value = getattr(self, counter) + by
             setattr(self, counter, value)
             return value
+
+    def increment_each(self, *counters: str) -> None:
+        """Bump each of ``counters`` by one, under one acquisition."""
+        with self._counter_lock:
+            for counter in counters:
+                setattr(self, counter, getattr(self, counter) + 1)

@@ -88,6 +88,274 @@ class TestReadWriteLock:
                 lock.acquire_write()
 
 
+class _ParkingCondition(threading.Condition):
+    """A condition that counts each thread parking in ``wait()``.  The
+    count is taken under the condition's lock, which ``wait()`` gives
+    up only as the thread parks — so a test that sees the count, then
+    takes the lock for its next step, knows the thread is parked."""
+
+    def __init__(self, lock) -> None:
+        super().__init__(lock)
+        self.parked = threading.Semaphore(0)
+
+    def wait(self, timeout=None):
+        self.parked.release()
+        return super().wait(timeout)
+
+
+#: a safety net for a broken primitive (the test fails instead of
+#: hanging); no test waits for time to pass
+HANG = 30.0
+
+
+def _joined(thread: threading.Thread) -> None:
+    thread.join(HANG)
+    assert not thread.is_alive()
+
+
+def _in_thread(target) -> tuple[threading.Thread, threading.Event]:
+    """Start ``target`` on a thread; the event is set once it returns."""
+    done = threading.Event()
+
+    def run():
+        target()
+        done.set()
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    return thread, done
+
+
+class TestReadWriteLockHandshakes:
+    """Writer preference and reentrancy, driven by events and the
+    lock's own parking — no sleeps, no timing thresholds."""
+
+    @staticmethod
+    def _lock() -> ReadWriteLock:
+        lock = ReadWriteLock()
+        lock._cond = _ParkingCondition(lock._lock)
+        return lock
+
+    @staticmethod
+    def _reader(lock):
+        """A thread that takes the read side, reports, and releases once
+        told; returns (thread, holding, release)."""
+        holding, release = threading.Event(), threading.Event()
+
+        def run():
+            lock.acquire_read()
+            holding.set()
+            release.wait(HANG)
+            lock.release_read()
+
+        thread = threading.Thread(target=run, daemon=True)
+        thread.start()
+        assert holding.wait(HANG)
+        return thread, release
+
+    def test_queued_writer_wakes_when_the_last_reader_leaves(self):
+        lock = self._lock()
+        first, release_first = self._reader(lock)
+        second, release_second = self._reader(lock)
+        writer, written = _in_thread(lambda: (lock.acquire_write(),
+                                              lock.release_write()))
+        assert lock._cond.parked.acquire(timeout=HANG)  # writer queued
+        release_first.set()
+        _joined(first)
+        assert lock.active_readers == 1 and not written.is_set()
+        release_second.set()
+        assert written.wait(HANG)
+        _joined(writer)
+        assert lock.active_readers == 0 and not lock.held_by_writer()
+
+    def test_new_reader_queues_behind_a_waiting_writer(self):
+        lock = self._lock()
+        holder, release_holder = self._reader(lock)
+        order: list[str] = []
+        writer_in, writer_release = threading.Event(), threading.Event()
+
+        def write():
+            lock.acquire_write()
+            order.append("writer")
+            writer_in.set()
+            writer_release.wait(HANG)
+            lock.release_write()
+
+        def read():
+            lock.acquire_read()
+            order.append("reader")
+            lock.release_read()
+
+        writer, _ = _in_thread(write)
+        assert lock._cond.parked.acquire(timeout=HANG)  # writer queued
+        reader, read_done = _in_thread(read)
+        assert lock._cond.parked.acquire(timeout=HANG)  # reader queued
+        assert order == [] and lock.active_readers == 1
+        release_holder.set()
+        _joined(holder)
+        assert writer_in.wait(HANG)  # the writer goes first ...
+        assert order == ["writer"] and not read_done.is_set()
+        writer_release.set()
+        assert read_done.wait(HANG)  # ... then the queued reader
+        assert order == ["writer", "reader"]
+        _joined(writer)
+        _joined(reader)
+
+    def test_reentrant_read_under_a_waiting_writer(self):
+        lock = self._lock()
+        reentered, release = threading.Event(), threading.Event()
+        writer_started = threading.Event()
+
+        def read_twice():
+            lock.acquire_read()
+            writer_started.wait(HANG)
+            assert lock._cond.parked.acquire(timeout=HANG)  # writer queued
+            lock.acquire_read()  # must not queue behind the writer
+            reentered.set()
+            release.wait(HANG)
+            lock.release_read()
+            lock.release_read()
+
+        reader, read_done = _in_thread(read_twice)
+        writer, written = _in_thread(lambda: (writer_started.set(),
+                                              lock.acquire_write(),
+                                              lock.release_write()))
+        assert reentered.wait(HANG)
+        assert not written.is_set()
+        release.set()
+        assert read_done.wait(HANG) and written.wait(HANG)
+        _joined(reader)
+        _joined(writer)
+
+
+class TestConnectionPoolHandshakes:
+    """The pool's blocking, failing and gauge paths, driven by its own
+    parking — no sleeps, no timing thresholds."""
+
+    @staticmethod
+    def _pool(size: int) -> ConnectionPool:
+        pool = ConnectionPool(Database(), size=size)
+        pool._cond = _ParkingCondition(pool._lock)
+        return pool
+
+    def test_blocked_acquirer_wakes_on_release(self):
+        pool = self._pool(1)
+        held = pool.acquire()
+        got = []
+        waiter, done = _in_thread(lambda: got.append(pool.acquire()))
+        assert pool._cond.parked.acquire(timeout=HANG)
+        assert not got and pool.in_use == 1
+        held.close()
+        assert done.wait(HANG)
+        _joined(waiter)
+        assert got == [held]  # the one connection, leased again
+        stats = pool.wait_stats()
+        assert stats["wait_count"] == 1 and stats["exhausted_failures"] == 0
+        assert stats["in_use"] == 1
+
+    def test_back_to_back_releases_wake_every_waiter(self):
+        pool = self._pool(2)
+        held = [pool.acquire(), pool.acquire()]
+        got = []
+        waiters = [_in_thread(lambda: got.append(pool.acquire()))
+                   for _ in range(2)]
+        for _ in waiters:
+            assert pool._cond.parked.acquire(timeout=HANG)
+        # back to back: the first release wakes one waiter, which
+        # passes the wake-up on when it finds the second connection
+        for connection in held:
+            connection.close()
+        for thread, done in waiters:
+            assert done.wait(HANG)
+            _joined(thread)
+        assert sorted(map(id, got)) == sorted(map(id, held))
+        assert pool.in_use == 2 and pool.wait_stats()["wait_count"] == 2
+
+    def test_timeout_zero_fails_fast_and_counts(self):
+        pool = self._pool(1)
+        held = pool.acquire()
+        with pytest.raises(DatabaseError, match="exhausted"):
+            pool.acquire(timeout=0)
+        stats = pool.wait_stats()
+        assert stats["exhausted_failures"] == 1
+        assert stats["wait_count"] == 1
+        assert stats["in_use"] == 1
+        held.close()
+        pool.acquire(timeout=0).close()  # a free connection needs no wait
+        assert pool.wait_stats()["exhausted_failures"] == 1
+
+    def test_in_use_gauge_is_right_at_scrape_time(self):
+        from repro.obs import Observability
+
+        pool = self._pool(4)
+        obs = Observability()
+        pool.bind_observability(obs)
+
+        def gauge() -> dict:
+            return obs.metrics.snapshot()["gauges"]["rdb.pool.in_use"]
+
+        leased = [pool.acquire() for _ in range(3)]
+        assert gauge() == {"value": 3, "max": 3}
+        leased.pop().close()
+        leased.pop().close()
+        assert gauge() == {"value": 1, "max": 3}
+        leased.append(pool.acquire())
+        assert gauge() == {"value": 2, "max": 3}
+        for connection in leased:
+            connection.close()
+        assert gauge() == {"value": 0, "max": 3}
+        assert pool.wait_stats()["peak_in_use"] == 3
+
+
+class TestLockFastPathsUnderPreemption:
+    """More threads than cores, the interpreter switching threads every
+    microsecond: a lost wake-up hangs a worker (the join fails), a lost
+    update breaks a count or the writer's pair invariant."""
+
+    def test_pool_and_rwlock_lose_nothing(self):
+        import sys
+
+        pool = ConnectionPool(Database(), size=2)
+        lock = ReadWriteLock()
+        pair = [0, 0]  # written together under the write side
+        torn = []
+        rounds, workers = 300, 6
+
+        def work(index):
+            for i in range(rounds):
+                connection = pool.acquire(timeout=HANG)
+                try:
+                    if (index + i) % 5 == 0:
+                        with lock.write_locked():
+                            pair[0] += 1
+                            pair[1] += 1
+                    else:
+                        with lock.read_locked():
+                            with lock.read_locked():  # reentrant
+                                if pair[0] != pair[1]:
+                                    torn.append(tuple(pair))
+                finally:
+                    connection.close()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(n,), daemon=True)
+                       for n in range(workers)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                _joined(thread)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not torn
+        assert pair[0] == pair[1] == workers * rounds // 5
+        stats = pool.wait_stats()
+        assert stats["acquired_total"] == workers * rounds
+        assert stats["in_use"] == 0 and stats["peak_in_use"] == 2
+        assert lock.active_readers == 0 and not lock.held_by_writer()
+
+
 @pytest.fixture
 def counter_db() -> Database:
     db = Database()

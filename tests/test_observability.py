@@ -348,6 +348,9 @@ class TestStatusEndpoint:
         assert "rdb.statement_seconds" in response.body
 
     def test_json_rendition(self, acm_app):
+        # pinned: under the default wall-clock threshold a descheduled
+        # statement on a loaded host would count as slow
+        acm_app.database.slow_log.threshold_seconds = 3600.0
         acm_app.get(acm_app.page_url("public", "Volumes"))
         response = acm_app.get("/_status?format=json")
         assert response.content_type == "application/json"

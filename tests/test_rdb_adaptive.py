@@ -6,8 +6,10 @@ A hypothesis oracle force-poisons the selectivity memory with extreme
 corrections and holds every execution mode to byte-identical results;
 unit tests pin the q-error window arithmetic, the hysteresis guards
 (cooldown, replan budget) under an oscillating workload, ledger safety
-under concurrent appends, growth-triggered auto-ANALYZE, and the
-ANALYZE/column-store sync guard.
+under concurrent appends, growth-triggered auto-ANALYZE, the
+ANALYZE/column-store sync guard, feedback sampling (a settled ledger
+learns from every 2^k-th execution and drift still replans within
+E22's window) and the memory's bound.
 """
 
 from __future__ import annotations
@@ -17,8 +19,10 @@ import threading
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.rdb import Database
+from repro.rdb import Database, adaptive
 from repro.rdb.adaptive import (
+    FEEDBACK_CAP,
+    MAX_SAMPLE_SHIFT,
     MIN_OBSERVATIONS,
     WINDOW_SIZE,
     CardinalityFeedback,
@@ -149,6 +153,59 @@ def test_selectivity_memory_ewma_and_clamp():
     assert memory.records == 3
 
 
+def test_settled_ledger_doubles_its_stride_up_to_the_cap():
+    ledger = CardinalityFeedback("q")
+    for _ in range(WINDOW_SIZE - 1):
+        ledger.record(10, 10, 1.0)
+        ledger.pace(1.0, 4.0)
+        assert ledger.stride == 1  # the window is not full yet
+    strides = []
+    for _ in range(MAX_SAMPLE_SHIFT + 2):
+        ledger.record(10, 10, 1.0)
+        ledger.pace(1.0, 4.0)
+        strides.append(ledger.stride)
+        assert ledger.skip == ledger.stride - 1
+    cap = 1 << MAX_SAMPLE_SHIFT
+    assert strides == [min(2 ** n, cap) for n in range(1, MAX_SAMPLE_SHIFT + 3)]
+    # one sampled q-error above threshold: every execution again
+    ledger.record(10, 100, 10.0)
+    ledger.pace(10.0, 4.0)
+    assert (ledger.stride, ledger.skip) == (1, 0)
+    # a replan resets it; the refilled window settles it again
+    for _ in range(WINDOW_SIZE):
+        ledger.record(10, 10, 1.0)
+        ledger.pace(1.0, 4.0)
+    assert ledger.stride > 1
+    ledger.note_replanned(cooldown=3)
+    assert (ledger.stride, ledger.skip) == (1, 0)
+    for _ in range(WINDOW_SIZE):
+        ledger.record(10, 10, 1.0)
+        ledger.pace(1.0, 4.0)
+    assert ledger.cooldown == 0 and ledger.stride == 2
+    # no doubling while a cooldown runs
+    ledger.cooldown = 5
+    ledger.record(10, 10, 1.0)
+    ledger.pace(1.0, 4.0)
+    assert ledger.stride == 2
+
+
+def test_selectivity_memory_is_bounded_least_recently_observed_out(
+        monkeypatch):
+    monkeypatch.setattr(adaptive, "FEEDBACK_CAP", 3)
+    memory = SelectivityMemory()
+    for column in "abc":
+        memory.observe("t", ("eq", column), 0.5)
+    memory.observe("t", ("eq", "a"), 0.25)  # "a" is now the freshest
+    memory.observe("t", ("eq", "d"), 0.5)   # "b" goes
+    assert list(memory.corrections) == [
+        ("t", "eq", "c"), ("t", "eq", "a"), ("t", "eq", "d"),
+    ]
+    assert list(memory.samples) == list(memory.corrections)
+    assert memory.samples[("t", "eq", "a")] == 2
+    assert memory.selectivity("t", ("eq", "b")) is None
+    assert memory.selectivity("t", ("eq", "a")) == 0.375
+
+
 # -- the end-to-end loop ----------------------------------------------------
 
 
@@ -213,6 +270,112 @@ def test_oscillating_workload_is_bounded_by_cooldown_and_budget():
     assert counters["replans"] <= adaptive.max_replans
     assert counters["cooldown_suppressed"] >= 1
     assert counters["replan_budget_exhausted"] >= 1
+
+
+def _cheap_lookup() -> tuple[Database, str]:
+    db = _catalogue()
+    return db, "SELECT title FROM book WHERE oid = :o"
+
+
+def test_a_settled_plan_learns_from_sampled_executions_only():
+    db, sql = _cheap_lookup()
+    for i in range(100):
+        db.query(sql, {"o": i % 60 + 1})
+    counters = db.adaptive.counters
+    ledger = db.adaptive.ledgers[sql]
+    assert counters["observations"] == ledger.executions == 100
+    # the first WINDOW_SIZE executions fill the window; each sample after
+    # that doubles the stride up to 2**MAX_SAMPLE_SHIFT
+    cap = 1 << MAX_SAMPLE_SHIFT
+    learned, executed, stride = WINDOW_SIZE, WINDOW_SIZE, 2
+    while executed + stride <= 100:
+        executed += stride
+        learned += 1
+        stride = min(stride * 2, cap)
+    assert counters["learned"] == learned < 100
+    assert ledger.stride == cap
+    assert len(ledger.window) == WINDOW_SIZE
+    assert db.stats.selects == 100
+
+
+def test_drift_under_sampling_replans_within_e22_window():
+    """A plan sampled at the widest stride still replans within
+    2**MAX_SAMPLE_SHIFT + MIN_OBSERVATIONS executions of a drift — the
+    12 E22 allows."""
+    assert (1 << MAX_SAMPLE_SHIFT) + MIN_OBSERVATIONS <= 12
+    db = _skewed_sales(hot=0)
+    for _ in range(60):
+        db.query(SALE_QUERY, {"r": "r-01"})
+    ledger = db.adaptive.ledgers[SALE_QUERY]
+    assert ledger.stride == 1 << MAX_SAMPLE_SHIFT
+    assert db.adaptive.counters["replans"] == 0
+    for i in range(1200):
+        db.insert_row("sale", {"region": "hot", "amount": float(i % 9)})
+    want = None
+    for executed in range(1, 13):
+        got = db.query(SALE_QUERY, {"r": "hot"}).as_tuples()
+        assert want is None or got == want
+        want = got
+        if db.adaptive.counters["replans"]:
+            break
+    assert db.adaptive.counters["replans"] == 1, executed
+    assert ledger.stride == 1
+
+
+def test_reanalyze_puts_every_ledger_back_to_every_execution():
+    db, sql = _cheap_lookup()
+    for i in range(40):
+        db.query(sql, {"o": i + 1})
+    ledger = db.adaptive.ledgers[sql]
+    assert ledger.stride > 1
+    db.adaptive._reanalyze("book", "reanalyzes")
+    assert (ledger.stride, ledger.skip) == (1, 0)
+    assert db.adaptive.counters["reanalyzes"] == 1
+
+
+def test_growth_is_checked_when_a_plan_is_built_on_both_paths():
+    """The SQL-text path and the AST path (the batch loader's
+    ``query_statement``) check table growth only when they build a
+    plan; a cached plan runs as it is until something rebuilds it."""
+    from repro.rdb.sqlparser import parse_select
+
+    db = Database()
+    db.execute(
+        "CREATE TABLE t (oid INTEGER NOT NULL AUTOINCREMENT,"
+        " v INTEGER NOT NULL, PRIMARY KEY (oid))"
+    )
+    for i in range(50):
+        db.insert_row("t", {"v": i})
+    db.analyze()
+    text = "SELECT v FROM t WHERE v = :v"
+    ast_sql = "SELECT v FROM t WHERE v < :v"
+    db.query(text, {"v": 1})
+    db.query_statement(parse_select(ast_sql), {"v": 1}, cache_key=ast_sql)
+    for i in range(150):  # > GROWTH_DRIFT x the snapshot
+        db.insert_row("t", {"v": i})
+    db.query(text, {"v": 1})
+    db.query_statement(parse_select(ast_sql), {"v": 1}, cache_key=ast_sql)
+    assert db.adaptive.counters["growth_reanalyzes"] == 0
+    # a plan build on the AST path sees the growth
+    db.query_statement(parse_select(ast_sql), {"v": 1}, cache_key="other")
+    assert db.adaptive.counters["growth_reanalyzes"] == 1
+    assert db.tables["t"].statistics.row_count == 200
+
+
+def test_ad_hoc_statements_keep_the_memory_within_its_cap():
+    """One statement per value: each learns its own set and conjunct
+    keys (3 001 entries without the cap)."""
+    db = _catalogue()
+    for n in range(1500):
+        db.query(f"SELECT title FROM book WHERE price > {n}.5")
+    stats = db.adaptive.stats()
+    assert stats["feedback_cap"] == FEEDBACK_CAP < 3001
+    assert stats["feedback_entries"] == FEEDBACK_CAP
+    assert len(db.adaptive.memory.samples) == FEEDBACK_CAP
+    # the newest statement's corrections are the ones kept
+    newest = db.prepare("SELECT title FROM book WHERE price > 1499.5")
+    for table, key in scan_correction_keys(newest.root):
+        assert db.adaptive.memory.selectivity(table, key) is not None
 
 
 def test_growth_triggers_auto_analyze_at_prepare():
@@ -414,3 +577,25 @@ class TestPoisonedMemoryOracle:
                 assert got.as_tuples() == want.as_tuples()
         finally:
             memory.clear()
+
+
+@given(
+    shape=st.sampled_from(_SHAPES),
+    conjuncts=st.lists(st.sampled_from(_PREDICATES), max_size=2,
+                       unique=True),
+    poison=st.sampled_from([1e-4, 0.5, 0.9999]),
+)
+@settings(max_examples=60, deadline=None)
+def test_a_capped_memory_still_passes_the_poisoned_memory_oracle(
+        shape, conjuncts, poison):
+    """The oracle's own body, with a memory that holds three
+    corrections: a poisoned entry evicted before the rebuild prices from
+    statistics, a kept one from the poison — neither changes an answer."""
+    oracle = TestPoisonedMemoryOracle.test_extreme_corrections_never_change_results
+    cap, adaptive.FEEDBACK_CAP = adaptive.FEEDBACK_CAP, 3
+    try:
+        oracle.hypothesis.inner_test(
+            TestPoisonedMemoryOracle(), shape, conjuncts, poison
+        )
+    finally:
+        adaptive.FEEDBACK_CAP = cap

@@ -19,7 +19,9 @@ LEFT join sets: a WHERE conjunct on the null-padded side, and an inner
 join keyed on a left-joined binding.  ``TestProbedOrderAgainstSqlite``
 orders the rows of an ``IN`` / ``=`` index probe, ASC and DESC, over a
 catalogue whose row-id order is not key order, with ties on a NOT NULL
-non-unique column.
+non-unique column.  ``TestBetweenAgainstSqlite`` puts a NULL in each
+bound position of ``[NOT] BETWEEN``, literal and parameter, through
+every execution mode.
 
 Comparison: as ordered lists where the ORDER BY is total (it names
 ``oid`` or the unique ``title``; a join is ordered by every binding's
@@ -78,6 +80,7 @@ from hypothesis import strategies as st
 
 from repro.errors import QueryError
 from repro.rdb import Database
+from repro.rdb.planner import MODES
 from tests.test_rdb_compile_oracle import (
     _JOIN_PREDICATES,
     _PREDICATES,
@@ -448,3 +451,56 @@ class TestLikeAgainstSqlite:
             bare = f"SELECT oid FROM t WHERE s {operator} {rhs}{tail}"
             assert sorted(db.query(bare, params).as_tuples()) \
                 == sorted(lite.execute(bare, params).fetchall()), bare
+
+
+class TestBetweenAgainstSqlite:
+    """``v [NOT] BETWEEN low AND high`` is ``low <= v AND v <= high`` in
+    3VL: with one NULL bound the other side can still be known FALSE,
+    so ``v NOT BETWEEN 3 AND NULL`` keeps the rows with ``v < 3``.  Held
+    to SQLite in every mode, indexed and not, as a filter and as a
+    projected verdict."""
+
+    _BOUNDS = [(3, 5), (3, None), (None, 5), (None, None)]
+
+    @staticmethod
+    def _pair(indexed: bool):
+        db = Database()
+        db.execute("CREATE TABLE t (oid INTEGER NOT NULL AUTOINCREMENT,"
+                   " v INTEGER, PRIMARY KEY (oid))")
+        if indexed:
+            db.execute("CREATE INDEX ix_t_v ON t (v)")
+        lite = sqlite3.connect(":memory:")
+        lite.execute("CREATE TABLE t (oid INTEGER PRIMARY KEY, v INTEGER)")
+        values = [1, 2, 3, 4, 5, 6, 7, None, 2, 6]
+        for value in values:
+            db.insert_row("t", {"v": value})
+        lite.executemany("INSERT INTO t (v) VALUES (?)",
+                         [(value,) for value in values])
+        db.analyze()
+        return db, lite
+
+    @pytest.mark.parametrize("indexed", [False, True])
+    @pytest.mark.parametrize("negated", [False, True])
+    @pytest.mark.parametrize("low,high", _BOUNDS)
+    def test_null_bounds(self, indexed, negated, low, high):
+        db, lite = self._pair(indexed)
+        operator = "NOT BETWEEN" if negated else "BETWEEN"
+
+        def literal(value):
+            return "NULL" if value is None else str(value)
+
+        forms = [(f"{literal(low)} AND {literal(high)}", {}),
+                 (":lo AND :hi", {"lo": low, "hi": high})]
+        for bounds, params in forms:
+            test = f"v {operator} {bounds}"
+            for sql in (f"SELECT oid FROM t WHERE {test} ORDER BY oid",
+                        f"SELECT oid, {test} AS b FROM t ORDER BY oid"):
+                want = [tuple(None if x is None else int(x) for x in row)
+                        for row in lite.execute(sql, params)]
+                for mode in MODES:
+                    got = [
+                        tuple(None if x is None else int(x) for x in row)
+                        for row in db.prepare(sql, mode=mode)
+                        .execute(params).as_tuples()
+                    ]
+                    assert got == want, (mode, sql, params)

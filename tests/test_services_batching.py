@@ -192,6 +192,27 @@ class TestListValuedInputs:
         )
         assert rows is None
 
+    def test_scalar_inputs_walk_no_ast(self, acm_app, acm_oids,
+                                       monkeypatch):
+        """No input is a list: ``None`` before the statement's AST is
+        walked for its parameters (the Paper details author index runs
+        this on every request)."""
+        from repro.services import batching
+
+        walked = []
+        real = batching._subexpressions
+        monkeypatch.setattr(
+            batching, "_subexpressions",
+            lambda expr: walked.append(expr) or real(expr),
+        )
+        sql = "SELECT oid FROM paper WHERE issue_to_paper_oid = :parent"
+        scalar = {"parent": acm_oids["issues"][0], "other": "x"}
+        assert query_list_param(acm_app.ctx, sql, scalar) is None
+        assert walked == []
+        listed = {"parent": acm_oids["issues"][:2]}
+        assert query_list_param(acm_app.ctx, sql, listed) is not None
+        assert walked  # the counter does see a walk
+
     def test_empty_list_returns_no_rows(self, acm_app):
         rows = query_list_param(
             acm_app.ctx,
