@@ -22,6 +22,9 @@ class CacheStats(AtomicCounters):
     #: lookups that waited for another thread's in-flight computation
     #: instead of recomputing (single-flight stampede protection)
     coalesced: int = 0
+    #: misses a full level built without storing: a key's first miss
+    #: once storing it means evicting (see ``DependencyCache.admit``)
+    refused: int = 0
 
     @property
     def lookups(self) -> int:
@@ -42,6 +45,7 @@ class CacheStats(AtomicCounters):
             "evictions": self.evictions,
             "expirations": self.expirations,
             "coalesced": self.coalesced,
+            "refused": self.refused,
         }
 
     def reset(self) -> None:
@@ -52,3 +56,4 @@ class CacheStats(AtomicCounters):
         self.evictions = 0
         self.expirations = 0
         self.coalesced = 0
+        self.refused = 0

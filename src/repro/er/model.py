@@ -242,6 +242,11 @@ class ERModel:
                     continue
                 if role in names_seen:
                     problems.append(f"duplicate relationship role name {role!r}")
+                if self.has_entity(role):
+                    # one dependency-key space holds entity and role names
+                    problems.append(
+                        f"relationship role name {role!r} is an entity name"
+                    )
                 names_seen.add(role)
         if problems:
             raise ValidationError(problems)

@@ -472,7 +472,9 @@ class FrontController:
         the stored entry) and the finished body is stored unless an
         invalidation raced the build (generation guard).  Closing the
         iterator early — a client disconnect — releases the slot
-        without storing.
+        without storing.  A page the full cache does not admit
+        (:meth:`~repro.caching.core.DependencyCache.admit`) streams
+        with no slot and stores nothing.
 
         The chunk generator is where a streamed request is observed:
         whichever thread runs its ``next()`` calls opens the trace (if
@@ -501,6 +503,8 @@ class FrontController:
             return None  # no template for the page: the buffered path 500s
         key = state.page_key
         cache = self.page_cache
+        if key is not None and not cache.admit(key):
+            key = None  # a full cache's first miss: stream, store nothing
         if key is not None:
             if not cache.begin_flight(key):
                 return None  # another request is building: wait for it

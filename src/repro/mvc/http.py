@@ -127,11 +127,18 @@ def build_url(path: str, params: dict | None = None) -> str:
     """
     if not params:
         return path
-    encoded = urlencode(
+    encoded = encode_query(params)
+    return f"{path}?{encoded}" if encoded else path
+
+
+def encode_query(params: dict) -> str:
+    """:func:`build_url`'s query string (no ``?``): ``None`` values
+    skipped, lists doseq.  The query of a merged dict is the ``&``-join
+    of its parts' non-empty queries, in order."""
+    return urlencode(
         [(k, v) for k, v in params.items() if v is not None],
         quote_via=quote, doseq=True,
     )
-    return f"{path}?{encoded}" if encoded else path
 
 
 class Session:

@@ -31,7 +31,7 @@ import json
 
 from repro.descriptors import PageDescriptor
 from repro.errors import TemplateRenderError
-from repro.mvc.http import build_url
+from repro.mvc.http import encode_query
 from repro.obs import span
 from repro.presentation.tags import MappingsMemo, bind_tag, renderer_for_tag
 from repro.services.page_service import PageResult
@@ -67,12 +67,23 @@ class RenderContext:
             if t.source_unit_id == unit_id
         ]
 
-    def same_page_url(self, extra_params: dict) -> str:
-        """The current page's URL with parameters merged (scrollers)."""
+    def same_page_urls(self, name: str, values) -> list[str]:
+        """The current page's URL with parameter ``name`` set to each of
+        ``values`` (the scroller's block links): ``build_url`` of the
+        request's parameters updated with ``{name: value}``, the other
+        parameters encoded once."""
         path = self.controller.path_of_page(self.page_result.page_id)
-        params = dict(self.request.params) if self.request is not None else {}
-        params.update(extra_params)
-        return build_url(path, params)
+        params = self.request.params if self.request is not None else {}
+        names = list(params)
+        # an update keeps an existing parameter's position
+        at = names.index(name) if name in params else len(names)
+        head = encode_query({key: params[key] for key in names[:at]})
+        tail = encode_query({key: params[key] for key in names[at + 1:]})
+        return [
+            f"{path}?" + "&".join(filter(None, (
+                head, encode_query({name: value}), tail)))
+            for value in values
+        ]
 
 
 def _bean_digest(unit_id: str, bean, request=None) -> tuple:

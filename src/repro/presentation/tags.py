@@ -263,13 +263,11 @@ def write_scroller(out: list, bean: UnitBean, bound: BoundTag,
     if bean.block_count and bean.block_count > 1:
         current = bean.block or 1
         out.append('<p class="scroller-nav">')
-        for label, block in (
-            ("first", 1),
-            ("prev", max(1, current - 1)),
-            ("next", min(bean.block_count, current + 1)),
-            ("last", bean.block_count),
-        ):
-            href = context.same_page_url({f"{bean.unit_id}.block": str(block)})
+        hrefs = context.same_page_urls(f"{bean.unit_id}.block", (
+            "1", str(max(1, current - 1)),
+            str(min(bean.block_count, current + 1)), str(bean.block_count),
+        ))
+        for label, href in zip(("first", "prev", "next", "last"), hrefs):
             out.append(f'<a href="{escape_attr(href)}" '
                        f'class="scroll-{label}">{label}</a>')
         out.append(f'<span class="scroll-pos">block {current}/'

@@ -3,6 +3,8 @@ cache level (page, fragment, bean) must pass, what each level adds, and
 the end-to-end behaviour that operations invalidate exactly the
 dependent beans."""
 
+import random
+import sys
 import threading
 
 import pytest
@@ -378,6 +380,86 @@ class TestSingleFlightConformance:
         assert cache.stats.puts == 0
 
 
+class TestAdmissionConformance:
+    """Step 0 of the flight protocol: a level with room admits every
+    miss; a full level — where storing means evicting — stores a key
+    only on its second miss."""
+
+    def _full(self, level, capacity=2):
+        cache = level.make(max_entries=capacity)
+        for position in range(capacity):
+            level.put(f"old{position}", f"v{position}")
+        return cache
+
+    def test_a_level_with_room_admits_a_first_miss(self, level):
+        cache = level.make(max_entries=2)
+        level.put("old0", "v0")
+        assert level.build("k", lambda: "built") == "built"
+        assert cache.stats.refused == 0 and cache.stats.puts == 2
+        assert level.get("k") == "built"
+
+    def test_a_full_level_refuses_a_first_miss(self, level):
+        cache = self._full(level)
+        assert level.build("k", lambda: "built") == "built"
+        stats = cache.stats
+        assert (stats.misses, stats.refused) == (1, 1)
+        assert (stats.puts, stats.evictions) == (2, 0)
+        assert not cache._in_flight  # never claimed
+        assert level.get("old0") == "v0" and level.get("old1") == "v1"
+        assert level.get("k") is None and len(cache) == 2
+
+    def test_the_second_miss_is_stored_and_evicts_the_lru_entry(self, level):
+        cache = self._full(level)
+        level.get("old0")  # old1 is now least recently used
+        assert level.build("k", lambda: "first") == "first"
+        assert level.build("k", lambda: "second") == "second"
+        stats = cache.stats
+        assert (stats.misses, stats.refused, stats.evictions) == (2, 1, 1)
+        assert level.get("k") == "second" and level.get("old0") == "v0"
+        assert level.get("old1") is None
+
+    def test_the_refusal_memory_never_exceeds_the_cap(self, level):
+        cache = self._full(level, capacity=3)
+        for position in range(20):
+            assert level.build(f"new{position}", lambda: "x") == "x"
+            status = cache.status()
+            assert status["admission_memory"] <= status["max_entries"] == 3
+        assert cache.stats.refused == 20 and cache.stats.puts == 3
+        assert len(cache) == 3
+
+    def test_admission_holds_its_bounds_under_contention(self, level):
+        """More threads than cores on a full level, switching often:
+        every call still ends as one hit or one miss, and neither the
+        store nor the refusal memory outgrows the cap."""
+        cache = self._full(level, capacity=4)
+        threads, calls = 8, 300
+        results = []
+
+        def work(seed):
+            rng = random.Random(seed)
+            results.extend(level.build(f"k{rng.randrange(12)}", lambda: "x")
+                           for _ in range(calls))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            workers = [threading.Thread(target=work, args=(seed,))
+                       for seed in range(threads)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert results == ["x"] * (threads * calls)
+        stats, status = cache.stats, cache.status()
+        assert stats.hits + stats.misses == threads * calls
+        assert 0 < stats.refused <= stats.misses
+        assert status["entries"] <= 4 and status["admission_memory"] <= 4
+        assert not cache._in_flight
+
+
 # -- level-specific behaviour ---------------------------------------------------
 
 
@@ -582,6 +664,14 @@ class TestEndToEndCaching:
         assert status["dependency_keys"] == 1  # ("Volume", *)
         assert status["hits"] == cache.stats.hits
 
+    def test_status_reports_admission_memory_beside_the_cap(self):
+        app, cache = self._cached_app()
+        Browser(app).get("/")
+        status = app.ctx.obs.metrics.snapshot()["external"]["cache.bean"]
+        assert status["max_entries"] == cache.max_entries
+        assert status["admission_memory"] == 0  # never full
+        assert status["refused"] == 0
+
     def test_unrelated_write_keeps_cache(self):
         app, cache = self._cached_app()
         browser = Browser(app)
@@ -624,3 +714,54 @@ class TestEndToEndCaching:
         browser.get("/")
         assert fragment_cache.stats.hits == 1  # markup generation spared
         assert app.ctx.stats.queries_executed == 2  # queries NOT spared
+
+
+class TestStreamedAdmission:
+    """The chunk-streamed page drives the flight steps itself, admission
+    included: a page a full page cache refuses streams with no flight
+    and stores nothing; its next miss streams into the store."""
+
+    def _app(self):
+        from repro.codegen import generate_project
+        from repro.presentation import PresentationRenderer
+        from repro.presentation.renderer import default_stylesheet
+        from repro.workloads.acm import build_acm_model, seed_acm_data
+
+        model = build_acm_model()
+        project = generate_project(model)
+        renderer = PresentationRenderer(project.skeletons,
+                                        default_stylesheet("ACM"))
+        app = WebApplication(model, view_renderer=renderer,
+                             page_cache=PageCache(max_entries=1))
+        seed_acm_data(app, volumes=2, issues_per_volume=1,
+                      papers_per_issue=1)
+        return app
+
+    def _stream(self, app, oid):
+        from repro.httpcore import StreamedPage
+        from repro.mvc.http import HttpRequest
+
+        unit = (app.model.find_site_view("public")
+                .find_page("Volume Page").unit("Volume data"))
+        url = app.page_url("public", "Volume Page", {f"{unit.id}.oid": oid})
+        state = app.front.begin(HttpRequest.from_url(url), peek=True)
+        streamed = app.front.complete(state, stream=True)
+        assert isinstance(streamed, StreamedPage)
+        in_flight = []
+        for chunk in streamed.chunks:
+            in_flight.append(bool(app.page_cache._in_flight))
+        return state.page_key, any(in_flight)
+
+    def test_a_refused_page_streams_without_flight_or_store(self):
+        app = self._app()
+        cache, stats = app.page_cache, app.page_cache.stats
+        first, claimed = self._stream(app, 1)
+        assert claimed and len(cache) == 1  # room: admitted and stored
+        second, claimed = self._stream(app, 2)
+        assert not claimed and stats.refused == 1
+        assert cache.peek(second) is None and cache.peek(first) is not None
+        _, claimed = self._stream(app, 2)  # the second miss is admitted
+        assert claimed and cache.peek(second) is not None
+        assert cache.peek(first) is None  # evicted by the admitted page
+        assert (stats.misses, stats.refused, stats.evictions) == (3, 1, 1)
+        assert not cache._in_flight

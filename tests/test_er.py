@@ -106,6 +106,19 @@ class TestModel:
         with pytest.raises(ValidationError, match="duplicate relationship role"):
             model.validate()
 
+    @pytest.mark.parametrize("inverse", [False, True])
+    def test_validation_role_named_like_an_entity(self, inverse):
+        model = ERModel()
+        model.entity("A", [])
+        model.entity("B", [])
+        model.add_relationship(Relationship(
+            "AtoB" if inverse else "B", "A", "B",
+            inverse_name="A" if inverse else "BtoA"))
+        name = "A" if inverse else "B"
+        with pytest.raises(ValidationError,
+                           match=f"role name '{name}' is an entity name"):
+            model.validate()
+
 
 class TestXmlPersistence:
     def test_roundtrip(self):

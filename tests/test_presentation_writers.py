@@ -277,6 +277,30 @@ def test_scroller_unit(bean_rows, block, block_count, params, navigation):
     assert nav.find("span").text() == f"block {current}/{block_count}"
 
 
+@given(params=st.dictionaries(texts, st.one_of(st.none(), texts,
+                                               st.lists(texts)), max_size=3),
+       position=st.integers(0, 3),
+       old_block=st.one_of(st.none(), texts, st.lists(texts)),
+       navigation=navigations(max_targets=0))
+def test_scroller_links_update_the_block_parameter_in_place(
+        params, position, old_block, navigation):
+    """A request that already carries the block parameter, anywhere
+    among the others: each link is ``build_url`` of the updated dict."""
+    items = list(params.items())
+    items.insert(position, ("u.block", old_block))
+    params = dict(items)
+    box = render_unit(
+        "webml:scrollerUnit",
+        UnitBean("u", "U", "scroller", rows=[], block=2, block_count=3),
+        navigation,
+        request=HttpRequest(PAGE_PATH, params=dict(params)),
+    )
+    assert [a.get("href") for a in box.find("p").find_all("a")] == [
+        build_url(PAGE_PATH, {**params, "u.block": block})
+        for block in ("1", "1", "3", "3")
+    ]
+
+
 field_specs = st.fixed_dictionaries(
     {"name": st.sampled_from(KEYS)},
     optional={"label": st.one_of(st.none(), texts),

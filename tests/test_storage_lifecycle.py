@@ -145,14 +145,18 @@ def _bookstore_model() -> WebMLModel:
     return model
 
 
-def _fully_cached(model, database=None) -> WebApplication:
-    """An application with the bean, fragment and page levels on."""
+def _fully_cached(model, database=None,
+                  capacities=(4096, 1024, 512)) -> WebApplication:
+    """An application with the bean, fragment and page levels on, of
+    ``capacities`` entries each (in that order)."""
     for unit in model.all_units():
         if unit.kind != "entry":
             unit.cacheable = True
+    beans, fragments, pages = capacities
     return WebApplication(
-        model, bean_cache=UnitBeanCache(), page_cache=PageCache(),
-        view_renderer=_renderer(model, FragmentCache()), database=database,
+        model, bean_cache=UnitBeanCache(beans), page_cache=PageCache(pages),
+        view_renderer=_renderer(model, FragmentCache(fragments)),
+        database=database,
     )
 
 
@@ -644,10 +648,13 @@ class _InvalidationMachine(RuleBasedStateMachine):
     deleted under its children, and a change to a row a unit shows but
     reaches through a bridge or a foreign key on the other row."""
 
+    #: bean, fragment and page entries of ``app``'s levels
+    capacities = (4096, 1024, 512)
+
     def __init__(self):
         super().__init__()
         model = _bookstore_model()
-        self.app = _fully_cached(model)
+        self.app = _fully_cached(model, capacities=self.capacities)
         oids = seed_bookstore(self.app)
         self.truth = WebApplication(model, view_renderer=_renderer(model),
                                     database=self.app.database)
@@ -901,6 +908,17 @@ class TestInstanceKeySteps:
         machine.cached_pages_equal_the_truth()
 
 
+class _FullLevelsMachine(_InvalidationMachine):
+    """The same steps and truth with every level about half the size of
+    what one invariant sweep reads (38 beans, 33 fragments, 16 pages),
+    so reads run admission — a full level refuses a key's first miss —
+    and eviction under every write path.  Much smaller levels only
+    refuse: a sweep's other keys clear the refusal memory before a key
+    comes back, so no second miss is ever admitted."""
+
+    capacities = (20, 16, 8)
+
+
 class TestInvalidationGroundTruth:
     def test_every_write_path_keeps_every_level_fresh(self):
         plugin_registry.register(PluginUnit(
@@ -914,3 +932,10 @@ class TestInvalidationGroundTruth:
             ))
         finally:
             plugin_registry.unregister("rename_writer")
+
+    @pytest.mark.usefixtures("_rename_writer_plugin")
+    def test_every_write_path_keeps_full_levels_fresh(self):
+        run_state_machine_as_test(_FullLevelsMachine, settings=settings(
+            max_examples=20, stateful_step_count=8, deadline=None,
+            suppress_health_check=[HealthCheck.too_slow],
+        ))
