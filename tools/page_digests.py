@@ -68,28 +68,34 @@ def _styled_app(build_model, seed, fragment_cache):
     return app, renderer
 
 
+def page_requests(app):
+    """Every page of ``app`` at each parameter set it is digested with,
+    as ``(page descriptor, params, URL)``: an empty selection and, when
+    the page has a data unit, ``?<unit>.oid=1``."""
+    for view in app.model.site_views:
+        for page in view.all_pages():
+            param_sets = [{}]
+            data_units = [u for u in page.units if u.kind == "data"]
+            if data_units:
+                param_sets.append({f"{data_units[0].id}.oid": "1"})
+            for params in param_sets:
+                url = build_url(app.controller.path_of_page(page.id), params)
+                yield app.registry.page(page.id), params, url
+
+
 def _bodies(build_model, seed, fragment_cache):
     """``page URL → body`` for every page and parameter set."""
     app, renderer = _styled_app(build_model, seed, fragment_cache)
     service = GenericPageService(app.ctx)
     bodies = {}
     for _pass in range(2 if fragment_cache is not None else 1):
-        for view in app.model.site_views:
-            for page in view.all_pages():
-                descriptor = app.registry.page(page.id)
-                param_sets = [{}]
-                data_units = [u for u in page.units if u.kind == "data"]
-                if data_units:
-                    param_sets.append({f"{data_units[0].id}.oid": "1"})
-                for params in param_sets:
-                    url = build_url(app.controller.path_of_page(page.id),
-                                    params)
-                    body = renderer(
-                        service.compute_page(descriptor, params),
-                        HttpRequest.from_url(url), app.controller,
-                    )
-                    if bodies.setdefault(url, body) != body:
-                        bodies[url] = None  # warm splice ≠ cold render
+        for descriptor, params, url in page_requests(app):
+            body = renderer(
+                service.compute_page(descriptor, params),
+                HttpRequest.from_url(url), app.controller,
+            )
+            if bodies.setdefault(url, body) != body:
+                bodies[url] = None  # warm splice ≠ cold render
     return bodies
 
 
