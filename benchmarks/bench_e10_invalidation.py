@@ -27,7 +27,7 @@ ROUNDS = 30
 class _FlushAllCache(UnitBeanCache):
     """The model-blind alternative: any write clears everything."""
 
-    def invalidate_writes(self, entities=(), roles=()) -> int:
+    def invalidate_writes(self, keys=()) -> int:
         return self.flush()
 
 
@@ -35,7 +35,7 @@ class _TtlOnlyCache(UnitBeanCache):
     """No invalidation at all; entries only expire by TTL (set long
     enough here that staleness is observable)."""
 
-    def invalidate_writes(self, entities=(), roles=()) -> int:
+    def invalidate_writes(self, keys=()) -> int:
         return 0
 
 

@@ -62,26 +62,23 @@ class ComponentContainer:
     """Holds every deployed component and its instance pool.
 
     Thread-safe: acquisition, release, deployment, and sweeping all
-    synchronize on one condition variable, so worker threads of a
+    synchronize on one lock, so worker threads of a
     :class:`~repro.appserver.threaded.ThreadedAppServer` can invoke
-    components concurrently.  ``block_when_exhausted=True`` makes an
-    invoke wait for a pooled instance instead of raising when a
-    component is at ``max_instances``.
+    components concurrently.  An invoke of a component whose
+    ``max_instances`` are all busy fails fast with
+    :class:`~repro.errors.ContainerError`; it never waits.
     """
 
-    def __init__(self, clock=None, block_when_exhausted: bool = False,
-                 acquire_timeout: float | None = None):
+    def __init__(self, clock=None):
         self.clock = clock or SystemClock()
-        self.block_when_exhausted = block_when_exhausted
-        self.acquire_timeout = acquire_timeout
-        self._cond = threading.Condition()
+        self._lock = threading.RLock()
         self._pools: dict[str, _Pool] = {}
         self.invocations = 0
 
     # -- deployment ----------------------------------------------------------
 
     def deploy(self, descriptor: ComponentDescriptor) -> None:
-        with self._cond:
+        with self._lock:
             if descriptor.name in self._pools:
                 raise ContainerError(
                     f"component {descriptor.name!r} already deployed"
@@ -94,15 +91,15 @@ class ComponentContainer:
             self._pools[descriptor.name] = pool
 
     def undeploy(self, name: str) -> None:
-        with self._cond:
+        with self._lock:
             self._pools.pop(name, None)
 
     def deployed(self) -> list[str]:
-        with self._cond:
+        with self._lock:
             return sorted(self._pools)
 
     def _pool(self, name: str) -> _Pool:
-        with self._cond:
+        with self._lock:
             pool = self._pools.get(name)
             if pool is None:
                 raise ContainerError(f"no component deployed as {name!r}")
@@ -118,55 +115,37 @@ class ComponentContainer:
         container lock, so slow components never serialize the tier.
         """
         pool = self._pool(name)
-        instance = self._acquire(pool, block=self.block_when_exhausted)
+        instance = self._acquire(pool)
         try:
             bound = getattr(instance, method)
-            with self._cond:
+            with self._lock:
                 self.invocations += 1
             return bound(*args, **kwargs)
         finally:
             self._release(pool, instance)
 
-    def _acquire(self, pool: _Pool, block: bool = False):
-        with self._cond:
-            deadline = (
-                None if self.acquire_timeout is None
-                else self.clock.now() + self.acquire_timeout
+    def _acquire(self, pool: _Pool):
+        with self._lock:
+            if pool.idle:
+                instance, _last_used = pool.idle.pop()
+                pool.busy += 1
+                return instance
+            if pool.resident < pool.descriptor.max_instances:
+                instance = pool.descriptor.factory()
+                pool.created_total += 1
+                pool.busy += 1
+                pool.peak_resident = max(pool.peak_resident, pool.resident)
+                return instance
+            raise ContainerError(
+                f"component {pool.descriptor.name!r} at max instances "
+                f"({pool.descriptor.max_instances})"
             )
-            while True:
-                if pool.idle:
-                    instance, _last_used = pool.idle.pop()
-                    pool.busy += 1
-                    return instance
-                if pool.resident < pool.descriptor.max_instances:
-                    instance = pool.descriptor.factory()
-                    pool.created_total += 1
-                    pool.busy += 1
-                    pool.peak_resident = max(pool.peak_resident,
-                                             pool.resident)
-                    return instance
-                if not block:
-                    raise ContainerError(
-                        f"component {pool.descriptor.name!r} at max instances "
-                        f"({pool.descriptor.max_instances})"
-                    )
-                timeout = None
-                if deadline is not None:
-                    timeout = deadline - self.clock.now()
-                    if timeout <= 0:
-                        raise ContainerError(
-                            f"component {pool.descriptor.name!r} at max "
-                            f"instances ({pool.descriptor.max_instances}; "
-                            f"timed out waiting)"
-                        )
-                self._cond.wait(timeout)
 
     def _release(self, pool: _Pool, instance) -> None:
-        with self._cond:
+        with self._lock:
             pool.busy -= 1
             pool.idle.append((instance, self.clock.now()))
             pool.peak_resident = max(pool.peak_resident, pool.resident)
-            self._cond.notify()
 
     # -- adaptive scaling ----------------------------------------------------------
 
@@ -176,7 +155,7 @@ class ComponentContainer:
         Returns how many instances were released — the memory the static
         clone architecture would have kept occupied.
         """
-        with self._cond:
+        with self._lock:
             return self._sweep_locked()
 
     def _sweep_locked(self) -> int:
@@ -201,13 +180,13 @@ class ComponentContainer:
     # -- observation ------------------------------------------------------------------
 
     def resident_instances(self, name: str | None = None) -> int:
-        with self._cond:
+        with self._lock:
             if name is not None:
                 return self._pool(name).resident
             return sum(pool.resident for pool in self._pools.values())
 
     def pool_stats(self, name: str) -> dict:
-        with self._cond:
+        with self._lock:
             pool = self._pool(name)
             return {
                 "resident": pool.resident,

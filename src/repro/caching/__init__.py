@@ -1,11 +1,12 @@
 """The cache tier (paper §6): one cache core, three levels.
 
-§6's cache is one idea — entries indexed by the entities and roles
-their unit depends on, dropped automatically by operations — and
-:class:`~repro.caching.core.DependencyCache` is its one
-implementation: the LRU store, expiry, the dependency indexes,
-``invalidate_writes(entities, roles)`` and the single-flight build
-protocol with its invalidation-generation guard.  The protocol and the
+§6's cache is one idea — entries indexed by the entities and
+relationships their unit depends on, dropped automatically by
+operations — and :class:`~repro.caching.core.DependencyCache` is its
+one implementation: the LRU store, expiry, one reverse index over one
+space of dependency keys (``(name, value)`` instances or whole names),
+``invalidate_writes(keys)`` and the single-flight build protocol with
+its invalidation-generation guard.  The protocol and the
 invalidation-ordering invariants are stated once, in
 :mod:`repro.caching.core`.  The levels subclass the core and differ in
 what they store and which tier a hit spares:
@@ -25,11 +26,12 @@ affected cached objects".
 
 Level 0 — the **page cache**: whole rendered responses, keyed by
 (page, canonical parameters, device, principal), carrying the union of
-the page's unit dependency sets so the same model-driven invalidation
+the page's unit dependency keys so the same model-driven invalidation
 applies to full pages.
 
 All levels are invalidated together through the
-:class:`~repro.caching.bus.InvalidationBus` every commit publishes to.
+:class:`~repro.caching.bus.InvalidationBus`, to which every commit
+publishes one tuple of the keys it wrote.
 
 - :mod:`repro.caching.core` — the shared store, invalidation and
   flight protocol,

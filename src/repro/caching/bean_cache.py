@@ -9,9 +9,10 @@ operations automatically invalidates the affected cached objects,
 sparing to the developer the need of managing a business-tier cache in
 his application code."
 
-Each entry carries the dependency keys of its bean — the instances the
-bean shows, by the bindings its unit descriptor records;
-``invalidate_writes`` drops exactly the dependent entries.  Storage, invalidation and the single-flight
+Each entry carries the dependency keys of its bean — one tuple of the
+entity and role instances the bean shows, by the bindings its unit
+descriptor records; ``invalidate_writes`` drops exactly the dependent
+entries.  Storage, invalidation and the single-flight
 :meth:`~UnitBeanCache.get_or_compute` — when a popular bean expires,
 exactly one thread recomputes it while concurrent requesters wait —
 are :class:`~repro.caching.core.DependencyCache`'s; this level adds
@@ -36,15 +37,14 @@ class UnitBeanCache(DependencyCache):
             bean.from_cache = True
         return bean
 
-    def put(self, key, bean, entities=None, roles=None,
+    def put(self, key, bean, keys=None,
             policy: str = "model-driven") -> None:
         """Store a bean under its unit's ``cachePolicy`` attribute and
         its own :meth:`~repro.services.UnitBean.dependency_keys`, unless
-        ``entities`` / ``roles`` are given."""
-        if entities is None and roles is None:
-            entities, roles = bean.dependency_keys() or ((), ())
-        super().put(key, bean, entities or (), roles or (),
-                    parse_policy(policy).ttl_seconds)
+        ``keys`` are given."""
+        if keys is None:
+            keys = bean.dependency_keys() or ()
+        super().put(key, bean, keys, parse_policy(policy).ttl_seconds)
 
     #: ``get_or_compute(key, compute, policy="model-driven")`` — the
     #: cached bean, or ``compute()`` run exactly once across concurrent

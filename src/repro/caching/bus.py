@@ -5,8 +5,8 @@ automatically invalidates the affected cached objects" — must reach
 *all three* cache levels, or a write survives somewhere and a reader
 observes stale content.  Writes therefore reach the caches through
 this bus only, published once per commit by
-:class:`repro.services.base.RuntimeContext`, never by poking
-individual caches.
+:class:`repro.services.base.RuntimeContext` as one tuple of dependency
+keys, never by poking individual caches.
 
 Registration order matters and is deepest-tier first (bean →
 fragment → page): when the page cache is finally invalidated, the
@@ -39,14 +39,12 @@ class InvalidationBus:
         with self._lock:
             return [name for name, _cache in self._targets]
 
-    def invalidate_writes(self, entities=(), roles=()) -> dict[str, int]:
-        """Publish one write; returns dropped-entry counts per level."""
+    def invalidate_writes(self, keys=()) -> dict[str, int]:
+        """Publish one write — the tuple of dependency keys it wrote;
+        returns dropped-entry counts per level."""
         with self._lock:
             targets = list(self._targets)
-        return {
-            name: cache.invalidate_writes(entities, roles)
-            for name, cache in targets
-        }
+        return {name: cache.invalidate_writes(keys) for name, cache in targets}
 
     def flush(self) -> dict[str, int]:
         with self._lock:

@@ -1,19 +1,22 @@
 """The cache core: what the page, fragment and bean levels share.
 
-§6's cache is one idea — entries indexed by the entities and roles
-their unit depends on, dropped automatically by operations — so it is
-one mechanism here: :class:`DependencyCache` owns the LRU store, the
-per-entry expiry, the entity/role reverse indexes, model-driven
-invalidation and the single-flight build protocol.
+§6's cache is one idea — entries indexed by the entities and
+relationships their unit depends on, dropped automatically by
+operations — so it is one mechanism here: :class:`DependencyCache`
+owns the LRU store, the per-entry expiry, the reverse index,
+model-driven invalidation and the single-flight build protocol.
 
-Dependency keys name instances.  An entry holds ``(name, value)`` —
-``("Volume", 3)``: the volume whose oid is 3; ``("VolumeToIssue", 3)``:
-the issues of volume 3 — or a bare ``name``, which holds every instance
-(``(name, ANY)``).  A write of ``(name, value)`` drops the holders of
-``(name, value)`` and of the whole name; a write of a bare name drops
-every holder of the name.  The wildcard is :data:`ANY`, not ``None``:
-NULL is a foreign-key value, and a holder of ``(name, None)`` is not a
-holder of everything.  The three levels
+Dependency keys name instances, in one key space.  An entry holds one
+tuple of keys, each ``(name, value)`` — ``("Volume", 3)``: the volume
+whose oid is 3; ``("VolumeToIssue", 3)``: the issues of volume 3 — or a
+bare ``name``, which holds every instance (``(name, ANY)``).  A name is
+an entity or a relationship role; the ER model keeps the two sets of
+names disjoint, so a key needs no tag saying which it is.  A write of
+``(name, value)`` drops the holders of ``(name, value)`` and of the
+whole name; a write of a bare name drops every holder of the name.  The
+wildcard is :data:`ANY`, not ``None``: NULL is a foreign-key value, and
+a holder of ``(name, None)`` is not a holder of everything.  The three
+levels
 (:mod:`~repro.caching.page_cache`, :mod:`~repro.caching.fragment_cache`,
 :mod:`~repro.caching.bean_cache`) subclass it and add only what
 differs between them.
@@ -148,7 +151,7 @@ def _holders(bucket) -> tuple | set:
 
 class DependencyCache:
     """An LRU-bounded, optionally expiring store whose entries carry
-    the entity/role dependency sets that invalidate them.
+    the dependency keys that invalidate them.
 
     ``scoped=False`` degrades invalidation to a global flush on any
     write — a cache without a conceptual model to consult, kept as the
@@ -165,13 +168,12 @@ class DependencyCache:
         self.clock = clock or SystemClock()
         self.stats = CacheStats()
         self._lock = threading.RLock()
-        # key → (value, entities, roles, expires_at); order = LRU order,
-        # entities / roles as tuples of (name, value) pairs
+        # key → (value, keys, expires_at); order = LRU order, keys a
+        # tuple of (name, value) pairs
         self._entries: OrderedDict[object, tuple] = OrderedDict()
-        # dependency indexes: name → {value (or ANY) → holders}, the
+        # the reverse index: name → {value (or ANY) → holders}, the
         # holders one cache key or a set of them (see _add_holder)
-        self._by_entity: dict[str, dict] = {}
-        self._by_role: dict[str, dict] = {}
+        self._by_name: dict[str, dict] = {}
         # single-flight bookkeeping: key → Event of the building thread
         self._flight_lock = threading.Lock()
         self._in_flight: dict[object, threading.Event] = {}
@@ -191,7 +193,7 @@ class DependencyCache:
             entry = self._entries.get(key)
             if entry is None:
                 return None
-            if entry[3] is not None and self.clock.now() >= entry[3]:
+            if entry[2] is not None and self.clock.now() >= entry[2]:
                 self._remove(key)
                 self.stats.increment("expirations")
                 return None
@@ -205,26 +207,25 @@ class DependencyCache:
             self.stats.increment("misses")
         return value
 
-    def put(self, key, value, entities=(), roles=(),
+    def put(self, key, value, keys=(),
             ttl_seconds: float | None = None) -> None:
         """Store ``value`` under its dependency keys (``(name, value)``
         pairs or bare names, see the module docstring); ``ttl_seconds``
         bounds this entry's lifetime instead of the cache-wide one."""
         if ttl_seconds is None:
             ttl_seconds = self.ttl_seconds
-        entities, roles = _held(entities), _held(roles)
+        keys = _held(keys)
         with self._lock:
             self._remove(key)
             expires_at = (None if ttl_seconds is None
                           else self.clock.now() + ttl_seconds)
-            self._entries[key] = (value, entities, roles, expires_at)
-            for index, held in ((self._by_entity, entities),
-                                (self._by_role, roles)):
-                for name, instance in held:
-                    buckets = index.get(name)
-                    if buckets is None:
-                        buckets = index[name] = {}
-                    _add_holder(buckets, instance, key)
+            self._entries[key] = (value, keys, expires_at)
+            index = self._by_name
+            for name, instance in keys:
+                buckets = index.get(name)
+                if buckets is None:
+                    buckets = index[name] = {}
+                _add_holder(buckets, instance, key)
             self.stats.increment("puts")
             while len(self._entries) > self.max_entries:
                 self._remove(next(iter(self._entries)))
@@ -236,7 +237,8 @@ class DependencyCache:
         """Return the cached value, or build it exactly once.
 
         ``deps`` are :meth:`put`'s keyword arguments for the built
-        value.  A ``None`` result is returned but never stored.
+        value (``keys=``).  A ``None`` result is returned but never
+        stored.
         """
         waited = False
         while True:
@@ -326,42 +328,38 @@ class DependencyCache:
 
     # -- model-driven invalidation --------------------------------------------
 
-    def invalidate_writes(self, entities=(), roles=()) -> int:
-        """Drop every entry holding a written entity/role key: for
-        ``(name, value)`` the holders of that instance and of the whole
-        name, for a bare name every holder of the name."""
+    def invalidate_writes(self, keys=()) -> int:
+        """Drop every entry holding a written key: for ``(name, value)``
+        the holders of that instance and of the whole name, for a bare
+        name every holder of the name."""
         if not self.scoped:
-            return self.flush() if entities or roles else 0
+            return self.flush() if keys else 0
         with self._lock:
             self._generation += 1
-            keys: set = set()
-            for index, written in ((self._by_entity, entities),
-                                   (self._by_role, roles)):
-                for dependency in written:
-                    name, instance = _split(dependency)
-                    buckets = index.get(name)
-                    if not buckets:
-                        continue
-                    if instance is ANY:
-                        for bucket in buckets.values():
-                            keys.update(_holders(bucket))
-                    else:
-                        for bucket in (buckets.get(instance),
-                                       buckets.get(ANY)):
-                            if bucket is not None:
-                                keys.update(_holders(bucket))
-            for key in keys:
+            dropped: set = set()
+            for dependency in keys:
+                name, instance = _split(dependency)
+                buckets = self._by_name.get(name)
+                if not buckets:
+                    continue
+                if instance is ANY:
+                    for bucket in buckets.values():
+                        dropped.update(_holders(bucket))
+                else:
+                    for bucket in (buckets.get(instance), buckets.get(ANY)):
+                        if bucket is not None:
+                            dropped.update(_holders(bucket))
+            for key in dropped:
                 self._remove(key)
-            self.stats.increment("invalidations", len(keys))
-            return len(keys)
+            self.stats.increment("invalidations", len(dropped))
+            return len(dropped)
 
     def flush(self) -> int:
         with self._lock:
             self._generation += 1
             count = len(self._entries)
             self._entries.clear()
-            self._by_entity.clear()
-            self._by_role.clear()
+            self._by_name.clear()
             self.stats.increment("invalidations", count)
             return count
 
@@ -371,37 +369,30 @@ class DependencyCache:
         entry = self._entries.pop(key, None)
         if entry is None:
             return
-        for index, held in ((self._by_entity, entry[1]),
-                            (self._by_role, entry[2])):
-            for name, instance in held:
-                buckets = index[name]
-                _drop_holder(buckets, instance, key)
-                if not buckets:
-                    del index[name]
+        index = self._by_name
+        for name, instance in entry[1]:
+            buckets = index[name]
+            _drop_holder(buckets, instance, key)
+            if not buckets:
+                del index[name]
 
-    def dependents_of(self, entity=None, role=None) -> int:
-        """How many live entries hold the given entity/role key: any
-        key of a bare name, exactly the key of a ``(name, value)``."""
-        dependency, index = ((entity, self._by_entity) if entity is not None
-                             else (role, self._by_role))
-        if dependency is None:
-            return 0
-        name, instance = _split(dependency)
+    def dependents_of(self, key) -> int:
+        """How many live entries hold a dependency key: any key of a
+        bare name, exactly the key of a ``(name, value)``."""
+        name, instance = _split(key)
         with self._lock:
-            buckets = index.get(name, {})
-            if type(dependency) is tuple:
+            buckets = self._by_name.get(name, {})
+            if type(key) is tuple:
                 bucket = buckets.get(instance)
                 return 0 if bucket is None else len(_holders(bucket))
             return len(set().union(*map(_holders, buckets.values())))
 
     @property
     def dependency_keys(self) -> int:
-        """The reverse indexes' size: distinct ``(name, value)`` keys
+        """The reverse index's size: distinct ``(name, value)`` keys
         some live entry holds."""
         with self._lock:
-            return sum(len(buckets)
-                       for index in (self._by_entity, self._by_role)
-                       for buckets in index.values())
+            return sum(map(len, self._by_name.values()))
 
     def status(self) -> dict:
         """The ``/_status`` collector: counters, the store's size and

@@ -6,8 +6,8 @@ capability of marking fragments of the page template, which can be
 cached individually and with different policies" (§6).
 
 Keys are opaque (the template engine uses (unit, bean-digest)); values
-are rendered HTML strings, stored with the entity/role dependency sets
-of the unit that produced them.  Fragment keys embed a digest of the
+are rendered HTML strings, stored under the dependency keys of the
+unit bean that produced them.  Fragment keys embed a digest of the
 bean content, so a stale fragment can never be served for *changed*
 content — scoped invalidation reclaims the memory and keeps the
 hit-rate statistics honest without the collateral damage of a flush.
@@ -27,7 +27,7 @@ class FragmentCache(DependencyCache):
                  scoped: bool = True, clock=None):
         super().__init__(max_entries, ttl_seconds, scoped, clock)
 
-    #: ``get_or_render(key, render, entities=(), roles=())`` — the
+    #: ``get_or_render(key, render, keys=())`` — the
     #: cached fragment, or ``render()`` run exactly once across the
     #: concurrent requests for the same page fragment.
     get_or_render = DependencyCache.get_or_build

@@ -8,10 +8,10 @@ response is stored, keyed by everything that may legally change the
 bytes — the page, the canonicalized request parameters, the device
 class, and the authenticated principal.
 
-Like the bean cache, it is model-driven (§6): every entry carries the
-union of its unit beans' dependency keys — the instances the page
-shows — and ``invalidate_writes`` drops exactly the pages showing a
-written instance.
+Like the bean cache, it is model-driven (§6): every entry carries one
+tuple, the union of its unit beans' dependency keys — the instances the
+page shows — and ``invalidate_writes`` drops exactly the pages showing
+a written instance.
 
 Entries carry the content digest (the HTTP ``ETag``) and keep the
 deterministic gzip body the first compressed delivery makes, so
@@ -55,8 +55,7 @@ class PageEntry:
 
     body: str
     etag: str
-    entities: tuple
-    roles: tuple
+    keys: tuple
     _gzip: bytes | None = field(default=None, repr=False)
 
     @property
@@ -78,20 +77,15 @@ class PageCache(DependencyCache):
                  scoped: bool = True, clock=None):
         super().__init__(max_entries, ttl_seconds, scoped, clock)
 
-    def make_entry(self, body: str, entities=(), roles=()) -> PageEntry:
+    def make_entry(self, body: str, keys=()) -> PageEntry:
         """Digest a rendered body once, at store time (most entries are
         evicted or invalidated without a compressed read: see
         :attr:`PageEntry.gzip_body`)."""
-        return PageEntry(
-            body=body,
-            etag=content_etag(body),
-            entities=tuple(entities),
-            roles=tuple(roles),
-        )
+        return PageEntry(body=body, etag=content_etag(body), keys=tuple(keys))
 
     def put(self, key, entry: PageEntry) -> None:
-        """Store an entry under the dependency sets it was made with."""
-        super().put(key, entry, entry.entities, entry.roles)
+        """Store an entry under the dependency keys it was made with."""
+        super().put(key, entry, entry.keys)
 
     #: ``peek(key)`` — the hit-or-nothing read of the edge fast path.
     #: Hits count (and refresh LRU order) exactly like ``get``; a miss

@@ -85,28 +85,26 @@ class RelationshipMap:
 @dataclass(frozen=True)
 class TableKeys:
     """The dependency keys one row of a table publishes when a commit
-    writes it: ``(name, row[column])`` for each ``(name, column)`` pair.
+    writes it: ``(name, row[column])`` for each ``(name, column)`` pair
+    — the table's entity first, then the role names it realizes.
     A NULL value publishes nothing: a unit bound to a NULL source
     computes an empty bean whatever the data holds."""
 
-    entities: tuple = ()
-    roles: tuple = ()
+    pairs: tuple = ()
 
     @property
-    def names(self) -> tuple[tuple[str, ...], tuple[str, ...]]:
-        """The bare entity and role names: what a write publishes when
-        it cannot name the instances (a redo op without its old row)."""
-        return (tuple(name for name, _ in self.entities),
-                tuple(name for name, _ in self.roles))
+    def names(self) -> tuple[str, ...]:
+        """The bare names: what a write publishes when it cannot name
+        the instances (a redo op without its old row)."""
+        return tuple(name for name, _ in self.pairs)
 
-    def publish(self, row: dict, entities: dict, roles: dict) -> None:
-        """Add ``row``'s keys to ``entities`` / ``roles`` (dicts used as
-        ordered sets)."""
-        for pairs, out in ((self.entities, entities), (self.roles, roles)):
-            for name, column in pairs:
-                value = row.get(column)
-                if value is not None:
-                    out[(name, value)] = None
+    def publish(self, row: dict, out: dict) -> None:
+        """Add ``row``'s keys to ``out`` (a dict used as an ordered
+        set)."""
+        for name, column in self.pairs:
+            value = row.get(column)
+            if value is not None:
+                out[(name, value)] = None
 
 
 class RelationalMapping:
@@ -167,14 +165,13 @@ class RelationalMapping:
         starts at the referenced entity, the row's own oid when it starts
         at the row's entity, the source-side column of a bridge row.
         """
-        entities = {m.table: ((m.entity, m.key_column),)
-                    for m in self.entity_maps.values()}
-        roles: dict[str, tuple] = {table: () for table in entities}
+        pairs = {m.table: ((m.entity, m.key_column),)
+                 for m in self.entity_maps.values()}
         for relationship in self.model.relationships:
             rmap = self.relationship_maps[relationship.name]
             if rmap.kind == "bridge":
                 table = rmap.bridge_table
-                entities[table], roles[table] = (), ()
+                pairs[table] = ()
                 columns = (rmap.source_column, rmap.target_column)
             else:
                 table = rmap.fk_table
@@ -184,11 +181,11 @@ class RelationalMapping:
                            if rmap.fk_on_many_side_of_source
                            else ("oid", rmap.fk_column))
             names = (relationship.name, relationship.inverse_name)
-            roles[table] += tuple((name, column)
+            pairs[table] += tuple((name, column)
                                   for name, column in zip(names, columns)
                                   if name is not None)
-        return {table: TableKeys(entities[table], roles[table])
-                for table in entities}
+        return {table: TableKeys(table_pairs)
+                for table, table_pairs in pairs.items()}
 
     def join_steps(self, role_name: str) -> list[dict]:
         """The join conditions to traverse a relationship role.

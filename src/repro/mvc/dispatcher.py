@@ -548,17 +548,15 @@ class FrontController:
         generic service computed holds its unit's names whole; a
         streamed template with no dynamic slot never asked for a page
         result (``None``) and shows no data."""
-        entities: dict = {}  # ordered sets of dependency keys
-        roles: dict = {}
+        keys: dict = {}  # an ordered set of dependency keys
         beans = page_result.beans if page_result is not None else {}
         for unit_id, bean in beans.items():
             held = bean.dependency_keys()
             if held is None:
                 unit = self.ctx.registry.unit(unit_id)
-                held = unit.depends_on_entities, unit.depends_on_roles
-            entities.update(dict.fromkeys(held[0]))
-            roles.update(dict.fromkeys(held[1]))
-        return self.page_cache.make_entry(body, entities, roles)
+                held = (*unit.depends_on_entities, *unit.depends_on_roles)
+            keys.update(dict.fromkeys(held))
+        return self.page_cache.make_entry(body, keys)
 
     def _cache_control(self, session) -> str:
         ttl = self.page_cache.ttl_seconds if self.page_cache is not None else None

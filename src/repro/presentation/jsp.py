@@ -19,9 +19,8 @@ fragment cache, the rendered HTML of that unit is cached and reused for
 identical bean content — the ESI-style *template-level* cache whose
 limits §6 analyses.  A fragment hit splices the cached HTML string
 straight into the output; no XML parse or re-serialization happens on
-the hit path.  Fragments are stored with the bean's entity/role
-dependency sets, so operation writes invalidate exactly the dependent
-fragments.
+the hit path.  Fragments are stored under the bean's dependency keys,
+so operation writes invalidate exactly the dependent fragments.
 """
 
 from __future__ import annotations
@@ -159,9 +158,8 @@ class _UnitSlot:
                   unit=self.unit_id) as probe:
             # Single-flight: concurrent misses render the fragment once;
             # a hit splices the cached string — no parse, no serialize.
-            entities, roles = bean.dependency_keys() or ((), ())
-            html = cache.get_or_render(key, markup, entities=entities,
-                                       roles=roles)
+            html = cache.get_or_render(key, markup,
+                                       keys=bean.dependency_keys() or ())
             if probe is not None:
                 probe.tags["hit"] = not rendered_fresh
         return html

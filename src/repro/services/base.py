@@ -53,7 +53,7 @@ class RuntimeContext:
     ``bean_cache`` is duck-typed (see
     :class:`repro.caching.bean_cache.UnitBeanCache`): it must offer
     ``get_or_compute(key, compute, policy=...)`` and
-    ``invalidate_writes(entities, roles)``.
+    ``invalidate_writes(keys)``.
     """
 
     #: upper bound on waiting for a pooled connection — a safety net
@@ -103,7 +103,7 @@ class RuntimeContext:
         #: deployment data, set from
         #: :meth:`repro.er.mapping.RelationalMapping.table_keys` by
         #: :class:`~repro.app.WebApplication`.  An unmapped table stands
-        #: for a whole entity of its own name.
+        #: for a whole name of its own.
         self.table_keys: dict = {}
         self.commit_invalidations = 0
         self.database.commit_stream.subscribe(self._on_commit_event)
@@ -144,11 +144,13 @@ class RuntimeContext:
         §7 plug-in operations, seed scripts, direct SQL, and a replica
         replaying shipped WAL — so the write set is derived from the
         data change, never declared by the code path that made it.  A
-        commit publishes the instance keys (:attr:`table_keys`) of every
-        row image its redo ops carry: the new row of an insert, the old
-        row of a delete, both of an update — a row that moves between
-        two parents drops the pages of both.  An op without its old row
-        publishes its table's names whole.  Schema and statistics
+        commit publishes one tuple: the instance keys (:attr:`table_keys`)
+        of every row image its redo ops carry, entity and role names in
+        one key space — the new row of an insert, the old row of a
+        delete, both of an update, so a row that moves between two
+        parents drops the pages of both.  An op without its old row
+        publishes its table's names whole; a table the mapping does not
+        know publishes its own name whole.  Schema and statistics
         records change no row a unit shows and publish nothing.
         """
         if event.bootstrap:
@@ -157,8 +159,7 @@ class RuntimeContext:
             self.commit_invalidations += 1
             self.invalidation_bus.flush()
             return
-        entities: dict = {}  # ordered sets of dependency keys
-        roles: dict = {}
+        written: dict = {}  # an ordered set of dependency keys
         for op in event.ops:
             opcode = op[0]
             if opcode not in _ROW_OPCODES:
@@ -166,18 +167,16 @@ class RuntimeContext:
             keys = self.table_keys.get(op[1])
             images = op[3:]  # insert: row; update: new, old; delete: old
             if keys is None:
-                entities[op[1]] = None
+                written[op[1]] = None
             elif len(images) < (2 if opcode == OP_UPDATE else 1):
-                names = keys.names
-                entities.update(dict.fromkeys(names[0]))
-                roles.update(dict.fromkeys(names[1]))
+                written.update(dict.fromkeys(keys.names))
             else:
                 for row in images:
-                    keys.publish(row, entities, roles)
-        if not entities and not roles:
+                    keys.publish(row, written)
+        if not written:
             return
         self.commit_invalidations += 1
-        self.invalidation_bus.invalidate_writes(tuple(entities), tuple(roles))
+        self.invalidation_bus.invalidate_writes(tuple(written))
 
     # -- lifecycle ----------------------------------------------------------
 

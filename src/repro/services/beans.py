@@ -51,9 +51,9 @@ class UnitBean:
         return self.outputs.get(slot)
 
     def dependency_keys(self) -> tuple | None:
-        """``(entity keys, role keys)`` the bean's content depends on —
-        ``(name, value)`` instances, or a bare name held whole (DESIGN
-        §12).  Computed on first use, so a request no cache level sees
+        """The dependency keys the bean's content depends on, one tuple
+        of entity and role keys — ``(name, value)`` instances, or a bare
+        name held whole (DESIGN §12).  Computed on first use, so a request no cache level sees
         never pays for it; ``None`` for a bean no generic service
         computed, whose dependencies are unknown."""
         source = self.source  # read once: another thread may clear it
@@ -80,24 +80,23 @@ def _held_keys(bean: UnitBean, descriptor, inputs: dict | None) -> tuple:
     is held whole.  ``inputs`` of ``None``: a required input was missing
     and the bean is empty whatever the data holds."""
     if inputs is None:
-        return (), ()
+        return ()
     whole = (descriptor.optimized or descriptor.custom_service
              or descriptor.kind not in KEYED_KINDS)
-    held: tuple[list, list] = ([], [])
-    for names, bindings, out in (
-            (descriptor.depends_on_entities, descriptor.entity_bindings,
-             held[0]),
-            (descriptor.depends_on_roles, descriptor.role_bindings, held[1])):
+    held: list = []
+    for names, bindings in (
+            (descriptor.depends_on_entities, descriptor.entity_bindings),
+            (descriptor.depends_on_roles, descriptor.role_bindings)):
         for name in names:
             binding = None if whole else bindings.get(name)
             values = None if binding is None \
                 else _bound_values(binding, descriptor, inputs, bean)
             if values is None:
-                out.append(name)
+                held.append(name)
             else:
-                out.extend((name, value) for value in values
-                           if value is not None)
-    return tuple(held[0]), tuple(held[1])
+                held.extend((name, value) for value in values
+                            if value is not None)
+    return tuple(held)
 
 
 def _bound_values(binding, descriptor, inputs: dict, bean: UnitBean):

@@ -68,18 +68,16 @@ class _Level:
         self.cache = self._new_cache(ttl, options)
         return self.cache
 
-    def put(self, key, tag, entities=(), roles=()):
-        self.cache.put(key, self._value(tag, entities, roles),
-                       **self._deps(entities, roles))
+    def put(self, key, tag, keys=()):
+        self.cache.put(key, self._value(tag, keys), **self._deps(keys))
 
     def get(self, key):
         return self._tag(self.cache.get(key))
 
-    def build(self, key, make_tag, entities=(), roles=()):
+    def build(self, key, make_tag, keys=()):
         """The level's get-or-build call; ``make_tag`` is the build."""
         value = getattr(self.cache, self.entry_point)(
-            key, lambda: self._value(make_tag(), entities, roles),
-            **self._deps(entities, roles))
+            key, lambda: self._value(make_tag(), keys), **self._deps(keys))
         return self._tag(value)
 
     def _tag(self, value):
@@ -94,12 +92,12 @@ class _BeanLevel(_Level):
             pytest.skip("the bean level has no unscoped mode")
         return UnitBeanCache(**options)
 
-    def _value(self, tag, entities, roles):
+    def _value(self, tag, keys):
         return UnitBean(tag, tag, "data")
 
-    def _deps(self, entities, roles):
+    def _deps(self, keys):
         policy = f"ttl:{self.ttl}" if self.ttl else "model-driven"
-        return {"entities": entities, "roles": roles, "policy": policy}
+        return {"keys": keys, "policy": policy}
 
     def _unwrap(self, bean):
         return bean.unit_id
@@ -111,11 +109,11 @@ class _FragmentLevel(_Level):
     def _new_cache(self, ttl, options):
         return FragmentCache(ttl_seconds=ttl, **options)
 
-    def _value(self, tag, entities, roles):
+    def _value(self, tag, keys):
         return tag
 
-    def _deps(self, entities, roles):
-        return {"entities": entities, "roles": roles}
+    def _deps(self, keys):
+        return {"keys": keys}
 
     def _unwrap(self, html):
         return html
@@ -127,10 +125,10 @@ class _PageLevel(_Level):
     def _new_cache(self, ttl, options):
         return PageCache(ttl_seconds=ttl, **options)
 
-    def _value(self, tag, entities, roles):
-        return self.cache.make_entry(tag, entities, roles)
+    def _value(self, tag, keys):
+        return self.cache.make_entry(tag, keys)
 
-    def _deps(self, entities, roles):
+    def _deps(self, keys):
         return {}
 
     def _unwrap(self, entry):
@@ -176,10 +174,10 @@ class TestCacheConformance:
 
     def test_flush_drops_everything(self, level):
         cache = level.make()
-        level.put("a", "1", entities=["Paper"])
+        level.put("a", "1", keys=["Paper"])
         assert cache.flush() == 1
         assert len(cache) == 0
-        assert cache.dependents_of(entity="Paper") == 0
+        assert cache.dependents_of("Paper") == 0
 
     def test_capacity_validation(self, level):
         with pytest.raises(CacheError):
@@ -187,88 +185,88 @@ class TestCacheConformance:
 
     def test_scoped_invalidation_drops_only_dependents(self, level):
         cache = level.make()
-        level.put("papers", "p", entities=["Paper"])
-        level.put("volumes", "v", entities=["Volume"])
-        level.put("authors", "a", entities=["Author"], roles=["Authorship"])
-        assert cache.invalidate_writes(entities=["Paper"]) == 1
+        level.put("papers", "p", keys=["Paper"])
+        level.put("volumes", "v", keys=["Volume"])
+        level.put("authors", "a", keys=["Author", "Authorship"])
+        assert cache.invalidate_writes(["Paper"]) == 1
         assert level.get("papers") is None
         assert level.get("volumes") == "v"
-        assert cache.invalidate_writes(roles=["Authorship"]) == 1
+        assert cache.invalidate_writes(["Authorship"]) == 1
         assert level.get("authors") is None
-        assert cache.dependents_of(entity="Paper") == 0
-        assert cache.dependents_of(entity="Author") == 0
-        assert cache.dependents_of(role="Authorship") == 0
+        assert cache.dependents_of("Paper") == 0
+        assert cache.dependents_of("Author") == 0
+        assert cache.dependents_of("Authorship") == 0
         assert cache.stats.invalidations == 2
 
     def test_invalidation_counts_every_dependent(self, level):
         cache = level.make()
         for i in range(10):
             level.put(f"k{i}", str(i),
-                      entities=["Paper" if i % 2 else "Volume"])
-        assert cache.invalidate_writes(entities=["Paper"]) == 5
+                      keys=["Paper" if i % 2 else "Volume"])
+        assert cache.invalidate_writes(["Paper"]) == 5
         assert len(cache) == 5
 
     def test_unscoped_mode_flushes_on_any_write(self, level):
         cache = level.make(scoped=False)
-        level.put("papers", "p", entities=["Paper"])
-        level.put("volumes", "v", entities=["Volume"])
+        level.put("papers", "p", keys=["Paper"])
+        level.put("volumes", "v", keys=["Volume"])
         # a write set that scoped mode would ignore still wipes everything
-        assert cache.invalidate_writes(entities=["Author"]) == 2
+        assert cache.invalidate_writes(["Author"]) == 2
         assert len(cache) == 0
         # ...but an operation with an empty write set drops nothing
-        level.put("papers", "p", entities=["Paper"])
+        level.put("papers", "p", keys=["Paper"])
         assert cache.invalidate_writes() == 0
         assert len(cache) == 1
 
     def test_eviction_cleans_dependency_indexes(self, level):
         cache = level.make(max_entries=2)
         for key in ("a", "b", "c"):  # the third put evicts a
-            level.put(key, key, entities=["Paper"], roles=["Authorship"])
+            level.put(key, key, keys=["Paper", "Authorship"])
         assert len(cache) == 2
-        assert cache.dependents_of(entity="Paper") == 2
-        assert cache.dependents_of(role="Authorship") == 2
+        assert cache.dependents_of("Paper") == 2
+        assert cache.dependents_of("Authorship") == 2
 
     def test_overwrite_reindexes_the_key(self, level):
         cache = level.make()
-        level.put("k", "old", entities=["Paper"])
-        level.put("k", "new", entities=["Volume"])
+        level.put("k", "old", keys=["Paper"])
+        level.put("k", "new", keys=["Volume"])
         assert level.get("k") == "new" and len(cache) == 1
-        assert cache.dependents_of(entity="Paper") == 0
-        assert cache.dependents_of(entity="Volume") == 1
+        assert cache.dependents_of("Paper") == 0
+        assert cache.dependents_of("Volume") == 1
 
     def test_instance_keys_drop_their_instance_and_whole_holders(self, level):
         cache = level.make()
-        level.put("v3", "a", entities=[("Volume", 3)])
-        level.put("v4", "b", entities=[("Volume", 4)])
-        level.put("all", "c", entities=["Volume"])
-        level.put("issues", "d", roles=[("VolumeToIssue", 3)])
+        level.put("v3", "a", keys=[("Volume", 3)])
+        level.put("v4", "b", keys=[("Volume", 4)])
+        level.put("all", "c", keys=["Volume"])
+        level.put("issues", "d", keys=[("VolumeToIssue", 3)])
         assert cache.dependency_keys == 4
         # an instance write: its holders and the whole name's
-        assert cache.invalidate_writes(entities=[("Volume", 3)]) == 2
+        assert cache.invalidate_writes([("Volume", 3)]) == 2
         assert level.get("v4") == "b" and level.get("issues") == "d"
-        # a role instance never reaches an entity of the same value
-        assert cache.invalidate_writes(roles=[("VolumeToIssue", 4)]) == 0
+        # an instance of one name never reaches another name's instance
+        # of the same value
+        assert cache.invalidate_writes([("VolumeToIssue", 4)]) == 0
         # a bare name is every instance
-        assert cache.invalidate_writes(entities=["Volume"]) == 1
-        assert cache.dependents_of(role="VolumeToIssue") == 1
-        assert cache.dependents_of(role=("VolumeToIssue", 3)) == 1
+        assert cache.invalidate_writes(["Volume"]) == 1
+        assert cache.dependents_of("VolumeToIssue") == 1
+        assert cache.dependents_of(("VolumeToIssue", 3)) == 1
         assert cache.dependency_keys == 1
 
     def test_null_is_a_value_not_every_instance(self, level):
         cache = level.make()
-        level.put("orphans", "o", roles=[("IssueToPaper", None)])
-        level.put("issue5", "p", roles=[("IssueToPaper", 5)])
-        assert cache.invalidate_writes(roles=[("IssueToPaper", None)]) == 1
+        level.put("orphans", "o", keys=[("IssueToPaper", None)])
+        level.put("issue5", "p", keys=[("IssueToPaper", 5)])
+        assert cache.invalidate_writes([("IssueToPaper", None)]) == 1
         assert level.get("issue5") == "p"
-        level.put("orphans", "o", roles=[("IssueToPaper", None)])
-        assert cache.invalidate_writes(roles=[("IssueToPaper", 5)]) == 1
+        level.put("orphans", "o", keys=[("IssueToPaper", None)])
+        assert cache.invalidate_writes([("IssueToPaper", 5)]) == 1
         assert level.get("orphans") == "o"
 
     def test_status_reports_entries_and_dependency_keys(self, level):
         cache = level.make()
-        level.put("k", "v", entities=[("Paper", 1), "Volume"],
-                  roles=[("Authorship", 1)])
-        level.put("j", "w", entities=[("Paper", 1)])
+        level.put("k", "v", keys=[("Paper", 1), "Volume", ("Authorship", 1)])
+        level.put("j", "w", keys=[("Paper", 1)])
         status = cache.status()
         assert status["entries"] == 2 and status["dependency_keys"] == 3
         assert status["puts"] == cache.stats.puts  # the counters stay
@@ -282,10 +280,10 @@ class TestCacheConformance:
         level = level_class()
         cache = level.make()
         for position, entity in enumerate(entities):
-            level.put(f"k{position}", "v", entities=[entity])
+            level.put(f"k{position}", "v", keys=[entity])
         for entity in set(entities):
-            cache.invalidate_writes(entities=[entity])
-            assert cache.dependents_of(entity=entity) == 0
+            cache.invalidate_writes([entity])
+            assert cache.dependents_of(entity) == 0
         assert len(cache) == 0
 
 
@@ -371,11 +369,11 @@ class TestSingleFlightConformance:
 
         def build():
             # a write lands between the build and the store
-            cache.invalidate_writes(entities=["Paper"])
+            cache.invalidate_writes(["Paper"])
             return "stale"
 
         # the caller still gets its value, but it was never cached
-        assert level.build("k", build, entities=["Paper"]) == "stale"
+        assert level.build("k", build, keys=["Paper"]) == "stale"
         assert level.get("k") is None
         assert cache.stats.puts == 0
 
@@ -468,7 +466,7 @@ class TestUnitBeanCache:
         cache = UnitBeanCache()
         bean = UnitBean("u1", "Unit", "index", rows=[{"oid": 1}])
         assert not bean.from_cache
-        cache.put("k", bean, entities=["Paper"])
+        cache.put("k", bean, keys=["Paper"])
         hit = cache.get("k")
         assert hit is bean and hit.from_cache
 
@@ -575,14 +573,14 @@ class TestCacheProperties:
                 serial += 1
                 if level.name == "bean":
                     level.ttl = put_ttl
-                level.put(key, f"value-{serial}", entities=[dependency])
+                level.put(key, f"value-{serial}", keys=[dependency])
                 oracle.put(key, f"value-{serial}", dependency, level.ttl)
             elif operation[0] == "get":
                 _, key = operation
                 assert level.get(key) == oracle.get(key)
             elif operation[0] == "invalidate":
                 _, dependency = operation
-                cache.invalidate_writes(entities=[dependency])
+                cache.invalidate_writes([dependency])
                 oracle.invalidate(dependency)
             else:  # advance
                 _, seconds = operation

@@ -15,7 +15,7 @@ import pytest
 
 from repro.appserver import ComponentContainer, ComponentDescriptor, ThreadedAppServer
 from repro.caching import FragmentCache, UnitBeanCache
-from repro.errors import DatabaseError
+from repro.errors import ContainerError, DatabaseError
 from repro.mvc import SessionStore
 from repro.rdb import ConnectionPool, Database
 from repro.services import UnitBean
@@ -525,12 +525,12 @@ class TestBeanCacheConcurrency:
 
         leader = threading.Thread(
             target=lambda: cache.get_or_compute(
-                "k", compute, entities=("Book",)
+                "k", compute, keys=("Book",)
             )
         )
         leader.start()
         in_compute.wait(5.0)
-        cache.invalidate_writes(entities=("Book",))  # the operation commits
+        cache.invalidate_writes(("Book",))  # the operation commits
         finish_compute.set()
         leader.join(timeout=5.0)
         assert cache.get("k") is None  # the stale bean was never stored
@@ -560,15 +560,15 @@ class TestBeanCacheConcurrency:
 
         def writer(_index):
             for _ in range(rounds):
-                cache.invalidate_writes(entities=("Book",))
+                cache.invalidate_writes(("Book",))
 
         def putter(index):
             for i in range(rounds):
-                cache.put((index, i), self._bean(i), entities=("Book",))
+                cache.put((index, i), self._bean(i), keys=("Book",))
 
         run_threads(4, lambda i: writer(i) if i % 2 else putter(i))
         # after the dust settles the dependency index matches the entries
-        assert cache.dependents_of(entity="Book") == len(cache)
+        assert cache.dependents_of("Book") == len(cache)
 
 
 class TestFragmentCacheConcurrency:
@@ -630,30 +630,52 @@ class TestSessionStoreConcurrency:
 
 class _Component:
     def serve(self):
-        time.sleep(0.002)
         return "ok"
 
 
 class TestContainerConcurrency:
     def test_concurrent_invokes_respect_max_instances(self):
-        container = ComponentContainer(block_when_exhausted=True)
+        """``max_instances`` invokes park inside ``serve``; one more
+        fails fast, naming the cap, instead of waiting or creating a
+        fourth instance."""
+        cap = 3
+        inside = threading.Barrier(cap + 1)
+        release = threading.Event()
+
+        class Parked:
+            def serve(self):
+                inside.wait(timeout=HANG)
+                assert release.wait(timeout=HANG)
+                return "ok"
+
+        container = ComponentContainer()
         container.deploy(ComponentDescriptor(
-            "svc", _Component, min_instances=0, max_instances=3,
+            "svc", Parked, min_instances=0, max_instances=cap,
         ))
+        results = []
 
         def client(_index):
-            for _ in range(10):
-                assert container.invoke("svc", "serve") == "ok"
+            results.append(container.invoke("svc", "serve"))
 
-        run_threads(6, client)
+        clients = threading.Thread(target=run_threads, args=(cap, client))
+        clients.start()
+        inside.wait(timeout=HANG)  # every instance is busy in serve
+        try:
+            assert container.pool_stats("svc")["busy"] == cap
+            with pytest.raises(ContainerError,
+                               match=r"'svc' at max instances \(3\)"):
+                container.invoke("svc", "serve")
+        finally:
+            release.set()
+            clients.join(timeout=HANG)
+        assert results == ["ok"] * cap
         stats = container.pool_stats("svc")
         assert stats["busy"] == 0
-        assert stats["peak_resident"] <= 3
-        assert stats["created_total"] <= 3
-        assert container.invocations == 60
+        assert stats["peak_resident"] == stats["created_total"] == cap
+        assert container.invocations == cap
 
     def test_sweep_races_with_invokes(self):
-        container = ComponentContainer(block_when_exhausted=True)
+        container = ComponentContainer()
         container.deploy(ComponentDescriptor(
             "svc", _Component, min_instances=1, max_instances=4,
             idle_timeout=0.0001,

@@ -53,15 +53,15 @@ class TestPageCache:
 
     def test_make_entry_precomputes_delivery(self):
         cache = PageCache()
-        entry = cache.make_entry("<html>hi</html>", entities=("Paper",),
-                                 roles=("Authorship",))
+        entry = cache.make_entry("<html>hi</html>",
+                                 keys=("Paper", "Authorship"))
         assert entry.etag == content_etag("<html>hi</html>")
         assert gzip.decompress(entry.gzip_body).decode() == "<html>hi</html>"
-        # the entry is stored under the dependency sets it was made with
+        # the entry is stored under the dependency keys it was made with
         cache.put("k", entry)
         assert cache.get("k") is entry
-        assert cache.dependents_of(entity="Paper") == 1
-        assert cache.dependents_of(role="Authorship") == 1
+        assert cache.dependents_of("Paper") == 1
+        assert cache.dependents_of("Authorship") == 1
 
     def test_an_entry_compresses_on_its_first_gzip_read_only(self,
                                                              monkeypatch):
@@ -100,9 +100,9 @@ class TestInvalidationBus:
 
         bus.register("bean", bean)
         bus.register("fragment", fragment)
-        bean.put("b", UnitBean("u", "U", "index"), entities=["Paper"])
-        fragment.put("f", "<div/>", entities=["Paper"])
-        dropped = bus.invalidate_writes(entities=["Paper"])
+        bean.put("b", UnitBean("u", "U", "index"), keys=["Paper"])
+        fragment.put("f", "<div/>", keys=["Paper"])
+        dropped = bus.invalidate_writes(["Paper"])
         assert dropped == {"bean": 1, "fragment": 1}
         assert bus.targets() == ["bean", "fragment"]
 
@@ -112,8 +112,8 @@ class TestInvalidationBus:
         bus.register("fragment", first)
         bus.register("fragment", second)
         assert bus.targets() == ["fragment"]
-        second.put("only-in-second", "<div/>", entities=["Paper"])
-        assert bus.invalidate_writes(entities=["Paper"]) == {"fragment": 1}
+        second.put("only-in-second", "<div/>", keys=["Paper"])
+        assert bus.invalidate_writes(["Paper"]) == {"fragment": 1}
         assert len(second) == 0 and first.stats.invalidations == 0
 
     def test_flush_clears_every_level(self):
@@ -308,21 +308,21 @@ class TestWriteInvalidationAcrossLevels:
         assert len(page_cache) == 2
         # the Volume Page holds its issues' papers by instance — the
         # IssueToPaper keys of its issues — not the Paper entity
-        assert page_cache.dependents_of(entity="Paper") == 0
-        assert page_cache.dependents_of(role="IssueToPaper") == 1
+        assert page_cache.dependents_of("Paper") == 0
+        assert page_cache.dependents_of("IssueToPaper") == 1
         writer = _admin(app)  # lands on Admin Home: a third cached page
         assert len(page_cache) == 3
-        assert page_cache.dependents_of(entity="Paper") == 1
+        assert page_cache.dependents_of("Paper") == 1
         writer.get(app.operation_url(
             "admin", "CreatePaper", {"title": "Fresh", "pages": "3"},
         ), follow_redirects=False)
         # every level dropped its Paper dependents (the admin list)...
-        assert bean_cache.dependents_of(entity="Paper") == 0
-        assert fragment_cache.dependents_of(entity="Paper") == 0
-        assert page_cache.dependents_of(entity="Paper") == 0
+        assert bean_cache.dependents_of("Paper") == 0
+        assert fragment_cache.dependents_of("Paper") == 0
+        assert page_cache.dependents_of("Paper") == 0
         # ...and only those: the Volumes page and the Volume Page survived
         assert len(page_cache) == 2
-        assert page_cache.dependents_of(entity="Volume") == 2
+        assert page_cache.dependents_of("Volume") == 2
 
     def test_a_volume_page_holds_its_instances_on_both_paths(self, acm_oids):
         """The buffered and the chunk-streamed build store the page under
@@ -345,14 +345,12 @@ class TestWriteInvalidationAcrossLevels:
                 app.handle(request)
             assert len(page_cache) == 1
             assert page_cache.dependency_keys == 4
-            assert page_cache.dependents_of(entity=("Volume", volume)) == 1
-            assert page_cache.dependents_of(
-                role=("VolumeToIssue", volume)) == 1
+            assert page_cache.dependents_of(("Volume", volume)) == 1
+            assert page_cache.dependents_of(("VolumeToIssue", volume)) == 1
             for issue in (first, second):
-                assert page_cache.dependents_of(
-                    role=("IssueToPaper", issue)) == 1
-            assert page_cache.dependents_of(entity="Paper") == 0
-            assert page_cache.dependents_of(entity="Issue") == 0
+                assert page_cache.dependents_of(("IssueToPaper", issue)) == 1
+            assert page_cache.dependents_of("Paper") == 0
+            assert page_cache.dependents_of("Issue") == 0
 
     def test_read_after_write_observes_the_write(self, acm_oids):
         app, *_ = _delivery_app()
@@ -374,8 +372,8 @@ class TestWriteInvalidationAcrossLevels:
         writer.get(app.operation_url(
             "admin", "DeletePaper", {"oid": acm_oids["papers"][0]},
         ), follow_redirects=False)
-        assert page_cache.dependents_of(entity="Paper") == 0
-        assert page_cache.dependents_of(entity="Volume") == 1
+        assert page_cache.dependents_of("Paper") == 0
+        assert page_cache.dependents_of("Volume") == 1
 
     def test_login_does_not_invalidate(self, acm_oids):
         app, page_cache, fragment_cache, bean_cache = _delivery_app()

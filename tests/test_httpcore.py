@@ -307,8 +307,8 @@ class TestFlightHelpers:
     def test_put_if_current_respects_generation(self):
         cache = PageCache()
         generation = cache.generation
-        entry = cache.make_entry("body", entities=["Volume"])
-        cache.invalidate_writes(entities=["Volume"])
+        entry = cache.make_entry("body", keys=["Volume"])
+        cache.invalidate_writes(["Volume"])
         assert not cache.put_if_current("k", entry, generation)
         assert cache.put_if_current("k", entry, cache.generation)
         assert cache.peek("k") is entry

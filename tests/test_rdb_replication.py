@@ -227,7 +227,7 @@ class TestReplicaEngine:
         outcomes = []
         replica.commit_stream.subscribe(
             lambda event: outcomes.append(
-                bus.invalidate_writes(sorted(event.tables), ())
+                bus.invalidate_writes(sorted(event.tables))
             )
         )
         for record in records:

@@ -42,6 +42,7 @@ from repro.services import (
     GenericPageService,
     OperationResult,
     RuntimeContext,
+    UnitBean,
 )
 from repro.services.plugins import PluginUnit, plugin_registry
 from repro.webml import (
@@ -62,16 +63,16 @@ class _RecordingCache:
     """Duck-typed cache level that records every invalidation."""
 
     def __init__(self):
-        self.calls: list[tuple[tuple, tuple]] = []
+        self.calls: list[tuple] = []
 
     def get(self, key):
         return None
 
-    def put(self, key, bean, entities, roles, policy=None):
+    def put(self, key, bean, keys, policy=None):
         pass
 
-    def invalidate_writes(self, entities, roles) -> int:
-        self.calls.append((tuple(entities), tuple(roles)))
+    def invalidate_writes(self, keys) -> int:
+        self.calls.append(tuple(keys))
         return 0
 
     def flush(self) -> int:
@@ -397,13 +398,14 @@ class TestCommitDrivenInvalidation:
 
     # The call shapes below name instances: a written row publishes
     # ``(entity, oid)`` and ``(role, source-side value)`` for the rows
-    # its redo ops carry, no longer the bare entity and role names.
+    # its redo ops carry, no longer the bare entity and role names —
+    # one tuple per commit, the entity key first, then the role keys.
 
     def test_entity_tables_translate_to_entities(self):
         app, cache = self._app()
         cache.calls.clear()
         [author] = app.seed_entity("Author", [{"name": "S. Ceri"}])
-        assert cache.calls == [((("Author", author),), ())]
+        assert cache.calls == [(("Author", author),)]
         assert app.ctx.commit_invalidations == 1
         app.close()
 
@@ -418,8 +420,8 @@ class TestCommitDrivenInvalidation:
         authors = app.seed_entity("Author", [{"name": "S. Ceri"}])
         cache.calls.clear()
         app.connect_instances("Authorship", papers[0], authors[0])
-        assert cache.calls == [((), (("Authorship", papers[0]),
-                                     ("AuthorOf", authors[0])))]
+        assert cache.calls == [(("Authorship", papers[0]),
+                                ("AuthorOf", authors[0]))]
         app.close()
 
     def test_direct_sql_writes_also_invalidate(self):
@@ -433,7 +435,7 @@ class TestCommitDrivenInvalidation:
             "UPDATE author SET name = :n WHERE oid = :oid",
             {"n": "fresh", "oid": oids[0]},
         )
-        assert cache.calls == [((("Author", oids[0]),), ())]
+        assert cache.calls == [(("Author", oids[0]),)]
         app.close()
 
     def test_fk_table_carries_both_role_names(self):
@@ -447,10 +449,42 @@ class TestCommitDrivenInvalidation:
             {"title": "WebML", "pages": 20, "IssueToPaper": issue}])
         [loose] = app.seed_entity("Paper", [{"title": "Loose", "pages": 2}])
         assert cache.calls == [
-            ((("Paper", linked),),
-             (("IssueToPaper", issue), ("PaperToIssue", linked))),
-            ((("Paper", loose),), (("PaperToIssue", loose),)),
+            (("Paper", linked), ("IssueToPaper", issue),
+             ("PaperToIssue", linked)),
+            (("Paper", loose), ("PaperToIssue", loose)),
         ]
+        app.close()
+
+    def test_an_unmapped_table_publishes_its_name_whole(self):
+        """A table the ER mapping does not know has no instance keys:
+        each commit writing it publishes the table's name whole, and a
+        cache entry holding that name is dropped while others stay."""
+        app, cache = self._app()
+        app.database.execute(
+            "CREATE TABLE audit (oid INTEGER NOT NULL AUTOINCREMENT,"
+            " note VARCHAR(40), PRIMARY KEY (oid))")
+        assert cache.calls == []  # a schema record publishes nothing
+        app.database.execute("INSERT INTO audit (note) VALUES (:n)",
+                             {"n": "seen"})
+        assert cache.calls == [("audit",)]
+        cache.calls.clear()
+        app.database.execute("UPDATE audit SET note = :n", {"n": "again"})
+        assert cache.calls == [("audit",)]
+        app.close()
+
+        beans = UnitBeanCache()
+        app = WebApplication(build_acm_model(), bean_cache=beans)
+        app.database.execute(
+            "CREATE TABLE audit (oid INTEGER NOT NULL AUTOINCREMENT,"
+            " note VARCHAR(40), PRIMARY KEY (oid))")
+        beans.put("audit", UnitBean("u1", "Audit", "index"), keys=["audit"])
+        beans.put("papers", UnitBean("u2", "Papers", "index"),
+                  keys=["Paper"])
+        app.database.execute("INSERT INTO audit (note) VALUES (:n)",
+                             {"n": "seen"})
+        assert beans.get("audit") is None
+        assert beans.get("papers") is not None
+        assert beans.stats.invalidations == 1
         app.close()
 
     def test_inverse_role_name_drops_the_bean(self):
@@ -669,9 +703,9 @@ class _InvalidationMachine(RuleBasedStateMachine):
         bus = self.app.ctx.invalidation_bus
         publish = bus.invalidate_writes
 
-        def counted(entities=(), roles=()):
+        def counted(keys=()):
             self.bus_calls += 1
-            return publish(entities, roles)
+            return publish(keys)
 
         bus.invalidate_writes = counted
         self.app.database.commit_stream.subscribe(self._count_commit)
