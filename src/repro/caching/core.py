@@ -237,8 +237,7 @@ class DependencyCache:
         """Return the cached value, or build it exactly once.
 
         ``deps`` are :meth:`put`'s keyword arguments for the built
-        value (``keys=``).  A ``None`` result is returned but never
-        stored.
+        value.  A ``None`` result is returned but never stored.
         """
         waited = False
         while True:

@@ -668,6 +668,7 @@ class TestContainerConcurrency:
         finally:
             release.set()
             clients.join(timeout=HANG)
+        assert not clients.is_alive()
         assert results == ["ok"] * cap
         stats = container.pool_stats("svc")
         assert stats["busy"] == 0
