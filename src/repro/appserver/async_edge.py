@@ -6,15 +6,18 @@ idle, waiting for the next request.  This module inverts the shape: a
 single asyncio event loop owns *all* accepted sockets, and threads are
 spent only on work that actually computes.
 
-The edge drives the front controller's own pipeline in two halves
-(:meth:`FrontController.begin` on the loop, :meth:`FrontController.
-complete` on a worker, continuing from the same state), which makes the
-per-request triage, cheapest first:
+Each accepted socket is one :class:`_EdgeConnection`, an
+:class:`asyncio.Protocol` the loop calls back when bytes arrive.  The
+read callback feeds the connection's sans-IO parser and triages every
+request it completes with the front controller's own pipeline, split
+in two halves (:meth:`FrontController.begin` on the loop,
+:meth:`FrontController.complete` on a worker, continuing from the same
+state), cheapest first:
 
 1. **inline** — ``begin(request, peek=True)`` routes, protects and
    looks the page cache up once; a stored page (200 or ETag 304) is
-   answered directly on the loop: no thread handoff, no rendering,
-   bounded lock-cheap work;
+   written to the transport *inside the read callback*: no coroutine,
+   task, future or timer, no thread handoff, no rendering;
 2. **streamed** — on a cache miss with a streaming-capable view
    renderer, ``complete(state, stream=True)`` returns the response head
    plus a chunk iterator: the head and the compiled template's static
@@ -24,6 +27,19 @@ per-request triage, cheapest first:
 3. **buffered** — everything else (operations, redirects, ``X-Trace``
    requests, misses without streaming) comes back from ``complete``
    whole and is written out with a ``Content-Length``.
+
+Paths 2 and 3 are the worker path: the request gets one task, which
+owns the connection until its response is written.  Reading pauses
+meanwhile, so a connection answers its requests strictly in order —
+pipelined requests parsed behind it wait in the connection's queue,
+and a malformed one gets its 400 (and a close) after every response
+before it.  Flow control is the transport's: ``pause_writing`` pauses
+reading (and the inline answers) until ``resume_writing``; the worker
+path's ``drain`` waits for the same signal and fails once the peer is
+gone, which is what stops a stream for a vanished reader.  The idle
+timeout is one timer per connection that re-arms itself from the last
+read or worker-path response; a connection with a request in flight or
+queued is never idle.
 
 An application without a staged front controller — a bare ``handle``,
 or a wrapper whose ``handle`` must see every request, like the fleet's
@@ -51,6 +67,7 @@ from __future__ import annotations
 import asyncio
 import threading
 import time
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 
 from repro.errors import ContainerError
@@ -97,6 +114,8 @@ class AsyncAppServer:
         self._address: tuple | None = None
         self._started = threading.Event()
         self._stop_event: asyncio.Event | None = None
+        #: open connections, touched only on the loop thread
+        self._live: set[_EdgeConnection] = set()
 
         self.metrics = MetricsRegistry()
         self._open_gauge = self.metrics.gauge("edge.open_connections")
@@ -178,77 +197,56 @@ class AsyncAppServer:
                 loop.close()
 
     async def _serve(self, host: str, port: int) -> None:
+        loop = asyncio.get_running_loop()
         self._stop_event = asyncio.Event()
-        self._server = await asyncio.start_server(
-            self._handle_connection, host, port, backlog=1024
+        self._server = await loop.create_server(
+            lambda: _EdgeConnection(self, loop), host, port, backlog=1024
         )
         self._address = self._server.sockets[0].getsockname()
         self._started.set()
-        async with self._server:
-            await self._stop_event.wait()
-
-    # -- the connection loop ---------------------------------------------------
-
-    async def _handle_connection(self, reader: asyncio.StreamReader,
-                                 writer: asyncio.StreamWriter) -> None:
-        conn = HttpConnection()
-        self._connections.inc()
-        self._open_gauge.inc()
         try:
-            while not conn.should_close:
-                try:
-                    data = await asyncio.wait_for(
-                        reader.read(65536), timeout=self.idle_timeout
-                    )
-                except (asyncio.TimeoutError, ConnectionError):
-                    break
-                if not data:
-                    break
-                try:
-                    requests = conn.receive_bytes(data)
-                except ProtocolError as exc:
-                    writer.write(encode_simple(
-                        400, f"bad request: {exc}", date=http_date()
-                    ))
-                    await writer.drain()
-                    break
-                for request in requests:
-                    await self._serve_request(request, conn, writer)
-                    if conn.should_close:
-                        break
-        except (ConnectionError, asyncio.CancelledError):
-            pass  # peer vanished or server stopping
+            await self._stop_event.wait()
         finally:
-            self._open_gauge.dec()
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
+            self._server.close()
+            connections = list(self._live)
+            tasks = [c.task for c in connections if c.task is not None]
+            for connection in connections:
+                connection.abort()
+            await asyncio.gather(*tasks, return_exceptions=True)
+            # one more pass, so every aborted transport reports
+            # connection_lost (and closes its socket) before the loop does
+            await asyncio.sleep(0)
 
-    async def _serve_request(self, request, conn: HttpConnection,
-                             writer: asyncio.StreamWriter) -> None:
+    # -- one request -----------------------------------------------------------
+
+    def _answer_inline(self, request, conn: HttpConnection,
+                       writer: "_EdgeConnection"):
+        """Answer ``request`` on the loop if the page cache holds it.
+
+        Returns None when the response is written, else the worker
+        half still to run: ``(work, argument, started)``.
+        """
         self._requests.inc()
         started = time.perf_counter()
-
-        # 1. inline: route + protect + one page-cache look, on the loop;
-        # a stored page never leaves it
+        # route + protect + one page-cache look, on the loop; a stored
+        # page never leaves it
         front = self._front
         if front is None:
-            work, argument = self.app.handle, request
-        else:
-            state = front.begin(request, peek=True)
-            if isinstance(state, HttpResponse):  # the stored page itself
-                self._inline_hits.inc()
-                if state.status == 304:
-                    self._inline_304s.inc()
-                self._write_whole(request, state, conn, writer, started)
-                await writer.drain()
-                return
-            work, argument = self._complete, state
+            return self.app.handle, request, started
+        state = front.begin(request, peek=True)
+        if not isinstance(state, HttpResponse):
+            return self._complete, state, started
+        self._inline_hits.inc()  # the stored page itself
+        if state.status == 304:
+            self._inline_304s.inc()
+        self._write_whole(request, state, conn, writer, started)
+        return None
 
-        # 2/3. the rest of the pipeline on a worker, from that state; a
-        # StreamedPage comes back early, an HttpResponse complete
+    async def _answer_on_worker(self, request, conn: HttpConnection,
+                                writer: "_EdgeConnection", work, argument,
+                                started: float) -> None:
+        """The rest of the pipeline on a worker, from the loop's state;
+        a StreamedPage comes back early, an HttpResponse complete."""
         loop = asyncio.get_running_loop()
         self._dispatches.inc()
         try:
@@ -274,14 +272,14 @@ class AsyncAppServer:
         return self._front.complete(state, stream=self.stream)
 
     def _write_whole(self, request, response, conn: HttpConnection,
-                     writer: asyncio.StreamWriter, started: float) -> None:
+                     writer: "_EdgeConnection", started: float) -> None:
         payload = conn.send_response(request, response, date=http_date())
         writer.write(payload)
         self._ttfb.record(time.perf_counter() - started)
         self._wire_bytes.inc(len(payload))
 
     async def _write_stream(self, request, streamed, conn: HttpConnection,
-                            writer: asyncio.StreamWriter,
+                            writer: "_EdgeConnection",
                             started: float) -> None:
         """Send the head now, then relay chunks as a worker renders them.
 
@@ -314,16 +312,20 @@ class AsyncAppServer:
 
         head = conn.send_response(request, streamed.response,
                                   date=http_date(), chunked=True)
+        # The head goes to the socket *before* the producer is handed to
+        # a worker: the send releases the GIL, and a producer already
+        # woken takes it there and renders the whole page before the
+        # loop gets it back, so the head would leave after the build.
         # The second hand-off stays: returning from the first one is
         # where the worker yields the GIL, so the loop can put the head
-        # on the wire *before* the unit services run.  Rendering inside
+        # on the wire before the unit services run.  Rendering inside
         # the first hop saved a wake-up and cost the early first byte
         # (p50 0.23 ms -> 0.58 ms).
+        writer.write(head)
+        self._ttfb.record(time.perf_counter() - started)
+        self._wire_bytes.inc(len(head))
         producer = loop.run_in_executor(self._pool, produce)
         try:
-            writer.write(head)
-            self._ttfb.record(time.perf_counter() - started)
-            self._wire_bytes.inc(len(head))
             await writer.drain()
             while True:
                 item = await queue.get()
@@ -376,3 +378,153 @@ class AsyncAppServer:
             "bytes_on_wire": self._wire_bytes.value,
             "ttfb": self._ttfb.to_dict(),
         }
+
+
+class _EdgeConnection(asyncio.Protocol):
+    """One accepted socket, driven by the loop's callbacks.
+
+    Requests are answered strictly in order: the read callback answers
+    stored pages itself, and the first request that needs a worker gets
+    one task that owns the connection — reading paused, later requests
+    queued — until its response is written.  It is also the worker
+    path's writer: ``write`` and ``drain`` are what the edge's response
+    writers call.
+    """
+
+    def __init__(self, edge: AsyncAppServer,
+                 loop: asyncio.AbstractEventLoop):
+        self.edge = edge
+        self.loop = loop
+        self.http = HttpConnection()
+        self.transport: asyncio.Transport | None = None
+        self.queued: deque = deque()  # parsed, not yet answered
+        self.bad_request: ProtocolError | None = None
+        self.task: asyncio.Task | None = None  # the worker-path request
+        self.write_paused = False
+        self.writable: asyncio.Future | None = None
+        self.lost = False
+        self.last_active = 0.0
+        self.deadline: asyncio.TimerHandle | None = None
+
+    # -- asyncio callbacks -----------------------------------------------------
+
+    def connection_made(self, transport) -> None:
+        self.transport = transport
+        self.write = transport.write  # the writers' ``write``, unwrapped
+        edge = self.edge
+        edge._connections.inc()
+        edge._open_gauge.inc()
+        edge._live.add(self)
+        self.last_active = self.loop.time()
+        self.deadline = self.loop.call_later(edge.idle_timeout,
+                                             self._check_idle)
+
+    def data_received(self, data: bytes) -> None:
+        self.last_active = self.loop.time()
+        try:
+            self.queued.extend(self.http.receive_bytes(data))
+        except ProtocolError as exc:
+            self.queued.extend(exc.requests)
+            self.bad_request = exc
+        if self.task is None:
+            self._answer_queued()
+
+    def pause_writing(self) -> None:
+        self.write_paused = True
+        self.transport.pause_reading()
+
+    def resume_writing(self) -> None:
+        self.write_paused = False
+        waiter, self.writable = self.writable, None
+        if waiter is not None and not waiter.done():
+            waiter.set_result(None)
+        if self.task is None:
+            self._answer_queued()
+            self._resume_reading()
+
+    def connection_lost(self, exc) -> None:
+        self.lost = True
+        self.queued.clear()
+        edge = self.edge
+        edge._open_gauge.dec()
+        edge._live.discard(self)
+        if self.deadline is not None:
+            self.deadline.cancel()
+            self.deadline = None
+        waiter, self.writable = self.writable, None
+        if waiter is not None and not waiter.done():
+            waiter.set_exception(ConnectionResetError("connection lost"))
+
+    # -- the worker path's writer ----------------------------------------------
+
+    async def drain(self) -> None:
+        """Wait until the transport takes more; raises once the peer
+        is gone."""
+        if self.lost:
+            raise ConnectionResetError("connection lost")
+        if self.write_paused:
+            self.writable = self.loop.create_future()
+            await self.writable
+
+    # -- requests --------------------------------------------------------------
+
+    def _answer_queued(self) -> None:
+        """Answer parsed requests in order until one needs a worker,
+        the transport asks for a pause, or the connection ends."""
+        http = self.http
+        while self.queued and not (http.should_close or self.write_paused):
+            request = self.queued.popleft()
+            deferred = self.edge._answer_inline(request, http, self)
+            if deferred is not None:
+                self.transport.pause_reading()
+                self.task = self.loop.create_task(
+                    self._on_worker(request, *deferred)
+                )
+                return
+        if http.should_close:
+            self.transport.close()
+        elif self.bad_request is not None and not self.queued:
+            self.transport.write(encode_simple(
+                400, f"bad request: {self.bad_request}", date=http_date()
+            ))
+            http.mark_close()
+            self.transport.close()
+
+    async def _on_worker(self, request, work, argument,
+                         started: float) -> None:
+        try:
+            await self.edge._answer_on_worker(
+                request, self.http, self, work, argument, started
+            )
+        except ConnectionError:
+            self.http.mark_close()  # the peer vanished mid-response
+        finally:
+            self.task = None
+            self.last_active = self.loop.time()
+        if not self.lost:
+            self._answer_queued()
+            self._resume_reading()
+
+    def _resume_reading(self) -> None:
+        if self.task is None and not self.write_paused:
+            self.transport.resume_reading()
+
+    def _check_idle(self) -> None:
+        """The connection's one deadline: close after ``idle_timeout``
+        with nothing read or answered, unless a request is in flight or
+        queued."""
+        delay = self.edge.idle_timeout
+        if self.task is None and not self.queued and not self.write_paused:
+            delay += self.last_active - self.loop.time()
+            if delay <= 0:
+                self.deadline = None
+                self.transport.close()
+                return
+        self.deadline = self.loop.call_later(delay, self._check_idle)
+
+    def abort(self) -> None:
+        """Server shutdown: cancel the request in flight, drop the
+        socket."""
+        if self.task is not None:
+            self.task.cancel()
+        self.transport.abort()

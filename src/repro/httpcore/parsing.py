@@ -26,6 +26,7 @@ folding, HTTP/2) raises :class:`ProtocolError` rather than guessing.
 
 from __future__ import annotations
 
+import threading
 from urllib.parse import parse_qsl
 
 from repro.errors import ReproError
@@ -41,13 +42,31 @@ _SUPPORTED_VERSIONS = ("HTTP/1.0", "HTTP/1.1")
 
 class ProtocolError(ReproError):
     """The peer sent bytes that are not a well-formed HTTP/1.x request
-    (or exceeded the parser's limits).  The edge answers 400 and closes."""
+    (or exceeded the parser's limits).  The edge answers the requests
+    completed before them (:attr:`requests`), then 400, and closes."""
+
+    #: the requests the same ``feed`` completed before the bad bytes
+    requests: list | tuple = ()
+
+
+#: most wire header names :func:`canonical_header` remembers; a peer
+#: inventing names past it gets them canonicalized, not stored
+CANONICAL_MEMO_CAP = 256
+_canonical_memo: dict[str, str] = {}
+_canonical_lock = threading.Lock()
 
 
 def canonical_header(name: str) -> str:
     """Normalize a wire header name to the Title-Case form the
     in-process tiers look up (``if-none-match`` → ``If-None-Match``)."""
-    return "-".join(part.capitalize() for part in name.split("-"))
+    canonical = _canonical_memo.get(name)
+    if canonical is None:
+        canonical = "-".join(part.capitalize() for part in name.split("-"))
+        if len(_canonical_memo) < CANONICAL_MEMO_CAP:
+            with _canonical_lock:
+                if len(_canonical_memo) < CANONICAL_MEMO_CAP:
+                    _canonical_memo[name] = canonical
+    return canonical
 
 
 def session_id_from_headers(headers: dict) -> str | None:
@@ -75,13 +94,18 @@ class RequestParser:
 
         Pipelined requests all come out of one call; a partial request
         stays buffered for the next.  Raises :class:`ProtocolError` on
-        malformed input — the buffer is then poisoned and the
-        connection must close (HTTP/1.x framing cannot resynchronize).
+        malformed input, carrying the requests this call completed
+        before it — the buffer is then poisoned and the connection must
+        close (HTTP/1.x framing cannot resynchronize).
         """
         self._buffer.extend(data)
         requests: list[HttpRequest] = []
         while True:
-            request = self._try_parse_one()
+            try:
+                request = self._try_parse_one()
+            except ProtocolError as exc:
+                exc.requests = requests
+                raise
             if request is None:
                 break
             requests.append(request)

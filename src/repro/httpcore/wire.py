@@ -22,6 +22,7 @@ Framing rules (deliberately deterministic):
 
 from __future__ import annotations
 
+import time
 from email.utils import formatdate
 
 #: reason phrases for every status the runtime produces
@@ -47,9 +48,24 @@ LAST_CHUNK = b"0\r\n\r\n"
 _BODYLESS = frozenset({204, 304})
 
 
+#: ``(second, text)`` of the last current ``Date`` formatted: every
+#: response within one wall-clock second shares it, and the tuple is
+#: rebound whole, so a reader on any thread sees a matching pair
+_date_memo: tuple[int, str] = (-1, "")
+
+
 def http_date(timestamp: float | None = None) -> str:
-    """An RFC 9110 ``Date`` header value (IMF-fixdate, GMT)."""
-    return formatdate(timestamp, usegmt=True)
+    """An RFC 9110 ``Date`` header value (IMF-fixdate, GMT) for
+    ``timestamp``, or for now.  The text has one-second resolution,
+    so now is formatted at most once per second."""
+    global _date_memo
+    if timestamp is not None:
+        return formatdate(timestamp, usegmt=True)
+    second = int(time.time())
+    memo = _date_memo
+    if memo[0] != second:
+        memo = _date_memo = (second, formatdate(second, usegmt=True))
+    return memo[1]
 
 
 def reason_phrase(status: int) -> str:
