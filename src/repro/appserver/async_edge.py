@@ -9,24 +9,31 @@ spent only on work that actually computes.
 Each accepted socket is one :class:`_EdgeConnection`, an
 :class:`asyncio.Protocol` the loop calls back when bytes arrive.  The
 read callback feeds the connection's sans-IO parser and triages every
-request it completes with the front controller's own pipeline, split
-in two halves (:meth:`FrontController.begin` on the loop,
-:meth:`FrontController.complete` on a worker, continuing from the same
-state), cheapest first:
+request it completes with the front controller's own pipeline
+(:meth:`FrontController.begin` and :meth:`FrontController.open_stream`
+on the loop, :meth:`FrontController.complete` or the stream's chunks
+on a worker, continuing from the same state), cheapest first:
 
 1. **inline** — ``begin(request, peek=True)`` routes, protects and
    looks the page cache up once; a stored page (200 or ETag 304) is
    written to the transport *inside the read callback*: no coroutine,
    task, future or timer, no thread handoff, no rendering;
 2. **streamed** — on a cache miss with a streaming-capable view
-   renderer, ``complete(state, stream=True)`` returns the response head
-   plus a chunk iterator: the head and the compiled template's static
-   prefix leave immediately (chunked transfer encoding) while a worker
-   thread runs the unit services, each rendered slot crossing back to
-   the loop as it completes;
-3. **buffered** — everything else (operations, redirects, ``X-Trace``
-   requests, misses without streaming) comes back from ``complete``
-   whole and is written out with a ``Content-Length``.
+   renderer, ``open_stream(state)`` — still in the read callback —
+   checks the template, admits the page and claims its build: bounded
+   work, no action and no render.  The head (chunked transfer
+   encoding) is written right there; the request's task then hands
+   the chunk iterator to a worker, its one hop, where the static
+   prefix leaves first and the unit services run, each rendered slot
+   crossing back to the loop as it completes.  An exception raised
+   while opening a stream is answered like a worker's: a 500 and a
+   close;
+3. **buffered** — everything else (operations, redirects, 404 and
+   403, ``X-Trace`` requests, ``/_status``, misses without streaming,
+   and a miss whose build another request holds — that follower waits
+   on a worker, never on the loop) goes to a worker once, comes back
+   from ``complete`` whole and is written out with a
+   ``Content-Length``.
 
 Paths 2 and 3 are the worker path: the request gets one task, which
 owns the connection until its response is written.  Reading pauses
@@ -75,7 +82,6 @@ from repro.httpcore import (
     HttpConnection,
     LAST_CHUNK,
     ProtocolError,
-    StreamedPage,
     encode_chunk,
     encode_simple,
     http_date,
@@ -92,7 +98,8 @@ class AsyncAppServer:
 
     ``app`` is anything with ``handle(request) -> HttpResponse``; when
     it has a ``front`` controller the edge drives that pipeline's
-    ``begin`` / ``complete`` halves for the inline and streamed paths.
+    ``begin`` / ``open_stream`` / ``complete`` steps for the inline,
+    streamed and buffered paths.
     ``workers`` bounds the compute pool — the *same* number the
     threaded edge gets in E19, so the comparison isolates what owns
     the idle connections, not how much computes.
@@ -221,10 +228,12 @@ class AsyncAppServer:
 
     def _answer_inline(self, request, conn: HttpConnection,
                        writer: "_EdgeConnection"):
-        """Answer ``request`` on the loop if the page cache holds it.
+        """Answer ``request`` on the loop as far as it can be: a stored
+        page whole, a streamed miss up to its head.
 
-        Returns None when the response is written, else the worker
-        half still to run: ``(work, argument, started)``.
+        Returns None when nothing is left to do, else the request's
+        worker half, ``(answer, *arguments)``: the coroutine function
+        its one task runs.
         """
         self._requests.inc()
         started = time.perf_counter()
@@ -232,44 +241,53 @@ class AsyncAppServer:
         # page never leaves it
         front = self._front
         if front is None:
-            return self.app.handle, request, started
+            return (self._answer_on_worker, request, conn, writer,
+                    self.app.handle, request, started)
         state = front.begin(request, peek=True)
-        if not isinstance(state, HttpResponse):
-            return self._complete, state, started
-        self._inline_hits.inc()  # the stored page itself
-        if state.status == 304:
-            self._inline_304s.inc()
-        self._write_whole(request, state, conn, writer, started)
-        return None
+        if isinstance(state, HttpResponse):
+            self._inline_hits.inc()  # the stored page itself
+            if state.status == 304:
+                self._inline_304s.inc()
+            self._write_whole(request, state, conn, writer, started)
+            return None
+        if self.stream:
+            try:
+                streamed = front.open_stream(state)
+            except Exception:  # handler bug: answer 500, hang up
+                self._write_failure(conn, writer)
+                return None
+            if streamed is not None:
+                head = conn.send_response(request, streamed.response,
+                                          date=http_date(), chunked=True)
+                writer.write(head)
+                self._ttfb.record(time.perf_counter() - started)
+                self._wire_bytes.inc(len(head))
+                return self._write_stream, streamed, conn, writer
+        return (self._answer_on_worker, request, conn, writer,
+                front.complete, state, started)
 
     async def _answer_on_worker(self, request, conn: HttpConnection,
                                 writer: "_EdgeConnection", work, argument,
                                 started: float) -> None:
-        """The rest of the pipeline on a worker, from the loop's state;
-        a StreamedPage comes back early, an HttpResponse complete."""
+        """The rest of the pipeline on a worker, from the loop's state,
+        answered whole."""
         loop = asyncio.get_running_loop()
         self._dispatches.inc()
         try:
-            result = await loop.run_in_executor(self._pool, work, argument)
+            response = await loop.run_in_executor(self._pool, work, argument)
         except Exception:  # handler bug: answer 500, hang up
-            self._failures.inc()
-            payload = encode_simple(
-                500, "internal server error", date=http_date()
-            )
-            conn.mark_close()
-            writer.write(payload)
-            self._wire_bytes.inc(len(payload))
-            await writer.drain()
-            return
-        if isinstance(result, StreamedPage):
-            await self._write_stream(request, result, conn, writer, started)
-            return
-        self._write_whole(request, result, conn, writer, started)
+            self._write_failure(conn, writer)
+        else:
+            self._write_whole(request, response, conn, writer, started)
         await writer.drain()
 
-    def _complete(self, state):
-        """Worker-thread entry: streamed when possible, else buffered."""
-        return self._front.complete(state, stream=self.stream)
+    def _write_failure(self, conn: HttpConnection,
+                       writer: "_EdgeConnection") -> None:
+        self._failures.inc()
+        payload = encode_simple(500, "internal server error", date=http_date())
+        conn.mark_close()
+        writer.write(payload)
+        self._wire_bytes.inc(len(payload))
 
     def _write_whole(self, request, response, conn: HttpConnection,
                      writer: "_EdgeConnection", started: float) -> None:
@@ -278,19 +296,22 @@ class AsyncAppServer:
         self._ttfb.record(time.perf_counter() - started)
         self._wire_bytes.inc(len(payload))
 
-    async def _write_stream(self, request, streamed, conn: HttpConnection,
-                            writer: "_EdgeConnection",
-                            started: float) -> None:
-        """Send the head now, then relay chunks as a worker renders them.
+    async def _write_stream(self, streamed, conn: HttpConnection,
+                            writer: "_EdgeConnection") -> None:
+        """Relay a streamed page's chunks as a worker renders them; the
+        read callback has already written its head.
 
-        The producer runs on the worker pool, pushing rendered chunks
-        into an asyncio queue via ``call_soon_threadsafe``; the loop
-        side writes and drains, so a slow reader backpressures only its
-        own connection.  A reader that disconnects mid-stream flips
-        ``abort`` — the producer stops rendering and the generator's
-        ``close()`` releases the page-cache single-flight slot.
+        The producer is the stream's one worker hop: it drains the
+        chunk iterator on the pool — the unit services run there —
+        pushing rendered chunks into an asyncio queue via
+        ``call_soon_threadsafe``; the loop side writes and drains, so a
+        slow reader backpressures only its own connection.  A reader
+        that disconnects mid-stream flips ``abort`` — the producer
+        stops rendering and the generator's ``close()`` releases the
+        page-cache single-flight slot.
         """
         self._streams.inc()
+        self._dispatches.inc()
         loop = asyncio.get_running_loop()
         queue: asyncio.Queue = asyncio.Queue()
         abort = threading.Event()
@@ -310,20 +331,12 @@ class AsyncAppServer:
                 streamed.chunks.close()  # releases the single-flight slot
                 loop.call_soon_threadsafe(queue.put_nowait, _EOF)
 
-        head = conn.send_response(request, streamed.response,
-                                  date=http_date(), chunked=True)
-        # The head goes to the socket *before* the producer is handed to
-        # a worker: the send releases the GIL, and a producer already
-        # woken takes it there and renders the whole page before the
-        # loop gets it back, so the head would leave after the build.
-        # The second hand-off stays: returning from the first one is
-        # where the worker yields the GIL, so the loop can put the head
-        # on the wire before the unit services run.  Rendering inside
-        # the first hop saved a wake-up and cost the early first byte
-        # (p50 0.23 ms -> 0.58 ms).
-        writer.write(head)
-        self._ttfb.record(time.perf_counter() - started)
-        self._wire_bytes.inc(len(head))
+        # The read callback wrote the head before this task was
+        # scheduled, so no worker competes for the GIL while it is
+        # sent.  Opening the stream there ran only bounded steps — a
+        # template lookup, the admission check, the flight claim; the
+        # action, the render and a runtime-mode transformation all run
+        # here, in the producer.
         producer = loop.run_in_executor(self._pool, produce)
         try:
             await writer.drain()
@@ -477,9 +490,7 @@ class _EdgeConnection(asyncio.Protocol):
             deferred = self.edge._answer_inline(request, http, self)
             if deferred is not None:
                 self.transport.pause_reading()
-                self.task = self.loop.create_task(
-                    self._on_worker(request, *deferred)
-                )
+                self.task = self.loop.create_task(self._on_worker(*deferred))
                 return
         if http.should_close:
             self.transport.close()
@@ -490,12 +501,9 @@ class _EdgeConnection(asyncio.Protocol):
             http.mark_close()
             self.transport.close()
 
-    async def _on_worker(self, request, work, argument,
-                         started: float) -> None:
+    async def _on_worker(self, answer, *arguments) -> None:
         try:
-            await self.edge._answer_on_worker(
-                request, self.http, self, work, argument, started
-            )
+            await answer(*arguments)
         except ConnectionError:
             self.http.mark_close()  # the peer vanished mid-response
         finally:

@@ -18,19 +18,23 @@ The request lifecycle is an explicit pipeline of named stages
    :mod:`repro.httpcore.delivery` policy).
 
 A stage that produces a response short-circuits the rest of the chain
-(deliver always runs).  The pipeline has one implementation and two
-halves, so that an edge may run them on different threads:
+(deliver always runs).  The pipeline has one implementation, entered
+in steps, so that an edge may run them on different threads:
 
 - :meth:`FrontController.begin` — route + protect, cheap and bounded:
   the async edge runs it on its event loop, with ``peek=True`` adding
   the one page-cache look that lets a stored page (200 or 304) be
   answered right there, without actions, rendering or a thread;
+- :meth:`FrontController.open_stream` — a GET page-cache miss whose
+  renderer can stream, opened as a
+  :class:`~repro.httpcore.delivery.StreamedPage`: template lookup,
+  admission and the flight claim, bounded work the loop runs too, so
+  the head and the compiled template's static prefix leave before the
+  unit services run (they run when a worker drains the chunks);
 - :meth:`FrontController.complete` — execute + deliver *from that
-  state*, under the one observation wrapper (sampling draw, span tree,
-  ``http.request_seconds``, per-status count).  With ``stream=True`` a
-  page-cache miss whose renderer can stream comes back as a
-  :class:`~repro.httpcore.delivery.StreamedPage`: head and the compiled
-  template's static prefix leave before the unit services run.
+  state*, under the one observation wrapper (span tree,
+  ``http.request_seconds``, per-status count), for everything that
+  does not stream.
 
 :meth:`FrontController.handle` is the two run back to back — the full
 request path every synchronous caller uses.
@@ -126,6 +130,10 @@ class PipelineState:
     #: set by route for a GET page behind a page cache, else ``None``
     page_key: tuple | None = None
     response: HttpResponse | None = None
+    #: the request's one sampling draw, made by ``begin``; ``forced``
+    #: is an ``X-Trace`` request, which is always sampled
+    sampled: bool = False
+    forced: bool = False
 
 
 def _internal_error(exc: ReproError) -> HttpResponse:
@@ -178,7 +186,14 @@ class FrontController:
 
     def handle(self, request: HttpRequest) -> HttpResponse:
         """Serve one request: the whole pipeline, back to back.
-        Unexpected failures become 500 responses."""
+
+        A :class:`~repro.errors.ReproError` raised by any stage — a
+        query, operation, template or controller failure — becomes a
+        500 response.  Malformed request input is not a failure: a
+        selection or scrolling control that does not parse is ignored
+        like an absent one.  Any other exception is a bug and
+        propagates; both edges answer it with a 500 and a close.
+        """
         return self.complete(self.begin(request))
 
     def begin(self, request: HttpRequest,
@@ -196,6 +211,18 @@ class FrontController:
         response is final and already counted; tracing never samples it
         (the traced path is the one that does work), which is also why
         an ``X-Trace`` request skips the peek.
+
+        Every other request gets its sampling draw here, once, kept on
+        the state for whichever half observes it — :meth:`open_stream`
+        or :meth:`complete` — so a stream that falls back to the
+        buffered path is not drawn twice.  Sampling is a countdown held
+        by this controller (no method call, no modulo); the span tree
+        *and* the request-latency timestamps ride it
+        (``Observability.trace_every``, or an ``X-Trace`` request
+        header): percentiles estimated from one request in thirty-two
+        are as good as percentiles from all of them, and a histogram
+        fed by the sample keeps ``time.perf_counter`` itself off the
+        common path.
         """
         state = PipelineState(request)
         if request.path == self.STATUS_PATH:
@@ -216,38 +243,7 @@ class FrontController:
                 if self._obs.enabled:
                     self.status_counts[response.status] += 1
                 return response
-        return state
-
-    def complete(self, state: PipelineState,
-                 stream: bool = False) -> "HttpResponse | StreamedPage":
-        """Stages 3–4, from the state :meth:`begin` returned, under the
-        one observation wrapper.
-
-        The instrumentation is written for its *unsampled* common
-        case: with observability on but this request losing the
-        sampling draw, the added work is one plain dict increment and
-        a handful of attribute reads — that is the budget E16 holds
-        under 5% of a page-cache-hit p50.  The span tree *and* the
-        request-latency timestamps ride the same sampling draw
-        (``Observability.trace_every``, or an ``X-Trace`` request
-        header): percentiles estimated from one request in thirty-two
-        are as good as percentiles from all of them, and a histogram
-        fed by the sample keeps ``time.perf_counter`` itself off the
-        common path.  Sampling is a countdown held by this controller
-        (no method call, no modulo), and the request *total* is never
-        counted — ``/_status`` derives it as the sum of the per-status
-        counts.
-
-        ``stream`` is the edge asking for a chunk stream where one is
-        possible (:meth:`_execute_streamed`); the draw made here then
-        travels into the chunk generator, which observes the build from
-        the thread that runs it.
-        """
-        request = state.request
-        if request.path == self.STATUS_PATH:
-            return self._status_response(request)
         obs = self._obs
-        sampled = forced = False
         if obs.enabled and obs.tracing_enabled:
             sampled = forced = "X-Trace" in request.headers
             countdown = self._trace_countdown - 1
@@ -255,23 +251,141 @@ class FrontController:
                 sampled = True
                 countdown = obs.trace_every - 1
             self._trace_countdown = countdown
-        # the X-Trace summary header needs the finished trace, and a
-        # stream's head leaves first: a forced trace is served buffered
-        if stream and not forced and state.response is None:
-            streamed = self._execute_streamed(state, sampled)
-            if streamed is not None:
-                return streamed
-        if sampled:
+            state.sampled, state.forced = sampled, forced
+        return state
+
+    def complete(self, state: PipelineState) -> HttpResponse:
+        """Stages 3–4, from the state :meth:`begin` returned, under the
+        one observation wrapper.
+
+        The instrumentation is written for its *unsampled* common
+        case: with observability on but this request losing the
+        sampling draw, the added work is one plain dict increment and
+        a handful of attribute reads — that is the budget E16 holds
+        under 5% of a page-cache-hit p50.  The request *total* is never
+        counted — ``/_status`` derives it as the sum of the per-status
+        counts.
+        """
+        request = state.request
+        if request.path == self.STATUS_PATH:
+            return self._status_response(request)
+        if state.sampled:
             with self._sampled(request) as req_trace:
                 response = self._finish(state)
             response.trace = req_trace
-            if forced:
+            if state.forced:
                 response.headers["X-Trace"] = req_trace.summary()
         else:
             response = self._finish(state)
-        if obs.enabled:
+        if self._obs.enabled:
             self.status_counts[response.status] += 1
         return response
+
+    def open_stream(self, state: PipelineState) -> StreamedPage | None:
+        """Open a GET page-cache miss as a chunk stream, or return
+        ``None`` for :meth:`complete` to serve the request buffered.
+
+        Bounded and lock-cheap like :meth:`begin`, so the async edge
+        runs it on its event loop: a template lookup (the presence of
+        a skeleton, in runtime mode — the transformation itself waits
+        for the first chunk), the full cache's admission check and the
+        page's flight claim.  No action runs and nothing renders here;
+        the chunk iterator does that on whichever thread drains it.
+
+        The stream's head (status + headers) is available immediately;
+        the compiled template's leading static markup comes first, and
+        each dynamic slot follows as it renders (fragment-cache hits
+        splice instantly).  Requirements: a view renderer exposing
+        ``stream_chunks`` (the presentation tier's compiled templates),
+        no ``X-Trace`` (its summary header needs the finished trace,
+        and a stream's head leaves first) and, with a page cache,
+        winning the page's single-flight slot — a concurrent build
+        means waiting for its entry is faster than rendering again, and
+        that wait belongs on a worker.  The loop's peek was this
+        request's only lookup: an entry stored since then costs one
+        redundant render, never a stale byte.
+
+        Cache integration mirrors the buffered path: the stream holds
+        the slot while rendering (concurrent misses wait, then reuse
+        the stored entry) and the finished body is stored unless an
+        invalidation raced the build (generation guard).  Closing the
+        iterator early — a client disconnect, or a stream dropped
+        before any chunk was asked for — releases the slot without
+        storing.  A page the full cache does not admit
+        (:meth:`~repro.caching.core.DependencyCache.admit`) streams
+        with no slot and stores nothing.
+
+        The chunk iterator is where a streamed request is observed:
+        whichever thread runs its first chunk opens the trace (if
+        :meth:`begin` drew this request), and its ``finally`` closes
+        it, records the latency and counts the status the client
+        actually got — the 200 the head promised, or a 500 when the
+        build raised and the body was cut short.
+        """
+        stream_chunks = getattr(self.view_renderer, "stream_chunks", None)
+        mapping = state.mapping
+        request = state.request
+        if (stream_chunks is None or state.forced
+                or state.response is not None or mapping is None
+                or request.method != "GET"
+                or mapping.action_type != "PageAction"):
+            return None
+        computed = []  # the page result, once the stream has made it
+
+        def page_result():
+            computed.append(self._perform_page(state).page_result)
+            return computed[-1]
+
+        try:
+            raw_chunks = stream_chunks(
+                mapping.page_id, request, self.controller, page_result,
+            )
+        except ReproError:
+            return None  # no template for the page: the buffered path 500s
+        head = HttpResponse(
+            status=200, body="",
+            headers={"Cache-Control": self._cache_control(state.session)},
+        )
+        sampled = state.sampled
+        key = state.page_key
+        cache = self.page_cache
+        if key is not None and not cache.admit(key):
+            key = None  # a full cache's first miss: stream, store nothing
+        if key is not None:
+            if not cache.begin_flight(key):
+                return None  # another request is building: wait for it
+            generation = cache.generation
+
+        def chunks():
+            produced: list[str] = []
+            status = 200  # a reader that hangs up was still promised it
+            try:
+                yield  # primed below: from here on, close() releases
+                with (self._sampled(request) if sampled
+                      else nullcontext()) as req_trace:
+                    head.trace = req_trace
+                    for chunk in raw_chunks:
+                        produced.append(chunk)
+                        yield chunk
+                    if key is not None:
+                        cache.put_if_current(
+                            key,
+                            self._page_entry(computed[-1] if computed
+                                             else None, "".join(produced)),
+                            generation,
+                        )
+            except Exception:
+                status = 500
+                raise
+            finally:
+                if key is not None:
+                    cache.finish_flight(key)
+                if self._obs.enabled:
+                    self.status_counts[status] += 1
+
+        stream = chunks()
+        next(stream)  # enter the try, so no path can leak the slot
+        return StreamedPage(response=head, chunks=stream)
 
     @contextmanager
     def _sampled(self, request: HttpRequest):
@@ -450,97 +564,6 @@ class FrontController:
                 probe.tags["hit"] = not built_fresh
         return entry_response(entry, request,
                               self._cache_control(state.session))
-
-    def _execute_streamed(self, state: PipelineState,
-                          sampled: bool) -> StreamedPage | None:
-        """Execute + deliver a GET page as a chunk stream, or return
-        ``None`` for the buffered path to take.
-
-        The stream's head (status + headers) is available immediately;
-        the compiled template's leading static markup streams before
-        the page action runs, and each dynamic slot follows as it
-        renders (fragment-cache hits splice instantly).  Requirements:
-        a view renderer exposing ``stream_chunks`` (the presentation
-        tier's compiled templates) and, with a page cache, winning the
-        page's single-flight slot — a concurrent build means waiting
-        for its entry is faster than rendering again.  The loop's peek
-        was this request's only lookup: an entry stored since then
-        costs one redundant render, never a stale byte.
-
-        Cache integration mirrors the buffered path: the stream holds
-        the slot while rendering (concurrent misses wait, then reuse
-        the stored entry) and the finished body is stored unless an
-        invalidation raced the build (generation guard).  Closing the
-        iterator early — a client disconnect — releases the slot
-        without storing.  A page the full cache does not admit
-        (:meth:`~repro.caching.core.DependencyCache.admit`) streams
-        with no slot and stores nothing.
-
-        The chunk generator is where a streamed request is observed:
-        whichever thread runs its ``next()`` calls opens the trace (if
-        ``sampled``), and its ``finally`` closes it, records the
-        latency and counts the status the client actually got — the
-        200 the head promised, or a 500 when the build raised and the
-        body was cut short.
-        """
-        stream_chunks = getattr(self.view_renderer, "stream_chunks", None)
-        mapping = state.mapping
-        request = state.request
-        if (stream_chunks is None or request.method != "GET"
-                or mapping.action_type != "PageAction"):
-            return None
-        computed = []  # the page result, once the stream has made it
-
-        def page_result():
-            computed.append(self._perform_page(state).page_result)
-            return computed[-1]
-
-        try:
-            raw_chunks = stream_chunks(
-                mapping.page_id, request, self.controller, page_result,
-            )
-        except ReproError:
-            return None  # no template for the page: the buffered path 500s
-        key = state.page_key
-        cache = self.page_cache
-        if key is not None and not cache.admit(key):
-            key = None  # a full cache's first miss: stream, store nothing
-        if key is not None:
-            if not cache.begin_flight(key):
-                return None  # another request is building: wait for it
-            generation = cache.generation
-        head = HttpResponse(
-            status=200, body="",
-            headers={"Cache-Control": self._cache_control(state.session)},
-        )
-
-        def chunks():
-            produced: list[str] = []
-            status = 200  # a reader that hangs up was still promised it
-            try:
-                with (self._sampled(request) if sampled
-                      else nullcontext()) as req_trace:
-                    head.trace = req_trace
-                    for chunk in raw_chunks:
-                        produced.append(chunk)
-                        yield chunk
-                    if key is not None:
-                        cache.put_if_current(
-                            key,
-                            self._page_entry(computed[-1] if computed
-                                             else None, "".join(produced)),
-                            generation,
-                        )
-            except Exception:
-                status = 500
-                raise
-            finally:
-                if key is not None:
-                    cache.finish_flight(key)
-                if self._obs.enabled:
-                    self.status_counts[status] += 1
-
-        return StreamedPage(response=head, chunks=chunks())
 
     def _page_entry(self, page_result, body: str):
         """A page-cache entry for ``body`` under the union of its beans'

@@ -127,16 +127,18 @@ class PresentationRenderer:
                       page_result_factory):
         """The streaming face of the view-renderer contract.
 
-        Resolves the template *eagerly* (so a missing page raises here,
-        before any byte is promised to a client) and returns a chunk
-        iterator whose join equals :meth:`__call__`'s output for the
-        same page result.  ``page_result_factory`` runs lazily at the
-        first dynamic slot — the template's static prefix streams while
-        the unit services have not yet been asked for anything.
+        Checks *eagerly* that the page has a template — compiled, or a
+        skeleton to transform — so a missing page raises here, before
+        any byte is promised to a client, and returns a chunk iterator
+        whose join equals :meth:`__call__`'s output for the same page
+        result.  Nothing else runs before the first ``next()``: the
+        caller may be an event loop, and a runtime-mode transformation
+        is a per-request stylesheet application.  ``page_result_factory``
+        runs lazily at the first dynamic slot — the template's static
+        prefix streams while the unit services have not yet been asked
+        for anything.
         """
-        template = self.template_for(
-            page_id, user_agent=request.user_agent if request else "",
-        )
+        user_agent = request.user_agent if request else ""
 
         def context_factory():
             return RenderContext(
@@ -144,4 +146,14 @@ class PresentationRenderer:
                 self.fragment_cache,
             )
 
-        return template.render_chunks(context_factory)
+        if self.mode == "compile-time":
+            template = self.template_for(page_id, user_agent)
+            return template.render_chunks(context_factory)
+        if page_id not in self.skeletons:
+            raise PresentationError(f"no skeleton for page {page_id!r}")
+
+        def transformed():
+            template = self.template_for(page_id, user_agent)
+            yield from template.render_chunks(context_factory)
+
+        return transformed()

@@ -98,14 +98,16 @@ class GenericPageService:
 
 
 def _coerce_control(control: str, value):
-    """Request control values arrive as strings; normalize them."""
-    if control in ("selected", "block"):
-        try:
+    """Request control values arrive as strings; normalize them.  A
+    value that does not parse — an ``oids`` list with any member that
+    is not an integer included — is ``None``, as if it were absent."""
+    try:
+        if control in ("selected", "block"):
             return int(value)
-        except (TypeError, ValueError):
-            return None
-    if control == "oids":
-        if isinstance(value, (list, tuple)):
-            return [int(v) for v in value]
-        return [int(v) for v in str(value).split(",") if v.strip()]
+        if control == "oids":
+            if isinstance(value, (list, tuple)):
+                return [int(v) for v in value]
+            return [int(v) for v in str(value).split(",") if v.strip()]
+    except (TypeError, ValueError):
+        return None
     return value

@@ -39,6 +39,7 @@ from repro.mvc.http import HttpRequest, HttpResponse
 from repro.presentation import PresentationRenderer
 from repro.presentation.jsp import PageTemplate, RenderContext
 from repro.presentation.renderer import default_stylesheet
+from repro.presentation.xslt import Stylesheet
 from repro.workloads.acm import build_acm_model, seed_acm_data
 
 
@@ -69,10 +70,10 @@ def volume_url(app: WebApplication, oid: int = 1) -> str:
 
 
 def stream_or_build(app: WebApplication, url: str):
-    """What an async-edge worker runs for a page-cache miss: the
-    pipeline continued from the loop-side state, streaming allowed."""
+    """What the async edge runs for a page-cache miss: a stream opened
+    from the loop-side state, else the buffered rest of the pipeline."""
     state = app.front.begin(HttpRequest.from_url(url), peek=True)
-    return app.front.complete(state, stream=True)
+    return app.front.open_stream(state) or app.front.complete(state)
 
 
 def wire_chunks(raw: bytes) -> list[bytes]:
@@ -361,6 +362,25 @@ class TestHandlerFailures:
             assert edge.metrics.counter("edge.handler_failures").value == 1
         finally:
             edge.stop()
+
+
+    def test_a_stream_that_fails_to_open_is_a_500_and_a_close(self):
+        """Opening a stream runs in the read callback: an exception
+        there is answered like a worker's, not lost in the loop."""
+        app = build_full_stack_app()
+
+        def explode(state):
+            raise RuntimeError("handler bug")
+
+        app.front.open_stream = explode
+        with AsyncAppServer(app, workers=1) as edge:
+            with WireClient(edge.listen()) as client:
+                response = client.request(volume_url(app))
+                assert response.status == 500
+                assert response.headers["Connection"] == "close"
+                client._sock.settimeout(5)
+                assert client._sock.recv(1) == b""
+            assert edge.stats()["handler_failures"] == 1
 
 
 # -- pathological clients -----------------------------------------------------
@@ -653,6 +673,79 @@ class TestOnePipeline:
         assert wire_chunks(streamed.raw) == expected
         assert "".join(parts) == template.render(context)
         assert "".join(parts).encode() == streamed.body
+
+
+class TestMalformedControl:
+    """A selection control whose value does not parse is ignored like
+    an absent one — never an exception that costs the client a 500 and
+    its keep-alive connection."""
+
+    @pytest.mark.parametrize("oids", ["abc", "1,x"])
+    def test_non_integer_oids_serve_the_page_without_them(self, oids):
+        app = build_full_stack_app()
+        page = app.model.find_site_view("public").find_page("Volume Page")
+        volume, tree = page.unit("Volume data"), page.unit("Issues&Papers")
+        clean = {f"{volume.id}.oid": 1}
+        clean_url = app.page_url("public", "Volume Page", clean)
+        bad_url = app.page_url("public", "Volume Page",
+                               {**clean, f"{tree.id}.oids": oids})
+        expected = app.handle(HttpRequest.from_url(clean_url))
+        in_process = app.handle(HttpRequest.from_url(bad_url))
+        assert in_process.status == 200
+        assert in_process.body == expected.body
+        app.page_cache.flush()
+        with AsyncAppServer(app, workers=2) as edge:
+            with WireClient(edge.listen()) as client:
+                streamed = client.request(bad_url)
+                buffered = client.request(bad_url, headers={"X-Trace": "1"})
+                again = client.request(clean_url)  # same connection
+            failures = edge.stats()["handler_failures"]
+        assert streamed.status == buffered.status == again.status == 200
+        assert streamed.text == buffered.text == expected.body
+        assert failures == 0
+
+
+class TestRuntimeXsltOffTheLoop:
+    def test_runtime_mode_transforms_on_workers_only(self, monkeypatch):
+        """A runtime-mode renderer behind the async edge: every
+        stylesheet application runs on a worker, and the streamed
+        bodies are compile-time mode's."""
+        apps = {}
+        for mode in ("compile-time", "runtime"):
+            model = build_acm_model()
+            project = generate_project(model)
+            renderer = PresentationRenderer(
+                project.skeletons, default_stylesheet("ACM"), mode=mode
+            )
+            apps[mode] = WebApplication(model, view_renderer=renderer,
+                                        page_cache=PageCache())
+            seed_acm_data(apps[mode], volumes=3, issues_per_volume=2,
+                          papers_per_issue=2)
+        app = apps["runtime"]
+        paper = (app.model.find_site_view("public")
+                 .find_page("Paper details").unit("Paper data"))
+        urls = [app.page_url("public", "Volumes"),
+                *(volume_url(app, oid) for oid in (1, 2, 3)),
+                app.page_url("public", "Paper details",
+                             {f"{paper.id}.oid": 1})]
+        threads = []
+        apply = Stylesheet.apply
+
+        def recording_apply(stylesheet, *args, **kwargs):
+            threads.append(threading.get_ident())
+            return apply(stylesheet, *args, **kwargs)
+
+        monkeypatch.setattr(Stylesheet, "apply", recording_apply)
+        with AsyncAppServer(app, workers=2) as edge:
+            with WireClient(edge.listen(), cookies=True) as client:
+                responses = [client.request(url) for url in urls]
+            loop_thread = edge._loop_thread.ident
+        assert all(response.headers["Transfer-Encoding"] == "chunked"
+                   for response in responses)
+        assert len(threads) == len(urls)  # one per streamed miss
+        assert loop_thread not in threads
+        for url, response in zip(urls, responses):
+            assert response.text == apps["compile-time"].get(url).body, url
 
 
 # -- the streaming render mode ------------------------------------------------

@@ -10,6 +10,12 @@ owes a client whatever path a request takes:
   connection whose response is still being built is not;
 - a page-cache hit is answered in the read callback, with no task,
   future or timer;
+- a streamed miss is opened in the read callback too: its head and
+  static prefix leave while the first dynamic slot is still held, and
+  the build is its only executor submission — as for everything that
+  is served buffered (``X-Trace``, an operation, the follower of a held
+  build), with the threaded edge's bytes; the sampling countdown is
+  drawn once per request;
 - order: pipelined requests are answered in the order they were sent,
   a page-cache hit behind a worker-path miss included, and a malformed
   request gets its 400 and close only after the responses before it;
@@ -28,7 +34,7 @@ from email.utils import formatdate, parsedate_to_datetime
 
 import pytest
 
-from repro.appserver import AsyncAppServer
+from repro.appserver import AsyncAppServer, ThreadedAppServer
 from repro.httpcore import http_date, parsing, wire
 from repro.httpcore.client import WireClient, WireError
 from tests.test_async_edge import (
@@ -36,6 +42,26 @@ from tests.test_async_edge import (
     build_full_stack_app,
     volume_url,
 )
+
+
+def _count_submissions(edge: AsyncAppServer) -> list:
+    """Record every callable the edge hands its worker pool."""
+    submitted = []
+    pool = edge._pool
+    original = pool.submit
+
+    def submit(fn, *args, **kwargs):
+        submitted.append(fn)
+        return original(fn, *args, **kwargs)
+
+    pool.submit = submit
+    return submitted
+
+
+def _without(raw: bytes, *names: bytes) -> bytes:
+    """The wire response minus the named header lines."""
+    return b"\r\n".join(line for line in raw.split(b"\r\n")
+                        if not line.startswith(names))
 
 
 def _await_eof(client: WireClient) -> None:
@@ -177,6 +203,153 @@ class TestInlineHit:
                 made_by_hits = dict(made)
         assert hits == 20
         assert made_by_hits == {}
+
+
+class TestOneHopStream:
+    def test_a_streamed_miss_is_one_submission(self):
+        """The read callback opens the stream and writes its head; the
+        producer is the only thing handed to the pool."""
+        app = build_full_stack_app()
+        with AsyncAppServer(app, workers=2) as edge:
+            with WireClient(edge.listen()) as client:
+                submitted = _count_submissions(edge)
+                streamed = client.request(volume_url(app))
+                stats = edge.stats()
+        assert streamed.headers["Transfer-Encoding"] == "chunked"
+        assert streamed.text == app.get(volume_url(app)).body
+        assert len(submitted) == 1
+        assert stats["worker_dispatches"] == 1
+        assert stats["streamed_responses"] == 1
+
+    def test_head_and_prefix_arrive_while_the_first_slot_is_held(self):
+        app = build_full_stack_app()
+        gate = threading.Event()
+        app.front.view_renderer = _GatedRenderer(
+            app.front.view_renderer, gate
+        )
+        url = volume_url(app)
+        page_id = app.controller.resolve(url.split("?")[0]).page_id
+        template = app.front.view_renderer.inner.template_for(page_id)
+        static_prefix = next(template.render_chunks(None))
+        with AsyncAppServer(app, workers=2) as edge:
+            with WireClient(edge.listen(), timeout=5.0) as client:
+                try:
+                    client.send_raw(client.build_request(url))
+                    raw = bytearray()
+                    head = client._read_until(b"\r\n\r\n", raw)
+                    size = int(client._read_until(b"\r\n", raw), 16)
+                    prefix = client._read_exact(size + 2, raw)[:-2]
+                    held = not gate.is_set() and bool(
+                        app.page_cache._in_flight)
+                finally:
+                    gate.set()
+                rest = client._read_chunked(raw)
+        assert head.startswith(b"HTTP/1.1 200")
+        assert b"Transfer-Encoding: chunked" in head
+        assert held  # the build was still parked on the gate
+        assert prefix == static_prefix.encode()
+        assert (prefix + rest).decode() == app.get(url).body
+        assert not app.page_cache._in_flight
+
+    @pytest.mark.parametrize("case", ["x-trace", "operation"])
+    def test_buffered_requests_are_one_submission_with_the_same_bytes(
+            self, case):
+        """What cannot stream keeps its one hop to ``complete`` and the
+        bytes the threaded edge sends for it (``Date`` aside, and the
+        timings of an ``X-Trace`` summary)."""
+        apps = build_full_stack_app(), build_full_stack_app()
+        if case == "x-trace":
+            target, headers = volume_url(apps[0]), {"X-Trace": "1"}
+        else:
+            target, headers = apps[0].operation_url(
+                "admin", "Login", {"username": "admin", "password": "secret"}
+            ), {}
+        threaded = ThreadedAppServer(apps[0], workers=2)
+        try:
+            with WireClient(threaded.listen()) as client:
+                expected = client.request(target, headers=dict(headers))
+        finally:
+            threaded.stop()
+        with AsyncAppServer(apps[1], workers=2) as edge:
+            with WireClient(edge.listen()) as client:
+                submitted = _count_submissions(edge)
+                got = client.request(target, headers=dict(headers))
+        assert len(submitted) == 1
+        assert "Transfer-Encoding" not in got.headers
+        assert got.status == (200 if case == "x-trace" else 302)
+        assert (_without(got.raw, b"Date: ", b"X-Trace: ")
+                == _without(expected.raw, b"Date: ", b"X-Trace: "))
+
+    def test_follower_of_a_held_build_is_one_submission(self):
+        """A miss whose build another stream holds waits for it on a
+        worker and gets the stored page, as a threaded hit would."""
+        app = build_full_stack_app()
+        gate = threading.Event()
+        app.front.view_renderer = _GatedRenderer(
+            app.front.view_renderer, gate
+        )
+        url = volume_url(app)
+        cache, refused = app.page_cache, []
+        claim = cache._claim
+
+        def claim_and_report(key):
+            leader_event = claim(key)
+            if leader_event is not None:
+                refused.append(key)  # a follower of the held build
+            return leader_event
+
+        cache._claim = claim_and_report
+        with AsyncAppServer(app, workers=2) as edge:
+            address = edge.listen()
+            with WireClient(address, timeout=5.0) as leader, \
+                    WireClient(address, timeout=5.0) as follower:
+                submitted = _count_submissions(edge)
+                try:
+                    leader.send_raw(leader.build_request(url))
+                    leader._read_until(b"\r\n\r\n", bytearray())
+                    follower.send_raw(follower.build_request(url))
+                    # refused twice: the loop's open_stream, then the
+                    # worker's get_or_build, which parks on the flight
+                    deadline = time.monotonic() + 5.0
+                    while len(refused) < 2 and time.monotonic() < deadline:
+                        time.sleep(0.01)
+                    time.sleep(0.05)  # into the flight event's wait
+                finally:
+                    gate.set()
+                got = follower.read_response()
+                leader._read_chunked(bytearray())
+        assert len(submitted) == 2  # the leader's producer, the follower
+        assert app.page_cache.stats.coalesced == 1
+
+        twin = build_full_stack_app()
+        threaded = ThreadedAppServer(twin, workers=2)
+        try:
+            address = threaded.listen()
+            with WireClient(address) as first, WireClient(address) as hit:
+                first.request(url)  # stores the page
+                expected = hit.request(url)
+        finally:
+            threaded.stop()
+        assert "Transfer-Encoding" not in got.headers
+        assert _without(got.raw, b"Date: ") == \
+            _without(expected.raw, b"Date: ")
+
+    def test_half_of_twenty_misses_are_sampled_at_trace_every_2(self):
+        app = build_full_stack_app()
+        app.ctx.obs.trace_every = 2
+        url = volume_url(app)
+        with AsyncAppServer(app, workers=2) as edge:
+            with WireClient(edge.listen()) as client:
+                for _ in range(20):
+                    app.page_cache.flush()
+                    response = client.request(url)
+                    assert response.headers["Transfer-Encoding"] == \
+                        "chunked"
+                streamed = edge.stats()["streamed_responses"]
+        histogram = app.ctx.obs.metrics.histogram("http.request_seconds")
+        assert streamed == 20
+        assert histogram.count == 10
+        assert dict(app.front.status_counts) == {200: 20}
 
 
 class TestPipelining:

@@ -743,7 +743,7 @@ class TestStreamedAdmission:
                 .find_page("Volume Page").unit("Volume data"))
         url = app.page_url("public", "Volume Page", {f"{unit.id}.oid": oid})
         state = app.front.begin(HttpRequest.from_url(url), peek=True)
-        streamed = app.front.complete(state, stream=True)
+        streamed = app.front.open_stream(state)
         assert isinstance(streamed, StreamedPage)
         in_flight = []
         for chunk in streamed.chunks:

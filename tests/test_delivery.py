@@ -338,8 +338,8 @@ class TestWriteInvalidationAcrossLevels:
                 "public", "Volume Page",
                 {f"{self._volume_unit(app).id}.oid": volume}))
             if streamed:
-                page = app.front.complete(app.front.begin(request, peek=True),
-                                          stream=True)
+                page = app.front.open_stream(
+                    app.front.begin(request, peek=True))
                 "".join(page.chunks)
             else:
                 app.handle(request)
