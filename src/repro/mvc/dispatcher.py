@@ -346,7 +346,6 @@ class FrontController:
             status=200, body="",
             headers={"Cache-Control": self._cache_control(state.session)},
         )
-        sampled = state.sampled
         key = state.page_key
         cache = self.page_cache
         if key is not None and not cache.admit(key):
@@ -361,7 +360,7 @@ class FrontController:
             status = 200  # a reader that hangs up was still promised it
             try:
                 yield  # primed below: from here on, close() releases
-                with (self._sampled(request) if sampled
+                with (self._sampled(request) if state.sampled
                       else nullcontext()) as req_trace:
                     head.trace = req_trace
                     for chunk in raw_chunks:
