@@ -256,12 +256,12 @@ class ThreadedAppServer:
                     break
                 if not data:
                     break
+                bad_request = None
                 try:
                     requests = conn.receive_bytes(data)
                 except ProtocolError as exc:
-                    sock.sendall(encode_simple(400, f"bad request: {exc}",
-                                               date=http_date()))
-                    break
+                    # answer what came before the bad bytes, then 400
+                    requests, bad_request = exc.requests, exc
                 for request in requests:
                     try:
                         response = self.app.handle(request)
@@ -281,6 +281,10 @@ class ThreadedAppServer:
                     ))
                     if conn.should_close:
                         break
+                if bad_request is not None and not conn.should_close:
+                    sock.sendall(encode_simple(
+                        400, f"bad request: {bad_request}", date=http_date()))
+                    break
         except OSError:
             pass  # peer vanished mid-write; nothing left to tell it
         finally:

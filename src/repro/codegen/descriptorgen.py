@@ -5,14 +5,15 @@ the unit descriptor wraps the generated SQL (see
 :mod:`repro.codegen.sqlgen`), the page descriptor encodes the page's
 dataflow topology (computation order + slot bindings) and its outgoing
 navigation, and the operation descriptor encodes the DML plus the OK/KO
-control flow.
+control flow.  A unit descriptor's ``<dependsOn>`` names what the unit
+reads; which instances a bean holds is read from its SQL at runtime
+(:mod:`repro.services.dependencies`).
 """
 
 from __future__ import annotations
 
 from repro.codegen.sqlgen import operation_statements, unit_queries
 from repro.descriptors import (
-    Binding,
     IndexUse,
     NavigationTarget,
     OperationDescriptor,
@@ -21,14 +22,12 @@ from repro.descriptors import (
     SlotBinding,
     UnitDescriptor,
 )
-from repro.descriptors.unit_descriptor import KEYED_KINDS
 from repro.er.mapping import RelationalMapping
 from repro.errors import CodegenError
 from repro.util import stable_topological_sort
 from repro.webml.links import Link, LinkKind
 from repro.webml.model import Page, WebMLModel
 from repro.webml.operations import OperationUnit
-from repro.webml.selectors import KeyCondition, RelationshipCondition
 from repro.webml.units import ContentUnit, EntryUnit, ScrollerUnit
 
 
@@ -78,84 +77,10 @@ def generate_unit_descriptor(unit: ContentUnit,
             for f in unit.fields
         ]
     if unit.entity:
-        descriptor.depends_on_entities = _entity_closure(unit, mapping)
+        descriptor.depends_on_entities = list(dict.fromkeys((
+            unit.entity, *(lv.entity for lv in getattr(unit, "levels", ())))))
     descriptor.depends_on_roles = list(unit.depends_on_roles)
-    _bind_dependencies(descriptor, unit, mapping)
     return descriptor
-
-
-_WHOLE = Binding("*")
-
-
-def _bind_dependencies(descriptor: UnitDescriptor, unit: ContentUnit,
-                       mapping: RelationalMapping) -> None:
-    """Mark each ``<dependsOn>`` name with the :class:`Binding` a bean
-    holds it by (DESIGN §12).
-
-    A key selector holds its entity at the bound oid.  A role selector
-    (or a hierarchy level's ``:parent``) holds the role at each bound
-    source oid; when the role's foreign key lives on the unit's own
-    rows, every write to such a row publishes the role key before and
-    after, so the entity is held ``via`` the role.  Otherwise (a bridge,
-    or the key on the source row) the entity is held at each returned
-    row — or whole, if the selector has a further condition that a row
-    the unit did not return could start to satisfy.  An attribute
-    condition next to a key or role condition adds no key: it narrows
-    rows whose writes publish a held key anyway.  A unit with no key or
-    role condition holds every name whole; so does a name bound two
-    ways."""
-    marks: dict[tuple[str, str], set] = {}
-
-    def mark(kind: str, name: str, binding: Binding) -> None:
-        marks.setdefault((kind, name), set()).add(binding)
-
-    if unit.kind in KEYED_KINDS:
-        conditions = list(unit.selector.conditions) if unit.selector else []
-        levels = [(unit.entity, conditions)]
-        levels += [(level.entity, [RelationshipCondition(level.role, "parent")])
-                   for level in getattr(unit, "levels", [])[1:]]
-        if not any(isinstance(c, (KeyCondition, RelationshipCondition))
-                   for c in conditions):
-            levels = []  # not key-bound: every name is held whole
-        for depth, (entity, level_conditions) in enumerate(levels):
-            for condition in level_conditions:
-                if isinstance(condition, KeyCondition):
-                    mark("entity", entity, Binding(condition.parameter))
-                    continue
-                if not isinstance(condition, RelationshipCondition):
-                    continue
-                source = Binding(":parent", depth) if depth \
-                    else Binding(condition.parameter)
-                mark("role", condition.role, source)
-                rmap, forward = mapping.relationship_map(condition.role)
-                if rmap.source_entity == rmap.target_entity:
-                    mark("role", condition.role, _WHOLE)
-                    mark("entity", entity, _WHOLE)
-                elif rmap.kind == "fk" \
-                        and forward == rmap.fk_on_many_side_of_source:
-                    mark("entity", entity, Binding(via=condition.role))
-                elif len(level_conditions) > 1:
-                    mark("entity", entity, _WHOLE)
-                else:
-                    mark("entity", entity, Binding(":row", depth))
-    for kind, names, bindings in (
-            ("entity", descriptor.depends_on_entities,
-             descriptor.entity_bindings),
-            ("role", descriptor.depends_on_roles, descriptor.role_bindings)):
-        for name in names:
-            proposed = marks.get((kind, name), ())
-            bindings[name] = next(iter(proposed)) if len(proposed) == 1 \
-                else _WHOLE
-
-
-def _entity_closure(unit: ContentUnit, mapping: RelationalMapping) -> list[str]:
-    """Entities whose content the unit's bean reflects (for §6 cache
-    invalidation): the unit entity plus every hierarchy-level entity."""
-    entities = [unit.entity]
-    for level in getattr(unit, "levels", []):
-        if level.entity not in entities:
-            entities.append(level.entity)
-    return entities
 
 
 def generate_page_descriptor(model: WebMLModel, page: Page) -> PageDescriptor:

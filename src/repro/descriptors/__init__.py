@@ -31,7 +31,6 @@ from repro.descriptors.page_descriptor import (
 from repro.descriptors.registry import DescriptorRegistry
 from repro.descriptors.unit_descriptor import (
     BeanProperty,
-    Binding,
     IndexUse,
     InputParameter,
     LevelQuery,
@@ -40,7 +39,6 @@ from repro.descriptors.unit_descriptor import (
 
 __all__ = [
     "UnitDescriptor",
-    "Binding",
     "InputParameter",
     "BeanProperty",
     "LevelQuery",

@@ -11,9 +11,9 @@ parameters"):
 - for hierarchical units, one :class:`LevelQuery` per nesting level,
 - the :class:`IndexUse` list: the indexes the generator derived from
   this unit's sort key and selector attributes,
-- the cache-dependency sets (entities/roles) used by §6 invalidation,
-  each name marked with the :class:`Binding` that says which of its
-  instances a computed bean holds,
+- the §6 dependency names (entities/roles): a bean's keys are read from
+  the SQL (:mod:`repro.services.dependencies`); the names spell them,
+  and are held whole by a unit with no SQL or a custom service,
 - the ``optimized`` flag: when a developer replaces the generated query
   and marks the descriptor optimized, regeneration must preserve it.
 
@@ -103,50 +103,6 @@ class IndexUse:
     reason: str
 
 
-#: unit kinds whose beans hold the instances their bindings name; any
-#: other kind (a scroller, a plug-in) holds every name it depends on
-KEYED_KINDS = frozenset(
-    ("data", "index", "multidata", "multichoice", "hierarchical")
-)
-
-
-@dataclass(frozen=True)
-class Binding:
-    """Which instances of one ``<dependsOn>`` name a bean holds.
-
-    ``slot`` is the unit input whose bound values the name is held at
-    (``("Volume", v)`` for a key selector, ``("VolumeToIssue", v)`` for
-    a role selector); ``":parent"`` holds the oids of the rows one
-    hierarchy level above ``level``; ``":row"`` the oids of the rows
-    returned at ``level``; ``"*"`` the whole name.  ``via`` marks an
-    entity whose rows carry the foreign key of that role: every write
-    to such a row publishes the role's key, which the bean holds, so
-    the entity needs no key of its own.  A name without a binding (a
-    descriptor file written before bindings existed) is held whole.
-    """
-
-    slot: str | None = None
-    level: int = 0
-    via: str | None = None
-
-    def attrs(self) -> dict:
-        attrs = {}
-        if self.slot is not None:
-            attrs["slot"] = self.slot
-        if self.level:
-            attrs["level"] = str(self.level)
-        if self.via is not None:
-            attrs["via"] = self.via
-        return attrs
-
-    @classmethod
-    def from_attrs(cls, element) -> "Binding | None":
-        if element.get("slot") is None and element.get("via") is None:
-            return None
-        return cls(element.get("slot"), int(element.get("level", "0")),
-                   element.get("via"))
-
-
 @dataclass
 class UnitDescriptor:
     unit_id: str
@@ -163,9 +119,6 @@ class UnitDescriptor:
     entry_fields: list[dict] = field(default_factory=list)
     depends_on_entities: list[str] = field(default_factory=list)
     depends_on_roles: list[str] = field(default_factory=list)
-    #: name → :class:`Binding` of the entity / role names above
-    entity_bindings: dict[str, Binding] = field(default_factory=dict)
-    role_bindings: dict[str, Binding] = field(default_factory=dict)
     cacheable: bool = False
     cache_policy: str = "model-driven"
     optimized: bool = False
@@ -237,13 +190,10 @@ class UnitDescriptor:
         for entry_field in self.entry_fields:
             root.add("field", {k: str(v) for k, v in entry_field.items()})
         depends_el = root.add("dependsOn")
-        for tag, names, bindings in (
-                ("entity", self.depends_on_entities, self.entity_bindings),
-                ("role", self.depends_on_roles, self.role_bindings)):
-            for name in names:
-                binding = bindings.get(name)
-                depends_el.add(tag, {"name": name, **(
-                    binding.attrs() if binding is not None else {})})
+        for name in self.depends_on_entities:
+            depends_el.add("entity", {"name": name})
+        for name in self.depends_on_roles:
+            depends_el.add("role", {"name": name})
         return pretty_print(root)
 
     @classmethod
@@ -310,16 +260,9 @@ class UnitDescriptor:
         for field_el in root.find_all("field"):
             descriptor.entry_fields.append(dict(field_el.attrs))
         depends_el = root.find("dependsOn")
-        if depends_el is not None:
-            for tag, names, bindings in (
-                    ("entity", descriptor.depends_on_entities,
-                     descriptor.entity_bindings),
-                    ("role", descriptor.depends_on_roles,
-                     descriptor.role_bindings)):
-                for element in depends_el.find_all(tag):
-                    name = element.require_attr("name")
-                    names.append(name)
-                    binding = Binding.from_attrs(element)
-                    if binding is not None:
-                        bindings[name] = binding
+        if depends_el is not None:  # older files' slot= / via= marks: ignored
+            descriptor.depends_on_entities = [
+                e.require_attr("name") for e in depends_el.find_all("entity")]
+            descriptor.depends_on_roles = [
+                e.require_attr("name") for e in depends_el.find_all("role")]
         return descriptor

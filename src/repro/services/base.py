@@ -16,6 +16,7 @@ from repro.rdb import ConnectionPool, Database
 from repro.rdb.executor import ResultSet
 from repro.rdb.wal import OP_DELETE, OP_INSERT, OP_UPDATE
 from repro.services.beans import UnitBean
+from repro.services.dependencies import key_plan
 from repro.util.concurrency import AtomicCounters
 
 #: redo opcodes that change a row (see :class:`repro.rdb.wal.CommitRecord`)
@@ -105,11 +106,22 @@ class RuntimeContext:
         #: :class:`~repro.app.WebApplication`.  An unmapped table stands
         #: for a whole name of its own.
         self.table_keys: dict = {}
+        #: unit id → (descriptor, :meth:`key_plan`)
+        self._key_plans: dict = {}
         self.commit_invalidations = 0
         self.database.commit_stream.subscribe(self._on_commit_event)
         if bean_cache is not None:
             self.invalidation_bus.register("bean", bean_cache)
             self._register_cache_collector("bean", bean_cache)
+
+    def key_plan(self, descriptor) -> tuple:
+        """What ``descriptor``'s statements hold (:func:`~repro.services.
+        dependencies.key_plan`), read once per deployed version."""
+        cached = self._key_plans.get(descriptor.unit_id)
+        if cached is None or cached[0] is not descriptor:
+            cached = (descriptor, key_plan(descriptor, self.table_keys))
+            self._key_plans[descriptor.unit_id] = cached
+        return cached[1]
 
     def register_cache_level(self, name: str, cache) -> None:
         """Attach another cache level (fragment, page) to the bus."""

@@ -42,7 +42,7 @@ from __future__ import annotations
 import dataclasses
 from functools import lru_cache
 
-from repro.rdb.expr import Comparison, Expr, InList, Param
+from repro.rdb.expr import And, Comparison, Expr, InList, Param, conjuncts
 from repro.rdb.executor import collect_aggregates
 from repro.rdb.sqlparser import Select, SelectItem, parse_select
 
@@ -101,19 +101,7 @@ def select_params(select: Select) -> set[str]:
     return names
 
 
-def _conjuncts(expr: Expr | None) -> list[Expr]:
-    from repro.rdb.expr import And
-
-    if expr is None:
-        return []
-    if isinstance(expr, And):
-        return _conjuncts(expr.left) + _conjuncts(expr.right)
-    return [expr]
-
-
 def _and_all(parts: list[Expr]) -> Expr | None:
-    from repro.rdb.expr import And
-
     if not parts:
         return None
     combined = parts[0]
@@ -172,10 +160,9 @@ def batched_select(sql: str, param: str, size: int) -> Select | None:
     ):
         return None
 
-    conjuncts = _conjuncts(select.where)
     key_expr = None
     rest: list[Expr] = []
-    for conjunct in conjuncts:
+    for conjunct in conjuncts(select.where):
         matched = _match_eq_param(conjunct, param) if key_expr is None else None
         if matched is not None:
             key_expr = matched

@@ -63,7 +63,7 @@ class GenericUnitService:
             # whatever the data holds — so it depends on nothing.
             bean = UnitBean(descriptor.unit_id, descriptor.name,
                             descriptor.kind)
-            bean.source = (descriptor, None)
+            bean.source = (self.ctx, descriptor, None)
             return bean
 
         cache = self.ctx.bean_cache if descriptor.cacheable else None
@@ -101,7 +101,7 @@ class GenericUnitService:
         bean = self._compute_bean(descriptor, prepared)
         # What the bean's §6 dependency keys are computed from, when a
         # cache level first indexes it (see UnitBean.dependency_keys).
-        bean.source = (descriptor, prepared)
+        bean.source = (self.ctx, descriptor, prepared)
         return bean
 
     def _compute_bean(self, descriptor: UnitDescriptor,

@@ -15,6 +15,7 @@ from repro.descriptors import UnitDescriptor
 from repro.services.base import RuntimeContext, UnitServiceBase
 from repro.services.batching import load_grouped, query_list_param
 from repro.services.beans import UnitBean
+from repro.services.dependencies import block_statement
 
 
 def _project(row: dict, properties) -> dict:
@@ -117,7 +118,7 @@ class ScrollerUnitService(UnitServiceBase):
         # one statement per scroller — block size and offset are inputs,
         # so every block reuses the same parse, plan and compiled code
         result = ctx.query(
-            f"{descriptor.query} LIMIT :_block_size OFFSET :_block_offset",
+            block_statement(descriptor.query),
             {**query_inputs, "_block_size": block_size,
              "_block_offset": (block - 1) * block_size},
         )

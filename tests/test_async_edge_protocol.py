@@ -380,12 +380,15 @@ class TestPipelining:
         assert stats["inline_hits"] == inline_before + 2
         assert stats["inline_304s"] == 1
 
+    @pytest.mark.parametrize("server", [AsyncAppServer, ThreadedAppServer],
+                             ids=["async", "threaded"])
     @pytest.mark.parametrize("stored", [True, False],
                              ids=["after-hit", "after-miss"])
-    def test_malformed_request_answered_after_the_valid_one(self, stored):
+    def test_malformed_request_answered_after_the_valid_one(self, stored,
+                                                            server):
         app = build_full_stack_app()
         url = volume_url(app)
-        with AsyncAppServer(app, workers=2) as edge:
+        with server(app, workers=2) as edge:
             with WireClient(edge.listen(), timeout=5.0) as client:
                 if stored:
                     assert client.request(url).status == 200

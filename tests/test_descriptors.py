@@ -104,6 +104,44 @@ class TestUnitDescriptor:
         assert "< 3" in loaded.query and "> 1" in loaded.query
 
 
+class TestRetiredDependencyMarks:
+    """Descriptor files written while the generator marked each
+    ``<dependsOn>`` name with the instances a bean holds still load: the
+    marks are ignored, and the keys come from the statements."""
+
+    #: the marks the generator wrote for ``Issues&Papers``
+    MARKS = (('<entity name="Issue"/>',
+              '<entity name="Issue" via="VolumeToIssue"/>'),
+             ('<entity name="Paper"/>',
+              '<entity name="Paper" via="IssueToPaper"/>'),
+             ('<role name="VolumeToIssue"/>',
+              '<role name="VolumeToIssue" slot="volume_to_issue"/>'),
+             ('<role name="IssueToPaper"/>',
+              '<role name="IssueToPaper" slot=":parent" level="1"/>'))
+
+    def test_marked_names_load_and_the_statement_decides(self):
+        from repro.app import WebApplication
+        from repro.services import GenericPageService
+        from repro.workloads.acm import build_acm_model, seed_acm_data
+
+        app = WebApplication(build_acm_model())
+        volume = seed_acm_data(app)["volumes"][0]
+        marked = app.registry.units["unit3"].xml
+        for plain, with_mark in self.MARKS:
+            assert plain in marked
+            marked = marked.replace(plain, with_mark)
+        descriptor = app.registry.redeploy_unit(marked)
+        assert descriptor.depends_on_entities == ["Issue", "Paper"]
+        assert descriptor.depends_on_roles == ["VolumeToIssue", "IssueToPaper"]
+        bean = GenericPageService(app.ctx).compute_page(
+            app.registry.page("page2"), {"unit2.oid": volume},
+        ).bean_named("Issues&Papers")
+        assert bean.rows
+        assert bean.dependency_keys() == (
+            ("VolumeToIssue", volume),
+            *(("IssueToPaper", row["oid"]) for row in bean.rows))
+
+
 def sample_page_descriptor() -> PageDescriptor:
     return PageDescriptor(
         page_id="page2",

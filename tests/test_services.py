@@ -578,3 +578,65 @@ class TestKeywordSearch:
             assert len(self._search(library, f"Paper {serial}:")) == 1
         assert regex_builds == []
         assert app.database.cached_plan_count() == plans
+
+
+class TestStatementKeys:
+    """The rules a bean's keys are read from its SQL by, one statement
+    shape each, over the ACM mapping's table keys."""
+
+    @pytest.fixture(scope="class")
+    def table_keys(self):
+        from repro.codegen import generate_project
+        from repro.workloads.acm import build_acm_model
+
+        return generate_project(build_acm_model()).mapping.table_keys()
+
+    @pytest.mark.parametrize("sql, bound, rows, whole", [
+        ("SELECT t0.oid AS oid FROM paper t0 WHERE t0.oid = :oid",
+         (("Paper", "oid"),), (), ()),
+        ("SELECT t0.oid AS oid FROM issue t0"
+         " WHERE t0.volume_to_issue_oid IN (:a, :b)",
+         (("VolumeToIssue", "a"), ("VolumeToIssue", "b")), (), ()),
+        ("SELECT t0.oid AS oid FROM author t0 JOIN authorship r1"
+         " ON r1.author_oid = t0.oid WHERE r1.paper_oid = :paper",
+         (("Authorship", "paper"),), (("Author", "oid"),), ()),
+        ("SELECT t0.oid AS oid FROM author t0 JOIN authorship r1"
+         " ON r1.author_oid = t0.oid AND t0.name <> 'x'"
+         " WHERE r1.paper_oid = :paper",
+         (("Authorship", "paper"),), (), ("Author",)),
+        ("SELECT t0.oid AS oid FROM author t0 JOIN authorship r1"
+         " ON r1.author_oid = t0.oid WHERE r1.paper_oid = :paper"
+         " LIMIT :_block_size OFFSET :_block_offset",
+         (("Authorship", "paper"),), (), ("Author",)),
+        ("SELECT t1.oid AS oid FROM issue t0 JOIN volume t1"
+         " ON t1.oid = t0.volume_to_issue_oid AND t1.number = t0.number"
+         " WHERE t0.oid = :issue",
+         (("Issue", "issue"),), (), ("Volume",)),
+        ("SELECT t0.oid AS oid FROM volume t0 JOIN issue t1"
+         " ON t1.volume_to_issue_oid = t0.oid WHERE t1.number = 1",
+         (), (), ("Volume", "Issue")),
+        ("SELECT t0.oid AS oid FROM volume t0 LEFT JOIN issue t1"
+         " ON t1.volume_to_issue_oid = t0.oid WHERE t1.oid = :issue",
+         (("Issue", "issue"),), (), ("Volume",)),
+        ("SELECT t0.oid AS oid FROM paper t0 WHERE t0.title LIKE :kw",
+         (), (), ("Paper",)),
+        ("SELECT r1.author_oid AS a FROM authorship r1",
+         (), (), ("Authorship", "AuthorOf")),
+        ("SELECT COUNT(*) AS total FROM ghost t0", (), (), ("ghost",)),
+    ], ids=["key", "fk-in-list", "bridge", "bridge-on-filter",
+            "bridge-limit", "on-column-equality", "joined-unkeyed",
+            "left-join", "like", "bridge-table-whole", "unmapped-table"])
+    def test_shape(self, table_keys, sql, bound, rows, whole):
+        from repro.descriptors import BeanProperty
+        from repro.services.dependencies import statement_keys
+
+        keys = statement_keys(sql, 0, [BeanProperty("oid", "oid")],
+                              table_keys)
+        assert (keys.bound, keys.rows, keys.whole) == (bound, rows, whole)
+
+    def test_dependson_spells_a_column_with_several_names(self, table_keys):
+        from repro.services.dependencies import statement_keys
+
+        sql = "SELECT t0.oid AS oid FROM paper t0 WHERE t0.oid = :oid"
+        keys = statement_keys(sql, 0, (), table_keys, ("PaperToIssue",))
+        assert keys.bound == (("PaperToIssue", "oid"),)

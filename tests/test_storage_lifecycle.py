@@ -13,6 +13,8 @@ code path made the write, on a primary or a replica.
 
 from __future__ import annotations
 
+import copy
+import functools
 import os
 import shutil
 import tempfile
@@ -30,7 +32,11 @@ from hypothesis.stateful import (
 from repro.app import WebApplication
 from repro.appserver import ThreadedAppServer
 from repro.caching import FragmentCache, PageCache, UnitBeanCache
-from repro.descriptors import DescriptorRegistry, OperationDescriptor
+from repro.descriptors import (
+    DescriptorRegistry,
+    OperationDescriptor,
+    UnitDescriptor,
+)
 from repro.er import ERModel
 from repro.mvc.http import Session
 from repro.presentation import PresentationRenderer
@@ -52,7 +58,7 @@ from repro.webml import (
     Selector,
     WebMLModel,
 )
-from repro.workloads.acm import build_acm_model
+from repro.workloads.acm import build_acm_model, seed_acm_data
 from repro.workloads.bookstore import build_bookstore_model, seed_bookstore
 
 #: the column realizing GenreToBook (1:N, so on the book table)
@@ -146,17 +152,19 @@ def _bookstore_model() -> WebMLModel:
     return model
 
 
-def _fully_cached(model, database=None,
-                  capacities=(4096, 1024, 512)) -> WebApplication:
+def _fully_cached(model, database=None, capacities=(4096, 1024, 512),
+                  renderer=None) -> WebApplication:
     """An application with the bean, fragment and page levels on, of
-    ``capacities`` entries each (in that order)."""
+    ``capacities`` entries each (in that order); ``renderer(model,
+    fragment_cache)`` builds its view (default :func:`_renderer`)."""
     for unit in model.all_units():
         if unit.kind != "entry":
             unit.cacheable = True
     beans, fragments, pages = capacities
     return WebApplication(
         model, bean_cache=UnitBeanCache(beans), page_cache=PageCache(pages),
-        view_renderer=_renderer(model, FragmentCache(fragments)),
+        view_renderer=(renderer or _renderer)(model,
+                                              FragmentCache(fragments)),
         database=database,
     )
 
@@ -170,6 +178,23 @@ def _renderer(model, fragment_cache=None) -> PresentationRenderer:
             rule.set_attrs["fragment"] = "cache"
     return PresentationRenderer(generate_project(model).skeletons,
                                 stylesheet, fragment_cache=fragment_cache)
+
+
+@functools.cache
+def _bookstore_templates(fragments: bool) -> PresentationRenderer:
+    """:func:`_bookstore_model`'s templates, compiled once per variant
+    (with and without fragment rules): compiling them was most of a
+    state-machine example's setup."""
+    return _renderer(_bookstore_model(), FragmentCache() if fragments else None)
+
+
+def _bookstore_renderer(model, fragment_cache=None) -> PresentationRenderer:
+    """:func:`_renderer` for a :func:`_bookstore_model` (every build of
+    it has the same pages and unit ids): a copy of the compiled variant
+    over ``fragment_cache``, so no example sees another's fragments."""
+    renderer = copy.copy(_bookstore_templates(fragment_cache is not None))
+    renderer.fragment_cache = fragment_cache
+    return renderer
 
 
 def _bean(app, page_name: str, unit_name: str, selected: str, oid: int):
@@ -688,9 +713,11 @@ class _InvalidationMachine(RuleBasedStateMachine):
     def __init__(self):
         super().__init__()
         model = _bookstore_model()
-        self.app = _fully_cached(model, capacities=self.capacities)
+        self.app = _fully_cached(model, capacities=self.capacities,
+                                 renderer=_bookstore_renderer)
         oids = seed_bookstore(self.app)
-        self.truth = WebApplication(model, view_renderer=_renderer(model),
+        self.truth = WebApplication(model,
+                                    view_renderer=_bookstore_renderer(model),
                                     database=self.app.database)
         self.books = list(oids["books"])
         self.genres = list(oids["genres"])
@@ -940,6 +967,120 @@ class TestInstanceKeySteps:
     def test_disconnect_through_the_bridge(self, machine):
         machine.uncredit_writer(machine.books[0], machine.writers[1])
         machine.cached_pages_equal_the_truth()
+
+
+#: ``All volumes`` (the Volumes page) hand-optimized to list only the
+#: volumes that have a first issue: the statement reads the issue
+#: table, which neither the generated query nor ``<dependsOn>`` names
+_VOLUMES_WITH_A_FIRST_ISSUE = (
+    "SELECT t0.oid AS oid, t0.number AS number, t0.year AS year"
+    " FROM volume t0 JOIN issue t1 ON t1.volume_to_issue_oid = t0.oid"
+    " WHERE t1.number = 1 ORDER BY t0.year ASC")
+
+
+def _redeploy_optimized(app, unit_id: str, query: str):
+    """What a data expert does (§1, §8): edit the deployed descriptor's
+    SQL, mark it optimized and hot-redeploy the XML."""
+    descriptor = UnitDescriptor.from_xml(app.registry.units[unit_id].xml)
+    descriptor.query, descriptor.optimized = query, True
+    return app.registry.redeploy_unit(descriptor.to_xml())
+
+
+class _LatestYearService:
+    """A plug-in unit over ``Volume`` that shows the selected volume
+    beside the latest year of any volume: it reads more of the table
+    than its generated key-selector statement."""
+
+    kind = "latest_year"
+
+    def compute(self, descriptor, inputs, ctx):
+        bean = UnitBean(descriptor.unit_id, descriptor.name, self.kind)
+        [row] = ctx.query(descriptor.query, inputs).rows
+        latest = ctx.query("SELECT MAX(t0.year) AS y FROM volume t0",
+                           {}).scalar()
+        bean.current = {**row, "latest": latest}
+        return bean
+
+
+class _LatestYearTag:
+    def render(self, bean, tag, context):
+        from repro.xmlkit import Element
+
+        box = Element("div", {"class": "unit", "id": bean.unit_id})
+        box.add("span", text=f"{bean.current['oid']}/{bean.current['latest']}")
+        return box
+
+
+class TestHandOptimizedStatements:
+    """A redeployed statement is held by the rows it reads, whatever
+    the generator wrote: a cache-less twin over the same database is
+    the truth."""
+
+    @pytest.fixture
+    def apps(self):
+        model = build_acm_model()
+        app = _fully_cached(model)
+        seed_acm_data(app)
+        truth = WebApplication(model, view_renderer=_renderer(model),
+                               database=app.database)
+        return app, truth
+
+    def test_a_table_only_the_optimized_statement_reads(self, apps):
+        app, truth = apps
+        for each in apps:
+            _redeploy_optimized(each, "unit1", _VOLUMES_WITH_A_FIRST_ISSUE)
+        url = app.page_url("public", "Volumes", {})
+        before = truth.get(url).body
+        assert app.get(url).body == before
+        app.database.execute("UPDATE issue SET number = 7 WHERE number = 1")
+        after = truth.get(url).body
+        assert after != before
+        assert app.get(url).body == after
+
+    def test_an_optimized_key_lookup_holds_the_instance(self, apps):
+        app, _ = apps
+        descriptor = _redeploy_optimized(
+            app, "unit5",
+            "SELECT t0.oid AS oid, t0.title AS title, t0.abstract AS abstract,"
+            " t0.pages AS pages FROM paper t0 WHERE t0.oid = :oid")
+        assert descriptor.optimized
+        bean = GenericPageService(app.ctx).compute_page(
+            app.registry.page(app.model.page_of_unit(
+                app.model.element("unit5")).id),
+            {"unit5.oid": 3}).bean_named("Paper data")
+        assert bean.current["oid"] == 3
+        assert bean.dependency_keys() == (("Paper", 3),)
+
+    def test_a_plugin_statement_is_not_what_its_service_reads(self):
+        """A plug-in's service runs its own statements, whatever its
+        descriptor's generated SQL says: it holds its names whole."""
+        plugin_registry.register(PluginUnit(
+            kind="latest_year", tag_name="webml:latestYearUnit",
+            service=_LatestYearService(), renderer=_LatestYearTag(),
+        ))
+        try:
+            model = build_acm_model()
+            page = model.find_site_view("public").find_page("Volume Page")
+            latest = page.plugin_unit("Latest year", "latest_year", "Volume",
+                                      selector=Selector.by_key())
+            model.link(page.unit("Volume data"), latest,
+                       kind=LinkKind.TRANSPORT, params=[("oid", "oid")])
+            model.validate()
+            app = _fully_cached(model)
+            first, *_, last = seed_acm_data(app)["volumes"]
+            truth = WebApplication(model, view_renderer=_renderer(model),
+                                   database=app.database)
+            url = app.page_url("public", "Volume Page",
+                               {f"{page.unit('Volume data').id}.oid": first})
+            before = truth.get(url).body
+            assert app.get(url).body == before
+            app.database.execute(
+                "UPDATE volume SET year = 2099 WHERE oid = :v", {"v": last})
+            after = truth.get(url).body
+            assert after != before
+            assert app.get(url).body == after
+        finally:
+            plugin_registry.unregister("latest_year")
 
 
 class _FullLevelsMachine(_InvalidationMachine):
