@@ -23,7 +23,14 @@ Phases:
   first bytes out before the same miss, served buffered
   (``stream=False``), has computed its response;
 - **slow client** — a trickle-reading client must not move another
-  client's p99.
+  client's p99;
+- **hits beside streamed misses** — the hit p50 / p99 on one
+  connection while a second connection streams cache misses of one
+  page, twice: a page the edge builds on its event loop (measured
+  short, the data tier does not wait) and the same page over a data
+  tier with ``io_delay``, which the edge builds on a worker.  A
+  loop-built page yields to the loop after every chunk, so a hit waits
+  at most one chunk.
 
 ``REPRO_FAST=1`` (CI) shrinks request counts, not the assertions.
 """
@@ -32,6 +39,7 @@ from __future__ import annotations
 
 import os
 import statistics
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 
@@ -55,6 +63,9 @@ WORKERS = 4
 CONNECTIONS = 24
 TTFB_SAMPLES = 15 if FAST else 60
 FAST_CLIENT_REQUESTS = 25 if FAST else 100
+HITS_BESIDE_MISSES = 100 if FAST else 400
+#: the data tier's wait per statement for the worker-built case
+IO_DELAY = 0.001
 SEED_SCALE = dict(volumes=4, issues_per_volume=3, papers_per_issue=4)
 
 _RESULTS: dict[str, dict] = {}
@@ -241,11 +252,11 @@ def _ttfb_once(client: WireClient, url: str,
 def _miss_samples(client: WireClient, app: WebApplication, url: str,
                   measure) -> list[float]:
     """``measure`` one request per sample, each a miss at the page *and*
-    the bean level — a build whose unit services really run.  (With
-    warm beans the build is ~0.4 ms of pure Python that the producer
-    thread holds the GIL through: the head then leaves no earlier than
-    a buffered response would — streaming pays off when the model tier
-    has work to overlap with, which is the case E19 claims.)"""
+    the bean level — a build whose unit services really run, so the
+    buffered response has real work to finish before its first byte.
+    The streamed head does not wait for that work wherever the chunks
+    are then built: the read callback writes it before the first chunk
+    is asked for."""
     samples = []
     for _ in range(TTFB_SAMPLES):
         app.page_cache.flush()
@@ -361,12 +372,95 @@ def test_e19_slow_client_isolation():
     )
 
 
+# -- hits beside streamed misses -----------------------------------------------
+
+
+def _percentile(samples: list[float], share: float) -> float:
+    ordered = sorted(samples)
+    return ordered[max(0, int(len(ordered) * share) - 1)]
+
+
+def _hits_beside_misses(io_delay: float) -> dict:
+    """Time page-cache hits on one connection while a second one
+    streams misses of the Volume Page, each also a bean-level miss (a
+    cache-busting parameter makes every key new; the page id, which the
+    edge's placement is decided by, stays one).  The page's first build
+    happens before the clock starts, so the edge has measured it; it
+    is rendered in process before that, so the measured build is not
+    the one that plans the statements."""
+    app = _build()
+    hit_url, miss_url = _url_pool(app)[1], _url_pool(app)[0]
+    app.get(miss_url)
+    app.page_cache.flush()
+    edge = AsyncAppServer(app, workers=WORKERS)
+    address = edge.listen()
+    done = threading.Event()
+    streamed = []
+
+    def stream_misses() -> None:
+        with WireClient(address) as client:
+            while not done.is_set():
+                app.ctx.bean_cache.flush()
+                response = client.request(f"{miss_url}&bust={len(streamed)}")
+                assert response.headers["Transfer-Encoding"] == "chunked"
+                streamed.append(response.status)
+
+    try:
+        with WireClient(address) as client:
+            client.request(hit_url)  # stored: every later request a hit
+            client.request(miss_url)  # the page's first build, measured
+            app.database.io_delay = io_delay
+            dispatched = edge.stats()["worker_dispatches"]
+            streamer = threading.Thread(target=stream_misses)
+            streamer.start()
+            while not streamed and streamer.is_alive():  # misses flow
+                time.sleep(0.001)
+            latencies = []
+            for _ in range(HITS_BESIDE_MISSES):
+                started = time.perf_counter()
+                assert client.request(hit_url).status == 200
+                latencies.append(time.perf_counter() - started)
+            done.set()
+            streamer.join(timeout=30)
+            dispatched = edge.stats()["worker_dispatches"] - dispatched
+    finally:
+        done.set()
+        edge.stop()
+    return {
+        "io_delay_ms": io_delay * 1e3,
+        "hits": len(latencies),
+        "hit_p50_ms": round(statistics.median(latencies) * 1e3, 3),
+        "hit_p99_ms": round(_percentile(latencies, 0.99) * 1e3, 3),
+        "misses_streamed": len(streamed),
+        "miss_worker_share": round(dispatched / max(len(streamed), 1), 3),
+    }
+
+
+def test_e19_hits_beside_streamed_misses():
+    """A measured page over a data tier that does not wait is built on
+    the loop, one chunk between yields; the same page over a waiting
+    data tier is built on a worker.  Either way a hit on another
+    connection is answered between chunks, never behind a page."""
+    on_loop = _hits_beside_misses(0.0)
+    on_worker = _hits_beside_misses(IO_DELAY)
+    _RESULTS["hits_beside_misses"] = {"loop_built": on_loop,
+                                      "worker_built": on_worker}
+    # the clients share this process's GIL: now and then a loop-built
+    # chunk waits past the switch interval and sends the page back to
+    # a worker for one build
+    assert on_loop["miss_worker_share"] < 0.1
+    assert on_worker["miss_worker_share"] == 1.0
+    for case in (on_loop, on_worker):
+        assert case["misses_streamed"] > 0
+        assert case["hit_p99_ms"] < 1000.0, case
+
+
 # -- the report ---------------------------------------------------------------
 
 
 def test_e19_report():
     needed = ("byte_identity", "sustained_connections", "ttfb",
-              "slow_client")
+              "slow_client", "hits_beside_misses")
     if not all(key in _RESULTS for key in needed):
         pytest.skip("needs the measuring tests in this module run first")
 
@@ -374,6 +468,7 @@ def test_e19_report():
     sustained = _RESULTS["sustained_connections"]
     ttfb = _RESULTS["ttfb"]
     slow = _RESULTS["slow_client"]
+    beside = _RESULTS["hits_beside_misses"]
 
     report = ExperimentReport(
         "E19", "transport-agnostic delivery: threaded vs async edge",
@@ -405,4 +500,12 @@ def test_e19_report():
     report.add("fast-client p99 beside a trickle reader",
                "< 1s", f"{slow['fast_p99_ms']}ms",
                f"{slow['fast_requests']} requests on the loop")
+    for name, case in beside.items():
+        built = "on the loop" if name == "loop_built" else (
+            f"on a worker (io_delay {case['io_delay_ms']:g} ms)")
+        report.add(f"hit p50 / p99 beside misses built {built}",
+                   "at most one chunk behind",
+                   f"{case['hit_p50_ms']}ms / {case['hit_p99_ms']}ms",
+                   f"{case['hits']} hits, {case['misses_streamed']} "
+                   "streamed misses on a second connection")
     save_report(report, json_payload=dict(_RESULTS))

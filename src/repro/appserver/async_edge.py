@@ -3,16 +3,18 @@
 The thread-per-connection front (:meth:`ThreadedAppServer.listen`) pins
 a worker for a connection's whole keep-alive lifetime — mostly spent
 idle, waiting for the next request.  This module inverts the shape: a
-single asyncio event loop owns *all* accepted sockets, and threads are
-spent only on work that actually computes.
+single asyncio event loop owns *all* accepted sockets and builds the
+pages it has measured to be short; worker threads take only work that
+waits or has not been measured.
 
 Each accepted socket is one :class:`_EdgeConnection`, an
 :class:`asyncio.Protocol` the loop calls back when bytes arrive.  The
 read callback feeds the connection's sans-IO parser and triages every
 request it completes with the front controller's own pipeline
 (:meth:`FrontController.begin` and :meth:`FrontController.open_stream`
-on the loop, :meth:`FrontController.complete` or the stream's chunks
-on a worker, continuing from the same state), cheapest first:
+on the loop, the stream's chunks on the loop or a worker,
+:meth:`FrontController.complete` on a worker, each continuing from the
+same state), cheapest first:
 
 1. **inline** — ``begin(request, peek=True)`` routes, protects and
    looks the page cache up once; a stored page (200 or ETag 304) is
@@ -22,12 +24,30 @@ on a worker, continuing from the same state), cheapest first:
    renderer, ``open_stream(state)`` — still in the read callback —
    checks the template, admits the page and claims its build: bounded
    work, no action and no render.  The head (chunked transfer
-   encoding) is written right there; the request's task then hands
-   the chunk iterator to a worker, its one hop, where the static
-   prefix leaves first and the unit services run, each rendered slot
-   crossing back to the loop as it completes.  An exception raised
-   while opening a stream is answered like a worker's: a 500 and a
-   close;
+   encoding) is written right there, before any chunk is built.  The
+   request's task then builds the page in one of two places, chosen
+   per page id (the mapping's, not the cache key's):
+
+   - *on the loop*, when the page's previous build had no chunk as
+     long as ``sys.getswitchinterval()``, the renderer is in
+     compile-time mode and the data tier does not wait
+     (:meth:`FrontController.builds_only_compute`).  The task pulls
+     each chunk and yields once, so a hit on another connection waits
+     at most one chunk; it writes what it holds at most once per
+     switch interval and when the page ends, since each write costs
+     the reader a wakeup.  Under the GIL a
+     worker adds no parallel compute to a pure-Python page, only
+     hand-offs; and a worker-built chunk already keeps the loop off
+     the GIL for up to one chunk or one switch interval, so the loop
+     never makes a hit wait longer than that;
+   - *on a worker* otherwise — a page never built yet (it is measured
+     before it is trusted), a runtime-mode transformation, a data tier
+     with ``io_delay`` (a worker overlaps those waits, the loop would
+     serialise them) or a chunk over the budget: the stream's one hop,
+     each rendered chunk crossing back to the loop as it completes.
+
+   An exception raised while opening a stream is answered like a
+   worker's: a 500 and a close;
 3. **buffered** — everything else (operations, redirects, 404 and
    403, ``X-Trace`` requests, ``/_status``, misses without streaming,
    and a miss whose build another request holds — that follower waits
@@ -35,17 +55,17 @@ on a worker, continuing from the same state), cheapest first:
    from ``complete`` whole and is written out with a
    ``Content-Length``.
 
-Paths 2 and 3 are the worker path: the request gets one task, which
+Paths 2 and 3 are the task path: the request gets one task, which
 owns the connection until its response is written.  Reading pauses
 meanwhile, so a connection answers its requests strictly in order —
 pipelined requests parsed behind it wait in the connection's queue,
 and a malformed one gets its 400 (and a close) after every response
 before it.  Flow control is the transport's: ``pause_writing`` pauses
-reading (and the inline answers) until ``resume_writing``; the worker
+reading (and the inline answers) until ``resume_writing``; the task
 path's ``drain`` waits for the same signal and fails once the peer is
 gone, which is what stops a stream for a vanished reader.  The idle
 timeout is one timer per connection that re-arms itself from the last
-read or worker-path response; a connection with a request in flight or
+read or task-path response; a connection with a request in flight or
 queued is never idle.
 
 An application without a staged front controller — a bare ``handle``,
@@ -72,6 +92,7 @@ can drive the server with blocking clients.
 from __future__ import annotations
 
 import asyncio
+import sys
 import threading
 import time
 from collections import deque
@@ -123,6 +144,9 @@ class AsyncAppServer:
         self._stop_event: asyncio.Event | None = None
         #: open connections, touched only on the loop thread
         self._live: set[_EdgeConnection] = set()
+        #: page id → seconds its last streamed build's longest chunk
+        #: took; a page absent here has not been measured yet
+        self._longest_chunk: dict[str, float] = {}
 
         self.metrics = MetricsRegistry()
         self._open_gauge = self.metrics.gauge("edge.open_connections")
@@ -262,7 +286,8 @@ class AsyncAppServer:
                 writer.write(head)
                 self._ttfb.record(time.perf_counter() - started)
                 self._wire_bytes.inc(len(head))
-                return self._write_stream, streamed, conn, writer
+                return (self._write_stream, streamed, state.mapping.page_id,
+                        conn, writer)
         return (self._answer_on_worker, request, conn, writer,
                 front.complete, state, started)
 
@@ -296,39 +321,119 @@ class AsyncAppServer:
         self._ttfb.record(time.perf_counter() - started)
         self._wire_bytes.inc(len(payload))
 
-    async def _write_stream(self, streamed, conn: HttpConnection,
+    async def _write_stream(self, streamed, page_id: str,
+                            conn: HttpConnection,
                             writer: "_EdgeConnection") -> None:
-        """Relay a streamed page's chunks as a worker renders them; the
-        read callback has already written its head.
+        """Build a streamed page and write its chunks; the read callback
+        has already written its head.
 
-        The producer is the stream's one worker hop: it drains the
-        chunk iterator on the pool — the unit services run there —
-        pushing rendered chunks into an asyncio queue via
-        ``call_soon_threadsafe``; the loop side writes and drains, so a
-        slow reader backpressures only its own connection.  A reader
-        that disconnects mid-stream flips ``abort`` — the producer
-        stops rendering and the generator's ``close()`` releases the
-        page-cache single-flight slot.
+        The page is built on the loop when its last build had no chunk
+        as long as ``sys.getswitchinterval()`` and the front
+        controller's builds only compute, else on a worker — so a page
+        is measured before it is trusted (the module docstring says
+        why).  Either way a reader that vanishes stops the build, and
+        closing the chunk iterator releases the page-cache
+        single-flight slot without storing.
         """
         self._streams.inc()
-        self._dispatches.inc()
+        longest = self._longest_chunk.get(page_id)
+        if (longest is not None and longest < sys.getswitchinterval()
+                and self._front.builds_only_compute()):
+            build = self._build_on_loop
+        else:
+            self._dispatches.inc()
+            build = self._build_on_worker
+        try:
+            await build(streamed, page_id, writer)
+            await writer.drain()  # raises if the build stopped for a lost peer
+            writer.write(LAST_CHUNK)
+            self._wire_bytes.inc(len(LAST_CHUNK))
+            await writer.drain()
+        except (ConnectionError, asyncio.CancelledError):
+            conn.mark_close()
+            raise
+        except Exception:
+            # mid-stream failure: the head already promised a 200, so
+            # the only honest signal is a truncated chunked body + close
+            # (the front controller's ledger says 500)
+            self._failures.inc()
+            conn.mark_close()
+
+    def _write_framed(self, framed: bytes,
+                      writer: "_EdgeConnection") -> None:
+        writer.write(framed)
+        self._streamed_bytes.inc(len(framed))
+        self._wire_bytes.inc(len(framed))
+
+    async def _build_on_loop(self, streamed, page_id: str,
+                             writer: "_EdgeConnection") -> None:
+        """Pull the chunks on the loop, yielding once after each, so
+        other connections wait at most one chunk.  What they add up to
+        is written at most once per switch interval, counted from the
+        head, and when the page ends: each write costs the reader a
+        wakeup, and a page built here is short, so its body usually
+        leaves in one write.  A chunk is timed on the wall clock — the
+        stall the loop's other connections see."""
+        chunks = streamed.chunks
+        budget = sys.getswitchinterval()
+        longest = None  # until a chunk has been timed
+        held: list[bytes] = []  # framed, not written yet
+        written = time.perf_counter()
+        try:
+            while True:
+                started = time.perf_counter()
+                chunk = next(chunks, None)
+                now = time.perf_counter()
+                longest = max(longest or 0.0, now - started)
+                if chunk is None:
+                    break
+                if chunk:
+                    held.append(encode_chunk(chunk.encode()))
+                if held and now - written >= budget:
+                    self._write_framed(b"".join(held), writer)
+                    held.clear()
+                    written = now
+                    await writer.drain()
+                await asyncio.sleep(0)
+            if held:
+                self._write_framed(b"".join(held), writer)
+        finally:
+            chunks.close()  # releases the single-flight slot
+            if longest is not None:
+                self._longest_chunk[page_id] = longest
+
+    async def _build_on_worker(self, streamed, page_id: str,
+                               writer: "_EdgeConnection") -> None:
+        """The stream's one worker hop: the producer drains the chunk
+        iterator on the pool, pushing each chunk into an asyncio queue
+        via ``call_soon_threadsafe``; the loop side writes and drains,
+        so a slow reader backpressures only its own connection.  The
+        producer stops when the loop side leaves (``abort``) or the
+        peer is gone.  A chunk is timed in thread CPU time, so that
+        waiting for the GIL does not count against the page."""
         loop = asyncio.get_running_loop()
         queue: asyncio.Queue = asyncio.Queue()
         abort = threading.Event()
-        done = {"completed": False}
 
         def produce() -> None:
+            chunks = streamed.chunks
+            longest = None  # until a chunk has been timed
             try:
-                for chunk in streamed.chunks:
-                    if abort.is_set():
-                        return
+                while not (abort.is_set() or writer.lost):
+                    started = time.thread_time()
+                    chunk = next(chunks, None)
+                    longest = max(longest or 0.0,
+                                  time.thread_time() - started)
+                    if chunk is None:
+                        break
                     if chunk:
                         loop.call_soon_threadsafe(queue.put_nowait, chunk)
-                done["completed"] = True
             except Exception as exc:
                 loop.call_soon_threadsafe(queue.put_nowait, exc)
             finally:
-                streamed.chunks.close()  # releases the single-flight slot
+                chunks.close()  # releases the single-flight slot
+                if longest is not None:
+                    self._longest_chunk[page_id] = longest
                 loop.call_soon_threadsafe(queue.put_nowait, _EOF)
 
         # The read callback wrote the head before this task was
@@ -340,29 +445,11 @@ class AsyncAppServer:
         producer = loop.run_in_executor(self._pool, produce)
         try:
             await writer.drain()
-            while True:
-                item = await queue.get()
-                if item is _EOF:
-                    break
+            while (item := await queue.get()) is not _EOF:
                 if isinstance(item, Exception):
-                    # mid-stream failure: the head already promised a
-                    # 200, so the only honest signal is a truncated
-                    # chunked body + close (the front controller's
-                    # ledger says 500)
-                    self._failures.inc()
-                    conn.mark_close()
-                    return
-                framed = encode_chunk(item.encode())
-                writer.write(framed)
-                self._streamed_bytes.inc(len(framed))
-                self._wire_bytes.inc(len(framed))
+                    raise item
+                self._write_framed(encode_chunk(item.encode()), writer)
                 await writer.drain()
-            writer.write(LAST_CHUNK)
-            self._wire_bytes.inc(len(LAST_CHUNK))
-            await writer.drain()
-        except (ConnectionError, asyncio.CancelledError):
-            conn.mark_close()
-            raise
         finally:
             abort.set()
             # drain the producer so the flight slot is released before
@@ -371,8 +458,6 @@ class AsyncAppServer:
                 await producer
             except asyncio.CancelledError:
                 pass
-            if not done["completed"]:
-                conn.mark_close()
 
     # -- observation -----------------------------------------------------------
 

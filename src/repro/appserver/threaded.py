@@ -44,6 +44,20 @@ from repro.obs.metrics import MetricsRegistry
 _STOP = object()
 
 
+def _shut(sock: socket.socket) -> None:
+    """Shut a socket down and close it, so that a thread blocked in its
+    ``accept()`` or ``recv()`` wakes up (on Linux, closing alone does
+    not wake it)."""
+    try:
+        sock.shutdown(socket.SHUT_RDWR)
+    except OSError:
+        pass  # never connected, or the peer already went
+    try:
+        sock.close()
+    except OSError:
+        pass
+
+
 class ThreadedAppServer:
     """Dispatches requests across a pool of worker threads.
 
@@ -114,18 +128,16 @@ class ThreadedAppServer:
         are routinely restarted against a live application)."""
         self._stopping = True
         if self._listener is not None:
-            try:
-                self._listener.close()
-            except OSError:
-                pass
+            _shut(self._listener)
             self._listener = None
         with self._lock:
             open_sockets = list(self._open_sockets)
         for sock in open_sockets:
-            try:
-                sock.close()
-            except OSError:
-                pass
+            _shut(sock)
+        if self._conn_slots is not None:
+            # the accept thread may be waiting for a slot: hand it one,
+            # and it sees ``_stopping``
+            self._conn_slots.release()
         if self._accept_thread is not None:
             self._accept_thread.join(timeout=5)
             self._accept_thread = None
@@ -233,9 +245,11 @@ class ThreadedAppServer:
             # worker count wait in the kernel backlog, which is exactly
             # the thread-per-connection bottleneck E19 measures
             self._conn_slots.acquire()
+            if self._stopping:
+                return
             try:
                 sock, _addr = listener.accept()
-            except OSError:  # listener closed by stop()
+            except OSError:  # listener shut down by stop()
                 self._conn_slots.release()
                 return
             with self._lock:

@@ -163,9 +163,7 @@ class _QueryBuilder:
             )
             self.where.append(f"{alias}.{far} = :{parameter}")
         else:
-            to_entity = rel_map.target_entity if forward else rel_map.source_entity
-            fk_on_unit_side = rel_map.fk_table == self.mapping.table_for(to_entity)
-            if fk_on_unit_side:
+            if rel_map.fk_on_reached_side(forward):  # the unit's own rows
                 self.exact_columns.append(rel_map.fk_column)
                 self.where.append(f"t0.{rel_map.fk_column} = :{parameter}")
             else:

@@ -81,6 +81,13 @@ class RelationshipMap:
     source_column: str | None = None
     target_column: str | None = None
 
+    def fk_on_reached_side(self, forward: bool) -> bool:
+        """Whether the FK column sits on the rows a role reaches: the
+        target's for the forward name, the source's for the inverse.
+        Read from the direction, never from table names, which cannot
+        tell the two ends of a self-relationship apart."""
+        return self.fk_on_many_side_of_source == forward
+
 
 @dataclass(frozen=True)
 class TableKeys:
@@ -197,9 +204,7 @@ class RelationalMapping:
         entity you already have) and ends at the other side's table.
         """
         mapping, forward = self.relationship_map(role_name)
-        from_entity = mapping.source_entity if forward else mapping.target_entity
         to_entity = mapping.target_entity if forward else mapping.source_entity
-        from_table = self.table_for(from_entity)
         to_table = self.table_for(to_entity)
         if mapping.kind == "bridge":
             near = mapping.source_column if forward else mapping.target_column
@@ -209,7 +214,7 @@ class RelationalMapping:
                 {"table": to_table, "left_on": far, "right_on": "oid"},
             ]
         # FK realization: the fk column lives on fk_table.
-        if mapping.fk_table == from_table:
+        if not mapping.fk_on_reached_side(forward):
             return [
                 {"table": to_table, "left_on": mapping.fk_column, "right_on": "oid"}
             ]
@@ -240,9 +245,8 @@ class RelationalMapping:
                 "forward": forward,
             }
         owner_entity = (
-            mapping.source_entity
-            if mapping.fk_table == self.table_for(mapping.source_entity)
-            else mapping.target_entity
+            mapping.target_entity if mapping.fk_on_many_side_of_source
+            else mapping.source_entity
         )
         return {
             "kind": "fk",
@@ -355,15 +359,10 @@ def _map_relationship(
         )
 
     # FK realizations: pick the "many" side (or the target for 1:1).
-    if cardinality == Cardinality.ONE_TO_MANY:
-        fk_table, referenced = target_table, source_table
-        fk_entity = relationship.target
-    elif cardinality == Cardinality.MANY_TO_ONE:
+    if cardinality == Cardinality.MANY_TO_ONE:
         fk_table, referenced = source_table, target_table
-        fk_entity = relationship.source
-    else:  # ONE_TO_ONE
+    else:  # ONE_TO_MANY, ONE_TO_ONE
         fk_table, referenced = target_table, source_table
-        fk_entity = relationship.target
 
     fk_column = f"{role}_oid"
     fk_extras[fk_table].append(Column(fk_column, IntegerType(), nullable=True))
@@ -381,5 +380,5 @@ def _map_relationship(
         fk_table=fk_table,
         fk_column=fk_column,
         fk_target_table=referenced,
-        fk_on_many_side_of_source=(fk_entity != relationship.source),
+        fk_on_many_side_of_source=(cardinality != Cardinality.MANY_TO_ONE),
     )

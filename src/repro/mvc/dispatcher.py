@@ -30,7 +30,9 @@ in steps, so that an edge may run them on different threads:
   :class:`~repro.httpcore.delivery.StreamedPage`: template lookup,
   admission and the flight claim, bounded work the loop runs too, so
   the head and the compiled template's static prefix leave before the
-  unit services run (they run when a worker drains the chunks);
+  unit services run (they run when the chunks are drained: on the
+  edge's loop for a page :meth:`FrontController.builds_only_compute`
+  allows and the edge has measured as short, else on a worker);
 - :meth:`FrontController.complete` — execute + deliver *from that
   state*, under the one observation wrapper (span tree,
   ``http.request_seconds``, per-status count), for everything that
@@ -385,6 +387,17 @@ class FrontController:
         stream = chunks()
         next(stream)  # enter the try, so no path can leak the slot
         return StreamedPage(response=head, chunks=stream)
+
+    def builds_only_compute(self) -> bool:
+        """Whether building a page here is computation alone: the
+        renderer runs compiled templates (runtime mode applies a
+        stylesheet per request) and the data tier answers without a
+        simulated wire wait (``Database.io_delay``).  Only then may the
+        async edge build a measured streamed page on its event loop; a
+        build that waits belongs on a worker, which overlaps the waits
+        the loop would serialise."""
+        return (getattr(self.view_renderer, "mode", None) == "compile-time"
+                and not self.ctx.database.io_delay)
 
     @contextmanager
     def _sampled(self, request: HttpRequest):

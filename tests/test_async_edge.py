@@ -6,14 +6,17 @@ threaded and async edges are driven through actual sockets with the
 
 - keep-alive semantics on the wire (the seed's threaded server had no
   wire tier at all, so ``Connection: close`` / HTTP/1.0 behaviour is a
-  regression surface now);
+  regression surface now), and a threaded ``stop()`` that returns at
+  once;
 - the async edge's triage: inline page-cache hits, worker-pool
   dispatch, chunked streaming;
 - byte-identity between the edges (the E19 oracle, asserted here on a
   small probe set);
 - failure modes: a trickle-reading client must not stall other
-  connections, and a mid-stream disconnect must leak neither a worker
-  slot nor the page-cache single-flight slot;
+  connections, and a mid-stream disconnect or ``stop()`` must leak
+  neither a worker slot nor the page-cache single-flight slot, nor
+  store the unfinished page, whether the page is built on a worker or
+  on the loop;
 - one pipeline behind both edges: a page-cache miss on the async edge
   is resolved once, observed (trace, latency histogram, final status)
   and gated like the same request on the threaded edge.
@@ -21,6 +24,7 @@ threaded and async edges are driven through actual sockets with the
 
 from __future__ import annotations
 
+import logging
 import threading
 import time
 from collections import Counter
@@ -212,6 +216,29 @@ class TestThreadedSocketFront:
             again = client.request(volume_url(app))
             # presented cookie is honored: no new assignment
             assert "Set-Cookie" not in again.headers
+
+    @pytest.mark.parametrize("held", [0, 2], ids=["no-clients",
+                                                  "every-slot-held"])
+    def test_stop_is_prompt(self, app, held):
+        """``stop()`` wakes the accept thread, whether it waits in
+        ``accept()`` or for a slot every connection holds (with one
+        more connection waiting in the backlog)."""
+        server = ThreadedAppServer(app, workers=2)
+        address = server.listen()
+        clients = [WireClient(address) for _ in range(held)]
+        try:
+            for client in clients:
+                assert client.request(volume_url(app)).status == 200
+            if held:
+                clients.append(WireClient(address).connect())
+            started = time.monotonic()
+            server.stop()
+            elapsed = time.monotonic() - started
+        finally:
+            for client in clients:
+                client.close()
+            server.stop()
+        assert elapsed < 1.0, f"stop() took {elapsed:.2f}s"
 
 
 # -- the async edge -----------------------------------------------------------
@@ -410,37 +437,94 @@ class TestSlowAndDisconnectingClients:
             f"fast client stalled behind the trickler: {latencies[-1]:.3f}s"
         )
 
-    def test_midstream_disconnect_leaks_nothing(self):
-        """A client dropping mid-stream must release the page-cache
-        single-flight slot and its worker-pool slot."""
+    @staticmethod
+    def _held_stream(build: str):
+        """An edge whose next streamed miss of ``volume_url`` parks after
+        its first chunk until ``gate`` is set — built on a worker for
+        ``first``, on the loop for ``second`` (a build has measured the
+        page)."""
         app = build_full_stack_app()
-        gate = threading.Event()
-        app.front.view_renderer = _GatedRenderer(
-            app.front.view_renderer, gate
-        )
+        url = volume_url(app)
         edge = AsyncAppServer(app, workers=2)
         address = edge.listen()
-        url = volume_url(app)
+        if build == "second":
+            # in process first: plans and templates are made once, and
+            # a cold build's chunks may run past the switch interval
+            app.get(url)
+            app.page_cache.flush()
+            with WireClient(address) as warm:
+                warm.request(url)
+            app.page_cache.flush()
+        gate = threading.Event()
+        app.front.view_renderer = _HeldRenderer(app.front.view_renderer,
+                                                gate)
+        return app, edge, url, gate
+
+    @pytest.mark.parametrize("build", ["first", "second"],
+                             ids=["first-build-on-a-worker",
+                                  "second-build-on-the-loop"])
+    def test_midstream_disconnect_leaks_nothing(self, build, caplog):
+        """A client dropping mid-stream stops the build: the page-cache
+        single-flight slot is released, nothing is stored, every worker
+        slot still serves and ``stop()`` logs nothing."""
+        app, edge, url, gate = self._held_stream(build)
+        dispatches = edge.stats()["worker_dispatches"]
         try:
-            victim = WireClient(address).connect()
+            victim = WireClient(edge.address).connect()
             victim.send_raw(victim.build_request(url))
             # read only the head, then vanish mid-body
             victim._read_until(b"\r\n\r\n", bytearray())
             victim.close()
-            gate.set()  # let the gated stream finish rendering
-
             deadline = time.monotonic() + 5
             while app.page_cache._in_flight and time.monotonic() < deadline:
                 time.sleep(0.01)
             assert not app.page_cache._in_flight, "single-flight slot leaked"
+            assert len(app.page_cache) == 0  # the build never finished
+            assert edge.stats()["worker_dispatches"] - dispatches == (
+                1 if build == "first" else 0)
+            gate.set()
 
-            # every worker slot still serves: more sequential requests
-            # than pool slots, all fine
-            with WireClient(address, cookies=True) as client:
+            # more sequential requests than pool slots, all fine
+            with WireClient(edge.address, cookies=True) as client:
                 for _ in range(4):
                     assert client.request(url).status == 200
         finally:
+            gate.set()
+            with caplog.at_level(logging.INFO, logger="asyncio"):
+                edge.stop()
+        assert [record.getMessage() for record in caplog.records
+                if record.name.startswith("asyncio")] == []
+
+    @pytest.mark.parametrize("build", ["first", "second"],
+                             ids=["first-build-on-a-worker",
+                                  "second-build-on-the-loop"])
+    def test_stop_mid_page_leaks_nothing(self, build, caplog):
+        """``stop()`` while a stream is mid-page cancels it: the slot is
+        released, nothing is stored and nothing is logged."""
+        app, edge, url, gate = self._held_stream(build)
+        dispatches = edge.stats()["worker_dispatches"]
+        client = WireClient(edge.address, timeout=5.0).connect()
+        try:
+            client.send_raw(client.build_request(url))
+            raw = bytearray()
+            client._read_until(b"\r\n\r\n", raw)
+            client._read_until(b"\r\n", raw)  # the first chunk's size
+            assert app.page_cache._in_flight  # parked mid-page
+            with caplog.at_level(logging.INFO, logger="asyncio"):
+                started = time.monotonic()
+                edge.stop()
+                elapsed = time.monotonic() - started
+        finally:
+            gate.set()
+            client.close()
             edge.stop()
+        assert elapsed < 2.0, f"stop() took {elapsed:.2f}s"
+        assert edge.stats()["worker_dispatches"] - dispatches == (
+            1 if build == "first" else 0)
+        assert not app.page_cache._in_flight, "single-flight slot leaked"
+        assert len(app.page_cache) == 0
+        assert [record.getMessage() for record in caplog.records
+                if record.name.startswith("asyncio")] == []
 
 
 class TestStreamedMissAccounting:
@@ -518,6 +602,38 @@ class _GatedRenderer:
                 chunks.close()
 
         return gated()
+
+
+class _HeldRenderer:
+    """Wraps the real (compile-time) renderer; after its first chunk a
+    stream parks until ``gate`` is set, yielding a one-space chunk every
+    millisecond meanwhile — so a build held on the event loop still
+    lets the loop run, and a reader that left is noticed the way a
+    real stream notices it: a write fails.  (The edge does not read
+    while a request is in flight.)"""
+
+    def __init__(self, inner, gate):
+        self.inner = inner
+        self.mode = inner.mode
+        self.fragment_cache = inner.fragment_cache
+        self.gate = gate
+
+    def __call__(self, *args, **kwargs):
+        return self.inner(*args, **kwargs)
+
+    def stream_chunks(self, *args):
+        chunks = self.inner.stream_chunks(*args)
+
+        def held():
+            try:
+                yield next(chunks)
+                while not self.gate.wait(0.001):
+                    yield " "
+                yield from chunks
+            finally:
+                chunks.close()
+
+        return held()
 
 
 # -- one pipeline behind both edges --------------------------------------------

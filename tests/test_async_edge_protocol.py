@@ -11,11 +11,13 @@ owes a client whatever path a request takes:
 - a page-cache hit is answered in the read callback, with no task,
   future or timer;
 - a streamed miss is opened in the read callback too: its head and
-  static prefix leave while the first dynamic slot is still held, and
-  the build is its only executor submission — as for everything that
-  is served buffered (``X-Trace``, an operation, the follower of a held
-  build), with the threaded edge's bytes; the sampling countdown is
-  drawn once per request;
+  static prefix leave while the first dynamic slot is still held.  A
+  page's first build is one executor submission; a page measured as
+  short is built on the loop, with none, unless its data tier waits
+  (``io_delay``) or its last loop-built chunk ran past the switch
+  interval.  Everything served buffered (``X-Trace``, an operation,
+  the follower of a held build) is one submission, with the threaded
+  edge's bytes; the sampling countdown is drawn once per request;
 - order: pipelined requests are answered in the order they were sent,
   a page-cache hit behind a worker-path miss included, and a malformed
   request gets its 400 and close only after the responses before it;
@@ -27,6 +29,7 @@ from __future__ import annotations
 
 import logging
 import socket
+import sys
 import threading
 import time
 from collections import Counter
@@ -205,21 +208,91 @@ class TestInlineHit:
         assert made_by_hits == {}
 
 
+class _BurningRenderer:
+    """Wraps the real (compile-time) renderer; while ``burn`` is set,
+    a stream's second chunk spins the CPU for twice the switch
+    interval before it is handed out."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.mode = inner.mode
+        self.fragment_cache = inner.fragment_cache
+        self.burn = False
+
+    def __call__(self, *args, **kwargs):
+        return self.inner(*args, **kwargs)
+
+    def stream_chunks(self, *args):
+        chunks = self.inner.stream_chunks(*args)
+        if not self.burn:
+            return chunks
+
+        def burning():
+            try:
+                yield next(chunks)
+                deadline = time.perf_counter() + 2 * sys.getswitchinterval()
+                while time.perf_counter() < deadline:
+                    pass
+                yield from chunks
+            finally:
+                chunks.close()
+
+        return burning()
+
+
+def _submissions_per_miss(app, url: str, misses: int, prepare=None) -> list:
+    """Serve ``url`` as a streamed page-cache miss ``misses`` times on
+    one connection; the executor submissions each miss made.
+    ``prepare(number)`` runs before miss ``number``.  The page is
+    rendered in process first, so the edge's first build does not plan
+    the statements (a cold build may run past the switch interval)."""
+    expected = app.get(url).body
+    per_miss = []
+    with AsyncAppServer(app, workers=2) as edge:
+        with WireClient(edge.listen()) as client:
+            submitted = _count_submissions(edge)
+            for number in range(misses):
+                app.page_cache.flush()
+                if prepare is not None:
+                    prepare(number)
+                before = len(submitted)
+                response = client.request(url)
+                per_miss.append(len(submitted) - before)
+                assert response.headers["Transfer-Encoding"] == "chunked"
+                assert response.text == expected
+            stats = edge.stats()
+    assert stats["worker_dispatches"] == sum(per_miss)
+    assert stats["streamed_responses"] == misses
+    return per_miss
+
+
 class TestOneHopStream:
-    def test_a_streamed_miss_is_one_submission(self):
-        """The read callback opens the stream and writes its head; the
-        producer is the only thing handed to the pool."""
+    def test_a_measured_page_is_built_on_the_loop(self):
+        """A page's first streamed build is measured on a worker (one
+        submission); its next builds run on the loop (none)."""
         app = build_full_stack_app()
-        with AsyncAppServer(app, workers=2) as edge:
-            with WireClient(edge.listen()) as client:
-                submitted = _count_submissions(edge)
-                streamed = client.request(volume_url(app))
-                stats = edge.stats()
-        assert streamed.headers["Transfer-Encoding"] == "chunked"
-        assert streamed.text == app.get(volume_url(app)).body
-        assert len(submitted) == 1
-        assert stats["worker_dispatches"] == 1
-        assert stats["streamed_responses"] == 1
+        assert _submissions_per_miss(app, volume_url(app), 3) == [1, 0, 0]
+
+    def test_a_page_that_waits_is_built_on_a_worker(self):
+        """With a data tier that waits, every build is one
+        submission: a worker overlaps the waits."""
+        app = build_full_stack_app()
+        app.database.io_delay = 0.001
+        assert _submissions_per_miss(app, volume_url(app), 3) == [1, 1, 1]
+
+    def test_a_chunk_over_the_switch_interval_sends_the_page_back(self):
+        """The second build runs on the loop and one of its chunks
+        burns twice the switch interval: the third build is one
+        submission again."""
+        app = build_full_stack_app()
+        renderer = _BurningRenderer(app.front.view_renderer)
+        app.front.view_renderer = renderer
+
+        def burn_on_the_second(number):
+            renderer.burn = number == 1
+
+        assert _submissions_per_miss(app, volume_url(app), 3,
+                                     burn_on_the_second) == [1, 0, 1]
 
     def test_head_and_prefix_arrive_while_the_first_slot_is_held(self):
         app = build_full_stack_app()

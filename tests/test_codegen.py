@@ -16,8 +16,12 @@ from repro.codegen import (
 )
 from repro.codegen.sqlgen import sql_literal
 from repro.descriptors import IndexUse, UnitDescriptor
+from repro.er import ERModel
 from repro.er.mapping import map_to_relational
+from repro.rdb import Database
 from repro.rdb.sqlparser import parse_select, parse_sql
+from repro.webml import Selector
+from repro.webml.units import DataUnit, IndexUnit
 from repro.xmlkit import parse_xml
 
 
@@ -134,6 +138,48 @@ class TestUnitSql:
         generated = unit_queries(unit, mapping)
         assert "t0.year > 2000" in generated["query"]
         assert generated["inputs"] == []
+
+
+class TestSelfRelationship:
+    """Both names of a self-relationship, ``CategoryToSub`` (Category →
+    Category, 1:N): the forward unit lists a category's children, the
+    inverse unit its parent.  The FK side comes from the role's
+    direction — table names cannot tell the two ends apart."""
+
+    def test_each_name_selects_its_own_end(self):
+        model = ERModel(name="catalog")
+        model.entity("Category", [("name", "VARCHAR(40)")])
+        model.relate("CategoryToSub", "Category", "Category", "1:N",
+                     inverse_name="SubToCategory")
+        mapping = map_to_relational(model)
+        assert mapping.relationship_maps["CategoryToSub"] \
+            .fk_on_many_side_of_source
+        database = Database()
+        for schema in mapping.schemas:
+            database.create_table(schema)
+        for oid, name, parent in ((1, "root", None), (2, "left", 1),
+                                  (3, "right", 1), (4, "leaf", 2)):
+            database.execute(
+                "INSERT INTO category (oid, name, category_to_sub_oid) "
+                "VALUES (:oid, :name, :parent)",
+                {"oid": oid, "name": name, "parent": parent},
+            )
+        subs = IndexUnit("u1", "Subcategories", "Category",
+                         selector=Selector.over_role("CategoryToSub", "cat"))
+        parent = DataUnit("u2", "Parent", "Category",
+                          selector=Selector.over_role("SubToCategory", "cat"))
+
+        def names(unit, oid):
+            query = unit_queries(unit, mapping)["query"]
+            return [row["name"] for row in database.query(query,
+                                                          {"cat": oid})]
+
+        assert names(subs, 1) == ["left", "right"]
+        assert names(subs, 2) == ["leaf"]
+        assert names(subs, 3) == []
+        assert names(parent, 4) == ["left"]
+        assert names(parent, 2) == ["root"]
+        assert names(parent, 1) == []
 
 
 class TestOperationSql:
