@@ -20,8 +20,8 @@ Phases:
   them, the async edge serves all;
 - **TTFB** — cached pages served inline on the loop answer faster
   than a full render computes; a cache-miss *streamed* page gets its
-  first bytes out before the same miss, served buffered
-  (``stream=False``), has computed its response;
+  first bytes out before the same miss, served buffered (an app whose
+  renderer cannot stream), has computed its response;
 - **slow client** — a trickle-reading client must not move another
   client's p99;
 - **hits beside streamed misses** — the hit p50 / p99 on one
@@ -90,6 +90,15 @@ def _build() -> WebApplication:
     return app
 
 
+def _buffered(app: WebApplication) -> WebApplication:
+    """``app`` rendering through a plain function: a renderer without
+    ``stream_chunks`` is never streamed, so every miss is answered
+    whole."""
+    render = app.front.view_renderer
+    app.front.view_renderer = lambda *args: render(*args)
+    return app
+
+
 def _url_pool(app: WebApplication) -> list[str]:
     view = app.model.find_site_view("public")
     volume_data = view.find_page("Volume Page").unit("Volume data")
@@ -115,13 +124,14 @@ def _strip_date(raw: bytes) -> bytes:
 
 def test_e19_byte_identity():
     """Both edges answer an identical request sequence with identical
-    wire bytes (modulo Date).  Streaming is off on the async side: a
-    streamed first visit is chunk-framed — same body, different
-    framing — so the oracle compares the shared buffered path.
+    wire bytes (modulo Date).  The async side's misses are buffered
+    (:func:`_buffered`): a streamed first visit is chunk-framed — same
+    body, different framing — so the oracle compares the shared
+    buffered path.
     """
-    app_a, app_b = _build(), _build()
+    app_a, app_b = _build(), _buffered(_build())
     threaded = ThreadedAppServer(app_a, workers=WORKERS)
-    edge = AsyncAppServer(app_b, workers=WORKERS, stream=False)
+    edge = AsyncAppServer(app_b, workers=WORKERS)
     addr_a, addr_b = threaded.listen(), edge.listen()
     pool = _url_pool(app_a)
     home = f"/{app_a.model.find_site_view('public').id}"
@@ -276,7 +286,7 @@ def _full_response_once(client: WireClient, url: str) -> float:
 def test_e19_ttfb_cached_vs_render():
     """Inline cache hits answer in less than a full render's p50, and
     a cache-miss streamed page gets its head out before the *buffered*
-    edge — same URL, same flushes, ``stream=False`` — has its response
+    edge — same URL, same flushes, :func:`_buffered` — has its response
     ready (the static prefix leaves while the unit services run).
     ``full_render_p50_ms`` is the streaming edge's own last byte: the
     cost of the whole streamed exchange, not what streaming is compared
@@ -294,9 +304,8 @@ def test_e19_ttfb_cached_vs_render():
     finally:
         edge.stop()
 
-    buffered_app = _build()
-    buffered_edge = AsyncAppServer(buffered_app, workers=WORKERS,
-                                   stream=False)
+    buffered_app = _buffered(_build())
+    buffered_edge = AsyncAppServer(buffered_app, workers=WORKERS)
     address = buffered_edge.listen()
     try:
         with WireClient(address, cookies=True) as client:
@@ -495,7 +504,7 @@ def test_e19_report():
                "before the buffered response",
                f"{ttfb['streamed_first_byte_p50_ms']}ms vs "
                f"{ttfb['buffered_full_p50_ms']}ms",
-               "same miss with stream=False; static prefix streams "
+               "same miss buffered; static prefix streams "
                "while unit services run")
     report.add("fast-client p99 beside a trickle reader",
                "< 1s", f"{slow['fast_p99_ms']}ms",

@@ -76,12 +76,12 @@ worker for every request.
 Protocol behaviour — parsing, keep-alive, session cookies, encoding —
 is the same sans-IO :mod:`repro.httpcore` machine the threaded edge
 uses, which is what makes the two edges' *buffered* responses
-byte-identical by construction (E19's oracle, run with
-``stream=False``).  A streamed miss is framed differently on purpose
-and carries no validator: no ``ETag``, no gzip negotiation, and a 200
-even to a matching ``If-None-Match`` — its de-chunked body is the
-buffered body, and the revisit is served from the stored entry with
-all three.  The edge keeps its own metrics registry (open
+byte-identical by construction (E19's oracle, whose async app renders
+through a plain function: a renderer without ``stream_chunks`` is
+never streamed).  A streamed miss is framed differently on purpose and
+carries no validator: no ``ETag``, no gzip negotiation, and a 200 even
+to a matching ``If-None-Match`` — its de-chunked body is the buffered
+body, and the revisit is served from the stored entry with all three.  The edge keeps its own metrics registry (open
 connections, inline hits, streamed bytes, time-to-first-byte) and
 exports it as an ``edge`` collector on the application's ``/_status``.
 
@@ -126,14 +126,12 @@ class AsyncAppServer:
     the idle connections, not how much computes.
     """
 
-    def __init__(self, app, workers: int = 4, idle_timeout: float = 5.0,
-                 stream: bool = True):
+    def __init__(self, app, workers: int = 4, idle_timeout: float = 5.0):
         if workers <= 0:
             raise ContainerError("the async edge needs at least one worker")
         self.app = app
         self.workers = workers
         self.idle_timeout = idle_timeout
-        self.stream = stream
         self._front = getattr(app, "front", None)
         self._pool: ThreadPoolExecutor | None = None
         self._loop: asyncio.AbstractEventLoop | None = None
@@ -274,20 +272,19 @@ class AsyncAppServer:
                 self._inline_304s.inc()
             self._write_whole(request, state, conn, writer, started)
             return None
-        if self.stream:
-            try:
-                streamed = front.open_stream(state)
-            except Exception:  # handler bug: answer 500, hang up
-                self._write_failure(conn, writer)
-                return None
-            if streamed is not None:
-                head = conn.send_response(request, streamed.response,
-                                          date=http_date(), chunked=True)
-                writer.write(head)
-                self._ttfb.record(time.perf_counter() - started)
-                self._wire_bytes.inc(len(head))
-                return (self._write_stream, streamed, state.mapping.page_id,
-                        conn, writer)
+        try:
+            streamed = front.open_stream(state)
+        except Exception:  # handler bug: answer 500, hang up
+            self._write_failure(conn, writer)
+            return None
+        if streamed is not None:
+            head = conn.send_response(request, streamed.response,
+                                      date=http_date(), chunked=True)
+            writer.write(head)
+            self._ttfb.record(time.perf_counter() - started)
+            self._wire_bytes.inc(len(head))
+            return (self._write_stream, streamed, state.mapping.page_id,
+                    conn, writer)
         return (self._answer_on_worker, request, conn, writer,
                 front.complete, state, started)
 

@@ -189,7 +189,7 @@ class FleetSupervisor:
             )
         self.primary_server = ThreadedAppServer(
             PrimaryLsnStamp(self.app), workers=self.primary_threads
-        ).start()
+        )
         self.primary_address = self.primary_server.listen(self.host, 0)
         for index in range(self.workers):
             self.handles.append(

@@ -67,9 +67,7 @@ def main(argv: list[str]) -> int:
         obs.metrics.register_collector("replication", client.stats)
         obs.metrics.register_collector("replication.gate", gate.stats)
 
-    server = ThreadedAppServer(
-        gate, workers=config.get("threads", 4)
-    ).start()
+    server = ThreadedAppServer(gate, workers=config.get("threads", 4))
     host, port = server.listen(config.get("host", "127.0.0.1"), 0)
     print(_ready_line(host, port), flush=True)
 

@@ -40,22 +40,9 @@ from repro.httpcore import (
 )
 from repro.mvc.http import HttpRequest, HttpResponse
 from repro.obs.metrics import MetricsRegistry
+from repro.util import shut_socket
 
 _STOP = object()
-
-
-def _shut(sock: socket.socket) -> None:
-    """Shut a socket down and close it, so that a thread blocked in its
-    ``accept()`` or ``recv()`` wakes up (on Linux, closing alone does
-    not wake it)."""
-    try:
-        sock.shutdown(socket.SHUT_RDWR)
-    except OSError:
-        pass  # never connected, or the peer already went
-    try:
-        sock.close()
-    except OSError:
-        pass
 
 
 class ThreadedAppServer:
@@ -128,12 +115,12 @@ class ThreadedAppServer:
         are routinely restarted against a live application)."""
         self._stopping = True
         if self._listener is not None:
-            _shut(self._listener)
+            shut_socket(self._listener)
             self._listener = None
         with self._lock:
             open_sockets = list(self._open_sockets)
         for sock in open_sockets:
-            _shut(sock)
+            shut_socket(sock)
         if self._conn_slots is not None:
             # the accept thread may be waiting for a slot: hand it one,
             # and it sees ``_stopping``

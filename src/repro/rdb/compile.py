@@ -8,7 +8,8 @@ with one of two back-ends, chosen by the plan's mode:
   over ``Expr.evaluate`` — a Python call per AST node plus a
   :class:`RowScope` allocation and a linear owner search per
   unqualified column, per row, per operator.  No source is generated
-  for these plans; they are the reference the oracles compare against.
+  for these plans; they are the plan-shape reference (E14 / E17's
+  baselines) and the per-slot fallback below.
 - **generated source** (every other mode) removes that tax: each
   expression is translated *once* into Python source, compiled with
   :func:`compile` and executed into a namespace of small runtime
@@ -18,13 +19,13 @@ with one of two back-ends, chosen by the plan's mode:
 
 Safety argument, in three rules:
 
-1. **Same primitives.**  Generated code calls the *same* helpers the
-   interpreter uses (:func:`~repro.rdb.expr.compare_values`, the scalar
-   function registry, ``_as_text``), verbatim re-implementations of
-   the evaluate bodies, or — LIKE — the matcher every lowered form
-   shares (:func:`~repro.rdb.expr.like_matcher`), raising byte-identical
-   :class:`~repro.errors.QueryError` messages, preserving SQL
-   three-valued logic, AND/OR short-circuit order, and lazy ``IN``-list
+1. **One copy of each value rule.**  Generated code calls the function
+   objects the ``evaluate`` methods call — :mod:`repro.rdb.expr`'s
+   ``ARITHMETIC`` / ``COMPARISON_TESTS`` maps, ``between_test``,
+   ``in_test``, the LIKE matcher, the scalar function registry — so it
+   raises the same :class:`~repro.errors.QueryError` messages; what is
+   generated is only operand fetching, SQL three-valued AND / OR / NOT
+   with the interpreter's short-circuit order, and lazy ``IN``-list
    option evaluation.
 2. **Fallback, never failure.**  Anything the generator cannot translate
    faithfully (aggregates in scalar position, unknown functions, wrong
@@ -32,10 +33,12 @@ Safety argument, in three rules:
    internally and that slot gets its interpreter closure instead — so a
    compiled plan never behaves differently, it is at worst partially
    interpreted ("mixed" mode, counted in ``compile_fallback_exprs``).
-3. **Oracle.**  Both back-ends fill the same slots of the same
+3. **Oracles.**  Both back-ends fill the same slots of the same
    operators, so modes can only disagree through a lowered expression;
-   the hypothesis oracle executes every mode against random
-   schemas/queries and requires identical rows and ordering.
+   the four-way oracle executes every mode against random queries and
+   requires identical rows and ordering, and the grammar oracle
+   (``tests/test_rdb_sql_grammar.py``) holds every mode's answer to
+   SQLite's.
 
 Two calling conventions are lowered:
 
@@ -55,7 +58,6 @@ import functools
 import math
 from dataclasses import dataclass
 
-from repro.errors import QueryError
 from repro.rdb import columnar, cost
 from repro.rdb.executor import (
     FilterOp,
@@ -67,7 +69,9 @@ from repro.rdb.executor import (
 )
 from repro.rdb.expr import (
     _SCALAR_FUNCTIONS,
+    ARITHMETIC,
     COMPARISON_TESTS,
+    VARIADIC_FUNCTIONS,
     AggregateCall,
     And,
     Arithmetic,
@@ -85,8 +89,10 @@ from repro.rdb.expr import (
     Not,
     Or,
     Param,
-    _as_text,
-    _is_number,
+    _concat,
+    _like_dyn,
+    _missing_param,
+    _negate,
     between_test,
     in_test,
     like_matcher,
@@ -106,87 +112,6 @@ class CompileError(Exception):
     """
 
 
-# ---------------------------------------------------------------------------
-# Runtime helpers — the vocabulary of generated code.  Each mirrors the
-# corresponding ``Expr.evaluate`` body exactly, including error text.
-# ---------------------------------------------------------------------------
-
-
-def _missing_param(name):
-    raise QueryError(f"missing query parameter {name!r}")
-
-
-def _arith_add(lhs, rhs):
-    if lhs is None or rhs is None:
-        return None
-    if isinstance(lhs, str) and isinstance(rhs, str):
-        return lhs + rhs
-    if not (_is_number(lhs) and _is_number(rhs)):
-        raise QueryError(f"arithmetic '+' needs numbers, got {lhs!r} and {rhs!r}")
-    return lhs + rhs
-
-
-def _arith_sub(lhs, rhs):
-    if lhs is None or rhs is None:
-        return None
-    if not (_is_number(lhs) and _is_number(rhs)):
-        raise QueryError(f"arithmetic '-' needs numbers, got {lhs!r} and {rhs!r}")
-    return lhs - rhs
-
-
-def _arith_mul(lhs, rhs):
-    if lhs is None or rhs is None:
-        return None
-    if not (_is_number(lhs) and _is_number(rhs)):
-        raise QueryError(f"arithmetic '*' needs numbers, got {lhs!r} and {rhs!r}")
-    return lhs * rhs
-
-
-def _arith_div(lhs, rhs):
-    if lhs is None or rhs is None:
-        return None
-    if not (_is_number(lhs) and _is_number(rhs)):
-        raise QueryError(f"arithmetic '/' needs numbers, got {lhs!r} and {rhs!r}")
-    if rhs == 0:
-        raise QueryError("division by zero")
-    result = lhs / rhs
-    if isinstance(lhs, int) and isinstance(rhs, int) and result == int(result):
-        return int(result)
-    return result
-
-
-def _arith_mod(lhs, rhs):
-    if lhs is None or rhs is None:
-        return None
-    if not (_is_number(lhs) and _is_number(rhs)):
-        raise QueryError(f"arithmetic '%' needs numbers, got {lhs!r} and {rhs!r}")
-    if rhs == 0:
-        raise QueryError("modulo by zero")
-    return lhs % rhs
-
-
-def _concat(lhs, rhs):
-    if lhs is None or rhs is None:
-        return None
-    return _as_text(lhs) + _as_text(rhs)
-
-
-def _negate(value):
-    if value is None:
-        return None
-    if not _is_number(value):
-        raise QueryError(f"cannot negate {value!r}")
-    return -value
-
-
-def _like_dyn(value, pattern, negated, escape):
-    """LIKE against a pattern evaluated per row: the matcher is looked
-    up (one LRU probe) and handed to the shared test."""
-    if value is None or pattern is None:
-        return None
-    return like_test(value, like_matcher(str(pattern), escape)[0], negated)
-
-
 _CMP_HELPERS = {
     "=": "_cmp_eq",
     "<>": "_cmp_ne",
@@ -204,20 +129,13 @@ _ARITH_HELPERS = {
     "%": "_arith_mod",
 }
 
-#: scalar functions whose arity the interpreter does not pin to one
-_VARIADIC_FUNCTIONS = ("COALESCE", "CONCAT", "ROUND", "SUBSTR")
-
-#: shared globals of every generated function.  Comparison, BETWEEN,
-#: IN and LIKE are :mod:`repro.rdb.expr`'s value-level tests — the ones
-#: the batch kernels call; only how the operands arrive differs
+#: shared globals of every generated function: :mod:`repro.rdb.expr`'s
+#: value rules — the functions the ``evaluate`` methods and the batch
+#: kernels call; only how the operands arrive differs
 _RUNTIME = {
     "_missing_param": _missing_param,
     **{name: COMPARISON_TESTS[op] for op, name in _CMP_HELPERS.items()},
-    "_arith_add": _arith_add,
-    "_arith_sub": _arith_sub,
-    "_arith_mul": _arith_mul,
-    "_arith_div": _arith_div,
-    "_arith_mod": _arith_mod,
+    **{name: ARITHMETIC[op] for op, name in _ARITH_HELPERS.items()},
     "_concat": _concat,
     "_negate": _negate,
     "_between": between_test,
@@ -340,22 +258,16 @@ class _Codegen:
             )
             return out
         if isinstance(node, Comparison):
-            helper = _CMP_HELPERS.get(node.op)
-            if helper is None:
-                raise CompileError(f"unknown comparison operator {node.op!r}")
             lhs = self.compile(node.left)
             rhs = self.compile(node.right)
             out = self.fresh()
-            self.emit(f"{out} = {helper}({lhs}, {rhs})")
+            self.emit(f"{out} = {_CMP_HELPERS[node.op]}({lhs}, {rhs})")
             return out
         if isinstance(node, Arithmetic):
-            helper = _ARITH_HELPERS.get(node.op)
-            if helper is None:
-                raise CompileError(f"unknown arithmetic operator {node.op!r}")
             lhs = self.compile(node.left)
             rhs = self.compile(node.right)
             out = self.fresh()
-            self.emit(f"{out} = {helper}({lhs}, {rhs})")
+            self.emit(f"{out} = {_ARITH_HELPERS[node.op]}({lhs}, {rhs})")
             return out
         if isinstance(node, Concat):
             lhs = self.compile(node.left)
@@ -379,6 +291,8 @@ class _Codegen:
             return out
         if isinstance(node, IsNull):
             value = self.compile(node.operand)
+            if isinstance(node.operand, Literal):
+                value = self.as_local(value)  # ``'a' is None`` warns
             out = self.fresh()
             test = "is not None" if node.negated else "is None"
             self.emit(f"{out} = {value} {test}")
@@ -461,7 +375,7 @@ class _Codegen:
         func = _SCALAR_FUNCTIONS.get(node.name.upper())
         if func is None:
             raise CompileError(f"unknown function {node.name!r}")
-        if node.name.upper() not in _VARIADIC_FUNCTIONS and len(node.args) != 1:
+        if node.name.upper() not in VARIADIC_FUNCTIONS and len(node.args) != 1:
             raise CompileError(f"{node.name} arity")
         args = [self.compile(arg) for arg in node.args]
         name = self.fresh("fn")

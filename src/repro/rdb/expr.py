@@ -5,13 +5,22 @@ Expressions evaluate against a *scope* (anything with a
 three-valued logic is honoured: ``None`` is NULL/UNKNOWN, comparisons
 with NULL yield UNKNOWN, and WHERE keeps a row only when its predicate
 is strictly True.
+
+Each value rule — an operator, a predicate test, a scalar function — is
+one function here, called by the ``evaluate`` methods, by the code
+:mod:`repro.rdb.compile` generates and by :mod:`repro.rdb.columnar`'s
+batch kernels alike.  SQLite is the reference it is held to
+(``tests/test_rdb_sql_grammar.py``); where the answers differ on
+purpose, DESIGN §8 ("Expression values") records the decision.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import re
 from dataclasses import dataclass
+from decimal import ROUND_HALF_UP, Context, Decimal
 
 from repro.errors import QueryError
 
@@ -61,8 +70,12 @@ class Param(Expr):
 
     def evaluate(self, scope, params):
         if self.name not in params:
-            raise QueryError(f"missing query parameter {self.name!r}")
+            _missing_param(self.name)
         return params[self.name]
+
+
+def _missing_param(name):
+    raise QueryError(f"missing query parameter {name!r}")
 
 
 def _is_number(value) -> bool:
@@ -76,36 +89,9 @@ class Arithmetic(Expr):
     right: Expr
 
     def evaluate(self, scope, params):
-        lhs = self.left.evaluate(scope, params)
-        rhs = self.right.evaluate(scope, params)
-        if lhs is None or rhs is None:
-            return None
-        if self.op == "+" and isinstance(lhs, str) and isinstance(rhs, str):
-            return lhs + rhs
-        if not (_is_number(lhs) and _is_number(rhs)):
-            raise QueryError(
-                f"arithmetic {self.op!r} needs numbers, got {lhs!r} and {rhs!r}"
-            )
-        if self.op == "+":
-            return lhs + rhs
-        if self.op == "-":
-            return lhs - rhs
-        if self.op == "*":
-            return lhs * rhs
-        if self.op == "/":
-            if rhs == 0:
-                raise QueryError("division by zero")
-            result = lhs / rhs
-            # Integer division stays integral when exact, matching the
-            # engine's INTEGER/FLOAT split.
-            if isinstance(lhs, int) and isinstance(rhs, int) and result == int(result):
-                return int(result)
-            return result
-        if self.op == "%":
-            if rhs == 0:
-                raise QueryError("modulo by zero")
-            return lhs % rhs
-        raise QueryError(f"unknown arithmetic operator {self.op!r}")
+        return ARITHMETIC[self.op](
+            self.left.evaluate(scope, params), self.right.evaluate(scope, params)
+        )
 
     def column_refs(self):
         return self.left.column_refs() + self.right.column_refs()
@@ -119,11 +105,9 @@ class Concat(Expr):
     right: Expr
 
     def evaluate(self, scope, params):
-        lhs = self.left.evaluate(scope, params)
-        rhs = self.right.evaluate(scope, params)
-        if lhs is None or rhs is None:
-            return None
-        return _as_text(lhs) + _as_text(rhs)
+        return _concat(
+            self.left.evaluate(scope, params), self.right.evaluate(scope, params)
+        )
 
     def column_refs(self):
         return self.left.column_refs() + self.right.column_refs()
@@ -154,12 +138,92 @@ def compare_values(lhs, rhs) -> int | None:
     return (lhs > rhs) - (lhs < rhs)
 
 
-# The value-level predicate tests: ``(value, bound operands) -> True |
-# False | None`` under SQL's three-valued logic.  Every *lowered* form of
-# a predicate calls these — generated row code (:mod:`repro.rdb.compile`)
-# and the batch kernels' generic arms (:mod:`repro.rdb.columnar`) differ
-# only in how they fetch the operands.  The ``evaluate`` methods below
-# are the reference the oracles hold them to, and stay their own text.
+# The value rules, one function per operator, each written once: the
+# ``evaluate`` methods below, generated row code
+# (:mod:`repro.rdb.compile`) and the batch kernels' generic arms
+# (:mod:`repro.rdb.columnar`) call the same functions and differ only in
+# how they fetch the operands.  ``tests/test_rdb_sql_grammar.py`` holds
+# them to SQLite.
+
+
+def _arith_add(lhs, rhs):
+    if lhs is None or rhs is None:
+        return None
+    if isinstance(lhs, str) and isinstance(rhs, str):
+        return lhs + rhs
+    if not (_is_number(lhs) and _is_number(rhs)):
+        raise QueryError(f"arithmetic '+' needs numbers, got {lhs!r} and {rhs!r}")
+    return lhs + rhs
+
+
+def _arith_sub(lhs, rhs):
+    if lhs is None or rhs is None:
+        return None
+    if not (_is_number(lhs) and _is_number(rhs)):
+        raise QueryError(f"arithmetic '-' needs numbers, got {lhs!r} and {rhs!r}")
+    return lhs - rhs
+
+
+def _arith_mul(lhs, rhs):
+    if lhs is None or rhs is None:
+        return None
+    if not (_is_number(lhs) and _is_number(rhs)):
+        raise QueryError(f"arithmetic '*' needs numbers, got {lhs!r} and {rhs!r}")
+    return lhs * rhs
+
+
+def _arith_div(lhs, rhs):
+    if lhs is None or rhs is None:
+        return None
+    if not (_is_number(lhs) and _is_number(rhs)):
+        raise QueryError(f"arithmetic '/' needs numbers, got {lhs!r} and {rhs!r}")
+    if rhs == 0:
+        raise QueryError("division by zero")
+    result = lhs / rhs
+    # Integer division stays integral when exact, matching the engine's
+    # INTEGER/FLOAT split.
+    if isinstance(lhs, int) and isinstance(rhs, int) and result == int(result):
+        return int(result)
+    return result
+
+
+def _arith_mod(lhs, rhs):
+    """The remainder takes the dividend's sign (``-7 % 3`` is -1), as in
+    the standard's MOD, PostgreSQL and SQLite."""
+    if lhs is None or rhs is None:
+        return None
+    if not (_is_number(lhs) and _is_number(rhs)):
+        raise QueryError(f"arithmetic '%' needs numbers, got {lhs!r} and {rhs!r}")
+    if rhs == 0:
+        raise QueryError("modulo by zero")
+    if isinstance(lhs, int) and isinstance(rhs, int):
+        remainder = abs(lhs) % abs(rhs)
+        return -remainder if lhs < 0 else remainder
+    return math.fmod(lhs, rhs)
+
+
+#: arithmetic operator -> ``op(lhs, rhs)``
+ARITHMETIC = {
+    "+": _arith_add,
+    "-": _arith_sub,
+    "*": _arith_mul,
+    "/": _arith_div,
+    "%": _arith_mod,
+}
+
+
+def _concat(lhs, rhs):
+    if lhs is None or rhs is None:
+        return None
+    return _as_text(lhs) + _as_text(rhs)
+
+
+def _negate(value):
+    if value is None:
+        return None
+    if not _is_number(value):
+        raise QueryError(f"cannot negate {value!r}")
+    return -value
 
 
 def _sign_test(accepted: tuple):
@@ -220,6 +284,14 @@ def like_test(value, match, negated):
     return not matched if negated else matched
 
 
+def _like_dyn(value, pattern, negated, escape):
+    """LIKE against a pattern evaluated per row: the matcher is looked
+    up (one LRU probe) and handed to the shared test."""
+    if value is None or pattern is None:
+        return None
+    return like_test(value, like_matcher(str(pattern), escape)[0], negated)
+
+
 @dataclass(frozen=True)
 class Comparison(Expr):
     op: str  # = <> < <= > >=
@@ -227,24 +299,9 @@ class Comparison(Expr):
     right: Expr
 
     def evaluate(self, scope, params):
-        sign = compare_values(
+        return COMPARISON_TESTS[self.op](
             self.left.evaluate(scope, params), self.right.evaluate(scope, params)
         )
-        if sign is None:
-            return None
-        if self.op == "=":
-            return sign == 0
-        if self.op == "<>":
-            return sign != 0
-        if self.op == "<":
-            return sign < 0
-        if self.op == "<=":
-            return sign <= 0
-        if self.op == ">":
-            return sign > 0
-        if self.op == ">=":
-            return sign >= 0
-        raise QueryError(f"unknown comparison operator {self.op!r}")
 
     def column_refs(self):
         return self.left.column_refs() + self.right.column_refs()
@@ -318,12 +375,7 @@ class Negate(Expr):
     operand: Expr
 
     def evaluate(self, scope, params):
-        value = self.operand.evaluate(scope, params)
-        if value is None:
-            return None
-        if not _is_number(value):
-            raise QueryError(f"cannot negate {value!r}")
-        return -value
+        return _negate(self.operand.evaluate(scope, params))
 
     def column_refs(self):
         return self.operand.column_refs()
@@ -350,20 +402,11 @@ class InList(Expr):
     negated: bool = False
 
     def evaluate(self, scope, params):
-        value = self.operand.evaluate(scope, params)
-        if value is None:
-            return None
-        saw_null = False
-        for option in self.options:
-            candidate = option.evaluate(scope, params)
-            if candidate is None:
-                saw_null = True
-                continue
-            if compare_values(value, candidate) == 0:
-                return not self.negated
-        if saw_null:
-            return None
-        return self.negated
+        return in_test(
+            self.operand.evaluate(scope, params),
+            [option.evaluate for option in self.options], self.negated,
+            scope, params,
+        )
 
     def column_refs(self):
         refs = self.operand.column_refs()
@@ -383,13 +426,10 @@ class Like(Expr):
     escape: str | None = None
 
     def evaluate(self, scope, params):
-        value = self.operand.evaluate(scope, params)
-        pattern = self.pattern.evaluate(scope, params)
-        if value is None or pattern is None:
-            return None
-        regex = _like_to_regex(str(pattern), self.escape)
-        matched = regex.match(str(value)) is not None
-        return not matched if self.negated else matched
+        return _like_dyn(
+            self.operand.evaluate(scope, params),
+            self.pattern.evaluate(scope, params), self.negated, self.escape,
+        )
 
     def column_refs(self):
         return self.operand.column_refs() + self.pattern.column_refs()
@@ -420,8 +460,7 @@ def like_matcher(pattern: str, escape: str | None = None):
     between wildcards — each a substring of every match, which is what
     the column store's trigram postings are probed with.  A pattern of
     one run needs no regex: no wildcard is ``==``, ``%run%`` is ``in``,
-    ``run%`` / ``%run`` are ``startswith`` / ``endswith``.
-    ``Like.evaluate`` — the reference — rebuilds its regex per call."""
+    ``run%`` / ``%run`` are ``startswith`` / ``endswith``."""
     runs, wildcards = [""], ""
     chars = iter(pattern)
     for ch in chars:
@@ -457,17 +496,11 @@ class Between(Expr):
     negated: bool = False
 
     def evaluate(self, scope, params):
-        value = self.operand.evaluate(scope, params)
-        low_sign = compare_values(value, self.low.evaluate(scope, params))
-        high_sign = compare_values(value, self.high.evaluate(scope, params))
-        # low <= value AND value <= high: a known-false side decides
-        below = low_sign is not None and low_sign < 0
-        above = high_sign is not None and high_sign > 0
-        if below or above:
-            return self.negated
-        if low_sign is None or high_sign is None:
-            return None
-        return not self.negated
+        return between_test(
+            self.operand.evaluate(scope, params),
+            self.low.evaluate(scope, params),
+            self.high.evaluate(scope, params), self.negated,
+        )
 
     def column_refs(self):
         return (
@@ -569,6 +602,8 @@ def conjunct_fingerprint(conjunct: Expr) -> str:
 
 
 _SCALAR_FUNCTIONS = {}
+#: scalar functions whose arity is not pinned to one
+VARIADIC_FUNCTIONS = ("COALESCE", "CONCAT", "ROUND", "SUBSTR")
 
 
 def _scalar(name):
@@ -606,15 +641,29 @@ def _fn_abs(args):
     return abs(value)
 
 
+#: wide enough to quantize any double below 2**52 to 30 places
+_ROUND_CONTEXT = Context(prec=64)
+
+
 @_scalar("ROUND")
 def _fn_round(args):
+    """ROUND as SQLite reads it: the value's shortest decimal form
+    rounded half away from zero (``ROUND(2.5)`` is 3.0, ``ROUND(2.675,
+    2)`` 2.68) to 0..30 places (a negative count reads as 0), always a
+    float.  SQLite's own printf rounding differs a few ulps below a half
+    (DESIGN §8)."""
     if len(args) not in (1, 2):
         raise QueryError("ROUND takes one or two arguments")
-    value = args[0]
-    if value is None:
+    if None in args:
         return None
-    digits = args[1] if len(args) == 2 else 0
-    return round(value, int(digits))
+    value = args[0]
+    if not _is_number(value):
+        raise QueryError(f"ROUND needs a number, got {value!r}")
+    if not -2 ** 52 < value < 2 ** 52:  # no fraction left (or not finite)
+        return float(value)
+    places = min(max(int(args[1]), 0), 30) if len(args) == 2 else 0
+    return float(Decimal(repr(value)).quantize(
+        Decimal(1).scaleb(-places), ROUND_HALF_UP, _ROUND_CONTEXT))
 
 
 @_scalar("COALESCE")
@@ -632,18 +681,22 @@ def _fn_concat(args):
 
 @_scalar("SUBSTR")
 def _fn_substr(args):
+    """The 1-based window ``[start, start + length)``, clamped to the
+    text only after it is placed: ``SUBSTR('hello', 0, 2)`` is ``'h'``.
+    A start below 1 does not count from the end, and a negative length
+    raises (both as in PostgreSQL)."""
     if len(args) not in (2, 3):
         raise QueryError("SUBSTR takes two or three arguments")
-    value = args[0]
-    if value is None:
+    if None in args:
         return None
-    text = str(value)
-    start = int(args[1]) - 1  # SQL is 1-based
-    if start < 0:
-        start = 0
+    start = int(args[1])
+    end = None
     if len(args) == 3:
-        return text[start : start + int(args[2])]
-    return text[start:]
+        length = int(args[2])
+        if length < 0:
+            raise QueryError(f"SUBSTR length must not be negative, got {length}")
+        end = max(start - 1 + length, 0)
+    return str(args[0])[max(start - 1, 0):end]
 
 
 @dataclass(frozen=True)
@@ -656,9 +709,8 @@ class FunctionCall(Expr):
         if func is None:
             raise QueryError(f"unknown function {self.name!r}")
         values = [arg.evaluate(scope, params) for arg in self.args]
-        if self.name.upper() not in ("COALESCE", "CONCAT", "ROUND", "SUBSTR"):
-            if len(values) != 1:
-                raise QueryError(f"{self.name} takes exactly one argument")
+        if self.name.upper() not in VARIADIC_FUNCTIONS and len(values) != 1:
+            raise QueryError(f"{self.name} takes exactly one argument")
         return func(values)
 
     def column_refs(self):

@@ -62,6 +62,7 @@ from repro.errors import DatabaseError, ReplicationError
 from repro.rdb.engine import CommitEvent, StorageEngine
 from repro.rdb.snapshot import load_snapshot_bytes, snapshot_bytes
 from repro.rdb.wal import MAGIC, CommitRecord, _FRAME
+from repro.util import shut_socket
 
 MSG_HELLO = 1
 MSG_SNAPSHOT = 2
@@ -277,18 +278,12 @@ class ReplicationServer:
         """
         self._stopping = True
         if self._listener is not None:
-            try:
-                self._listener.close()
-            except OSError:
-                pass
+            shut_socket(self._listener)
             self._listener = None
         with self._lock:
             peers = list(self._peers)
         for peer in peers:
-            try:
-                peer.sock.close()
-            except OSError:
-                pass
+            shut_socket(peer.sock)
             peer.wake.set()
         if self._accept_thread is not None:
             self._accept_thread.join(timeout=5)

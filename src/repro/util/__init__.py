@@ -1,6 +1,6 @@
 """Small shared utilities: naming, ordering, clocks, concurrency."""
 
-from repro.util.concurrency import AtomicCounters, ReadWriteLock
+from repro.util.concurrency import AtomicCounters, ReadWriteLock, shut_socket
 from repro.util.identifiers import (
     camel_to_snake,
     make_identifier,
@@ -21,4 +21,5 @@ __all__ = [
     "SystemClock",
     "ReadWriteLock",
     "AtomicCounters",
+    "shut_socket",
 ]

@@ -13,12 +13,29 @@ safe under a pool of worker threads:
 - :class:`AtomicCounters` — a mixin giving dataclass-style stats
   objects a lock-guarded :meth:`increment`, so counters shared by
   worker threads never lose updates.
+- :func:`shut_socket` — how a server's ``stop`` wakes the thread
+  blocked on one of its sockets.
 """
 
 from __future__ import annotations
 
 import contextlib
+import socket
 import threading
+
+
+def shut_socket(sock: socket.socket) -> None:
+    """Shut a socket down and close it, so that a thread blocked in its
+    ``accept()`` or ``recv()`` wakes up (on Linux, closing alone does
+    not wake it)."""
+    try:
+        sock.shutdown(socket.SHUT_RDWR)
+    except OSError:
+        pass  # never connected, or the peer already went
+    try:
+        sock.close()
+    except OSError:
+        pass
 
 
 class ReadWriteLock:

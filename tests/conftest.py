@@ -8,11 +8,16 @@ the seed data here is hand-written so tests can assert on exact titles.
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from repro.app import WebApplication
 from repro.er import ERModel
 from repro.webml import WebMLModel
 from repro.workloads.acm import build_acm_data_model, build_acm_model
+
+#: ``pytest --hypothesis-profile=sql-grammar tests/test_rdb_sql_grammar.py``
+#: draws twenty times tier-1's default of generated expressions (CI)
+settings.register_profile("sql-grammar", max_examples=2000)
 
 
 def build_acm_webml() -> WebMLModel:

@@ -309,15 +309,18 @@ class TestByteIdentity:
     def test_edges_emit_identical_bytes(self):
         """Same requests, same order → same wire bytes (modulo Date).
 
-        Streaming is off on the async side: a streamed first visit is
-        chunk-framed, deliberately different framing for the same body.
-        Everything else — hits, 304s, gzip, redirects, 404s — must be
+        The async side renders through a plain function, so its misses
+        are buffered too: a streamed first visit is chunk-framed,
+        deliberately different framing for the same body.  Everything
+        else — hits, 304s, gzip, redirects, 404s — must be
         byte-identical, because both edges share one protocol machine.
         """
         app_a = build_full_stack_app()
         app_b = build_full_stack_app()
+        render = app_b.front.view_renderer  # no ``stream_chunks``: buffered
+        app_b.front.view_renderer = lambda *args: render(*args)
         threaded = ThreadedAppServer(app_a, workers=2)
-        edge = AsyncAppServer(app_b, workers=2, stream=False)
+        edge = AsyncAppServer(app_b, workers=2)
         addr_a = threaded.listen()
         addr_b = edge.listen()
         url = volume_url(app_a)

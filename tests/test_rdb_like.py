@@ -1,13 +1,15 @@
 """LIKE against independent truth: one matcher, every lowering, and the
 column store's trigram postings.
 
-``Like.evaluate`` — a regex rebuilt per call — is the reference.  The
-classified matcher (``rdb.expr.like_matcher``) is what every lowered
-form runs: generated row code with a literal pattern, generated row
-code with a parameter, the batch kernel over a plain column (seeded
-from trigram postings where the pattern allows) and the batch kernel
-over a dictionary-encoded column.  The first property holds all of them
-to the reference over an alphabet chosen to break them — both
+``Like.evaluate`` is the reference.  The classified matcher
+(``rdb.expr.like_matcher``) is what it and every lowered form runs:
+generated row code with a literal pattern, generated row code with a
+parameter, the batch kernel over a plain column (seeded from trigram
+postings where the pattern allows) and the batch kernel over a
+dictionary-encoded column; SQLite checks the matcher itself
+(``test_rdb_sqlite_oracle.TestLikeAgainstSqlite`` and the grammar
+oracle).  The first property holds every lowering to the reference
+over an alphabet chosen to break them — both
 wildcards, the escape character, a newline (``$`` vs ``\\Z``), the empty
 string.  The state machine then mutates one table every way the column
 store can be mutated and requires the seeded selection to stay equal to

@@ -366,3 +366,39 @@ class TestExpressionEdgeCases:
 
     def test_unary_plus_is_identity(self):
         assert evaluate("+5") == 5
+
+
+class TestValueRulesAgreeWithSqlite:
+    """Answers SQLite and PostgreSQL give too, pinned where the engine
+    once differed (the grammar oracle, ``test_rdb_sql_grammar.py``,
+    holds the rest)."""
+
+    def test_integer_modulo_takes_the_dividends_sign(self):
+        assert evaluate("-7 % 3") == -1
+        assert evaluate("7 % -3") == 1
+        assert evaluate("-7 % -3") == -1
+        assert evaluate("6 % -3") == 0
+
+    def test_substr_places_the_window_before_clamping(self):
+        assert evaluate("SUBSTR('hello', 0, 2)") == "h"
+        assert evaluate("SUBSTR('hello', -1, 3)") == "h"
+        assert evaluate("SUBSTR('hello', -5, 2)") == ""
+        assert evaluate("SUBSTR('hello', 0)") == "hello"
+        assert evaluate("SUBSTR('hello', 4, 9)") == "lo"
+
+    def test_substr_and_round_of_null_are_null(self):
+        assert evaluate("SUBSTR('hello', NULL)") is None
+        assert evaluate("SUBSTR('hello', 2, NULL)") is None
+        assert evaluate("ROUND(2.5, NULL)") is None
+
+    def test_substr_refuses_a_negative_length(self):
+        with pytest.raises(QueryError, match="must not be negative"):
+            evaluate("SUBSTR('hello', 2, -1)")
+
+    def test_round_half_away_from_zero_like_sqlite(self):
+        assert evaluate("ROUND(2.5)") == 3.0
+        assert evaluate("ROUND(-2.5)") == -3.0
+        assert evaluate("ROUND(0.125, 2)") == 0.13
+        assert evaluate("ROUND(2.675, 2)") == 2.68
+        assert evaluate("ROUND(123.4, -1)") == 123.0  # negative reads as 0
+        assert isinstance(evaluate("ROUND(5)"), float)

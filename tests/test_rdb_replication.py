@@ -362,3 +362,33 @@ class TestReplicationEndToEnd:
         with _open_primary(base_dir) as db:
             with pytest.raises(ReplicationError, match="ReplicaEngine"):
                 ReplicationClient(db, ("127.0.0.1", 1))
+
+
+class TestServerStop:
+    @pytest.mark.parametrize("replicas", [0, 1], ids=["no-replica",
+                                                       "one-replica"])
+    def test_stop_is_prompt(self, base_dir, replicas):
+        """``stop()`` wakes the acceptor blocked in ``accept()`` and
+        every shipping thread blocked on its peer, instead of waiting
+        out the 5 s join."""
+        with _open_primary(base_dir) as db:
+            db.execute(_DDL)
+            server = ReplicationServer(db, poll_interval=0.01)
+            address = server.start()
+            clients = [
+                ReplicationClient(open_replica(), address,
+                                  name=f"r{n}").start()
+                for n in range(replicas)
+            ]
+            try:
+                for client in clients:
+                    assert client.wait_for_bootstrap(timeout=10.0)
+                assert _await(lambda: server.stats()["replicas_connected"]
+                              == replicas, timeout=5.0)
+                started = time.monotonic()
+                server.stop()
+                assert time.monotonic() - started < 1.0
+                assert not server._accept_thread
+            finally:
+                for client in clients:
+                    client.stop()

@@ -1,7 +1,7 @@
 """Differential oracle against stdlib ``sqlite3``: independent ground
 truth for paging, counting, LIKE and join placement.
 
-Every other rdb oracle compares the engine with itself (columnar /
+The four-way oracle compares the engine with itself (columnar /
 compiled / interpreted / seed).  This one runs the same statement
 through our engine and through SQLite over a mirrored copy of
 ``test_rdb_compile_oracle``'s NULL-heavy catalogue (``author`` and
@@ -64,8 +64,10 @@ Decisions where SQL leaves room (written down, not papered over):
   ON conjuncts decide matching and its WHERE conjuncts filter the
   padded rows, in both engines (3 000 drawn join statements agreed
   when these cases were written).  Integer ``/`` never appears in the
-  menus: ``7 / 2`` is 3.5 here and 3 in SQLite, a divergence not yet
-  decided.
+  menus: ``7 / 2`` is 3.5 here and 3 in SQLite, decided (with the other
+  expression-value divergences) in DESIGN §8 and pinned in
+  ``test_rdb_sql_grammar.py``, which holds generated expressions to
+  SQLite.
 """
 
 from __future__ import annotations
