@@ -3,9 +3,9 @@
 The paper's architecture (§1, §4) exists to serve "a high number of
 users": one servlet container dispatching requests to worker threads
 over shared business components, pooled connections, and the two-level
-cache.  This experiment drives the reproduction's
-:class:`~repro.appserver.ThreadedAppServer` and verifies the two
-properties a multithreaded runtime must deliver at once:
+cache.  This experiment runs ``app.handle`` on a pool of N threads
+(a stdlib :class:`~concurrent.futures.ThreadPoolExecutor`) and verifies
+the two properties a multithreaded runtime must deliver at once:
 
 * **read-heavy traffic scales with workers** — data-tier round trips
   (simulated by ``Database.io_delay``, which sleeps outside the rdb
@@ -25,9 +25,9 @@ import json
 import os
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 from repro.app import WebApplication
-from repro.appserver import ThreadedAppServer
 from repro.bench import ExperimentReport, save_report
 from repro.caching import UnitBeanCache
 from repro.mvc.http import HttpRequest
@@ -100,16 +100,14 @@ def _bookstore_read_pool(app, oids) -> list[str]:
 
 def _throughput(app, pool: list[str], workers: int, requests: int) -> dict:
     """Serve ``requests`` URLs (round-robin) and measure requests/sec."""
-    urls = [pool[i % len(pool)] for i in range(requests)]
-    with ThreadedAppServer(app, workers=workers) as server:
+    batch = [HttpRequest.from_url(pool[i % len(pool)])
+             for i in range(requests)]
+    with ThreadPoolExecutor(max_workers=workers) as executor:
         started = time.perf_counter()
-        responses = server.serve(
-            [HttpRequest.from_url(url) for url in urls], timeout=60.0
-        )
+        # a handler exception re-raises here
+        responses = list(executor.map(app.handle, batch, timeout=60))
         elapsed = time.perf_counter() - started
-        stats = server.stats()
     assert all(r.status == 200 for r in responses)
-    assert stats["failures"] == 0
     return {
         "workers": workers,
         "requests": requests,
@@ -194,11 +192,11 @@ class _Violations:
         return len(self.items)
 
 
-def _login(server: ThreadedAppServer, app) -> str:
+def _login(pool: ThreadPoolExecutor, app) -> str:
     request = HttpRequest.from_url(app.operation_url(
         "backoffice", "Login", {"username": "clerk", "password": "books"}
     ))
-    server.submit(request).result(30.0)
+    pool.submit(app.handle, request).result(30.0)
     assert request.session_id is not None
     return request.session_id
 
@@ -213,22 +211,22 @@ def test_e13_mixed_consistency(benchmark):
         "SELECT COUNT(*) AS n FROM book", {}
     ).scalar()
 
-    def writer(server, index: int, book_oid: int, final_price: list):
+    def writer(pool, index: int, book_oid: int, final_price: list):
         """Reprice one book repeatedly; after every write, re-read the
         book through the full request path (bean cache included) and
         demand read-own-write — a stale invalidated bean fails here."""
-        session_id = _login(server, app)
+        session_id = _login(pool, app)
         read_url = _detail_url(app, "shop", "Book Page", "Book", book_oid)
         for step in range(WRITES_PER_WRITER):
             price = 100.0 + index * 100 + step
-            server.submit(HttpRequest.from_url(
+            pool.submit(app.handle, HttpRequest.from_url(
                 app.operation_url("backoffice", "Reprice",
                                   {"oid": book_oid, "price": price}),
                 session_id=session_id,
             )).result(30.0)
             final_price[index] = price
-            response = server.submit(
-                HttpRequest.from_url(read_url)
+            response = pool.submit(
+                app.handle, HttpRequest.from_url(read_url)
             ).result(30.0)
             served = json.loads(response.body)["Book"]["current"]
             if served is None or float(served["price"]) != price:
@@ -237,7 +235,7 @@ def test_e13_mixed_consistency(benchmark):
                     f"{served and served['price']} (stale bean?)"
                 )
         # one create per writer: concurrent inserts must not be lost
-        server.submit(HttpRequest.from_url(
+        pool.submit(app.handle, HttpRequest.from_url(
             app.operation_url("backoffice", "CreateBook", {
                 "title": f"Concurrency in Practice vol. {index}",
                 "price": 10.0 + index, "year": 2003,
@@ -245,9 +243,9 @@ def test_e13_mixed_consistency(benchmark):
             session_id=session_id,
         )).result(30.0)
 
-    def reader(server):
+    def reader(pool):
         for step in range(READS_PER_READER):
-            response = server.submit(HttpRequest.from_url(
+            response = pool.submit(app.handle, HttpRequest.from_url(
                 read_pool[step % len(read_pool)]
             )).result(30.0)
             if response.status != 200:
@@ -255,15 +253,15 @@ def test_e13_mixed_consistency(benchmark):
 
     def simulate():
         final_price = [None] * WRITERS
-        with ThreadedAppServer(app, workers=4) as server:
+        with ThreadPoolExecutor(max_workers=4) as pool:
             threads = [
                 threading.Thread(
                     target=writer,
-                    args=(server, i, oids["books"][i], final_price),
+                    args=(pool, i, oids["books"][i], final_price),
                 )
                 for i in range(WRITERS)
             ] + [
-                threading.Thread(target=reader, args=(server,))
+                threading.Thread(target=reader, args=(pool,))
                 for _ in range(READERS)
             ]
             for thread in threads:

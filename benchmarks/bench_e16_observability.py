@@ -31,6 +31,7 @@ import gc
 import json
 import os
 import statistics
+import threading
 import time
 
 import pytest
@@ -40,6 +41,7 @@ from repro.appserver import ThreadedAppServer
 from repro.bench import ExperimentReport, save_report
 from repro.caching import FragmentCache, PageCache, UnitBeanCache
 from repro.codegen import generate_project
+from repro.httpcore.client import WireClient
 from repro.presentation import PresentationRenderer
 from repro.presentation.renderer import default_stylesheet
 from repro.workloads.acm import build_acm_model, seed_acm_data
@@ -190,10 +192,25 @@ def _exercise_for_status(app: WebApplication) -> None:
     app.database.io_delay = 0.002
     app.database.slow_log.threshold_seconds = 0.001
     with ThreadedAppServer(app, workers=4) as server:
-        futures = [server.get(url) for url in pool * 2]
-        for future in futures:
-            assert future.result(30).status in (200, 304)
+        address = server.listen()
+        statuses: list[int] = []
+
+        def client(start: int) -> None:
+            # each client starts on another page: concurrent misses
+            # of different pages, not waits on one page's build
+            with WireClient(address, timeout=30) as wire:
+                statuses.extend(wire.request(url).status
+                                for url in pool[start:] + pool[:start])
+
+        threads = [threading.Thread(target=client, args=(index,))
+                   for index in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(60)
     app.database.io_delay = 0.0
+    assert len(statuses) == 4 * len(pool)
+    assert set(statuses) <= {200, 304}
 
 
 def test_e16_status_endpoint_reports_every_tier():

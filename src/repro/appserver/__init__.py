@@ -11,11 +11,10 @@ accessed by Web applications and other enterprise applications."
 - :mod:`repro.appserver.servlet_tier` — the baseline §4 argues against:
   statically cloned servlet containers whose service instances stay
   resident regardless of traffic;
-- :mod:`repro.appserver.threaded` — the request front end: N worker
-  threads pulling requests off a queue and running them through the
-  full (thread-safe) request path concurrently, plus a
-  thread-per-connection socket front on the shared
-  :mod:`repro.httpcore` protocol machine;
+- :mod:`repro.appserver.threaded` — the thread-per-connection socket
+  front: each keep-alive connection holds one of N worker slots and
+  runs its requests through the full (thread-safe) request path, on
+  the shared :mod:`repro.httpcore` protocol machine;
 - :mod:`repro.appserver.async_edge` — the event-loop edge: one thread
   owns every keep-alive connection, page-cache hits are served inline
   on the loop, computation runs on a bounded worker pool, cache-miss

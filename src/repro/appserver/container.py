@@ -62,9 +62,9 @@ class ComponentContainer:
     """Holds every deployed component and its instance pool.
 
     Thread-safe: acquisition, release, deployment, and sweeping all
-    synchronize on one lock, so worker threads of a
-    :class:`~repro.appserver.threaded.ThreadedAppServer` can invoke
-    components concurrently.  An invoke of a component whose
+    synchronize on one lock, so the request threads of either edge
+    (:mod:`repro.appserver.threaded`, :mod:`repro.appserver.async_edge`)
+    can invoke components concurrently.  An invoke of a component whose
     ``max_instances`` are all busy fails fast with
     :class:`~repro.errors.ContainerError`; it never waits.
     """

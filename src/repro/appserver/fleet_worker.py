@@ -76,7 +76,7 @@ def main(argv: list[str]) -> int:
     except KeyboardInterrupt:
         pass
     finally:
-        server.stop(close_app=False)
+        server.stop()
         client.stop()
         app.close()
     return 0

@@ -1,35 +1,24 @@
-"""A threaded request front end for the application tier.
+"""The thread-per-connection socket front for the application tier.
 
 The paper's runtime exists to serve "a high number of users" (§1): the
-servlet container dispatches each incoming request to a worker thread,
+servlet container hands each incoming connection to a worker thread,
 and every tier below — pooled connections, shared business components,
-the two-level cache — is built to be shared by those threads.  This
-module is that dispatch layer for the reproduction: a
-:class:`ThreadedAppServer` owns N worker threads which pull
-:class:`~repro.mvc.http.HttpRequest` objects off a queue and run them
-through the application's full request path concurrently.
-
-Experiment E13 drives it to show that read-heavy traffic scales with
-workers (threads overlap the data tier's simulated I/O waits) while
-write-heavy traffic stays linearizable on the rdb tier's write lock.
-
-:meth:`ThreadedAppServer.listen` adds a real socket front in the
-classic thread-per-connection shape: each accepted connection gets a
-worker slot for its whole keep-alive lifetime, protocol state
-delegated to the shared sans-IO :mod:`repro.httpcore` machine (the
-same parser/encoder/keep-alive logic the async edge uses, so the two
-edges emit byte-identical buffered responses by construction).  A connection
-holds its slot while idle between requests — the architectural cost
-E19 measures against the event-loop edge.
+the two-level cache — is built to be shared by those threads.  A
+:class:`ThreadedAppServer` is that container's socket edge in its
+classic shape: :meth:`~ThreadedAppServer.listen` gives each accepted
+connection a worker slot for its whole keep-alive lifetime, with
+protocol state delegated to the shared sans-IO :mod:`repro.httpcore`
+machine (the same parser/encoder/keep-alive logic the async edge uses,
+so the two edges emit byte-identical buffered responses by
+construction).  A connection holds its slot while idle between
+requests — the architectural cost E19 measures against the event-loop
+edge.
 """
 
 from __future__ import annotations
 
-import queue
 import socket
 import threading
-import time
-from concurrent.futures import Future
 
 from repro.errors import ContainerError
 from repro.httpcore import (
@@ -38,33 +27,28 @@ from repro.httpcore import (
     encode_simple,
     http_date,
 )
-from repro.mvc.http import HttpRequest, HttpResponse
+from repro.mvc.http import HttpResponse
 from repro.obs.metrics import MetricsRegistry
 from repro.util import shut_socket
 
-_STOP = object()
-
 
 class ThreadedAppServer:
-    """Dispatches requests across a pool of worker threads.
+    """Serves an application over HTTP, one thread per connection.
 
     ``app`` is anything with ``handle(request) -> HttpResponse`` (a
     :class:`~repro.app.WebApplication`, with or without a deployed
-    business tier).  Use as a context manager, or call :meth:`start` /
-    :meth:`stop` explicitly.
+    business tier).  Call :meth:`listen` to start serving and
+    :meth:`stop` (or leave the ``with`` block) to stop.
     """
 
-    def __init__(self, app, workers: int = 4, queue_capacity: int = 0,
-                 idle_timeout: float = 5.0):
+    def __init__(self, app, workers: int = 4, idle_timeout: float = 5.0):
         if workers <= 0:
             raise ContainerError("an app server needs at least one worker")
         self.app = app
         self.workers = workers
         self.idle_timeout = idle_timeout
-        self._queue: queue.Queue = queue.Queue(queue_capacity)
-        self._threads: list[threading.Thread] = []
         self._lock = threading.Lock()
-        # socket front (listen()): a worker slot per live connection
+        # a worker slot per live connection
         self._listener: socket.socket | None = None
         self._accept_thread: threading.Thread | None = None
         self._conn_slots: threading.Semaphore | None = None
@@ -72,8 +56,6 @@ class ThreadedAppServer:
         self._stopping = False
         self.requests_served = 0
         self.failures = 0  # requests whose handler raised (bugs, not 4xx/5xx)
-        self.served_per_worker: list[int] = []
-        self.total_queue_wait_seconds = 0.0
         # Delivery-tier observability: what actually crossed the wire.
         # Counters live in a per-server registry (a restarted server
         # starts from zero without disturbing the application's
@@ -87,32 +69,10 @@ class ThreadedAppServer:
 
     # -- lifecycle -----------------------------------------------------------
 
-    @property
-    def running(self) -> bool:
-        return bool(self._threads)
-
-    def start(self) -> "ThreadedAppServer":
-        if self._threads:
-            raise ContainerError("app server already started")
-        self.served_per_worker = [0] * self.workers
-        for index in range(self.workers):
-            thread = threading.Thread(
-                target=self._work, args=(index,),
-                name=f"appserver-worker-{index}", daemon=True,
-            )
-            thread.start()
-            self._threads.append(thread)
-        return self
-
-    def stop(self, close_app: bool = False) -> None:
-        """Drain the workers and join them.
-
-        With ``close_app=True`` the application itself is shut down
-        after the last worker exits (``app.close()``), which flushes and
-        closes a durable data tier deterministically — every commit the
-        workers acknowledged is on disk before ``stop`` returns.  The
-        default leaves the application running (seed behaviour: servers
-        are routinely restarted against a live application)."""
+    def stop(self) -> None:
+        """Close the listener and every open connection; join the
+        accept thread.  The application stays open: its owner closes it
+        (servers are routinely restarted against a live application)."""
         self._stopping = True
         if self._listener is not None:
             shut_socket(self._listener)
@@ -128,68 +88,16 @@ class ThreadedAppServer:
         if self._accept_thread is not None:
             self._accept_thread.join(timeout=5)
             self._accept_thread = None
-        if self._threads:
-            for _ in self._threads:
-                self._queue.put(_STOP)
-            for thread in self._threads:
-                thread.join()
-            self._threads = []
         self._stopping = False
-        if close_app:
-            close = getattr(self.app, "close", None)
-            if close is not None:
-                close()
 
     def __enter__(self) -> "ThreadedAppServer":
-        return self.start()
+        return self
 
     def __exit__(self, *exc_info) -> None:
         self.stop()
 
-    # -- dispatch ------------------------------------------------------------
-
-    def submit(self, request: HttpRequest) -> Future:
-        """Enqueue one request; the future resolves to its response."""
-        if not self._threads:
-            raise ContainerError("app server is not running")
-        future: Future = Future()
-        self._queue.put((request, future, time.monotonic()))
-        return future
-
-    def get(self, url: str, session_id: str | None = None,
-            headers: dict | None = None) -> Future:
-        return self.submit(HttpRequest.from_url(
-            url, headers=headers, session_id=session_id
-        ))
-
-    def serve(self, requests, timeout: float | None = None) -> list[HttpResponse]:
-        """Submit every request and wait for all responses, in order."""
-        futures = [self.submit(request) for request in requests]
-        return [future.result(timeout) for future in futures]
-
-    def _work(self, index: int) -> None:
-        while True:
-            item = self._queue.get()
-            if item is _STOP:
-                return
-            request, future, enqueued_at = item
-            waited = time.monotonic() - enqueued_at
-            try:
-                response = self.app.handle(request)
-            except BaseException as exc:  # surface to the submitter
-                with self._lock:
-                    self.failures += 1
-                future.set_exception(exc)
-            else:
-                with self._lock:
-                    self.requests_served += 1
-                    self.served_per_worker[index] += 1
-                    self.total_queue_wait_seconds += waited
-                self._count_response(response)
-                future.set_result(response)
-
     def _count_response(self, response: HttpResponse) -> None:
-        """Delivery counters, shared by the queue and socket fronts."""
+        """Delivery counters for one response written to the wire."""
         self.metrics.counter(f"appserver.status.{response.status}").inc()
         self._bytes_counter.inc(response.wire_length)
 
@@ -319,8 +227,6 @@ class ThreadedAppServer:
                 "workers": self.workers,
                 "requests_served": self.requests_served,
                 "failures": self.failures,
-                "served_per_worker": list(self.served_per_worker),
-                "total_queue_wait_seconds": self.total_queue_wait_seconds,
                 "status_counts": dict(self.status_counts),
                 "bytes_on_wire": self.bytes_on_wire,
             }

@@ -21,8 +21,8 @@ a request that does *not* require a socket, a thread, or an event loop:
 - :mod:`repro.httpcore.client` — a small blocking wire client used by
   tests and benchmarks to drive the real servers over real sockets.
 
-Both request front ends — the thread-per-connection
-:class:`~repro.appserver.ThreadedAppServer` socket mode and the
+Both socket fronts — the thread-per-connection
+:class:`~repro.appserver.ThreadedAppServer` and the
 event-loop :class:`~repro.appserver.AsyncAppServer` — are thin I/O
 shells around these functions, which is what makes their *buffered*
 responses byte-identical by construction (the E19 oracle).  A streamed

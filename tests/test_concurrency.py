@@ -13,14 +13,13 @@ import time
 
 import pytest
 
-from repro.appserver import ComponentContainer, ComponentDescriptor, ThreadedAppServer
+from repro.appserver import ComponentContainer, ComponentDescriptor
 from repro.caching import FragmentCache, UnitBeanCache
 from repro.errors import ContainerError, DatabaseError
 from repro.mvc import SessionStore
 from repro.rdb import ConnectionPool, Database
 from repro.services import UnitBean
 from repro.util import ReadWriteLock
-from repro.workloads.bookstore import build_bookstore_application
 
 
 def run_threads(count: int, target, *args) -> list:
@@ -696,25 +695,3 @@ class TestContainerConcurrency:
         stats = container.pool_stats("svc")
         assert stats["busy"] == 0
         assert stats["resident"] >= 0
-
-
-class TestThreadedAppServer:
-    def test_serves_requests_across_workers(self):
-        app, _oids = build_bookstore_application()
-        urls = [app.page_url("shop", "Home")] * 12
-        with ThreadedAppServer(app, workers=4) as server:
-            futures = [server.get(url) for url in urls]
-            responses = [f.result(timeout=10.0) for f in futures]
-        assert all(r.status == 200 for r in responses)
-        stats = server.stats()
-        assert stats["requests_served"] == 12
-        assert stats["failures"] == 0
-        assert sum(stats["served_per_worker"]) == 12
-
-    def test_submit_requires_running_server(self):
-        from repro.errors import ContainerError
-
-        app, _oids = build_bookstore_application()
-        server = ThreadedAppServer(app, workers=1)
-        with pytest.raises(ContainerError, match="not running"):
-            server.get("/")

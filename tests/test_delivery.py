@@ -401,14 +401,16 @@ class TestWriteInvalidationAcrossLevels:
 class TestAppServerDeliveryStats:
     def test_status_counts_and_bytes_on_wire(self):
         from repro.appserver import ThreadedAppServer
+        from repro.httpcore.client import WireClient
 
         app, *_ = _delivery_app()
         url = app.page_url("public", "Volumes")
         with ThreadedAppServer(app, workers=2) as server:
-            first = server.get(url).result(5)
-            etag = first.etag
-            server.get(url, headers={"If-None-Match": etag}).result(5)
+            with WireClient(server.listen()) as client:
+                first = client.request(url)
+                etag = first.headers["ETag"]
+                client.request(url, headers={"If-None-Match": etag})
             stats = server.stats()
         assert stats["status_counts"][200] == 1
         assert stats["status_counts"][304] == 1
-        assert stats["bytes_on_wire"] == first.wire_length
+        assert stats["bytes_on_wire"] == len(first.body)
