@@ -125,26 +125,18 @@ class Browser:
             })
         return found
 
-    def submit(self, values: dict, form_index: int = 0,
-               action_fragment: str | None = None) -> HttpResponse:
-        """Fill and submit a rendered form (GET, like the markup).
+    def submit(self, values: dict) -> HttpResponse:
+        """Fill and submit the current page's first form (GET, like the
+        markup).
 
         ``values`` are keyed by the *visible* trailing field name (e.g.
         ``"keyword"`` matches the parameter ``unit7.keyword``); pass the
         full parameter name to disambiguate.
         """
         forms = self.forms()
-        if action_fragment is not None:
-            candidates = [f for f in forms if action_fragment in f["action"]]
-            if not candidates:
-                raise ReproError(
-                    f"no form with action containing {action_fragment!r}"
-                )
-            form = candidates[0]
-        else:
-            if form_index >= len(forms):
-                raise ReproError(f"no form #{form_index} on the current page")
-            form = forms[form_index]
+        if not forms:
+            raise ReproError("no form on the current page")
+        form = forms[0]
         params = dict(form["fields"])
         for key, value in values.items():
             target = key if key in params else next(

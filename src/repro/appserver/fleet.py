@@ -92,8 +92,9 @@ class ReplicaGate(_AppWrapper):
     A request carrying ``X-Repro-Min-Lsn`` waits (bounded) for the
     replica to replay up to that token before the read proceeds; a
     timeout answers 503 with ``Retry-After`` instead of serving a
-    stale read.  Responses are stamped with the replica's applied LSN
-    so clients can observe replay progress.
+    stale read; a token that is not an integer answers 400 without
+    waiting.  Responses are stamped with the replica's applied LSN so
+    clients can observe replay progress.
     """
 
     def __init__(self, app, client, wait_timeout: float = 5.0):
@@ -106,8 +107,16 @@ class ReplicaGate(_AppWrapper):
     def handle(self, request) -> HttpResponse:
         raw = request.headers.get(MIN_LSN_HEADER)
         if raw:
+            try:
+                lsn = int(raw)
+            except ValueError:
+                return HttpResponse(
+                    status=400,
+                    body=f"{MIN_LSN_HEADER} is not an lsn: {raw!r}",
+                    content_type="text/plain",
+                )
             self.lsn_waits += 1
-            if not self.client.wait_for_lsn(int(raw), self.wait_timeout):
+            if not self.client.wait_for_lsn(lsn, self.wait_timeout):
                 self.lsn_timeouts += 1
                 return HttpResponse(
                     status=503,
@@ -152,8 +161,7 @@ class FleetSupervisor:
     """
 
     def __init__(self, app, worker_factory: str, workers: int = 4,
-                 worker_threads: int = 4, primary_threads: int = 2,
-                 host: str = "127.0.0.1", gate_timeout: float = 5.0,
+                 worker_threads: int = 4, host: str = "127.0.0.1",
                  start_timeout: float = 30.0):
         if workers <= 0:
             raise ContainerError("a fleet needs at least one worker")
@@ -161,9 +169,7 @@ class FleetSupervisor:
         self.worker_factory = worker_factory
         self.workers = workers
         self.worker_threads = worker_threads
-        self.primary_threads = primary_threads
         self.host = host
-        self.gate_timeout = gate_timeout
         self.start_timeout = start_timeout
         self.replication_server = None
         self.primary_server = None
@@ -188,7 +194,7 @@ class FleetSupervisor:
                 "replication", self.replication_server.stats
             )
         self.primary_server = ThreadedAppServer(
-            PrimaryLsnStamp(self.app), workers=self.primary_threads
+            PrimaryLsnStamp(self.app), workers=2
         )
         self.primary_address = self.primary_server.listen(self.host, 0)
         for index in range(self.workers):
@@ -208,7 +214,6 @@ class FleetSupervisor:
             "replication": list(replication_address),
             "host": self.host,
             "threads": self.worker_threads,
-            "gate_timeout": self.gate_timeout,
             "sys_path": [p for p in sys.path if p],
         }
         # ``-m`` resolves the worker module before the config's sys_path

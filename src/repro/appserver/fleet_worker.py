@@ -60,8 +60,7 @@ def main(argv: list[str]) -> int:
     # the tables, and the replica engine would refuse the writes.
     factory = _resolve_factory(config["factory"])
     app = factory(database)
-    gate = ReplicaGate(app, client,
-                       wait_timeout=config.get("gate_timeout", 5.0))
+    gate = ReplicaGate(app, client)
     obs = getattr(getattr(app, "ctx", None), "obs", None)
     if obs is not None:
         obs.metrics.register_collector("replication", client.stats)

@@ -128,14 +128,6 @@ class UnitDescriptor:
     batched: bool = True
     custom_service: str | None = None  # §6: override the business component
 
-    def input_for_slot(self, slot: str) -> InputParameter:
-        for parameter in self.inputs:
-            if parameter.slot == slot:
-                return parameter
-        raise DescriptorError(
-            f"unit descriptor {self.name!r} has no input slot {slot!r}"
-        )
-
     # -- XML -----------------------------------------------------------------
 
     def to_xml(self) -> str:

@@ -194,34 +194,6 @@ class RelationalMapping:
         return {table: TableKeys(table_pairs)
                 for table, table_pairs in pairs.items()}
 
-    def join_steps(self, role_name: str) -> list[dict]:
-        """The join conditions to traverse a relationship role.
-
-        Returns a list of step dicts, each with ``table``, ``left_on``
-        (column of the *previous* table) and ``right_on`` (column of the
-        step's table).  One step for FK relationships, two for bridges.
-        The traversal starts from the role's *source side* table (the
-        entity you already have) and ends at the other side's table.
-        """
-        mapping, forward = self.relationship_map(role_name)
-        to_entity = mapping.target_entity if forward else mapping.source_entity
-        to_table = self.table_for(to_entity)
-        if mapping.kind == "bridge":
-            near = mapping.source_column if forward else mapping.target_column
-            far = mapping.target_column if forward else mapping.source_column
-            return [
-                {"table": mapping.bridge_table, "left_on": "oid", "right_on": near},
-                {"table": to_table, "left_on": far, "right_on": "oid"},
-            ]
-        # FK realization: the fk column lives on fk_table.
-        if not mapping.fk_on_reached_side(forward):
-            return [
-                {"table": to_table, "left_on": mapping.fk_column, "right_on": "oid"}
-            ]
-        return [
-            {"table": to_table, "left_on": "oid", "right_on": mapping.fk_column}
-        ]
-
     def role_endpoints(self, role_name: str) -> tuple[str, str]:
         """(from_entity, to_entity) for a role name."""
         mapping, forward = self.relationship_map(role_name)

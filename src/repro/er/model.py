@@ -181,15 +181,6 @@ class ERModel:
             Relationship(name, source, target, cardinality, inverse_name)
         )
 
-    def relationship(self, name: str) -> Relationship:
-        """Resolve ``name`` as a forward or inverse relationship name.
-
-        Returns the relationship; callers that need the direction should
-        use :meth:`resolve_role`.
-        """
-        relationship, _ = self.resolve_role(name)
-        return relationship
-
     def resolve_role(self, name: str) -> tuple[Relationship, bool]:
         """Find a relationship by forward or inverse name.
 

@@ -213,27 +213,26 @@ class WireClient:
 
     # -- pathological clients ------------------------------------------------
 
-    def trickle_read(self, total_timeout: float = 30.0,
-                     chunk_size: int = 16,
-                     delay: float = 0.02) -> bytes:
-        """Read whatever the server sends a few bytes at a time, with a
-        sleep between reads — a slow mobile client.  Returns everything
-        read once the socket would block past its timeout or closes."""
+    def trickle_read(self, total_timeout: float = 30.0) -> bytes:
+        """Read whatever the server sends 16 bytes at a time, with a
+        20 ms sleep between reads — a slow mobile client.  Returns
+        everything read once the socket would block past its timeout or
+        closes."""
         assert self._sock is not None, "client is not connected"
         received = bytearray(self._buffer)
         self._buffer.clear()
         deadline = time.monotonic() + total_timeout
-        self._sock.settimeout(delay * 5 + 0.2)
+        self._sock.settimeout(0.3)
         try:
             while time.monotonic() < deadline:
                 try:
-                    data = self._sock.recv(chunk_size)
+                    data = self._sock.recv(16)
                 except socket.timeout:
                     break
                 if not data:
                     break
                 received.extend(data)
-                time.sleep(delay)
+                time.sleep(0.02)
         finally:
             self._sock.settimeout(self.timeout)
         return bytes(received)

@@ -89,10 +89,6 @@ class SlowQueryLog:
             newest_first = list(reversed(self._entries))
         return newest_first if limit is None else newest_first[:limit]
 
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-
     def stats(self) -> dict:
         with self._lock:
             held = len(self._entries)

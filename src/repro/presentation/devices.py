@@ -63,9 +63,6 @@ class DeviceRegistry:
             )
         return stylesheet
 
-    def devices(self) -> list[str]:
-        return sorted(self._stylesheets)
-
 
 def compact_device_stylesheet(name: str = "wap-style") -> Stylesheet:
     """A minimal-markup stylesheet for constrained devices: lists instead

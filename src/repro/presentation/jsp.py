@@ -210,9 +210,6 @@ class PageTemplate:
     def from_xml(cls, page_id: str, xml: str) -> "PageTemplate":
         return cls(page_id, parse_xml(xml))
 
-    def source(self) -> str:
-        return serialize(self.document)
-
     # -- the compiled fast path ----------------------------------------------
 
     def render(self, context: RenderContext) -> str:
@@ -287,11 +284,6 @@ class PageTemplate:
         flush()
         self._program = parts
         return parts
-
-    def slots(self) -> list:
-        """The dynamic slots of the compiled program (introspection)."""
-        program = self._program if self._program is not None else self.compile()
-        return [part for part in program if not isinstance(part, str)]
 
 
 def _contains_custom_tag(element: Element) -> bool:

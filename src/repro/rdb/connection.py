@@ -62,17 +62,17 @@ class Cursor:
 
     def execute(self, sql: str, params=None) -> "Cursor":
         database = self._require_live()
-        outcome = database.execute_outcome(sql, normalize_params(params))
+        result = database.execute(sql, normalize_params(params))
         self._fetch_position = 0
-        if isinstance(outcome.result, ResultSet):
-            self._result = outcome.result
-            self.rowcount = len(outcome.result)
+        if isinstance(result, ResultSet):
+            self._result = result
+            self.rowcount = len(result)
         else:
             self._result = None
-            self.rowcount = (
-                outcome.result if isinstance(outcome.result, int) else -1
-            )
-        self.lastrowid = outcome.last_insert_id
+            self.rowcount = result if isinstance(result, int) else -1
+        # thread-local on the database: another connection's insert on
+        # another thread never shows here
+        self.lastrowid = database.last_insert_id
         return self
 
     @property

@@ -126,19 +126,6 @@ class DatabaseStats(AtomicCounters):
         self.per_table_writes[table] = self.per_table_writes.get(table, 0) + 1
 
 
-@dataclass
-class ExecutionOutcome:
-    """What one statement execution produced, self-contained.
-
-    Cursors read ``last_insert_id`` from here instead of from shared
-    database state, so concurrent inserts on different connections never
-    see each other's ids.
-    """
-
-    result: "ResultSet | int | None"
-    last_insert_id: int | None = None
-
-
 class Database:
     """A relational database over a pluggable storage engine.
 
@@ -480,10 +467,6 @@ class Database:
         else:
             self.commit()
 
-    @property
-    def in_transaction(self) -> bool:
-        return self.engine.in_transaction
-
     # -- schema ---------------------------------------------------------------
 
     def create_table(self, schema: TableSchema) -> TableStore:
@@ -612,15 +595,6 @@ class Database:
                 kind, started, sql_text, plan=dml.match if dml else None
             )
         raise QueryError(f"unsupported statement {statement!r}")
-
-    def execute_outcome(self, sql: str | Statement,
-                        params: dict | None = None) -> ExecutionOutcome:
-        """Like :meth:`execute`, but packages the per-execution state
-        (result plus ``last_insert_id``) so callers need not read shared
-        attributes afterwards."""
-        result = self.execute(sql, params)
-        return ExecutionOutcome(result=result,
-                                last_insert_id=self.last_insert_id)
 
     def query(self, sql: str, params: dict | None = None) -> ResultSet:
         """Execute a statement that must be a SELECT."""
@@ -980,19 +954,6 @@ class Database:
                 self._delete_with_actions(statement.table, row_id)
         self.stats.deletes += 1
         return len(row_ids)
-
-    def delete_where(self, table: str, where_sql_row_filter=None) -> int:
-        """Programmatic delete helper used by tests/seeders."""
-        with self._write_scope():
-            store = self.table(table)
-            row_ids = [
-                rid for rid, row in list(store.rows.items())
-                if where_sql_row_filter is None or where_sql_row_filter(row)
-            ]
-            for row_id in row_ids:
-                if row_id in store.rows:
-                    self._delete_with_actions(table, row_id)
-            return len(row_ids)
 
     def _delete_with_actions(self, table: str, row_id: int) -> None:
         store = self.table(table)

@@ -484,10 +484,6 @@ class DurableEngine(StorageEngine):
         self.last_snapshot_bytes = size
         return size
 
-    def flush(self) -> None:
-        """Force any group-commit-deferred WAL bytes to disk."""
-        self.wal.flush()
-
     def close(self) -> None:
         """Flush and close the log; safe to call more than once."""
         if not self._closed:

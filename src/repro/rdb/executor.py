@@ -28,10 +28,10 @@ from repro.rdb.columnar import (
 )
 from repro.rdb.expr import (
     AggregateCall,
-    And,
     ColumnRef,
     Expr,
     Literal,
+    and_all,
     compare_values,
     conjuncts,
     sarg,
@@ -225,7 +225,7 @@ class ScanOp(Operator):
         self.proved = tuple(proved)
         self.residual = (
             predicate if not self.proved
-            else functools.reduce(And, rest) if rest else None
+            else and_all(rest)
         )
         self.predicate_fn = None
         self.heap_predicate_fn = None

@@ -336,6 +336,15 @@ def conjuncts(expr: Expr | None) -> list[Expr]:
     return [expr]
 
 
+def and_all(parts) -> Expr | None:
+    """The inverse of :func:`conjuncts`: ``parts`` joined left-deep by
+    AND (``None`` when there are none)."""
+    combined = None
+    for part in parts:
+        combined = part if combined is None else And(combined, part)
+    return combined
+
+
 @dataclass(frozen=True)
 class Or(Expr):
     left: Expr

@@ -78,12 +78,12 @@ from repro.rdb.executor import (
 )
 from repro.rdb.expr import (
     AggregateCall,
-    And,
     ColumnRef,
     Comparison,
     Expr,
     Literal,
     Param,
+    and_all,
     conjuncts as _conjuncts,
     sarg,
 )
@@ -97,15 +97,6 @@ from repro.util import unique_name
 #: and the only cached one; the rest pin one choice for baselines,
 #: oracles and the plan scanner.
 MODES = (None, "columnar", "compiled", "interpreted", "seed")
-
-
-def _and_all(parts: list[Expr]) -> Expr | None:
-    if not parts:
-        return None
-    combined = parts[0]
-    for part in parts[1:]:
-        combined = And(combined, part)
-    return combined
 
 
 def _range_bounds(column: str, sargs):
@@ -714,8 +705,8 @@ class SelectPlan:
         if probe_exprs:
             join: Operator = HashJoinOp(
                 root, store, binding, tuple(probe_exprs),
-                tuple(build_columns), _and_all(residual), kind,
-                self.columns_by_binding, _and_all(prefilter),
+                tuple(build_columns), and_all(residual), kind,
+                self.columns_by_binding, and_all(prefilter),
             )
             step_cost = (
                 len(store.rows) * cost.HASH_BUILD_COST
@@ -723,8 +714,8 @@ class SelectPlan:
             )
         else:
             join = NestedLoopJoinOp(
-                root, store, binding, _and_all(residual) or Literal(True),
-                kind, self.columns_by_binding, _and_all(prefilter),
+                root, store, binding, and_all(residual) or Literal(True),
+                kind, self.columns_by_binding, and_all(prefilter),
             )
             step_cost = len(store.rows) + cardinality * build_est
         if kind == "left":
@@ -787,7 +778,7 @@ class SelectPlan:
             base_store, base_conjuncts
         )
         root: Operator = ScanOp(
-            base_store, base, access, _and_all(base_conjuncts)
+            base_store, base, access, and_all(base_conjuncts)
         )
         root.est_rows, root.est_cost = est_rows, est_cost
 
@@ -809,7 +800,7 @@ class SelectPlan:
         final = [conjunct for conjunct, _ in unplaced] + leftover
         if final:
             child = root
-            root = FilterOp(child, _and_all(final), self.columns_by_binding)
+            root = FilterOp(child, and_all(final), self.columns_by_binding)
             root.est_rows, root.est_cost = child.est_rows, child.est_cost
         return root
 
@@ -872,7 +863,7 @@ class SelectPlan:
             if probe_exprs:
                 root = HashJoinOp(
                     root, store, binding, tuple(probe_exprs),
-                    tuple(build_columns), _and_all(residual), join.kind,
+                    tuple(build_columns), and_all(residual), join.kind,
                     self.columns_by_binding,
                 )
             else:

@@ -265,10 +265,6 @@ class ReplicationServer:
         self._accept_thread.start()
         return listener.getsockname()
 
-    @property
-    def address(self) -> tuple | None:
-        return self._listener.getsockname() if self._listener else None
-
     def stop(self) -> None:
         """Close the listener and every peer connection.
 

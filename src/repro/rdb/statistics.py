@@ -44,22 +44,13 @@ class TableStatistics:
 
 
 def collect_statistics(store) -> TableStatistics:
-    """One full pass over ``store`` (a TableStore), summarizing every
-    column.  Values of mixed incomparable types leave min/max unset —
-    the cost model then skips range interpolation for that column.
-
-    When the table's column store is materialized (a columnar scan ran),
-    the pass reads the column arrays instead of iterating rows —
-    distinct counts on dictionary-encoded columns collapse to a set of
-    integer codes.  Both paths summarize identical data (ANALYZE runs
-    under the write lock, and the sync below drains any pending ops), so
-    which one runs is invisible in the resulting statistics.
+    """One full pass over ``store``'s rows (a TableStore), summarizing
+    every column.  Values of mixed incomparable types leave min/max
+    unset — the cost model then skips range interpolation for that
+    column.  The rows are read even when a column store mirrors them:
+    they are what the mirror copies, and a served request reaches
+    ANALYZE only through a drift or growth re-ANALYZE.
     """
-    column_store = store.column_store
-    if column_store.built:
-        column_store.ensure_synced()
-        if column_store.built:
-            return _collect_from_columns(store, column_store)
     rows = list(store.rows.values())
     columns: dict[str, ColumnStatistics] = {}
     for name in store.schema.column_names:
@@ -97,77 +88,3 @@ def collect_statistics(store) -> TableStatistics:
         table=store.schema.name, row_count=len(rows), columns=columns
     )
 
-
-def _collect_from_columns(store, column_store) -> TableStatistics:
-    """The columnar form of :func:`collect_statistics`: one pass per
-    column array over the live positions, with dictionary-encoded
-    columns counting distinct *codes* and only decoding the distinct
-    values for min/max."""
-    if column_store.tombstones:
-        live = column_store.live
-        positions = [
-            i for i in range(len(column_store.row_ids)) if live[i]
-        ]
-    else:
-        positions = range(len(column_store.row_ids))
-    row_count = len(positions)
-    columns: dict[str, ColumnStatistics] = {}
-    for name in store.schema.column_names:
-        column = column_store.columns[name]
-        if column.dict_encoded:
-            codes = column.codes
-            null_count = 0
-            code_set: set = set()
-            for i in positions:
-                code = codes[i]
-                if code is None:
-                    null_count += 1
-                else:
-                    code_set.add(code)
-            if code_set:
-                decode = column.decode
-                distinct_values = [decode[code] for code in code_set]
-                minimum = min(distinct_values)
-                maximum = max(distinct_values)
-            else:
-                minimum = maximum = None
-            columns[name] = ColumnStatistics(
-                distinct=len(code_set),
-                null_count=null_count,
-                minimum=minimum,
-                maximum=maximum,
-            )
-            continue
-        values = column.values
-        distinct: set = set()
-        null_count = 0
-        minimum = maximum = None
-        comparable = True
-        for i in positions:
-            value = values[i]
-            if value is None:
-                null_count += 1
-                continue
-            try:
-                distinct.add(value)
-            except TypeError:
-                distinct.add(id(value))
-            if not comparable:
-                continue
-            try:
-                if minimum is None or value < minimum:
-                    minimum = value
-                if maximum is None or value > maximum:
-                    maximum = value
-            except TypeError:
-                comparable = False
-                minimum = maximum = None
-        columns[name] = ColumnStatistics(
-            distinct=len(distinct),
-            null_count=null_count,
-            minimum=minimum if comparable else None,
-            maximum=maximum if comparable else None,
-        )
-    return TableStatistics(
-        table=store.schema.name, row_count=row_count, columns=columns
-    )

@@ -459,10 +459,6 @@ class WriteAheadLog:
             self.flush()
             self._file.close()
 
-    @property
-    def closed(self) -> bool:
-        return self._file.closed
-
     def stats(self) -> dict:
         return {
             "wal_records": self.records_appended,

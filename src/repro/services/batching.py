@@ -42,7 +42,14 @@ from __future__ import annotations
 import dataclasses
 from functools import lru_cache
 
-from repro.rdb.expr import And, Comparison, Expr, InList, Param, conjuncts
+from repro.rdb.expr import (
+    Comparison,
+    Expr,
+    InList,
+    Param,
+    and_all,
+    conjuncts,
+)
 from repro.rdb.executor import collect_aggregates
 from repro.rdb.sqlparser import Select, SelectItem, parse_select
 
@@ -99,15 +106,6 @@ def select_params(select: Select) -> set[str]:
     for expr in _select_expressions(select):
         names.update(_params_in(expr))
     return names
-
-
-def _and_all(parts: list[Expr]) -> Expr | None:
-    if not parts:
-        return None
-    combined = parts[0]
-    for part in parts[1:]:
-        combined = And(combined, part)
-    return combined
 
 
 def _match_eq_param(conjunct: Expr, param: str) -> Expr | None:
@@ -180,7 +178,7 @@ def batched_select(sql: str, param: str, size: int) -> Select | None:
 
     placeholders = tuple(Param(f"{param}__{i}") for i in range(size))
     in_conjunct = InList(key_expr, placeholders)
-    new_where = _and_all(rest + [in_conjunct])
+    new_where = and_all(rest + [in_conjunct])
     new_items = select.items + (
         SelectItem(expr=key_expr, alias=PARENT_COLUMN),
     )

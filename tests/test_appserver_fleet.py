@@ -197,3 +197,14 @@ class TestGateUnits:
         assert response.headers["Retry-After"] == "1"
         assert app.handled == []  # the stale read never ran
         assert gate.stats()["lsn_timeouts"] == 1
+
+    def test_malformed_token_is_400_without_waiting(self):
+        app, client = self._StubApp(), self._StubClient()
+        gate = ReplicaGate(app, client)
+        request = HttpRequest.from_url("/x")
+        request.headers[MIN_LSN_HEADER] = "abc"
+        response = gate.handle(request)
+        assert response.status == 400
+        assert "abc" in response.body
+        assert client.waits == [] and app.handled == []
+        assert gate.stats() == {"lsn_waits": 0, "lsn_timeouts": 0}

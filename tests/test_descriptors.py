@@ -76,12 +76,6 @@ class TestUnitDescriptor:
         loaded = UnitDescriptor.from_xml(descriptor.to_xml())
         assert loaded.entry_fields[0]["name"] == "keyword"
 
-    def test_input_slot_lookup(self):
-        descriptor = sample_unit_descriptor()
-        assert descriptor.input_for_slot("volume").sql_param == "volume"
-        with pytest.raises(DescriptorError, match="no input slot"):
-            descriptor.input_for_slot("ghost")
-
     def test_bad_match_mode_rejected(self):
         with pytest.raises(DescriptorError):
             InputParameter("a", "a", match="fuzzy")

@@ -213,33 +213,6 @@ class TestRelationalMapping:
         bridge = next(s for s in mapping.schemas if s.name == "citation")
         assert bridge.primary_key == ("paper_oid", "paper_oid_2")
 
-    def test_join_steps_forward_fk(self):
-        mapping = map_to_relational(acm_model())
-        steps = mapping.join_steps("VolumeToIssue")
-        assert steps == [
-            {"table": "issue", "left_on": "oid", "right_on": "volume_to_issue_oid"}
-        ]
-
-    def test_join_steps_inverse_fk(self):
-        mapping = map_to_relational(acm_model())
-        steps = mapping.join_steps("IssueToVolume")
-        assert steps == [
-            {"table": "volume", "left_on": "volume_to_issue_oid", "right_on": "oid"}
-        ]
-
-    def test_join_steps_bridge(self):
-        model = ERModel()
-        model.entity("Paper", [])
-        model.entity("Author", [])
-        model.relate("Authorship", "Paper", "Author", "N:M",
-                     inverse_name="AuthorOf")
-        mapping = map_to_relational(model)
-        forward = mapping.join_steps("Authorship")
-        assert forward[0]["table"] == "authorship"
-        assert forward[1]["table"] == "author"
-        inverse = mapping.join_steps("AuthorOf")
-        assert inverse[1]["table"] == "paper"
-
     def test_connection_write_specs(self):
         mapping = map_to_relational(acm_model())
         spec = mapping.connection_write("VolumeToIssue")

@@ -14,7 +14,10 @@ replan, no growth re-ANALYZE).  Per workload it prints:
   applications at the end of the replay (what the replans, their
   re-ANALYZEs and the learned corrections changed, all together);
 - ``answers_changed``: responses whose status or body differs between
-  the two applications — must be 0: the loop changes plans, not answers.
+  the two applications — must be 0: the loop changes plans, not answers;
+- ``cpu_ms_per_req``: in-process CPU per request after the warm-up
+  (``time.process_time``; ms), loop on → loop off: what the loop is
+  worth, not just how many plans it moves.
 
     python tools/adaptive_census.py [--workload W] [--seed N]
                                     [--requests N] [--verbose]
@@ -31,6 +34,7 @@ import re
 import shutil
 import sys
 import tempfile
+import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "benchmarks", "waterfall"),
@@ -102,7 +106,10 @@ def _replay(workload, seed: int, requests: int, adaptive: bool, site):
 
         replay._handle = recording
         replay.run(replay.traffic.warmup(), timed=False)
-        replay.run(replay.traffic.take(requests), timed=False)
+        timed = replay.traffic.take(requests)
+        started = time.process_time()
+        replay.run(timed, timed=False)
+        cpu_ms = (time.process_time() - started) * 1000 / len(timed)
         plans = {key: shape(plan)
                  for key, plan in app.database._plan_cache.items()
                  if hasattr(plan, "explain")}
@@ -112,7 +119,7 @@ def _replay(workload, seed: int, requests: int, adaptive: bool, site):
     finally:
         if data_dir:
             shutil.rmtree(data_dir, ignore_errors=True)
-    return answers, plans, counters, watch.moves, errors
+    return answers, plans, counters, watch.moves, errors, cpu_ms
 
 
 def census(name: str, seed: int, requests: int) -> dict:
@@ -120,8 +127,8 @@ def census(name: str, seed: int, requests: int) -> dict:
     site = _site(workload)
     on = _replay(workload, seed, requests, True, site)
     off = _replay(workload, seed, requests, False, site)
-    answers_on, plans_on, counters, moves, errors_on = on
-    answers_off, plans_off, _counters, _moves, errors_off = off
+    answers_on, plans_on, counters, moves, errors_on, cpu_on = on
+    answers_off, plans_off, _counters, _moves, errors_off, cpu_off = off
     changed = sum(a != b for a, b in zip(answers_on, answers_off)) \
         + abs(len(answers_on) - len(answers_off))
     differ = sorted(key for key in plans_on.keys() & plans_off.keys()
@@ -139,6 +146,7 @@ def census(name: str, seed: int, requests: int) -> dict:
         "plans_on": plans_on,
         "plans_off": plans_off,
         "answers_changed": changed,
+        "cpu_ms_per_req": (cpu_on, cpu_off),
         "errors": {**errors_on, **errors_off},
     }
 
@@ -155,12 +163,14 @@ def main(argv=None) -> int:
     failed = False
     for name in args.workload or list(WORKLOADS):
         row = census(name, args.seed, args.requests)
+        on, off = row["cpu_ms_per_req"]
         print(f"{name}: requests={row['requests']}"
               f" observations={row['observations']}"
               f" learned={row['learned']} replans={row['replans']}"
               f" reanalyzes={row['reanalyzes']} moved={row['moved']}"
               f" differ={len(row['differ'])}/{len(row['plans_on'])}"
               f" answers_changed={row['answers_changed']}"
+              f" cpu_ms_per_req on={on:.3f} off={off:.3f}"
               f" errors={row['errors'] or 0}")
         if args.verbose:
             for key, before, after in row["moves"]:
