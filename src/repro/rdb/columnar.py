@@ -814,5 +814,23 @@ def column_gather(name: str, call, sql_type, reduce_aggregate):
     return gather
 
 
+def row_gather(argument_fn, call, reduce_aggregate):
+    """Aggregate-input gatherer for non-column arguments: the row-mode
+    argument expression runs per surviving row."""
+
+    def gather(column_store, positions, params):
+        rows = column_store.store.rows
+        row_ids = column_store.row_ids
+        values = []
+        append = values.append
+        for i in positions:
+            value = argument_fn(rows[row_ids[i]], params)
+            if value is not None:
+                append(value)
+        return reduce_aggregate(call.func, call.distinct, values)
+
+    return gather
+
+
 def count_star_gather(column_store, positions, params):
     return len(positions)

@@ -5,7 +5,8 @@ The four-way *semantic* identity lives in the oracle suite
 around it — the column store's lazy build and incremental sync, the
 write-burst drop and tombstone compaction, recovery, the cost model's
 row-vs-columnar decision, EXPLAIN/plan-cache/observability surfaces,
-and the single-pass columnar ANALYZE path.
+the column-gather GROUP BY tail, and ANALYZE reading the same
+statistics whether or not the column store is built.
 """
 
 from __future__ import annotations
@@ -159,6 +160,24 @@ class TestLayoutChoice:
         assert db.prepare(SCAN) is first  # cache hit, pipeline included
         db.query(SCAN)
         assert db.stats.selects_columnar == 1
+
+
+class TestColumnGatherTail:
+    def test_computed_aggregate_argument_matches_compiled(self):
+        """A GROUP BY over a columnar scan whose aggregate arguments are
+        not plain columns gathers them through their row-mode lowering."""
+        db = _seeded(500)
+        sql = ("SELECT kind, COUNT(*) AS c, SUM(n * 2) AS s,"
+               " MAX(price + 1) AS m, COUNT(DISTINCT n + 1) AS d"
+               " FROM item WHERE n > 1 GROUP BY kind ORDER BY kind")
+        want = db.prepare(sql, mode="compiled").execute().as_tuples()
+        assert len(want) == 4
+        forced = db.prepare(sql, mode="columnar")
+        assert forced.exec_mode == "columnar"
+        assert forced.execute().as_tuples() == want
+        chosen = db.prepare(sql)  # the cost model's batch walk
+        assert chosen.exec_mode == "columnar"
+        assert chosen.execute().as_tuples() == want
 
 
 class TestColumnarObservability:

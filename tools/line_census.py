@@ -8,19 +8,21 @@ line tracing), while three drivers serve the applications:
 - every page of ``tools/page_digests.py`` (ACM, bookstore, Acer), the
   way that tool renders them;
 - the four waterfall workloads, each replayed in process through
-  ``benchmarks/waterfall/tracing.Replay`` (warm-up plus ``--requests``
-  requests), the way ``tools/adaptive_census.py`` drives them;
+  ``benchmarks/waterfall/tracing.Replay`` (warm-up plus ``REQUESTS``
+  requests of the ``SEED`` stream), the way
+  ``tools/adaptive_census.py`` drives them;
 - a socket pass: ``AsyncAppServer`` and ``ThreadedAppServer`` each
-  serve the ``mixed-write`` stream and a slice of ``search-scan`` over
-  ``WireClient``, so ``appserver/`` and ``httpcore/`` are counted.
+  serve the ``mixed-write`` stream and a slice of ``search-scan`` to the
+  waterfall's own client and checks (``run._drive``), so ``appserver/``
+  and the server side of ``httpcore/`` are counted.
 
 It prints reached / defined functions per package and every function
 never entered, as ``module:qualname``.  A function is a ``def`` (method,
 nested function, property); lambdas, comprehensions and class or module
 bodies are not counted.
 
-    python tools/line_census.py [--requests N] [--runs N]
-    python tools/line_census.py --json --runs 3 > tests/golden/census.json
+    python tools/line_census.py [--runs N]
+    python tools/line_census.py --json --runs 6 > tests/golden/census.json
     python tools/line_census.py --check tests/golden/census.json
     python tools/line_census.py --consumers tests/golden/census.json
 
@@ -30,7 +32,9 @@ purpose.  Functions that became reached are printed as a note.  With
 ``--runs N`` the census runs in N fresh interpreters (import-time code
 and process-wide caches start cold in each) and a function counts as
 unreached if any of them missed it, which is how the baseline absorbs
-timing-dependent paths.
+timing-dependent paths.  Unreached is not uncalled: a branch no served
+statement takes still calls what it names, so grep for callers before
+deleting an unreached function.
 
 ``--consumers`` runs the profiler over the other consumers instead —
 ``REPRO_FAST=1 pytest benchmarks/ --ignore=benchmarks/waterfall``,
@@ -61,6 +65,11 @@ SRC = ROOT / "src"
 PACKAGE = SRC / "repro"
 sys.path[:0] = [str(ROOT / "benchmarks" / "waterfall"), str(SRC),
                 str(ROOT / "tools")]
+
+#: requests per workload after its warm-up, and the streams' seed; the
+#: committed baseline is read at these values
+REQUESTS = 300
+SEED = 9401
 
 
 # -- what is defined --------------------------------------------------------
@@ -161,63 +170,60 @@ def _close(app, data_dir) -> None:
         shutil.rmtree(data_dir, ignore_errors=True)
 
 
-def drive_workload(name: str, requests: int, seed: int) -> None:
+def drive_workload(name: str) -> None:
     """One waterfall workload replayed in process: warm-up, then
-    ``requests`` requests of its seeded stream."""
+    ``REQUESTS`` requests of its seeded stream."""
     from tracing import Replay
     from workloads import WORKLOADS, Traffic
 
     app, site, data_dir = _waterfall_app(WORKLOADS[name])
     try:
-        replay = Replay(app, Traffic(WORKLOADS[name], site, seed))
+        replay = Replay(app, Traffic(WORKLOADS[name], site, SEED))
         replay.run(replay.traffic.warmup(), timed=False)
-        replay.run(replay.traffic.take(requests), timed=False)
+        replay.run(replay.traffic.take(REQUESTS), timed=False)
         if replay.errors:
             raise SystemExit(f"{name}: failed operations {replay.errors}")
     finally:
         _close(app, data_dir)
 
 
-def drive_sockets(requests: int, seed: int) -> None:
+def drive_sockets() -> None:
     """``AsyncAppServer`` and ``ThreadedAppServer`` each serve the
-    ``mixed-write`` stream (its warm-up, then ``requests`` requests with
-    the write chain's follow-ups) and ``requests // 4`` ``search-scan``
-    requests over ``WireClient``."""
+    ``mixed-write`` stream (its warm-up, then ``REQUESTS`` requests with
+    the write chain's follow-ups) and ``REQUESTS // 4`` ``search-scan``
+    requests, each to its own application, sent and checked by the
+    waterfall's ``run._drive``."""
+    import run
+    from httpclient import Client
     from repro.appserver import AsyncAppServer, ThreadedAppServer
-    from repro.httpcore.client import WireClient
     from workloads import WORKLOADS, Traffic
 
     for edge in (AsyncAppServer, ThreadedAppServer):
-        app, site, data_dir = _waterfall_app(WORKLOADS["mixed-write"])
-        server = edge(app, workers=2)
-        try:
-            address = server.listen()
-            mixed = Traffic(WORKLOADS["mixed-write"], site, seed)
-            search = Traffic(WORKLOADS["search-scan"], site, seed)
-            stream = (mixed.warmup() + mixed.take(requests)
-                      + search.take(requests // 4))
-            with WireClient(address) as reader, \
-                    WireClient(address, cookies=True) as admin:
-                for req in stream:
-                    while req is not None:
-                        req, headers, jar = mixed.prepare(req, None)
-                        client = reader if jar is None else admin
-                        response = client.request(req.target,
-                                                  headers=headers)
-                        if response.status not in (200, 302, 304):
-                            raise SystemExit(
-                                f"{edge.__name__}: {req.target} answered"
-                                f" {response.status}")
-                        etag = response.headers.get("ETag")
-                        if etag:
-                            mixed.etags[req.target] = etag
-                        req = mixed.followup(req, response)
-        finally:
-            server.stop()
-            _close(app, data_dir)
+        for name, count in (("mixed-write", REQUESTS),
+                            ("search-scan", REQUESTS // 4)):
+            app, site, data_dir = _waterfall_app(WORKLOADS[name])
+            traffic = Traffic(WORKLOADS[name], site, SEED)
+            # a writing stream's warm-up holds the admin login
+            requests = traffic.warmup() if traffic.workload.write_share \
+                else []
+            requests += traffic.take(count)
+            server = edge(app, workers=2)
+            try:
+                client = Client(server.listen())
+                _sent, errors = run._drive(client, traffic, requests)
+            finally:
+                # the client's connection is still open, so stop() closes
+                # a live connection in every run, not only when the
+                # client's own close loses the race
+                server.stop()
+                _close(app, data_dir)
+            client.close()
+            if errors:
+                raise SystemExit(f"{edge.__name__} {name}: failed"
+                                 f" operations {dict(errors)}")
 
 
-def served_census(requests: int, seed: int) -> set[str]:
+def served_census() -> set[str]:
     """The functions the served drivers enter."""
     from workloads import WORKLOADS
 
@@ -227,8 +233,8 @@ def served_census(requests: int, seed: int) -> set[str]:
     try:
         drive_page_digests()
         for name in WORKLOADS:
-            drive_workload(name, requests, seed)
-        drive_sockets(requests, seed)
+            drive_workload(name)
+        drive_sockets()
     finally:
         profiler.stop()
     return profiler.reached(defined)
@@ -285,15 +291,14 @@ def consumer_census() -> set[str]:
 # -- report -----------------------------------------------------------------
 
 
-def separate_runs(runs: int, requests: int, seed: int) -> list[set[str]]:
+def separate_runs(runs: int) -> list[set[str]]:
     """The reached set of ``runs`` served censuses, each in its own
     interpreter."""
     names = set(defined_functions().values())
     reached_runs = []
     for _run in range(runs):
         child = subprocess.run(
-            [sys.executable, __file__, "--json", "--requests",
-             str(requests), "--seed", str(seed)],
+            [sys.executable, __file__, "--json"],
             check=True, capture_output=True, text=True)
         reached_runs.append(
             names - set(json.loads(child.stdout)["unreached"]))
@@ -355,10 +360,7 @@ def main(argv: list[str] | None = None) -> int:
                              " benchmarks, examples and tools miss too")
     parser.add_argument("--json", action="store_true",
                         help="print the census as a baseline file")
-    parser.add_argument("--requests", type=int, default=300,
-                        help="requests per workload after its warm-up")
     parser.add_argument("--runs", type=int, default=1)
-    parser.add_argument("--seed", type=int, default=9401)
     args = parser.parse_args(argv)
     if args.consumers:
         baseline = json.loads(Path(args.consumers).read_text("utf-8"))
@@ -370,9 +372,9 @@ def main(argv: list[str] | None = None) -> int:
             print(f"  {name}")
         return 0
     if args.runs > 1:
-        reached_runs = separate_runs(args.runs, args.requests, args.seed)
+        reached_runs = separate_runs(args.runs)
     else:
-        reached_runs = [served_census(args.requests, args.seed)]
+        reached_runs = [served_census()]
     result = census(reached_runs)
     if args.json:
         json.dump(result, sys.stdout, indent=1, sort_keys=True)
