@@ -19,6 +19,14 @@ explicit baselines:
   delay per statement (``Database.io_delay``, as in E13) the page's
   query count drops from O(rows) to O(levels) and latency follows.
 
+* **ordered walk** — paged ``ORDER BY`` over an indexed key, at a small
+  and a deep offset, bare and behind a selective filter: the plan-space
+  scanner (``repro.bench.plan_scanner``) prices the index-ordered walk
+  against scan + top-N from both sides (the walk forced where the
+  planner turned it down) and must report no ``inversion`` — the
+  planner has to know that a deep offset behind a selective filter is
+  where the walk loses.
+
 Run fast (CI smoke): ``REPRO_FAST=1 pytest benchmarks/bench_e14_query_pipeline.py``.
 """
 
@@ -28,6 +36,7 @@ import os
 import time
 
 from repro.bench import ExperimentReport, save_report
+from repro.bench.plan_scanner import scan_plan_space
 from repro.rdb import Database
 from repro.services import GenericUnitService
 from repro.workloads.acm import build_acm_application
@@ -186,6 +195,71 @@ def test_e14_batched_units_run_constant_queries():
     }
 
 
+def _sales() -> Database:
+    """4 000 sales spread evenly over 400 regions and over the days of
+    a year, indexed on both, analyzed."""
+    db = Database("e14-sales")
+    db.execute(
+        "CREATE TABLE sale (oid INTEGER NOT NULL AUTOINCREMENT,"
+        " region VARCHAR(20) NOT NULL, day INTEGER NOT NULL,"
+        " amount FLOAT NOT NULL, PRIMARY KEY (oid))"
+    )
+    db.execute("CREATE INDEX ix_sale_region ON sale (region)")
+    db.execute("CREATE INDEX ix_sale_day ON sale (day)")
+    for i in range(4_000):
+        db.insert_row("sale", {
+            "region": f"r-{i % 400:03d}",
+            "day": i % 365,
+            "amount": float(i % 90) + 0.5,
+        })
+    db.analyze()
+    return db
+
+
+#: paged ORDER BY day: offsets shallow and deep, bare and behind a
+#: filter one region in 400 passes.  Full size in fast mode too: on a
+#: few hundred rows an index probe and a columnar scan cost the same
+#: few microseconds and the stopwatch orders them at random
+_PAGED = "SELECT oid, day, amount FROM sale{where} ORDER BY day LIMIT 10 OFFSET {k}"
+_DEEP = 3_000
+
+
+def test_e14_scanner_prices_the_ordered_walk():
+    db = _sales()
+    selective = " WHERE region = 'r-007'"
+    workload = [
+        {"name": f"paged-{label}-{depth}",
+         "sql": _PAGED.format(where=where, k=k), "params": {}}
+        for label, where in (("bare", ""), ("filtered", selective))
+        for depth, k in (("shallow", 0), ("deep", _DEEP))
+    ]
+    # sub-millisecond statements: many rounds, or timer noise inverts
+    report = scan_plan_space(db, workload, rounds=40)
+    assert report["mismatches"] == 0
+    inversions = [f for f in report["findings"] if f["kind"] == "inversion"]
+    assert inversions == [], inversions
+    rows = {}
+    for scanned in report["queries"]:
+        by_variant = {v["variant"]: v for v in scanned["variants"]}
+        walk = by_variant["ordered-walk"]
+        assert walk["access"] == "ordered:sale(day)", scanned["query"]
+        rows[scanned["query"]] = {
+            "default_access": by_variant["default"]["access"],
+            "walk_cost_ratio": walk["cost_ratio"],
+            "walk_wall_ratio": walk["wall_ratio"],
+            "top_n_cost_ratio": by_variant["no-access-paths"]["cost_ratio"],
+            "top_n_wall_ratio": by_variant["no-access-paths"]["wall_ratio"],
+        }
+    # unfiltered, the walk is the plan at any depth; behind the filter
+    # the planner probes the region index and keeps a top-N instead
+    assert rows["paged-bare-shallow"]["default_access"] == "ordered:sale(day)"
+    assert rows["paged-bare-deep"]["default_access"] == "ordered:sale(day)"
+    assert rows["paged-filtered-deep"]["default_access"] \
+        == "eq:sale(region)"
+    assert rows["paged-filtered-deep"]["walk_wall_ratio"] > 1.0
+    _RESULTS["ordered_walk"] = rows
+
+
 def test_e14_report():
     plans = _RESULTS.get("plans")
     batching = _RESULTS.get("batching")
@@ -217,6 +291,15 @@ def test_e14_report():
         note=f"{batching['t_naive'] / batching['t_batched']:.1f}x faster"
              f" at {IO_DELAY * 1e3:.0f} ms simulated wire delay",
     )
+    for name, row in _RESULTS.get("ordered_walk", {}).items():
+        report.add(
+            f"{name}: ordered walk vs plan", "no inversion",
+            f"cost x{row['walk_cost_ratio']:.2f}"
+            f" wall x{row['walk_wall_ratio']:.2f}",
+            note=f"plan {row['default_access']}; scan + top-N cost"
+                 f" x{row['top_n_cost_ratio']:.2f}"
+                 f" wall x{row['top_n_wall_ratio']:.2f}",
+        )
     save_report(report, json_payload={
         "fast_mode": FAST,
         "books": BOOKS,
@@ -236,4 +319,5 @@ def test_e14_report():
             "naive_seconds": batching["t_naive"],
             "speedup": batching["t_naive"] / batching["t_batched"],
         },
+        "ordered_walk": _RESULTS.get("ordered_walk", {}),
     })

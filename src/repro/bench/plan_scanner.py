@@ -39,6 +39,7 @@ perf finding.
 
 from __future__ import annotations
 
+import math
 import time
 
 from repro.rdb.planner import MODES, PlannerFeatures, SelectPlan
@@ -54,23 +55,19 @@ COST_WORSE = 1.2
 COST_BETTER = 0.8
 
 
-class _EverythingPasses:
-    """A feedback memory claiming every predicate passes every row.
-    Planned against it, a filtered index-ordered walk looks as cheap as
-    an unfiltered one and is taken wherever an index serves the ORDER
-    BY — how the scanner forces the walk without a planner switch."""
+class _WalkForced(SelectPlan):
+    """The cost-based plan with every sort priced at infinity: wherever
+    an index serves the ORDER BY its ordered walk is taken — how the
+    scanner forces the walk without a planner switch."""
 
-    def selectivity(self, table, key):
-        return 1.0
-
-    def join_distinct(self, table, columns):
-        return None
+    def _sort_cost(self, rows: float) -> float:
+        return math.inf if self.select.order_by else 0.0
 
 
 def _variant_plans(db, sql: str):
     """(label, plan, estimated cost) for every probed planner/executor
     variant.  The ``default`` variant is the plan the database actually
-    runs (the cached one, corrections and all); the others are uncached
+    runs (the cached one); the others are uncached
     probes, the pinned execution modes labelled by their ``mode``
     name."""
     default = db.prepare(sql)
@@ -87,8 +84,7 @@ def _variant_plans(db, sql: str):
     ]
     variants = [(label, plan, plan.est_cost) for label, plan in plans]
     if default.walk_cost is not None:
-        forced = SelectPlan(parse_select(sql), db.tables,
-                            feedback=_EverythingPasses())
+        forced = _WalkForced(parse_select(sql), db.tables)
         if forced.ordered:
             variants.append(("ordered-walk", forced, default.walk_cost))
     return variants
@@ -212,7 +208,7 @@ def scan_plan_space(db, workload, rounds: int = 3) -> dict:
     """Scan every workload entry; ``workload`` is a list of
     ``{"name", "sql", "params"}`` dicts (``params`` a dict or a list of
     dicts).  Returns the machine-readable report consumed by
-    ``tools/plan_scanner.py`` and the E22 benchmark."""
+    ``tools/plan_scanner.py`` and the E14 benchmark."""
     queries = []
     findings = []
     mismatches = 0

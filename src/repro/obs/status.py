@@ -52,11 +52,6 @@ def build_status(front) -> dict:
         status["slow_queries"] = [
             entry.to_dict() for entry in slow_log.entries(SLOW_QUERY_LIMIT)
         ]
-    adaptive = getattr(database, "adaptive", None)
-    if adaptive is not None:
-        # the adaptive-planner section: replan/re-ANALYZE counters,
-        # feedback-memory health, and the top misestimated statements
-        status["planner"] = adaptive.stats()
     return status
 
 
@@ -108,24 +103,6 @@ def render_status_text(status: dict) -> str:
                 lines.append(f"  {key} = {stats[key]}")
         else:
             lines.append(f"  {stats}")
-        lines.append("")
-    planner = status.get("planner")
-    if planner is not None:
-        lines.append("[planner]")
-        for key in sorted(planner):
-            if key == "top_misestimates":
-                continue
-            lines.append(f"  {key} = {planner[key]}")
-        misestimates = planner.get("top_misestimates", [])
-        if misestimates:
-            lines.append("  top misestimates (worst q-error first):")
-            for entry in misestimates:
-                lines.append(
-                    f"    q~{entry['q_error_max']}  est~{entry['estimated']}"
-                    f" actual={entry['actual']}"
-                    f" execs={entry['executions']}"
-                    f" replans={entry['replans']}  {entry['statement']}"
-                )
         lines.append("")
     slow_log = status.get("slow_query_log")
     if slow_log is not None:

@@ -28,19 +28,11 @@ Layering (each module only imports the ones above it):
   planning and execution of SELECT statements and of the scans UPDATE /
   DELETE find their rows through (index/range/IN scans, filters, hash
   and nested-loop joins, grouping, sorting, limits),
-- :mod:`repro.rdb.adaptive` — the execution-feedback loop: per-plan
-  cardinality ledgers, learned selectivity corrections the cost model
-  consults, and drift-triggered replan/re-ANALYZE,
 - :mod:`repro.rdb.database` — the logical-layer facade with DDL/DML
   and constraint enforcement over a pluggable engine,
 - :mod:`repro.rdb.connection` — connections, cursors and a pool.
 """
 
-from repro.rdb.adaptive import (
-    AdaptiveController,
-    CardinalityFeedback,
-    SelectivityMemory,
-)
 from repro.rdb.connection import Connection, ConnectionPool, Cursor
 from repro.rdb.database import Database
 from repro.rdb.planner import PlannerFeatures
@@ -72,9 +64,6 @@ from repro.rdb.types import (
 
 __all__ = [
     "Database",
-    "AdaptiveController",
-    "CardinalityFeedback",
-    "SelectivityMemory",
     "PlannerFeatures",
     "StorageEngine",
     "MemoryEngine",

@@ -574,7 +574,7 @@ def compile_emit(
         return None
 
 
-def _scan_kernels(scan: ScanOp, feedback) -> tuple:
+def _scan_kernels(scan: ScanOp) -> tuple:
     """A columnar scan's batch kernels — one bind function per pushed
     conjunct, from the classification the scan carries — in run order:
     most selective first, the per-row fallbacks (a conjunct's generated
@@ -591,7 +591,7 @@ def _scan_kernels(scan: ScanOp, feedback) -> tuple:
             ).fn)
         ranked.append((
             not vectorized,
-            cost.conjunct_selectivity(scan.store, conjunct, feedback),
+            cost.conjunct_selectivity(scan.store, conjunct),
             bind,
         ))
     ranked.sort(key=lambda entry: entry[:2])
@@ -676,7 +676,7 @@ def compile_plan(plan) -> dict:
                         else lower_scalar(op.residual, op._scope_columns,
                                           "row", "scan-residual").fn
             if op.access.kind == "columnar":
-                op.kernels = _scan_kernels(op, plan.feedback)
+                op.kernels = _scan_kernels(op)
         elif isinstance(op, FilterOp):
             op.predicate_fn = note(lower_scalar(
                 op.predicate, op.columns_by_binding, "bindings", "filter"

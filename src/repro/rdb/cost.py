@@ -3,10 +3,11 @@
 A deliberately small Selinger-style model: every predicate conjunct gets
 a selectivity in (0, 1], access paths and joins get a scalar cost, and
 the planner picks the cheapest alternative.  Estimates prefer ANALYZE
-statistics (:mod:`repro.rdb.statistics`) when a table has them and fall
-back to the classic fixed constants otherwise.  Base cardinality always
-comes from the *live* row count — it is free to read and never stale —
-while distributions (distinct counts, min/max) come from the snapshot.
+statistics (:mod:`repro.rdb.statistics`) when a table has them, then
+what the declared schema implies, and fall back to the classic fixed
+constants otherwise.  Base cardinality always comes from the *live*
+row count — it is free to read and never stale — while distributions
+(distinct counts, min/max) come from the snapshot.
 
 Only plan *shape* depends on these numbers; results never do, because
 every scan re-checks the predicate it consumed.
@@ -19,9 +20,15 @@ Assumptions the model rests on (the classic Selinger simplifications):
 - **independence** — conjunct selectivities multiply; correlated
   predicates (e.g. ``year = 2002 AND volume = 36``) are over-filtered
   and their plans look cheaper than they run;
-- **staleness is bounded** — distributions come from the last ANALYZE
-  snapshot, but base cardinality is always the live row count, so a
+- **statistics are what the last ANALYZE saw** — distributions come
+  from that snapshot and nothing refreshes it: re-run ANALYZE after a
+  bulk load.  Base cardinality is always the live row count, so a
   growing table degrades estimate *detail*, never its scale;
+- **the schema is knowledge** — without statistics a column's distinct
+  count comes from a unique index (the table's live rows) or a
+  single-column foreign key (the referenced table's live rows, while
+  it has any); only a column neither describes takes the fixed
+  constants;
 - **costs are abstract units** (rows touched plus per-structure
   constants), meaningful only relative to each other — the planner
   compares alternatives, it never predicts wall-clock time.
@@ -30,15 +37,6 @@ When an estimate misleads the planner, the damage is a slower plan,
 never a wrong result; the slow-query log (``repro.obs``) records the
 chosen access path precisely so such plans can be spotted and the
 descriptor query or its indexes tuned.
-
-Every selectivity entry point also accepts an optional ``feedback``
-object (the :class:`repro.rdb.adaptive.SelectivityMemory` duck type:
-``selectivity(table, key) -> float | None`` and
-``join_distinct(table, columns) -> float | None``).  Learned, observed
-selectivities are consulted *before* the statistics fall-backs above —
-this is how execution feedback repairs exactly the estimates the
-uniformity and independence assumptions get wrong (skewed values,
-correlated conjuncts).  ``feedback=None`` keeps the model pure.
 """
 
 from __future__ import annotations
@@ -50,7 +48,6 @@ from repro.rdb.expr import (
     Literal,
     Not,
     Or,
-    conjunct_fingerprint,
     sarg,
 )
 
@@ -147,8 +144,9 @@ def _unique_on(store, column: str) -> bool:
 
 
 def _distinct(store, column: str) -> int | None:
-    """Distinct count for ``column``: statistics first, unique indexes
-    as a structural fallback."""
+    """Distinct count for ``column``: statistics first, then the schema —
+    a unique index (the table's live rows), then a single-column foreign
+    key (the referenced table's live rows, while it has any)."""
     stats = store.statistics
     if stats is not None:
         column_stats = stats.column(column)
@@ -156,22 +154,14 @@ def _distinct(store, column: str) -> int | None:
             return max(1, column_stats.distinct)
     if _unique_on(store, column):
         return max(1, len(store.rows))
+    target = store.fk_targets.get(column)
+    if target is not None and target.rows:
+        return len(target.rows)
     return None
 
 
-def _learned(feedback, store, key: tuple) -> float | None:
-    """A learned selectivity for ``key`` on ``store``'s table, if the
-    feedback memory holds one."""
-    if feedback is None:
-        return None
-    return feedback.selectivity(store.schema.name, key)
-
-
-def equality_selectivity(store, column: str | None, feedback=None) -> float:
+def equality_selectivity(store, column: str | None) -> float:
     if column is not None:
-        learned = _learned(feedback, store, ("eq", column))
-        if learned is not None:
-            return learned
         distinct = _distinct(store, column)
         if distinct is not None:
             return clamp(1.0 / distinct)
@@ -203,16 +193,10 @@ def _interpolate(column_stats, low, high, low_inclusive, high_inclusive) -> floa
 
 def range_selectivity(store, column: str | None, low, high,
                       low_inclusive: bool = True,
-                      high_inclusive: bool = True, *,
-                      feedback=None) -> float:
+                      high_inclusive: bool = True) -> float:
     """Selectivity of ``low <= column <= high`` (either bound optional).
-    Learned per-column range selectivity wins; plan-time constants
-    interpolate against ANALYZE min/max; parameter bounds fall back to
-    the fixed range constant."""
-    if column is not None:
-        learned = _learned(feedback, store, ("range", column))
-        if learned is not None:
-            return learned
+    Plan-time constants interpolate against ANALYZE min/max; parameter
+    bounds fall back to the fixed range constant."""
     if column is not None and store.statistics is not None:
         fraction = _interpolate(
             store.statistics.column(column), low, high,
@@ -233,29 +217,19 @@ def null_selectivity(store, column: str | None, negated: bool) -> float:
     return DEFAULT_EQ_SELECTIVITY
 
 
-def conjunct_selectivity(store, conjunct: Expr, feedback=None) -> float:
+def conjunct_selectivity(store, conjunct: Expr) -> float:
     """Selectivity of one predicate conjunct against ``store``'s rows.
 
     The conjunct is assumed to reference only this table; multi-table
-    conjuncts are estimated by their structure alone.  A learned
-    whole-conjunct observation (keyed by the conjunct's fingerprint)
-    beats any structural estimate; the structure is read off the
-    conjunct's :func:`~repro.rdb.expr.sarg`, a computed subject
-    (``column`` None) getting the fixed constants.
+    conjuncts are estimated by their structure alone.  The structure is
+    read off the conjunct's :func:`~repro.rdb.expr.sarg`, a computed
+    subject (``column`` None) getting the fixed constants.
     """
-    if feedback is not None:  # no fingerprint taken for nobody to look up
-        learned = feedback.selectivity(
-            store.schema.name, ("conj", conjunct_fingerprint(conjunct))
-        )
-        if learned is not None:
-            return learned
     if isinstance(conjunct, Not):
-        return clamp(
-            1.0 - conjunct_selectivity(store, conjunct.operand, feedback)
-        )
+        return clamp(1.0 - conjunct_selectivity(store, conjunct.operand))
     if isinstance(conjunct, Or):
-        left = conjunct_selectivity(store, conjunct.left, feedback)
-        right = conjunct_selectivity(store, conjunct.right, feedback)
+        left = conjunct_selectivity(store, conjunct.left)
+        right = conjunct_selectivity(store, conjunct.right)
         return clamp(left + right - left * right)
     if isinstance(conjunct, Literal):
         return 1.0 if conjunct.value is True else _MIN_SELECTIVITY
@@ -267,64 +241,36 @@ def conjunct_selectivity(store, conjunct: Expr, feedback=None) -> float:
         return null_selectivity(store, column, classified.negated)
     if kind == "cmp":
         if classified.op == "=":
-            return equality_selectivity(store, column, feedback)
+            return equality_selectivity(store, column)
         if classified.op == "<>":
-            return clamp(1.0 - equality_selectivity(store, column, feedback))
+            return clamp(1.0 - equality_selectivity(store, column))
         bound = _literal_value(classified.operands[0])
         low, high = (None, bound) if classified.op in ("<", "<=") \
             else (bound, None)
-        return range_selectivity(store, column, low, high, feedback=feedback)
+        return range_selectivity(store, column, low, high)
     if kind == "between":
         low, high = map(_literal_value, classified.operands)
-        selectivity = range_selectivity(
-            store, column, low, high, feedback=feedback
-        )
+        selectivity = range_selectivity(store, column, low, high)
     elif kind == "in":
         selectivity = clamp(
-            equality_selectivity(store, column, feedback)
-            * len(classified.operands)
+            equality_selectivity(store, column) * len(classified.operands)
         )
     else:
         selectivity = DEFAULT_LIKE_SELECTIVITY
     return clamp(1.0 - selectivity) if classified.negated else selectivity
 
 
-def conjunct_set_key(conjuncts) -> tuple:
-    """Feedback key for a whole pushed-down conjunct set.  Set-level
-    entries capture *correlation* between conjuncts — the classic case
-    the independence assumption cannot price."""
-    return ("set", tuple(sorted(map(conjunct_fingerprint, conjuncts))))
-
-
-def conjuncts_selectivity(store, conjuncts, feedback=None) -> float:
-    """Independence-assumption product over a conjunct list.
-
-    When feedback holds a *set-level* observation for exactly this
-    conjunct set, it wins outright — set entries are the one place
-    correlation between conjuncts (which independence cannot price) is
-    representable.
-    """
-    conjuncts = list(conjuncts)
-    if feedback is not None and len(conjuncts) > 1:
-        learned = _learned(feedback, store, conjunct_set_key(conjuncts))
-        if learned is not None:
-            return learned
+def conjuncts_selectivity(store, conjuncts) -> float:
+    """Independence-assumption product over a conjunct list."""
     selectivity = 1.0
     for conjunct in conjuncts:
-        selectivity *= conjunct_selectivity(store, conjunct, feedback)
+        selectivity *= conjunct_selectivity(store, conjunct)
     return clamp(selectivity)
 
 
-def join_distinct(store, columns: tuple[str, ...],
-                  feedback=None) -> float:
-    """Estimated distinct key count on the build side of an equi-join.
-    A learned *effective* distinct count (solved from observed join
-    fan-out) beats the structural estimates below."""
+def join_distinct(store, columns: tuple[str, ...]) -> float:
+    """Estimated distinct key count on the build side of an equi-join."""
     row_count = max(1, len(store.rows))
-    if feedback is not None:
-        learned = feedback.join_distinct(store.schema.name, tuple(columns))
-        if learned is not None:
-            return learned
     for _name, index in store.iter_indexes():
         if index.unique and index.columns == tuple(columns):
             return float(row_count)

@@ -17,7 +17,6 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 
 from repro.errors import IntegrityError, QueryError, SchemaError
-from repro.rdb.adaptive import AdaptiveController
 from repro.rdb.engine import DurableEngine, MemoryEngine, StorageEngine
 from repro.rdb.executor import ResultSet, RowScope
 from repro.rdb.planner import DmlPlan, PlannerFeatures, SelectPlan
@@ -186,10 +185,6 @@ class Database:
             "expr_fallbacks": 0,
             "compile_seconds_total": 0.0,
         }
-        #: the adaptive-execution feedback loop (repro.rdb.adaptive):
-        #: cardinality ledgers per cached plan, learned selectivities
-        #: the planner consults, drift-triggered replan/re-ANALYZE
-        self.adaptive = AdaptiveController(self)
 
     # -- storage-engine boundary -------------------------------------------
 
@@ -302,7 +297,6 @@ class Database:
                 compile_stats["compile_seconds_total"] * 1000.0, 3
             ),
             "columnar": self._columnar_stats(),
-            "adaptive": self.adaptive.stats(),
             "slow_queries": self.slow_log.stats(),
         }
 
@@ -476,6 +470,7 @@ class Database:
             for fkey in schema.foreign_keys:
                 self._check_fk_target(schema.name, fkey)
             store = TableStore(schema)
+            store.link_foreign_keys(self.tables)
             self.tables[schema.name] = store
             self.engine.note_create_table(schema)
             # No plan invalidation: a plan referencing an unknown table
@@ -608,20 +603,12 @@ class Database:
                         generation: int = -1) -> ResultSet:
         """Execute a SELECT.  ``statement`` may be ``None`` when
         ``cache_key`` is the raw SQL text (the prepared-statement fast
-        path).  The cache is probed once, before the read lock — by the
-        caller when it passes ``generation`` (``cached`` is what it
-        found), else here: a plan found at plan-cache ``generation``
-        runs only if no plan was invalidated since; otherwise the cache
-        is probed again under the read lock and a miss re-parses the
-        text, so a stale hint can cost a parse but never a wrong or
-        poisoned plan."""
-        if generation < 0 and cache_key is not None:
-            generation = self._plan_generation
-            cached = self._cached_plan(cache_key)
-        # Queued drift re-ANALYZEs (and the growth check, when a plan is
-        # to be built) run first — they need the write lock, which cannot
-        # be taken once we hold the read side below.
-        self.adaptive.preflight(statement if cached is None else None)
+        path).  A caller that probed the cache before the read lock
+        passes what it found as ``cached`` and the plan-cache
+        ``generation`` it probed at: that plan runs only if no plan was
+        invalidated since; otherwise the cache is probed under the read
+        lock and a miss re-parses the text, so a stale hint can cost a
+        parse but never a wrong or poisoned plan."""
         started = time.perf_counter()  # spans include the simulated wire
         if self.io_delay:
             time.sleep(self.io_delay)  # the wire, not the engine: no lock held
@@ -634,8 +621,6 @@ class Database:
             result = plan.execute(params)
         finally:
             rwlock.release_read()
-        if cache_key is not None:
-            self.adaptive.observe(cache_key, plan)
         self.stats.count_select(plan, len(result), statement is None)
         self._observe_statement(
             "select", started,
@@ -667,10 +652,7 @@ class Database:
         with self._plan_lock:
             plan = self._plan_cache.setdefault(cache_key, plan)
             while len(self._plan_cache) > PLAN_CACHE_CAP:
-                evicted, _plan = self._plan_cache.popitem(last=False)
-                # its feedback ledger goes with it (a drift _drop_plan
-                # keeps the ledger: replan budget and cooldown live there)
-                self.adaptive.ledgers.pop(evicted, None)
+                self._plan_cache.popitem(last=False)
                 self.stats.plan_evictions += 1
         return plan
 
@@ -686,9 +668,7 @@ class Database:
             if not isinstance(statement, Select):
                 raise QueryError(f"expected a SELECT: {cache_key!r}")
             select = statement
-        plan = self._note_plan_built(
-            SelectPlan(select, self.tables, feedback=self.adaptive.memory)
-        )
+        plan = self._note_plan_built(SelectPlan(select, self.tables))
         if cache_key is not None:
             plan = self._cache_plan(cache_key, plan)
         return plan
@@ -720,13 +700,6 @@ class Database:
             ]
             for key in stale:
                 del self._plan_cache[key]
-            self._plan_generation += 1
-
-    def _drop_plan(self, cache_key: str) -> None:
-        """Drop one cached plan (adaptive drift marked it stale); the
-        statement re-plans — and recompiles — on its next execution."""
-        with self._plan_lock:
-            self._plan_cache.pop(cache_key, None)
             self._plan_generation += 1
 
     def _clear_plans(self) -> None:
@@ -853,19 +826,10 @@ class Database:
         statement = parse_sql(sql)
         if not isinstance(statement, Select):
             raise QueryError(f"prepare() only accepts SELECT: {sql!r}")
-        default = mode is None and features is None  # the cached plan
-        if mode != "seed":
-            # Growth-triggered (and queued drift) re-ANALYZE before a
-            # plan build, so bulk loads stop planning against empty-table
-            # statistics; the seed oracle stays out of the loop.
-            self.adaptive.preflight(
-                None if default and self._cached_plan(sql) else statement
-            )
-        if default:
+        if mode is None and features is None:  # the cached plan
             return self._plan(statement, sql)
         return self._note_plan_built(SelectPlan(
-            statement, self.tables, mode=mode,
-            feedback=self.adaptive.memory, features=features,
+            statement, self.tables, mode=mode, features=features,
         ))
 
     # -- statistics -----------------------------------------------------------

@@ -306,7 +306,9 @@ class StorageEngine:
             elif opcode == OP_DELETE:
                 self.tables[op[1]].delete_row(op[2])
             elif opcode == OP_CREATE_TABLE:
-                self.tables[op[1].name] = TableStore(op[1])
+                store = TableStore(op[1])
+                store.link_foreign_keys(self.tables)
+                self.tables[op[1].name] = store
             elif opcode == OP_CREATE_INDEX:
                 self.tables[op[1]].add_index(op[2])
             elif opcode == OP_DROP_TABLE:

@@ -85,7 +85,7 @@ class Operator:
     est_cost: float | None = None
     #: rows produced by the most recent execution (set in a finally so
     #: a generator abandoned early — LIMIT — still records its partial
-    #: count); feeds adaptive cardinality feedback and EXPLAIN ANALYZE
+    #: count); feeds EXPLAIN ANALYZE
     actual_rows: int | None = None
     #: what that execution read: heap rows fetched (a join's build side
     #: too) plus index entries an ordered walk stepped over
@@ -214,7 +214,7 @@ class ScanOp(Operator):
         self.predicate = predicate
         #: the pushed conjuncts and their classification (a
         #: :class:`~repro.rdb.expr.Sarg` or None each): what the kernel
-        #: builder and adaptive's correction keys read
+        #: builder reads
         self.conjuncts = tuple(conjuncts(predicate))
         self.sargs = tuple(map(sarg, self.conjuncts))
         #: the conjuncts the access path proves, and the AND of the rest
@@ -230,8 +230,6 @@ class ScanOp(Operator):
         self.predicate_fn = None
         self.heap_predicate_fn = None
         self.kernels: tuple = ()
-        #: memo of :func:`repro.rdb.adaptive.scan_correction_keys`
-        self.correction_keys: list | None = None
         self._scope_columns = {binding: list(store.schema.column_names)}
         #: every value the path probes with — equality prefix, then the
         #: IN-list or the present range bounds on the next column — and

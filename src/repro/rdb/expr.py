@@ -542,8 +542,6 @@ class Sarg:
     negated: bool
     #: LIKE's escape character
     escape: str | None
-    #: the conjunct's structural identity (see conjunct_fingerprint)
-    fingerprint: str
 
 
 #: a comparison operator as read from the other side
@@ -552,8 +550,7 @@ _FLIPPED_OP = {"=": "=", "<>": "<>", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
 
 def sarg(conjunct: Expr) -> Sarg | None:
     """The one recogniser of ``column ⟨op⟩ operands``: access-path
-    choice, the cost model, adaptive correction keys and the batch
-    kernels all read the record it returns instead of matching node
+    choice, the cost model and the batch kernels all read the record it returns instead of matching node
     shapes themselves.  None for anything else (OR, NOT, a bare boolean
     …).  Classified once per node — the record rides the immutable AST
     node it describes."""
@@ -597,17 +594,8 @@ def _classify(conjunct: Expr) -> Sarg | None:
         kind, subject.column if plain else None,
         subject.table if plain else None, op, operands,
         not any(operand.column_refs() for operand in operands),
-        negated, escape, repr(conjunct),
+        negated, escape,
     )
-
-
-def conjunct_fingerprint(conjunct: Expr) -> str:
-    """A stable identity for one predicate conjunct.  Expr nodes are
-    frozen dataclasses, so ``repr`` is structural: the same textual
-    predicate re-parsed later (parameters by *name*, never value) maps
-    to the same learned-selectivity entry."""
-    classified = sarg(conjunct)
-    return repr(conjunct) if classified is None else classified.fingerprint
 
 
 _SCALAR_FUNCTIONS = {}

@@ -41,12 +41,10 @@ filter — which E14 uses as its baseline), the lowering back-end
 (:mod:`repro.rdb.compile`) and whether a scan is offered the columnar
 access path.  Operators never see it.
 
-Two optional inputs refine cost-based planning without touching
-semantics: ``feedback`` (a :class:`repro.rdb.adaptive.SelectivityMemory`)
-lets every selectivity estimate consult observed execution counts before
-statistics, and ``features`` (:class:`PlannerFeatures`) switches
-individual planner decisions off — the plan-space scanner uses it to
-measure what each decision is worth and where the cost model lies.
+``features`` (:class:`PlannerFeatures`) switches individual planner
+decisions off without touching semantics — the plan-space scanner uses
+it to measure what each decision is worth and where the cost model
+lies.
 """
 
 from __future__ import annotations
@@ -158,7 +156,7 @@ DEFAULT_FEATURES = PlannerFeatures()
 
 class SelectPlan:
     def __init__(self, select: Select, stores: Mapping[str, TableStore],
-                 mode: str | None = None, feedback=None,
+                 mode: str | None = None,
                  features: PlannerFeatures | None = None):
         if mode not in MODES:
             raise QueryError(f"unknown execution mode {mode!r}")
@@ -166,14 +164,7 @@ class SelectPlan:
         self.stores = stores
         self.mode = mode
         cost_based = mode != "seed"
-        #: adaptive selectivity memory consulted by every cost estimate;
-        #: the naive seed plan stays feedback-blind so it remains a
-        #: stable byte-identity oracle
-        self.feedback = feedback if cost_based else None
         self.features = features if features is not None else DEFAULT_FEATURES
-        #: adaptive feedback records this plan's executions: cost-based
-        #: plans without LIMIT (abandoned generators under-count actuals)
-        self.feedback_eligible = cost_based and select.limit is None
         self.columns_by_binding: dict[str, list[str]] = {}
         self._binding_order: list[str] = []
         self._table_by_binding: dict[str, str] = {}
@@ -348,17 +339,13 @@ class SelectPlan:
         a few rows, so a plan cached before the bulk load still picks
         the index it will want afterwards."""
         live = len(store.rows) or 10
-        output = live * cost.conjuncts_selectivity(
-            store, conjuncts, self.feedback
-        )
+        output = live * cost.conjuncts_selectivity(store, conjuncts)
         walk, walk_cost = AccessPath(), float(live)
         if len(self._binding_order) == 1 and self.mode in (None, "columnar"):
             # The heap walk's batch form, open to the one scan of a
             # join-free plan: a flat setup fee, then a fraction of a
             # row's cost per row — taken by price, or because the mode
-            # pins it.  Pricing it is also the lever that lets a learned
-            # low-selectivity correction beat an index probe that must
-            # still touch most of the table row-at-a-time.
+            # pins it.
             batch_cost = cost.columnar_scan_cost(live)
             if self.mode == "columnar" or batch_cost < walk_cost:
                 walk, walk_cost = AccessPath(kind="columnar"), batch_cost
@@ -376,7 +363,6 @@ class SelectPlan:
         """The index path (or row-count answer) cheaper than a heap walk
         priced ``best_cost``, as ``_choose_access_path`` returns it, or
         None when the walk stands."""
-        feedback = self.feedback
         best_path = None
         select = self.select
         if (self.grouped and not select.group_by and select.where is None
@@ -409,9 +395,7 @@ class SelectPlan:
                 if expr is None:
                     break
                 prefix_exprs.append(expr)
-                prefix_selectivity *= cost.equality_selectivity(
-                    store, column, feedback
-                )
+                prefix_selectivity *= cost.equality_selectivity(store, column)
             width = len(prefix_exprs)
             if width:
                 matching = live * prefix_selectivity
@@ -432,9 +416,7 @@ class SelectPlan:
                     and index.columns[lead:] == order_columns:
                 segment = float(live)
                 for column in index.columns[:lead]:
-                    segment *= cost.equality_selectivity(
-                        store, column, feedback
-                    )
+                    segment *= cost.equality_selectivity(store, column)
                 rows, walk_cost = cost.ordered_walk(
                     max(segment, output), output, *self._priced_window,
                     bool(conjuncts),
@@ -455,7 +437,7 @@ class SelectPlan:
                     store, next_column,
                     low.value if isinstance(low, Literal) else None,
                     high.value if isinstance(high, Literal) else None,
-                    low_inc, high_inc, feedback=feedback,
+                    low_inc, high_inc,
                 )
                 matching = live * prefix_selectivity * range_selectivity
                 candidate_cost = cost.INDEX_PROBE_COST + matching
@@ -474,9 +456,7 @@ class SelectPlan:
                 and classified.column == next_column
             ), None)
             if in_options:
-                per_value = cost.equality_selectivity(
-                    store, next_column, feedback
-                )
+                per_value = cost.equality_selectivity(store, next_column)
                 selectivity = cost.clamp(
                     prefix_selectivity * per_value * len(in_options)
                 )
@@ -610,9 +590,7 @@ class SelectPlan:
 
     def _filtered_rows(self, binding: str, conjuncts: list[Expr]) -> float:
         store = self._binding_store(binding)
-        return len(store.rows) * cost.conjuncts_selectivity(
-            store, conjuncts, self.feedback
-        )
+        return len(store.rows) * cost.conjuncts_selectivity(store, conjuncts)
 
     def _join_rows(self, binding: str, build_columns: list[str],
                    probe_rows: float, build_rows: float) -> float:
@@ -624,7 +602,7 @@ class SelectPlan:
         if not build_columns:
             return probe_rows * build_rows
         distinct = cost.join_distinct(
-            self._binding_store(binding), tuple(build_columns), self.feedback
+            self._binding_store(binding), tuple(build_columns)
         )
         return probe_rows * build_rows / max(distinct, 1.0)
 
@@ -700,8 +678,7 @@ class SelectPlan:
         output = self._join_rows(binding, build_columns, cardinality,
                                  build_est)
         if kind == "inner":
-            output *= cost.conjuncts_selectivity(store, residual,
-                                                 self.feedback)
+            output *= cost.conjuncts_selectivity(store, residual)
         if probe_exprs:
             join: Operator = HashJoinOp(
                 root, store, binding, tuple(probe_exprs),
@@ -1260,8 +1237,7 @@ class DmlPlan:
     statement (a repeat skips ``parse_sql``) and the scan that finds
     its rows — ``SELECT * FROM table WHERE where`` through the same
     pushdown and access-path choice as any SELECT, lowered in row mode.
-    It runs under the write lock, so no batch kernels and no adaptive
-    feedback."""
+    It runs under the write lock, so no batch kernels."""
 
     def __init__(self, statement: Update | Delete,
                  stores: Mapping[str, TableStore]):

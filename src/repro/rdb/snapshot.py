@@ -157,6 +157,7 @@ def load_snapshot_bytes(blob: bytes,
     for _ in range(n_tables):
         schema = read_schema(buf)
         store = TableStore(schema)
+        store.link_foreign_keys(tables)
         (n_indexes,) = _U32.unpack(buf.read(4))
         for _ in range(n_indexes):
             store.add_index(read_index(buf))

@@ -48,8 +48,7 @@ def collect_statistics(store) -> TableStatistics:
     every column.  Values of mixed incomparable types leave min/max
     unset — the cost model then skips range interpolation for that
     column.  The rows are read even when a column store mirrors them:
-    they are what the mirror copies, and a served request reaches
-    ANALYZE only through a drift or growth re-ANALYZE.
+    they are what the mirror copies, and no served request runs ANALYZE.
     """
     rows = list(store.rows.values())
     columns: dict[str, ColumnStatistics] = {}

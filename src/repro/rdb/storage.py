@@ -230,6 +230,9 @@ class TableStore:
         #: the heap, out of row-id order (see :meth:`scan_order`)
         self._displaced: dict[int, tuple[int, int]] = {}
         self._displacements = 0
+        #: column -> the store a single-column foreign key on it
+        #: references (see :meth:`link_foreign_keys`)
+        self.fk_targets: dict[str, TableStore] = {}
         self._indexes: dict[str, _HashIndex] = {}
         if schema.primary_key:
             self._indexes["#pk"] = _HashIndex(schema.primary_key, unique=True)
@@ -237,6 +240,17 @@ class TableStore:
             self._indexes[f"#unique{position}"] = _HashIndex(unique_cols, unique=True)
         for index in schema.indexes:
             self.add_index(index)
+
+    def link_foreign_keys(self, tables: dict) -> None:
+        """Resolve each single-column foreign key's referenced store once:
+        in ``tables``, or this store for a self-reference.  The cost
+        model prices the column from the referenced table's size."""
+        name = self.schema.name
+        self.fk_targets = {
+            fkey.columns[0]: self if fkey.target_table == name
+            else tables[fkey.target_table]
+            for fkey in self.schema.foreign_keys if len(fkey.columns) == 1
+        }
 
     # -- index management -----------------------------------------------------
 

@@ -315,17 +315,24 @@ class TestQueries:
     def test_prepared_execution_never_runs_a_plan_invalidated_since_its_probe(
             self, library):
         """Prepared SQL text probes the plan cache once, before the
-        read lock; a re-ANALYZE queued for the statement's table runs
-        between that probe and the lock (``preflight``) and invalidates
-        the plan it found.  The statement re-plans instead of running
-        the stale one."""
+        read lock; an ANALYZE landing between that probe and the lock
+        invalidates the plan it found.  The statement re-plans instead
+        of running the stale one."""
         sql = "SELECT title FROM paper WHERE pages > :p ORDER BY oid"
         want = library.query(sql, {"p": 5}).as_tuples()
         stale = library._plan_cache[sql]
         stale.root.actual_rows = None
-        library.adaptive._pending_reanalyze.add("paper")
+        rwlock = library._rwlock
+        acquire_read = rwlock.acquire_read
+
+        def analyze_then_acquire():
+            rwlock.acquire_read = acquire_read
+            library.analyze("paper")
+            acquire_read()
+
+        rwlock.acquire_read = analyze_then_acquire
         assert library.query(sql, {"p": 5}).as_tuples() == want
-        assert library.adaptive.counters["reanalyzes"] == 1
+        assert rwlock.acquire_read is acquire_read  # the ANALYZE ran
         assert stale.root.actual_rows is None  # the stale plan never ran
         assert library._plan_cache[sql] is not stale
         reused = library.stats.prepared_reuse
@@ -362,24 +369,6 @@ class TestQueries:
         # scoped invalidation works on the bounded cache as before
         library.execute("CREATE INDEX ix_paper_pages ON paper (pages)")
         assert library.cached_plan_count() == 0
-
-    def test_adaptive_ledgers_are_bounded_with_the_plan_cache(self, library):
-        """An evicted statement's feedback ledger goes with its plan —
-        ``/_status`` sorts every ledger per scrape.  A plan dropped for
-        drift keeps its ledger: the replan budget lives there."""
-        from repro.rdb.database import PLAN_CACHE_CAP
-
-        hot = "SELECT title FROM paper WHERE pages > :p"
-        library.query(hot, {"p": 5})
-        library._drop_plan(hot)
-        assert hot in library.adaptive.ledgers
-        for n in range(PLAN_CACHE_CAP + 500):
-            library.query(hot, {"p": 5})
-            library.query(f"SELECT title FROM paper WHERE pages = {n}")
-        assert library.cached_plan_count() == PLAN_CACHE_CAP
-        assert hot in library.adaptive.ledgers
-        tracked = library.observability_stats()["adaptive"]["tracked_plans"]
-        assert tracked == len(library.adaptive.ledgers) <= PLAN_CACHE_CAP
 
     def test_prepare_rejects_non_select(self, library):
         with pytest.raises(QueryError):

@@ -333,6 +333,87 @@ class TestColdPageStatements:
         assert len(database._plan_cache) == len(self.EXPECTED)
 
 
+def _parents_and_children(parents: int, children: int,
+                          db: Database | None = None) -> Database:
+    """parent 1:N child, child N:M tag through the bridge child_tag,
+    every FK declared and indexed the way the er mapping lays them
+    out; never analyzed."""
+    db = db if db is not None else Database()
+    db.execute(
+        "CREATE TABLE parent (oid INTEGER NOT NULL AUTOINCREMENT,"
+        " name VARCHAR(20), PRIMARY KEY (oid))"
+    )
+    db.execute(
+        "CREATE TABLE child (oid INTEGER NOT NULL AUTOINCREMENT,"
+        " parent_oid INTEGER, title VARCHAR(20), PRIMARY KEY (oid),"
+        " FOREIGN KEY (parent_oid) REFERENCES parent (oid))"
+    )
+    db.execute("CREATE INDEX ix_child_parent ON child (parent_oid)")
+    db.execute(
+        "CREATE TABLE tag (oid INTEGER NOT NULL AUTOINCREMENT,"
+        " name VARCHAR(20), PRIMARY KEY (oid))"
+    )
+    db.execute(
+        "CREATE TABLE child_tag (child_oid INTEGER NOT NULL,"
+        " tag_oid INTEGER NOT NULL,"
+        " FOREIGN KEY (child_oid) REFERENCES child (oid),"
+        " FOREIGN KEY (tag_oid) REFERENCES tag (oid))"
+    )
+    db.execute("CREATE INDEX ix_child_tag_child ON child_tag (child_oid)")
+    db.execute("CREATE INDEX ix_child_tag_tag ON child_tag (tag_oid)")
+    db.begin()
+    for i in range(parents):
+        db.insert_row("parent", {"name": f"parent-{i}"})
+    for i in range(children):
+        db.insert_row("child", {"parent_oid": i % parents + 1,
+                                "title": f"child-{i}"})
+    db.commit()
+    return db
+
+
+class TestForeignKeysPriceTheirColumns:
+    """Without ANALYZE, a single-column FK's distinct count is the
+    referenced table's live row count, while it has rows."""
+
+    BATCH = ("SELECT t0.oid, t0.title FROM child t0"
+             " WHERE t0.parent_oid IN (:p0, :p1, :p2, :p3) ORDER BY t0.oid")
+
+    def test_batched_in_list_probes_at_its_first_prepare(self):
+        db = _parents_and_children(parents=100, children=2_000)
+        assert db.table("child").statistics is None
+        explain = db.prepare(self.BATCH).explain()
+        assert explain.splitlines()[0] == "Sort(1 keys)", explain
+        assert "IndexIn(child AS t0 ON parent_oid)" in explain, explain
+        params = {"p0": 3, "p1": 17, "p2": 40, "p3": 99}
+        assert db.query(self.BATCH, params).as_tuples() \
+            == db.prepare(self.BATCH, mode="seed").execute(params).as_tuples()
+
+    def test_recovery_resolves_the_foreign_keys_too(self, tmp_path):
+        """A reopened database builds its stores by WAL replay, and
+        after a checkpoint by snapshot load — not by create_table."""
+        path = str(tmp_path)
+        with Database.open(path) as db:
+            _parents_and_children(parents=100, children=2_000, db=db)
+            want = db.prepare(self.BATCH).explain()
+        for _ in range(2):  # WAL replay, then the snapshot it wrote
+            with Database.open(path) as db:
+                assert db.prepare(self.BATCH).explain() == want
+                db.checkpoint()
+
+    @pytest.mark.parametrize("sql, probe", [
+        ("SELECT t0.oid, t0.title FROM child t0"
+         " WHERE t0.parent_oid = :p ORDER BY t0.oid",
+         "IndexLookup(child AS t0 ON parent_oid)"),
+        ("SELECT r1.tag_oid FROM child_tag r1 WHERE r1.child_oid = :c",
+         "IndexLookup(child_tag AS r1 ON child_oid)"),
+    ])
+    def test_lookups_on_empty_tables_still_probe(self, sql, probe):
+        """An empty referenced table says nothing about the column: the
+        lookup keeps the fixed constant, not a distinct count of 1."""
+        db = _parents_and_children(parents=0, children=0)
+        assert probe in db.prepare(sql).explain()
+
+
 class TestStatisticsImproveEstimates:
     def test_estimates_tighten_after_analyze(self, library):
         sql = "SELECT title FROM book WHERE year = 1990"
@@ -412,3 +493,92 @@ class TestOptimizerOracle:
                 assert Counter(optimized.as_tuples()) == Counter(
                     naive.as_tuples()
                 )
+
+
+def _nullable_catalogue() -> Database:
+    """Small, NULL-bearing, indexed, analyzed — the adversarial shape
+    the compile oracle uses."""
+    db = Database()
+    db.execute(
+        "CREATE TABLE author (oid INTEGER NOT NULL AUTOINCREMENT,"
+        " name VARCHAR(40) NOT NULL, age INTEGER, PRIMARY KEY (oid))"
+    )
+    db.execute(
+        "CREATE TABLE book (oid INTEGER NOT NULL AUTOINCREMENT,"
+        " author_oid INTEGER, year INTEGER, price FLOAT,"
+        " title VARCHAR(80), PRIMARY KEY (oid))"
+    )
+    db.execute("CREATE INDEX ix_book_author ON book (author_oid)")
+    db.execute("CREATE INDEX ix_book_year ON book (year)")
+    for i in range(5):
+        db.insert_row("author", {
+            "name": f"author-{i}", "age": None if i % 2 else 30 + i,
+        })
+    for i in range(60):
+        db.insert_row("book", {
+            "author_oid": i % 4 + 1,
+            "year": None if i % 7 == 3 else 1990 + i % 12,
+            "price": None if i % 9 == 5 else 5.0 + (i % 16),
+            "title": f"book-{i:02d}",
+        })
+    db.analyze()
+    return db
+
+
+def test_analyze_syncs_pending_column_store_ops():
+    """ANALYZE on a table whose built column store has pending
+    write-side ops describes the table as it is, not the store's last
+    synced snapshot."""
+    db = _nullable_catalogue()
+    # build the column store, then write *after* the build so the ops
+    # sit in the pending queue
+    db.prepare("SELECT title FROM book WHERE price > :lo",
+               mode="columnar").execute({"lo": 0.0})
+    store = db.tables["book"]
+    assert store.column_store.built
+    for i in range(40):
+        db.insert_row("book", {
+            "author_oid": 1, "year": 2030, "price": 99.5,
+            "title": f"late-{i:02d}",
+        })
+    assert store.column_store.pending_ops() > 0
+    db.analyze("book")
+    stats = store.statistics
+    assert stats.row_count == 100
+    year = stats.columns["year"]
+    assert year.maximum == 2030  # the pending rows are in the summary
+    assert stats.columns["title"].distinct == 100
+
+
+def test_explain_analyze_reports_actuals_and_q_error():
+    db = _nullable_catalogue()
+    sql = "SELECT title FROM book WHERE year = :y"
+    plan = db.prepare(sql)
+    assert "actual=" not in plan.explain(analyze=True)  # not yet executed
+    plan.execute({"y": 1995})
+    annotated = plan.explain(analyze=True)
+    assert "actual=" in annotated
+    assert "q=" in annotated
+    assert "actual=" not in plan.explain()  # plain EXPLAIN is unchanged
+    # the database-level entry point executes and annotates in one call
+    assert "actual=" in db.explain(sql, {"y": 1995}, analyze=True)
+
+
+def test_planner_features_change_shape_not_answers():
+    db = _nullable_catalogue()
+    sql = ("SELECT a.name, b.title FROM author a"
+           " JOIN book b ON b.author_oid = a.oid"
+           " WHERE b.year = :y AND a.age IS NOT NULL ORDER BY b.oid")
+    params = {"y": 1995}
+    default = db.prepare(sql)
+    want = default.execute(params).as_tuples()
+    for features in (
+        PlannerFeatures(join_reorder=False),
+        PlannerFeatures(access_paths=False),
+        PlannerFeatures(pushdown=False),
+    ):
+        variant = db.prepare(sql, features=features)
+        assert variant.execute(params).as_tuples() == want
+    # the access-path toggle really does pin the scan to sequential
+    pinned = db.prepare(sql, features=PlannerFeatures(access_paths=False))
+    assert "IndexLookup" not in pinned.explain()

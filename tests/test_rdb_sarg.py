@@ -1,14 +1,13 @@
 """The one predicate classification, against independent truth.
 
 ``rdb.expr.sarg`` is what the planner's access-path choice, the cost
-model, adaptive's correction keys and the batch kernels read instead of
-matching ``Comparison`` / ``Between`` / ``InList`` / ``Like`` /
-``IsNull`` nodes themselves.  Here it is held to the interpreter
-(re-evaluating ``column ⟨op⟩ operands`` from its fields must equal
-evaluating the conjunct — the check that catches a wrong flip), the
-four readers are held to each other on *which column* a conjunct
-constrains, and a cached execution is shown to call ``repr()`` on no
-``Expr``.
+model and the batch kernels read instead of matching ``Comparison`` /
+``Between`` / ``InList`` / ``Like`` / ``IsNull`` nodes themselves.
+Here it is held to the interpreter (re-evaluating ``column ⟨op⟩
+operands`` from its fields must equal evaluating the conjunct — the
+check that catches a wrong flip), the three readers are held to each
+other on *which column* a conjunct constrains, and a cached execution
+is shown to call ``repr()`` on no ``Expr``.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import QueryError
-from repro.rdb import Database, adaptive, cost
+from repro.rdb import Database, cost
 from repro.rdb.executor import RowScope
 from repro.rdb.expr import (
     Arithmetic,
@@ -38,6 +37,7 @@ from repro.rdb.expr import (
 )
 from repro.rdb.planner import PlannerFeatures
 from repro.rdb.sqlparser import parse_select
+from repro.rdb.statistics import collect_statistics
 from tests.test_rdb_compile_oracle import _PREDICATES as ORACLE_PREDICATES
 
 COLUMNS = {"t": ["a", "b", "s"]}
@@ -120,7 +120,6 @@ def _check_against_interpreter(conjunct, row):
         )
         return
     assert sarg(conjunct) is classified  # classified once per node
-    assert classified.fingerprint == repr(conjunct)
     assert classified.constant == (
         not any(operand.column_refs() for operand in classified.operands)
     )
@@ -166,22 +165,21 @@ class TestClassificationAgainstTheInterpreter:
 
 
 # ---------------------------------------------------------------------------
-# (ii) four readers, one column
+# (ii) three readers, one column
 # ---------------------------------------------------------------------------
 
 
-class _RecordingMemory:
-    """Feedback stub: knows nothing, remembers what it was asked."""
+class _RecordingStatistics:
+    """ANALYZE statistics that remember which columns were asked for."""
 
-    def __init__(self):
+    def __init__(self, statistics):
+        self.row_count = statistics.row_count
+        self._statistics = statistics
         self.asked = []
 
-    def selectivity(self, table, key):
-        self.asked.append(key)
-        return None
-
-    def join_distinct(self, table, columns):
-        return None
+    def column(self, name):
+        self.asked.append(name)
+        return self._statistics.column(name)
 
 
 class _RecordingColumns(dict):
@@ -247,20 +245,14 @@ class TestReadersAgreeOnTheColumn:
         else:
             assert row_plan.root.access.kind == "seq"
 
-        # the cost model: which column's learned entry it consults
-        memory = _RecordingMemory()
-        cost.conjunct_selectivity(store, conjunct, memory)
-        asked = {key[1] for key in memory.asked if key[0] in ("eq", "range")}
-        if asked:
-            (views["cost"],) = asked
-
-        # adaptive: which column's entry one observation feeds
-        fed = {key[1] for _table, key
-               in adaptive.scan_correction_keys(row_plan.root)
-               if key[0] in ("eq", "range")}
-        if fed:
-            (views["adaptive"],) = fed
-        assert asked >= fed  # nothing is learned that is never consulted
+        # the cost model: which column's statistics it reads
+        store.statistics = recording = _RecordingStatistics(
+            collect_statistics(store)
+        )
+        cost.conjunct_selectivity(store, conjunct)
+        store.statistics = None
+        if recording.asked:
+            (views["cost"],) = set(recording.asked)
 
         # the batch kernel: which column array it sweeps
         batch_plan = db.prepare(
@@ -281,7 +273,7 @@ class TestReadersAgreeOnTheColumn:
 
 
 # ---------------------------------------------------------------------------
-# (iii) a cached execution fingerprints nothing
+# (iii) a cached execution calls repr() on no Expr
 # ---------------------------------------------------------------------------
 
 
@@ -307,28 +299,15 @@ class TestCachedExecutionsFingerprintNothing:
         ("SELECT oid FROM item WHERE label LIKE :p AND n > :v",
          {"p": "item-1%", "v": 3}),
         ("SELECT oid FROM item WHERE n = :v OR UPPER(label) = 'ITEM-03'",
-         {"v": 3}),  # a conjunct no Sarg describes still has a key
+         {"v": 3}),  # a conjunct no Sarg describes
     ])
     def test_hundred_cached_executions_repr_no_expr(self, monkeypatch, sql,
                                                     params):
         db = _indexed()
-        db.adaptive.max_replans = 0  # a replan would be a new plan's first run
-        want = db.query(sql, params).as_tuples()  # plans, caches, observes
-        fingerprints = []
-        real = adaptive.conjunct_fingerprint
-        monkeypatch.setattr(
-            adaptive, "conjunct_fingerprint",
-            lambda conjunct: fingerprints.append(conjunct) or real(conjunct),
-        )
+        want = db.query(sql, params).as_tuples()  # plans and caches
         reprs = _CountingRepr(monkeypatch, (
             Comparison, Like, Or, ColumnRef, Param, Literal, FunctionCall,
         ))
-        observed = db.adaptive.counters["observations"]
         for _ in range(100):
             assert db.query(sql, params).as_tuples() == want
-        assert db.adaptive.counters["observations"] == observed + 100
-        assert fingerprints == [] and reprs.calls == 0
-        # the keys are still all there for whoever asks
-        plan = db.prepare(sql)
-        assert adaptive.scan_correction_keys(plan.root)
-        assert fingerprints == [] and reprs.calls == 0
+        assert reprs.calls == 0

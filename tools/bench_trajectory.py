@@ -159,15 +159,6 @@ def _gate_e21(g: Gate) -> None:
     g.truthy("failover/identical")
 
 
-def _gate_e22(g: Gate) -> None:
-    g.eq("identity/mismatches", 0)
-    g.truthy("adaptive/converged")
-    g.ge("adaptive/replans", 1)
-    g.le("adaptive/replans", 3)
-    g.ge("adaptive/speedup", 1.0)
-    g.ge("scanner/findings", 1)
-
-
 GATES = {
     "E13": _gate_e13,
     "E13b": _gate_e13b,
@@ -179,7 +170,6 @@ GATES = {
     "E19": _gate_e19,
     "E20": _gate_e20,
     "E21": _gate_e21,
-    "E22": _gate_e22,
 }
 
 #: one headline ``label=path`` per experiment for the trajectory line
@@ -196,9 +186,6 @@ HEADLINES = {
     "E20": [("mismatches", "byte_identity/mismatches")],
     "E21": [("scaling", "scaling/ratio"),
             ("waited_stale", "staleness/waited_stale")],
-    "E22": [("replans", "adaptive/replans"),
-            ("speedup", "adaptive/speedup"),
-            ("findings", "scanner/findings")],
 }
 
 

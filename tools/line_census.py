@@ -9,8 +9,7 @@ line tracing), while three drivers serve the applications:
   way that tool renders them;
 - the four waterfall workloads, each replayed in process through
   ``benchmarks/waterfall/tracing.Replay`` (warm-up plus ``REQUESTS``
-  requests of the ``SEED`` stream), the way
-  ``tools/adaptive_census.py`` drives them;
+  requests of the ``SEED`` stream);
 - a socket pass: ``AsyncAppServer`` and ``ThreadedAppServer`` each
   serve the ``mixed-write`` stream and a slice of ``search-scan`` to the
   waterfall's own client and checks (``run._drive``), so ``appserver/``
@@ -244,7 +243,6 @@ def served_census() -> set[str]:
 
 #: ``tools/*.py`` run by the consumer pass, with their arguments
 TOOL_ARGS = {
-    "adaptive_census.py": ["--requests", "300"],
     "bench_trajectory.py": ["--check"],
     "check_docs.py": [],
     "key_digests.py": ["--check", "tests/golden/key_digests.json"],

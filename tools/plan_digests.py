@@ -13,8 +13,10 @@ is executed; the digests pin the plan the cost model picks for each.
 The committed ``tests/golden/plan_digests.json`` was produced by this
 script once index probes reported the conjuncts they prove
 (``proves=``) and a unique full-width probe dropped its sort
-(``unsorted=one-row``), so ``--check`` is an identity test against
-that past.  A planner change that is *meant* to alter plans regenerates
+(``unsorted=one-row``), and regenerated for estimates only when the
+cost model started reading a distinct count off each single-column
+foreign key (no plan changed shape), so ``--check`` is an identity
+test against that past.  A planner change that is *meant* to alter plans regenerates
 it and lists the statements whose plan moved (``--text`` at both
 commits, then ``diff``).
 

@@ -5,7 +5,7 @@ Builds a demonstration catalogue (or, with ``--rows``, a larger one),
 runs :func:`repro.bench.plan_scanner.scan_plan_space` over a small mixed
 workload, prints the human-readable table, and (with ``--out``) writes
 the machine-readable findings report as JSON — the empirical substrate
-for cost-model fixes (see DESIGN.md §16).
+for cost-model fixes (see DESIGN.md §8, "The plan-space scanner").
 
 Usage::
 
