@@ -7,9 +7,9 @@ explicit baselines:
 
 * **cost-based planning** — the seed planner used an index only for a
   full exact-equality match; ranges, IN-lists, and badly-ordered joins
-  fell back to full scans.  ``Database.prepare(sql, mode="seed")``
-  rebuilds exactly that naive plan, and this experiment runs both plans
-  over a scaled bookstore catalogue: the optimized plan must pick an
+  fell back to full scans.  ``Database.prepare(sql, mode="seed")`` is
+  the planner with reorder, access paths and pushdown off, and this
+  experiment runs both plans over a scaled bookstore catalogue: the optimized plan must pick an
   index (or reorder the join) on every probe query where the naive plan
   scans, and must be measurably faster.
 

@@ -30,7 +30,8 @@ sweep.
 Every probe runs in *four* modes — columnar (the cost model's own
 choice at this scale), compiled-row (``mode="compiled"``, exactly the
 E17 fast path), interpreted (``mode="interpreted"``), and the seed
-interpreter (``mode="seed"``) — and all four answers must be
+interpreter (``mode="seed"``: the planner with reorder, access paths
+and pushdown off, lowered to closures) — and all four answers must be
 byte-identical.  At benchmark scale the columnar plan must beat the
 compiled-row plan by at least 3x on both probes.
 

@@ -139,16 +139,11 @@ def scan_query(db, name: str, sql: str, params_list, rounds: int = 3) -> dict:
             mismatches += 1
         wall = _time_plan(plan, params_list, rounds)
         wall_ratio = wall / baseline_wall if baseline_wall > 0 else 1.0
-        cost_ratio = (
-            cost / baseline_cost
-            if cost is not None and baseline_cost else None
-        )
+        cost_ratio = cost / baseline_cost
         rows.append({
             "variant": label, "exec_mode": plan.exec_mode,
             "access": plan.access_summary(),
-            "cost_ratio": (
-                round(cost_ratio, 3) if cost_ratio is not None else None
-            ),
+            "cost_ratio": round(cost_ratio, 3),
             "wall_ratio": round(wall_ratio, 3),
             "wall_ms": round(wall * 1000.0, 4),
             "identical": identical,
@@ -168,8 +163,6 @@ def scan_query(db, name: str, sql: str, params_list, rounds: int = 3) -> dict:
 
 def _classify(query: str, variant: str, cost_ratio, wall_ratio) -> dict | None:
     """One finding when prediction and measurement disagree, else None."""
-    if cost_ratio is None:
-        return None  # seed plans carry no estimates — nothing to test
     base = {
         "query": query, "variant": variant,
         "cost_ratio": round(cost_ratio, 3),
@@ -245,13 +238,10 @@ def render_report(report: dict) -> str:
         )
         lines.append(header)
         for row in scanned["variants"]:
-            cost = (
-                f"{row['cost_ratio']:.2f}" if row["cost_ratio"] is not None
-                else "-"
-            )
             flag = "" if row["identical"] else "  MISMATCH"
             lines.append(
-                f"  {row['variant']:<16} {row['exec_mode']:<12} {cost:>7}"
+                f"  {row['variant']:<16} {row['exec_mode']:<12}"
+                f" {row['cost_ratio']:>7.2f}"
                 f" {row['wall_ratio']:>7.2f} {row['wall_ms']:>9.3f}"
                 f"  {row['access']}{flag}"
             )

@@ -83,12 +83,22 @@ ORDERED_ROW_COST = 2.0
 ORDERED_SKIP_COST = 0.02
 #: the share of the table a LIMIT / OFFSET *parameter* is priced at
 DEFAULT_WINDOW_SHARE = 0.1
+#: the rows an empty (typically not-yet-seeded) table is priced at
+EMPTY_TABLE_ROWS = 10
 
 _MIN_SELECTIVITY = 1e-4
 
 
 def clamp(selectivity: float) -> float:
     return max(_MIN_SELECTIVITY, min(1.0, selectivity))
+
+
+def live_rows(store) -> int:
+    """The row count every estimate prices ``store`` at: its live rows,
+    or :data:`EMPTY_TABLE_ROWS` while it has none — so a plan cached
+    before the bulk load already has the shape it will want afterwards,
+    on every table of the statement alike."""
+    return len(store.rows) or EMPTY_TABLE_ROWS
 
 
 def columnar_scan_cost(live_rows: int) -> float:
@@ -153,7 +163,7 @@ def _distinct(store, column: str) -> int | None:
         if column_stats is not None:
             return max(1, column_stats.distinct)
     if _unique_on(store, column):
-        return max(1, len(store.rows))
+        return live_rows(store)
     target = store.fk_targets.get(column)
     if target is not None and target.rows:
         return len(target.rows)
@@ -270,7 +280,7 @@ def conjuncts_selectivity(store, conjuncts) -> float:
 
 def join_distinct(store, columns: tuple[str, ...]) -> float:
     """Estimated distinct key count on the build side of an equi-join."""
-    row_count = max(1, len(store.rows))
+    row_count = live_rows(store)
     for _name, index in store.iter_indexes():
         if index.unique and index.columns == tuple(columns):
             return float(row_count)

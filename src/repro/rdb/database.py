@@ -818,11 +818,13 @@ class Database:
         plan would walk the heap and ``"compiled"`` never offers it;
         ``"interpreted"`` lowers the same cost-based plan to closures
         over ``Expr.evaluate`` (E17's baseline for the generated code
-        alone) and ``"seed"`` does so for the naive seed plan (E14's
-        before/after baseline).  Operators cannot tell the modes apart;
-        only what fills their expression slots differs.  ``features``
-        switches individual planner decisions off (always uncached) —
-        the plan-space scanner's probe surface."""
+        alone) and ``"seed"`` does so for the planner with join reorder,
+        access paths and pushdown off, sorting every row in full (E14's
+        before/after baseline; it takes ``SEED_FEATURES`` in place of
+        ``features``).  Operators cannot tell the modes apart; only what
+        fills their expression slots differs.  ``features`` switches
+        individual planner decisions off (always uncached) — the
+        plan-space scanner's probe surface."""
         statement = parse_sql(sql)
         if not isinstance(statement, Select):
             raise QueryError(f"prepare() only accepts SELECT: {sql!r}")

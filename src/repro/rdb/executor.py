@@ -79,10 +79,10 @@ class RowScope:
 class Operator:
     """Base plan operator."""
 
-    #: planner cost-model annotations shown by EXPLAIN (None when the
-    #: plan was built without estimation, e.g. naive mode)
-    est_rows: float | None = None
-    est_cost: float | None = None
+    #: planner cost-model annotations shown by EXPLAIN, set on every
+    #: operator the planner builds
+    est_rows: float
+    est_cost: float
     #: rows produced by the most recent execution (set in a finally so
     #: a generator abandoned early — LIMIT — still records its partial
     #: count); feeds EXPLAIN ANALYZE

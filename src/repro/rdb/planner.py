@@ -34,17 +34,20 @@ Planning is cost-based (:mod:`repro.rdb.cost`):
   join — a prefilter when local to the joined table, else hash keys or
   residual.
 
-``mode`` (:data:`MODES`) is the one execution knob: it picks the plan
-shape (``"seed"`` rebuilds the seed's naive plan — full scans except
-exact-equality index matches, declared join order, one final WHERE
-filter — which E14 uses as its baseline), the lowering back-end
-(:mod:`repro.rdb.compile`) and whether a scan is offered the columnar
-access path.  Operators never see it.
-
 ``features`` (:class:`PlannerFeatures`) switches individual planner
 decisions off without touching semantics — the plan-space scanner uses
 it to measure what each decision is worth and where the cost model
 lies.
+
+``mode`` (:data:`MODES`) is the one execution knob: it picks the
+lowering back-end (:mod:`repro.rdb.compile`) and whether a scan is
+offered the columnar access path.  ``"seed"`` is also a preset of
+``features`` (:data:`SEED_FEATURES`): all three decisions off, so the
+plan scans the declared base table, joins in declared order on hash
+keys taken from the ON / WHERE equalities and leaves every other WHERE
+conjunct to one final filter, and its tail sorts every row in full —
+the baseline E14 measures the cost model against and the oracles hold
+every other mode to.  Operators never see the mode.
 """
 
 from __future__ import annotations
@@ -90,10 +93,11 @@ from repro.rdb.storage import TableStore
 from repro.rdb.types import FloatType
 from repro.util import unique_name
 
-#: execution modes: plan shape · lowering back-end · scan access kinds
-#: (DESIGN.md §8 has the table).  ``None`` is the cost-based default
-#: and the only cached one; the rest pin one choice for baselines,
-#: oracles and the plan scanner.
+#: execution modes: lowering back-end · scan access kinds · planner
+#: decisions (DESIGN.md §8 has the table).  ``None`` is the cost-based
+#: default and the only cached one; the rest pin one choice for
+#: baselines, oracles and the plan scanner — ``"seed"`` plans with
+#: :data:`SEED_FEATURES`.
 MODES = (None, "columnar", "compiled", "interpreted", "seed")
 
 
@@ -152,6 +156,11 @@ class PlannerFeatures:
 
 
 DEFAULT_FEATURES = PlannerFeatures()
+#: ``mode="seed"``: every planner decision off — declared base and
+#: join order, heap walks only, one final WHERE filter
+SEED_FEATURES = PlannerFeatures(
+    join_reorder=False, access_paths=False, pushdown=False
+)
 
 
 class SelectPlan:
@@ -163,8 +172,9 @@ class SelectPlan:
         self.select = select
         self.stores = stores
         self.mode = mode
-        cost_based = mode != "seed"
-        self.features = features if features is not None else DEFAULT_FEATURES
+        seed = mode == "seed"
+        self.features = SEED_FEATURES if seed \
+            else features or DEFAULT_FEATURES
         self.columns_by_binding: dict[str, list[str]] = {}
         self._binding_order: list[str] = []
         self._table_by_binding: dict[str, str] = {}
@@ -184,16 +194,13 @@ class SelectPlan:
         self._priced_window = select.offset, select.limit
         if any(isinstance(v, Param) for v in self._priced_window):
             self._priced_window = 0, max(1, int(
-                len(self._store(select.source.table).rows)
+                cost.live_rows(self._store(select.source.table))
                 * cost.DEFAULT_WINDOW_SHARE
             ))
         #: the index-ordered walk's price, taken or not (None: no index
         #: serves the ORDER BY) — the plan-space scanner checks it
         self.walk_cost: float | None = None
-        if cost_based:
-            self.root = self._build_tree_costed()
-        else:
-            self.root = self._build_tree_naive()
+        self.root = self._build_tree_costed()
         self.output_columns, self._projection = self._build_projection()
         root = self.root
         #: every operator of the tree, for per-execution bookkeeping
@@ -206,19 +213,19 @@ class SelectPlan:
         self.counts_rows = access_kind == "count"
         #: why the ORDER BY needs no sort step although the scan does
         #: not walk an index in its order (None: it sorts)
-        self.sort_exempt = self._sort_exemption() if cost_based else None
+        self.sort_exempt = self._sort_exemption()
         sorts = bool(select.order_by) and not self.ordered \
             and self.sort_exempt is None
         #: ORDER BY … LIMIT keeps a bounded top-N instead of sorting all
         #: rows (DISTINCT and the seed plan keep the full sort)
-        self.top_n = cost_based and sorts and select.limit is not None \
+        self.top_n = not seed and sorts and select.limit is not None \
             and not select.distinct
         #: the sort (or top-N) compares the key values themselves, not
         #: SortKey wrappers (see executor.ordering_key)
-        self.native_order = cost_based and sorts and self._native_order()
+        self.native_order = not seed and sorts and self._native_order()
         #: the whole plan's estimate: operator tree plus sort / top-N
         self.est_cost = root.est_cost
-        if root.est_cost is not None and sorts:
+        if sorts:
             self.est_cost += self._sort_cost(root.est_rows)
         # The tail's expression slots, filled — like the operators' —
         # by compile_plan: ``emit_fn`` for plain plans (row mode over
@@ -333,12 +340,8 @@ class SelectPlan:
         self, store: TableStore, conjuncts: list[Expr]
     ) -> tuple[AccessPath, float, float]:
         """The cheapest access path for a scan with ``conjuncts`` pushed
-        onto it; returns (path, estimated output rows, estimated cost).
-
-        An empty (typically not-yet-seeded) table is costed as if it had
-        a few rows, so a plan cached before the bulk load still picks
-        the index it will want afterwards."""
-        live = len(store.rows) or 10
+        onto it; returns (path, estimated output rows, estimated cost)."""
+        live = cost.live_rows(store)
         output = live * cost.conjuncts_selectivity(store, conjuncts)
         walk, walk_cost = AccessPath(), float(live)
         if len(self._binding_order) == 1 and self.mode in (None, "columnar"):
@@ -482,11 +485,13 @@ class SelectPlan:
 
     def _sort_cost(self, rows: float) -> float:
         """What ordering ``rows`` scanned rows costs this plan's tail:
-        nothing without ORDER BY, a bounded top-N under a LIMIT."""
+        nothing without ORDER BY, a bounded top-N under a LIMIT (not in
+        the seed plan, which sorts every row)."""
         if not self.select.order_by:
             return 0.0
         offset, limit = self._priced_window
-        bounded = limit is not None and not self.select.distinct
+        bounded = limit is not None and not self.select.distinct \
+            and self.mode != "seed"
         return cost.sort_cost(rows, offset + limit if bounded else None)
 
     def _sort_exemption(self) -> str | None:
@@ -556,7 +561,7 @@ class SelectPlan:
             return ()
         return tuple(item.expr.column for item in order)
 
-    # -- operator tree (cost-based) -------------------------------------------
+    # -- operator tree ----------------------------------------------------------
 
     def _classify(self, where: list[Expr], inner_on: list[Expr],
                   left: set[str]):
@@ -590,7 +595,9 @@ class SelectPlan:
 
     def _filtered_rows(self, binding: str, conjuncts: list[Expr]) -> float:
         store = self._binding_store(binding)
-        return len(store.rows) * cost.conjuncts_selectivity(store, conjuncts)
+        return cost.live_rows(store) * cost.conjuncts_selectivity(
+            store, conjuncts
+        )
 
     def _join_rows(self, binding: str, build_columns: list[str],
                    probe_rows: float, build_rows: float) -> float:
@@ -686,7 +693,7 @@ class SelectPlan:
                 self.columns_by_binding, and_all(prefilter),
             )
             step_cost = (
-                len(store.rows) * cost.HASH_BUILD_COST
+                cost.live_rows(store) * cost.HASH_BUILD_COST
                 + cardinality * cost.HASH_PROBE_COST + output
             )
         else:
@@ -694,14 +701,14 @@ class SelectPlan:
                 root, store, binding, and_all(residual) or Literal(True),
                 kind, self.columns_by_binding, and_all(prefilter),
             )
-            step_cost = len(store.rows) + cardinality * build_est
+            step_cost = cost.live_rows(store) + cardinality * build_est
         if kind == "left":
             output = max(output, cardinality)
         join.est_rows, join.est_cost = output, root.est_cost + step_cost
         return join
 
     def _build_tree_costed(self) -> Operator:
-        """The cost-based operator tree.  A LEFT join is an ordering
+        """The operator tree, every mode's.  A LEFT join is an ordering
         barrier, not a second planner: with one in the statement the
         declared order stands, a WHERE conjunct touching a left-joined
         binding waits for the final filter, and the LEFT join's own ON
@@ -780,96 +787,6 @@ class SelectPlan:
             root = FilterOp(child, and_all(final), self.columns_by_binding)
             root.est_rows, root.est_cost = child.est_rows, child.est_cost
         return root
-
-    # -- operator tree (naive baseline) ---------------------------------------
-
-    def _build_tree_naive(self) -> Operator:
-        """The pre-cost-model plan shape: exact-equality index lookups
-        only, declared join order, no pushdown, one final WHERE filter."""
-        select = self.select
-        source_binding = select.source.binding
-        source_store = self._store(select.source.table)
-
-        eq_columns: list[str] = []
-        eq_exprs: list[Expr] = []
-        if not select.joins:
-            for conjunct in _conjuncts(select.where):
-                # ``source.col = <constant expr>``, either way round
-                classified = sarg(conjunct)
-                if (classified is not None and classified.kind == "cmp"
-                        and classified.op == "=" and classified.constant
-                        and classified.table in (None, source_binding)
-                        and source_store.schema.has_column(classified.column)):
-                    eq_columns.append(classified.column)
-                    eq_exprs.append(classified.operands[0])
-        # Only use the lookup path when an index matches exactly.
-        root: Operator
-        use_lookup: tuple[str, ...] = ()
-        for width in range(len(eq_columns), 0, -1):
-            candidate = tuple(eq_columns[:width])
-            if source_store.index_on(candidate) is not None:
-                use_lookup = candidate
-                break
-        if use_lookup:
-            index = source_store.index_on(use_lookup)
-            root = ScanOp(
-                source_store,
-                source_binding,
-                AccessPath(
-                    kind="eq", index=index, columns=use_lookup,
-                    eq_exprs=tuple(eq_exprs[: len(use_lookup)]),
-                ),
-            )
-        else:
-            root = ScanOp(source_store, source_binding)
-
-        joined = {source_binding}
-        for join in select.joins:
-            store = self._store(join.table.table)
-            binding = join.table.binding
-            probe_exprs: list[Expr] = []
-            build_columns: list[str] = []
-            residual: list[Expr] = []
-            for conjunct in _conjuncts(join.condition):
-                pair = self._equi_condition(conjunct, binding, joined)
-                if pair is not None:
-                    probe_exprs.append(pair[0])
-                    build_columns.append(pair[1])
-                else:
-                    residual.append(conjunct)
-            if probe_exprs:
-                root = HashJoinOp(
-                    root, store, binding, tuple(probe_exprs),
-                    tuple(build_columns), and_all(residual), join.kind,
-                    self.columns_by_binding,
-                )
-            else:
-                root = NestedLoopJoinOp(
-                    root, store, binding, join.condition, join.kind,
-                    self.columns_by_binding,
-                )
-            joined.add(binding)
-
-        if select.where is not None:
-            root = FilterOp(root, select.where, self.columns_by_binding)
-        return root
-
-    def _equi_condition(
-        self, conjunct: Expr, new_binding: str, joined: set[str]
-    ) -> tuple[Expr, str] | None:
-        """Match ``new.col = old.col`` and return (probe expr, build column)."""
-        if not isinstance(conjunct, Comparison) or conjunct.op != "=":
-            return None
-        left, right = conjunct.left, conjunct.right
-        if not (isinstance(left, ColumnRef) and isinstance(right, ColumnRef)):
-            return None
-        if left.table is None or right.table is None:
-            return None
-        if left.table == new_binding and right.table in joined:
-            return right, left.column
-        if right.table == new_binding and left.table in joined:
-            return left, right.column
-        return None
 
     # -- projection pushdown ---------------------------------------------------
 
@@ -984,9 +901,9 @@ class SelectPlan:
     def explain(self, analyze: bool = False) -> str:
         """A textual plan tree: the executor's post-processing steps
         (limit/sort/distinct/grouping) wrap the operator tree, which is
-        printed root-first with children indented below.  Cost-based
-        plans annotate each operator with estimated rows/cost and each
-        scan with the columns the query needs from it.
+        printed root-first with children indented below, each operator
+        annotated with estimated rows/cost and each scan with the
+        columns the query needs from it.
 
         ``analyze=True`` adds each operator's ``actual=`` row count from
         the most recent execution and, where an estimate exists, the
@@ -1021,24 +938,21 @@ class SelectPlan:
         label = node.describe()
         annotations = []
         if isinstance(node, ScanOp):
-            columns = self.needed_columns.get(node.binding)
-            if columns is not None and self.mode != "seed":
-                annotations.append(f"cols={','.join(columns) or '-'}")
+            columns = self.needed_columns[node.binding]
+            annotations.append(f"cols={','.join(columns) or '-'}")
             if node.proved:
                 annotations.append("proves=" + ",".join(
                     sarg(conjunct).column for conjunct in node.proved
                 ))
-        if node.est_rows is not None:
-            annotations.append(f"rows~{node.est_rows:.1f}")
-            annotations.append(f"cost~{node.est_cost:.1f}")
+        annotations.append(f"rows~{node.est_rows:.1f}")
+        annotations.append(f"cost~{node.est_cost:.1f}")
         if analyze and node.actual_rows is not None:
             annotations.append(f"actual={node.actual_rows}")
             if isinstance(node, ScanOp):
                 annotations.append(f"scanned={node.scanned}")
-            if node.est_rows is not None:
-                est = max(float(node.est_rows), 1.0)
-                act = max(float(node.actual_rows), 1.0)
-                annotations.append(f"q={max(act / est, est / act):.1f}")
+            est = max(float(node.est_rows), 1.0)
+            act = max(float(node.actual_rows), 1.0)
+            annotations.append(f"q={max(act / est, est / act):.1f}")
         if root:
             # execution mode is a plan-wide property; it annotates the
             # root operator (never a separate line, so line-positional

@@ -127,7 +127,11 @@ class TestAccessPaths:
     ])
     def test_index_paths_match_full_scan(self, library, sql):
         optimized = library.prepare(sql).execute({})
-        naive = library.prepare(sql, mode="seed").execute({})
+        seed = library.prepare(sql, mode="seed")
+        # the reference walks the heap: no index path answers for it
+        assert "Index" not in seed.explain()
+        assert "SeqScan(book" in seed.explain()
+        naive = seed.execute({})
         assert Counter(optimized.as_tuples()) == Counter(naive.as_tuples())
 
     def test_null_parameter_matches_nothing(self, library):
@@ -238,6 +242,30 @@ class TestJoinReorderAndPushdown:
         assert "cols=" in text
         # projection pushdown: only the referenced columns are needed
         assert "cols=author_oid,title" in text
+
+    def test_seed_plan_switches_every_decision_off(self, library):
+        """``mode="seed"`` is the planner with reorder, access paths and
+        pushdown off: the declared base, nothing pushed below the one
+        final filter, interpreted closures and a full sort."""
+        library.analyze()
+        sql = ("SELECT a.name, b.title FROM author a"
+               " JOIN book b ON b.author_oid = a.oid"
+               " WHERE b.year = 1999 ORDER BY b.title LIMIT 3")
+        seed = library.prepare(sql, mode="seed")
+        text = seed.explain()
+        assert [line.split("  [")[0].strip() for line in text.splitlines()] \
+            == ["Limit(limit=3, offset=0)", "Sort(1 keys)", "Filter",
+                "HashJoin(inner book AS b ON author_oid)",
+                "SeqScan(author AS a)"], text
+        assert "exec=interpreted" in text and "TopN" not in text
+        scan, join = seed.root.child.left, seed.root.child
+        assert scan.predicate is None and join.prefilter is None
+        assert join.residual is None
+        # the default plan takes all three decisions on the same statement
+        default = library.prepare(sql).explain()
+        assert "TopN" in default and "IndexLookup(book AS b" in default
+        assert seed.execute({}).as_tuples() \
+            == library.query(sql).as_tuples()
 
     def test_plan_records_tables_read(self, library):
         plan = SelectPlan(parse_select(
@@ -412,6 +440,34 @@ class TestForeignKeysPriceTheirColumns:
         lookup keeps the fixed constant, not a distinct count of 1."""
         db = _parents_and_children(parents=0, children=0)
         assert probe in db.prepare(sql).explain()
+
+    def test_join_planned_on_empty_tables_probes_the_bridge(self):
+        """Every estimate prices an empty table at the same row count,
+        so a join cached before the bulk load has the shape a fresh
+        plan takes after it: the bridge probed on its FK, not every tag
+        scanned."""
+        sql = ("SELECT t0.oid, t0.name FROM tag t0"
+               " JOIN child_tag r1 ON r1.tag_oid = t0.oid"
+               " WHERE r1.child_oid = :c")
+        db = _parents_and_children(parents=0, children=0)
+        db.prepare(sql)  # cached while every table is empty
+        db.begin()
+        for i in range(2_000):
+            db.insert_row("child", {"title": f"child-{i}"})
+            db.insert_row("tag", {"name": f"tag-{i}"})
+        for i in range(6_000):
+            db.insert_row("child_tag", {"child_oid": i % 2_000 + 1,
+                                        "tag_oid": i * 7 % 2_000 + 1})
+        db.commit()
+        cached = db.explain(sql, {"c": 5}, analyze=True)
+        assert "IndexLookup(child_tag AS r1 ON child_oid)" in cached, cached
+        assert "actual=3 scanned=3" in cached, cached
+
+        def shape(text):
+            return [line.split("  [")[0] for line in text.splitlines()]
+
+        fresh = SelectPlan(parse_select(sql), db.tables).explain()
+        assert shape(cached) == shape(fresh)
 
 
 class TestStatisticsImproveEstimates:

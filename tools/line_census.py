@@ -39,7 +39,8 @@ deleting an unreached function.
 ``REPRO_FAST=1 pytest benchmarks/ --ignore=benchmarks/waterfall``,
 ``examples/*.py`` and ``tools/*.py`` — and prints the baseline's
 unreached functions that those do not reach either: the functions only
-tests reach.
+tests reach.  The benchmarks' reports go to a temporary directory, so
+the pass leaves the working tree as it found it.
 
 Finds ``src/`` and the waterfall modules itself; stdlib only.
 """
@@ -266,12 +267,17 @@ def _run_script(path: str, args: list[str]) -> None:
 
 def consumer_census() -> set[str]:
     """The functions the benchmarks (fast mode, waterfall excluded), the
-    examples and the tools enter."""
+    examples and the tools enter.  The benchmarks write their reports to
+    a temporary directory, deleted afterwards: the committed
+    ``benchmarks/reports/`` stay as they are, and they are all the
+    trajectory check among the tools reads."""
     import pytest
 
     os.environ["REPRO_FAST"] = "1"
     os.chdir(ROOT)
     defined = defined_functions()
+    reports = tempfile.mkdtemp(prefix="census-reports-")
+    os.environ["REPRO_REPORT_DIR"] = reports
     profiler = Profiler()
     profiler.start()
     try:
@@ -283,6 +289,7 @@ def consumer_census() -> set[str]:
             _run_script(str(ROOT / "tools" / name), args)
     finally:
         profiler.stop()
+        shutil.rmtree(reports, ignore_errors=True)
     return profiler.reached(defined)
 
 
